@@ -3,6 +3,7 @@
 One job per invocation: parse the input records, dispatch, emit a JSON
 report (stdout and optionally --out).  Exit code 0 means nothing was
 falsified; undecided verdicts only fail the exit code under --strict.
+Exit code 2 means the input or an option was unusable.
 Reports carry no floats and no wall-clock data unless --timings is
 passed, so a fixed seed reproduces a byte-identical report.
 """
@@ -20,15 +21,25 @@ from .io import (ParseError, algebra_from_record, artin_from_record,
                  instance_from_record, load_record)
 from .mcgauge import (DeligneGroupoid, FiniteLieContext, gauge_equivalent,
                       mc_residual)
-from .tot import tot_cochain, tot_lie
+from .tot import TruncationError, tot_cochain, tot_lie
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _base_parser():
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--degree-bound", type=int, default=2)
+    p.add_argument("--samples", type=_positive_int, default=25)
+    p.add_argument("--degree-bound", type=_positive_int, default=2)
     p.add_argument("--trunc-level", type=int, default=None)
     p.add_argument("--strict", action="store_true",
                    help="undecided verdicts also fail the exit code")
@@ -283,14 +294,11 @@ def run(args):
     if args.timings:
         report["timings"] = {"total_ms": int((time.monotonic() - started)
                                              * 1000)}
+    # per-check verdicts only: a command's own falsified/undecided
+    # counts are already reflected in its checks
     verdicts = [c.get("verdict") for c in report.get("checks", [])]
-    report["summary"] = {
-        "verified": verdicts.count("verified"),
-        "falsified": verdicts.count("falsified") +
-        int(report.get("falsified", 0)),
-        "undecided": verdicts.count("undecided") +
-        int(report.get("undecided", 0)),
-    }
+    report["summary"] = {v: verdicts.count(v)
+                         for v in ("verified", "falsified", "undecided")}
     return report
 
 
@@ -299,7 +307,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = run(args)
-    except ParseError as exc:
+    except (ParseError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = dump_record(report, args.out)

@@ -45,6 +45,15 @@ def el_scale(c, x):
     return {k: c * v for k, v in x.items()}
 
 
+def el_combination(coeffs, elements, start=None):
+    """start + sum of coeffs[j] * elements[j] over a sparse coefficient
+    dict, added in index order."""
+    out = dict(start or {})
+    for j in sorted(coeffs):
+        out = el_add(out, el_scale(coeffs[j], elements[j]))
+    return out
+
+
 def el_is_zero(x):
     return all(not v for v in x.values())
 

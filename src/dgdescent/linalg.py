@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package reduces to solving linear systems over Q.
-Matrices are dense lists of lists of Fraction; a sparse row format
-(dict col -> Fraction) is provided for the larger constraint systems
-assembled by the totalization machinery.  No floats anywhere.
+Everything in this package reduces to solving linear systems over Q,
+and every solve runs through one sparse exact eliminator,
+`sparse_eliminate`, on rows stored as dicts col -> Fraction (zero
+values never stored).  The dense functions (lists of lists of Fraction)
+are thin adapters over it.  Dense Gauss-Jordan elimination, `rref`, is
+kept only as the independent reference that the tests compare the
+sparse path against; nothing in the package calls it.  No floats
+anywhere.
 """
 
 from fractions import Fraction
@@ -26,8 +30,9 @@ def frac(x):
 class NoSolution:
     """Witness of inconsistency of A x = b.
 
-    certificate is a row vector y with y A = 0 and y . b != 0, or None
-    when the solver was run without transform tracking.
+    certificate is a row vector y with y A = 0 and y . b != 0: a dense
+    list from solve_affine, a sparse dict row -> coefficient from
+    sparse_solve_affine.
     """
 
     def __init__(self, certificate=None):
@@ -79,19 +84,14 @@ def transpose(A):
 def vec_add(u, v):
     return [a + b for a, b in zip(u, v)]
 
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
 def vec_scale(c, v):
     return [c * a for a in v]
 
-def is_zero_vector(v):
-    return all(a == 0 for a in v)
-
 
 def rref(A, track=False):
-    """Reduced row echelon form.
+    """Reduced row echelon form by dense Gauss-Jordan elimination.
 
+    The test reference for the sparse eliminator; no solver calls it.
     Returns (R, pivots) or, with track=True, (R, pivots, T) where T is
     the invertible transform with R = T A.
     """
@@ -128,8 +128,18 @@ def rref(A, track=False):
     return R, pivots
 
 
+# dense adapters over the sparse eliminator
+
+
+def _densify(v, n):
+    out = [ZERO] * n
+    for j, x in v.items():
+        out[j] = x
+    return out
+
+
 def rank(A):
-    return len(rref(A)[1])
+    return len(sparse_eliminate(sparse_from_dense(A))[1])
 
 
 def kernel_basis(A, ncols=None):
@@ -138,19 +148,8 @@ def kernel_basis(A, ncols=None):
         if not A:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(A[0])
-    if not A:
-        return [e for e in identity(ncols)]
-    R, pivots = rref(A)
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    basis = []
-    for f in free:
-        v = zero_vector(ncols)
-        v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
-        basis.append(v)
-    return basis
+    return [_densify(v, ncols) for v in sparse_kernel(sparse_from_dense(A),
+                                                      ncols)]
 
 
 def solve_affine(A, b):
@@ -158,77 +157,50 @@ def solve_affine(A, b):
 
     Returns (x0, kernel) with A x0 = b and kernel a basis of the
     homogeneous solutions, or a NoSolution carrying a certificate row.
-    The elimination runs on the augmented matrix; the certificate is
-    recomputed with transform tracking only on the inconsistent path.
+    x0 is zero on the free columns and kernel vector i is the unit
+    vector of the i-th free column minus the pivot-column entries, so
+    both match what the reduced row echelon form gives.
     """
     m = len(A)
     if len(b) != m:
         raise ValueError(f"dimension mismatch: {m} rows vs rhs of length {len(b)}")
     n = len(A[0]) if A else 0
-    if m == 0:
-        return zero_vector(n), identity(n)
-    aug = [row + [bv] for row, bv in zip(A, b)]
-    R, pivots = rref(aug)
-    if n in pivots:
-        # 0 = 1 after elimination; rebuild the certificate row
-        _, piv2, T = rref(A, track=True)
-        tb = mat_vec(T, b)
-        for i in range(len(piv2), m):
-            if tb[i] != 0:
-                return NoSolution(certificate=T[i])
-        raise AssertionError("augmented and tracked eliminations disagree")
-    x0 = zero_vector(n)
-    for i, p in enumerate(pivots):
-        x0[p] = R[i][n]
-    # kernel from the already-eliminated coefficient part
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    kernel = []
-    for f in free:
-        v = zero_vector(n)
-        v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
-        kernel.append(v)
-    return x0, kernel
-
-
-def solve_unique(A, b):
-    res = solve_affine(A, b)
+    res = _solve(sparse_from_dense(A), b, n)
     if isinstance(res, NoSolution):
-        raise ValueError("inconsistent system")
-    x0, ker = res
-    if ker:
-        raise ValueError("solution not unique")
-    return x0
+        return NoSolution(certificate=_densify(res.certificate, m))
+    x0, kernel = res
+    return _densify(x0, n), [_densify(v, n) for v in kernel]
 
 
 def span_basis(vectors):
     """Echelonized basis of the span of the given vectors."""
     if not vectors:
         return []
-    R, pivots = rref(vectors)
-    return [R[i] for i in range(len(pivots))]
+    pivot_rows, pivot_cols, _, _ = sparse_eliminate(sparse_from_dense(vectors))
+    n = len(vectors[0])
+    return [_densify(row, n) for _, row in
+            sorted(zip(pivot_cols, pivot_rows), key=lambda pr: pr[0])]
 
 
 def coords_in_span(basis, v):
     """Coefficients of v over basis, or None if v is outside the span."""
     if not basis:
         return None if any(a != 0 for a in v) else []
-    res = solve_affine(transpose(basis), v)
-    if isinstance(res, NoSolution):
+    if len(basis[0]) != len(v):
+        raise ValueError(f"dimension mismatch: basis vectors of length "
+                         f"{len(basis[0])} vs vector of length {len(v)}")
+    _, pivot_cols, pivot_rhs, bad = sparse_eliminate(
+        sparse_columns(sparse_from_dense(basis), range(len(v))), v)
+    if bad is not None:
         return None
-    return res[0]
+    coords = zero_vector(len(basis))
+    for p, x in zip(pivot_cols, pivot_rhs):
+        coords[p] = x
+    return coords
 
 
 def span_contains(basis, v):
     return coords_in_span(basis, v) is not None
-
-
-def spans_equal(B1, B2):
-    e1 = span_basis(B1)
-    e2 = span_basis(B2)
-    return e1 == e2
 
 
 def intersect_spans(B1, B2):
@@ -237,14 +209,14 @@ def intersect_spans(B1, B2):
         return []
     n = len(B1[0])
     # combos (a, b) with sum a_i B1_i - sum b_j B2_j = 0
-    cols = transpose(B1 + [[-x for x in row] for row in B2])
-    ker = kernel_basis(cols, len(B1) + len(B2))
+    vecs = sparse_from_dense(B1) + [{j: -x for j, x in v.items()}
+                                    for v in sparse_from_dense(B2)]
     out = []
-    for k in ker:
+    for k in sparse_kernel(sparse_columns(vecs, range(n)), len(vecs)):
         v = zero_vector(n)
-        for i, row in enumerate(B1):
-            if k[i] != 0:
-                v = vec_add(v, vec_scale(k[i], row))
+        for i, c in k.items():
+            if i < len(B1):
+                v = vec_add(v, vec_scale(c, B1[i]))
         out.append(v)
     return span_basis(out)
 
@@ -257,72 +229,107 @@ def sparse_from_dense(A):
     return [{j: x for j, x in enumerate(row) if x != 0} for row in A]
 
 
-def _sparse_axpy(row, f, pivot_row):
-    # row -= f * pivot_row, in place on a fresh dict
-    out = dict(row)
+def sparse_columns(vectors, keys):
+    """Sparse rows, one per key, of the matrix whose column j is the
+    sparse vector vectors[j] (a dict key -> coefficient over keys)."""
+    row_of = {k: i for i, k in enumerate(keys)}
+    rows = [{} for _ in row_of]
+    for j, vec in enumerate(vectors):
+        for k, x in vec.items():
+            if x:
+                rows[row_of[k]][j] = x
+    return rows
+
+
+def _axpy(row, f, pivot_row):
+    # row -= f * pivot_row, in place
     for j, x in pivot_row.items():
-        v = out.get(j, ZERO) - f * x
+        v = row.get(j, ZERO) - f * x
         if v:
-            out[j] = v
+            row[j] = v
         else:
-            out.pop(j, None)
-    return out
+            del row[j]
 
 
-def sparse_eliminate(rows, rhs=None):
-    """Forward elimination on sparse rows.
+def sparse_eliminate(rows, rhs=None, track=False):
+    """Gauss-Jordan elimination on sparse rows.
 
-    Returns (pivot_rows, pivot_cols, reduced_rhs, inconsistent_index).
-    pivot_rows are fully reduced (each pivot column appears in exactly
-    one row, with coefficient 1).  If rhs is given, inconsistency is
-    reported as the index of an original row whose reduction became
-    0 = nonzero; otherwise inconsistent_index is None.
+    Returns (pivot_rows, pivot_cols, pivot_rhs, inconsistent).  Each
+    pivot row has coefficient 1 on its pivot column and 0 on every
+    other pivot column.  A new pivot is the least column of a row
+    already reduced against the earlier pivots, so it is the leading
+    column of a vector of the row space; a subspace has exactly as many
+    leading columns as its dimension, so the pivots are the leftmost
+    independent columns whatever order the rows are taken in, and the
+    pivot rows sorted by pivot column are the reduced row echelon form.
+
+    inconsistent is None unless rhs is given and a row reduces to
+    0 = c != 0.  Then it is the index of that original row or, with
+    track=True, the certificate: a sparse dict y (original row ->
+    coefficient) with y A = 0 and y . rhs = c.  Tracking extends row i
+    by a tag column past every real column, so each reduced row carries
+    the combination of original rows that it is.
     """
-    work = [dict(r) for r in rows]
     rvals = list(rhs) if rhs is not None else [ZERO] * len(rows)
+    tag = 1 + max((max(r) for r in rows if r), default=-1)
+    work = [dict(r) for r in rows]
+    if track:
+        for i, row in enumerate(work):
+            row[tag + i] = ONE
     pivot_of_col = {}
     pivot_rows = []
     pivot_cols = []
     pivot_rhs = []
-    # process rows in order of current sparsity for less fill-in
-    order = sorted(range(len(work)), key=lambda i: len(work[i]))
-    pending = [(i, work[i], rvals[i]) for i in order]
-    for orig_i, row, rv in pending:
-        row = dict(row)
-        # reduce against existing pivots
-        while True:
-            hit = None
-            for j in row:
-                if j in pivot_of_col:
-                    hit = j
-                    break
-            if hit is None:
-                break
-            k = pivot_of_col[hit]
-            f = row[hit]
-            row = _sparse_axpy(row, f, pivot_rows[k])
+    # process rows in order of sparsity for less fill-in
+    for i in sorted(range(len(work)), key=lambda i: len(work[i])):
+        row, rv = work[i], rvals[i]
+        # pivot rows vanish on every other pivot column, so one pass
+        # over the pivot columns present reduces the row
+        for j in [j for j in row if j in pivot_of_col]:
+            k = pivot_of_col[j]
+            f = row[j]
+            _axpy(row, f, pivot_rows[k])
             rv = rv - f * pivot_rhs[k]
-        if not row:
-            if rv != 0:
-                return pivot_rows, pivot_cols, pivot_rhs, orig_i
+        pj = min(row, default=tag)
+        if pj >= tag:
+            # no real column left: the row is a combination of the others
+            if rv:
+                if track:
+                    return pivot_rows, pivot_cols, pivot_rhs, {
+                        j - tag: x for j, x in row.items()}
+                return pivot_rows, pivot_cols, pivot_rhs, i
             continue
-        # pick the sparsest-column heuristic: just take min column index
-        pj = min(row)
         inv = ONE / row[pj]
         if inv != 1:
             row = {j: x * inv for j, x in row.items()}
             rv = rv * inv
         # back-substitute into previous pivots
-        for k in range(len(pivot_rows)):
-            if pj in pivot_rows[k]:
-                f = pivot_rows[k][pj]
-                pivot_rows[k] = _sparse_axpy(pivot_rows[k], f, row)
+        for k, prow in enumerate(pivot_rows):
+            f = prow.get(pj)
+            if f:
+                _axpy(prow, f, row)
                 pivot_rhs[k] = pivot_rhs[k] - f * rv
         pivot_of_col[pj] = len(pivot_rows)
         pivot_rows.append(row)
         pivot_cols.append(pj)
         pivot_rhs.append(rv)
+    if track:
+        pivot_rows = [{j: x for j, x in row.items() if j < tag}
+                      for row in pivot_rows]
     return pivot_rows, pivot_cols, pivot_rhs, None
+
+
+def _kernel(pivot_rows, pivot_cols, ncols):
+    """Kernel basis from fully reduced pivot rows, one vector per free
+    column f: 1 on f, minus row i's f-entry on pivot column i."""
+    pivset = set(pivot_cols)
+    basis = {f: {f: ONE} for f in range(ncols) if f not in pivset}
+    for prow, pcol in zip(pivot_rows, pivot_cols):
+        for j, c in prow.items():
+            v = basis.get(j)
+            if v is not None:
+                v[pcol] = -c
+    return basis
 
 
 def sparse_kernel(rows, ncols, with_free=False):
@@ -333,31 +340,23 @@ def sparse_kernel(rows, ncols, with_free=False):
     with_free=True to get the free columns alongside.
     """
     pivot_rows, pivot_cols, _, _ = sparse_eliminate(rows)
-    pivset = set(pivot_cols)
-    basis = []
-    free = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = {f: ONE}
-        for prow, pcol in zip(pivot_rows, pivot_cols):
-            c = prow.get(f)
-            if c:
-                v[pcol] = -c
-        basis.append(v)
-        free.append(f)
+    basis = _kernel(pivot_rows, pivot_cols, ncols)
     if with_free:
-        return basis, free
-    return basis
+        return list(basis.values()), list(basis)
+    return list(basis.values())
+
+
+def _solve(rows, rhs, ncols):
+    # the body shared by solve_affine and sparse_solve_affine
+    pivot_rows, pivot_cols, pivot_rhs, bad = sparse_eliminate(rows, rhs)
+    if bad is not None:
+        return NoSolution(sparse_eliminate(rows, rhs, track=True)[3])
+    x0 = {p: x for p, x in zip(pivot_cols, pivot_rhs) if x}
+    return x0, list(_kernel(pivot_rows, pivot_cols, ncols).values())
 
 
 def sparse_solve_affine(rows, rhs, ncols):
-    """Sparse analogue of solve_affine; kernel returned sparse."""
-    pivot_rows, pivot_cols, pivot_rhs, bad = sparse_eliminate(rows, rhs)
-    if bad is not None:
-        return NoSolution()
-    x0 = {}
-    for pcol, rv in zip(pivot_cols, pivot_rhs):
-        if rv:
-            x0[pcol] = rv
-    return x0, sparse_kernel(rows, ncols)
+    """Sparse analogue of solve_affine: x0 and the kernel vectors are
+    sparse dicts, and a NoSolution carries its certificate as a sparse
+    dict original row -> coefficient."""
+    return _solve(rows, rhs, ncols)

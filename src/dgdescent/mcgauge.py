@@ -24,10 +24,11 @@ use bch, so the convention is fixed in exactly one place.
 from fractions import Fraction
 from functools import lru_cache
 
-from .dgla import el_add, el_eq, el_is_zero, el_scale, el_sub
+from .dgla import el_add, el_combination, el_eq, el_is_zero, el_scale, el_sub
 from .forms import (PolyForm, mono_form_degree, mono_mul,
                     monomials_up_to)
-from .linalg import NoSolution, ZERO, solve_affine, span_basis
+from .linalg import (NoSolution, ZERO, sparse_columns, sparse_eliminate,
+                     sparse_kernel, sparse_solve_affine)
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -622,29 +623,28 @@ def _keys_of(elements):
     return keys
 
 
-def _to_dense(elements, key_order):
-    idx = {k: i for i, k in enumerate(key_order)}
-    out = []
-    for e in elements:
-        v = [ZERO] * len(key_order)
-        for k, c in e.items():
-            v[idx[k]] = c
-        out.append(v)
-    return out
-
-
-def _from_dense(vec, key_order):
-    return {k: c for k, c in zip(key_order, vec) if c}
+def _echelonize(elements):
+    """The reduced echelon basis of span(elements) over their sorted keys."""
+    keys = sorted(_keys_of(elements))
+    col = {k: j for j, k in enumerate(keys)}
+    pivot_rows, pivot_cols, _, _ = sparse_eliminate(
+        [{col[k]: c for k, c in e.items() if c} for e in elements])
+    return [{keys[j]: row[j] for j in sorted(row)}
+            for _, row in sorted(zip(pivot_cols, pivot_rows),
+                                 key=lambda pr: pr[0])]
 
 
 def elements_span_intersection(els1, els2):
     """Basis (as elements) of span(els1) & span(els2)."""
     keys = sorted(_keys_of(els1) | _keys_of(els2))
-    if not keys:
+    if not keys or not els1 or not els2:
         return []
-    from .linalg import intersect_spans
-    inter = intersect_spans(_to_dense(els1, keys), _to_dense(els2, keys))
-    return [_from_dense(v, keys) for v in inter]
+    # combos (a, b) with sum a_i els1_i - sum b_j els2_j = 0
+    cols = sparse_columns(els1 + [el_scale(-ONE, e) for e in els2], keys)
+    n1 = len(els1)
+    inter = [el_combination({i: c for i, c in k.items() if i < n1}, els1)
+             for k in sparse_kernel(cols, n1 + len(els2))]
+    return _echelonize(inter)
 
 
 def _solve_congruence(ctx, images, residual_const, residual_linear, stage,
@@ -653,8 +653,8 @@ def _solve_congruence(ctx, images, residual_const, residual_linear, stage,
     in the z's and the active parameters.
 
     residual_linear: list (per parameter) of constant elements.  Returns
-    (z_coeffs, param_values, kernel) or NoSolution.  kernel vectors run
-    over (params..., z...) coordinates.
+    (x0, kernel) or NoSolution; x0 and the kernel vectors are sparse
+    dicts over the (params..., z...) coordinates.
     """
     keys = set(_keys_of(images)) | set(residual_const)
     for r in residual_linear:
@@ -662,30 +662,19 @@ def _solve_congruence(ctx, images, residual_const, residual_linear, stage,
     aux = ctx.stage_vectors_for(stage + 1, keys) if stage + 1 <= ctx.nclass() \
         else []
     keys = sorted(keys | _keys_of(aux))
-    nz = len(images)
-    na = len(aux)
-    cols = nparams + nz + na
-    idx = {k: i for i, k in enumerate(keys)}
-    rows = [[ZERO] * cols for _ in keys]
     # sum_i kappa_i * (-residual_linear_i) + sum_j z_j images_j
     #   - sum_m w_m aux_m = residual_const
-    for i, r in enumerate(residual_linear):
-        for k, c in r.items():
-            rows[idx[k]][i] = -c
-    for j, im in enumerate(images):
-        for k, c in im.items():
-            rows[idx[k]][nparams + j] = c
-    for m, a in enumerate(aux):
-        for k, c in a.items():
-            rows[idx[k]][nparams + nz + m] = -c
+    columns = ([el_scale(-ONE, r) for r in residual_linear] + images
+               + [el_scale(-ONE, a) for a in aux])
     b = [residual_const.get(k, ZERO) for k in keys]
-    res = solve_affine(rows, b)
+    res = sparse_solve_affine(sparse_columns(columns, keys), b, len(columns))
     if isinstance(res, NoSolution):
         return res
     x0, ker = res
-    # strip the aux coordinates from the kernel directions
-    ker = [k[:nparams + nz] for k in ker]
-    return x0[:nparams], x0[nparams:nparams + nz], ker
+    # strip the aux coordinates
+    keep = nparams + len(images)
+    return ({j: c for j, c in x0.items() if j < keep},
+            [{j: c for j, c in v.items() if j < keep} for v in ker])
 
 
 def _split_parameterized(el, nparams):
@@ -759,31 +748,13 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
                 "unknown", stage=stage, complete=False,
                 reason=f"greedy search stuck at stage {stage} after a "
                        f"nonlinear parameter entry")
-        kvals, zvals, kernel = sol
-        new_y0 = dict(y0)
-        for i, val in enumerate(kvals):
-            if val:
-                new_y0 = el_add(new_y0, el_scale(val, params[i]))
-        for j, val in enumerate(zvals):
-            if val:
-                new_y0 = el_add(new_y0, el_scale(val, cand[j]))
-        new_params = []
-        for kv in kernel:
-            direction = {}
-            for i, coef in enumerate(kv[:len(params)]):
-                if coef:
-                    direction = el_add(direction,
-                                       el_scale(coef, params[i]))
-            for j, coef in enumerate(kv[len(params):]):
-                if coef:
-                    direction = el_add(direction, el_scale(coef, cand[j]))
-            if direction:
-                new_params.append(direction)
+        x0, kernel = sol
+        new_y0 = el_combination(x0, params + cand, start=y0)
+        new_params = [d for d in (el_combination(kv, params + cand)
+                                  for kv in kernel) if d]
         # echelonize directions over their keys to keep the count small
         if new_params:
-            keys = sorted(_keys_of(new_params))
-            dense = span_basis(_to_dense(new_params, keys))
-            new_params = [_from_dense(v, keys) for v in dense]
+            new_params = _echelonize(new_params)
         y0, params = new_y0, new_params
     if el_eq(gauge_act(ctx, y0, x), xp):
         return GaugeSearchResult("witness", witness=y0, complete=complete)
@@ -857,39 +828,21 @@ def _random_combination(rng, particular, kernel):
 
 def _constrained_mc_once(ctx, candidates, constraints, rng, start, label):
     # solve the affine constraints over the candidate coordinates
-    ncand = len(candidates)
     rows = []
     rhs = []
-    images = []
     for fn, target in constraints:
         imgs = [fn(z) for z in candidates]
         keys = sorted(_keys_of(imgs) | set(target))
         base = fn(start) if start else {}
-        for k in keys:
-            rows.append([im.get(k, ZERO) for im in imgs])
-            rhs.append(target.get(k, ZERO) - base.get(k, ZERO))
-        images.append(imgs)
-    if rows:
-        res = solve_affine(rows, rhs)
-        if isinstance(res, NoSolution):
-            raise ObstructionUnsolvable(0, label or "constraints")
-        coeffs, kernel = res
-    else:
-        coeffs = [ZERO] * ncand
-        kernel = [[ONE if i == j else ZERO for j in range(ncand)]
-                  for i in range(ncand)]
-    x = dict(start or {})
-    for c, z in zip(coeffs, candidates):
-        if c:
-            x = el_add(x, el_scale(c, z))
-    free = []
-    for kv in kernel:
-        direction = {}
-        for c, z in zip(kv, candidates):
-            if c:
-                direction = el_add(direction, el_scale(c, z))
-        if direction:
-            free.append(direction)
+        rows += sparse_columns(imgs, keys)
+        rhs += [target.get(k, ZERO) - base.get(k, ZERO) for k in keys]
+    res = sparse_solve_affine(rows, rhs, len(candidates))
+    if isinstance(res, NoSolution):
+        raise ObstructionUnsolvable(0, label or "constraints")
+    coeffs, kernel = res
+    x = el_combination(coeffs, candidates, start=start)
+    free = [d for d in (el_combination(kv, candidates) for kv in kernel)
+            if d]
     if rng is not None and free:
         x = _random_combination(rng, x, free)
     # staged MC correction along the free directions (all of degree 1)
@@ -909,20 +862,11 @@ def _constrained_mc_once(ctx, candidates, constraints, rng, start, label):
         sol = _solve_congruence(ctx, imgs, el_scale(-ONE, R), [], stage, 0)
         if isinstance(sol, NoSolution):
             raise ObstructionUnsolvable(stage, label)
-        _, zvals, kern = sol
-        z = {}
-        for val, zc in zip(zvals, cand_stage):
-            if val:
-                z = el_add(z, el_scale(val, zc))
+        zvals, kern = sol
+        z = el_combination(zvals, cand_stage)
         if rng is not None and kern:
-            dirs = []
-            for kv in kern:
-                direction = {}
-                for val, zc in zip(kv, cand_stage):
-                    if val:
-                        direction = el_add(direction, el_scale(val, zc))
-                if direction:
-                    dirs.append(direction)
+            dirs = [d for d in (el_combination(kv, cand_stage)
+                                for kv in kern) if d]
             z = _random_combination(rng, z, dirs)
         x = el_add(x, z)
     R = mc_residual(ctx, x)

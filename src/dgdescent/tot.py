@@ -556,6 +556,11 @@ class DescentDatum:
         return f"DescentDatum(a={self.a!r}, theta={self.theta!r})"
 
 
+class TruncationError(ValueError):
+    """A cosimplicial algebra truncated below the levels a construction
+    needs."""
+
+
 class DescentGroupoid:
     """Tot of the levelwise Deligne groupoids of a cosimplicial algebra.
 
@@ -566,7 +571,8 @@ class DescentGroupoid:
 
     def __init__(self, cc):
         if cc.N < 2:
-            raise ValueError("descent groupoids need levels 0..2")
+            raise TruncationError(f"descent groupoids need levels 0..2, "
+                                  f"got levels 0..{cc.N}")
         self.cc = cc
         nils = cc.nilpotent_levels()
         self.nil0, self.nil1, self.nil2 = nils[0], nils[1], nils[2]

@@ -292,3 +292,24 @@ def test_verify_descent_nonabelian_sampled():
             if c["name"] == "sampled gluing round-trips"][0]
     assert main["verdict"] == "verified"
     assert main["glued"] >= 3
+
+
+def test_verify_descent_never_verifies_nothing():
+    cc = cech_cosimplicial(
+        tensored_cover(segment_cover(ef_algebra()), t_truncated(3)), N=2)
+    rep = verify_descent(cc, samples=0, seed=1, D=1)
+    summary = rep["checks"][-1]
+    assert summary["glued"] == 0
+    assert summary["verdict"] == "undecided"
+
+
+def test_unwitnessed_round_trip_is_undecided(monkeypatch):
+    import dgdescent.cech as cech
+    monkeypatch.setattr(cech, "find_descent_isomorphism",
+                        lambda G, d1, d2, max_depth=None: None)
+    cc = cech_cosimplicial(
+        tensored_cover(segment_cover(ef_algebra()), t_truncated(3)), N=2)
+    rep = verify_descent(cc, samples=1, seed=1, D=1)
+    summary = rep["checks"][-1]
+    assert summary["glued"] == 1 and summary["undecided"] == 1
+    assert summary["verdict"] == "undecided"

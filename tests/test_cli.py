@@ -156,3 +156,39 @@ def test_strict_flag_fails_on_undecided(tmp_path, capsys):
     else:
         # depth 1 already found the witness; force strict success instead
         assert code == 0
+
+
+def test_summary_counts_each_check_once(monkeypatch, capsys):
+    # a report's own falsified/undecided counts are already in its checks
+    import dgdescent.cli as cli
+
+    def fake_verify(cc, samples, seed, D):
+        return {"instance": "fake", "falsified": 1, "undecided": 3,
+                "checks": [{"name": "a", "verdict": "falsified"},
+                           {"name": "b", "verdict": "undecided"},
+                           {"name": "c", "verdict": "verified"}]}
+    monkeypatch.setattr(cli, "verify_descent", fake_verify)
+    code, rep = run_cli(capsys, "verify-descent",
+                        str(DATA / "instance_segment_eps.json"))
+    assert rep["summary"] == {"verified": 1, "falsified": 1, "undecided": 1}
+    assert code == 1
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--degree-bound"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_counts_rejected(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-descent", str(DATA / "instance_segment_ef_t3.json"),
+              flag, value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_truncation_below_level_two_is_a_clean_error(capsys):
+    code = main(["verify-descent", str(DATA / "instance_segment_ef_t3.json"),
+                 "--trunc-level", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "levels 0..2" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,15 +1,18 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdescent.linalg import (NoSolution, coords_in_span, frac, identity,
                               intersect_spans, kernel_basis, mat_vec, rank,
-                              solve_affine, span_basis, span_contains,
-                              sparse_from_dense, sparse_kernel,
-                              sparse_solve_affine, transpose)
+                              rref, solve_affine, span_basis, span_contains,
+                              sparse_eliminate, sparse_from_dense,
+                              sparse_kernel, sparse_solve_affine, transpose)
 
 F = Fraction
+SRC = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
 
 
 def M(rows):
@@ -109,13 +112,38 @@ def test_solutions_verify_by_substitution(Ax):
     assert len(ker) == len(A[0]) - rank(A)
 
 
+def dense_reference(A, b):
+    """x0 (zero on free columns), kernel basis and row-space basis read
+    off the dense reduced row echelon form of [A | b]."""
+    n = len(A[0])
+    R, pivots = rref([row + [bv] for row, bv in zip(A, b)])
+    assert n not in pivots
+    x0 = [F(0)] * n
+    for i, p in enumerate(pivots):
+        x0[p] = R[i][n]
+    kernel = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -R[i][f]
+        kernel.append(v)
+    R, pivots = rref(A)
+    return x0, kernel, [R[i] for i in range(len(pivots))]
+
+
+def densify(v, n):
+    return [v.get(j, F(0)) for j in range(n)]
+
+
 @given(matrix_and_vector())
 @settings(max_examples=40, deadline=None)
 def test_sparse_matches_dense(Ax):
     A, x = Ax
+    n = len(A[0])
     b = mat_vec(A, x)
     dense = solve_affine(A, b)
-    sparse = sparse_solve_affine(sparse_from_dense(A), b, len(A[0]))
+    sparse = sparse_solve_affine(sparse_from_dense(A), b, n)
     assert not isinstance(sparse, NoSolution)
     x0, ker = sparse
     xv = [x0.get(j, F(0)) for j in range(len(A[0]))]
@@ -123,13 +151,101 @@ def test_sparse_matches_dense(Ax):
     assert len(ker) == len(dense[1])
     dker = sparse_kernel(sparse_from_dense(A), len(A[0]))
     assert len(dker) == len(dense[1])
+    # equal, not just the same count, to what the dense rref gives
+    ref_x0, ref_kernel, ref_rows = dense_reference(A, b)
+    assert dense == (ref_x0, ref_kernel)
+    assert xv == ref_x0
+    assert [densify(v, n) for v in ker] == ref_kernel
+    assert [densify(v, n) for v in dker] == ref_kernel
+    assert kernel_basis(A) == ref_kernel
+    assert span_basis(A) == ref_rows
+    assert rank(A) == len(ref_rows)
+    # tracking the row combinations changes nothing on a consistent system
+    rows = sparse_from_dense(A)
+    assert sparse_eliminate(rows, b, track=True) == sparse_eliminate(rows, b)
+
+
+@st.composite
+def inconsistent_system(draw):
+    """A x = b with b outside the column space: one row of A is a
+    combination of the others, so A has a nonzero left-kernel vector
+    y, and b = A x + y has y . b = y . y != 0."""
+    A, x = draw(matrix_and_vector())
+    coeffs = [F(draw(small_entries)) for _ in A]
+    A = A + [[sum((c * row[j] for c, row in zip(coeffs, A)), F(0))
+              for j in range(len(A[0]))]]
+    y = [-c for c in coeffs] + [F(1)]
+    b = [bi + yi for bi, yi in zip(mat_vec(A, x), y)]
+    return A, b
+
+
+def assert_certificate(A, b, y):
+    assert len(y) == len(A)
+    assert mat_vec(transpose(A), y) == [F(0)] * len(A[0])
+    assert sum((yi * bi for yi, bi in zip(y, b)), F(0)) != 0
+
+
+@given(inconsistent_system())
+@settings(max_examples=40, deadline=None)
+def test_inconsistent_systems_certified(Ab):
+    A, b = Ab
+    res = solve_affine(A, b)
+    assert isinstance(res, NoSolution)
+    assert_certificate(A, b, res.certificate)
+    res = sparse_solve_affine(sparse_from_dense(A), b, len(A[0]))
+    assert isinstance(res, NoSolution)
+    assert all(c != 0 for c in res.certificate.values())
+    assert_certificate(A, b, densify(res.certificate, len(A)))
 
 
 def test_sparse_inconsistent():
     res = sparse_solve_affine([{0: F(0)} if False else {}], V([1]), 1)
     assert isinstance(res, NoSolution)
+    assert res.certificate == {0: F(1)}
 
 
 def test_span_basis_echelonizes():
     basis = span_basis([V([2, 4]), V([1, 2]), V([0, 1])])
     assert len(basis) == 2
+
+
+def test_zero_rows():
+    # no equations: every vector solves, the kernel is everything
+    assert solve_affine([], []) == ([], [])
+    x0, ker = sparse_solve_affine([], [], 3)
+    assert x0 == {} and ker == [{0: F(1)}, {1: F(1)}, {2: F(1)}]
+    assert kernel_basis([], 2) == identity(2)
+    assert rank([]) == 0
+    assert span_basis([]) == []
+    assert intersect_spans([], [V([1, 0])]) == []
+    assert coords_in_span([], V([0, 0])) == []
+    assert coords_in_span([], V([0, 1])) is None
+
+
+def test_zero_columns():
+    # equations in no unknowns: consistent exactly when b = 0
+    assert solve_affine([[], []], V([0, 0])) == ([], [])
+    res = solve_affine([[], []], V([0, 3]))
+    assert isinstance(res, NoSolution)
+    assert res.certificate == V([0, 1])
+    assert sparse_solve_affine([{}, {}], V([0, 0]), 0) == ({}, [])
+    res = sparse_solve_affine([{}, {}], V([2, 0]), 0)
+    assert isinstance(res, NoSolution) and res.certificate == {0: F(1)}
+    assert rank([[], []]) == 0
+    assert kernel_basis([[], []]) == []
+    assert span_basis([[], []]) == []
+
+
+def test_dense_rref_stays_a_test_reference():
+    """No module of the package names rref except to define it (linalg
+    itself does not call it either): every solve path runs through the
+    one sparse eliminator, and dense elimination is the tests' reference."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "rref":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "dense rref referenced at " + ", ".join(offenders)

@@ -17,18 +17,19 @@ p >= 2 by boundary extension plus staged Maurer-Cartan correction.
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
-from .dgla import (DgLieMap, NilpotentDgLie, direct_product, el_add,
-                   el_combination, el_eq, el_is_zero, el_scale,
-                   lower_central_series, tensor_lie)
-from .forms import PolyForm, degeneracy_map, face_map, omega_apply
+from .dgla import (DgLieMap, NilpotentDgLie, direct_product, el_combination,
+                   el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
+                   tensor_lie)
+from .forms import degeneracy_map, face_map
 from .linalg import NoSolution, ZERO, sparse_columns, sparse_solve_affine
-from .mcgauge import (DeligneGroupoid, FiniteLieContext, FormLieContext,
+from .mcgauge import (DeligneGroupoid, FiniteLieContext,
                       ObstructionUnsolvable, constrained_mc_solve,
                       gauge_act, holonomy, mc_residual, solve_1simplex,
                       staged_gauge_search)
 from .tot import (CosimplicialDgLie, DescentDatum, TotContext,
-                  tot_groupoid, tot_lie)
+                  TruncationError, tot_groupoid, tot_lie)
 
 ONE = Fraction(1)
 
@@ -159,10 +160,22 @@ class CechCosimplicial(CosimplicialDgLie):
 
 
 def cech_cosimplicial(cover, N=None, validate=True):
-    """Levels 0..N of the ordered Cech cosimplicial algebra."""
+    """Levels 0..N of the ordered Cech cosimplicial algebra.
+
+    Its conormalization N^q is the sum of the sections over the
+    intersections of q+1 distinct opens, so it can be nonzero up to
+    max |J| - 1 over the nonempty U_J; a truncation below that level
+    would hide nonzero N^q from every vanishing check and is refused.
+    """
     m = cover.num_opens - 1
     if N is None:
         N = max(2, cover.num_opens - 1)
+    vanishing = max((len(J) for J in cover.sections), default=1) - 1
+    if N < vanishing:
+        raise TruncationError(
+            f"truncation level {N} is below the normalization vanishing "
+            f"level {vanishing} of the ordered Cech complex (an "
+            f"intersection of {vanishing + 1} opens is nonempty)")
     tuples = []
     levels = []
     for q in range(N + 1):
@@ -379,15 +392,12 @@ def glue_descent_datum(cc, datum, D, N=None):
                            + "; ".join(reasons))
     a, theta = datum.a, datum.theta
     omegas = [ctx.embed_level(0, a)]
-    ctx1 = FormLieContext(ctx.nils[1], 1)
-    path = solve_1simplex(ctx1, cc.coface(0, 1).apply(a), theta)
+    path = solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(a), theta)
     omegas.append(ctx.embed_form_level(1, path))
     for p in range(2, ctx.N + 1):
         omega_p = _glue_level(cc, ctx, omegas, p, D)
         omegas.append(ctx.embed_form_level(p, omega_p))
-    x = {}
-    for w in omegas:
-        x = el_add(x, w)
+    x = el_sum(omegas)
     if not ctx.is_tot_element(x):
         raise GluingFailed(ctx.N, "assembled family is not compatible")
     if not el_is_zero(mc_residual(ctx, x)):
@@ -397,32 +407,17 @@ def glue_descent_datum(cc, datum, D, N=None):
 
 def _glue_level(cc, ctx, omegas, p, D):
     """Solve level p: face and degeneracy constraints, then MC."""
-    nil_p = ctx.nils[p]
-    fctx = FormLieContext(nil_p, p)
+    fctx, prev_ctx = ctx.forms[p], ctx.forms[p - 1]
     candidates = [{k: ONE} for k in fctx.keys_up_to(D, degree=1)]
-    constraints = []
-    prev = ctx.level_component(el_sum(omegas), p - 1)
+    prev = ctx.level_component(omegas[p - 1], p - 1)
     # face restrictions: Omega(face^i)(omega_p) = g(face^i)(omega_{p-1})
-    for i in range(p + 1):
-        u = face_map(i, p)
-        target = {}
-        for (gi, mono), v in prev.items():
-            for gj, c in cc.coface(p - 1, i).apply({gi: v}).items():
-                k = (gj, mono)
-                target[k] = target.get(k, ZERO) + c
-        target = {k: v for k, v in target.items() if v}
-        constraints.append((_face_restriction_fn(fctx, u), target))
+    constraints = [(partial(fctx.restrict, face_map(i, p)),
+                    prev_ctx.push(cc.coface(p - 1, i).apply, prev))
+                   for i in range(p + 1)]
     # degeneracy conditions: g(codeg^i)(omega_p) = Omega(codeg^i)(omega_{p-1})
-    for i in range(p):
-        u = degeneracy_map(i, p - 1)
-        target = {}
-        for (gi, mono), v in prev.items():
-            pulled = omega_apply(u, PolyForm(p - 1, {mono: v}), p)
-            for m2, c in pulled.terms.items():
-                k = (gi, m2)
-                target[k] = target.get(k, ZERO) + c
-        target = {k: v for k, v in target.items() if v}
-        constraints.append((_codegeneracy_fn(cc, p, i), target))
+    constraints += [(partial(fctx.push, cc.codegeneracy(p - 1, i).apply),
+                     prev_ctx.restrict(degeneracy_map(i, p - 1), prev, p))
+                    for i in range(p)]
     try:
         return constrained_mc_solve(fctx, candidates, constraints,
                                     label=f"level {p}")
@@ -434,36 +429,6 @@ def _glue_level(cc, ctx, omegas, p, D):
         raise GluingFailed(
             p, f"MC correction obstructed at filtration stage "
                f"{exc.stage} (raise the degree bound?)") from exc
-
-
-def _face_restriction_fn(fctx, u):
-    def fn(el):
-        return fctx.restrict(u, el)
-    return fn
-
-
-def _codegeneracy_fn(cc, p, i):
-    sigma = cc.codegeneracy(p - 1, i)
-
-    def fn(el):
-        out = {}
-        for (gi, mono), v in el.items():
-            for gj, c in sigma.apply({gi: v}).items():
-                k = (gj, mono)
-                s = out.get(k, ZERO) + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
-    return fn
-
-
-def el_sum(elements):
-    out = {}
-    for e in elements:
-        out = el_add(out, e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +652,5 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
 
 
 def _random_tot_gauge(tot_complex, rng, spread=1):
-    out = {}
-    for b in tot_complex.basis_by_degree.get(0, []):
-        c = Fraction(rng.randint(-spread, spread))
-        if c:
-            out = el_add(out, el_scale(c, b))
-    return out
+    return el_sum(el_scale(Fraction(rng.randint(-spread, spread)), b)
+                  for b in tot_complex.basis_by_degree.get(0, []))

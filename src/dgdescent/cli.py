@@ -118,6 +118,11 @@ def _cosimplicial_from_args(args):
                          "covers need an artinian base; wrap the record "
                          "into a descent_instance")
     if kind == "cosimplicial_dg_lie":
+        if args.trunc_level is not None:
+            raise ParseError(args.file, "type",
+                             "a cosimplicial_dg_lie record fixes its own "
+                             "levels; --trunc-level applies to "
+                             "descent_instance records only")
         return cosimplicial_from_record(rec, args.file)
     raise ParseError(args.file, "type",
                      f"cannot build a cosimplicial algebra from {kind!r}")

@@ -56,9 +56,6 @@ class GradedSpace:
     def index(self, degree, label):
         return self._index[(degree, label)]
 
-    def global_index(self, degree, local):
-        return self._offset[degree] + local
-
     def degree_of(self, gidx):
         return self.basis[gidx][0]
 
@@ -98,9 +95,6 @@ class Cochain:
         if n in self.d:
             return self.d[n]
         return zero_matrix(self.space.dim(n + 1), self.space.dim(n))
-
-    def apply_d(self, n, v):
-        return mat_vec(self.d_matrix(n), v)
 
     def cocycles(self, n):
         dn = self.d_matrix(n)

@@ -24,15 +24,21 @@ from .linalg import ZERO, coords_in_span, span_basis, zero_matrix
 # sparse element helpers
 
 
-def el_add(x, y):
-    out = dict(x)
-    for k, v in y.items():
-        s = out.get(k, ZERO) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+def el_sum(elements, start=None):
+    """start + the sum of an iterable of elements, added in order."""
+    out = dict(start or {})
+    for e in elements:
+        for k, v in e.items():
+            s = out.get(k, ZERO) + v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
     return out
+
+
+def el_add(x, y):
+    return el_sum((y,), x)
 
 
 def el_sub(x, y):
@@ -48,10 +54,8 @@ def el_scale(c, x):
 def el_combination(coeffs, elements, start=None):
     """start + sum of coeffs[j] * elements[j] over a sparse coefficient
     dict, added in index order."""
-    out = dict(start or {})
-    for j in sorted(coeffs):
-        out = el_add(out, el_scale(coeffs[j], elements[j]))
-    return out
+    return el_sum((el_scale(coeffs[j], elements[j]) for j in sorted(coeffs)),
+                  start)
 
 
 def el_is_zero(x):
@@ -70,6 +74,73 @@ def el_from_pairs(pairs):
             if not out[k]:
                 del out[k]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the structure-table kernel: the only loops that push sparse elements
+# through structure constants
+
+
+def linear_apply(table, x):
+    """x pushed through a linear table {i: {k: coeff}}."""
+    out = {}
+    for i, a in x.items():
+        entry = table.get(i)
+        if not entry:
+            continue
+        for k, c in entry.items():
+            v = out.get(k, ZERO) + a * c
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
+
+
+def bilinear_apply(table, x, y):
+    """(x, y) pushed through a bilinear table {(i, j): {k: coeff}}."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            entry = table.get((i, j))
+            if not entry:
+                continue
+            ab = a * b
+            if not ab:
+                continue
+            for k, c in entry.items():
+                v = out.get(k, ZERO) + ab * c
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
+    return out
+
+
+def _sparse_table(source, target, block, shift=0):
+    """{source gidx: {target gidx: coeff}} from the dense blocks
+    block(n): source degree n -> target degree n + shift."""
+    table = {}
+    for n in source.nonzero_degrees():
+        M = block(n)
+        targets = target.degree_indices(n + shift)
+        for col, src in enumerate(source.degree_indices(n)):
+            entry = {targets[r]: M[r][col]
+                     for r in range(len(targets)) if M[r][col]}
+            if entry:
+                table[src] = entry
+    return table
+
+
+def _both_orders(products, sign):
+    """A product table completed in the missing orders: (j, i) gets
+    sign(i, j) times the (i, j) entry; empty entries are dropped last,
+    so an explicit empty entry still differs from a nonzero partner."""
+    table = dict(products)
+    for (i, j), val in products.items():
+        if (j, i) not in products:
+            table[(j, i)] = el_scale(sign(i, j), val)
+    return {ij: v for ij, v in table.items() if v}
 
 
 class DgLieAlgebra:
@@ -105,7 +176,8 @@ class DgLieAlgebra:
             elif i != j:
                 table[(j, i)] = flipped
         self.table = {ij: v for ij, v in table.items() if v}
-        self.d_table = _differential_table(self.cochain)
+        self.d_table = _sparse_table(self.space, self.space,
+                                     cochain.d_matrix, 1)
         if validate:
             self.validate()
 
@@ -121,30 +193,10 @@ class DgLieAlgebra:
         return self.table.get((i, j), {})
 
     def bracket(self, x, y):
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                c = a * b
-                if not c:
-                    continue
-                for k, s in self.bracket_basis(i, j).items():
-                    v = out.get(k, ZERO) + c * s
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        return out
+        return bilinear_apply(self.table, x, y)
 
     def d_element(self, x):
-        out = {}
-        for i, a in x.items():
-            for gk, c in self.d_table.get(i, {}).items():
-                v = out.get(gk, ZERO) + a * c
-                if v:
-                    out[gk] = v
-                else:
-                    out.pop(gk, None)
-        return out
+        return linear_apply(self.d_table, x)
 
     def basis_element(self, gidx):
         return {gidx: Fraction(1)}
@@ -215,21 +267,6 @@ class DgLieAlgebra:
         return True
 
 
-def _differential_table(cochain):
-    """Sparse form of the differential: {gidx: {gidx: coeff}}."""
-    space = cochain.space
-    table = {}
-    for n in space.nonzero_degrees():
-        M = cochain.d_matrix(n)
-        targets = space.degree_indices(n + 1)
-        for col, src in enumerate(space.degree_indices(n)):
-            entry = {targets[r]: M[r][col]
-                     for r in range(len(targets)) if M[r][col]}
-            if entry:
-                table[src] = entry
-    return table
-
-
 class DgLieMap:
     """Map of dg Lie algebras: chain map respecting brackets."""
 
@@ -237,15 +274,8 @@ class DgLieMap:
         self.source = source
         self.target = target
         self.cmap = CochainMap(source.cochain, target.cochain, blocks)
-        self.map_table = {}
-        for n in source.space.nonzero_degrees():
-            M = self.cmap.block(n)
-            targets = target.space.degree_indices(n)
-            for col, src in enumerate(source.space.degree_indices(n)):
-                entry = {targets[r]: M[r][col]
-                         for r in range(len(targets)) if M[r][col]}
-                if entry:
-                    self.map_table[src] = entry
+        self.map_table = _sparse_table(source.space, target.space,
+                                       self.cmap.block)
         if validate:
             n = source.total_dim()
             for i in range(n):
@@ -258,15 +288,7 @@ class DgLieMap:
                             f"map breaks the bracket on pair ({i},{j})")
 
     def apply(self, x):
-        out = {}
-        for i, a in x.items():
-            for gk, c in self.map_table.get(i, {}).items():
-                v = out.get(gk, ZERO) + a * c
-                if v:
-                    out[gk] = v
-                else:
-                    out.pop(gk, None)
-        return out
+        return linear_apply(self.map_table, x)
 
     def is_surjective(self):
         return self.cmap.is_surjective()
@@ -290,16 +312,19 @@ class DgCommAlgebra:
     def __init__(self, cochain, products, unit_index, validate=True):
         self.cochain = cochain
         self.space = cochain.space
-        self.products = {}
+        raw = {}
         for (i, j), val in products.items():
             val = {k: v for k, v in val.items() if v}
             di = self.space.degree_of(i) + self.space.degree_of(j)
             for k in val:
                 if self.space.degree_of(k) != di:
                     raise ValueError("product breaks the grading")
-            self.products[(i, j)] = val
+            raw[(i, j)] = val
+        self.table = _both_orders(raw, lambda i, j: Fraction(
+            (-1) ** (self.degree_of(i) * self.degree_of(j))))
         self.unit_index = unit_index
-        self.d_table = _differential_table(cochain)
+        self.d_table = _sparse_table(self.space, self.space,
+                                     cochain.d_matrix, 1)
         if validate:
             self.validate()
 
@@ -307,35 +332,13 @@ class DgCommAlgebra:
         return self.space.degree_of(gidx)
 
     def multiply_basis(self, i, j):
-        if (i, j) in self.products:
-            return self.products[(i, j)]
-        if (j, i) in self.products:
-            di, dj = self.degree_of(i), self.degree_of(j)
-            return el_scale(Fraction((-1) ** (di * dj)), self.products[(j, i)])
-        return {}
+        return self.table.get((i, j), {})
 
     def multiply(self, x, y):
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                for k, s in self.multiply_basis(i, j).items():
-                    v = out.get(k, ZERO) + a * b * s
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        return out
+        return bilinear_apply(self.table, x, y)
 
     def d_element(self, x):
-        out = {}
-        for i, a in x.items():
-            for gk, c in self.d_table.get(i, {}).items():
-                v = out.get(gk, ZERO) + a * c
-                if v:
-                    out[gk] = v
-                else:
-                    out.pop(gk, None)
-        return out
+        return linear_apply(self.d_table, x)
 
     def basis_element(self, gidx):
         return {gidx: Fraction(1)}
@@ -396,6 +399,7 @@ class MaximalIdeal:
             val = {k: v for k, v in val.items() if v}
             if val:
                 self.products[(i, j)] = val
+        self.table = _both_orders(self.products, lambda i, j: 1)
         # commutativity and associativity
         for i in range(n):
             for j in range(n):
@@ -418,19 +422,10 @@ class MaximalIdeal:
         return len(self.labels)
 
     def multiply_basis(self, i, j):
-        return self.products.get((i, j), self.products.get((j, i), {}))
+        return self.table.get((i, j), {})
 
     def multiply(self, x, y):
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                for k, s in self.multiply_basis(i, j).items():
-                    v = out.get(k, ZERO) + a * b * s
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        return out
+        return bilinear_apply(self.table, x, y)
 
     def _nilpotency_degree(self):
         """Smallest s with m^s = 0; raises if the powers never die."""

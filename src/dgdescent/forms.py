@@ -157,12 +157,6 @@ class PolyForm:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, k):
-        out = PolyForm.one(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return isinstance(other, PolyForm) and self.n == other.n and \
             self.terms == other.terms
@@ -201,17 +195,6 @@ class PolyForm:
 
     def poly_degree(self):
         return max((mono_poly_degree(m) for m in self.terms), default=0)
-
-    def form_degrees(self):
-        return sorted({mono_form_degree(m) for m in self.terms})
-
-    def form_component(self, k):
-        return PolyForm(self.n, {m: c for m, c in self.terms.items()
-                                 if mono_form_degree(m) == k})
-
-    def truncate(self, D):
-        return PolyForm(self.n, {m: c for m, c in self.terms.items()
-                                 if mono_poly_degree(m) <= D})
 
     def __repr__(self):
         return f"PolyForm({self.n}, {format_form(self)!r})"

@@ -1,12 +1,20 @@
 """Maurer-Cartan theory of nilpotent dg Lie algebras.
 
-Elements are sparse coordinate dicts over ambient-specific keys; the two
-ambients used everywhere share one informal protocol (d_el, bracket_el,
-key_degree, stage vectors, nilpotency class):
+Elements are sparse coordinate dicts over ambient-specific keys.  An
+ambient provides d_el, bracket_el, key_degree, stage vectors and the
+nilpotency class; there is one algebra ambient and one forms (x)
+algebra ambient:
 
-  * FiniteLieContext -- the algebra itself, keys are basis indices;
-  * FormLieContext   -- forms on the n-simplex tensored with the algebra,
-    keys are (basis index, form monomial).
+  * FiniteLieContext -- the algebra g itself, keys are basis indices;
+    d_el and bracket_el are g's own structure-table kernels;
+  * FormLieContext   -- Omega_n (x) g, forms on the n-simplex tensored
+    with the algebra, keys are (basis index, form monomial); it also
+    carries the two functorialities of such elements, restrict (pull
+    the forms back along a monotone map) and push (apply a map of
+    algebra elements monomial by monomial).
+
+The Thom-Sullivan ambient tot.TotContext is the product of the
+FormLieContexts of its levels.
 
 The gauge action is the time-1 flow of rho(y)(x) = dy + [x, y]; the flow
 is polynomial in time by nilpotency, so Picard iteration reaches its
@@ -24,9 +32,10 @@ use bch, so the convention is fixed in exactly one place.
 from fractions import Fraction
 from functools import lru_cache
 
-from .dgla import el_add, el_combination, el_eq, el_is_zero, el_scale, el_sub
-from .forms import (PolyForm, mono_form_degree, mono_mul,
-                    monomials_up_to)
+from .dgla import (el_add, el_combination, el_eq, el_is_zero, el_scale,
+                   el_sub, el_sum)
+from .forms import (PolyForm, mono_form_degree, mono_mul, monomials_up_to,
+                    omega_apply)
 from .linalg import (NoSolution, ZERO, sparse_columns, sparse_eliminate,
                      sparse_kernel, sparse_solve_affine)
 
@@ -144,10 +153,6 @@ def as_kpoly(v):
     return v if isinstance(v, KPoly) else KPoly.const(v)
 
 
-def value_constant(v):
-    return v.constant_part() if isinstance(v, KPoly) else Fraction(v)
-
-
 # ---------------------------------------------------------------------------
 # ambient contexts
 
@@ -166,33 +171,10 @@ class FiniteLieContext:
         return self.g.degree_of(key)
 
     def d_el(self, x):
-        out = {}
-        for k, v in x.items():
-            for t, c in self.g.d_table.get(k, {}).items():
-                s = out.get(t, ZERO) + v * c
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
-        return out
+        return self.g.d_element(x)
 
     def bracket_el(self, x, y):
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                entry = self.g.table.get((i, j))
-                if not entry:
-                    continue
-                ab = a * b
-                if not ab:
-                    continue
-                for k, c in entry.items():
-                    s = out.get(k, ZERO) + ab * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
+        return self.g.bracket(x, y)
 
     def degree_keys(self, n):
         return self.g.space.degree_indices(n)
@@ -237,57 +219,46 @@ class FormLieContext:
         """A plain algebra element as a constant form-valued element."""
         return {(gi, self._zero_mono): v for gi, v in x.items()}
 
-    def d_el(self, x):
-        out = {}
+    def by_mono(self, x):
+        """{monomial: plain algebra element} of x."""
+        parts = {}
         for (gi, mono), v in x.items():
+            parts.setdefault(mono, {})[gi] = v
+        return parts
+
+    def d_el(self, x):
+        parts = []
+        for mono, el in self.by_mono(x).items():
             # de Rham part on the monomial
-            dform = PolyForm(self.n, {mono: ONE}).d()
-            for m2, c in dform.terms.items():
-                k = (gi, m2)
-                s = out.get(k, ZERO) + v * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+            for m2, c in PolyForm(self.n, {mono: ONE}).d().terms.items():
+                parts.append({(gi, m2): c * v for gi, v in el.items()})
             # internal part with the form-degree sign
             sign = -ONE if mono_form_degree(mono) % 2 else ONE
-            for gj, c in self.g.d_table.get(gi, {}).items():
-                k = (gj, mono)
-                s = out.get(k, ZERO) + v * (sign * c)
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
+            parts.append({(gj, mono): sign * c
+                          for gj, c in self.g.d_element(el).items()})
+        return el_sum(parts)
 
     def bracket_el(self, x, y):
-        out = {}
-        for (gi, m1), a in x.items():
-            di = self.g.degree_of(gi)
-            for (gj, m2), b in y.items():
-                entry = self.g.table.get((gi, gj))
-                if not entry:
-                    continue
+        ys = self.by_mono(y)
+        parts = []
+        for m1, el1 in self.by_mono(x).items():
+            # the sign (-1)^{|x||m2|} flips odd Lie degrees past odd forms
+            twisted = {gi: -v if self.g.degree_of(gi) % 2 else v
+                       for gi, v in el1.items()}
+            for m2, el2 in ys.items():
                 prod = mono_mul(m1, m2)
                 if prod is None:
                     continue
                 m, sign = prod
-                if di % 2 and mono_form_degree(m2) % 2:
-                    sign = -sign
-                ab = a * b
-                if not ab:
-                    continue
-                for gk, c in entry.items():
-                    k = (gk, m)
-                    s = out.get(k, ZERO) + ab * (sign * c)
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
+                br = self.g.bracket(
+                    twisted if mono_form_degree(m2) % 2 else el1, el2)
+                if br:
+                    parts.append({(gk, m): sign * c for gk, c in br.items()})
+        return el_sum(parts)
 
     def restrict(self, u, x, p=None):
-        """Pullback along a monotone map on the form side."""
+        """Pullback along a monotone map u: [p] -> [n] on the form side;
+        the result lives on the p-simplex."""
         if p is None:
             p = len(u) - 1
         by_g = {}
@@ -295,11 +266,16 @@ class FormLieContext:
             by_g.setdefault(gi, {})[mono] = v
         out = {}
         for gi, terms in by_g.items():
-            from .forms import omega_apply
-            pulled = omega_apply(u, PolyForm(self.n, terms), p)
-            for m, c in pulled.terms.items():
+            for m, c in omega_apply(u, PolyForm(self.n, terms),
+                                    p).terms.items():
                 out[(gi, m)] = c
-        return {k: v for k, v in out.items() if v}
+        return out
+
+    def push(self, f, x):
+        """Apply f, a linear map of plain algebra elements, monomial by
+        monomial; f may land in another algebra."""
+        return {(gj, mono): c for mono, el in self.by_mono(x).items()
+                for gj, c in f(el).items()}
 
     def vertex(self, i, x):
         """Evaluate at the i-th vertex; a plain algebra element."""
@@ -392,19 +368,11 @@ def flow_path(ctx, y_coeffs, x0, max_rounds=None):
 
 def gauge_act(ctx, y, x):
     """Time-1 value of the flow: the gauge action of exp(y) on x."""
-    coeffs = flow_path(ctx, [y], x)
-    out = {}
-    for c in coeffs:
-        out = el_add(out, c)
-    return out
+    return el_sum(flow_path(ctx, [y], x))
 
 
 def nonautonomous_gauge_act(ctx, y_coeffs, x):
-    coeffs = flow_path(ctx, y_coeffs, x)
-    out = {}
-    for c in coeffs:
-        out = el_add(out, c)
-    return out
+    return el_sum(flow_path(ctx, y_coeffs, x))
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +523,7 @@ def holonomy(ctx, y_coeffs, max_rounds=None):
                 el_eq(a, b) for a, b in zip(new, theta)):
             break
         theta = new
-    out = {}
-    for c in theta:
-        out = el_add(out, c)
-    return out
+    return el_sum(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +684,9 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
                                      complete=False,
                                      reason="step budget exhausted")
         # y with symbolic parameters
-        y_sym = {k: as_kpoly(v) for k, v in y0.items()}
-        for i, p in enumerate(params):
-            y_sym = el_add(y_sym, {k: KPoly.var(i) * v
-                                   for k, v in p.items()})
+        y_sym = el_sum(({k: KPoly.var(i) * v for k, v in p.items()}
+                        for i, p in enumerate(params)),
+                       {k: as_kpoly(v) for k, v in y0.items()})
         res = el_sub(xp, gauge_act(ctx, y_sym, x))
         const, linear, affine = _split_parameterized(res, len(params))
         if not affine:
@@ -818,12 +782,8 @@ def constrained_mc_solve(ctx, candidates, constraints=(), rng=None,
 
 
 def _random_combination(rng, particular, kernel):
-    out = dict(particular)
-    for k in kernel:
-        c = Fraction(rng.randint(-2, 2))
-        if c:
-            out = el_add(out, el_scale(c, k))
-    return out
+    return el_sum((el_scale(Fraction(rng.randint(-2, 2)), k)
+                   for k in kernel), particular)
 
 
 def _constrained_mc_once(ctx, candidates, constraints, rng, start, label):

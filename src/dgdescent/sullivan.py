@@ -168,19 +168,6 @@ class SimplicialForms:
                 out[(name, ((0,) * m, 0))] = Fraction(c)
         return out
 
-    def element_from_coords(self, degree, coords):
-        out = {}
-        for c, vec in zip(coords, self.basis_by_degree.get(degree, [])):
-            if not c:
-                continue
-            for kk, v in vec.items():
-                s = out.get(kk, ZERO) + c * v
-                if s:
-                    out[kk] = s
-                else:
-                    out.pop(kk, None)
-        return out
-
 
 def omega_of_sset(sset, D):
     """The degree-D truncated forms on a finite simplicial set."""

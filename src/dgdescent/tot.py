@@ -7,19 +7,19 @@
 
 The truncation level N must dominate the level above which the
 conormalization vanishes ("finite in the cosimplicial sense"); the
-constructors check this on the stored levels and the reports record N.
+constructors check this on the stored levels, cech_cosimplicial also
+against the intersections of the cover, and the reports record N.
 """
 
 from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace
 from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
-                   el_sub, lower_central_series)
-from .forms import (PolyForm, compose_maps, degeneracy_map, face_map,
-                    mono_form_degree, mono_mul, monomials_up_to,
-                    omega_apply)
+                   el_sub, el_sum, lower_central_series)
+from .forms import compose_maps, degeneracy_map, face_map
 from .linalg import (ZERO, coords_in_span, span_basis, sparse_kernel)
-from .mcgauge import FiniteLieContext, bch, gauge_act, mc_residual
+from .mcgauge import (FiniteLieContext, FormLieContext, bch, gauge_act,
+                      mc_residual)
 from .simplicial import monotone_factorize
 
 ONE = Fraction(1)
@@ -231,11 +231,9 @@ def tot_cochain(cc, N=None):
             img = {}
             # Cech differential: alternating sum of cofaces
             if q + 1 <= N:
-                delta = {}
-                for i in range(q + 2):
-                    sgn = -ONE if i % 2 else ONE
-                    delta = el_add(delta, el_scale(
-                        sgn, cc.coface(q, i).apply(el)))
+                delta = el_sum(el_scale(-ONE if i % 2 else ONE,
+                                        cc.coface(q, i).apply(el))
+                               for i in range(q + 2))
                 for k, v in delta.items():
                     img[(q + 1, k)] = img.get((q + 1, k), ZERO) + v
             # internal differential with the Koszul sign
@@ -264,13 +262,15 @@ def tot_cochain(cc, N=None):
 
 
 class TotContext:
-    """Ambient product of Omega_p (x) g^p for p <= N.
+    """The product over p <= N of the ambients Omega_p (x) g^p.
 
-    Keys are (p, basis index of g^p, monomial on Delta^p); brackets and
-    differentials act levelwise, so the lower-central-series machinery
-    of the gauge searches works with the levelwise filtrations.
-    Membership in the totalization is a linear condition handled by
-    compatibility_defect / subspace bases, not by the ambient itself.
+    forms[p] is the FormLieContext of level p.  Keys are (p, basis index
+    of g^p, monomial on Delta^p); an element splits by level and every
+    ambient operation (d, bracket, keys, stage vectors) is the level's
+    own, so the lower-central-series machinery of the gauge searches
+    works with the levelwise filtrations.  Membership in the
+    totalization is a linear condition handled by compatibility_defect /
+    subspace bases, not by the ambient itself.
     """
 
     def __init__(self, cc, N=None):
@@ -283,88 +283,50 @@ class TotContext:
                 f"truncation level {self.N} is below the normalization "
                 f"vanishing level {cc.vanishing_level}")
         self.nils = cc.nilpotent_levels()[:self.N + 1]
-        self._zero_monos = {p: ((0,) * p, 0) for p in range(self.N + 1)}
+        self.forms = [FormLieContext(nil, p)
+                      for p, nil in enumerate(self.nils)]
 
     def nclass(self):
         return max(nil.nilpotency_class for nil in self.nils)
 
     def key_degree(self, key):
         p, gi, mono = key
-        return self.cc.level(p).degree_of(gi) + mono_form_degree(mono)
+        return self.forms[p].key_degree((gi, mono))
+
+    def split(self, x):
+        """{p: level-p part of x over (basis index, monomial) keys}."""
+        parts = {}
+        for (p, gi, mono), v in x.items():
+            parts.setdefault(p, {})[(gi, mono)] = v
+        return parts
 
     def d_el(self, x):
-        out = {}
-        for (p, gi, mono), v in x.items():
-            g = self.cc.level(p)
-            dform = PolyForm(p, {mono: ONE}).d()
-            for m2, c in dform.terms.items():
-                k = (p, gi, m2)
-                s = out.get(k, ZERO) + v * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-            sign = -ONE if mono_form_degree(mono) % 2 else ONE
-            for gj, c in g.d_table.get(gi, {}).items():
-                k = (p, gj, mono)
-                s = out.get(k, ZERO) + v * (sign * c)
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
+        return {(p, gi, mono): v for p, part in self.split(x).items()
+                for (gi, mono), v in self.forms[p].d_el(part).items()}
 
     def bracket_el(self, x, y):
-        out = {}
-        for (p, gi, m1), a in x.items():
-            g = self.cc.level(p)
-            di = g.degree_of(gi)
-            for (pp, gj, m2), b in y.items():
-                if pp != p:
-                    continue
-                entry = g.table.get((gi, gj))
-                if not entry:
-                    continue
-                prod = mono_mul(m1, m2)
-                if prod is None:
-                    continue
-                m, sign = prod
-                if di % 2 and mono_form_degree(m2) % 2:
-                    sign = -sign
-                ab = a * b
-                if not ab:
-                    continue
-                for gk, c in entry.items():
-                    k = (p, gk, m)
-                    s = out.get(k, ZERO) + ab * (sign * c)
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
+        ys = self.split(y)
+        return {(p, gi, mono): v for p, part in self.split(x).items()
+                if p in ys
+                for (gi, mono), v in self.forms[p].bracket_el(
+                    part, ys[p]).items()}
 
     def degree_component(self, x, n):
         return {k: v for k, v in x.items() if self.key_degree(k) == n}
 
     def stage_vectors_for(self, stage, keys):
-        by_slot = {}
+        by_level = {}
         for (p, gi, mono) in keys:
-            by_slot.setdefault((p, mono), set()).add(
-                self.cc.level(p).degree_of(gi))
-        out = []
-        for (p, mono), degs in sorted(
-                by_slot.items(), key=lambda kv: (kv[0][0], kv[0][1][1],
-                                                 kv[0][1][0])):
-            for n in sorted(degs):
-                for el in self.nils[p].stage_elements(stage, n):
-                    out.append({(p, gi, mono): c for gi, c in el.items()})
-        return out
+            by_level.setdefault(p, []).append((gi, mono))
+        return [self.embed_form_level(p, el) for p in sorted(by_level)
+                for el in self.forms[p].stage_vectors_for(stage,
+                                                          by_level[p])]
 
     # -- level embeddings and projections ------------------------------------------
 
-    def embed_level(self, p, el, mono=None):
-        mono = mono or self._zero_monos[p]
-        return {(p, gi, mono): v for gi, v in el.items()}
+    def embed_level(self, p, el):
+        """A plain element of g^p as a constant level-p family member."""
+        return self.embed_form_level(p, self.forms[p].embed(el))
 
     def embed_form_level(self, p, form_el):
         """A FormLieContext-style element of level p into Tot keys."""
@@ -378,15 +340,8 @@ class TotContext:
         return {gi: v for (p, gi, mono), v in x.items() if p == 0}
 
     def keys_up_to(self, D, degree=None):
-        out = []
-        for p in range(self.N + 1):
-            g = self.cc.level(p)
-            for mono in monomials_up_to(p, D):
-                fd = mono_form_degree(mono)
-                for gi in range(g.total_dim()):
-                    if degree is None or g.degree_of(gi) + fd == degree:
-                        out.append((p, gi, mono))
-        return out
+        return [(p, gi, mono) for p, fctx in enumerate(self.forms)
+                for (gi, mono) in fctx.keys_up_to(D, degree=degree)]
 
     # -- compatibility with the structure maps ----------------------------------------
 
@@ -404,31 +359,12 @@ class TotContext:
     def compatibility_defect(self, u, psrc, qtgt, x):
         """Omega(u)(level-q part) - g(u)(level-p part), a dict over
         (target Lie index, monomial on Delta^{p_src}) keys."""
-        out = {}
-        # form side: pull the level-qtgt component back along u
-        for (gi, mono), v in self.level_component(x, qtgt).items():
-            pulled = omega_apply(u, PolyForm(qtgt, {mono: v}), psrc)
-            for m2, c in pulled.terms.items():
-                k = (gi, m2)
-                s = out.get(k, ZERO) + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        # Lie side: push the level-psrc component forward along g(u)
-        by_mono = {}
-        for (gi, mono), v in self.level_component(x, psrc).items():
-            by_mono.setdefault(mono, {})[gi] = v
-        for mono, el in by_mono.items():
-            img = self.cc.structure_map_to(u, qtgt, el, p=psrc)
-            for gj, c in img.items():
-                k = (gj, mono)
-                s = out.get(k, ZERO) - c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
+        parts = self.split(x)
+        pulled = self.forms[qtgt].restrict(u, parts.get(qtgt, {}), psrc)
+        pushed = self.forms[psrc].push(
+            lambda el: self.cc.structure_map_to(u, qtgt, el, p=psrc),
+            parts.get(psrc, {}))
+        return el_sub(pulled, pushed)
 
     def is_tot_element(self, x):
         return all(not self.compatibility_defect(u, p, q, x)
@@ -507,11 +443,7 @@ class TotLieComplex:
                 # coordinates are lookups on the free keys; verify the
                 # reconstruction exactly (d must stay in the truncation)
                 coords = [dv.get(k, ZERO) for k in free]
-                recon = {}
-                for c, t in zip(coords, target):
-                    if c:
-                        recon = el_add(recon, el_scale(c, t))
-                if not el_eq(recon, dv):
+                if not el_eq(self.element(n + 1, coords), dv):
                     raise AssertionError(
                         "differential left the truncated totalization")
                 for r, c in enumerate(coords):
@@ -529,11 +461,8 @@ class TotLieComplex:
         return self.ctx.level0(x)
 
     def element(self, degree, coords):
-        out = {}
-        for c, v in zip(coords, self.basis_by_degree.get(degree, [])):
-            if c:
-                out = el_add(out, el_scale(c, v))
-        return out
+        return el_sum(el_scale(c, v) for c, v in
+                      zip(coords, self.basis_by_degree.get(degree, [])))
 
 
 def tot_lie(cc, D, N=None):

@@ -15,8 +15,8 @@ from dgdescent.instances import (abelian_line, circle_cover, dual_numbers,
                                  ef_algebra, segment_cover, t_truncated,
                                  triple_cover)
 from dgdescent.mcgauge import (FiniteLieContext, gauge_act, mc_residual)
-from dgdescent.tot import (DescentDatum, TotContext, tot_cochain,
-                           tot_groupoid, tot_lie)
+from dgdescent.tot import (DescentDatum, TotContext, TruncationError,
+                           tot_cochain, tot_groupoid, tot_lie)
 
 F = Fraction
 
@@ -313,3 +313,10 @@ def test_unwitnessed_round_trip_is_undecided(monkeypatch):
     summary = rep["checks"][-1]
     assert summary["glued"] == 1 and summary["undecided"] == 1
     assert summary["verdict"] == "undecided"
+
+
+def test_truncation_below_the_cover_vanishing_level_is_refused():
+    cover = tensored_cover(triple_cover(), dual_numbers())
+    with pytest.raises(TruncationError, match="vanishing level 2"):
+        cech_cosimplicial(cover, N=1)
+    assert cech_cosimplicial(cover, N=2).vanishing_level == 2

@@ -192,3 +192,24 @@ def test_truncation_below_level_two_is_a_clean_error(capsys):
     assert captured.out == ""
     assert "levels 0..2" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_truncation_below_cech_vanishing_level_is_a_clean_error(capsys):
+    # the triple cover has a nonempty triple overlap, so N^2 != 0; cut at
+    # level 1 the conormalized side read betti [1, 2, 1] as verified
+    code = main(["tot", str(DATA / "instance_triple_eps.json"),
+                 "--trunc-level", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "vanishing level 2" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_trunc_level_rejected_for_cosimplicial_records(capsys):
+    code = main(["tot", str(DATA / "cosimplicial_constant_ef_t3.json"),
+                 "--trunc-level", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--trunc-level" in captured.err

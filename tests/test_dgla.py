@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from dgdescent.cochain import Cochain, GradedSpace
-from dgdescent.dgla import (ArtinAlgebra, DgLieAlgebra, DgLieMap,
-                            MaximalIdeal, NilpotentDgLie, NotNilpotent,
-                            direct_product, el_eq, ground_field,
+from dgdescent.dgla import (ArtinAlgebra, DgCommAlgebra, DgLieAlgebra,
+                            DgLieMap, MaximalIdeal, NilpotentDgLie,
+                            NotNilpotent, direct_product, el_eq, ground_field,
                             identity_map, is_acyclic_fibration,
                             lower_central_series, tensor_lie)
 
@@ -206,3 +206,31 @@ def test_direct_product():
     assert p.bracket_basis(eL, fL) == {fL: F(1)}
     assert p.bracket_basis(eL, fR) == {}
     p.validate()
+
+
+def test_ideal_with_conflicting_orders_rejected():
+    # t*s and s*t given in both orders with different values
+    with pytest.raises(ValueError, match="not commutative"):
+        MaximalIdeal(["t", "s", "ts"],
+                     {(0, 1): {2: F(1)}, (1, 0): {2: F(2)}})
+
+
+def test_comm_algebra_breaking_graded_commutativity_rejected():
+    # x, y odd: y*x must be -x*y, here it is +x*y
+    space = GradedSpace({0: ["1"], 1: ["x", "y"], 2: ["xy"]})
+    products = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (0, 2): {2: F(1)},
+                (0, 3): {3: F(1)}, (1, 2): {3: F(1)}, (2, 1): {3: F(1)}}
+    with pytest.raises(ValueError, match="commutativity"):
+        DgCommAlgebra(Cochain(space, {}), products, 0)
+    # with the sign right, the same table is accepted
+    products[(2, 1)] = {3: F(-1)}
+    DgCommAlgebra(Cochain(space, {}), products, 0)
+
+
+@pytest.mark.parametrize("flipped", [F(1), F(-2)])
+def test_lie_brackets_breaking_antisymmetry_rejected(flipped):
+    # degree 0: [y,x] must be -[x,y]; +[x,y] and -2[x,y] both conflict
+    space = GradedSpace({0: ["x", "y", "z"]})
+    with pytest.raises(ValueError, match="conflicting|antisymmetry"):
+        DgLieAlgebra(Cochain(space, {}),
+                     {(0, 1): {2: F(1)}, (1, 0): {2: flipped}})

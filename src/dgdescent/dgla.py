@@ -146,6 +146,8 @@ def _both_orders(products, sign):
 class DgLieAlgebra:
     """Finite-dimensional non-negatively graded dg Lie algebra."""
 
+    _lcs = None     # the lower central series, once computed
+
     def __init__(self, cochain, brackets, validate=True, name=None):
         """brackets: {(i, j): {k: coeff}} on global basis indices.
 
@@ -167,14 +169,11 @@ class DgLieAlgebra:
             if (i, j) in table and table[(i, j)] != val:
                 raise ValueError(f"conflicting entries for bracket ({i},{j})")
             table[(i, j)] = val
-            sign = -Fraction((-1) ** (di * dj))
-            flipped = {k: sign * v for k, v in val.items()}
-            if (j, i) in table:
-                if table[(j, i)] != flipped and not (i == j):
-                    raise ValueError(
-                        f"brackets ({i},{j}) and ({j},{i}) break antisymmetry")
-            elif i != j:
-                table[(j, i)] = flipped
+            # a (j, i) entry disagreeing with this one's flip was refused
+            # above as a conflicting entry; validate() checks antisymmetry
+            if i != j and (j, i) not in table:
+                sign = -Fraction((-1) ** (di * dj))
+                table[(j, i)] = {k: sign * v for k, v in val.items()}
         self.table = {ij: v for ij, v in table.items() if v}
         self.d_table = _sparse_table(self.space, self.space,
                                      cochain.d_matrix, 1)
@@ -658,9 +657,21 @@ class NilpotentDgLie:
 
 
 def lower_central_series(g, max_stages=None):
-    """F^1 = g, F^{i+1} = [g, F^i]; returns NilpotentDgLie or NotNilpotent."""
-    if max_stages is None:
-        max_stages = g.total_dim() + 1
+    """F^1 = g, F^{i+1} = [g, F^i]; returns NilpotentDgLie or NotNilpotent.
+
+    With the default max_stages the result is stored on g, and later
+    calls return that same object: an algebra is not changed after its
+    construction, and no caller changes the stored series.  An explicit
+    max_stages computes the series afresh.
+    """
+    if max_stages is not None:
+        return _lower_central_series(g, max_stages)
+    if g._lcs is None:
+        g._lcs = _lower_central_series(g, g.total_dim() + 1)
+    return g._lcs
+
+
+def _lower_central_series(g, max_stages):
     lcs = {1: {n: [row[:] for row in
                    _degree_identity(g, n)] for n in g.space.nonzero_degrees()}}
     if g.total_dim() == 0:

@@ -10,8 +10,13 @@ A monomial is (exps, mask): exps a length-n tuple of exponents of the
 t's, mask a bitmask of the dt factors, always written in increasing
 index order.  The polynomial degree of a monomial counts every t and
 every dt once; the form degree is the number of dt factors.
+
+Pullback along a monotone map (`omega_apply`) is linear, computed per
+monomial from a memo: the image of each (map, monomial) pair is
+multiplied out once, and later pullbacks only scale and sum them.
 """
 
+import functools
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -254,13 +259,34 @@ def omega_apply(u, omega, p=None):
     The algebra map is determined by t_i |-> sum over the preimage of i
     of the source coordinates (and the same on dt), with the eliminated
     coordinates t_0, dt_0 written out through the simplex relations.
-    Commutes with d and with products.
+    Commutes with d and with products.  It is linear, so it is computed
+    per monomial from a memo: the pullback of each monomial along u is
+    multiplied out once and then only scaled and summed.
     """
     if p is None:
         p = len(u) - 1
     q = omega.n
     if len(u) != p + 1 or any(x > q for x in u) or not is_monotone(u):
         raise ValueError(f"{u} is not a monotone map into [{q}]")
+    u = tuple(u)
+    out = {}
+    for mono, c in omega.terms.items():
+        for m, v in _mono_pullback(u, q, mono).items():
+            s = out.get(m, ZERO) + c * v
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return PolyForm(p, out)
+
+
+@functools.lru_cache(maxsize=None)
+def _mono_pullback(u, q, mono):
+    """The terms of the pullback of one monomial on the q-simplex along
+    u: t_i and dt_i go to the sums of the source coordinates (and
+    differentials) over the preimage of i.  Memoized; the dicts it
+    returns are shared, so only omega_apply reads them."""
+    p = len(u) - 1
     src_t = [PolyForm.t0(p)] + [PolyForm.t(p, j) for j in range(1, p + 1)]
     src_dt = [PolyForm.dt0(p)] + [PolyForm.dt(p, j) for j in range(1, p + 1)]
     sub_t = []
@@ -274,21 +300,17 @@ def omega_apply(u, omega, p=None):
                 sdt = sdt + src_dt[j]
         sub_t.append(st)
         sub_dt.append(sdt)
-    out = PolyForm.zero(p)
-    for (exps, mask), c in omega.terms.items():
-        term = PolyForm.constant(p, c)
-        for i in range(q):
-            for _ in range(exps[i]):
-                term = term * sub_t[i]
-            if not term:
-                break
+    exps, mask = mono
+    term = PolyForm.one(p)
+    for i in range(q):
+        for _ in range(exps[i]):
+            term = term * sub_t[i]
         if not term:
-            continue
-        for i in range(q):
-            if (mask >> i) & 1:
-                term = term * sub_dt[i]
-        out = out + term
-    return out
+            return {}
+    for i in range(q):
+        if (mask >> i) & 1:
+            term = term * sub_dt[i]
+    return term.terms
 
 
 def restrict_to_face(omega, i):

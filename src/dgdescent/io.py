@@ -157,10 +157,12 @@ def algebra_from_record(rec, path="<record>", validate=True):
 def artin_to_record(a):
     ideal = a.maximal_ideal()
     products = []
-    for (i, j) in sorted(ideal.products):
+    # the completed table: a product given only as (j, i), j > i, is
+    # written as its (i, j) partner
+    for (i, j) in sorted(ideal.table):
         if i > j:
             continue
-        val = ideal.products[(i, j)]
+        val = ideal.table[(i, j)]
         products.append({
             "left": ideal.labels[i], "right": ideal.labels[j],
             "value": [{"basis": ideal.labels[k],

@@ -68,11 +68,20 @@ def mat_vec(A, v):
 
 
 def mat_mul(A, B):
+    """The dense product A B, skipping the zero entries of A and of B."""
     if A and B and len(A[0]) != len(B):
         raise ValueError("dimension mismatch in matrix product")
     cols = len(B[0]) if B else 0
-    return [[sum((row[k] * B[k][j] for k in range(len(B))), ZERO) for j in range(cols)]
-            for row in A]
+    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in B]
+    out = []
+    for row in A:
+        acc = [ZERO] * cols
+        for a, b_row in zip(row, b_rows):
+            if a:
+                for j, b in b_row:
+                    acc[j] += a * b
+        out.append(acc)
+    return out
 
 
 def transpose(A):

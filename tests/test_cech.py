@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -282,6 +283,17 @@ def test_verify_descent_abelian(cover_fn, artin_fn):
     rep = verify_descent(cc, D=1, stabilize_to=2)
     assert all(c["verdict"] == "verified" for c in rep["checks"])
     assert rep["falsified"] == 0
+
+
+def test_stored_lower_central_series_are_not_mutated():
+    cc = _nonabelian_cc()
+    nils = cc.nilpotent_levels()
+    before = [copy.deepcopy(nil.lcs) for nil in nils]
+    rep = verify_descent(cc, samples=1, seed=5, D=2)
+    assert rep["falsified"] == 0
+    assert all(lower_central_series(g) is nil
+               for g, nil in zip(cc.levels, nils))
+    assert [nil.lcs for nil in nils] == before
 
 
 def test_verify_descent_nonabelian_sampled():

@@ -22,6 +22,17 @@ def test_dd_zero_enforced():
         complex_from_dims({0: 1, 1: 1, 2: 1}, {0: M([[1]]), 1: M([[1]])})
 
 
+def test_cochain_rejects_d_squared_nonzero():
+    # C^0 -> C^1 -> C^2 with d^1 d^0 = [[0, 1]]: the check names the degrees
+    space = GradedSpace({0: ["a", "b"], 1: ["c", "e"], 2: ["f"]})
+    d0 = M([[0, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees 0 and 2"):
+        Cochain(space, {0: d0, 1: M([[0, 1]])})
+    # the same shapes with d^1 d^0 = 0, also through a cancellation
+    Cochain(space, {0: d0, 1: M([[1, 0]])})
+    Cochain(space, {0: M([[1, 0], [1, 0]]), 1: M([[1, -1]])})
+
+
 def test_acyclic_two_term():
     C = two_term_identity()
     assert C.cohomology(0)[0] == 0

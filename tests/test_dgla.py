@@ -113,6 +113,32 @@ def test_lcs_not_nilpotent():
     assert 1 in res.subspace and len(res.subspace[1]) == 1
 
 
+def test_lcs_is_stored_on_the_algebra():
+    nil = tensor_lie(t_cubed(), ef_algebra())
+    a = nil.algebra
+    # tensor_lie computed the series once; later calls return that object
+    assert lower_central_series(a) is nil
+    assert lower_central_series(a) is lower_central_series(a)
+
+
+def test_lcs_explicit_max_stages_bypasses_the_memo():
+    a = tensor_lie(t_cubed(), ef_algebra()).algebra
+    stored = lower_central_series(a)
+    fresh = lower_central_series(a, max_stages=a.total_dim() + 1)
+    assert fresh is not stored
+    assert fresh.nilpotency_class == stored.nilpotency_class
+    assert fresh.lcs == stored.lcs
+    assert lower_central_series(a) is stored
+
+
+def test_lcs_not_nilpotent_is_stored_too():
+    g = ef_algebra()
+    first = lower_central_series(g)
+    assert isinstance(first, NotNilpotent)
+    assert lower_central_series(g) is first
+    assert isinstance(lower_central_series(g, max_stages=3), NotNilpotent)
+
+
 def test_lcs_respects_ideal_powers():
     # m^s = 0 forces class < s for any tensor
     for artin, s in [(dual_numbers(), 2), (t_cubed(), 3)]:

@@ -1,6 +1,9 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdescent.forms import (PolyForm, compose_maps, degeneracy_map,
@@ -10,6 +13,7 @@ from dgdescent.forms import (PolyForm, compose_maps, degeneracy_map,
                              truncated_form_cochain)
 
 F = Fraction
+SRC = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
 
 
 def test_dt_squares_to_zero_and_anticommutes():
@@ -73,6 +77,107 @@ def test_pullback_of_t_along_named_maps():
     assert v1 == PolyForm.one(0)
     v0 = omega_apply((0,), t1)
     assert not v0
+
+
+def reference_omega_apply(u, omega):
+    """Pullback by substituting into the whole form, monomial after
+    monomial, with no memo: the test reference for omega_apply."""
+    p = len(u) - 1
+    q = omega.n
+    src_t = [PolyForm.t0(p)] + [PolyForm.t(p, j) for j in range(1, p + 1)]
+    src_dt = [PolyForm.dt0(p)] + [PolyForm.dt(p, j) for j in range(1, p + 1)]
+    sub_t = []
+    sub_dt = []
+    for i in range(1, q + 1):
+        st_ = PolyForm.zero(p)
+        sdt = PolyForm.zero(p)
+        for j, uj in enumerate(u):
+            if uj == i:
+                st_ = st_ + src_t[j]
+                sdt = sdt + src_dt[j]
+        sub_t.append(st_)
+        sub_dt.append(sdt)
+    out = PolyForm.zero(p)
+    for (exps, mask), c in omega.terms.items():
+        term = PolyForm.constant(p, c)
+        for i in range(q):
+            for _ in range(exps[i]):
+                term = term * sub_t[i]
+            if not term:
+                break
+        if not term:
+            continue
+        for i in range(q):
+            if (mask >> i) & 1:
+                term = term * sub_dt[i]
+        out = out + term
+    return out
+
+
+@st.composite
+def small_forms(draw):
+    q = draw(st.integers(0, 3))
+    terms = draw(st.dictionaries(
+        st.sampled_from(monomials_up_to(q, 3)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=5))
+    return PolyForm(q, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_forms())
+def test_omega_apply_matches_whole_form_substitution(omega):
+    for p in range(4):
+        for u in monotone_maps(p, omega.n):
+            got = omega_apply(u, omega)
+            ref = reference_omega_apply(u, omega)
+            assert got == ref
+            # the terms come out in the same order as well
+            assert list(got.terms) == list(ref.terms)
+
+
+def test_invalid_maps_still_rejected_after_the_memo_is_warm():
+    omega = PolyForm.t(2, 1) * PolyForm.dt(2, 2) + PolyForm.t(2, 2)
+    for u in monotone_maps(1, 2):
+        omega_apply(u, omega)
+    for bad in [(2, 0), (1, 0), (0, 3), (3,)]:
+        with pytest.raises(ValueError, match="not a monotone map"):
+            omega_apply(bad, omega)
+    with pytest.raises(ValueError, match="not a monotone map"):
+        omega_apply((0, 2), omega, p=2)
+
+
+def test_mutating_a_pullback_does_not_change_later_ones():
+    omega = PolyForm.t(1, 1) * PolyForm.t(1, 1) + PolyForm.dt(1, 1)
+    u = degeneracy_map(0, 1)
+    first = omega_apply(u, omega)
+    expected = dict(first.terms)
+    for m in list(first.terms):
+        first.terms[m] = F(99)
+    first.terms[((0, 0), 0)] = F(7)
+    assert omega_apply(u, omega).terms == expected
+    single = omega_apply(u, PolyForm.dt(1, 1))
+    single.terms.clear()
+    assert omega_apply(u, omega).terms == expected
+    assert omega_apply(u, PolyForm.dt(1, 1)) == \
+        reference_omega_apply(u, PolyForm.dt(1, 1))
+
+
+def test_monomial_pullbacks_stay_private_to_forms():
+    """Only forms reaches the monomial memo: every pullback goes through
+    omega_apply, so a tracer wrapping it sees all pullback time."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "forms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "_mono_pullback":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "monomial pullbacks reached at " + \
+        ", ".join(offenders)
 
 
 def test_omega_apply_commutes_with_d():

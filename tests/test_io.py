@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dgdescent.cech import cech_cosimplicial, tensored_cover
+from dgdescent.dgla import ArtinAlgebra
 from dgdescent.instances import (abelian_line, dual_numbers, ef_algebra,
                                  probe_class2, segment_cover, t_truncated)
 from dgdescent.io import (ParseError, algebra_from_record, algebra_to_record,
@@ -46,6 +47,18 @@ def test_artin_roundtrip():
         rec = artin_to_record(a)
         a2 = artin_from_record(rec)
         assert artin_to_record(a2) == rec
+
+
+def test_artin_roundtrip_keeps_a_product_given_in_one_order():
+    # only s.t = ts is given; the record must still carry t.s = ts
+    a = ArtinAlgebra(["t", "s", "ts"], {(1, 0): {2: 1}})
+    rec = artin_to_record(a)
+    assert rec["products"] == [{"left": "t", "right": "s",
+                                "value": [{"basis": "ts", "coeff": "1"}]}]
+    ideal = artin_from_record(rec).maximal_ideal()
+    t, s = {0: F(1)}, {1: F(1)}
+    assert ideal.multiply(t, s) == {2: F(1)}
+    assert ideal.multiply(s, t) == {2: F(1)}
 
 
 def test_cover_roundtrip():

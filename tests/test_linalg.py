@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdescent.linalg import (NoSolution, coords_in_span, frac, identity,
-                              intersect_spans, kernel_basis, mat_vec, rank,
+                              intersect_spans, kernel_basis, mat_mul, mat_vec,
+                              rank,
                               rref, solve_affine, span_basis, span_contains,
                               sparse_eliminate, sparse_from_dense,
                               sparse_kernel, sparse_solve_affine, transpose)
@@ -249,3 +250,36 @@ def test_dense_rref_stays_a_test_reference():
             if name == "rref":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, "dense rref referenced at " + ", ".join(offenders)
+
+
+def naive_mat_mul(A, B):
+    cols = len(B[0]) if B else 0
+    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), F(0))
+             for j in range(cols)] for i in range(len(A))]
+
+
+sparse_entries = st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_mat_mul_matches_triple_loop(m, k, n, data):
+    A = [[F(data.draw(sparse_entries)) for _ in range(k)] for _ in range(m)]
+    B = [[F(data.draw(sparse_entries)) for _ in range(n)] for _ in range(k)]
+    assert mat_mul(A, B) == naive_mat_mul(A, B)
+
+
+def test_mat_mul_edge_shapes():
+    assert mat_mul([], M([[1, 2]])) == []
+    assert mat_mul(M([[1], [2]]), M([[]])) == [[], []]
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul(M([[0, 0]]), M([[0, 1], [2, 0]])) == M([[0, 0]])
+    # cancellation leaves an exact zero
+    assert mat_mul(M([[1, 1]]), M([[1], [-1]])) == M([[0]])
+
+
+def test_mat_mul_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_mul(M([[1, 2]]), M([[1]]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_mul(M([[1], [0]]), M([[0, 1], [1, 0]]))

@@ -19,6 +19,7 @@ import itertools
 from fractions import Fraction
 from functools import partial
 
+from .cochain import map_blocks
 from .dgla import (DgLieMap, NilpotentDgLie, direct_product, el_combination,
                    el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
@@ -201,33 +202,27 @@ def cech_cosimplicial(cover, N=None, validate=True):
                             validate=validate)
 
 
-def _blocks_from_component_maps(src, tgt, entries):
-    """entries: list of (src tag, tgt tag, map on elements)."""
-    blocks = {}
-    for n in src.space.nonzero_degrees():
-        rows = tgt.space.dim(n)
-        cols = src.space.dim(n)
-        M = [[ZERO] * cols for _ in range(rows)]
-        blocks[n] = M
+def _component_map(src, tgt, entries):
+    """The map of products that sends component stag through fn into
+    component ttag, for each (stag, ttag, fn) in entries."""
     by_src = {}
     for stag, ttag, fn in entries:
         by_src.setdefault(stag, []).append((ttag, fn))
     tgt_emb = {tag: emb for tag, g, emb in tgt.components}
-    for stag, g, emb in src.components:
-        for gi in range(g.total_dim()):
-            n = g.degree_of(gi)
-            col = src.space.degree_indices(n).index(emb[gi])
-            for ttag, fn in by_src.get(stag, []):
-                img = fn(g.basis_element(gi))
-                for k, v in img.items():
-                    pk = tgt_emb[ttag][k]
-                    row = tgt.space.degree_indices(n).index(pk)
-                    blocks[n][row][col] += v
-    return {n: M for n, M in blocks.items() if rows_nonzero(M)}
+    back = {pidx: (tag, gi) for tag, g, emb in src.components
+            for gi, pidx in emb.items()}
 
-
-def rows_nonzero(M):
-    return any(any(x for x in row) for row in M)
+    def apply(x):
+        parts = []
+        for pidx, c in x.items():
+            stag, gi = back[pidx]
+            for ttag, fn in by_src.get(stag, ()):
+                emb = tgt_emb[ttag]
+                parts.append({emb[k]: v for k, v in fn({gi: c}).items()})
+        return el_sum(parts)
+    blocks = map_blocks(apply, src.space.unit_bases(),
+                        tgt.space.unit_bases())
+    return DgLieMap(src, tgt, blocks, validate=False)
 
 
 def _coface_map(cover, levels, tuples, q, i):
@@ -239,8 +234,7 @@ def _coface_map(cover, levels, tuples, q, i):
             raise AssertionError("sub-tuple of a nonempty tuple is empty")
         entries.append(
             (S, T, lambda x, S=S, T=T: cover.restrict(set(S), set(T), x)))
-    blocks = _blocks_from_component_maps(levels[q], levels[q + 1], entries)
-    return DgLieMap(levels[q], levels[q + 1], blocks, validate=False)
+    return _component_map(levels[q], levels[q + 1], entries)
 
 
 def _codegeneracy_map(levels, tuples, q, i):
@@ -249,8 +243,7 @@ def _codegeneracy_map(levels, tuples, q, i):
     for T in tuples[q]:
         S = T[:i + 1] + T[i:]
         entries.append((S, T, lambda x: dict(x)))
-    blocks = _blocks_from_component_maps(levels[q + 1], levels[q], entries)
-    return DgLieMap(levels[q + 1], levels[q], blocks, validate=False)
+    return _component_map(levels[q + 1], levels[q], entries)
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +263,18 @@ def tensored_cover(cover, artin):
     for (J, J2), f in cover.restrictions.items():
         src = sections[J]
         tgt = sections[J2]
-        blocks = {}
-        for n in src.space.nonzero_degrees():
-            rows = tgt.space.dim(n)
-            cols = src.space.dim(n)
-            M = [[ZERO] * cols for _ in range(rows)]
-            for (ai, gi), sidx in src.tensor_index.items():
-                if src.degree_of(sidx) != n:
-                    continue
-                col = src.space.degree_indices(n).index(sidx)
-                for gj, c in f.apply(
-                        f.source.basis_element(gi)).items():
-                    tidx = tgt.tensor_index[(ai, gj)]
-                    row = tgt.space.degree_indices(n).index(tidx)
-                    M[row][col] += c
-            if rows_nonzero(M):
-                blocks[n] = M
+        back = {sidx: ai_gi for ai_gi, sidx in src.tensor_index.items()}
+
+        def apply(x, f=f, tgt=tgt, back=back):
+            # m (x) f: a @ y -> a @ f(y)
+            parts = []
+            for sidx, c in x.items():
+                ai, gi = back[sidx]
+                parts.append({tgt.tensor_index[(ai, gj)]: v
+                              for gj, v in f.apply({gi: c}).items()})
+            return el_sum(parts)
+        blocks = map_blocks(apply, src.space.unit_bases(),
+                            tgt.space.unit_bases())
         restrictions[(J, J2)] = DgLieMap(src, tgt, blocks, validate=False)
     return CoverSpec(cover.num_opens, sections, restrictions,
                      name=f"{artin.name or 'm'}@{cover.name or 'cover'}")

@@ -4,10 +4,16 @@ Complexes are non-negatively graded and finite dimensional.  A complex
 stores one matrix per degree, d[n] : C^n -> C^{n+1}, columns indexed by
 the basis of C^n.  d . d = 0 is checked at construction; everything
 downstream assumes it.
+
+This module also owns the conversion between linear maps and those
+per-degree blocks, in both directions: `map_blocks` writes a map given
+on sparse vectors as blocks over reduced bases, and `table_from_blocks`
+turns blocks back into a sparse table {i: {k: coeff}}.
 """
 
-from .linalg import (ZERO, identity, kernel_basis, mat_mul, mat_vec,
-                     rank, span_basis, transpose, zero_matrix)
+from .linalg import (ONE, ZERO, kernel_basis, mat_mul, mat_vec, rank,
+                     sparse_eliminate, sparse_from_dense, sparse_kernel,
+                     span_basis, transpose, zero_matrix)
 
 # Degrees are capped to keep accidental runaway gradings out; the cap is
 # an artifact-level choice, overridable per space.
@@ -68,6 +74,88 @@ class GradedSpace:
         off = self._offset[n]
         return list(range(off, off + len(self.degrees[n])))
 
+    def unit_bases(self):
+        """{n: [{g: 1} for every basis index g of degree n]}."""
+        return {n: [{g: ONE} for g in self.degree_indices(n)]
+                for n in self.degrees}
+
+
+def map_blocks(fn, source, target, shift=0):
+    """The per-degree blocks of a linear map given on sparse vectors.
+
+    source and target map each degree to a list of sparse vectors, and
+    fn takes a sparse vector to a sparse vector: source degree n into
+    the span of target degree n + shift.  Every target list must be
+    reduced: vector i is 1 on a key where every other vector of its
+    degree is 0 (RREF rows, kernel bases that are 1 on their free
+    columns, and unit bases all are), so coordinates are read off on
+    those keys.  Each column is checked by exact reconstruction: an
+    image outside the target span, or a target that is not reduced,
+    raises ValueError.  Returns {n: block} for the nonzero blocks only.
+    """
+    blocks = {}
+    for n, vecs in source.items():
+        tvecs = target.get(n + shift, [])
+        row_of = _unit_keys(tvecs, n + shift)
+        M = [[ZERO] * len(vecs) for _ in tvecs]
+        nonzero = False
+        for col, v in enumerate(vecs):
+            rest = {k: x for k, x in fn(v).items() if x}
+            coords = [(row_of[k], x) for k, x in rest.items() if k in row_of]
+            # only the nonzero coordinates' vectors are subtracted: a
+            # sum over every target vector would cost the whole basis
+            # per column
+            for r, c in coords:
+                M[r][col] = c
+                for k, x in tvecs[r].items():
+                    y = rest.get(k, ZERO) - c * x
+                    if y:
+                        rest[k] = y
+                    else:
+                        rest.pop(k, None)
+            if rest:
+                raise ValueError(f"the image of source vector {col} of "
+                                 f"degree {n} leaves the span of the "
+                                 f"target in degree {n + shift}")
+            nonzero = nonzero or bool(coords)
+        if nonzero:
+            blocks[n] = M
+    return blocks
+
+
+def _unit_keys(vecs, n):
+    """{key: i}: for each vector i a key where it is 1 and every other
+    vector is 0; ValueError if some vector has none."""
+    count = {}
+    for v in vecs:
+        for k, x in v.items():
+            if x:
+                count[k] = count.get(k, 0) + 1
+    row_of = {}
+    for i, v in enumerate(vecs):
+        k = next((k for k, x in v.items() if x == 1 and count[k] == 1), None)
+        if k is None:
+            raise ValueError(f"target vector {i} of degree {n} is 1 on no "
+                             f"key where the others vanish: the target "
+                             f"is not reduced")
+        row_of[k] = i
+    return row_of
+
+
+def table_from_blocks(source, target, block, shift=0):
+    """{source gidx: {target gidx: coeff}} from the dense blocks
+    block(n): source degree n -> target degree n + shift."""
+    table = {}
+    for n in source.nonzero_degrees():
+        M = block(n)
+        targets = target.degree_indices(n + shift)
+        for col, src in enumerate(source.degree_indices(n)):
+            entry = {targets[r]: M[r][col]
+                     for r in range(len(targets)) if M[r][col]}
+            if entry:
+                table[src] = entry
+    return table
+
 
 class Cochain:
     """A finite-dimensional complex: GradedSpace plus differentials."""
@@ -97,10 +185,7 @@ class Cochain:
         return zero_matrix(self.space.dim(n + 1), self.space.dim(n))
 
     def cocycles(self, n):
-        dn = self.d_matrix(n)
-        if not dn:
-            return identity(self.space.dim(n))
-        return kernel_basis(dn, self.space.dim(n))
+        return kernel_basis(self.d.get(n, []), self.space.dim(n))
 
     def coboundaries(self, n):
         if n == 0:
@@ -112,20 +197,20 @@ class Cochain:
         """Dimension and representative cocycles of H^n.
 
         Representatives are cocycles that stay independent modulo
-        coboundaries (dim = dim ker d^n - rank d^{n-1}).
+        coboundaries (dim = dim ker d^n - rank d^{n-1}).  The cocycle
+        basis is 1 on its free columns and 0 on the others', so the
+        coordinates of a coboundary over it are its entries there; one
+        elimination of those coordinate rows gives rank B, and the
+        cocycles off its pivot columns complete B to a basis of Z.
         """
-        Z = self.cocycles(n)
-        B = self.coboundaries(n)
-        reps = []
-        current = list(B)
-        r = len(span_basis(current)) if current else 0
-        for z in Z:
-            cand = current + [z]
-            r2 = len(span_basis(cand))
-            if r2 > r:
-                reps.append(z)
-                current = cand
-                r = r2
+        dim = self.space.dim(n)
+        Z, free = sparse_kernel(sparse_from_dense(self.d.get(n, [])), dim,
+                                with_free=True)
+        coords = [{i: b[f] for i, f in enumerate(free) if b[f]}
+                  for b in transpose(self.d.get(n - 1, []))]
+        pivots = set(sparse_eliminate(coords)[1])
+        reps = [[z.get(j, ZERO) for j in range(dim)]
+                for i, z in enumerate(Z) if i not in pivots]
         return len(reps), reps
 
     def betti_numbers(self, up_to=None):

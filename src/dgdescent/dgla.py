@@ -16,8 +16,9 @@ randomized validation in the test suite).
 
 from fractions import Fraction
 
-from .cochain import Cochain, CochainMap, GradedSpace, DEFAULT_TOP_DEGREE
-from .linalg import ZERO, coords_in_span, span_basis, zero_matrix
+from .cochain import (Cochain, CochainMap, GradedSpace, DEFAULT_TOP_DEGREE,
+                      map_blocks, table_from_blocks)
+from .linalg import ZERO, span_basis
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +118,6 @@ def bilinear_apply(table, x, y):
     return out
 
 
-def _sparse_table(source, target, block, shift=0):
-    """{source gidx: {target gidx: coeff}} from the dense blocks
-    block(n): source degree n -> target degree n + shift."""
-    table = {}
-    for n in source.nonzero_degrees():
-        M = block(n)
-        targets = target.degree_indices(n + shift)
-        for col, src in enumerate(source.degree_indices(n)):
-            entry = {targets[r]: M[r][col]
-                     for r in range(len(targets)) if M[r][col]}
-            if entry:
-                table[src] = entry
-    return table
-
-
 def _both_orders(products, sign):
     """A product table completed in the missing orders: (j, i) gets
     sign(i, j) times the (i, j) entry; empty entries are dropped last,
@@ -175,8 +161,8 @@ class DgLieAlgebra:
                 sign = -Fraction((-1) ** (di * dj))
                 table[(j, i)] = {k: sign * v for k, v in val.items()}
         self.table = {ij: v for ij, v in table.items() if v}
-        self.d_table = _sparse_table(self.space, self.space,
-                                     cochain.d_matrix, 1)
+        self.d_table = table_from_blocks(self.space, self.space,
+                                         cochain.d_matrix, 1)
         if validate:
             self.validate()
 
@@ -273,8 +259,8 @@ class DgLieMap:
         self.source = source
         self.target = target
         self.cmap = CochainMap(source.cochain, target.cochain, blocks)
-        self.map_table = _sparse_table(source.space, target.space,
-                                       self.cmap.block)
+        self.map_table = table_from_blocks(source.space, target.space,
+                                           self.cmap.block)
         if validate:
             n = source.total_dim()
             for i in range(n):
@@ -294,11 +280,8 @@ class DgLieMap:
 
 
 def identity_map(g):
-    blocks = {}
-    for n in g.space.nonzero_degrees():
-        k = g.space.dim(n)
-        blocks[n] = [[Fraction(i == j) for j in range(k)] for i in range(k)]
-    return DgLieMap(g, g, blocks, validate=False)
+    units = g.space.unit_bases()
+    return DgLieMap(g, g, map_blocks(dict, units, units), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +305,8 @@ class DgCommAlgebra:
         self.table = _both_orders(raw, lambda i, j: Fraction(
             (-1) ** (self.degree_of(i) * self.degree_of(j))))
         self.unit_index = unit_index
-        self.d_table = _sparse_table(self.space, self.space,
-                                     cochain.d_matrix, 1)
+        self.d_table = table_from_blocks(self.space, self.space,
+                                         cochain.d_matrix, 1)
         if validate:
             self.validate()
 
@@ -544,33 +527,21 @@ def tensor_lie(A, g, validate=True):
 
     # differential: d(a@x) = (da)@x + (-1)^{|a|} a@(dx)
     back = {v: k for k, v in index.items()}
-    dmats = {}
-    for n in space.nonzero_degrees():
-        rows = space.dim(n + 1)
-        cols = space.dim(n)
-        if rows == 0 or cols == 0:
-            continue
-        M = zero_matrix(rows, cols)
-        row_of = {gk: r for r, gk in enumerate(space.degree_indices(n + 1))}
-        any_entry = False
-        for col, src in enumerate(space.degree_indices(n)):
+
+    def d_tensor(x):
+        parts = []
+        for src, c in x.items():
             ai, gi = back[src]
-            img = {}
             if a_d is not None:
-                for aj, c in a_d.d_element({ai: Fraction(1)}).items():
-                    t = index[(aj, gi)]
-                    img[t] = img.get(t, ZERO) + c
-            sign = Fraction((-1) ** a_degrees[ai])
-            for gj, c in g.d_element({gi: Fraction(1)}).items():
-                t = index[(ai, gj)]
-                img[t] = img.get(t, ZERO) + sign * c
-            for tgt, c in img.items():
-                if c:
-                    M[row_of[tgt]][col] = c
-                    any_entry = True
-        if any_entry:
-            dmats[n] = M
-    cochain = Cochain(space, dmats)
+                parts.append({index[(aj, gi)]: v for aj, v in
+                              a_d.d_element({ai: c}).items()})
+            sign = (-1) ** a_degrees[ai]
+            parts.append({index[(ai, gj)]: v for gj, v in
+                          g.d_element({gi: sign * c}).items()})
+        return el_sum(parts)
+
+    units = space.unit_bases()
+    cochain = Cochain(space, map_blocks(d_tensor, units, units, 1))
 
     # bracket: [a@x, b@y] = (-1)^{|x||b|} (ab) @ [x,y]
     brackets = {}
@@ -707,39 +678,20 @@ def _degree_identity(g, n):
 
 
 def _sub_cochain(nil, stage):
-    """The complex F^stage with its induced differential."""
+    """The complex F^stage with its induced differential, and its basis:
+    per degree, the stage's echelonized basis as elements."""
     g = nil.algebra
-    degrees = {}
     basis = {}
     for n in g.space.nonzero_degrees():
-        vecs = nil.stage_basis(stage, n)
-        if vecs:
-            degrees[n] = [f"s{stage}d{n}_{i}" for i in range(len(vecs))]
-            basis[n] = vecs
+        els = nil.stage_elements(stage, n)
+        if els:
+            basis[n] = els
+    degrees = {n: [f"s{stage}d{n}_{i}" for i in range(len(els))]
+               for n, els in basis.items()}
     space = GradedSpace(degrees,
                         top_degree=max(degrees, default=0) + 1
                         if degrees else 1)
-    dmats = {}
-    for n, vecs in basis.items():
-        target = basis.get(n + 1, [])
-        M = zero_matrix(len(target), len(vecs))
-        nonzero = False
-        for col, v in enumerate(vecs):
-            dv = g.d_element(g.from_degree_vector(n, v))
-            dvec = g.to_degree_vector(dv, n + 1)
-            if el_is_zero(dv):
-                continue
-            coords = coords_in_span(target, dvec)
-            if coords is None:
-                raise AssertionError(
-                    "differential does not preserve the lower central series")
-            for r, c in enumerate(coords):
-                if c:
-                    M[r][col] = c
-                    nonzero = True
-        if nonzero:
-            dmats[n] = M
-    return Cochain(space, dmats), basis
+    return Cochain(space, map_blocks(g.d_element, basis, basis, 1)), basis
 
 
 def is_acyclic_fibration(f, nil_source=None, nil_target=None):
@@ -759,24 +711,8 @@ def is_acyclic_fibration(f, nil_source=None, nil_target=None):
     for i in range(1, top_stage + 1):
         src_c, src_basis = _sub_cochain(nil_source, i)
         tgt_c, tgt_basis = _sub_cochain(nil_target, i)
-        blocks = {}
-        for n, vecs in src_basis.items():
-            tvecs = tgt_basis.get(n, [])
-            M = zero_matrix(len(tvecs), len(vecs))
-            for col, v in enumerate(vecs):
-                img = f.apply(f.source.from_degree_vector(n, v))
-                if el_is_zero(img):
-                    continue
-                coords = coords_in_span(
-                    tvecs, f.target.to_degree_vector(img, n))
-                if coords is None:
-                    raise AssertionError(
-                        "map does not preserve the lower central series")
-                for r, c in enumerate(coords):
-                    M[r][col] = c
-            if any(any(x for x in row) for row in M):
-                blocks[n] = M
-        fmap = CochainMap(src_c, tgt_c, blocks)
+        fmap = CochainMap(src_c, tgt_c,
+                          map_blocks(f.apply, src_basis, tgt_basis))
         if not is_quasi_iso(fmap):
             return False
     return True
@@ -809,27 +745,19 @@ def direct_product(factors, tags=None, validate=False):
             n = g.degree_of(gi)
             emb[gi] = space.index(n, (tag, g.space.label_of(gi)))
         components.append((tag, g, emb))
-    back = {}
-    for ci, (tag, g, emb) in enumerate(components):
-        for gi, pidx in emb.items():
-            back[pidx] = (ci, gi)
-    dmats = {}
-    for n in space.nonzero_degrees():
-        rows, cols = space.dim(n + 1), space.dim(n)
-        if rows == 0 or cols == 0:
-            continue
-        M = zero_matrix(rows, cols)
-        nonzero = False
-        row_of = {gk: r for r, gk in enumerate(space.degree_indices(n + 1))}
-        for col, src in enumerate(space.degree_indices(n)):
-            ci, gi = back[src]
-            tag, g, emb = components[ci]
-            for gj, c in g.d_element({gi: Fraction(1)}).items():
-                M[row_of[emb[gj]]][col] = c
-                nonzero = True
-        if nonzero:
-            dmats[n] = M
-    cochain = Cochain(space, dmats)
+    back = {pidx: (g, emb, gi) for tag, g, emb in components
+            for gi, pidx in emb.items()}
+
+    def d_product(x):
+        parts = []
+        for pidx, c in x.items():
+            g, emb, gi = back[pidx]
+            parts.append({emb[gj]: v for gj, v in
+                          g.d_element({gi: c}).items()})
+        return el_sum(parts)
+
+    units = space.unit_bases()
+    cochain = Cochain(space, map_blocks(d_product, units, units, 1))
     brackets = {}
     for tag, g, emb in components:
         for (i, j), val in g.table.items():

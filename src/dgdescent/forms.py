@@ -356,7 +356,7 @@ def truncated_form_cochain(n, D, top_degree=None):
     Returns (Cochain, monomial lists per form degree).  d preserves the
     polynomial degree, so F_D really is a subcomplex.
     """
-    from .cochain import Cochain, GradedSpace
+    from .cochain import Cochain, GradedSpace, map_blocks
     monos = monomials_up_to(n, D)
     by_deg = {}
     for m in monos:
@@ -364,19 +364,8 @@ def truncated_form_cochain(n, D, top_degree=None):
     degrees = {k: [format_mono(mono) for mono in v]
                for k, v in by_deg.items()}
     space = GradedSpace(degrees, top_degree=top_degree or max(n + 1, 8))
-    dmats = {}
-    for k, ms in sorted(by_deg.items()):
-        targets = by_deg.get(k + 1, [])
-        tindex = {m: r for r, m in enumerate(targets)}
-        M = [[ZERO] * len(ms) for _ in range(len(targets))]
-        nonzero = False
-        for col, m in enumerate(ms):
-            df = PolyForm(n, {m: ONE}).d()
-            for mm, c in df.terms.items():
-                M[tindex[mm]][col] = c
-                nonzero = True
-        if nonzero:
-            dmats[k] = M
+    units = {k: [{m: ONE} for m in ms] for k, ms in by_deg.items()}
+    dmats = map_blocks(lambda x: PolyForm(n, x).d().terms, units, units, 1)
     return Cochain(space, dmats), by_deg
 
 

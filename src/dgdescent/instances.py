@@ -10,7 +10,7 @@ tests.
 
 from fractions import Fraction
 
-from .cochain import Cochain, GradedSpace
+from .cochain import Cochain, GradedSpace, map_blocks
 from .dgla import (ArtinAlgebra, DgCommAlgebra, DgLieAlgebra, DgLieMap,
                    direct_product, lower_central_series, NilpotentDgLie,
                    tensor_lie)
@@ -229,19 +229,11 @@ def scaled_cover(name="segment-scaled"):
 
 def _projection_map(product, keep_index, target):
     """Project a direct product onto one factor, as a DgLieMap."""
-    blocks = {}
     tag, factor, emb = product.components[keep_index]
-    for n in target.space.nonzero_degrees():
-        rows = target.space.dim(n)
-        cols = product.space.dim(n)
-        M = [[F(0)] * cols for _ in range(rows)]
-        for gi in range(factor.total_dim()):
-            if factor.degree_of(gi) != n:
-                continue
-            r = target.space.degree_indices(n).index(gi)
-            c = product.space.degree_indices(n).index(emb[gi])
-            M[r][c] = F(1)
-        blocks[n] = M
+    back = {pidx: gi for gi, pidx in emb.items()}
+    blocks = map_blocks(
+        lambda x: {back[k]: c for k, c in x.items() if k in back},
+        product.space.unit_bases(), target.space.unit_bases())
     return DgLieMap(product, target, blocks, validate=False)
 
 
@@ -259,18 +251,12 @@ def contractible_tensor_fibration(nil):
     g = nil.algebra
     A = contractible_artin_dg()
     ag = tensor_lie(A, g, validate=False)
-    one = "1"
-    blocks = {}
-    for n in g.space.nonzero_degrees():
-        rows = g.space.dim(n)
-        cols = ag.space.dim(n)
-        M = [[F(0)] * cols for _ in range(rows)]
-        for c, src in enumerate(ag.space.degree_indices(n)):
-            alab, glab = ag.space.label_of(src)
-            if alab == one:
-                r = g.space.degree_indices(n).index(g.space.index(n, glab))
-                M[r][c] = F(1)
-        blocks[n] = M
+    # 1 @ y -> y, eps @ y and delta @ y -> 0
+    unit = A.space.index(0, "1")
+    back = {k: gi for (ai, gi), k in ag.tensor_index.items() if ai == unit}
+    blocks = map_blocks(
+        lambda x: {back[k]: c for k, c in x.items() if k in back},
+        ag.space.unit_bases(), g.space.unit_bases())
     f = DgLieMap(ag, g, blocks, validate=False)
     nil_src = lower_central_series(ag)
     return f, nil_src, nil

@@ -10,8 +10,9 @@ byte-identical file.
 import json
 from fractions import Fraction
 
-from .cochain import Cochain, GradedSpace
-from .dgla import ArtinAlgebra, DgLieAlgebra, DgLieMap, identity_map
+from .cochain import Cochain, GradedSpace, map_blocks
+from .dgla import (ArtinAlgebra, DgLieAlgebra, DgLieMap, identity_map,
+                   linear_apply)
 from .linalg import ZERO
 
 
@@ -90,10 +91,19 @@ def algebra_from_record(rec, path="<record>", validate=True):
         lab = label_from_json(entry["label"])
         degrees.setdefault(entry["degree"], []).append(lab)
     top = max(list(degrees) + [8]) + 1
-    space = GradedSpace(degrees, top_degree=top)
+    try:
+        space = GradedSpace(degrees, top_degree=top)
+    except ValueError as exc:
+        raise ParseError(path, "basis", str(exc))
     index = {}
     for gi in range(space.total_dim()):
-        index[space.label_of(gi)] = gi
+        lab = space.label_of(gi)
+        # references name basis elements by label alone
+        if lab in index:
+            raise ParseError(path, "basis", f"basis label {lab!r} is in "
+                             f"degrees {space.degree_of(index[lab])} and "
+                             f"{space.degree_of(gi)}")
+        index[lab] = gi
 
     def look(lab, field):
         lab = label_from_json(lab)
@@ -101,7 +111,6 @@ def algebra_from_record(rec, path="<record>", validate=True):
             raise ParseError(path, field, f"unknown basis label {lab!r}")
         return index[lab]
 
-    dmats = {}
     entries = {}
     for entry in rec.get("differential", []):
         src = look(entry["from"], "differential.from")
@@ -112,25 +121,10 @@ def algebra_from_record(rec, path="<record>", validate=True):
         c = scalar_from_str(entry["coeff"], path, "differential.coeff")
         entries.setdefault(src, {})[tgt] = \
             entries.get(src, {}).get(tgt, ZERO) + c
-    for n in space.nonzero_degrees():
-        rows = space.dim(n + 1)
-        cols = space.dim(n)
-        if rows == 0 or cols == 0:
-            continue
-        M = [[ZERO] * cols for _ in range(rows)]
-        nonzero = False
-        tidx = {g: r for r, g in enumerate(space.degree_indices(n + 1))}
-        for col, src in enumerate(space.degree_indices(n)):
-            for tgt, c in entries.get(src, {}).items():
-                if space.degree_of(tgt) != n + 1:
-                    raise ParseError(path, "differential",
-                                     "differential must raise degree by 1")
-                M[tidx[tgt]][col] = c
-                nonzero = True
-        if nonzero:
-            dmats[n] = M
+    units = space.unit_bases()
     try:
-        cochain = Cochain(space, dmats)
+        cochain = Cochain(space, map_blocks(
+            lambda x: linear_apply(entries, x), units, units, 1))
     except ValueError as exc:
         raise ParseError(path, "differential", str(exc))
     brackets = {}

@@ -6,8 +6,10 @@ and every solve runs through one sparse exact eliminator,
 values never stored).  The dense functions (lists of lists of Fraction)
 are thin adapters over it.  Dense Gauss-Jordan elimination, `rref`, is
 kept only as the independent reference that the tests compare the
-sparse path against; nothing in the package calls it.  No floats
-anywhere.
+sparse path against; nothing in the package calls it.  Likewise
+`coords_in_span`, which eliminates the basis once per vector, serves
+only the tests: the package reads coordinates off reduced bases
+(`cochain.map_blocks`).  No floats anywhere.
 """
 
 from fractions import Fraction

@@ -10,11 +10,10 @@ kernel computation and comes back as a finite-dimensional complex.
 
 from fractions import Fraction
 
-from .cochain import Cochain, GradedSpace
+from .cochain import Cochain, GradedSpace, map_blocks
 from .forms import (PolyForm, mono_form_degree, monomials_up_to,
                     omega_apply, restrict_to_face)
-from .linalg import (NoSolution, ZERO, coords_in_span, kernel_basis,
-                     solve_affine)
+from .linalg import NoSolution, ZERO, kernel_basis, solve_affine
 from .simplicial import degeneracy_monotone
 
 
@@ -49,29 +48,8 @@ class SimplicialForms:
         degrees = {k: [f"w{k}_{i}" for i in range(len(v))]
                    for k, v in self.basis_by_degree.items() if v}
         space = GradedSpace(degrees, top_degree=max(sset.dimension() + 1, 8))
-        dmats = {}
-        for k, vecs in self.basis_by_degree.items():
-            target = self.basis_by_degree.get(k + 1, [])
-            if not vecs or not target:
-                continue
-            tkeys = sorted({kk for v in target for kk in v})
-            M = [[ZERO] * len(vecs) for _ in range(len(target))]
-            nonzero = False
-            for col, v in enumerate(vecs):
-                dv = self.differential(v)
-                dvec = [dv.get(kk, ZERO) for kk in tkeys]
-                coords = coords_in_span(
-                    [[t.get(kk, ZERO) for kk in tkeys] for t in target],
-                    dvec)
-                if coords is None:
-                    raise AssertionError("d left the compatible subspace")
-                for r, c in enumerate(coords):
-                    if c:
-                        M[r][col] = c
-                        nonzero = True
-            if nonzero:
-                dmats[k] = M
-        self.cochain = Cochain(space, dmats)
+        self.cochain = Cochain(space, map_blocks(
+            self.differential, self.basis_by_degree, self.basis_by_degree, 1))
 
     # -- compatibility ---------------------------------------------------------
 
@@ -114,12 +92,7 @@ class SimplicialForms:
         return rows
 
     def _solve_degree(self, k, keys):
-        rows = self._face_constraint_rows(keys)
-        if not rows:
-            vecs = [[Fraction(i == j) for j in range(len(keys))]
-                    for i in range(len(keys))]
-        else:
-            vecs = kernel_basis(rows, len(keys))
+        vecs = kernel_basis(self._face_constraint_rows(keys), len(keys))
         return [{kk: c for kk, c in zip(keys, v) if c} for v in vecs]
 
     # -- element operations ------------------------------------------------------

@@ -13,11 +13,11 @@ against the intersections of the cover, and the reports record N.
 
 from fractions import Fraction
 
-from .cochain import Cochain, GradedSpace
+from .cochain import Cochain, GradedSpace, map_blocks
 from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
                    el_sub, el_sum, lower_central_series)
 from .forms import compose_maps, degeneracy_map, face_map
-from .linalg import (ZERO, coords_in_span, span_basis, sparse_kernel)
+from .linalg import ZERO, kernel_basis, span_basis, sparse_kernel
 from .mcgauge import (FiniteLieContext, FormLieContext, bch, gauge_act,
                       mc_residual)
 from .simplicial import monotone_factorize
@@ -122,23 +122,17 @@ class CosimplicialDgLie:
 
     def normalization_basis(self, q):
         """Basis of N^q = joint kernel of the codegeneracies out of
-        level q, as dense global vectors of the level-q algebra."""
+        level q, as elements of the level-q algebra."""
         g = self.levels[q]
-        if q == 0:
-            return [row[:] for row in _identity_rows(g.total_dim())]
-        # stack the matrices of all codegeneracies out of level q
-        tgt = self.levels[q - 1]
-        mat = []
+        # one row per (codegeneracy i, level q-1 index t), filled from
+        # the image of each basis element
+        rows = {}
         for i in range(q):
             sigma = self.codegens[q - 1][i]
-            for t in range(tgt.total_dim()):
-                row = []
-                for b in range(g.total_dim()):
-                    img = sigma.apply(g.basis_element(b))
-                    row.append(img.get(t, ZERO))
-                mat.append(row)
-        from .linalg import kernel_basis
-        return kernel_basis(mat, g.total_dim())
+            for b in range(g.total_dim()):
+                for t, c in sigma.apply({b: ONE}).items():
+                    rows.setdefault((i, t), {})[b] = c
+        return sparse_kernel(list(rows.values()), g.total_dim())
 
     def _check_vanishing(self, declared):
         vanish = -1
@@ -171,10 +165,6 @@ def constant_cosimplicial(g, N, validate=False):
                              name=f"const({g.name})")
 
 
-def _identity_rows(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # totalization of the underlying complexes
 
@@ -199,8 +189,7 @@ def tot_cochain(cc, N=None):
     collected = {}
     for q in range(N + 1):
         g = cc.level(q)
-        for vec in cc.normalization_basis(q):
-            el = g.from_global_vector(vec)
+        for el in cc.normalization_basis(q):
             # the conormalization is graded; split defensively anyway
             by_deg = {}
             for k, v in el.items():
@@ -216,45 +205,34 @@ def tot_cochain(cc, N=None):
                for n, v in pieces.items()}
     top = max(degrees, default=0) + 1
     space = GradedSpace(degrees, top_degree=max(top, 8))
-    dmats = {}
-    for n, basis in sorted(pieces.items()):
-        target = pieces.get(n + 1, [])
-        if not basis or not target:
-            continue
-        # dense coordinates for the target, per (level, global index)
-        tkeys = sorted({(q, k) for q, el in target for k in el})
-        tmat = [[el.get(k, ZERO) if q == qq else ZERO
-                 for (qq, k) in tkeys] for q, el in target]
-        M = [[ZERO] * len(basis) for _ in range(len(target))]
-        nonzero = False
-        for col, (q, el) in enumerate(basis):
-            img = {}
+
+    def total_d(x):
+        parts = []
+        for q, el in _by_level(x).items():
             # Cech differential: alternating sum of cofaces
             if q + 1 <= N:
                 delta = el_sum(el_scale(-ONE if i % 2 else ONE,
                                         cc.coface(q, i).apply(el))
                                for i in range(q + 2))
-                for k, v in delta.items():
-                    img[(q + 1, k)] = img.get((q + 1, k), ZERO) + v
+                parts.append({(q + 1, k): v for k, v in delta.items()})
             # internal differential with the Koszul sign
             sgn = -ONE if q % 2 else ONE
-            for k, v in el_scale(sgn, cc.level(q).d_element(el)).items():
-                img[(q, k)] = img.get((q, k), ZERO) + v
-            img = {k: v for k, v in img.items() if v}
-            if not img:
-                continue
-            vec = [img.get(k, ZERO) for k in tkeys]
-            coords = coords_in_span(tmat, vec)
-            if coords is None:
-                raise AssertionError("total differential left the "
-                                     "conormalized subspace")
-            for r, c in enumerate(coords):
-                if c:
-                    M[r][col] = c
-                    nonzero = True
-        if nonzero:
-            dmats[n] = M
-    return Cochain(space, dmats), pieces
+            parts.append({(q, k): v for k, v in
+                          el_scale(sgn, cc.level(q).d_element(el)).items()})
+        return el_sum(parts)
+
+    # basis vectors as sparse vectors over (level, global index) keys
+    keyed = {n: [{(q, k): v for k, v in el.items()} for q, el in basis]
+             for n, basis in pieces.items()}
+    return Cochain(space, map_blocks(total_d, keyed, keyed, 1)), pieces
+
+
+def _by_level(x):
+    """{q: level-q element} from a vector over (q, index) keys."""
+    out = {}
+    for (q, k), v in x.items():
+        out.setdefault(q, {})[k] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +348,12 @@ class TotContext:
         return all(not self.compatibility_defect(u, p, q, x)
                    for (u, p, q) in self.generators())
 
-    def tot_basis(self, degree, D, with_free=False):
+    def tot_basis(self, degree, D):
         """Basis of the degree-(D-truncated) totalization in one total
         degree, by a sparse kernel computation.
 
-        With with_free=True also returns the free keys: basis vector i
-        is the unique one with coefficient 1 on free key i and 0 on the
-        other free keys, so span coordinates are plain lookups.
+        Basis vector i is 1 on its free key and 0 on the other vectors'
+        free keys, so the basis is reduced.
         """
         keys = self.keys_up_to(D, degree=degree)
         index = {k: i for i, k in enumerate(keys)}
@@ -390,12 +367,8 @@ class TotContext:
                     u, psrc, qtgt, {k: ONE})
                 for dk, c in defect.items():
                     rows.setdefault((u, psrc, dk), {})[index[k]] = c
-        basis, free_cols = sparse_kernel(list(rows.values()), len(keys),
-                                         with_free=True)
-        out = [{keys[i]: c for i, c in v.items()} for v in basis]
-        if with_free:
-            return out, [keys[f] for f in free_cols]
-        return out
+        return [{keys[i]: c for i, c in v.items()}
+                for v in sparse_kernel(list(rows.values()), len(keys))]
 
 
 class TotLieComplex:
@@ -418,51 +391,22 @@ class TotLieComplex:
                 for k in range(p + 1):
                     degs.add(n + k)
         self.basis_by_degree = {}
-        self.free_keys_by_degree = {}
         for n in sorted(degs):
-            vecs, free = self.ctx.tot_basis(n, D, with_free=True)
+            vecs = self.ctx.tot_basis(n, D)
             if vecs:
                 self.basis_by_degree[n] = vecs
-                self.free_keys_by_degree[n] = free
         degrees = {n: [f"T{n}_{i}" for i in range(len(v))]
                    for n, v in self.basis_by_degree.items()}
         space = GradedSpace(degrees,
                             top_degree=max(list(degrees) + [8]) + 1)
-        dmats = {}
-        for n, vecs in self.basis_by_degree.items():
-            target = self.basis_by_degree.get(n + 1, [])
-            if not target:
-                continue
-            free = self.free_keys_by_degree[n + 1]
-            M = [[ZERO] * len(vecs) for _ in range(len(target))]
-            nonzero = False
-            for col, v in enumerate(vecs):
-                dv = self.ctx.d_el(v)
-                if not dv:
-                    continue
-                # coordinates are lookups on the free keys; verify the
-                # reconstruction exactly (d must stay in the truncation)
-                coords = [dv.get(k, ZERO) for k in free]
-                if not el_eq(self.element(n + 1, coords), dv):
-                    raise AssertionError(
-                        "differential left the truncated totalization")
-                for r, c in enumerate(coords):
-                    if c:
-                        M[r][col] = c
-                        nonzero = True
-            if nonzero:
-                dmats[n] = M
-        self.cochain = Cochain(space, dmats)
+        self.cochain = Cochain(space, map_blocks(
+            self.ctx.d_el, self.basis_by_degree, self.basis_by_degree, 1))
 
     def bracket(self, x, y):
         return self.ctx.bracket_el(x, y)
 
     def projection_level0(self, x):
         return self.ctx.level0(x)
-
-    def element(self, degree, coords):
-        return el_sum(el_scale(c, v) for c, v in
-                      zip(coords, self.basis_by_degree.get(degree, [])))
 
 
 def tot_lie(cc, D, N=None):
@@ -600,8 +544,7 @@ class DescentGroupoid:
                                     self.cf(1, 2, {tk: ONE})))
                 row[len(akeys) + j] = img.get(k, ZERO)
             rows.append(row)
-        from .linalg import kernel_basis
-        sol = kernel_basis(rows, cols) if rows else _identity_rows(cols)
+        sol = kernel_basis(rows, cols)
         return akeys, tkeys, sol
 
     def _morphism_directions(self):
@@ -641,8 +584,7 @@ class DescentGroupoid:
             rows.append([el_sub(self.cf(0, 0, {rk: ONE}),
                                 self.cf(0, 1, {rk: ONE})).get(k, ZERO)
                          for rk in rkeys])
-        from .linalg import kernel_basis
-        return len(kernel_basis(rows, len(rkeys))) if rows else len(rkeys)
+        return len(kernel_basis(rows, len(rkeys)))
 
     def abelian_object(self, coords):
         akeys, tkeys, sol = self._object_space()

@@ -213,3 +213,30 @@ def test_trunc_level_rejected_for_cosimplicial_records(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--trunc-level" in captured.err
+
+
+def _algebra_record(tmp_path, basis):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"type": "dg_lie_algebra", "name": "bad",
+                                "basis": basis, "differential": [],
+                                "brackets": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "cohomology"])
+@pytest.mark.parametrize("basis, message", [
+    ([{"label": "x", "degree": -1}], "negative degree -1"),
+    ([{"label": "x", "degree": 0}, {"label": "x", "degree": 0}],
+     "duplicate basis labels in degree 0"),
+    ([{"label": "x", "degree": 0}, {"label": "x", "degree": 1}],
+     "'x' is in degrees 0 and 1"),
+])
+def test_malformed_basis_is_unusable_input(tmp_path, capsys, command, basis,
+                                           message):
+    # exit 2 (unusable input), never 1 (falsified) or a "verified" report
+    path = _algebra_record(tmp_path, basis)
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{path}: field 'basis'" in captured.err
+    assert message in captured.err

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgdescent.cochain import (Cochain, CochainMap, GradedSpace, cone,
-                               complex_from_dims, is_acyclic, is_quasi_iso)
+                               complex_from_dims, is_acyclic, is_quasi_iso,
+                               map_blocks)
+from dgdescent.linalg import coords_in_span, kernel_basis, span_basis
 
 F = Fraction
 
@@ -123,3 +126,99 @@ def test_degree_cap():
     with pytest.raises(ValueError):
         GradedSpace({9: ["x"]})
     GradedSpace({9: ["x"]}, top_degree=9)
+
+
+def test_cohomology_representatives_are_independent_modulo_coboundaries():
+    # d^0 hits e1 + e2; H^1 has dimension 2, spanned modulo B by any
+    # two of e1, e2, e3 that avoid the pair {e1, e2} alone
+    C = complex_from_dims({0: 1, 1: 3}, {0: M([[1], [1], [0]])})
+    dim, reps = C.cohomology(1)
+    assert dim == 2 and len(reps) == 2
+    B = C.coboundaries(1)
+    assert len(span_basis(B + reps)) == len(B) + dim
+    assert C.cohomology(0) == (0, [])
+
+
+# ---------------------------------------------------------------------------
+# map_blocks against a per-column coords_in_span reference
+
+entries = st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2)])
+KEYS = 4
+
+
+def _sparse(vec):
+    return {k: F(x) for k, x in enumerate(vec) if x}
+
+
+@st.composite
+def reduced_lists(draw, degrees):
+    """{n: reduced list of sparse vectors over keys 0..KEYS-1}: RREF rows
+    or a kernel basis, empty in some degrees."""
+    out = {}
+    for n in degrees:
+        rows = draw(st.lists(st.lists(entries, min_size=KEYS,
+                                      max_size=KEYS), max_size=3))
+        rows = [[F(x) for x in row] for row in rows]
+        if draw(st.booleans()):
+            vecs = span_basis(rows)
+        else:
+            vecs = kernel_basis(rows, KEYS)
+        out[n] = [_sparse(v) for v in vecs]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1]), st.data())
+def test_map_blocks_matches_coords_in_span(shift, data):
+    target = data.draw(reduced_lists(range(shift, 3 + shift)))
+    source = {n: [{(n, j): F(data.draw(entries)) for j in range(2)}
+                  for _ in range(data.draw(st.integers(0, 3)))]
+              for n in range(3)}
+    # (n, j) goes to a combination of the target vectors of n + shift
+    images = {(n, j): [F(data.draw(entries)) for _ in target[n + shift]]
+              for n in range(3) for j in range(2)}
+
+    def fn(v):
+        out = {}
+        for (n, j), x in v.items():
+            for c, t in zip(images[(n, j)], target[n + shift]):
+                for k, y in t.items():
+                    out[k] = out.get(k, F(0)) + x * c * y
+        return out
+
+    expected = {}
+    for n, vecs in source.items():
+        tvecs = [[t.get(k, F(0)) for k in range(KEYS)]
+                 for t in target[n + shift]]
+        cols = []
+        for v in vecs:
+            img = fn(v)
+            cols.append(coords_in_span(tvecs, [img.get(k, F(0))
+                                               for k in range(KEYS)]))
+        block = [[col[r] for col in cols] for r in range(len(tvecs))]
+        if any(x for row in block for x in row):
+            expected[n] = block
+    assert map_blocks(fn, source, target, shift) == expected
+
+
+def test_map_blocks_refuses_images_outside_the_span():
+    target = {0: [{0: F(1)}]}
+    with pytest.raises(ValueError, match="leaves the span"):
+        map_blocks(lambda v: {0: F(1), 1: F(1)}, {0: [{0: F(1)}]}, target)
+    # a degree with no target vectors spans only zero
+    with pytest.raises(ValueError, match="leaves the span"):
+        map_blocks(lambda v: {0: F(1)}, {0: [{0: F(1)}]}, {}, 1)
+    assert map_blocks(lambda v: {}, {0: [{0: F(1)}]}, {}, 1) == {}
+
+
+def test_map_blocks_refuses_a_target_that_is_not_reduced():
+    source = {0: [{0: F(1)}]}
+    for target in ([{0: F(1), 1: F(1)}, {1: F(1)}],   # no private key
+                   [{0: F(2)}]):                      # not 1 there
+        with pytest.raises(ValueError, match="not reduced"):
+            map_blocks(lambda v: {}, source, {0: target})
+
+
+def test_unit_bases():
+    space = GradedSpace({0: ["a", "b"], 2: ["c"]})
+    assert space.unit_bases() == {0: [{0: F(1)}, {1: F(1)}], 2: [{2: F(1)}]}

@@ -237,19 +237,35 @@ def test_zero_columns():
     assert span_basis([[], []]) == []
 
 
-def test_dense_rref_stays_a_test_reference():
-    """No module of the package names rref except to define it (linalg
-    itself does not call it either): every solve path runs through the
-    one sparse eliminator, and dense elimination is the tests' reference."""
-    offenders = []
-    for path in sorted(SRC.glob("*.py")):
+def _references(target, modules):
+    """module:line of every name, attribute or import of target."""
+    found = []
+    for path in modules:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             name = (node.id if isinstance(node, ast.Name) else
                     node.attr if isinstance(node, ast.Attribute) else
                     node.name if isinstance(node, ast.alias) else None)
-            if name == "rref":
-                offenders.append(f"{path.name}:{node.lineno}")
+            if name == target:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_dense_rref_stays_a_test_reference():
+    """No module of the package names rref except to define it (linalg
+    itself does not call it either): every solve path runs through the
+    one sparse eliminator, and dense elimination is the tests' reference."""
+    offenders = _references("rref", sorted(SRC.glob("*.py")))
     assert not offenders, "dense rref referenced at " + ", ".join(offenders)
+
+
+def test_coords_in_span_stays_a_test_reference():
+    """Outside linalg no module names coords_in_span: maps become blocks
+    through cochain.map_blocks, which reads coordinates off a reduced
+    basis instead of eliminating it once per column."""
+    offenders = _references("coords_in_span", [
+        path for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"])
+    assert not offenders, "coords_in_span referenced at " + \
+        ", ".join(offenders)
 
 
 def naive_mat_mul(A, B):

@@ -556,27 +556,29 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
     if G.is_abelian():
         stabilize_to = max(stabilize_to, D + 1)
         dims = {}
+        stabilized_at = None
         for DD in range(D, stabilize_to + 1):
-            T = tot_lie(cc, DD)
-            pi0 = T.cochain.cohomology(1)[0]
-            aut = len(T.cochain.cocycles(0))
-            dims[DD] = (pi0, aut)
+            dims[DD] = _abelian_tot_dims(cc, DD)
             if DD > D and dims[DD] == dims[DD - 1]:
+                stabilized_at = DD
                 break
         stable = dims[max(dims)]
         side_b = (G.pi0_dimension(), G.aut_dimension())
-        report["checks"].append({
-            "name": "abelian pi0 dimensions agree",
-            "verdict": "verified" if stable[0] == side_b[0] else "falsified",
-            "tot_side": stable[0], "descent_side": side_b[0],
-            "stabilized_at": max(dims)})
-        report["checks"].append({
-            "name": "abelian Aut dimensions agree",
-            "verdict": "verified" if stable[1] == side_b[1] else "falsified",
-            "tot_side": stable[1], "descent_side": side_b[1]})
-        report["undecided"] = 0
-        report["falsified"] = sum(
-            1 for c in report["checks"] if c["verdict"] == "falsified")
+        for i, what in enumerate(("pi0", "Aut")):
+            # an unstabilized bound supports no verdict either way
+            verdict = "undecided" if stabilized_at is None else \
+                "verified" if stable[i] == side_b[i] else "falsified"
+            check = {"name": f"abelian {what} dimensions agree",
+                     "verdict": verdict, "tot_side": stable[i],
+                     "descent_side": side_b[i]}
+            if i == 0 or stabilized_at is None:
+                check["stabilized_at"] = stabilized_at
+            if stabilized_at is None:
+                check["reason"] = (f"no two consecutive degree bounds in "
+                                   f"{D}..{stabilize_to} agree")
+            report["checks"].append(check)
+        for v in ("undecided", "falsified"):
+            report[v] = sum(1 for c in report["checks"] if c["verdict"] == v)
         return report
     # sampled nonabelian verification
     if not isinstance(cc, CechCosimplicial):
@@ -630,14 +632,30 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
         verdict = "verified"
     else:
         verdict = "undecided"
-    report["checks"].append({
-        "name": "sampled gluing round-trips", "verdict": verdict,
-        "glued": glued, "round_trips_witnessed": roundtrips,
-        "morphism_projections": morphism_checks,
-        "undecided": undecided, "draws": draws})
-    report["undecided"] = undecided
+    check = {"name": "sampled gluing round-trips", "verdict": verdict,
+             "glued": glued, "round_trips_witnessed": roundtrips,
+             "morphism_projections": morphism_checks,
+             "undecided": undecided, "draws": draws}
+    if verdict == "undecided":
+        reasons = []
+        if glued < samples:
+            reasons.append(f"glued {glued} of {samples} in {draws} draws")
+        if undecided:
+            reasons.append(f"no isomorphism witness for {undecided} of "
+                           f"{glued} glued")
+        check["reason"] = "; ".join(reasons) or "no samples requested"
+    report["checks"].append(check)
+    # a requested sample that was never glued is undecided too
+    report["undecided"] = undecided + samples - glued
     report["falsified"] = falsified
     return report
+
+
+def _abelian_tot_dims(cc, D):
+    """(dim pi0, dim Aut) of the Deligne groupoid of the D-truncated
+    totalization of an abelian cosimplicial algebra."""
+    T = tot_lie(cc, D)
+    return T.cochain.cohomology(1)[0], len(T.cochain.cocycles(0))
 
 
 def _random_tot_gauge(tot_complex, rng, spread=1):

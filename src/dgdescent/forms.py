@@ -14,6 +14,7 @@ every dt once; the form degree is the number of dt factors.
 Pullback along a monotone map (`omega_apply`) is linear, computed per
 monomial from a memo: the image of each (map, monomial) pair is
 multiplied out once, and later pullbacks only scale and sum them.
+`monomial_pullback` hands out one such image as an immutable tuple.
 """
 
 import functools
@@ -311,6 +312,16 @@ def _mono_pullback(u, q, mono):
         if (mask >> i) & 1:
             term = term * sub_dt[i]
     return term.terms
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_pullback(u, q, mono):
+    """The pullback of one monomial on the q-simplex along the monotone
+    map u, as a tuple of (monomial, coefficient) pairs in the order
+    omega_apply adds them.  Memoized and immutable, so a caller may keep
+    it: `TotContext.exchange_rows` reads its columns off it instead of
+    pulling back one form per column."""
+    return tuple(_mono_pullback(tuple(u), q, mono).items())
 
 
 def restrict_to_face(omega, i):

@@ -46,10 +46,27 @@ def label_to_json(label):
     return label
 
 
-def label_from_json(x):
+def label_from_json(x, path="<record>", field="label"):
     if isinstance(x, list):
-        return tuple(label_from_json(y) for y in x)
-    return x
+        return tuple(label_from_json(y, path, field) for y in x)
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        return x
+    raise ParseError(path, field, f"a label is a string, an integer or a "
+                     f"list of labels, not {x!r}")
+
+
+def _objects(rec, key, path, field=None):
+    """The list of JSON objects under rec[key]; empty if key is absent."""
+    val = rec.get(key, [])
+    if not isinstance(val, list) or not all(isinstance(e, dict) for e in val):
+        raise ParseError(path, field or key, "expected a list of objects")
+    return val
+
+
+def _required(entry, key, path, field):
+    if key not in entry:
+        raise ParseError(path, field, "missing")
+    return entry[key]
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +104,14 @@ def algebra_from_record(rec, path="<record>", validate=True):
     if rec.get("type") != "dg_lie_algebra":
         raise ParseError(path, "type", "expected dg_lie_algebra")
     degrees = {}
-    for entry in rec.get("basis", []):
-        lab = label_from_json(entry["label"])
-        degrees.setdefault(entry["degree"], []).append(lab)
+    for entry in _objects(rec, "basis", path):
+        lab = label_from_json(_required(entry, "label", path, "basis.label"),
+                              path, "basis.label")
+        deg = _required(entry, "degree", path, "basis.degree")
+        if not isinstance(deg, int) or isinstance(deg, bool):
+            raise ParseError(path, "basis.degree",
+                             f"a degree is an integer, not {deg!r}")
+        degrees.setdefault(deg, []).append(lab)
     top = max(list(degrees) + [8]) + 1
     try:
         space = GradedSpace(degrees, top_degree=top)
@@ -105,20 +127,23 @@ def algebra_from_record(rec, path="<record>", validate=True):
                              f"{space.degree_of(gi)}")
         index[lab] = gi
 
-    def look(lab, field):
-        lab = label_from_json(lab)
+    def look(entry, key, field):
+        lab = label_from_json(_required(entry, key, path, field), path,
+                              field)
         if lab not in index:
             raise ParseError(path, field, f"unknown basis label {lab!r}")
         return index[lab]
 
     entries = {}
-    for entry in rec.get("differential", []):
-        src = look(entry["from"], "differential.from")
-        tgt = look(entry["to"], "differential.to")
+    for entry in _objects(rec, "differential", path):
+        src = look(entry, "from", "differential.from")
+        tgt = look(entry, "to", "differential.to")
         if space.degree_of(tgt) != space.degree_of(src) + 1:
             raise ParseError(path, "differential",
                              "differential must raise degree by 1")
-        c = scalar_from_str(entry["coeff"], path, "differential.coeff")
+        c = scalar_from_str(_required(entry, "coeff", path,
+                                      "differential.coeff"),
+                            path, "differential.coeff")
         entries.setdefault(src, {})[tgt] = \
             entries.get(src, {}).get(tgt, ZERO) + c
     units = space.unit_bases()
@@ -128,14 +153,15 @@ def algebra_from_record(rec, path="<record>", validate=True):
     except ValueError as exc:
         raise ParseError(path, "differential", str(exc))
     brackets = {}
-    for entry in rec.get("brackets", []):
-        i = look(entry["left"], "brackets.left")
-        j = look(entry["right"], "brackets.right")
+    for entry in _objects(rec, "brackets", path):
+        i = look(entry, "left", "brackets.left")
+        j = look(entry, "right", "brackets.right")
         val = {}
-        for term in entry.get("value", []):
-            k = look(term["basis"], "brackets.value.basis")
+        for term in _objects(entry, "value", path, "brackets.value"):
+            k = look(term, "basis", "brackets.value.basis")
             val[k] = val.get(k, ZERO) + scalar_from_str(
-                term["coeff"], path, "brackets.value.coeff")
+                _required(term, "coeff", path, "brackets.value.coeff"),
+                path, "brackets.value.coeff")
         brackets[(i, j)] = val
     try:
         return DgLieAlgebra(cochain, brackets, validate=validate,
@@ -373,7 +399,7 @@ def element_to_record(g, el):
 def element_from_record(g, rec, path="<record>"):
     out = {}
     for term in rec:
-        lab = label_from_json(term["basis"])
+        lab = label_from_json(term["basis"], path, "element.basis")
         try:
             gi = next(i for i in range(g.total_dim())
                       if g.space.label_of(i) == lab)

@@ -3,10 +3,14 @@
 Everything in this package reduces to solving linear systems over Q,
 and every solve runs through one sparse exact eliminator,
 `sparse_eliminate`, on rows stored as dicts col -> Fraction (zero
-values never stored).  The dense functions (lists of lists of Fraction)
-are thin adapters over it.  Dense Gauss-Jordan elimination, `rref`, is
-kept only as the independent reference that the tests compare the
-sparse path against; nothing in the package calls it.  Likewise
+values never stored).  The systems of this package are mostly
+integral, so inside it integer-valued entries are held as int, and a
+column -> pivot-row index names the rows that each new pivot
+back-substitutes into; everything it returns is a Fraction again.  The
+dense functions (lists of lists of Fraction) are thin adapters over it.
+Dense Gauss-Jordan elimination, `rref`, is kept only as the independent
+reference that the tests compare the sparse path against; nothing in
+the package calls it.  Likewise
 `coords_in_span`, which eliminates the basis once per vector, serves
 only the tests: the package reads coordinates off reduced bases
 (`cochain.map_blocks`).  No floats anywhere.
@@ -252,14 +256,40 @@ def sparse_columns(vectors, keys):
     return rows
 
 
+def _lower(x):
+    # an integer-valued rational as an int: int arithmetic is several
+    # times cheaper than Fraction arithmetic, and the values are equal
+    return x.numerator if x.denominator == 1 else x
+
+
 def _axpy(row, f, pivot_row):
     # row -= f * pivot_row, in place
     for j, x in pivot_row.items():
-        v = row.get(j, ZERO) - f * x
+        v = row.get(j, 0) - f * x
         if v:
             row[j] = v
         else:
             del row[j]
+
+
+def _back_substitute(prow, k, f, row, pj, holders):
+    # prow -= f * row, in place, for the new pivot row `row` (1 on pj),
+    # keeping holders (column -> pivot rows nonzero there) up to date
+    del prow[pj]
+    for j, x in row.items():
+        if j == pj:
+            continue
+        old = prow.get(j)
+        if old is None:
+            prow[j] = -f * x
+            holders.setdefault(j, set()).add(k)
+            continue
+        v = old - f * x
+        if v:
+            prow[j] = v
+        else:
+            del prow[j]
+            holders[j].discard(k)
 
 
 def sparse_eliminate(rows, rhs=None, track=False):
@@ -279,18 +309,27 @@ def sparse_eliminate(rows, rhs=None, track=False):
     track=True, the certificate: a sparse dict y (original row ->
     coefficient) with y A = 0 and y . rhs = c.  Tracking extends row i
     by a tag column past every real column, so each reduced row carries
-    the combination of original rows that it is.
+    the combination of original rows that it is; the tag columns are
+    stripped from the pivot rows returned.
+
+    Two things keep the elimination cheap without changing its result.
+    Integer-valued entries are held as int while eliminating (every
+    value returned is a Fraction again).  And a column -> pivot-row
+    index names the pivot rows that a new pivot row back-substitutes
+    into, so no pass scans every pivot row.
     """
-    rvals = list(rhs) if rhs is not None else [ZERO] * len(rows)
+    rvals = [_lower(x) for x in rhs] if rhs is not None else [0] * len(rows)
     tag = 1 + max((max(r) for r in rows if r), default=-1)
-    work = [dict(r) for r in rows]
+    work = [{j: _lower(x) for j, x in r.items()} for r in rows]
     if track:
         for i, row in enumerate(work):
-            row[tag + i] = ONE
+            row[tag + i] = 1
     pivot_of_col = {}
+    holders = {}
     pivot_rows = []
     pivot_cols = []
     pivot_rhs = []
+    bad = None
     # process rows in order of sparsity for less fill-in
     for i in sorted(range(len(work)), key=lambda i: len(work[i])):
         row, rv = work[i], rvals[i]
@@ -305,29 +344,32 @@ def sparse_eliminate(rows, rhs=None, track=False):
         if pj >= tag:
             # no real column left: the row is a combination of the others
             if rv:
-                if track:
-                    return pivot_rows, pivot_cols, pivot_rhs, {
-                        j - tag: x for j, x in row.items()}
-                return pivot_rows, pivot_cols, pivot_rhs, i
+                bad = {j - tag: Fraction(x) for j, x in row.items()} \
+                    if track else i
+                break
             continue
-        inv = ONE / row[pj]
-        if inv != 1:
-            row = {j: x * inv for j, x in row.items()}
-            rv = rv * inv
-        # back-substitute into previous pivots
-        for k, prow in enumerate(pivot_rows):
-            f = prow.get(pj)
-            if f:
-                _axpy(prow, f, row)
-                pivot_rhs[k] = pivot_rhs[k] - f * rv
-        pivot_of_col[pj] = len(pivot_rows)
+        if row[pj] != 1:
+            inv = ONE / row[pj]
+            row = {j: _lower(x * inv) for j, x in row.items()}
+            rv = _lower(rv * inv)
+        # back-substitute into the earlier pivot rows nonzero on pj
+        for k in holders.pop(pj, ()):
+            f = pivot_rows[k][pj]
+            _back_substitute(pivot_rows[k], k, f, row, pj, holders)
+            pivot_rhs[k] = pivot_rhs[k] - f * rv
+        k = len(pivot_rows)
+        for j in row:
+            if j != pj:
+                holders.setdefault(j, set()).add(k)
+        pivot_of_col[pj] = k
         pivot_rows.append(row)
         pivot_cols.append(pj)
         pivot_rhs.append(rv)
-    if track:
-        pivot_rows = [{j: x for j, x in row.items() if j < tag}
-                      for row in pivot_rows]
-    return pivot_rows, pivot_cols, pivot_rhs, None
+    pivot_rows = [{j: Fraction(x) for j, x in row.items() if j < tag}
+                  for row in pivot_rows]
+    pivot_rhs = [Fraction(x) for x in pivot_rhs] if rhs is not None \
+        else [ZERO] * len(pivot_rows)
+    return pivot_rows, pivot_cols, pivot_rhs, bad
 
 
 def _kernel(pivot_rows, pivot_cols, ncols):

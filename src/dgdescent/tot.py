@@ -11,12 +11,14 @@ constructors check this on the stored levels, cech_cosimplicial also
 against the intersections of the cover, and the reports record N.
 """
 
+import functools
 from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace, map_blocks
 from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
                    el_sub, el_sum, lower_central_series)
-from .forms import compose_maps, degeneracy_map, face_map
+from .forms import (compose_maps, degeneracy_map, face_map,
+                    monomial_pullback)
 from .linalg import ZERO, kernel_basis, span_basis, sparse_kernel
 from .mcgauge import (FiniteLieContext, FormLieContext, bch, gauge_act,
                       mc_residual)
@@ -348,25 +350,55 @@ class TotContext:
         return all(not self.compatibility_defect(u, p, q, x)
                    for (u, p, q) in self.generators())
 
+    @functools.cached_property
+    def _pushforwards(self):
+        """{generator: -g(u) of each basis element of g^{p_src}}, as
+        tuples of (target index, coefficient) pairs; built once per
+        context."""
+        return {(u, psrc, qtgt): [
+            tuple((gj, -c) for gj, c in self.cc.structure_map_to(
+                u, qtgt, {gi: ONE}, p=psrc).items())
+            for gi in range(self.cc.level(psrc).total_dim())]
+            for (u, psrc, qtgt) in self.generators()}
+
+    def exchange_rows(self, keys):
+        """The exchange conditions on the span of keys, as sparse rows
+        {(u, p_src, defect key): {position in keys: coefficient}}.
+
+        A generator u: [p_src] -> [q_tgt] contributes the row block
+        (Omega(u) (x) id) - (id (x) g(u)): the column of a level-q_tgt
+        key holds its pulled-back monomial (`monomial_pullback`), the
+        column of a level-p_src key minus the image of its basis element
+        (`_pushforwards`).  Column for column this is compatibility_defect
+        of the key's unit vector, which stays the independent check
+        (`is_tot_element`); rows appear in the order in which those
+        defects would name them.
+        """
+        rows = {}
+        for gen in self.generators():
+            u, psrc, qtgt = gen
+            pushes = self._pushforwards[gen]
+            for col, (p, gi, mono) in enumerate(keys):
+                if p == qtgt:
+                    for m, c in monomial_pullback(u, qtgt, mono):
+                        rows.setdefault((u, psrc, (gi, m)), {})[col] = c
+                elif p == psrc:
+                    for gj, c in pushes[gi]:
+                        rows.setdefault((u, psrc, (gj, mono)), {})[col] = c
+        return rows
+
     def tot_basis(self, degree, D):
         """Basis of the degree-(D-truncated) totalization in one total
-        degree, by a sparse kernel computation.
+        degree: the kernel of the exchange row blocks (`exchange_rows`)
+        on the keys of that degree.  `sparse_kernel` eliminates them
+        with integer entries held as int and a column -> pivot-row
+        index for back-substitution.
 
         Basis vector i is 1 on its free key and 0 on the other vectors'
         free keys, so the basis is reduced.
         """
         keys = self.keys_up_to(D, degree=degree)
-        index = {k: i for i, k in enumerate(keys)}
-        rows = {}
-        for (u, psrc, qtgt) in self.generators():
-            for k in keys:
-                p, gi, mono = k
-                if p not in (psrc, qtgt):
-                    continue
-                defect = self.compatibility_defect(
-                    u, psrc, qtgt, {k: ONE})
-                for dk, c in defect.items():
-                    rows.setdefault((u, psrc, dk), {})[index[k]] = c
+        rows = self.exchange_rows(keys)
         return [{keys[i]: c for i, c in v.items()}
                 for v in sparse_kernel(list(rows.values()), len(keys))]
 

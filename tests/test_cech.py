@@ -332,3 +332,65 @@ def test_truncation_below_the_cover_vanishing_level_is_refused():
     with pytest.raises(TruncationError, match="vanishing level 2"):
         cech_cosimplicial(cover, N=1)
     assert cech_cosimplicial(cover, N=2).vanishing_level == 2
+
+
+def test_samples_never_glued_count_as_undecided(monkeypatch):
+    # the sampler gives one datum and then runs dry: one of two requested
+    # samples is glued, and the other must count as undecided at the top
+    import dgdescent.cech as cech
+    real = cech._sample_descent_datum
+    calls = []
+
+    def once(cc, rng):
+        calls.append(1)
+        return real(cc, rng) if len(calls) == 1 else None
+    monkeypatch.setattr(cech, "_sample_descent_datum", once)
+    cc = cech_cosimplicial(
+        tensored_cover(segment_cover(ef_algebra()), t_truncated(3)), N=2)
+    rep = verify_descent(cc, samples=2, seed=1, D=1)
+    summary = rep["checks"][-1]
+    assert summary["glued"] == 1 and summary["draws"] == 16
+    assert summary["verdict"] == "undecided"
+    assert summary["reason"] == "glued 1 of 2 in 16 draws"
+    assert rep["undecided"] == 1 and rep["falsified"] == 0
+
+
+def test_verified_sampled_report_has_no_reason():
+    cc = _nonabelian_cc()
+    rep = verify_descent(cc, samples=1, seed=5, D=2)
+    summary = rep["checks"][-1]
+    assert summary["verdict"] == "verified" and "reason" not in summary
+    assert rep["undecided"] == 0
+
+
+def test_unstabilized_abelian_bounds_are_undecided(monkeypatch):
+    # dimensions that move with every bound never stabilize: no verdict
+    # may be read off the last bound
+    import dgdescent.cech as cech
+    monkeypatch.setattr(cech, "_abelian_tot_dims", lambda cc, D: (D, 0))
+    cc = cech_cosimplicial(
+        tensored_cover(segment_cover(), dual_numbers()), N=2)
+    rep = verify_descent(cc, D=1, stabilize_to=3)
+    assert [c["verdict"] for c in rep["checks"]] == ["undecided"] * 2
+    for c in rep["checks"]:
+        assert c["stabilized_at"] is None
+        assert c["reason"] == "no two consecutive degree bounds in 1..3 agree"
+    assert rep["undecided"] == 2 and rep["falsified"] == 0
+
+
+def test_stabilized_abelian_bounds_keep_their_verdict(monkeypatch):
+    import dgdescent.cech as cech
+    cc = cech_cosimplicial(
+        tensored_cover(segment_cover(), dual_numbers()), N=2)
+    rep = verify_descent(cc, D=1)
+    assert rep["checks"][0]["stabilized_at"] == 2
+    assert [c["verdict"] for c in rep["checks"]] == ["verified"] * 2
+    assert all("reason" not in c for c in rep["checks"])
+    assert "stabilized_at" not in rep["checks"][1]
+    # stabilizing only at the last bound still gives a verdict
+    monkeypatch.setattr(cech, "_abelian_tot_dims",
+                        lambda cc, D: (min(D, 3), 0))
+    rep = verify_descent(cc, D=1, stabilize_to=4)
+    assert rep["checks"][0]["stabilized_at"] == 4
+    assert rep["undecided"] == 0
+    assert "undecided" not in [c["verdict"] for c in rep["checks"]]

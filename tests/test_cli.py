@@ -1,7 +1,11 @@
+import copy
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dgdescent.cli import main
 from dgdescent.io import dump_record, element_to_record
@@ -240,3 +244,59 @@ def test_malformed_basis_is_unusable_input(tmp_path, capsys, command, basis,
     assert code == 2 and captured.out == ""
     assert f"{path}: field 'basis'" in captured.err
     assert message in captured.err
+
+
+# every field algebra_from_record requires, with values of a wrong type
+_LABEL_FIELDS = ("label", "from", "to", "left", "right", "basis")
+_WRONG = {
+    "label": [None, 1.5, True, {}, {"x": "y"}, [None]],
+    "degree": [None, "1", 1.5, True, [], {}],
+    "coeff": [None, 1.5, True, [], {}, "x"],
+    "list": [None, 1, "x", {}, [1], ["x"]],
+}
+
+
+def _field_sites(rec):
+    """(path, kind, droppable) for every field of an algebra record."""
+    sites = [((key,), "list", False)
+             for key in ("basis", "differential", "brackets")]
+    for key, fields in (("basis", ("label", "degree")),
+                        ("differential", ("from", "to", "coeff")),
+                        ("brackets", ("left", "right"))):
+        for i in range(len(rec[key])):
+            sites.append(((key, i), "list", False))
+            sites += [((key, i, f), "label" if f in _LABEL_FIELDS else f,
+                       True) for f in fields]
+    for i, entry in enumerate(rec["brackets"]):
+        sites.append((("brackets", i, "value"), "list", False))
+        for j in range(len(entry["value"])):
+            sites += [(("brackets", i, "value", j, "basis"), "label", True),
+                      (("brackets", i, "value", j, "coeff"), "coeff", True)]
+    return sites
+
+
+_PROBE = json.loads((DATA / "algebra_probe2.json").read_text())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_malformed_algebra_fields_exit_2(capsys, data):
+    rec = copy.deepcopy(_PROBE)
+    path, kind, droppable = data.draw(st.sampled_from(_field_sites(rec)))
+    parent = rec
+    for step in path[:-1]:
+        parent = parent[step]
+    if droppable and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(_WRONG[kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "algebra.json"
+        file.write_text(json.dumps(rec))
+        code = main(["check-algebra", str(file)])
+    captured = capsys.readouterr()
+    assert code == 2, (path, captured)
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

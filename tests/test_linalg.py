@@ -199,6 +199,81 @@ def test_inconsistent_systems_certified(Ab):
     assert_certificate(A, b, densify(res.certificate, len(A)))
 
 
+mixed_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3),
+                                 F(5, 4)])
+
+
+@st.composite
+def mixed_system(draw):
+    """A x = b with integer and non-integer rational entries, consistent
+    or not; the sparse rows hold some integers as int."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=5))
+    raw = [[draw(mixed_entries) for _ in range(n)] for _ in range(m)]
+    b = [F(draw(mixed_entries)) for _ in range(m)]
+    rows = [{j: x if draw(st.booleans()) else F(x)
+             for j, x in enumerate(row) if x} for row in raw]
+    return [[F(x) for x in row] for row in raw], b, rows
+
+
+@given(mixed_system())
+@settings(max_examples=80, deadline=None)
+def test_sparse_paths_match_rref_on_mixed_rationals(system):
+    A, b, rows = system
+    n = len(A[0])
+    R, pivots = rref(A)
+    pivot_rows, pivot_cols, _, bad = sparse_eliminate(rows)
+    assert bad is None
+    ordered = sorted(zip(pivot_cols, pivot_rows), key=lambda pr: pr[0])
+    assert [p for p, _ in ordered] == pivots
+    assert [densify(row, n) for _, row in ordered] == R[:len(pivots)]
+    res = sparse_solve_affine(rows, b, n)
+    if n in rref([row + [bv] for row, bv in zip(A, b)])[1]:
+        assert isinstance(res, NoSolution)
+        assert_certificate(A, b, densify(res.certificate, len(A)))
+        return
+    x0, kernel = res
+    ref_x0, ref_kernel, _ = dense_reference(A, b)
+    assert densify(x0, n) == ref_x0
+    assert [densify(v, n) for v in kernel] == ref_kernel
+
+
+def _all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+def test_every_returned_value_is_a_fraction():
+    # integer-valued entries are eliminated as int but returned as
+    # Fraction, certificates included
+    rows = [{0: 2, 1: F(4)}, {0: F(1), 2: -1}, {1: F(1, 2), 2: 3}, {3: 1}]
+    pivot_rows, _, pivot_rhs, _ = sparse_eliminate(rows, [1, F(2), 3, 0])
+    assert _all_fractions(x for row in pivot_rows for x in row.values())
+    assert _all_fractions(pivot_rhs)
+    pivot_rows, _, pivot_rhs, _ = sparse_eliminate(rows)
+    assert _all_fractions(x for row in pivot_rows for x in row.values())
+    assert _all_fractions(pivot_rhs)
+    x0, kernel = sparse_solve_affine(rows, [1, 2, 3, 4], 5)
+    assert _all_fractions(x0.values())
+    assert _all_fractions(x for v in kernel for x in v.values())
+    assert _all_fractions(x for v in sparse_kernel(rows, 5)
+                          for x in v.values())
+    res = sparse_solve_affine(rows + [{0: 2, 1: 4}], [1, 2, 3, 4, 5], 5)
+    assert isinstance(res, NoSolution)
+    assert _all_fractions(res.certificate.values())
+
+
+def test_early_tracked_return_strips_tag_columns():
+    # the third row repeats the first with another right-hand side, so
+    # the elimination stops there with two pivot rows already built
+    A = M([[1, 1, 0], [0, 1, 1], [1, 1, 0]])
+    b = V([1, 1, 2])
+    pivot_rows, pivot_cols, _, cert = sparse_eliminate(
+        sparse_from_dense(A), b, track=True)
+    assert pivot_cols == [0, 1]
+    assert all(j < 3 for row in pivot_rows for j in row)
+    assert_certificate(A, b, densify(cert, 3))
+
+
 def test_sparse_inconsistent():
     res = sparse_solve_affine([{0: F(0)} if False else {}], V([1]), 1)
     assert isinstance(res, NoSolution)

@@ -1,10 +1,13 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dgdescent.cech import cech_cosimplicial, tensored_cover
 from dgdescent.dgla import el_eq, el_is_zero, lower_central_series, tensor_lie
-from dgdescent.instances import (abelian_algebra, dual_numbers, ef_algebra,
-                                 t_truncated)
+from dgdescent.instances import (abelian_algebra, circle_cover, dual_numbers,
+                                 ef_algebra, t_truncated, triple_cover)
 from dgdescent.mcgauge import FiniteLieContext, mc_residual
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, DescentGroupoid,
                            TotContext, constant_cosimplicial, tot_cochain,
@@ -178,3 +181,50 @@ def test_bad_cosimplicial_identities_rejected():
     ident = identity_map(g)
     with pytest.raises(ValueError, match="cosimplicial identity"):
         CosimplicialDgLie([g, g], [[ident, ident]], [[neg]])
+
+
+@functools.lru_cache(maxsize=None)
+def _cech_context(name):
+    cover, base = {"triple/eps": (triple_cover, dual_numbers),
+                   "circle/t3": (circle_cover,
+                                 lambda: t_truncated(3))}[name]
+    return TotContext(cech_cosimplicial(tensored_cover(cover(), base()),
+                                        N=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["triple/eps", "circle/t3"]), st.integers(1, 3),
+       st.integers(0, 3), st.data())
+def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
+                                                       data):
+    """Every entry of every generator's row block is the defect of the
+    column's unit vector, and every nonzero defect entry is in a row."""
+    ctx = _cech_context(name)
+    all_keys = ctx.keys_up_to(D, degree=degree)
+    picks = data.draw(st.lists(st.integers(0, max(len(all_keys) - 1, 0)),
+                               max_size=12, unique=True)) \
+        if all_keys else []
+    keys = [all_keys[i] for i in picks]
+    rows = ctx.exchange_rows(keys)
+    from_rows = {}
+    for (u, psrc, dk), row in rows.items():
+        assert row, "a stored row is empty"
+        for col, c in row.items():
+            assert c != 0
+            from_rows.setdefault((u, psrc, col), {})[dk] = c
+    order = {}
+    for u, psrc, qtgt in ctx.generators():
+        for col, k in enumerate(keys):
+            defect = ctx.compatibility_defect(u, psrc, qtgt, {k: F(1)})
+            assert from_rows.get((u, psrc, col), {}) == defect
+            for dk in defect:
+                order.setdefault((u, psrc, dk), None)
+    # rows come in the order in which the defects first name them
+    assert list(rows) == list(order)
+
+
+def test_tot_basis_vectors_are_tot_elements():
+    ctx = _cech_context("circle/t3")
+    basis = ctx.tot_basis(1, 2)
+    assert basis
+    assert all(ctx.is_tot_element(v) for v in basis)

@@ -427,20 +427,21 @@ def _glue_level(cc, ctx, omegas, p, D):
 def _sample_descent_datum(inst_cech, rng):
     """Draw a valid descent datum from the cover structure.
 
-    Abelian instances sample uniformly small coordinates on the exact
-    linear object space.  Otherwise per-open MC elements are drawn
-    through the staged solver with randomized free choices and the
-    overlap gauges sampled freely; that satisfies the cocycle condition
-    whenever triple overlaps are empty, and invalid draws return None
-    for the caller to resample (honest rejection, never repair).
+    Abelian instances sample uniformly small coordinates over the
+    1-cocycles of the abelian descent complex.  Otherwise per-open MC
+    elements are drawn through the staged solver with randomized free
+    choices and the overlap gauges sampled freely; that satisfies the
+    cocycle condition whenever triple overlaps are empty, and invalid
+    draws return None for the caller to resample (honest rejection,
+    never repair).
     """
     cc = inst_cech
     G0 = tot_groupoid(cc)
     if G0.is_abelian():
-        _, _, sol = G0._object_space()
-        if not sol:
+        Z = G0.abelian_complex[0].cocycles(1)
+        if not Z:
             return DescentDatum({}, {})
-        coords = [Fraction(rng.randint(-3, 3)) for _ in sol]
+        coords = [Fraction(rng.randint(-3, 3)) for _ in Z]
         datum = G0.abelian_object(coords)
         return datum if G0.verify_object(datum) else None
     cover = cc.cover

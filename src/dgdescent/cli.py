@@ -18,7 +18,7 @@ from .dgla import lower_central_series, NilpotentDgLie, tensor_lie
 from .io import (ParseError, algebra_from_record, artin_from_record,
                  cosimplicial_from_record, cover_from_record, dump_record,
                  element_from_record, element_to_record,
-                 instance_from_record, load_record)
+                 instance_from_record, load_record, record_type)
 from .mcgauge import (DeligneGroupoid, FiniteLieContext, gauge_equivalent,
                       mc_residual)
 from .tot import TruncationError, tot_cochain, tot_lie
@@ -108,7 +108,7 @@ def _nilpotent_from_args(args):
 
 def _cosimplicial_from_args(args):
     rec = load_record(args.file)
-    kind = rec.get("type")
+    kind = record_type(rec, args.file)
     if kind == "descent_instance":
         _, cover, base = instance_from_record(rec, args.file)
         return cech_cosimplicial(tensored_cover(cover, base),
@@ -130,7 +130,7 @@ def _cosimplicial_from_args(args):
 
 def cmd_check_algebra(args, report):
     rec = load_record(args.file)
-    kind = rec.get("type")
+    kind = record_type(rec, args.file)
     if kind == "dg_lie_algebra":
         algebra_from_record(rec, args.file, validate=True)
         report["checks"].append(
@@ -251,7 +251,7 @@ def cmd_tot(args, report):
 
 def cmd_cech(args, report):
     rec = load_record(args.file)
-    if rec.get("type") != "descent_instance":
+    if record_type(rec, args.file) != "descent_instance":
         raise ParseError(args.file, "type", "expected descent_instance")
     _, cover, base = instance_from_record(rec, args.file)
     cc = cech_cosimplicial(tensored_cover(cover, base), N=args.trunc_level)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cochain import (Cochain, CochainMap, GradedSpace, DEFAULT_TOP_DEGREE,
                       map_blocks, table_from_blocks)
-from .linalg import ZERO, span_basis
+from .linalg import ONE, ZERO, echelon_basis
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +65,6 @@ def el_is_zero(x):
 
 def el_eq(x, y):
     return el_is_zero(el_sub(x, y))
-
-
-def el_from_pairs(pairs):
-    out = {}
-    for k, v in pairs:
-        if v:
-            out[k] = out.get(k, ZERO) + v
-            if not out[k]:
-                del out[k]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +178,6 @@ class DgLieAlgebra:
 
     def is_abelian(self):
         return not self.table
-
-    # -- dense/sparse conversions -------------------------------------------
-
-    def to_degree_vector(self, x, n):
-        idxs = self.space.degree_indices(n)
-        return [x.get(g, ZERO) for g in idxs]
-
-    def from_degree_vector(self, n, vec):
-        idxs = self.space.degree_indices(n)
-        return el_from_pairs(zip(idxs, vec))
-
-    def to_global_vector(self, x):
-        return [x.get(g, ZERO) for g in range(self.total_dim())]
-
-    def from_global_vector(self, vec):
-        return el_from_pairs(enumerate(vec))
 
     def degree_component(self, x, n):
         return {k: v for k, v in x.items() if self.degree_of(k) == n}
@@ -412,17 +386,11 @@ class MaximalIdeal:
     def _nilpotency_degree(self):
         """Smallest s with m^s = 0; raises if the powers never die."""
         n = self.dim()
-        power = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+        power = [{i: ONE} for i in range(n)]
         s = 1
         while power:
-            nxt = []
-            for v in power:
-                x = el_from_pairs(enumerate(v))
-                for i in range(n):
-                    w = self.multiply({i: Fraction(1)}, x)
-                    if w:
-                        nxt.append([w.get(j, ZERO) for j in range(n)])
-            power = span_basis(nxt)
+            power = echelon_basis([self.multiply({i: ONE}, x)
+                                   for x in power for i in range(n)])
             s += 1
             if s > n + 1:
                 raise ValueError("ideal is not nilpotent")
@@ -599,8 +567,8 @@ class NotNilpotent:
 class NilpotentDgLie:
     """A dg Lie algebra together with its lower central series.
 
-    lcs[i] for i >= 1 holds, per degree, an echelonized basis of F^i as
-    dense degree-vectors; lcs[c+1] is empty where c is the class.
+    lcs[i] for i >= 1 holds, per degree, the `echelon_basis` of F^i as
+    sparse elements of the algebra; F^{c+1} = 0 where c is the class.
     """
 
     def __init__(self, algebra, lcs, nilpotency_class):
@@ -608,18 +576,13 @@ class NilpotentDgLie:
         self.lcs = lcs
         self.nilpotency_class = nilpotency_class
 
-    def stage_basis(self, i, degree):
-        """Dense basis vectors of F^i in the given degree."""
+    def stage_elements(self, i, degree):
+        """The basis of F^i in the given degree, as fresh elements."""
         if i <= 0:
             raise ValueError("stages are numbered from 1")
         if i > self.nilpotency_class:
             return []
-        return self.lcs[i].get(degree, [])
-
-    def stage_elements(self, i, degree):
-        g = self.algebra
-        return [g.from_degree_vector(degree, v)
-                for v in self.stage_basis(i, degree)]
+        return [dict(e) for e in self.lcs[i].get(degree, [])]
 
     def stage_dim(self, i):
         if i > self.nilpotency_class:
@@ -643,24 +606,20 @@ def lower_central_series(g, max_stages=None):
 
 
 def _lower_central_series(g, max_stages):
-    lcs = {1: {n: [row[:] for row in
-                   _degree_identity(g, n)] for n in g.space.nonzero_degrees()}}
+    lcs = {1: g.space.unit_bases()}
     if g.total_dim() == 0:
         return NilpotentDgLie(g, lcs, 0)
     i = 1
     while True:
         current = lcs[i]
-        nxt_vecs = {}
-        for n, vecs in current.items():
-            for v in vecs:
-                x = g.from_degree_vector(n, v)
-                for b in range(g.total_dim()):
-                    w = g.bracket(g.basis_element(b), x)
-                    if w:
-                        m = g.degree_of(next(iter(w)))
-                        nxt_vecs.setdefault(m, []).append(
-                            g.to_degree_vector(w, m))
-        nxt = {n: span_basis(vs) for n, vs in nxt_vecs.items()}
+        brackets = {}
+        for x in (x for els in current.values() for x in els):
+            for b in range(g.total_dim()):
+                w = g.bracket(g.basis_element(b), x)
+                if w:
+                    brackets.setdefault(g.degree_of(next(iter(w))),
+                                        []).append(w)
+        nxt = {n: echelon_basis(ws) for n, ws in brackets.items()}
         nxt = {n: vs for n, vs in nxt.items() if vs}
         dim_now = sum(len(v) for v in current.values())
         dim_next = sum(len(v) for v in nxt.values())
@@ -670,11 +629,6 @@ def _lower_central_series(g, max_stages):
             return NotNilpotent(i + 1, nxt)
         lcs[i + 1] = nxt
         i += 1
-
-
-def _degree_identity(g, n):
-    k = g.space.dim(n)
-    return [[Fraction(r == c) for c in range(k)] for r in range(k)]
 
 
 def _sub_cochain(nil, stage):

@@ -7,6 +7,7 @@ with sorted keys and no floats anywhere, so a fixed seed reproduces a
 byte-identical file.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -55,18 +56,46 @@ def label_from_json(x, path="<record>", field="label"):
                      f"list of labels, not {x!r}")
 
 
+def record_type(rec, path):
+    """The type field of a record that must be a JSON object."""
+    if not isinstance(rec, dict):
+        raise ParseError(path, "-", f"expected a JSON object, not "
+                         f"{type(rec).__name__}")
+    return rec.get("type")
+
+
+def _object_list(val, path, field):
+    if not isinstance(val, list) or not all(isinstance(e, dict) for e in val):
+        raise ParseError(path, field, "expected a list of objects")
+    return val
+
+
 def _objects(rec, key, path, field=None):
     """The list of JSON objects under rec[key]; empty if key is absent."""
-    val = rec.get(key, [])
-    if not isinstance(val, list) or not all(isinstance(e, dict) for e in val):
-        raise ParseError(path, field or key, "expected a list of objects")
-    return val
+    return _object_list(rec.get(key, []), path, field or key)
 
 
 def _required(entry, key, path, field):
     if key not in entry:
         raise ParseError(path, field, "missing")
     return entry[key]
+
+
+def _look(index, path, entry, key, field):
+    """index[the basis label under entry[key]]."""
+    lab = label_from_json(_required(entry, key, path, field), path, field)
+    if lab not in index:
+        raise ParseError(path, field, f"unknown basis label {lab!r}")
+    return index[lab]
+
+
+def _indices(entry, key, path, field):
+    """The set of open indices listed under entry[key]."""
+    val = _required(entry, key, path, field)
+    if not isinstance(val, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in val):
+        raise ParseError(path, field, "expected a list of open indices")
+    return frozenset(val)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +130,7 @@ def algebra_to_record(g):
 
 
 def algebra_from_record(rec, path="<record>", validate=True):
-    if rec.get("type") != "dg_lie_algebra":
+    if record_type(rec, path) != "dg_lie_algebra":
         raise ParseError(path, "type", "expected dg_lie_algebra")
     degrees = {}
     for entry in _objects(rec, "basis", path):
@@ -126,14 +155,7 @@ def algebra_from_record(rec, path="<record>", validate=True):
                              f"degrees {space.degree_of(index[lab])} and "
                              f"{space.degree_of(gi)}")
         index[lab] = gi
-
-    def look(entry, key, field):
-        lab = label_from_json(_required(entry, key, path, field), path,
-                              field)
-        if lab not in index:
-            raise ParseError(path, field, f"unknown basis label {lab!r}")
-        return index[lab]
-
+    look = functools.partial(_look, index, path)
     entries = {}
     for entry in _objects(rec, "differential", path):
         src = look(entry, "from", "differential.from")
@@ -193,24 +215,24 @@ def artin_to_record(a):
 
 
 def artin_from_record(rec, path="<record>"):
-    if rec.get("type") != "artin_algebra":
+    if record_type(rec, path) != "artin_algebra":
         raise ParseError(path, "type", "expected artin_algebra")
-    labels = list(rec.get("ideal_basis", []))
-    index = {lab: i for i, lab in enumerate(labels)}
+    labels = rec.get("ideal_basis", [])
+    if not isinstance(labels, list):
+        raise ParseError(path, "ideal_basis", "expected a list of labels")
+    labels = [label_from_json(x, path, "ideal_basis") for x in labels]
+    look = functools.partial(_look, {lab: i for i, lab in enumerate(labels)},
+                             path)
     products = {}
-    for entry in rec.get("products", []):
-        for side in ("left", "right"):
-            if entry[side] not in index:
-                raise ParseError(path, f"products.{side}",
-                                 f"unknown label {entry[side]!r}")
-        i, j = index[entry["left"]], index[entry["right"]]
+    for entry in _objects(rec, "products", path):
+        i = look(entry, "left", "products.left")
+        j = look(entry, "right", "products.right")
         val = {}
-        for term in entry.get("value", []):
-            if term["basis"] not in index:
-                raise ParseError(path, "products.value.basis",
-                                 f"unknown label {term['basis']!r}")
-            val[index[term["basis"]]] = scalar_from_str(
-                term["coeff"], path, "products.value.coeff")
+        for term in _objects(entry, "value", path, "products.value"):
+            val[look(term, "basis", "products.value.basis")] = \
+                scalar_from_str(_required(term, "coeff", path,
+                                          "products.value.coeff"),
+                                path, "products.value.coeff")
         products[(i, j)] = val
     try:
         return ArtinAlgebra(labels, products, name=rec.get("name"))
@@ -268,46 +290,47 @@ def cover_to_record(cover):
 
 def cover_from_record(rec, path="<record>", validate=True):
     from .cech import CoverSpec
-    if rec.get("type") != "cover":
+    if record_type(rec, path) != "cover":
         raise ParseError(path, "type", "expected cover")
+    opens = _required(rec, "opens", path, "opens")
+    if not isinstance(opens, int) or isinstance(opens, bool):
+        raise ParseError(path, "opens", f"expected an integer, not {opens!r}")
+    records = rec.get("sections", {})
+    if not isinstance(records, dict):
+        raise ParseError(path, "sections", "expected an object of records")
     named = {nm: algebra_from_record(sub, path=f"{path}:sections.{nm}",
                                      validate=validate)
-             for nm, sub in rec.get("sections", {}).items()}
+             for nm, sub in records.items()}
     sections = {}
-    for entry in rec.get("intersections", []):
-        nm = entry["algebra"]
-        if nm not in named:
+    for entry in _objects(rec, "intersections", path):
+        nm = _required(entry, "algebra", path, "intersections.algebra")
+        if not isinstance(nm, str) or nm not in named:
             raise ParseError(path, "intersections.algebra",
                              f"unknown section algebra {nm!r}")
-        sections[frozenset(entry["indices"])] = named[nm]
+        sections[_indices(entry, "indices", path,
+                          "intersections.indices")] = named[nm]
     restrictions = {}
-    for entry in rec.get("restrictions", []):
-        J = frozenset(entry["from"])
-        J2 = frozenset(entry["to"])
+    for entry in _objects(rec, "restrictions", path):
+        J = _indices(entry, "from", path, "restrictions.from")
+        J2 = _indices(entry, "to", path, "restrictions.to")
+        matrix = _required(entry, "matrix", path, "restrictions.matrix")
         if J not in sections or J2 not in sections:
             raise ParseError(path, "restrictions",
                              f"restriction between unknown intersections "
                              f"{sorted(J)} -> {sorted(J2)}")
         src, tgt = sections[J], sections[J2]
-        if entry.get("matrix") == "identity":
+        if matrix == "identity":
             if src is not tgt:
                 raise ParseError(path, "restrictions.matrix",
                                  "identity shorthand needs equal section "
                                  "algebras")
             restrictions[(J, J2)] = identity_map(src)
-            continue
-        blocks = {}
-        for nstr, M in entry.get("matrix", {}).items():
-            blocks[int(nstr)] = [[scalar_from_str(x, path,
-                                                  "restrictions.matrix")
-                                  for x in row] for row in M]
-        try:
-            restrictions[(J, J2)] = DgLieMap(src, tgt, blocks,
-                                             validate=validate)
-        except ValueError as exc:
-            raise ParseError(path, "restrictions.matrix", str(exc))
+        else:
+            restrictions[(J, J2)] = _map_from_matrices(
+                src, tgt, matrix, path, "restrictions.matrix",
+                validate=validate)
     try:
-        return CoverSpec(rec.get("opens", 0), sections, restrictions,
+        return CoverSpec(opens, sections, restrictions,
                          name=rec.get("name"))
     except ValueError as exc:
         raise ParseError(path, "intersections", str(exc))
@@ -323,10 +346,14 @@ def _map_to_matrices(f):
 
 
 def _map_from_matrices(src, tgt, matrices, path, field, validate=True):
-    blocks = {}
-    for nstr, M in matrices.items():
-        blocks[int(nstr)] = [[scalar_from_str(x, path, field) for x in row]
-                             for row in M]
+    if not isinstance(matrices, dict) or not all(
+            n.removeprefix("-").isdecimal() and isinstance(M, list) and
+            all(isinstance(row, list) and len(row) == len(M[0]) for row in M)
+            for n, M in matrices.items()):
+        raise ParseError(path, field, "expected an object mapping degrees "
+                         "to lists of rows of equal length")
+    blocks = {int(n): [[scalar_from_str(x, path, field) for x in row]
+                       for row in M] for n, M in matrices.items()}
     try:
         return DgLieMap(src, tgt, blocks, validate=validate)
     except ValueError as exc:
@@ -347,7 +374,7 @@ def cosimplicial_to_record(cc):
 
 def cosimplicial_from_record(rec, path="<record>", validate=True):
     from .tot import CosimplicialDgLie
-    if rec.get("type") != "cosimplicial_dg_lie":
+    if record_type(rec, path) != "cosimplicial_dg_lie":
         raise ParseError(path, "type", "expected cosimplicial_dg_lie")
     levels = [algebra_from_record(sub, path=f"{path}:levels[{q}]",
                                   validate=validate)
@@ -379,11 +406,12 @@ def instance_to_record(name, cover, base):
 
 
 def instance_from_record(rec, path="<record>", validate=True):
-    if rec.get("type") != "descent_instance":
+    if record_type(rec, path) != "descent_instance":
         raise ParseError(path, "type", "expected descent_instance")
-    cover = cover_from_record(rec["cover"], path=f"{path}:cover",
-                              validate=validate)
-    base = artin_from_record(rec["base"], path=f"{path}:base")
+    cover = cover_from_record(_required(rec, "cover", path, "cover"),
+                              path=f"{path}:cover", validate=validate)
+    base = artin_from_record(_required(rec, "base", path, "base"),
+                             path=f"{path}:base")
     return rec.get("name"), cover, base
 
 
@@ -397,16 +425,15 @@ def element_to_record(g, el):
 
 
 def element_from_record(g, rec, path="<record>"):
+    index = {}
+    for gi in reversed(range(g.total_dim())):   # the first index of a label
+        index[g.space.label_of(gi)] = gi
     out = {}
-    for term in rec:
-        lab = label_from_json(term["basis"], path, "element.basis")
-        try:
-            gi = next(i for i in range(g.total_dim())
-                      if g.space.label_of(i) == lab)
-        except StopIteration:
-            raise ParseError(path, "element.basis",
-                             f"unknown basis label {lab!r}")
-        out[gi] = scalar_from_str(term["coeff"], path, "element.coeff")
+    for term in _object_list(rec, path, "element"):
+        gi = _look(index, path, term, "basis", "element.basis")
+        out[gi] = scalar_from_str(
+            _required(term, "coeff", path, "element.coeff"), path,
+            "element.coeff")
     return {k: v for k, v in out.items() if v}
 
 
@@ -436,7 +463,7 @@ def dump_record(rec, path=None):
 def load_any(path, validate=True):
     """Dispatch a record file on its type field."""
     rec = load_record(path)
-    kind = rec.get("type")
+    kind = record_type(rec, path)
     if kind == "dg_lie_algebra":
         return kind, algebra_from_record(rec, path, validate=validate)
     if kind == "artin_algebra":

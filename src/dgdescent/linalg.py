@@ -6,8 +6,11 @@ and every solve runs through one sparse exact eliminator,
 values never stored).  The systems of this package are mostly
 integral, so inside it integer-valued entries are held as int, and a
 column -> pivot-row index names the rows that each new pivot
-back-substitutes into; everything it returns is a Fraction again.  The
-dense functions (lists of lists of Fraction) are thin adapters over it.
+back-substitutes into; everything it returns is a Fraction again.
+Outside `cochain`, whose blocks are dense, a subspace is the list of
+its `echelon_basis` vectors (dicts over any sortable keys) and a
+system is a list of sparse rows.  The dense functions (lists of lists
+of Fraction) are thin adapters for `cochain`.
 Dense Gauss-Jordan elimination, `rref`, is kept only as the independent
 reference that the tests compare the sparse path against; nothing in
 the package calls it.  Likewise
@@ -96,13 +99,6 @@ def transpose(A):
     return [[A[i][j] for i in range(len(A))] for j in range(len(A[0]))]
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-def vec_scale(c, v):
-    return [c * a for a in v]
-
-
 def rref(A, track=False):
     """Reduced row echelon form by dense Gauss-Jordan elimination.
 
@@ -188,13 +184,9 @@ def solve_affine(A, b):
 
 
 def span_basis(vectors):
-    """Echelonized basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    pivot_rows, pivot_cols, _, _ = sparse_eliminate(sparse_from_dense(vectors))
-    n = len(vectors[0])
-    return [_densify(row, n) for _, row in
-            sorted(zip(pivot_cols, pivot_rows), key=lambda pr: pr[0])]
+    """Echelonized basis of the span of the given dense vectors."""
+    n = len(vectors[0]) if vectors else 0
+    return [_densify(v, n) for v in echelon_basis(sparse_from_dense(vectors))]
 
 
 def coords_in_span(basis, v):
@@ -219,21 +211,10 @@ def span_contains(basis, v):
 
 
 def intersect_spans(B1, B2):
-    """Basis of span(B1) & span(B2)."""
-    if not B1 or not B2:
-        return []
-    n = len(B1[0])
-    # combos (a, b) with sum a_i B1_i - sum b_j B2_j = 0
-    vecs = sparse_from_dense(B1) + [{j: -x for j, x in v.items()}
-                                    for v in sparse_from_dense(B2)]
-    out = []
-    for k in sparse_kernel(sparse_columns(vecs, range(n)), len(vecs)):
-        v = zero_vector(n)
-        for i, c in k.items():
-            if i < len(B1):
-                v = vec_add(v, vec_scale(c, B1[i]))
-        out.append(v)
-    return span_basis(out)
+    """Echelonized basis of span(B1) & span(B2)."""
+    n = len(B1[0]) if B1 else 0
+    return [_densify(v, n) for v in span_intersection(sparse_from_dense(B1),
+                                                      sparse_from_dense(B2))]
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +351,40 @@ def sparse_eliminate(rows, rhs=None, track=False):
     pivot_rhs = [Fraction(x) for x in pivot_rhs] if rhs is not None \
         else [ZERO] * len(pivot_rows)
     return pivot_rows, pivot_cols, pivot_rhs, bad
+
+
+def echelon_basis(vectors):
+    """The reduced row echelon basis of the span of sparse vectors over
+    sortable keys: ordered by pivot key, each vector 1 on its pivot key
+    and 0 on the others', keys listed in increasing order.  Equal spans
+    give equal bases."""
+    keys = sorted({k for v in vectors for k in v})
+    col = {k: j for j, k in enumerate(keys)}
+    pivot_rows, pivot_cols, _, _ = sparse_eliminate(
+        [{col[k]: c for k, c in v.items() if c} for v in vectors])
+    return [{keys[j]: row[j] for j in sorted(row)}
+            for _, row in sorted(zip(pivot_cols, pivot_rows),
+                                 key=lambda pr: pr[0])]
+
+
+def span_intersection(vectors1, vectors2):
+    """The echelon_basis of span(vectors1) & span(vectors2), for sparse
+    vectors over sortable keys."""
+    keys = sorted({k for v in vectors1 + vectors2 for k in v})
+    if not keys or not vectors1 or not vectors2:
+        return []
+    # combinations (a, b) with sum a_i v1_i - sum b_j v2_j = 0
+    n1 = len(vectors1)
+    cols = sparse_columns(vectors1 + [{k: -x for k, x in v.items()}
+                                      for v in vectors2], keys)
+    inter = []
+    for comb in sparse_kernel(cols, n1 + len(vectors2)):
+        w = {}
+        for i in sorted(i for i in comb if i < n1):
+            for k, x in vectors1[i].items():
+                w[k] = w.get(k, 0) + comb[i] * x
+        inter.append(w)
+    return echelon_basis(inter)
 
 
 def _kernel(pivot_rows, pivot_cols, ncols):

@@ -36,8 +36,8 @@ from .dgla import (el_add, el_combination, el_eq, el_is_zero, el_scale,
                    el_sub, el_sum)
 from .forms import (PolyForm, mono_form_degree, mono_mul, monomials_up_to,
                     omega_apply)
-from .linalg import (NoSolution, ZERO, sparse_columns, sparse_eliminate,
-                     sparse_kernel, sparse_solve_affine)
+from .linalg import (NoSolution, ZERO, echelon_basis, sparse_columns,
+                     sparse_solve_affine, span_intersection)
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -333,17 +333,16 @@ def gauge_element(ctx, coords):
     return dict(coords)
 
 
-def flow_path(ctx, y_coeffs, x0, max_rounds=None):
+def flow_path(ctx, y_coeffs, x0):
     """Time coefficients of the flow of x' = dy(t) + [x, y(t)], x(0)=x0.
 
     y_coeffs is the list of time coefficients of y (constant gauge:
     [y]).  Picard iteration; by nilpotency the fixed point is reached
     after at most class+1 rounds and is a genuine polynomial solution.
     """
-    rounds = max_rounds or (ctx.nclass() + 2)
     dy = [ctx.d_el(c) for c in y_coeffs]
     coeffs = [dict(x0)]
-    for _ in range(rounds + 1):
+    for _ in range(ctx.nclass() + 3):
         # integrand = dy(t) + [x(t), y(t)] as time coefficients
         deg = len(coeffs) + len(y_coeffs)
         integrand = [dict() for _ in range(deg)]
@@ -482,7 +481,7 @@ def _bernoulli_plus(k):
     return B[k] * Fraction((-1) ** k)
 
 
-def holonomy(ctx, y_coeffs, max_rounds=None):
+def holonomy(ctx, y_coeffs):
     """theta with exp(theta) the time-ordered exponential of the path y(t).
 
     Solves theta' = sum_k (B+_k / k!) ad_theta^k (y(t)) exactly by
@@ -490,12 +489,11 @@ def holonomy(ctx, y_coeffs, max_rounds=None):
     the time-1 nonautonomous flow from x for every MC x (tested).
     """
     nc = ctx.nclass()
-    rounds = max_rounds or (nc + 2)
     fact = [1]
     for k in range(1, nc + 1):
         fact.append(fact[-1] * k)
     theta = []
-    for _ in range(rounds + 1):
+    for _ in range(nc + 3):
         # rhs(t) = sum_k B+_k/k! ad_theta(t)^k y(t), as time coefficients
         term = list(y_coeffs)
         rhs = [el_scale(_bernoulli_plus(0), c) for c in term]
@@ -588,30 +586,6 @@ def _keys_of(elements):
     return keys
 
 
-def _echelonize(elements):
-    """The reduced echelon basis of span(elements) over their sorted keys."""
-    keys = sorted(_keys_of(elements))
-    col = {k: j for j, k in enumerate(keys)}
-    pivot_rows, pivot_cols, _, _ = sparse_eliminate(
-        [{col[k]: c for k, c in e.items() if c} for e in elements])
-    return [{keys[j]: row[j] for j in sorted(row)}
-            for _, row in sorted(zip(pivot_cols, pivot_rows),
-                                 key=lambda pr: pr[0])]
-
-
-def elements_span_intersection(els1, els2):
-    """Basis (as elements) of span(els1) & span(els2)."""
-    keys = sorted(_keys_of(els1) | _keys_of(els2))
-    if not keys or not els1 or not els2:
-        return []
-    # combos (a, b) with sum a_i els1_i - sum b_j els2_j = 0
-    cols = sparse_columns(els1 + [el_scale(-ONE, e) for e in els2], keys)
-    n1 = len(els1)
-    inter = [el_combination({i: c for i, c in k.items() if i < n1}, els1)
-             for k in sparse_kernel(cols, n1 + len(els2))]
-    return _echelonize(inter)
-
-
 def _solve_congruence(ctx, images, residual_const, residual_linear, stage,
                       nparams):
     """Solve sum z_j images[j] = residual (mod F^{stage+1}) jointly affine
@@ -661,7 +635,7 @@ def _split_parameterized(el, nparams):
 
 
 def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
-                        max_depth=None, step_budget=None):
+                        max_depth=None):
     """Search for y = y_init + (span of witness_space) with
     gauge_act(y, x) = xp, stage by stage along the lower central series.
 
@@ -675,14 +649,7 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
     y0 = dict(y_init or {})
     params = []       # elements: active parameter directions
     complete = True
-    budget = step_budget or (depth + 1)
-    steps = 0
     for stage in range(1, depth + 1):
-        steps += 1
-        if steps > budget:
-            return GaugeSearchResult("unknown", stage=stage,
-                                     complete=False,
-                                     reason="step budget exhausted")
         # y with symbolic parameters
         y_sym = el_sum(({k: KPoly.var(i) * v for k, v in p.items()}
                         for i, p in enumerate(params)),
@@ -698,7 +665,7 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
             linear = []
         cand = ctx.stage_vectors_for(stage, _keys_of(witness_space + [y0]))
         cand = [e for e in (ctx.degree_component(v, 0) for v in cand) if e]
-        cand = elements_span_intersection(witness_space, cand) \
+        cand = span_intersection(witness_space, cand) \
             if stage > 1 else list(witness_space)
         images = [ctx.d_el(z) for z in cand]
         sol = _solve_congruence(ctx, images, const, linear, stage,
@@ -718,7 +685,7 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
                                   for kv in kernel) if d]
         # echelonize directions over their keys to keep the count small
         if new_params:
-            new_params = _echelonize(new_params)
+            new_params = echelon_basis(new_params)
         y0, params = new_y0, new_params
     if el_eq(gauge_act(ctx, y0, x), xp):
         return GaugeSearchResult("witness", witness=y0, complete=complete)
@@ -758,7 +725,7 @@ class ObstructionUnsolvable(Exception):
 
 
 def constrained_mc_solve(ctx, candidates, constraints=(), rng=None,
-                         start=None, label="", max_attempts=4):
+                         label=""):
     """MC element in an affine slice of the degree-1 candidate space.
 
     candidates: elements spanning the search space (degree 1).
@@ -767,15 +734,15 @@ def constrained_mc_solve(ctx, candidates, constraints=(), rng=None,
     mc_residual(x) == 0 exactly.  rng, when given, randomizes the free
     choices at every stage (the sampler hook); random choices can land
     on obstructed points of the MC variety, so failed attempts fall
-    back to fresh draws and finally to the deterministic greedy path
-    before the obstruction is reported.
+    back to four fresh draws in all and finally to the deterministic
+    greedy path before the obstruction is reported.
     """
-    rounds = ([rng] * max_attempts + [None]) if rng is not None else [None]
+    rounds = ([rng] * 4 + [None]) if rng is not None else [None]
     last_exc = None
     for r in rounds:
         try:
             return _constrained_mc_once(ctx, candidates, constraints, r,
-                                        start, label)
+                                        label)
         except ObstructionUnsolvable as exc:
             last_exc = exc
     raise last_exc
@@ -786,21 +753,20 @@ def _random_combination(rng, particular, kernel):
                    for k in kernel), particular)
 
 
-def _constrained_mc_once(ctx, candidates, constraints, rng, start, label):
+def _constrained_mc_once(ctx, candidates, constraints, rng, label):
     # solve the affine constraints over the candidate coordinates
     rows = []
     rhs = []
     for fn, target in constraints:
         imgs = [fn(z) for z in candidates]
         keys = sorted(_keys_of(imgs) | set(target))
-        base = fn(start) if start else {}
         rows += sparse_columns(imgs, keys)
-        rhs += [target.get(k, ZERO) - base.get(k, ZERO) for k in keys]
+        rhs += [target.get(k, ZERO) for k in keys]
     res = sparse_solve_affine(rows, rhs, len(candidates))
     if isinstance(res, NoSolution):
         raise ObstructionUnsolvable(0, label or "constraints")
     coeffs, kernel = res
-    x = el_combination(coeffs, candidates, start=start)
+    x = el_combination(coeffs, candidates)
     free = [d for d in (el_combination(kv, candidates) for kv in kernel)
             if d]
     if rng is not None and free:
@@ -817,7 +783,7 @@ def _constrained_mc_once(ctx, candidates, constraints, rng, start, label):
             stage_deg1 = [v for v in ctx.stage_vectors_for(
                 stage, _keys_of(free) | set(R))
                 if v and ctx.key_degree(next(iter(v))) == 1]
-            cand_stage = elements_span_intersection(free, stage_deg1)
+            cand_stage = span_intersection(free, stage_deg1)
         imgs = [ctx.d_el(z) for z in cand_stage]
         sol = _solve_congruence(ctx, imgs, el_scale(-ONE, R), [], stage, 0)
         if isinstance(sol, NoSolution):

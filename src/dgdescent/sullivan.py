@@ -11,9 +11,9 @@ kernel computation and comes back as a finite-dimensional complex.
 from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace, map_blocks
-from .forms import (PolyForm, mono_form_degree, monomials_up_to,
-                    omega_apply, restrict_to_face)
-from .linalg import NoSolution, ZERO, kernel_basis, solve_affine
+from .forms import (PolyForm, face_map, mono_form_degree, monomial_pullback,
+                    monomials_up_to, restrict_to_face)
+from .linalg import NoSolution, ZERO, sparse_kernel, sparse_solve_affine
 from .simplicial import degeneracy_monotone
 
 
@@ -44,7 +44,7 @@ class SimplicialForms:
                 self.keys_by_degree.setdefault(k, []).append((name, mono))
         self.basis_by_degree = {}
         for k, keys in sorted(self.keys_by_degree.items()):
-            self.basis_by_degree[k] = self._solve_degree(k, keys)
+            self.basis_by_degree[k] = self._solve_degree(keys)
         degrees = {k: [f"w{k}_{i}" for i in range(len(v))]
                    for k, v in self.basis_by_degree.items() if v}
         space = GradedSpace(degrees, top_degree=max(sset.dimension() + 1, 8))
@@ -53,47 +53,34 @@ class SimplicialForms:
 
     # -- compatibility ---------------------------------------------------------
 
-    def _face_constraint_rows(self, keys):
-        """Linear conditions: every face restriction of every cell equals
-        the (possibly degenerate) family value on that face."""
-        rows = []
-        index = {kk: i for i, kk in enumerate(keys)}
+    def _solve_degree(self, keys):
+        """Basis of the compatible families on the span of keys: every
+        face restriction of every cell equals the (possibly degenerate)
+        family value on that face.  One sparse row per (cell, face,
+        monomial of the face): the column of a key of the cell holds
+        its restricted monomial, the column of a key of the face's core
+        minus its pullback along the degeneracy (`monomial_pullback`).
+        Basis vector i is 1 on its free key and 0 on the others'."""
         sset = self.sset
+        cols = {}
+        for col, (name, mono) in enumerate(keys):
+            cols.setdefault(name, []).append((col, mono))
+        rows = {}
         for m, name in sset.nondegenerate():
             if m == 0:
                 continue
             for i in range(m + 1):
                 word, core = sset.face(((), name), i)
-                # row group: restrict(omega_name, i) - pullback(omega_core)
-                row_entries = {}
-                for kk in keys:
-                    nm, mono = kk
-                    if nm == name:
-                        pulled = restrict_to_face(
-                            PolyForm(m, {mono: Fraction(1)}), i)
-                        for m2, c in pulled.terms.items():
-                            row_entries.setdefault(m2, {})[index[kk]] = \
-                                row_entries.get(m2, {}).get(index[kk], ZERO) \
-                                + c
-                    if nm == core:
-                        u = degeneracy_monotone(word, m - 1)
-                        cdim = sset.dim_of_name(core)
-                        pulled = omega_apply(
-                            u, PolyForm(cdim, {mono: Fraction(1)}), m - 1)
-                        for m2, c in pulled.terms.items():
-                            cur = row_entries.setdefault(m2, {})
-                            cur[index[kk]] = cur.get(index[kk], ZERO) - c
-                for m2, entries in row_entries.items():
-                    row = [ZERO] * len(keys)
-                    for j, c in entries.items():
-                        row[j] = c
-                    if any(x for x in row):
-                        rows.append(row)
-        return rows
-
-    def _solve_degree(self, k, keys):
-        vecs = kernel_basis(self._face_constraint_rows(keys), len(keys))
-        return [{kk: c for kk, c in zip(keys, v) if c} for v in vecs]
+                u = degeneracy_monotone(word, m - 1)
+                for col, mono in cols.get(name, ()):
+                    for m2, c in monomial_pullback(face_map(i, m), m, mono):
+                        rows.setdefault((name, i, m2), {})[col] = c
+                for col, mono in cols.get(core, ()):
+                    for m2, c in monomial_pullback(
+                            u, sset.dim_of_name(core), mono):
+                        rows.setdefault((name, i, m2), {})[col] = -c
+        return [{keys[j]: v[j] for j in sorted(v)}
+                for v in sparse_kernel(list(rows.values()), len(keys))]
 
     # -- element operations ------------------------------------------------------
 
@@ -174,21 +161,17 @@ def extend_from_boundary(facet_forms, n, D, max_degree=None):
     ceiling = max_degree if max_degree is not None else start + n + 3
     for bound in range(start, ceiling + 1):
         monos = monomials_up_to(n, bound)
-        rows = []
-        rhs = []
-        restrictions = [
-            {m: restrict_to_face(PolyForm(n, {m: Fraction(1)}), i)
-             for m in monos}
-            for i in range(n + 1)]
-        target_monos = monomials_up_to(n - 1, bound)
+        # one row per (facet, monomial of the facet), as in _solve_degree
+        rows = {(i, tm): {} for i, f in enumerate(facet_forms)
+                for tm in f.terms}
         for i in range(n + 1):
-            for tm in target_monos:
-                row = [restrictions[i][m].terms.get(tm, ZERO) for m in monos]
-                rows.append(row)
-                rhs.append(facet_forms[i].terms.get(tm, ZERO))
-        res = solve_affine(rows, rhs)
+            for col, m in enumerate(monos):
+                for tm, c in monomial_pullback(face_map(i, n), n, m):
+                    rows.setdefault((i, tm), {})[col] = c
+        rhs = [facet_forms[i].terms.get(tm, ZERO) for i, tm in rows]
+        res = sparse_solve_affine(list(rows.values()), rhs, len(monos))
         if not isinstance(res, NoSolution):
             coeffs, _ = res
-            return PolyForm(n, {m: c for m, c in zip(monos, coeffs) if c})
+            return PolyForm(n, {monos[j]: coeffs[j] for j in sorted(coeffs)})
     raise BoundExhausted(
         f"no extension of the boundary family within degree {ceiling}")

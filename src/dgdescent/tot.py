@@ -19,7 +19,7 @@ from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
                    el_sub, el_sum, lower_central_series)
 from .forms import (compose_maps, degeneracy_map, face_map,
                     monomial_pullback)
-from .linalg import ZERO, kernel_basis, span_basis, sparse_kernel
+from .linalg import ZERO, echelon_basis, sparse_kernel
 from .mcgauge import (FiniteLieContext, FormLieContext, bch, gauge_act,
                       mc_residual)
 from .simplicial import monotone_factorize
@@ -199,10 +199,8 @@ def tot_cochain(cc, N=None):
             for dd, part in by_deg.items():
                 collected.setdefault((q, q + dd), []).append(part)
     for (q, n), parts in sorted(collected.items()):
-        g = cc.level(q)
-        dense = span_basis([g.to_global_vector(p) for p in parts])
-        for vec in dense:
-            pieces.setdefault(n, []).append((q, g.from_global_vector(vec)))
+        for el in echelon_basis(parts):
+            pieces.setdefault(n, []).append((q, el))
     degrees = {n: [f"t{n}_{i}" for i in range(len(v))]
                for n, v in pieces.items()}
     top = max(degrees, default=0) + 1
@@ -471,7 +469,7 @@ class DescentGroupoid:
 
     Levels 0..2 are required: the cocycle condition lives at level 2.
     Morphism equality and composition go through bch; in the abelian
-    case pi0 and Aut have exact linear presentations.
+    case pi0 and Aut are H^1 and H^0 of `abelian_complex`.
     """
 
     def __init__(self, cc):
@@ -532,101 +530,67 @@ class DescentGroupoid:
     def is_abelian(self):
         return all(g.is_abelian() for g in self.cc.levels[:3])
 
-    def _object_space(self):
-        """Linear description of the objects in the abelian case:
-        unknowns (a in degree 1 of g^0, theta in degree 0 of g^1)."""
-        g0, g1, g2 = self.cc.levels[0], self.cc.levels[1], self.cc.levels[2]
-        akeys = g0.space.degree_indices(1)
-        tkeys = g1.space.degree_indices(0)
-        cols = len(akeys) + len(tkeys)
+    @functools.cached_property
+    def abelian_complex(self):
+        """(C, keys): the abelian descent groupoid as a three-term
+        complex C, keys[n] naming the basis of C^n.  C^0 holds the
+        gauges r of (g^0)^0, C^1 the data (a, theta) in (g^0)^1 (+)
+        (g^1)^0, C^2 the defects of the four object conditions da,
+        d theta - delta^0 a + delta^1 a, s^0 theta and
+        delta^1 theta - delta^0 theta - delta^2 theta.  As
+        d(r) = (dr, delta^0 r - delta^1 r), objects are the 1-cocycles
+        and morphism directions the 1-coboundaries: pi0 = H^1 and
+        Aut = H^0.  Built from the descent conditions, independently of
+        both totalizations."""
+        if not self.is_abelian():
+            raise ValueError("exact pi0 and Aut need abelian levels")
+        g0, g1, g2 = self.cc.levels[:3]
 
-        def as_vec(ael, tel):
-            return [ael.get(k, ZERO) for k in akeys] + \
-                [tel.get(k, ZERO) for k in tkeys]
+        def tagged(tag, g, n):
+            return [(tag, k) for k in g.space.degree_indices(n)]
 
-        rows = []
-        # da = 0
-        for k in g0.space.degree_indices(2):
-            row = [ZERO] * cols
-            for j, ak in enumerate(akeys):
-                row[j] = g0.d_element({ak: ONE}).get(k, ZERO)
-            rows.append(row)
-        # d theta = coface^0 a - coface^1 a
-        for k in g1.space.degree_indices(1):
-            row = [ZERO] * cols
-            for j, ak in enumerate(akeys):
-                img = el_sub(self.cf(0, 0, {ak: ONE}),
-                             self.cf(0, 1, {ak: ONE}))
-                row[j] = -img.get(k, ZERO)
-            for j, tk in enumerate(tkeys):
-                row[len(akeys) + j] = g1.d_element({tk: ONE}).get(k, ZERO)
-            rows.append(row)
-        # codegeneracy^0 theta = 0
-        for k in g0.space.degree_indices(0):
-            row = [ZERO] * cols
-            for j, tk in enumerate(tkeys):
-                row[len(akeys) + j] = self.cd(0, 0, {tk: ONE}).get(k, ZERO)
-            rows.append(row)
-        # cocycle: coface^1 theta - coface^0 theta - coface^2 theta = 0
-        for k in g2.space.degree_indices(0):
-            row = [ZERO] * cols
-            for j, tk in enumerate(tkeys):
-                img = el_sub(self.cf(1, 1, {tk: ONE}),
-                             el_add(self.cf(1, 0, {tk: ONE}),
-                                    self.cf(1, 2, {tk: ONE})))
-                row[len(akeys) + j] = img.get(k, ZERO)
-            rows.append(row)
-        sol = kernel_basis(rows, cols)
-        return akeys, tkeys, sol
+        keys = {0: tagged("r", g0, 0),
+                1: tagged("a", g0, 1) + tagged("theta", g1, 0),
+                2: (tagged("da", g0, 2) + tagged("dtheta", g1, 1) +
+                    tagged("s0", g0, 0) + tagged("cocycle", g2, 0))}
 
-    def _morphism_directions(self):
-        """Images of r |-> (dr, coface^0 r - coface^1 r)."""
-        g0 = self.cc.levels[0]
-        akeys = g0.space.degree_indices(1)
-        tkeys = self.cc.levels[1].space.degree_indices(0)
-        dirs = []
-        for rk in g0.space.degree_indices(0):
-            r = {rk: ONE}
-            da = g0.d_element(r)
-            dth = el_sub(self.cf(0, 0, r), self.cf(0, 1, r))
-            dirs.append([da.get(k, ZERO) for k in akeys] +
-                        [dth.get(k, ZERO) for k in tkeys])
-        return dirs
+        def d(x):
+            part = {}
+            for (tag, k), v in x.items():
+                part.setdefault(tag, {})[k] = v
+            r, a, th = (part.get(t, {}) for t in ("r", "a", "theta"))
+            images = {
+                "a": g0.d_element(r),
+                "theta": el_sub(self.cf(0, 0, r), self.cf(0, 1, r)),
+                "da": g0.d_element(a),
+                "dtheta": el_sub(g1.d_element(th),
+                                 el_sub(self.cf(0, 0, a), self.cf(0, 1, a))),
+                "s0": self.cd(0, 0, th),
+                "cocycle": el_sub(self.cf(1, 1, th),
+                                  el_add(self.cf(1, 0, th),
+                                         self.cf(1, 2, th)))}
+            return {(tag, k): v for tag, el in images.items()
+                    for k, v in el.items()}
+
+        units = {n: [{k: ONE} for k in ks] for n, ks in keys.items()}
+        return Cochain(GradedSpace(keys), map_blocks(d, units, units, 1)), keys
 
     def pi0_dimension(self):
-        if not self.is_abelian():
-            raise ValueError("exact pi0 needs abelian levels")
-        _, _, sol = self._object_space()
-        dirs = self._morphism_directions()
-        dim_objects = len(span_basis(sol)) if sol else 0
-        dim_orbits = len(span_basis(dirs)) if dirs else 0
-        return dim_objects - dim_orbits
+        return self.abelian_complex[0].cohomology(1)[0]
 
     def aut_dimension(self):
-        """dim of {r : dr = 0, coface^0 r = coface^1 r}."""
-        if not self.is_abelian():
-            raise ValueError("exact Aut needs abelian levels")
-        g0 = self.cc.levels[0]
-        rkeys = g0.space.degree_indices(0)
-        rows = []
-        for k in g0.space.degree_indices(1):
-            rows.append([g0.d_element({rk: ONE}).get(k, ZERO)
-                         for rk in rkeys])
-        for k in self.cc.levels[1].space.degree_indices(0):
-            rows.append([el_sub(self.cf(0, 0, {rk: ONE}),
-                                self.cf(0, 1, {rk: ONE})).get(k, ZERO)
-                         for rk in rkeys])
-        return len(kernel_basis(rows, len(rkeys)))
+        return self.abelian_complex[0].cohomology(0)[0]
 
     def abelian_object(self, coords):
-        akeys, tkeys, sol = self._object_space()
-        vec = [ZERO] * (len(akeys) + len(tkeys))
-        for c, basis_vec in zip(coords, sol):
-            for i, v in enumerate(basis_vec):
-                vec[i] += c * v
-        a = {k: v for k, v in zip(akeys, vec[:len(akeys)]) if v}
-        th = {k: v for k, v in zip(tkeys, vec[len(akeys):]) if v}
-        return DescentDatum(a, th)
+        """The datum with the given coordinates over cocycles(1)."""
+        C, keys = self.abelian_complex
+        Z = C.cocycles(1)
+        parts = {"a": {}, "theta": {}}
+        for i, (tag, k) in enumerate(keys[1]):
+            v = sum((c * z[i] for c, z in zip(coords, Z)), ZERO)
+            if v:
+                parts[tag][k] = v
+        return DescentDatum(parts["a"], parts["theta"])
 
 
 def tot_groupoid(cc):

@@ -300,3 +300,117 @@ def test_malformed_algebra_fields_exit_2(capsys, data):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+# every field that the cover, artin and instance readers take, with values
+# of a wrong type that no reader may accept
+_WRONG.update({
+    "labels": [None, 1, "x", {}, [None], [1.5]],
+    "object": [None, 1, "x", [], [{}]],
+    "int": [None, "2", 1.5, True, [], {}],
+    "name": [None, 1, [], {}, "nope"],
+    "indices": [None, 1, "x", {}, [None], ["0"], [True], [1.5]],
+    "matrix": [None, 1, "x", [], [["1"]], {"x": [["1"]]}, {"0": "1"},
+               {"0": ["1"]}, {"0": [["1"], ["1", "2"]]}],
+})
+
+
+def _artin_sites(rec, at=()):
+    sites = [(at + ("ideal_basis",), "labels", False),
+             (at + ("products",), "list", False)]
+    for i, entry in enumerate(rec["products"]):
+        p = at + ("products", i)
+        sites += [(p, "list", False), (p + ("left",), "label", True),
+                  (p + ("right",), "label", True),
+                  (p + ("value",), "list", False)]
+        for j in range(len(entry["value"])):
+            sites += [(p + ("value", j, "basis"), "label", True),
+                      (p + ("value", j, "coeff"), "coeff", True)]
+    return sites
+
+
+def _cover_sites(rec, at=()):
+    sites = [(at + ("opens",), "int", True),
+             (at + ("sections",), "object", False),
+             (at + ("intersections",), "list", False),
+             (at + ("restrictions",), "list", False)]
+    sites += [(at + ("sections", nm), "object", True)
+              for nm in rec["sections"]]
+    for i in range(len(rec["intersections"])):
+        p = at + ("intersections", i)
+        sites += [(p, "list", False), (p + ("algebra",), "name", True),
+                  (p + ("indices",), "indices", True)]
+    for i in range(len(rec["restrictions"])):
+        p = at + ("restrictions", i)
+        sites += [(p, "list", False), (p + ("from",), "indices", True),
+                  (p + ("to",), "indices", True),
+                  (p + ("matrix",), "matrix", True)]
+    return sites
+
+
+def _instance_sites(rec):
+    return ([(("cover",), "object", True), (("base",), "object", True)] +
+            _cover_sites(rec["cover"], ("cover",)) +
+            _artin_sites(rec["base"], ("base",)))
+
+
+# (command, record, its field sites); the instance has a matrix restriction
+_RECORDS = [
+    (command, json.loads((DATA / name).read_text()), sites)
+    for command, name, sites in (
+        ("check-algebra", "cover_segment_line.json", _cover_sites),
+        ("check-algebra", "artin_t3.json", _artin_sites),
+        ("cech", "instance_scaled_t3.json", _instance_sites))]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_malformed_cover_artin_instance_fields_exit_2(capsys, data):
+    command, rec, sites = data.draw(st.sampled_from(_RECORDS))
+    rec = copy.deepcopy(rec)
+    path, kind, droppable = data.draw(st.sampled_from(sites(rec)))
+    parent = rec
+    for step in path[:-1]:
+        parent = parent[step]
+    if droppable and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(_WRONG[kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "record.json"
+        file.write_text(json.dumps(rec))
+        code = main([command, str(file)])
+    captured = capsys.readouterr()
+    assert code == 2, (path, captured)
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "cohomology", "tot",
+                                     "cech", "verify-descent"])
+@pytest.mark.parametrize("record", [[1, 2], "x", 3, None])
+def test_records_that_are_not_objects_exit_2(tmp_path, capsys, command,
+                                             record):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a JSON object" in captured.err
+
+
+def test_element_records_are_lists_of_terms(tmp_path, capsys):
+    base = ["mc", str(DATA / "algebra_ef.json"),
+            "--base", str(DATA / "artin_t3.json")]
+    for bad in ({"basis": "x", "coeff": "1"}, [1], [{"coeff": "1"}],
+                [{"basis": ["t", "f"]}]):
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(bad))
+        assert main(base + ["--element", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+    # the empty element is a valid (zero) element record
+    path.write_text("[]")
+    assert main(base + ["--element", str(path)]) == 0

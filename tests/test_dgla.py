@@ -260,3 +260,58 @@ def test_lie_brackets_breaking_antisymmetry_rejected(flipped):
     with pytest.raises(ValueError, match="conflicting|antisymmetry"):
         DgLieAlgebra(Cochain(space, {}),
                      {(0, 1): {2: F(1)}, (1, 0): {2: flipped}})
+
+
+def _dense_lcs_reference(g, stage, degree):
+    """F^stage in one degree by dense elimination (rref) of degree
+    vectors, independent of the sparse stage bases."""
+    from dgdescent.linalg import rref
+    spans = {n: [[F(r == c) for c in range(g.space.dim(n))]
+                 for r in range(g.space.dim(n))]
+             for n in g.space.nonzero_degrees()}
+    for _ in range(stage - 1):
+        vecs = {}
+        for n, rows in spans.items():
+            idx = g.space.degree_indices(n)
+            for row in rows:
+                x = {k: c for k, c in zip(idx, row) if c}
+                for b in range(g.total_dim()):
+                    w = g.bracket({b: F(1)}, x)
+                    if w:
+                        m = g.degree_of(next(iter(w)))
+                        vecs.setdefault(m, []).append(
+                            [w.get(k, F(0))
+                             for k in g.space.degree_indices(m)])
+        spans = {}
+        for n, rows in vecs.items():
+            R, pivots = rref(rows)
+            if pivots:
+                spans[n] = R[:len(pivots)]
+    idx = g.space.degree_indices(degree)
+    return [{k: c for k, c in zip(idx, row) if c}
+            for row in spans.get(degree, [])]
+
+
+@pytest.mark.parametrize("lie", ["ef_algebra", "wz_algebra", "heisenberg",
+                                 "probe_class2"])
+@pytest.mark.parametrize("base", ["t3", "eps"])
+def test_stage_elements_match_a_dense_reference_and_are_fresh(lie, base):
+    from dgdescent import instances
+    A = instances.t_truncated(3) if base == "t3" else \
+        instances.dual_numbers()
+    nil = tensor_lie(A, getattr(instances, lie)())
+    g = nil.algebra
+    for i in range(1, nil.nilpotency_class + 2):
+        for n in g.space.nonzero_degrees():
+            els = nil.stage_elements(i, n)
+            assert [list(e.items()) for e in els] == \
+                [list(e.items()) for e in _dense_lcs_reference(g, i, n)]
+    # what stage_elements hands out is the caller's to change
+    before = {i: {n: [dict(e) for e in els] for n, els in stage.items()}
+              for i, stage in nil.lcs.items()}
+    for i in range(1, nil.nilpotency_class + 1):
+        for n in g.space.nonzero_degrees():
+            for e in nil.stage_elements(i, n):
+                e.clear()
+                e[0] = F(7)
+    assert nil.lcs == before

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgdescent.linalg import (NoSolution, coords_in_span, frac, identity,
+from dgdescent.linalg import (NoSolution, coords_in_span, echelon_basis,
+                              frac, identity,
                               intersect_spans, kernel_basis, mat_mul, mat_vec,
                               rank,
                               rref, solve_affine, span_basis, span_contains,
@@ -285,6 +286,33 @@ def test_span_basis_echelonizes():
     assert len(basis) == 2
 
 
+tuple_keys = st.tuples(st.integers(0, 2), st.sampled_from("ab"),
+                       st.integers(-1, 1))
+
+
+@given(st.lists(st.dictionaries(tuple_keys, mixed_entries, max_size=5),
+                max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_echelon_basis_matches_rref_over_tuple_keys(vectors):
+    """Sparse vectors over tuple keys: the basis equals the nonzero rref
+    rows over the sorted keys, in pivot order, each row listing its
+    keys in increasing order (zero coefficients count as absent)."""
+    keys = sorted({k for v in vectors for k in v})
+    dense = [[F(v.get(k, 0)) for k in keys] for v in vectors]
+    R, pivots = rref(dense) if dense else ([], [])
+    expected = [[(k, x) for k, x in zip(keys, row) if x]
+                for row in R[:len(pivots)]]
+    assert [list(v.items()) for v in echelon_basis(vectors)] == expected
+
+
+def test_echelon_basis_of_nothing_and_of_zeros():
+    assert echelon_basis([]) == []
+    assert echelon_basis([{}, {}]) == []
+    assert echelon_basis([{(0, "a"): F(0)}, {(1, "b"): 0}]) == []
+    assert echelon_basis([{(1, "b"): 2, (0, "a"): F(0)}, {}]) == \
+        [{(1, "b"): F(1)}]
+
+
 def test_zero_rows():
     # no equations: every vector solves, the kernel is everything
     assert solve_affine([], []) == ([], [])
@@ -331,6 +359,20 @@ def test_dense_rref_stays_a_test_reference():
     one sparse eliminator, and dense elimination is the tests' reference."""
     offenders = _references("rref", sorted(SRC.glob("*.py")))
     assert not offenders, "dense rref referenced at " + ", ".join(offenders)
+
+
+def test_dense_adapters_stay_in_linalg_and_cochain():
+    """Subspaces and linear systems are sparse outside cochain, whose
+    stored blocks are dense: no other module (apart from the package's
+    re-export of solve_affine) names a dense adapter of the eliminator."""
+    offenders = [hit for name in ("kernel_basis", "span_basis",
+                                  "solve_affine", "rank")
+                 for hit in _references(name, [
+                     path for path in sorted(SRC.glob("*.py"))
+                     if path.name not in ("linalg.py", "cochain.py",
+                                          "__init__.py")])]
+    assert not offenders, "dense adapter referenced at " + \
+        ", ".join(offenders)
 
 
 def test_coords_in_span_stays_a_test_reference():

@@ -17,8 +17,9 @@ from .dgla import (ArtinAlgebra, DgCommAlgebra, DgLieAlgebra, DgLieMap,
                    lower_central_series, tensor_lie)
 from .forms import PolyForm, omega_apply, truncated_form_cochain
 from .mcgauge import (DeligneGroupoid, FiniteLieContext, FormLieContext,
-                      GaugeSearchResult, ObstructionUnsolvable, bch,
-                      constrained_mc_solve, gauge_act, gauge_element,
+                      GaugeSearchResult, ObstructionUnsolvable,
+                      SelfCheckFailed, bch, constrained_mc_solve,
+                      constrained_mc_solve_rows, gauge_act, gauge_element,
                       gauge_equivalent, gauge_inverse, holonomy, mc_element,
                       mc_lift, mc_residual, solve_1simplex,
                       staged_gauge_search)

@@ -17,18 +17,17 @@ p >= 2 by boundary extension plus staged Maurer-Cartan correction.
 
 import itertools
 from fractions import Fraction
-from functools import partial
 
 from .cochain import map_blocks
 from .dgla import (DgLieMap, NilpotentDgLie, direct_product, el_combination,
                    el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
-from .forms import degeneracy_map, face_map
+from .forms import degeneracy_map, face_map, monomial_pullback
 from .linalg import NoSolution, ZERO, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
                       ObstructionUnsolvable, constrained_mc_solve,
-                      gauge_act, holonomy, mc_residual, solve_1simplex,
-                      staged_gauge_search)
+                      constrained_mc_solve_rows, gauge_act, holonomy,
+                      mc_residual, solve_1simplex, staged_gauge_search)
 from .tot import (CosimplicialDgLie, DescentDatum, TotContext,
                   TruncationError, tot_groupoid, tot_lie)
 
@@ -65,8 +64,11 @@ class CoverSpec:
         self.restrictions = {(frozenset(J), frozenset(J2)): f
                              for (J, J2), f in restrictions.items()}
         self.name = name
+        # bounds, not set(range(num_opens)): the declared count of
+        # opens must not decide how much memory the check takes
         for J in self.sections:
-            if not J or not J <= set(range(num_opens)):
+            if not J or not all(isinstance(i, int) and 0 <= i < num_opens
+                                for i in J):
                 raise ValueError(f"bad index set {set(J)}")
         # monotonicity of nonemptiness: subsets of nonempty are nonempty
         for J in self.sections:
@@ -394,22 +396,61 @@ def glue_descent_datum(cc, datum, D, N=None):
     return x
 
 
+def gluing_blocks(cc, p, keys):
+    """The face and degeneracy conditions on the level-p member of a
+    glued family, as row blocks over the positions of keys (level-p
+    keys (basis index, monomial on Delta^p)): one {row key: {position:
+    coefficient}} per condition, faces 0..p first, then degeneracies
+    0..p-1.
+
+    Face i's block is Omega(face^i) (x) id: the column of (gi, mono)
+    holds the pullback of mono (`monomial_pullback`) under gi.
+    Degeneracy i's block is id (x) g(codeg^i): the column of (gi, mono)
+    holds the image of basis element gi, computed once per block, on
+    mono.  Column for column these are the `FormLieContext.restrict`
+    and `push` images of the keys' unit vectors.
+    """
+    blocks = []
+    for i in range(p + 1):
+        u = face_map(i, p)
+        block = {}
+        for col, (gi, mono) in enumerate(keys):
+            for m, c in monomial_pullback(u, p, mono):
+                block.setdefault((gi, m), {})[col] = c
+        blocks.append(block)
+    dim = cc.level(p).total_dim()
+    for i in range(p):
+        images = [cc.codegeneracy(p - 1, i).apply({gi: ONE})
+                  for gi in range(dim)]
+        block = {}
+        for col, (gi, mono) in enumerate(keys):
+            for gj, c in images[gi].items():
+                block.setdefault((gj, mono), {})[col] = c
+        blocks.append(block)
+    return blocks
+
+
 def _glue_level(cc, ctx, omegas, p, D):
     """Solve level p: face and degeneracy constraints, then MC."""
     fctx, prev_ctx = ctx.forms[p], ctx.forms[p - 1]
-    candidates = [{k: ONE} for k in fctx.keys_up_to(D, degree=1)]
+    keys = fctx.keys_up_to(D, degree=1)
     prev = ctx.level_component(omegas[p - 1], p - 1)
-    # face restrictions: Omega(face^i)(omega_p) = g(face^i)(omega_{p-1})
-    constraints = [(partial(fctx.restrict, face_map(i, p)),
-                    prev_ctx.push(cc.coface(p - 1, i).apply, prev))
-                   for i in range(p + 1)]
+    # face restrictions: Omega(face^i)(omega_p) = g(face^i)(omega_{p-1});
     # degeneracy conditions: g(codeg^i)(omega_p) = Omega(codeg^i)(omega_{p-1})
-    constraints += [(partial(fctx.push, cc.codegeneracy(p - 1, i).apply),
-                     prev_ctx.restrict(degeneracy_map(i, p - 1), prev, p))
-                    for i in range(p)]
+    targets = ([prev_ctx.push(cc.coface(p - 1, i).apply, prev)
+                for i in range(p + 1)] +
+               [prev_ctx.restrict(degeneracy_map(i, p - 1), prev, p)
+                for i in range(p)])
+    # one row per key of a block or its target, sorted; a target key
+    # that no column reaches stays as an empty (insoluble) row
+    rows, rhs = [], []
+    for block, target in zip(gluing_blocks(cc, p, keys), targets):
+        for k in sorted(block.keys() | target.keys()):
+            rows.append(block.get(k, {}))
+            rhs.append(target.get(k, ZERO))
     try:
-        return constrained_mc_solve(fctx, candidates, constraints,
-                                    label=f"level {p}")
+        return constrained_mc_solve_rows(
+            fctx, [{k: ONE} for k in keys], rows, rhs, label=f"level {p}")
     except ObstructionUnsolvable as exc:
         if exc.stage == 0:
             raise GluingFailed(
@@ -585,7 +626,7 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
     if not isinstance(cc, CechCosimplicial):
         raise ValueError("sampled verification needs the cover structure")
     ctx = TotContext(cc)
-    T = tot_lie(cc, D)
+    gauge_basis = ctx.tot_basis(0, D)
     comparison = ComparisonFunctor(cc, D)
     glued = 0
     roundtrips = 0
@@ -614,7 +655,7 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
         else:
             roundtrips += 1
         # a sampled Tot gauge out of x projects to a descent morphism
-        rho = _random_tot_gauge(T, rng)
+        rho = _random_tot_gauge(gauge_basis, rng)
         xp = gauge_act(ctx, rho, x)
         image2 = comparison.object_map(xp)
         r0 = comparison.morphism_map(rho)
@@ -659,6 +700,7 @@ def _abelian_tot_dims(cc, D):
     return T.cochain.cohomology(1)[0], len(T.cochain.cocycles(0))
 
 
-def _random_tot_gauge(tot_complex, rng, spread=1):
+def _random_tot_gauge(basis0, rng, spread=1):
+    """A random combination of the degree-0 Tot basis `basis0`."""
     return el_sum(el_scale(Fraction(rng.randint(-spread, spread)), b)
-                  for b in tot_complex.basis_by_degree.get(0, []))
+                  for b in basis0)

@@ -14,7 +14,8 @@ every dt once; the form degree is the number of dt factors.
 Pullback along a monotone map (`omega_apply`) is linear, computed per
 monomial from a memo: the image of each (map, monomial) pair is
 multiplied out once, and later pullbacks only scale and sum them.
-`monomial_pullback` hands out one such image as an immutable tuple.
+`monomial_pullback` hands out one such image as an immutable tuple,
+and `monomial_d` the differential of one monomial in the same way.
 """
 
 import functools
@@ -322,6 +323,15 @@ def monomial_pullback(u, q, mono):
     it: `TotContext.exchange_rows` reads its columns off it instead of
     pulling back one form per column."""
     return tuple(_mono_pullback(tuple(u), q, mono).items())
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_d(n, mono):
+    """d of one monomial on the n-simplex, as a tuple of (monomial,
+    coefficient) pairs in the order PolyForm.d adds them.  Memoized and
+    immutable: `FormLieContext.d_el` reads it once per (vector,
+    monomial) pair instead of differentiating a fresh form."""
+    return tuple(PolyForm(n, {mono: ONE}).d().terms.items())
 
 
 def restrict_to_face(omega, i):

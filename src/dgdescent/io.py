@@ -378,7 +378,20 @@ def cosimplicial_from_record(rec, path="<record>", validate=True):
         raise ParseError(path, "type", "expected cosimplicial_dg_lie")
     levels = [algebra_from_record(sub, path=f"{path}:levels[{q}]",
                                   validate=validate)
-              for q, sub in enumerate(rec.get("levels", []))]
+              for q, sub in enumerate(_objects(rec, "levels", path))]
+    if not levels:
+        raise ParseError(path, "levels", "expected at least one level")
+    # counts first: the maps below index the levels they connect
+    for field in ("cofaces", "codegeneracies"):
+        lists = rec.get(field, [])
+        if not isinstance(lists, list) or not all(
+                isinstance(maps, list) for maps in lists):
+            raise ParseError(path, field, "expected a list of lists of maps")
+        if len(lists) != len(levels) - 1:
+            raise ParseError(path, field,
+                             f"expected {len(levels) - 1} lists of maps, "
+                             f"one per adjacent pair of levels, not "
+                             f"{len(lists)}")
     cofaces = []
     for q, maps in enumerate(rec.get("cofaces", [])):
         cofaces.append([

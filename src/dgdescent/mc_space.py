@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .dgla import el_is_zero
 from .forms import mono_form_degree
-from .mcgauge import (FiniteLieContext, FormLieContext, bch, gauge_act,
-                      gauge_inverse, mc_residual)
+from .mcgauge import (FiniteLieContext, FormLieContext, SelfCheckFailed,
+                      bch, gauge_act, gauge_inverse, mc_residual)
 
 ONE = Fraction(1)
 
@@ -77,8 +77,8 @@ def mc_simplex_from_gauge(nil, n, family, x):
                              "degree 0")
     base = ctx.embed(x)
     out = gauge_act(ctx, family, base)
-    assert el_is_zero(mc_residual(ctx, out)), \
-        "gauge flow lost the MC equation"
+    if not el_is_zero(mc_residual(ctx, out)):
+        raise SelfCheckFailed("gauge flow lost the MC equation")
     return out
 
 

@@ -34,8 +34,8 @@ from functools import lru_cache
 
 from .dgla import (el_add, el_combination, el_eq, el_is_zero, el_scale,
                    el_sub, el_sum)
-from .forms import (PolyForm, mono_form_degree, mono_mul, monomials_up_to,
-                    omega_apply)
+from .forms import (PolyForm, mono_form_degree, mono_mul, monomial_d,
+                    monomials_up_to, omega_apply)
 from .linalg import (NoSolution, ZERO, echelon_basis, sparse_columns,
                      sparse_solve_affine, span_intersection)
 
@@ -230,7 +230,7 @@ class FormLieContext:
         parts = []
         for mono, el in self.by_mono(x).items():
             # de Rham part on the monomial
-            for m2, c in PolyForm(self.n, {mono: ONE}).d().terms.items():
+            for m2, c in monomial_d(self.n, mono):
                 parts.append({(gi, m2): c * v for gi, v in el.items()})
             # internal part with the form-degree sign
             sign = -ONE if mono_form_degree(mono) % 2 else ONE
@@ -528,6 +528,13 @@ def holonomy(ctx, y_coeffs):
 # the 1-simplex attached to a gauge transformation
 
 
+class SelfCheckFailed(Exception):
+    """An exact check on the output of a construction failed.  The
+    construction makes the checked equation hold, so a failure is a
+    fault of the code, never a verdict on the input.  It is raised
+    explicitly, so `python -O` does not remove the check."""
+
+
 def solve_1simplex(ctx1, x0, theta):
     """The MC element of Omega_1 (x) g built from the flow of theta.
 
@@ -547,8 +554,8 @@ def solve_1simplex(ctx1, x0, theta):
     for gi, v in theta.items():
         out[(gi, dt_mono)] = out.get((gi, dt_mono), ZERO) + v
     out = {k: v for k, v in out.items() if v}
-    assert el_is_zero(mc_residual(ctx1, out)), \
-        "1-simplex construction lost the MC equation"
+    if not el_is_zero(mc_residual(ctx1, out)):
+        raise SelfCheckFailed("1-simplex construction lost the MC equation")
     return out
 
 
@@ -731,18 +738,42 @@ def constrained_mc_solve(ctx, candidates, constraints=(), rng=None,
     candidates: elements spanning the search space (degree 1).
     constraints: pairs (linear map on elements, target element); the
     solution x satisfies every map(x) == target exactly and
-    mc_residual(x) == 0 exactly.  rng, when given, randomizes the free
-    choices at every stage (the sampler hook); random choices can land
-    on obstructed points of the MC variety, so failed attempts fall
-    back to four fresh draws in all and finally to the deterministic
-    greedy path before the obstruction is reported.
+    mc_residual(x) == 0 exactly.  An adapter over
+    `constrained_mc_solve_rows`: a pair becomes the rows of the matrix
+    whose column j is map(candidates[j]), one row per key of the images
+    and the target, in sorted order.
+    """
+    rows, rhs = [], []
+    for fn, target in constraints:
+        imgs = [fn(z) for z in candidates]
+        keys = sorted(_keys_of(imgs) | set(target))
+        rows += sparse_columns(imgs, keys)
+        rhs += [target.get(k, ZERO) for k in keys]
+    return constrained_mc_solve_rows(ctx, candidates, rows, rhs, rng=rng,
+                                     label=label)
+
+
+def constrained_mc_solve_rows(ctx, candidates, rows, rhs, rng=None,
+                              label=""):
+    """MC element x = sum_j c_j candidates[j] with rows . c = rhs.
+
+    rows: sparse rows {candidate position: coefficient}, rhs their
+    right-hand sides; the rows must be those of a linear map of
+    elements (as the rows of `constrained_mc_solve` are), and a row
+    that no candidate reaches stays in the system, so a nonzero rhs
+    there is insoluble.  x is exactly MC, and its coordinates are
+    checked against the rows once more after the MC correction.  rng,
+    when given, randomizes the free choices at every stage (the sampler
+    hook); random choices can land on obstructed points of the MC
+    variety, so failed attempts fall back to four fresh draws in all
+    and finally to the deterministic greedy path before the obstruction
+    is reported.
     """
     rounds = ([rng] * 4 + [None]) if rng is not None else [None]
     last_exc = None
     for r in rounds:
         try:
-            return _constrained_mc_once(ctx, candidates, constraints, r,
-                                        label)
+            return _constrained_mc_once(ctx, candidates, rows, rhs, r, label)
         except ObstructionUnsolvable as exc:
             last_exc = exc
     raise last_exc
@@ -753,15 +784,37 @@ def _random_combination(rng, particular, kernel):
                    for k in kernel), particular)
 
 
-def _constrained_mc_once(ctx, candidates, constraints, rng, label):
+def _coordinates(candidates, x):
+    """x as {candidate position: coefficient}, or None outside their
+    span: a lookup when the candidates are distinct unit vectors (as
+    every caller's are), else one exact solve."""
+    position = {k: j for j, z in enumerate(candidates)
+                for k, c in z.items() if len(z) == 1 and c == 1}
+    if len(position) == len(candidates):
+        if not x.keys() <= position.keys():
+            return None
+        return {position[k]: v for k, v in x.items()}
+    keys = sorted(_keys_of(candidates) | set(x))
+    sol = sparse_solve_affine(sparse_columns(candidates, keys),
+                              [x.get(k, ZERO) for k in keys], len(candidates))
+    return None if isinstance(sol, NoSolution) else sol[0]
+
+
+def _rows_hold(rows, rhs, coords):
+    """Whether rows . coords == rhs exactly."""
+    for row, b in zip(rows, rhs):
+        s = 0
+        for j, c in row.items():
+            v = coords.get(j)
+            if v is not None:
+                s += c * v
+        if s != b:
+            return False
+    return True
+
+
+def _constrained_mc_once(ctx, candidates, rows, rhs, rng, label):
     # solve the affine constraints over the candidate coordinates
-    rows = []
-    rhs = []
-    for fn, target in constraints:
-        imgs = [fn(z) for z in candidates]
-        keys = sorted(_keys_of(imgs) | set(target))
-        rows += sparse_columns(imgs, keys)
-        rhs += [target.get(k, ZERO) for k in keys]
     res = sparse_solve_affine(rows, rhs, len(candidates))
     if isinstance(res, NoSolution):
         raise ObstructionUnsolvable(0, label or "constraints")
@@ -798,8 +851,10 @@ def _constrained_mc_once(ctx, candidates, constraints, rng, label):
     R = mc_residual(ctx, x)
     if not el_is_zero(R):
         raise ObstructionUnsolvable(ctx.nclass(), label or "final residual")
-    for fn, target in constraints:
-        assert el_eq(fn(x), target), "constraints drifted during correction"
+    coords = _coordinates(candidates, x)
+    if coords is None or not _rows_hold(rows, rhs, coords):
+        raise SelfCheckFailed("constraints drifted during correction"
+                              + (f" ({label})" if label else ""))
     return x
 
 
@@ -816,7 +871,8 @@ def mc_lift(f, nil_g, nil_h, xbar):
     candidates = ctx.basis_of_degree(1)
     constraints = [(lambda z: f.apply(z), dict(xbar))]
     x = constrained_mc_solve(ctx, candidates, constraints, label="mc_lift")
-    assert el_eq(f.apply(x), xbar)
+    if not el_eq(f.apply(x), xbar):
+        raise SelfCheckFailed("mc_lift: the lift does not map to xbar")
     return x
 
 

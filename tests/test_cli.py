@@ -414,3 +414,88 @@ def test_element_records_are_lists_of_terms(tmp_path, capsys):
     # the empty element is a valid (zero) element record
     path.write_text("[]")
     assert main(base + ["--element", str(path)]) == 0
+
+
+def test_sampled_mc_solutions_are_checked_without_assert(monkeypatch,
+                                                         capsys):
+    # a sampler that hands out a non-MC element must give "falsified",
+    # whether or not asserts run
+    from dgdescent.dgla import tensor_lie
+    from dgdescent.instances import t_truncated, wz_algebra
+    from dgdescent.mcgauge import DeligneGroupoid, FiniteLieContext
+    nil = tensor_lie(t_truncated(3).maximal_ideal(), wz_algebra())
+    ctx = FiniteLieContext(nil)
+    bad = next({k: 1} for k in ctx.degree_keys(1)
+               if ctx.bracket_el({k: 1}, {k: 1}))
+    monkeypatch.setattr(DeligneGroupoid, "random_mc_element",
+                        lambda self, rng: dict(bad))
+    code, rep = run_cli(capsys, "mc", str(DATA / "algebra_wz.json"),
+                        "--base", str(DATA / "artin_t3.json"),
+                        "--samples", "2")
+    assert code == 1
+    check = rep["checks"][0]
+    assert check["verdict"] == "falsified"
+    assert check["not_maurer_cartan"] == [0, 1]
+    assert rep["summary"]["falsified"] == 1
+
+
+_COSIMPLICIAL = json.loads(
+    (DATA / "cosimplicial_constant_ef_t3.json").read_text())
+
+
+def _cosimplicial_sites(rec):
+    """(path, kind, droppable) for the fields of a cosimplicial record,
+    the algebra fields of its levels included."""
+    sites = [((key,), "list", True)
+             for key in ("levels", "cofaces", "codegeneracies")]
+    for q, level in enumerate(rec["levels"]):
+        sites.append((("levels", q), "object", True))
+        sites += [(("levels", q) + path, kind, droppable)
+                  for path, kind, droppable in _field_sites(level)]
+    for key in ("cofaces", "codegeneracies"):
+        for q, maps in enumerate(rec[key]):
+            sites.append(((key, q), "list", True))
+            sites += [((key, q, i), "matrix", True)
+                      for i in range(len(maps))]
+    return sites
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_malformed_cosimplicial_fields_exit_2(capsys, data):
+    rec = copy.deepcopy(_COSIMPLICIAL)
+    path, kind, droppable = data.draw(
+        st.sampled_from(_cosimplicial_sites(rec)))
+    parent = rec
+    for step in path[:-1]:
+        parent = parent[step]
+    if droppable and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(_WRONG[kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "record.json"
+        file.write_text(json.dumps(rec))
+        code = main(["check-algebra", str(file)])
+    captured = capsys.readouterr()
+    assert code == 2, (path, captured)
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cut", ["one level", "number as coface list"])
+def test_cosimplicial_counts_are_checked_before_indexing(tmp_path, capsys,
+                                                         cut):
+    rec = copy.deepcopy(_COSIMPLICIAL)
+    if cut == "one level":
+        rec["levels"] = rec["levels"][:1]
+    else:
+        rec["cofaces"][0] = 5
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(rec))
+    assert main(["check-algebra", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "cofaces" in captured.err

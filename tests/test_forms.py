@@ -270,3 +270,23 @@ def test_monomials_count():
     monos = monomials_up_to(2, 2)
     assert len(monos) == 13
     assert len([m for m in monos if mono_form_degree(m) == 1]) == 6
+
+
+@st.composite
+def monomials(draw):
+    n = draw(st.integers(0, 4))
+    exps = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return n, (exps, draw(st.integers(0, (1 << n) - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomials())
+def test_monomial_d_is_polyform_d_term_for_term(nm):
+    from dgdescent.forms import monomial_d
+    n, mono = nm
+    got = monomial_d(n, mono)
+    ref = PolyForm(n, {mono: F(1)}).d().terms
+    assert isinstance(got, tuple)
+    # same terms, in the order PolyForm.d adds them
+    assert got == tuple(ref.items())
+    assert monomial_d(n, mono) is got

@@ -1,0 +1,176 @@
+"""Gluing constraints as row blocks, the rows-level constrained solver,
+and the degree-0 gauge basis of the nonabelian descent check."""
+
+import functools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dgdescent import cech, mcgauge
+from dgdescent.cech import (GluingFailed, _glue_level, _sample_descent_datum,
+                            cech_cosimplicial, gluing_blocks,
+                            tensored_cover, verify_descent)
+from dgdescent.dgla import tensor_lie
+from dgdescent.forms import face_map
+from dgdescent.instances import (circle_cover, dual_numbers, ef_algebra,
+                                 segment_cover, t_truncated, triple_cover)
+from dgdescent.linalg import sparse_columns
+from dgdescent.mcgauge import (FiniteLieContext, ObstructionUnsolvable,
+                               SelfCheckFailed, constrained_mc_solve,
+                               constrained_mc_solve_rows, mc_residual,
+                               solve_1simplex)
+from dgdescent.tot import TotContext, tot_lie
+
+ONE = Fraction(1)
+COVERS = {"segment": segment_cover, "circle": circle_cover,
+          "triple": triple_cover}
+BASES = {"eps": dual_numbers, "t3": lambda: t_truncated(3)}
+
+
+@functools.lru_cache(maxsize=None)
+def nonabelian_cech(cover, base):
+    return cech_cosimplicial(
+        tensored_cover(COVERS[cover](ef_algebra()), BASES[base]()), N=2)
+
+
+def _block_of(images):
+    """{row key: {position: coefficient}} of the matrix whose column j
+    is images[j], with the keys that sparse_columns would give rows."""
+    keys = sorted({k for img in images for k in img})
+    return {k: row for k, row in zip(keys, sparse_columns(images, keys))}
+
+
+@settings(max_examples=24, deadline=None)
+@given(cover=st.sampled_from(sorted(COVERS)),
+       base=st.sampled_from(sorted(BASES)), D=st.integers(1, 3))
+def test_gluing_blocks_are_the_per_candidate_images(cover, base, D):
+    cc = nonabelian_cech(cover, base)
+    p = 2
+    fctx = TotContext(cc).forms[p]
+    keys = fctx.keys_up_to(D, degree=1)
+    units = [{k: ONE} for k in keys]
+    expected = (
+        [_block_of([fctx.restrict(face_map(i, p), z) for z in units])
+         for i in range(p + 1)] +
+        [_block_of([fctx.push(cc.codegeneracy(p - 1, i).apply, z)
+                    for z in units])
+         for i in range(p)])
+    blocks = gluing_blocks(cc, p, keys)
+    assert len(blocks) == len(expected) == 2 * p + 1
+    for got, want in zip(blocks, expected):
+        assert got.keys() == want.keys()
+        assert got == want
+
+
+def test_verify_descent_draws_gauges_from_the_degree0_basis(monkeypatch):
+    cc = nonabelian_cech("segment", "t3")
+    seen = []
+    draw = cech._random_tot_gauge
+
+    def spy(basis0, rng, spread=1):
+        seen.append(basis0)
+        return draw(basis0, rng, spread)
+
+    def no_tot_lie(*args, **kwargs):
+        raise AssertionError("the nonabelian check built a Tot complex")
+
+    monkeypatch.setattr(cech, "_random_tot_gauge", spy)
+    monkeypatch.setattr(cech, "tot_lie", no_tot_lie)
+    report = verify_descent(cc, samples=2, seed=3, D=2)
+    monkeypatch.undo()
+    assert report["falsified"] == 0 and len(seen) == 2
+    reference = tot_lie(cc, 2).basis_by_degree[0]
+    assert reference
+    for basis0 in seen:
+        assert basis0 == reference
+
+
+def test_unreachable_gluing_target_fails_at_stage_0():
+    # a level-1 member of degree 5 in t pushes face targets that no
+    # level-2 candidate of degree <= 2 reaches: empty rows, rhs != 0
+    cc = nonabelian_cech("segment", "t3")
+    ctx = TotContext(cc)
+    rng = random.Random(1)
+    datum = None
+    while datum is None:
+        datum = _sample_descent_datum(cc, rng)
+    path = solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(datum.a),
+                          datum.theta)
+    gi = next(gi for gi, _ in ctx.forms[1].keys_up_to(0, degree=1))
+    path[(gi, ((5,), 0))] = ONE
+    omegas = [ctx.embed_level(0, datum.a), ctx.embed_form_level(1, path)]
+    with pytest.raises(GluingFailed) as info:
+        _glue_level(cc, ctx, omegas, 2, 2)
+    assert info.value.level == 2
+    assert "unsolvable within degree bound 2" in info.value.reason
+    assert isinstance(info.value.__cause__, ObstructionUnsolvable)
+    assert info.value.__cause__.stage == 0
+
+
+def _ef_t3():
+    return tensor_lie(t_truncated(3).maximal_ideal(), ef_algebra())
+
+
+def test_rows_level_keeps_a_row_that_no_candidate_reaches():
+    ctx = FiniteLieContext(_ef_t3())
+    units = ctx.basis_of_degree(1)
+    with pytest.raises(ObstructionUnsolvable) as info:
+        constrained_mc_solve_rows(ctx, units, [{}], [ONE])
+    assert info.value.stage == 0
+    # the same row with rhs 0 constrains nothing
+    x = constrained_mc_solve_rows(ctx, units, [{}], [Fraction(0)])
+    assert not mc_residual(ctx, x)
+
+
+def test_pair_form_is_an_adapter_over_the_rows_level(monkeypatch):
+    ctx = FiniteLieContext(_ef_t3())
+    units = ctx.basis_of_degree(1)
+    target = {next(iter(units[0])): ONE}
+    calls = []
+    rows_level = mcgauge.constrained_mc_solve_rows
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return rows_level(*args, **kwargs)
+
+    monkeypatch.setattr(mcgauge, "constrained_mc_solve_rows", spy)
+    x = constrained_mc_solve(ctx, units, [(dict, target)],
+                             rng=random.Random(4))
+    assert len(calls) == 1
+    _, cands, rows, rhs = calls[0]
+    assert cands is units
+    keys = sorted({k for u in units for k in u})
+    assert rows == sparse_columns(units, keys)
+    assert rhs == [target.get(k, 0) for k in keys]
+    assert not mc_residual(ctx, x)
+    assert all(x.get(k, 0) == v for k, v in target.items())
+
+
+def test_constraint_drift_raises_a_named_error(monkeypatch):
+    ctx = FiniteLieContext(_ef_t3())
+    units = ctx.basis_of_degree(1)
+    key = next(iter(units[0]))
+    # coordinates that miss the constrained one: the re-check must
+    # raise, and not through an assert that `python -O` removes
+    monkeypatch.setattr(mcgauge, "_coordinates",
+                        lambda candidates, x: {})
+    with pytest.raises(SelfCheckFailed, match="constraints drifted"):
+        constrained_mc_solve(ctx, units, [(dict, {key: ONE})],
+                             label="drift")
+
+
+def test_candidates_that_are_not_unit_vectors_are_solved_for():
+    # scaled candidates miss the unit lookup; the re-check then solves
+    # for the coordinates of the result
+    ctx = FiniteLieContext(_ef_t3())
+    keys = ctx.degree_keys(1)
+    candidates = [{k: Fraction(2)} for k in keys]
+    target = {keys[0]: ONE}
+    x = constrained_mc_solve(ctx, candidates, [(dict, target)],
+                             rng=random.Random(2))
+    assert not mc_residual(ctx, x)
+    assert x.get(keys[0]) == ONE
+    with pytest.raises(ObstructionUnsolvable):
+        constrained_mc_solve(ctx, candidates[1:], [(dict, target)])

@@ -151,3 +151,23 @@ def test_dump_is_deterministic(tmp_path):
     assert a == b
     assert (tmp_path / "a.json").read_bytes() == \
         (tmp_path / "b.json").read_bytes()
+
+
+def test_declared_opens_do_not_decide_memory():
+    # the index check compares bounds; it builds nothing of the size of
+    # the declared count (a set of 10**6 ints alone takes over 50 MB)
+    import tracemalloc
+    rec = json.loads((DATA / "cover_segment_line.json").read_text())
+    rec["opens"] = 10 ** 6
+    tracemalloc.start()
+    try:
+        cover = cover_from_record(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cover.num_opens == 10 ** 6
+    assert peak < 4 * 2 ** 20
+    # an index at or beyond the declared count is still refused
+    rec["opens"] = 1
+    with pytest.raises(ParseError, match="bad index set"):
+        cover_from_record(rec)

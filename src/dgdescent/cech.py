@@ -23,13 +23,14 @@ from .dgla import (DgLieMap, NilpotentDgLie, direct_product, el_combination,
                    el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
 from .forms import degeneracy_map, face_map, monomial_pullback
+from .io import TruncationError
 from .linalg import NoSolution, ZERO, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
                       ObstructionUnsolvable, constrained_mc_solve,
                       constrained_mc_solve_rows, gauge_act, holonomy,
                       mc_residual, solve_1simplex, staged_gauge_search)
-from .tot import (CosimplicialDgLie, DescentDatum, TotContext,
-                  TruncationError, tot_groupoid, tot_lie)
+from .tot import (CosimplicialDgLie, DescentDatum, TotContext, tot_groupoid,
+                  tot_lie)
 
 ONE = Fraction(1)
 
@@ -127,12 +128,6 @@ def _nonempty_subsets(J):
             yield frozenset(c)
 
 
-def monotone_tuples(m, length):
-    """Nondecreasing tuples over {0..m} of the given length."""
-    return list(itertools.combinations_with_replacement(range(m + 1),
-                                                        length))
-
-
 class CechCosimplicial(CosimplicialDgLie):
     """Cech levels with their tuple bookkeeping kept around."""
 
@@ -170,19 +165,21 @@ def cech_cosimplicial(cover, N=None, validate=True):
     max |J| - 1 over the nonempty U_J; a truncation below that level
     would hide nonzero N^q from every vanishing check and is refused.
     """
-    m = cover.num_opens - 1
-    if N is None:
-        N = max(2, cover.num_opens - 1)
     vanishing = max((len(J) for J in cover.sections), default=1) - 1
+    if N is None:
+        N = max(2, vanishing)
     if N < vanishing:
         raise TruncationError(
             f"truncation level {N} is below the normalization vanishing "
             f"level {vanishing} of the ordered Cech complex (an "
             f"intersection of {vanishing + 1} opens is nonempty)")
+    # a tuple through an open without sections has no sections either,
+    # so declared but unused opens add no tuples, only enumeration work
+    used = sorted(set().union(*cover.sections))
     tuples = []
     levels = []
     for q in range(N + 1):
-        Ts = [T for T in monotone_tuples(m, q + 1)
+        Ts = [T for T in itertools.combinations_with_replacement(used, q + 1)
               if cover.algebra(set(T)) is not None]
         if not Ts:
             raise ValueError("a cover needs at least one nonempty open")

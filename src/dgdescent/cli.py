@@ -13,15 +13,16 @@ import sys
 import time
 
 from . import __version__
-from .cech import (cech_cosimplicial, tensored_cover, verify_descent)
 from .dgla import lower_central_series, NilpotentDgLie, tensor_lie
-from .io import (ParseError, algebra_from_record, artin_from_record,
-                 cosimplicial_from_record, cover_from_record, dump_record,
-                 element_from_record, element_to_record,
-                 instance_from_record, load_record, record_type)
-from .mcgauge import (DeligneGroupoid, FiniteLieContext, gauge_equivalent,
-                      mc_residual)
-from .tot import TruncationError, tot_cochain, tot_lie
+from .io import (ParseError, TruncationError, algebra_from_record,
+                 artin_from_record, cosimplicial_from_record,
+                 cover_from_record, dump_record, element_from_record,
+                 element_to_record, instance_from_record, load_record,
+                 record_type)
+
+# cech, mcgauge and tot are imported by the commands that run them: each
+# job is a fresh process that compiles what it imports unless bytecode
+# is cached, so a module its command does not run only slows it down
 
 
 def _positive_int(text):
@@ -107,6 +108,7 @@ def _nilpotent_from_args(args):
 
 
 def _cosimplicial_from_args(args):
+    from .cech import cech_cosimplicial, tensored_cover
     rec = load_record(args.file)
     kind = record_type(rec, args.file)
     if kind == "descent_instance":
@@ -168,6 +170,7 @@ def cmd_cohomology(args, report):
 
 
 def cmd_mc(args, report):
+    from .mcgauge import DeligneGroupoid, FiniteLieContext, mc_residual
     nil = _nilpotent_from_args(args)
     ctx = FiniteLieContext(nil)
     report["instance"] = nil.algebra.name
@@ -200,6 +203,7 @@ def cmd_mc(args, report):
 
 
 def cmd_gauge_orbit(args, report):
+    from .mcgauge import FiniteLieContext, gauge_equivalent, mc_residual
     nil = _nilpotent_from_args(args)
     ctx = FiniteLieContext(nil)
     g = nil.algebra
@@ -222,6 +226,7 @@ def cmd_gauge_orbit(args, report):
 
 
 def cmd_tot(args, report):
+    from .tot import tot_cochain, tot_lie
     cc = _cosimplicial_from_args(args)
     report["instance"] = cc.name
     report["trunc_level"] = cc.N
@@ -255,6 +260,7 @@ def cmd_tot(args, report):
 
 
 def cmd_cech(args, report):
+    from .cech import cech_cosimplicial, tensored_cover
     rec = load_record(args.file)
     if record_type(rec, args.file) != "descent_instance":
         raise ParseError(args.file, "type", "expected descent_instance")
@@ -277,6 +283,7 @@ def cmd_cech(args, report):
 
 
 def cmd_verify_descent(args, report):
+    from .cech import verify_descent
     cc = _cosimplicial_from_args(args)
     sub = verify_descent(cc, samples=args.samples, seed=args.seed,
                          D=args.degree_bound)

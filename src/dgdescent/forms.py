@@ -247,6 +247,21 @@ def degeneracy_map(i, n):
     return tuple(out)
 
 
+def monotone_factorize(u, q):
+    """Epi-mono factorization of u: [p] -> [q].
+
+    Returns (faces, degens) with faces strictly decreasing and degens
+    strictly increasing such that u is the composite of the cofaces
+    (leftmost) after the codegeneracies:
+        u = face_{faces[0]} . face_{faces[1]} . ... .
+            degen_{degens[0]} . degen_{degens[1]} . ...
+    """
+    degens = [i for i in range(len(u) - 1) if u[i] == u[i + 1]]
+    image = set(u)
+    faces = sorted((i for i in range(q + 1) if i not in image), reverse=True)
+    return faces, degens
+
+
 def vertex_map(i, n):
     return (i,)
 

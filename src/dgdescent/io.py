@@ -24,6 +24,13 @@ class ParseError(ValueError):
         super().__init__(f"{path}: field {field!r}: {message}")
 
 
+# defined beside ParseError so that the command line can report both
+# without importing the totalization it may not run
+class TruncationError(ValueError):
+    """A cosimplicial algebra truncated below the levels a construction
+    needs."""
+
+
 def scalar_to_str(x):
     x = Fraction(x)
     if x.denominator == 1:

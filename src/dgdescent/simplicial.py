@@ -21,7 +21,7 @@ their agreement is an acceptance criterion.
 import itertools
 
 from .forms import (compose_maps, degeneracy_map, face_map,
-                    identity_monotone, monotone_maps)
+                    identity_monotone, monotone_factorize, monotone_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +208,6 @@ def generating_arrows(N):
                             (q - 1, compose_maps(degeneracy_map(i, q - 1),
                                                  u))))
     return out
-
-
-def monotone_factorize(u, q):
-    """Epi-mono factorization of u: [p] -> [q].
-
-    Returns (faces, degens) with faces strictly decreasing and degens
-    strictly increasing such that u is the composite of the cofaces
-    (leftmost) after the codegeneracies:
-        u = face_{faces[0]} . face_{faces[1]} . ... .
-            degen_{degens[0]} . degen_{degens[1]} . ...
-    """
-    degens = [i for i in range(len(u) - 1) if u[i] == u[i + 1]]
-    image = set(u)
-    faces = sorted((i for i in range(q + 1) if i not in image), reverse=True)
-    return faces, degens
 
 
 class MSetFunctor:

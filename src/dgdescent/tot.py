@@ -18,11 +18,11 @@ from .cochain import Cochain, GradedSpace, map_blocks
 from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
                    el_sub, el_sum, lower_central_series)
 from .forms import (compose_maps, degeneracy_map, face_map,
-                    monomial_pullback)
+                    monomial_pullback, monotone_factorize)
+from .io import TruncationError
 from .linalg import ZERO, echelon_basis, sparse_kernel
 from .mcgauge import (FiniteLieContext, FormLieContext, bch, gauge_act,
                       mc_residual)
-from .simplicial import monotone_factorize
 
 ONE = Fraction(1)
 
@@ -457,11 +457,6 @@ class DescentDatum:
 
     def __repr__(self):
         return f"DescentDatum(a={self.a!r}, theta={self.theta!r})"
-
-
-class TruncationError(ValueError):
-    """A cosimplicial algebra truncated below the levels a construction
-    needs."""
 
 
 class DescentGroupoid:

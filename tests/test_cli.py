@@ -116,6 +116,22 @@ def test_cech_command(capsys):
     assert rep["levels"] == [4, 6, 8]
 
 
+def test_cech_ignores_declared_opens_without_sections(tmp_path, capsys):
+    # the segment cover has sections over opens 0 and 1 only
+    rec = json.loads((DATA / "instance_segment_t3.json").read_text())
+    reports = []
+    for opens in (2, 8):
+        rec["cover"]["opens"] = opens
+        path = tmp_path / f"opens{opens}.json"
+        path.write_text(json.dumps(rec))
+        code, rep = run_cli(capsys, "cech", str(path))
+        assert code == 0
+        reports.append(rep)
+    two, eight = reports
+    assert eight["levels"] == two["levels"]
+    assert eight["tuples"] == two["tuples"]
+
+
 def test_verify_descent_command_and_out(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, rep = run_cli(capsys, "verify-descent",
@@ -164,14 +180,15 @@ def test_strict_flag_fails_on_undecided(tmp_path, capsys):
 
 def test_summary_counts_each_check_once(monkeypatch, capsys):
     # a report's own falsified/undecided counts are already in its checks
-    import dgdescent.cli as cli
+    import dgdescent.cech as cech
 
     def fake_verify(cc, samples, seed, D):
         return {"instance": "fake", "falsified": 1, "undecided": 3,
                 "checks": [{"name": "a", "verdict": "falsified"},
                            {"name": "b", "verdict": "undecided"},
                            {"name": "c", "verdict": "verified"}]}
-    monkeypatch.setattr(cli, "verify_descent", fake_verify)
+    # the CLI imports verify_descent from cech when the command runs
+    monkeypatch.setattr(cech, "verify_descent", fake_verify)
     code, rep = run_cli(capsys, "verify-descent",
                         str(DATA / "instance_segment_eps.json"))
     assert rep["summary"] == {"verified": 1, "falsified": 1, "undecided": 1}

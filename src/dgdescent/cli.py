@@ -283,8 +283,15 @@ def cmd_cech(args, report):
 
 
 def cmd_verify_descent(args, report):
-    from .cech import verify_descent
+    from .cech import CechCosimplicial, verify_descent
+    from .tot import tot_groupoid
     cc = _cosimplicial_from_args(args)
+    if not isinstance(cc, CechCosimplicial) and \
+            not tot_groupoid(cc).is_abelian():
+        raise ParseError(args.file, "type",
+                         "the nonabelian check glues descent data over a "
+                         "cover, which a cosimplicial_dg_lie record does "
+                         "not carry; use a descent_instance record")
     sub = verify_descent(cc, samples=args.samples, seed=args.seed,
                          D=args.degree_bound)
     report["instance"] = sub.pop("instance", None)

@@ -14,6 +14,7 @@ constructions that preserve the axioms may opt out (they stay covered by
 randomized validation in the test suite).
 """
 
+import functools
 from fractions import Fraction
 
 from .cochain import (Cochain, CochainMap, GradedSpace, DEFAULT_TOP_DEGREE,
@@ -108,6 +109,63 @@ def bilinear_apply(table, x, y):
     return out
 
 
+# The keyed case: elements of W (x) L over keys (i, w), the tensor w (x) e_i
+# of a key w of a graded factor W with a basis index i of L.  The factor W
+# enters through pure functions of its keys, so a form-valued element is
+# pushed through L's tables in one pass, without splitting it by w first.
+
+
+def _accumulate(out, key, t):
+    v = out.get(key)
+    out[key] = t if v is None else v + t
+
+
+def keyed_linear_apply(table, x, w_d, w_odd):
+    """x pushed through d(w (x) e_i) = dw (x) e_i + (-1)^{|w|} w (x) d(e_i)
+    in one pass per key: w_d(w) gives the (w', c) terms of dw, w_odd(w)
+    whether |w| is odd, and table is L's linear table of d."""
+    out = {}
+    for (i, w), a in x.items():
+        for w2, c in w_d(w):
+            _accumulate(out, (i, w2), a * c)
+        entry = table.get(i)
+        if entry:
+            if w_odd(w):
+                a = -a
+            for k, c in entry.items():
+                _accumulate(out, (k, w), a * c)
+    return {k: v for k, v in out.items() if v}
+
+
+def keyed_bilinear_apply(table, x, y, w_product, w_odd, odd_indices):
+    """(x, y) pushed through [w1 (x) e_i, w2 (x) e_j] =
+    (-1)^{|e_i||w2|} w1 w2 (x) [e_i, e_j] in one pass over the key pairs.
+
+    w_product(w1, w2) is None when w1 w2 = 0, else (w, negative) with
+    w1 w2 = -w when negative and w otherwise; w_odd(w) tells whether |w|
+    is odd, odd_indices holds the odd-degree indices of L, and table is
+    L's bilinear table of the bracket.
+    """
+    ys = [(j, w2, b, w_odd(w2)) for (j, w2), b in y.items()]
+    out = {}
+    for (i, w1), a in x.items():
+        i_odd = i in odd_indices
+        for j, w2, b, w2_odd in ys:
+            entry = table.get((i, j))
+            if not entry:
+                continue
+            prod = w_product(w1, w2)
+            if prod is None:
+                continue
+            w, negative = prod
+            ab = a * b
+            if negative != (i_odd and w2_odd):
+                ab = -ab
+            for k, c in entry.items():
+                _accumulate(out, (k, w), ab * c)
+    return {k: v for k, v in out.items() if v}
+
+
 def _both_orders(products, sign):
     """A product table completed in the missing orders: (j, i) gets
     sign(i, j) times the (i, j) entry; empty entries are dropped last,
@@ -172,6 +230,22 @@ class DgLieAlgebra:
 
     def d_element(self, x):
         return linear_apply(self.d_table, x)
+
+    @functools.cached_property
+    def odd_indices(self):
+        return frozenset(i for i in range(self.total_dim())
+                         if self.degree_of(i) % 2)
+
+    def keyed_bracket(self, x, y, w_product, w_odd):
+        """The bracket of W (x) self on keys (i, w); see
+        `keyed_bilinear_apply`."""
+        return keyed_bilinear_apply(self.table, x, y, w_product, w_odd,
+                                    self.odd_indices)
+
+    def keyed_d_element(self, x, w_d, w_odd):
+        """The differential of W (x) self on keys (i, w); see
+        `keyed_linear_apply`."""
+        return keyed_linear_apply(self.d_table, x, w_d, w_odd)
 
     def basis_element(self, gidx):
         return {gidx: Fraction(1)}
@@ -541,7 +615,9 @@ def tensor_lie(A, g, validate=True):
         if isinstance(nil, NotNilpotent):
             raise AssertionError("tensor with a nilpotent ideal must be "
                                  "nilpotent")  # signals bad input constants
-        assert nil.nilpotency_class < A.nilpotency
+        if nil.nilpotency_class >= A.nilpotency:
+            raise AssertionError("the class of m (x) g must be below the "
+                                 "nilpotency degree of m")
         return nil
     return out
 

@@ -15,7 +15,8 @@ Pullback along a monotone map (`omega_apply`) is linear, computed per
 monomial from a memo: the image of each (map, monomial) pair is
 multiplied out once, and later pullbacks only scale and sum them.
 `monomial_pullback` hands out one such image as an immutable tuple,
-and `monomial_d` the differential of one monomial in the same way.
+`monomial_d` the differential of one monomial in the same way, and
+`monomial_product` the wedge of two monomials.
 """
 
 import functools
@@ -344,9 +345,27 @@ def monomial_pullback(u, q, mono):
 def monomial_d(n, mono):
     """d of one monomial on the n-simplex, as a tuple of (monomial,
     coefficient) pairs in the order PolyForm.d adds them.  Memoized and
-    immutable: `FormLieContext.d_el` reads it once per (vector,
-    monomial) pair instead of differentiating a fresh form."""
+    immutable: `FormLieContext.d_el` reads it once per key instead of
+    differentiating a fresh form."""
     return tuple(PolyForm(n, {mono: ONE}).d().terms.items())
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_product(a, b):
+    """The wedge product of two monomials as (monomial, negative), with
+    a b = -monomial when negative; None when a and b share a dt factor.
+    Memoized and immutable: `FormLieContext.bracket_el` reads it once
+    per pair of keys instead of multiplying the monomials out."""
+    prod = mono_mul(a, b)
+    if prod is None:
+        return None
+    mono, sign = prod
+    return mono, sign < 0
+
+
+def mono_is_odd(mono):
+    """Whether the monomial has odd form degree."""
+    return bool(mono[1].bit_count() & 1)
 
 
 def restrict_to_face(omega, i):

@@ -253,7 +253,8 @@ def artin_from_record(rec, path="<record>"):
 
 def cover_to_record(cover):
     from .cech import CoverSpec
-    assert isinstance(cover, CoverSpec)
+    if not isinstance(cover, CoverSpec):
+        raise TypeError("cover_to_record expects a CoverSpec")
     named = {}
     names = {}
     for J, g in sorted(cover.sections.items(), key=lambda kv: sorted(kv[0])):

@@ -8,17 +8,20 @@ algebra ambient:
   * FiniteLieContext -- the algebra g itself, keys are basis indices;
     d_el and bracket_el are g's own structure-table kernels;
   * FormLieContext   -- Omega_n (x) g, forms on the n-simplex tensored
-    with the algebra, keys are (basis index, form monomial); it also
-    carries the two functorialities of such elements, restrict (pull
-    the forms back along a monotone map) and push (apply a map of
-    algebra elements monomial by monomial).
+    with the algebra, keys are (basis index, form monomial); d_el and
+    bracket_el are the keyed cases of g's kernels (one pass over the
+    keys, monomials multiplied and differentiated by the memoized
+    forms tables); it also carries the two functorialities of such
+    elements, restrict (pull the forms back along a monotone map) and
+    push (apply a map of algebra elements monomial by monomial).
 
 The Thom-Sullivan ambient tot.TotContext is the product of the
 FormLieContexts of its levels.
 
 The gauge action is the time-1 flow of rho(y)(x) = dy + [x, y]; the flow
-is polynomial in time by nilpotency, so Picard iteration reaches its
-fixed point after at most class+1 rounds and everything stays exact.
+is polynomial in time by nilpotency, and its time coefficients follow
+from the earlier ones by an exact recursion (`flow_path`), so each is
+computed once and everything stays exact.
 
 Composition convention: gauge elements are stored as logarithm
 coordinates, and bch(y1, y2) is defined as the gauge whose action is
@@ -30,12 +33,12 @@ use bch, so the convention is fixed in exactly one place.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .dgla import (el_add, el_combination, el_eq, el_is_zero, el_scale,
                    el_sub, el_sum)
-from .forms import (PolyForm, mono_form_degree, mono_mul, monomial_d,
-                    monomials_up_to, omega_apply)
+from .forms import (PolyForm, mono_form_degree, mono_is_odd, monomial_d,
+                    monomial_product, monomials_up_to, omega_apply)
 from .linalg import (NoSolution, ZERO, echelon_basis, sparse_columns,
                      sparse_solve_affine, span_intersection)
 
@@ -207,6 +210,7 @@ class FormLieContext:
         self.g = nil.algebra
         self.n = n
         self._zero_mono = ((0,) * n, 0)
+        self._mono_d = partial(monomial_d, n)
 
     def nclass(self):
         return self.nil.nilpotency_class
@@ -227,34 +231,10 @@ class FormLieContext:
         return parts
 
     def d_el(self, x):
-        parts = []
-        for mono, el in self.by_mono(x).items():
-            # de Rham part on the monomial
-            for m2, c in monomial_d(self.n, mono):
-                parts.append({(gi, m2): c * v for gi, v in el.items()})
-            # internal part with the form-degree sign
-            sign = -ONE if mono_form_degree(mono) % 2 else ONE
-            parts.append({(gj, mono): sign * c
-                          for gj, c in self.g.d_element(el).items()})
-        return el_sum(parts)
+        return self.g.keyed_d_element(x, self._mono_d, mono_is_odd)
 
     def bracket_el(self, x, y):
-        ys = self.by_mono(y)
-        parts = []
-        for m1, el1 in self.by_mono(x).items():
-            # the sign (-1)^{|x||m2|} flips odd Lie degrees past odd forms
-            twisted = {gi: -v if self.g.degree_of(gi) % 2 else v
-                       for gi, v in el1.items()}
-            for m2, el2 in ys.items():
-                prod = mono_mul(m1, m2)
-                if prod is None:
-                    continue
-                m, sign = prod
-                br = self.g.bracket(
-                    twisted if mono_form_degree(m2) % 2 else el1, el2)
-                if br:
-                    parts.append({(gk, m): sign * c for gk, c in br.items()})
-        return el_sum(parts)
+        return self.g.keyed_bracket(x, y, monomial_product, mono_is_odd)
 
     def restrict(self, u, x, p=None):
         """Pullback along a monotone map u: [p] -> [n] on the form side;
@@ -337,32 +317,39 @@ def flow_path(ctx, y_coeffs, x0):
     """Time coefficients of the flow of x' = dy(t) + [x, y(t)], x(0)=x0.
 
     y_coeffs is the list of time coefficients of y (constant gauge:
-    [y]).  Picard iteration; by nilpotency the fixed point is reached
-    after at most class+1 rounds and is a genuine polynomial solution.
+    [y]).  Comparing the coefficients of t^k on both sides gives the
+    exact recursion
+
+        x_{k+1} = (dy_k + sum_{i+j=k} [x_i, y_j]) / (k+1),
+
+    so each coefficient is computed once, from the len(y) coefficients
+    before it.  Once len(y) consecutive coefficients past the range of
+    dy are zero, every later one is a bracket of zeros and the list,
+    trailing zeros dropped, is the polynomial solution.  By nilpotency
+    that happens within (class+1) len(y) coefficients; an ambient that
+    needs more than (class+3) len(y) is not nilpotent.
     """
+    L = len(y_coeffs)
     dy = [ctx.d_el(c) for c in y_coeffs]
+    bound = (ctx.nclass() + 3) * L
     coeffs = [dict(x0)]
-    for _ in range(ctx.nclass() + 3):
-        # integrand = dy(t) + [x(t), y(t)] as time coefficients
-        deg = len(coeffs) + len(y_coeffs)
-        integrand = [dict() for _ in range(deg)]
-        for k, c in enumerate(dy):
-            integrand[k] = el_add(integrand[k], c)
-        for i, xc in enumerate(coeffs):
-            for j, yc in enumerate(y_coeffs):
-                b = ctx.bracket_el(xc, yc)
-                if b:
-                    integrand[i + j] = el_add(integrand[i + j], b)
-        new = [dict(x0)] + [el_scale(Fraction(1, k + 1), integrand[k])
-                            for k in range(len(integrand))]
-        while new and not new[-1]:
-            new.pop()
-        if len(new) == len(coeffs) and all(
-                el_eq(a, b) for a, b in zip(new, coeffs)):
-            return coeffs
-        coeffs = new
-    raise ArithmeticError("gauge flow did not stabilize; "
-                          "ambient is not nilpotent")
+    zeros = 0 if x0 else 1      # length of the trailing run of zeros
+    k = 0                       # coeffs holds x_0 .. x_k
+    while k < L or zeros < L:
+        if k >= bound:
+            raise ArithmeticError("gauge flow did not stabilize; "
+                                  "ambient is not nilpotent")
+        nxt = el_sum((ctx.bracket_el(coeffs[k - j], y_coeffs[j])
+                      for j in range(min(L, k + 1))
+                      if coeffs[k - j] and y_coeffs[j]),
+                     dy[k] if k < L else None)
+        nxt = el_scale(Fraction(1, k + 1), nxt)
+        coeffs.append(nxt)
+        zeros = 0 if nxt else zeros + 1
+        k += 1
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 def gauge_act(ctx, y, x):

@@ -395,7 +395,9 @@ def limit_recursive(X, N):
                 else:
                     raise AssertionError(
                         "object missed by the previous level")
-                assert obj == (q, u)
+                if obj != (q, u):
+                    raise AssertionError(
+                        f"object {(q, u)} reached as {obj}")
                 fam[(q, u)] = val
     return families
 
@@ -459,17 +461,19 @@ class LimitSimplicialSet:
     def face(self, m, i, fam):
         out = {obj: self.functor.face(m, i, obj, el)
                for obj, el in fam.items()}
-        assert family_key(out) in {family_key(f)
-                                   for f in self.families.get(m - 1, [])}, \
-            "face left the limit; the operators were not natural"
+        if family_key(out) not in {family_key(f)
+                                   for f in self.families.get(m - 1, [])}:
+            raise ValueError(
+                "face left the limit; the operators were not natural")
         return out
 
     def degeneracy(self, m, i, fam):
         out = {obj: self.functor.degen(m, i, obj, el)
                for obj, el in fam.items()}
-        assert family_key(out) in {family_key(f)
-                                   for f in self.families.get(m + 1, [])}, \
-            "degeneracy left the limit; the operators were not natural"
+        if family_key(out) not in {family_key(f)
+                                   for f in self.families.get(m + 1, [])}:
+            raise ValueError(
+                "degeneracy left the limit; the operators were not natural")
         return out
 
 

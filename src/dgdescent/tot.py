@@ -80,7 +80,8 @@ class CosimplicialDgLie:
         for i in reversed(faces):
             cur = self.cofaces[level][i].apply(cur)
             level += 1
-        assert level == q
+        if level != q:
+            raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
         return cur
 
     def _validate_identities(self):

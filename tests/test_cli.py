@@ -236,6 +236,32 @@ def test_trunc_level_rejected_for_cosimplicial_records(capsys):
     assert "--trunc-level" in captured.err
 
 
+def test_verify_descent_refuses_nonabelian_records_without_cover(capsys):
+    # the sampled nonabelian check glues over a cover, which a
+    # cosimplicial_dg_lie record does not carry: unusable input (exit 2),
+    # not a traceback with the "falsified" exit code
+    code = main(["verify-descent",
+                 str(DATA / "cosimplicial_constant_ef_t3.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "descent_instance" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_verify_descent_checks_abelian_cosimplicial_records(tmp_path,
+                                                            capsys):
+    from dgdescent.instances import abelian_line
+    from dgdescent.io import cosimplicial_to_record
+    from dgdescent.tot import constant_cosimplicial
+    path = tmp_path / "const_line.json"
+    dump_record(cosimplicial_to_record(constant_cosimplicial(abelian_line(),
+                                                             2)), path)
+    code, rep = run_cli(capsys, "verify-descent", str(path))
+    assert code == 0
+    assert rep["summary"]["verified"] == 2
+
+
 def _algebra_record(tmp_path, basis):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps({"type": "dg_lie_algebra", "name": "bad",

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -364,3 +366,14 @@ def test_abelian_presentations():
     assert C.pi0_dimension() == 1
     # Z^0: kernel of d in degree 0
     assert C.aut_dimension() == 1
+
+
+def test_no_assert_statements_in_the_package():
+    """`python -O` strips assert statements, so every check in the
+    package is an explicit raise (SelfCheckFailed for self-checks)."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Assert)]
+    assert not offenders, "assert statement at " + ", ".join(offenders)

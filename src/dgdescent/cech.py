@@ -18,7 +18,6 @@ p >= 2 by boundary extension plus staged Maurer-Cartan correction.
 import itertools
 from fractions import Fraction
 
-from .cochain import map_blocks
 from .dgla import (DgLieMap, NilpotentDgLie, direct_product, el_combination,
                    el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
@@ -26,9 +25,10 @@ from .forms import degeneracy_map, face_map, monomial_pullback
 from .io import TruncationError
 from .linalg import NoSolution, ZERO, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
-                      ObstructionUnsolvable, constrained_mc_solve,
-                      constrained_mc_solve_rows, gauge_act, holonomy,
-                      mc_residual, solve_1simplex, staged_gauge_search)
+                      ObstructionUnsolvable, SelfCheckFailed,
+                      constrained_mc_solve, constrained_mc_solve_rows,
+                      gauge_act, holonomy, mc_residual, solve_1simplex,
+                      staged_gauge_search)
 from .tot import (CosimplicialDgLie, DescentDatum, TotContext, tot_groupoid,
                   tot_lie)
 
@@ -36,9 +36,15 @@ ONE = Fraction(1)
 
 
 class GluingFailed(Exception):
-    def __init__(self, level, reason):
+    """A datum that fails verification (level 0, stage None), or a level
+    out of reach within the degree bound: stage 0 when its face and
+    degeneracy constraints have no solution, k when the MC correction
+    is obstructed at filtration stage k."""
+
+    def __init__(self, level, reason, stage=None):
         self.level = level
         self.reason = reason
+        self.stage = stage
         super().__init__(f"gluing failed at level {level}: {reason}")
 
 
@@ -55,8 +61,9 @@ class CoverSpec:
 
     sections: {frozenset J: DgLieAlgebra} for nonempty U_J (J a nonempty
     subset of range(num_opens)); absent J means U_J is empty.
-    restrictions: {(J, J2): DgLieMap} for J a subset of J2, both
-    nonempty; identities are implicit, composites are validated.
+    restrictions: {(J, J2): DgLieMap}, one for every pair J < J2 of
+    nonempty intersections; identities are implicit, composites are
+    validated.
     """
 
     def __init__(self, num_opens, sections, restrictions, name=None):
@@ -86,6 +93,12 @@ class CoverSpec:
                     f.target is not self.sections.get(J2):
                 raise ValueError(f"restriction ({set(J)}, {set(J2)}) does "
                                  f"not match the stored algebras")
+        # and every pair of stored algebras has one
+        for J2 in self.sections:
+            for J in _nonempty_subsets(J2):
+                if (J, J2) not in self.restrictions:
+                    raise ValueError(
+                        f"missing restriction {set(J)} -> {set(J2)}")
         self._check_functoriality()
 
     def algebra(self, J):
@@ -97,10 +110,7 @@ class CoverSpec:
             return dict(x)
         if J2 not in self.sections:
             return {}
-        f = self.restrictions.get((J, J2))
-        if f is None:
-            raise ValueError(f"missing restriction {set(J)} -> {set(J2)}")
-        return f.apply(x)
+        return self.restrictions[(J, J2)].apply(x)
 
     def _check_functoriality(self):
         for J in self.sections:
@@ -131,20 +141,12 @@ def _nonempty_subsets(J):
 class CechCosimplicial(CosimplicialDgLie):
     """Cech levels with their tuple bookkeeping kept around."""
 
-    def __init__(self, cover, N, levels, cofaces, codegens, tuples,
-                 validate=True):
+    def __init__(self, cover, levels, cofaces, codegens, tuples):
         self.cover = cover
         self.tuples = tuples
-        super().__init__(levels, cofaces, codegens, validate=validate,
+        super().__init__(levels, cofaces, codegens,
                          vanishing_level=cover.num_opens - 1,
                          name=f"cech({cover.name or cover.num_opens})")
-
-    def component(self, q, x, T):
-        """The T-component of a level-q element, in Gamma(U_set(T))."""
-        tag, g, emb = next(c for c in self.levels[q].components
-                           if c[0] == T)
-        back = {v: k for k, v in emb.items()}
-        return {back[k]: v for k, v in x.items() if k in back}
 
     def from_components(self, q, parts):
         """Assemble a level-q element from {tuple: element}."""
@@ -157,7 +159,7 @@ class CechCosimplicial(CosimplicialDgLie):
         return out
 
 
-def cech_cosimplicial(cover, N=None, validate=True):
+def cech_cosimplicial(cover, N=None):
     """Levels 0..N of the ordered Cech cosimplicial algebra.
 
     Its conormalization N^q is the sum of the sections over the
@@ -197,40 +199,30 @@ def cech_cosimplicial(cover, N=None, validate=True):
         for i in range(q + 1):
             cod.append(_codegeneracy_map(levels, tuples, q, i))
         codegens.append(cod)
-    return CechCosimplicial(cover, N, levels, cofaces, codegens, tuples,
-                            validate=validate)
+    return CechCosimplicial(cover, levels, cofaces, codegens, tuples)
 
 
 def _component_map(src, tgt, entries):
     """The map of products that sends component stag through fn into
-    component ttag, for each (stag, ttag, fn) in entries."""
-    by_src = {}
-    for stag, ttag, fn in entries:
-        by_src.setdefault(stag, []).append((ttag, fn))
+    component ttag, for each (stag, ttag, fn) in entries: its table
+    relabels fn's image of every basis element of stag."""
+    src_emb = {tag: emb for tag, g, emb in src.components}
     tgt_emb = {tag: emb for tag, g, emb in tgt.components}
-    back = {pidx: (tag, gi) for tag, g, emb in src.components
-            for gi, pidx in emb.items()}
-
-    def apply(x):
-        parts = []
-        for pidx, c in x.items():
-            stag, gi = back[pidx]
-            for ttag, fn in by_src.get(stag, ()):
-                emb = tgt_emb[ttag]
-                parts.append({emb[k]: v for k, v in fn({gi: c}).items()})
-        return el_sum(parts)
-    blocks = map_blocks(apply, src.space.unit_bases(),
-                        tgt.space.unit_bases())
-    return DgLieMap(src, tgt, blocks, validate=False)
+    table = {}
+    for stag, ttag, fn in entries:
+        emb = tgt_emb[ttag]
+        for gi, pidx in src_emb[stag].items():
+            entry = table.setdefault(pidx, {})
+            for k, v in fn({gi: ONE}).items():
+                entry[emb[k]] = v
+    return DgLieMap(src, tgt, table, validate=False)
 
 
 def _coface_map(cover, levels, tuples, q, i):
     """coface^i: level q -> level q+1, delete index i then restrict."""
     entries = []
     for T in tuples[q + 1]:
-        S = T[:i] + T[i + 1:]
-        if cover.algebra(set(S)) is None:
-            raise AssertionError("sub-tuple of a nonempty tuple is empty")
+        S = T[:i] + T[i + 1:]   # nonempty: CoverSpec checked subsets
         entries.append(
             (S, T, lambda x, S=S, T=T: cover.restrict(set(S), set(T), x)))
     return _component_map(levels[q], levels[q + 1], entries)
@@ -260,21 +252,13 @@ def tensored_cover(cover, artin):
         sections[J] = nil.algebra
     restrictions = {}
     for (J, J2), f in cover.restrictions.items():
-        src = sections[J]
-        tgt = sections[J2]
-        back = {sidx: ai_gi for ai_gi, sidx in src.tensor_index.items()}
-
-        def apply(x, f=f, tgt=tgt, back=back):
-            # m (x) f: a @ y -> a @ f(y)
-            parts = []
-            for sidx, c in x.items():
-                ai, gi = back[sidx]
-                parts.append({tgt.tensor_index[(ai, gj)]: v
-                              for gj, v in f.apply({gi: c}).items()})
-            return el_sum(parts)
-        blocks = map_blocks(apply, src.space.unit_bases(),
-                            tgt.space.unit_bases())
-        restrictions[(J, J2)] = DgLieMap(src, tgt, blocks, validate=False)
+        src, tgt = sections[J], sections[J2]
+        # m (x) f: a @ y -> a @ f(y)
+        images = [f.apply({gi: ONE}) for gi in range(f.source.total_dim())]
+        restrictions[(J, J2)] = DgLieMap(src, tgt, {
+            sidx: {tgt.tensor_index[(ai, gj)]: v
+                   for gj, v in images[gi].items()}
+            for (ai, gi), sidx in src.tensor_index.items()}, validate=False)
     return CoverSpec(cover.num_opens, sections, restrictions,
                      name=f"{artin.name or 'm'}@{cover.name or 'cover'}")
 
@@ -283,11 +267,11 @@ class DeformationInstance:
     """An artinian base, a cover of plain section algebras, and the
     derived Cech cosimplicial algebra of the m-tensored sections."""
 
-    def __init__(self, base, cover, N=None, validate=True):
+    def __init__(self, base, cover, N=None):
         self.base = base
         self.cover = cover
         self.tensored = tensored_cover(cover, base)
-        self.cech = cech_cosimplicial(self.tensored, N=N, validate=validate)
+        self.cech = cech_cosimplicial(self.tensored, N=N)
         for q, g in enumerate(self.cech.levels):
             nil = lower_central_series(g)
             if not isinstance(nil, NilpotentDgLie):
@@ -315,10 +299,9 @@ class ComparisonFunctor:
     """Object and morphism maps from the Deligne groupoid of the
     totalization to the groupoid of descent data."""
 
-    def __init__(self, cc, D, N=None):
+    def __init__(self, cc):
         self.cc = cc
-        self.D = D
-        self.ctx = TotContext(cc, N)
+        self.ctx = TotContext(cc)
         self.groupoid = tot_groupoid(cc)
         self.nil1 = self.ctx.nils[1]
 
@@ -356,15 +339,11 @@ class ComparisonFunctor:
         return self.ctx.level0(rho)
 
 
-def comparison_functor(cc, D, N=None):
-    return ComparisonFunctor(cc, D, N=N)
-
-
 # ---------------------------------------------------------------------------
 # gluing a descent datum into an MC family
 
 
-def glue_descent_datum(cc, datum, D, N=None):
+def glue_descent_datum(cc, datum, D):
     """An MC family whose comparison image is the given datum.
 
     Level 0 is a itself; level 1 the gauge path of theta; level p >= 2
@@ -372,7 +351,7 @@ def glue_descent_datum(cc, datum, D, N=None):
     constraints, then staged corrections restore MC exactly without
     moving the constrained part.
     """
-    ctx = TotContext(cc, N)
+    ctx = TotContext(cc)
     G = tot_groupoid(cc)
     reasons = []
     if not G.verify_object(datum, reasons):
@@ -386,10 +365,11 @@ def glue_descent_datum(cc, datum, D, N=None):
         omega_p = _glue_level(cc, ctx, omegas, p, D)
         omegas.append(ctx.embed_form_level(p, omega_p))
     x = el_sum(omegas)
+    # every level was solved for these conditions
     if not ctx.is_tot_element(x):
-        raise GluingFailed(ctx.N, "assembled family is not compatible")
+        raise SelfCheckFailed("assembled family is not compatible")
     if not el_is_zero(mc_residual(ctx, x)):
-        raise GluingFailed(ctx.N, "assembled family is not Maurer-Cartan")
+        raise SelfCheckFailed("assembled family is not Maurer-Cartan")
     return x
 
 
@@ -452,10 +432,10 @@ def _glue_level(cc, ctx, omegas, p, D):
         if exc.stage == 0:
             raise GluingFailed(
                 p, f"boundary/degeneracy constraints unsolvable within "
-                   f"degree bound {D}") from exc
+                   f"degree bound {D}", 0) from exc
         raise GluingFailed(
             p, f"MC correction obstructed at filtration stage "
-               f"{exc.stage} (raise the degree bound?)") from exc
+               f"{exc.stage} (raise the degree bound?)", exc.stage) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +495,8 @@ def _sample_descent_datum(inst_cech, rng):
             return None
     # assemble level elements
     a = cc.from_components(0, {(i,): a_parts[i] for i in range(m)})
-    theta_comp = {}
-    for (i, j), th in theta_parts.items():
-        theta_comp[(i, j)] = th
-    parts1 = {}
-    for T in cc.tuples[1]:
-        i, j = T
-        if i == j:
-            parts1[T] = {}
-        else:
-            parts1[T] = theta_comp.get((i, j), {})
-    theta = cc.from_components(1, parts1)
+    # the diagonal tuples (i, i) carry the identity gauge
+    theta = cc.from_components(1, theta_parts)
     datum = DescentDatum(a, theta)
     G = tot_groupoid(cc)
     if not G.verify_object(datum):
@@ -624,25 +595,29 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
         raise ValueError("sampled verification needs the cover structure")
     ctx = TotContext(cc)
     gauge_basis = ctx.tot_basis(0, D)
-    comparison = ComparisonFunctor(cc, D)
+    comparison = ComparisonFunctor(cc)
     glued = 0
+    unglued = 0
     roundtrips = 0
     undecided = 0
     falsified = 0
     morphism_checks = 0
     draws = 0
-    while glued < samples and draws < samples * 8:
+    while glued + unglued < samples and draws < samples * 8:
         draws += 1
         datum = _sample_descent_datum(cc, rng)
         if datum is None:
             continue
         try:
             x = glue_descent_datum(cc, datum, D)
-        except GluingFailed:
-            falsified += 1
+        except GluingFailed as exc:
+            # a level out of reach within the degree bound refutes
+            # nothing: the sample is undecided
+            unglued += 1
             report["checks"].append({
-                "name": "gluing", "verdict": "falsified",
-                "datum": repr((datum.a, datum.theta))})
+                "name": "gluing", "verdict": "undecided",
+                "level": exc.level, "stage": exc.stage,
+                "reason": exc.reason})
             continue
         glued += 1
         image = comparison.object_map(x)
@@ -674,11 +649,14 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
     check = {"name": "sampled gluing round-trips", "verdict": verdict,
              "glued": glued, "round_trips_witnessed": roundtrips,
              "morphism_projections": morphism_checks,
-             "undecided": undecided, "draws": draws}
+             "undecided": undecided + unglued, "draws": draws}
     if verdict == "undecided":
         reasons = []
         if glued < samples:
             reasons.append(f"glued {glued} of {samples} in {draws} draws")
+        if unglued:
+            reasons.append(f"{unglued} out of reach within degree bound "
+                           f"{D}")
         if undecided:
             reasons.append(f"no isomorphism witness for {undecided} of "
                            f"{glued} glued")

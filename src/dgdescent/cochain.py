@@ -11,7 +11,7 @@ on sparse vectors as blocks over reduced bases, and `table_from_blocks`
 turns blocks back into a sparse table {i: {k: coeff}}.
 """
 
-from .linalg import (ONE, ZERO, kernel_basis, mat_mul, mat_vec, rank,
+from .linalg import (ONE, ZERO, kernel_basis, mat_mul, mat_vec,
                      sparse_eliminate, sparse_from_dense, sparse_kernel,
                      span_basis, transpose, zero_matrix)
 
@@ -142,16 +142,16 @@ def _unit_keys(vecs, n):
     return row_of
 
 
-def table_from_blocks(source, target, block, shift=0):
+def table_from_blocks(source, target, blocks, shift=0):
     """{source gidx: {target gidx: coeff}} from the dense blocks
-    block(n): source degree n -> target degree n + shift."""
+    {n: block}, block n: source degree n -> target degree n + shift;
+    a missing block is zero."""
     table = {}
-    for n in source.nonzero_degrees():
-        M = block(n)
+    for n, M in sorted(blocks.items()):
         targets = target.degree_indices(n + shift)
         for col, src in enumerate(source.degree_indices(n)):
-            entry = {targets[r]: M[r][col]
-                     for r in range(len(targets)) if M[r][col]}
+            entry = {targets[r]: row[col] for r, row in enumerate(M)
+                     if row[col]}
             if entry:
                 table[src] = entry
     return table
@@ -263,12 +263,6 @@ class CochainMap:
 
     def apply(self, n, v):
         return mat_vec(self.block(n), v)
-
-    def is_surjective(self):
-        degs = set(self.source.space.nonzero_degrees()) | \
-            set(self.target.space.nonzero_degrees())
-        return all(rank(self.block(n)) == self.target.space.dim(n)
-                   for n in degs)
 
 
 def is_quasi_iso(f):

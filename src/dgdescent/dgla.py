@@ -17,8 +17,8 @@ randomized validation in the test suite).
 import functools
 from fractions import Fraction
 
-from .cochain import (Cochain, CochainMap, GradedSpace, DEFAULT_TOP_DEGREE,
-                      map_blocks, table_from_blocks)
+from .cochain import (Cochain, GradedSpace, DEFAULT_TOP_DEGREE, map_blocks,
+                      table_from_blocks)
 from .linalg import ONE, ZERO, echelon_basis
 
 
@@ -210,7 +210,7 @@ class DgLieAlgebra:
                 table[(j, i)] = {k: sign * v for k, v in val.items()}
         self.table = {ij: v for ij, v in table.items() if v}
         self.d_table = table_from_blocks(self.space, self.space,
-                                         cochain.d_matrix, 1)
+                                         cochain.d, 1)
         if validate:
             self.validate()
 
@@ -252,9 +252,6 @@ class DgLieAlgebra:
 
     def is_abelian(self):
         return not self.table
-
-    def degree_component(self, x, n):
-        return {k: v for k, v in x.items() if self.degree_of(k) == n}
 
     # -- validation ----------------------------------------------------------
 
@@ -301,14 +298,35 @@ class DgLieAlgebra:
 
 
 class DgLieMap:
-    """Map of dg Lie algebras: chain map respecting brackets."""
+    """Map of dg Lie algebras, stored as its table {source index:
+    {target index: coeff}}: a chain map respecting brackets.
 
-    def __init__(self, source, target, blocks, validate=True):
+    Every basis element keeps its degree and d f = f d is checked on
+    every basis element; the bracket only when validate is set.
+    """
+
+    def __init__(self, source, target, table, validate=True):
         self.source = source
         self.target = target
-        self.cmap = CochainMap(source.cochain, target.cochain, blocks)
-        self.map_table = table_from_blocks(source.space, target.space,
-                                           self.cmap.block)
+        # canonical order: sources, then targets, by index
+        self.table = {}
+        dims = source.total_dim(), target.total_dim()
+        for i in sorted(table):
+            entry = {k: c for k, c in sorted(table[i].items()) if c}
+            if not entry:
+                continue
+            if not 0 <= i < dims[0] or not all(
+                    0 <= k < dims[1] and
+                    target.degree_of(k) == source.degree_of(i)
+                    for k in entry):
+                raise ValueError(f"map entry {i} -> {sorted(entry)} does "
+                                 f"not keep the degree of basis element {i}")
+            self.table[i] = entry
+        for i in range(source.total_dim()):
+            if not el_eq(target.d_element(self.apply({i: ONE})),
+                         self.apply(source.d_element({i: ONE}))):
+                raise ValueError(f"map does not commute with d in degree "
+                                 f"{source.degree_of(i)}")
         if validate:
             n = source.total_dim()
             for i in range(n):
@@ -321,15 +339,17 @@ class DgLieMap:
                             f"map breaks the bracket on pair ({i},{j})")
 
     def apply(self, x):
-        return linear_apply(self.map_table, x)
+        return linear_apply(self.table, x)
 
     def is_surjective(self):
-        return self.cmap.is_surjective()
+        """Whether the images of the basis span the target."""
+        return len(echelon_basis(list(self.table.values()))) == \
+            self.target.total_dim()
 
 
 def identity_map(g):
-    units = g.space.unit_bases()
-    return DgLieMap(g, g, map_blocks(dict, units, units), validate=False)
+    return DgLieMap(g, g, {i: {i: ONE} for i in range(g.total_dim())},
+                    validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +374,7 @@ class DgCommAlgebra:
             (-1) ** (self.degree_of(i) * self.degree_of(j))))
         self.unit_index = unit_index
         self.d_table = table_from_blocks(self.space, self.space,
-                                         cochain.d_matrix, 1)
+                                         cochain.d, 1)
         if validate:
             self.validate()
 
@@ -736,7 +756,7 @@ def is_acyclic_fibration(f, nil_source=None, nil_target=None):
                          "algebras")
     if not f.is_surjective():
         return False
-    from .cochain import is_quasi_iso
+    from .cochain import CochainMap, is_quasi_iso
     top_stage = max(nil_source.nilpotency_class, nil_target.nilpotency_class)
     for i in range(1, top_stage + 1):
         src_c, src_basis = _sub_cochain(nil_source, i)
@@ -752,7 +772,7 @@ def is_acyclic_fibration(f, nil_source=None, nil_target=None):
 # direct products (used for Cech levels)
 
 
-def direct_product(factors, tags=None, validate=False):
+def direct_product(factors, tags=None):
     """Product dg Lie algebra with componentwise structure.
 
     Basis labels are (tag, original label); the returned algebra carries
@@ -792,7 +812,7 @@ def direct_product(factors, tags=None, validate=False):
     for tag, g, emb in components:
         for (i, j), val in g.table.items():
             brackets[(emb[i], emb[j])] = {emb[k]: v for k, v in val.items()}
-    out = DgLieAlgebra(cochain, brackets, validate=validate,
+    out = DgLieAlgebra(cochain, brackets, validate=False,
                        name="x".join(str(t) for t in tags))
     out.components = components
     return out

@@ -10,7 +10,7 @@ tests.
 
 from fractions import Fraction
 
-from .cochain import Cochain, GradedSpace, map_blocks
+from .cochain import Cochain, GradedSpace
 from .dgla import (ArtinAlgebra, DgCommAlgebra, DgLieAlgebra, DgLieMap,
                    direct_product, lower_central_series, NilpotentDgLie,
                    tensor_lie)
@@ -202,7 +202,7 @@ def projection_cover(name="segment-projection"):
     big = abelian_algebra({0: 1, 1: 1}, name="line")
     small = abelian_algebra({1: 1}, name="point1")
     proj = {(frozenset({i}), frozenset({0, 1})):
-            DgLieMap(big, small, {0: [], 1: [[F(1)]]}, validate=False)
+            DgLieMap(big, small, {1: {0: F(1)}}, validate=False)
             for i in range(2)}
     sections = {frozenset({0}): big, frozenset({1}): big,
                 frozenset({0, 1}): small}
@@ -215,7 +215,7 @@ def scaled_cover(name="segment-scaled"):
     from .cech import CoverSpec
     from .dgla import DgLieMap, identity_map
     L = ef_algebra()
-    scale = DgLieMap(L, L, {0: [[F(1)]], 1: [[F(2)]]})
+    scale = DgLieMap(L, L, {0: {0: F(1)}, 1: {1: F(2)}})
     sections = {frozenset({0}): L, frozenset({1}): L,
                 frozenset({0, 1}): L}
     restrictions = {(frozenset({0}), frozenset({0, 1})): identity_map(L),
@@ -230,11 +230,9 @@ def scaled_cover(name="segment-scaled"):
 def _projection_map(product, keep_index, target):
     """Project a direct product onto one factor, as a DgLieMap."""
     tag, factor, emb = product.components[keep_index]
-    back = {pidx: gi for gi, pidx in emb.items()}
-    blocks = map_blocks(
-        lambda x: {back[k]: c for k, c in x.items() if k in back},
-        product.space.unit_bases(), target.space.unit_bases())
-    return DgLieMap(product, target, blocks, validate=False)
+    return DgLieMap(product, target,
+                    {pidx: {gi: F(1)} for gi, pidx in emb.items()},
+                    validate=False)
 
 
 def cone_extension_fibration(nil, m=0):
@@ -253,11 +251,9 @@ def contractible_tensor_fibration(nil):
     ag = tensor_lie(A, g, validate=False)
     # 1 @ y -> y, eps @ y and delta @ y -> 0
     unit = A.space.index(0, "1")
-    back = {k: gi for (ai, gi), k in ag.tensor_index.items() if ai == unit}
-    blocks = map_blocks(
-        lambda x: {back[k]: c for k, c in x.items() if k in back},
-        ag.space.unit_bases(), g.space.unit_bases())
-    f = DgLieMap(ag, g, blocks, validate=False)
+    f = DgLieMap(ag, g, {k: {gi: F(1)} for (ai, gi), k in
+                         ag.tensor_index.items() if ai == unit},
+                 validate=False)
     nil_src = lower_central_series(ag)
     return f, nil_src, nil
 
@@ -330,7 +326,7 @@ def tampered_fibration():
     a vbar (a != 0) has no MC preimage."""
     g = abelian_algebra({1: 1, 2: 1}, d={1: [[F(1)]]}, name="vw")
     h = abelian_algebra({1: 1}, name="vbar")
-    f = DgLieMap(g, h, {1: [[F(1)]], 2: []})
+    f = DgLieMap(g, h, {0: {0: F(1)}})
     return f, lower_central_series(g), lower_central_series(h)
 
 
@@ -340,5 +336,5 @@ def spec_lifting_fibration():
     d = {1: [[F(0), F(1)]]}
     g = DgLieAlgebra(Cochain(space, d), {}, name="vvw")
     h = abelian_algebra({1: 1}, name="vbar")
-    f = DgLieMap(g, h, {1: [[F(1), F(0)]], 2: []})
+    f = DgLieMap(g, h, {0: {0: F(1)}})
     return f, lower_central_series(g), lower_central_series(h)

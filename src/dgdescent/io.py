@@ -11,7 +11,7 @@ import functools
 import json
 from fractions import Fraction
 
-from .cochain import Cochain, GradedSpace, map_blocks
+from .cochain import Cochain, GradedSpace, map_blocks, table_from_blocks
 from .dgla import (ArtinAlgebra, DgLieAlgebra, DgLieMap, identity_map,
                    linear_apply)
 from .linalg import ZERO
@@ -136,7 +136,7 @@ def algebra_to_record(g):
             "brackets": brackets}
 
 
-def algebra_from_record(rec, path="<record>", validate=True):
+def algebra_from_record(rec, path="<record>"):
     if record_type(rec, path) != "dg_lie_algebra":
         raise ParseError(path, "type", "expected dg_lie_algebra")
     degrees = {}
@@ -193,8 +193,7 @@ def algebra_from_record(rec, path="<record>", validate=True):
                 path, "brackets.value.coeff")
         brackets[(i, j)] = val
     try:
-        return DgLieAlgebra(cochain, brackets, validate=validate,
-                            name=rec.get("name"))
+        return DgLieAlgebra(cochain, brackets, name=rec.get("name"))
     except ValueError as exc:
         raise ParseError(path, "brackets", str(exc))
 
@@ -272,21 +271,17 @@ def cover_to_record(cover):
     for (J, J2), f in sorted(cover.restrictions.items(),
                              key=lambda kv: (sorted(kv[0][0]),
                                              sorted(kv[0][1]))):
-        matrices = {}
-        ident = True
-        for n in f.source.space.nonzero_degrees():
-            M = f.cmap.block(n)
-            matrices[str(n)] = [[scalar_to_str(x) for x in row]
-                                for row in M]
-            k = f.source.space.dim(n)
-            if M != [[Fraction(r == c) for c in range(k)]
-                     for r in range(k)]:
-                ident = False
         entry = {"from": sorted(J), "to": sorted(J2)}
-        if ident and f.source is f.target:
+        space = f.source.space
+        if f.source is f.target and \
+                f.table == {i: {i: 1} for i in range(space.total_dim())}:
             entry["matrix"] = "identity"
         else:
-            entry["matrix"] = matrices
+            # every source degree, zero blocks too
+            blocks = _map_to_matrices(f)
+            entry["matrix"] = {str(n): blocks.get(str(n)) or
+                               [["0"] * space.dim(n)] * f.target.space.dim(n)
+                               for n in space.nonzero_degrees()}
         restrictions.append(entry)
     return {"type": "cover", "name": cover.name,
             "opens": cover.num_opens,
@@ -296,7 +291,7 @@ def cover_to_record(cover):
             "restrictions": restrictions}
 
 
-def cover_from_record(rec, path="<record>", validate=True):
+def cover_from_record(rec, path="<record>"):
     from .cech import CoverSpec
     if record_type(rec, path) != "cover":
         raise ParseError(path, "type", "expected cover")
@@ -306,8 +301,7 @@ def cover_from_record(rec, path="<record>", validate=True):
     records = rec.get("sections", {})
     if not isinstance(records, dict):
         raise ParseError(path, "sections", "expected an object of records")
-    named = {nm: algebra_from_record(sub, path=f"{path}:sections.{nm}",
-                                     validate=validate)
+    named = {nm: algebra_from_record(sub, path=f"{path}:sections.{nm}")
              for nm, sub in records.items()}
     sections = {}
     for entry in _objects(rec, "intersections", path):
@@ -335,8 +329,7 @@ def cover_from_record(rec, path="<record>", validate=True):
             restrictions[(J, J2)] = identity_map(src)
         else:
             restrictions[(J, J2)] = _map_from_matrices(
-                src, tgt, matrix, path, "restrictions.matrix",
-                validate=validate)
+                src, tgt, matrix, path, "restrictions.matrix")
     try:
         return CoverSpec(opens, sections, restrictions,
                          name=rec.get("name"))
@@ -345,25 +338,36 @@ def cover_from_record(rec, path="<record>", validate=True):
 
 
 def _map_to_matrices(f):
-    out = {}
-    for n in f.source.space.nonzero_degrees():
-        M = f.cmap.block(n)
-        if any(any(x for x in row) for row in M):
-            out[str(n)] = [[scalar_to_str(x) for x in row] for row in M]
-    return out
+    """The nonzero dense blocks of f, as record rows."""
+    blocks = map_blocks(f.apply, f.source.space.unit_bases(),
+                        f.target.space.unit_bases())
+    return {str(n): [[scalar_to_str(x) for x in row] for row in M]
+            for n, M in blocks.items()}
 
 
-def _map_from_matrices(src, tgt, matrices, path, field, validate=True):
+def _map_from_matrices(src, tgt, matrices, path, field):
+    """The DgLieMap with the given dense blocks {degree: rows}; block n
+    has one row per target and one column per source basis element of
+    degree n."""
     if not isinstance(matrices, dict) or not all(
             n.removeprefix("-").isdecimal() and isinstance(M, list) and
             all(isinstance(row, list) and len(row) == len(M[0]) for row in M)
             for n, M in matrices.items()):
         raise ParseError(path, field, "expected an object mapping degrees "
                          "to lists of rows of equal length")
-    blocks = {int(n): [[scalar_from_str(x, path, field) for x in row]
-                       for row in M] for n, M in matrices.items()}
+    blocks = {}
+    for n, M in matrices.items():
+        n = int(n)
+        shape = (tgt.space.dim(n), src.space.dim(n))
+        if len(M) != shape[0] or (M and len(M[0]) != shape[1]):
+            raise ParseError(path, field, f"block {n} has shape {len(M)}x"
+                             f"{len(M[0]) if M else 0}, expected "
+                             f"{shape[0]}x{shape[1]}")
+        blocks[n] = [[scalar_from_str(x, path, field) for x in row]
+                     for row in M]
     try:
-        return DgLieMap(src, tgt, blocks, validate=validate)
+        return DgLieMap(src, tgt, table_from_blocks(src.space, tgt.space,
+                                                    blocks))
     except ValueError as exc:
         raise ParseError(path, field, str(exc))
 
@@ -380,12 +384,11 @@ def cosimplicial_to_record(cc):
     }
 
 
-def cosimplicial_from_record(rec, path="<record>", validate=True):
+def cosimplicial_from_record(rec, path="<record>"):
     from .tot import CosimplicialDgLie
     if record_type(rec, path) != "cosimplicial_dg_lie":
         raise ParseError(path, "type", "expected cosimplicial_dg_lie")
-    levels = [algebra_from_record(sub, path=f"{path}:levels[{q}]",
-                                  validate=validate)
+    levels = [algebra_from_record(sub, path=f"{path}:levels[{q}]")
               for q, sub in enumerate(_objects(rec, "levels", path))]
     if not levels:
         raise ParseError(path, "levels", "expected at least one level")
@@ -404,18 +407,17 @@ def cosimplicial_from_record(rec, path="<record>", validate=True):
     for q, maps in enumerate(rec.get("cofaces", [])):
         cofaces.append([
             _map_from_matrices(levels[q], levels[q + 1], m, path,
-                               f"cofaces[{q}][{i}]", validate=validate)
+                               f"cofaces[{q}][{i}]")
             for i, m in enumerate(maps)])
     codegens = []
     for q, maps in enumerate(rec.get("codegeneracies", [])):
         codegens.append([
             _map_from_matrices(levels[q + 1], levels[q], m, path,
-                               f"codegeneracies[{q}][{i}]",
-                               validate=validate)
+                               f"codegeneracies[{q}][{i}]")
             for i, m in enumerate(maps)])
     try:
         return CosimplicialDgLie(levels, cofaces, codegens,
-                                 validate=validate, name=rec.get("name"))
+                                 name=rec.get("name"))
     except ValueError as exc:
         raise ParseError(path, "cosimplicial structure", str(exc))
 
@@ -426,11 +428,11 @@ def instance_to_record(name, cover, base):
             "base": artin_to_record(base)}
 
 
-def instance_from_record(rec, path="<record>", validate=True):
+def instance_from_record(rec, path="<record>"):
     if record_type(rec, path) != "descent_instance":
         raise ParseError(path, "type", "expected descent_instance")
     cover = cover_from_record(_required(rec, "cover", path, "cover"),
-                              path=f"{path}:cover", validate=validate)
+                              path=f"{path}:cover")
     base = artin_from_record(_required(rec, "base", path, "base"),
                              path=f"{path}:base")
     return rec.get("name"), cover, base
@@ -481,18 +483,18 @@ def dump_record(rec, path=None):
     return text
 
 
-def load_any(path, validate=True):
+def load_any(path):
     """Dispatch a record file on its type field."""
     rec = load_record(path)
     kind = record_type(rec, path)
     if kind == "dg_lie_algebra":
-        return kind, algebra_from_record(rec, path, validate=validate)
+        return kind, algebra_from_record(rec, path)
     if kind == "artin_algebra":
         return kind, artin_from_record(rec, path)
     if kind == "cover":
-        return kind, cover_from_record(rec, path, validate=validate)
+        return kind, cover_from_record(rec, path)
     if kind == "descent_instance":
-        return kind, instance_from_record(rec, path, validate=validate)
+        return kind, instance_from_record(rec, path)
     if kind == "cosimplicial_dg_lie":
-        return kind, cosimplicial_from_record(rec, path, validate=validate)
+        return kind, cosimplicial_from_record(rec, path)
     raise ParseError(path, "type", f"unknown record type {kind!r}")

@@ -744,6 +744,7 @@ def constrained_mc_solve_rows(ctx, candidates, rows, rhs, rng=None,
                               label=""):
     """MC element x = sum_j c_j candidates[j] with rows . c = rhs.
 
+    candidates: distinct unit vectors {key: 1} (ValueError otherwise).
     rows: sparse rows {candidate position: coefficient}, rhs their
     right-hand sides; the rows must be those of a linear map of
     elements (as the rows of `constrained_mc_solve` are), and a row
@@ -756,11 +757,16 @@ def constrained_mc_solve_rows(ctx, candidates, rows, rhs, rng=None,
     and finally to the deterministic greedy path before the obstruction
     is reported.
     """
+    position = {k: j for j, z in enumerate(candidates)
+                for k, c in z.items() if len(z) == 1 and c == 1}
+    if len(position) != len(candidates):
+        raise ValueError("candidates must be distinct unit vectors")
     rounds = ([rng] * 4 + [None]) if rng is not None else [None]
     last_exc = None
     for r in rounds:
         try:
-            return _constrained_mc_once(ctx, candidates, rows, rhs, r, label)
+            return _constrained_mc_once(ctx, candidates, position, rows, rhs,
+                                        r, label)
         except ObstructionUnsolvable as exc:
             last_exc = exc
     raise last_exc
@@ -771,20 +777,12 @@ def _random_combination(rng, particular, kernel):
                    for k in kernel), particular)
 
 
-def _coordinates(candidates, x):
-    """x as {candidate position: coefficient}, or None outside their
-    span: a lookup when the candidates are distinct unit vectors (as
-    every caller's are), else one exact solve."""
-    position = {k: j for j, z in enumerate(candidates)
-                for k, c in z.items() if len(z) == 1 and c == 1}
-    if len(position) == len(candidates):
-        if not x.keys() <= position.keys():
-            return None
-        return {position[k]: v for k, v in x.items()}
-    keys = sorted(_keys_of(candidates) | set(x))
-    sol = sparse_solve_affine(sparse_columns(candidates, keys),
-                              [x.get(k, ZERO) for k in keys], len(candidates))
-    return None if isinstance(sol, NoSolution) else sol[0]
+def _coordinates(position, x):
+    """x as {candidate position: coefficient} over unit candidates
+    ({key: position}), or None outside their span."""
+    if not x.keys() <= position.keys():
+        return None
+    return {position[k]: v for k, v in x.items()}
 
 
 def _rows_hold(rows, rhs, coords):
@@ -800,7 +798,7 @@ def _rows_hold(rows, rhs, coords):
     return True
 
 
-def _constrained_mc_once(ctx, candidates, rows, rhs, rng, label):
+def _constrained_mc_once(ctx, candidates, position, rows, rhs, rng, label):
     # solve the affine constraints over the candidate coordinates
     res = sparse_solve_affine(rows, rhs, len(candidates))
     if isinstance(res, NoSolution):
@@ -838,7 +836,7 @@ def _constrained_mc_once(ctx, candidates, rows, rhs, rng, label):
     R = mc_residual(ctx, x)
     if not el_is_zero(R):
         raise ObstructionUnsolvable(ctx.nclass(), label or "final residual")
-    coords = _coordinates(candidates, x)
+    coords = _coordinates(position, x)
     if coords is None or not _rows_hold(rows, rhs, coords):
         raise SelfCheckFailed("constraints drifted during correction"
                               + (f" ({label})" if label else ""))

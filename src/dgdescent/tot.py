@@ -36,8 +36,8 @@ class CosimplicialDgLie:
     every cosimplicial identity; failures name the offending composite.
     """
 
-    def __init__(self, levels, cofaces, codegens, validate=True,
-                 vanishing_level=None, name=None):
+    def __init__(self, levels, cofaces, codegens, vanishing_level=None,
+                 name=None):
         self.levels = list(levels)
         self.N = len(self.levels) - 1
         self.cofaces = [list(v) for v in cofaces]
@@ -52,8 +52,7 @@ class CosimplicialDgLie:
         for q, maps in enumerate(self.codegens):
             if len(maps) != q + 1:
                 raise ValueError(f"level {q} needs {q + 1} codegeneracies")
-        if validate:
-            self._validate_identities()
+        self._validate_identities()
         self.vanishing_level = self._check_vanishing(vanishing_level)
 
     # -- structure maps ---------------------------------------------------------
@@ -84,42 +83,47 @@ class CosimplicialDgLie:
             raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
         return cur
 
+    def _elementary_from(self, q):
+        """(name, u, target level, map) for every elementary map out of
+        level q: the cofaces into q + 1, the codegeneracies into q - 1."""
+        maps = []
+        if q < self.N:
+            maps += [(f"coface^{i}", face_map(i, q + 1), q + 1,
+                      self.cofaces[q][i]) for i in range(q + 2)]
+        if q > 0:
+            maps += [(f"codeg^{i}", degeneracy_map(i, q - 1), q - 1,
+                      self.codegens[q - 1][i]) for i in range(q)]
+        return maps
+
+    def _normal_path(self, u, q, p):
+        """The maps that g(u), u: [p] -> [q], applies, in order."""
+        faces, degens = monotone_factorize(u, q)
+        low = p - len(degens)
+        return ([self.codegens[p - 1 - k][j]
+                 for k, j in enumerate(reversed(degens))] +
+                [self.cofaces[low + k][i]
+                 for k, i in enumerate(reversed(faces))])
+
     def _validate_identities(self):
         # functoriality over composable elementary pairs covers all the
-        # cosimplicial identities
+        # cosimplicial identities; a pair that is its own normal form
+        # would only be compared with itself
         for q in range(self.N + 1):
-            elem_from_q = []
-            if q < self.N:
-                elem_from_q += [("coface", i, face_map(i, q + 1), q + 1)
-                                for i in range(q + 2)]
-            if q > 0:
-                elem_from_q += [("codeg", i, degeneracy_map(i, q - 1), q - 1)
-                                for i in range(q)]
-            for kind1, i1, u1, lvl1 in elem_from_q:
-                elem_next = []
-                if lvl1 < self.N:
-                    elem_next += [("coface", i, face_map(i, lvl1 + 1),
-                                   lvl1 + 1) for i in range(lvl1 + 2)]
-                if lvl1 > 0:
-                    elem_next += [("codeg", i, degeneracy_map(i, lvl1 - 1),
-                                   lvl1 - 1) for i in range(lvl1)]
-                for kind2, i2, u2, lvl2 in elem_next:
-                    w = compose_maps(u2, u1)
-                    for b in range(self.levels[q].total_dim()):
-                        x = self.levels[q].basis_element(b)
-                        step = self._apply_elementary(kind1, i1, q, x)
-                        step = self._apply_elementary(kind2, i2, lvl1, step)
-                        direct = self.structure_map_to(w, lvl2, x, p=q)
-                        if not el_eq(step, direct):
+            basis = [{b: ONE} for b in range(self.levels[q].total_dim())]
+            for name1, u1, lvl1, f1 in self._elementary_from(q):
+                images = [f1.apply(x) for x in basis]
+                for name2, u2, lvl2, f2 in self._elementary_from(lvl1):
+                    path = self._normal_path(compose_maps(u2, u1), lvl2, q)
+                    if len(path) == 2 and path[0] is f1 and path[1] is f2:
+                        continue
+                    for x, image in zip(basis, images):
+                        direct = x
+                        for f in path:
+                            direct = f.apply(direct)
+                        if not el_eq(f2.apply(image), direct):
                             raise ValueError(
-                                f"cosimplicial identity fails: "
-                                f"{kind2}^{i2} after {kind1}^{i1} at "
-                                f"level {q}")
-
-    def _apply_elementary(self, kind, i, level, x):
-        if kind == "coface":
-            return self.cofaces[level][i].apply(x)
-        return self.codegens[level - 1][i].apply(x)
+                                f"cosimplicial identity fails: {name2} "
+                                f"after {name1} at level {q}")
 
     # -- conormalization ----------------------------------------------------------
 
@@ -159,12 +163,12 @@ class CosimplicialDgLie:
         return nils
 
 
-def constant_cosimplicial(g, N, validate=False):
+def constant_cosimplicial(g, N):
     from .dgla import identity_map
     levels = [g] * (N + 1)
     cofaces = [[identity_map(g) for _ in range(q + 2)] for q in range(N)]
     codegens = [[identity_map(g) for _ in range(q + 1)] for q in range(N)]
-    return CosimplicialDgLie(levels, cofaces, codegens, validate=validate,
+    return CosimplicialDgLie(levels, cofaces, codegens,
                              name=f"const({g.name})")
 
 

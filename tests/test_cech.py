@@ -9,13 +9,14 @@ from dgdescent.dgla import (ArtinAlgebra, DgLieMap, el_eq, el_is_zero,
 from dgdescent.cech import (CoverSpec, ComparisonFunctor, DeformationInstance,
                             ExtractionFailed, GluingFailed,
                             _sample_descent_datum, cech_cosimplicial,
-                            comparison_functor, deligne_functor,
+                            deligne_functor,
                             find_descent_isomorphism, glue_descent_datum,
                             lift_tot_gauge, tensored_cover, verify_descent)
 from dgdescent.instances import (abelian_line, circle_cover, dual_numbers,
-                                 ef_algebra, segment_cover, t_truncated,
-                                 triple_cover)
-from dgdescent.mcgauge import (FiniteLieContext, gauge_act, mc_residual)
+                                 ef_algebra, probe_class2, segment_cover,
+                                 t_truncated, triple_cover)
+from dgdescent.mcgauge import (FiniteLieContext, SelfCheckFailed, gauge_act,
+                               mc_residual)
 from dgdescent.tot import (DescentDatum, TotContext, TruncationError,
                            tot_cochain, tot_groupoid, tot_lie)
 
@@ -62,7 +63,7 @@ def test_circle_normalization():
 
 def test_cover_functoriality_rejected():
     L = abelian_line()
-    doubler = DgLieMap(L, L, {0: [[F(2)]], 1: [[F(2)]]})
+    doubler = DgLieMap(L, L, {0: {0: F(2)}, 1: {1: F(2)}})
     sections = {frozenset({0}): L, frozenset({1}): L,
                 frozenset({0, 1}): L, frozenset({0, 1, 2}): L,
                 frozenset({2}): L, frozenset({0, 2}): L,
@@ -118,16 +119,13 @@ def test_deligne_functor_functorial_along_base_maps():
     nil3 = tensor_lie(t_truncated(3), L)
     nil2 = tensor_lie(dual_numbers(), L)
     g3, g2 = nil3.algebra, nil2.algebra
-    blocks = {}
-    for n in g3.space.nonzero_degrees():
-        M = [[F(0)] * g3.space.dim(n) for _ in range(g2.space.dim(n))]
-        for col, src in enumerate(g3.space.degree_indices(n)):
-            alab, glab = g3.space.label_of(src)
-            if alab == "t":
-                tgt = g2.space.index(n, ("eps", glab))
-                M[g2.space.degree_indices(n).index(tgt)][col] = F(1)
-        blocks[n] = M
-    f = DgLieMap(g3, g2, blocks)   # validates the bracket respect
+    table = {}
+    for src in range(g3.total_dim()):
+        alab, glab = g3.space.label_of(src)
+        if alab == "t":
+            table[src] = {g2.space.index(g3.degree_of(src),
+                                         ("eps", glab)): F(1)}
+    f = DgLieMap(g3, g2, table)   # validates the bracket respect
     ctx3, ctx2 = FiniteLieContext(nil3), FiniteLieContext(nil2)
     rng = random.Random(0)
     for _ in range(5):
@@ -176,7 +174,7 @@ def test_glue_constant_datum():
     # all components constant in the form variables
     for (p, gi, mono) in x:
         assert mono == ((0,) * p, 0)
-    img = ComparisonFunctor(cc, 1).object_map(x)
+    img = ComparisonFunctor(cc).object_map(x)
     assert el_eq(img.a, a) and img.theta == {}
 
 
@@ -194,9 +192,18 @@ def test_glue_rejects_bad_datum():
         glue_descent_datum(cc, DescentDatum(a, theta_bad), D=1)
 
 
+def test_glued_family_self_checks_raise(monkeypatch):
+    # every level is solved for its conditions, so a failed check on the
+    # assembled family is a bug, not a verdict
+    cc = _nonabelian_cc()
+    monkeypatch.setattr(TotContext, "is_tot_element", lambda self, x: False)
+    with pytest.raises(SelfCheckFailed, match="not compatible"):
+        glue_descent_datum(cc, DescentDatum({}, {}), D=1)
+
+
 def test_comparison_rejects_non_mc():
     cc = _nonabelian_cc()
-    comp = ComparisonFunctor(cc, 2)
+    comp = ComparisonFunctor(cc)
     ctx = TotContext(cc)
     g0 = cc.level(0)
     bad = ctx.embed_level(0, {g0.space.degree_indices(1)[0]: F(1)})
@@ -206,7 +213,7 @@ def test_comparison_rejects_non_mc():
 
 def test_nonabelian_roundtrip_samples():
     cc = _nonabelian_cc()
-    comp = ComparisonFunctor(cc, 2)
+    comp = ComparisonFunctor(cc)
     G = tot_groupoid(cc)
     rng = random.Random(11)
     done = 0
@@ -233,7 +240,7 @@ def test_triple_cover_glues_through_level_two():
     ctx = TotContext(cc)
     assert ctx.is_tot_element(x)
     assert el_is_zero(mc_residual(ctx, x))
-    img = ComparisonFunctor(cc, 2).object_map(x)
+    img = ComparisonFunctor(cc).object_map(x)
     assert find_descent_isomorphism(tot_groupoid(cc), img, datum) is not None
 
 
@@ -269,7 +276,7 @@ def test_nonidentity_restriction_covers():
     datum = _sample_descent_datum(cc2, rng)
     assert datum is not None
     x = glue_descent_datum(cc2, datum, D=2)
-    img = ComparisonFunctor(cc2, 2).object_map(x)
+    img = ComparisonFunctor(cc2).object_map(x)
     assert find_descent_isomorphism(tot_groupoid(cc2), img, datum) \
         is not None
 
@@ -353,6 +360,28 @@ def test_samples_never_glued_count_as_undecided(monkeypatch):
     assert summary["verdict"] == "undecided"
     assert summary["reason"] == "glued 1 of 2 in 16 draws"
     assert rep["undecided"] == 1 and rep["falsified"] == 0
+
+
+def test_gluing_out_of_reach_of_the_degree_bound_is_undecided():
+    # at degree bound 1 the level-2 constraints of some segment-probe2
+    # data have no solution; that refutes nothing, and bound 2 glues them
+    cc = cech_cosimplicial(
+        tensored_cover(segment_cover(probe_class2()), t_truncated(3)), N=2)
+    rep = verify_descent(cc, samples=3, seed=11, D=1)
+    *gluing, summary = rep["checks"]
+    assert gluing and all(c == {
+        "name": "gluing", "verdict": "undecided", "level": 2, "stage": 0,
+        "reason": "boundary/degeneracy constraints unsolvable within "
+                  "degree bound 1"} for c in gluing)
+    # each is one of the three samples, and undecided
+    assert summary["glued"] + len(gluing) == 3
+    assert summary["undecided"] == len(gluing)
+    assert summary["verdict"] == "undecided"
+    assert f"{len(gluing)} out of reach within degree bound 1" in \
+        summary["reason"]
+    assert rep["undecided"] == len(gluing) and rep["falsified"] == 0
+    rep = verify_descent(cc, samples=3, seed=11, D=2)
+    assert [c["verdict"] for c in rep["checks"]] == ["verified"]
 
 
 def test_verified_sampled_report_has_no_reason():

@@ -178,6 +178,58 @@ def test_strict_flag_fails_on_undecided(tmp_path, capsys):
         assert code == 0
 
 
+def test_gluing_beyond_the_degree_bound_is_undecided(tmp_path, capsys):
+    from dgdescent.instances import probe_class2, segment_cover, t_truncated
+    from dgdescent.io import instance_to_record
+    path = tmp_path / "probe2.json"
+    dump_record(instance_to_record("segment-probe2/t3",
+                                   segment_cover(probe_class2()),
+                                   t_truncated(3)), path)
+    args = ["verify-descent", str(path), "--samples", "3", "--seed", "11"]
+    code, rep = run_cli(capsys, *args, "--degree-bound", "1")
+    assert code == 0
+    assert rep["falsified"] == 0 and rep["summary"]["falsified"] == 0
+    assert rep["summary"]["verified"] == 0
+    assert {c["verdict"] for c in rep["checks"]} == {"undecided"}
+    assert any(c["name"] == "gluing" for c in rep["checks"])
+    code, _ = run_cli(capsys, *args, "--degree-bound", "1", "--strict")
+    assert code == 1
+    code, rep = run_cli(capsys, *args, "--degree-bound", "2", "--strict")
+    assert code == 0
+    assert rep["summary"] == {"verified": 1, "falsified": 0, "undecided": 0}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("check-algebra", "cover_segment_line.json"),
+    ("cech", "instance_segment_t3.json"),
+    ("verify-descent", "instance_segment_t3.json"),
+    ("tot", "instance_segment_t3.json")])
+def test_cover_missing_a_restriction_exits_2(tmp_path, capsys, command,
+                                             name):
+    rec = json.loads((DATA / name).read_text())
+    del rec.get("cover", rec)["restrictions"][1]
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(rec))
+    assert main([command, str(path), "--degree-bound", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "missing restriction {1} -> {0, 1}" in captured.err
+
+
+@pytest.mark.parametrize("degree, block", [
+    ("0", [["1", "0"]]), ("0", [["1"], ["0"]]), ("0", []), ("5", [["1"]])])
+def test_restriction_block_of_the_wrong_shape_exits_2(tmp_path, capsys,
+                                                      degree, block):
+    rec = json.loads((DATA / "instance_scaled_t3.json").read_text())
+    rec["cover"]["restrictions"][1]["matrix"][degree] = block
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(rec))
+    assert main(["cech", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"block {degree} has shape" in captured.err
+
+
 def test_summary_counts_each_check_once(monkeypatch, capsys):
     # a report's own falsified/undecided counts are already in its checks
     import dgdescent.cech as cech

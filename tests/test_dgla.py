@@ -209,7 +209,7 @@ def test_projection_killing_cohomology_is_not_af():
     # g = <v deg1, w deg2; dv = w>, h = <vbar deg 1; d=0>, v -> vbar
     g = abelian({1: 1, 2: 1}, d={1: [[F(1)]]})
     h = abelian({1: 1})
-    f = DgLieMap(g, h, {1: [[F(1)]], 2: []})
+    f = DgLieMap(g, h, {0: {0: F(1)}})
     # H^1(g) = 0 but H^1(h) = Q
     assert not is_acyclic_fibration(f)
 
@@ -220,8 +220,23 @@ def test_spec_lifting_fibration_is_af():
     d = {1: [[F(0), F(1)]]}
     g = DgLieAlgebra(Cochain(space, d), {})
     h = abelian({1: 1})
-    f = DgLieMap(g, h, {1: [[F(1), F(0)]], 2: []})
+    f = DgLieMap(g, h, {0: {0: F(1)}})
     assert is_acyclic_fibration(f)
+
+
+def test_map_tables_keep_degrees_and_commute_with_d():
+    g = abelian({0: 1, 1: 1}, d={0: [[F(1)]]})   # du = v
+    h = abelian({0: 1, 1: 1})                    # d = 0
+    for table in ({0: {1: F(1)}}, {5: {0: F(1)}}, {0: {-1: F(1)}}):
+        with pytest.raises(ValueError, match="keep the degree"):
+            DgLieMap(h, h, table)
+    # u -> u, v -> v: d(f(u)) = 0 but f(du) = v
+    with pytest.raises(ValueError, match="commute with d in degree 0"):
+        DgLieMap(g, h, {0: {0: F(1)}, 1: {1: F(1)}})
+    f = DgLieMap(g, g, {0: {0: F(2)}, 1: {1: F(2)}, 7: {}})
+    assert f.table == {0: {0: F(2)}, 1: {1: F(2)}}
+    assert f.is_surjective()
+    assert not DgLieMap(g, g, {}).is_surjective()
 
 
 def test_direct_product():
@@ -344,3 +359,25 @@ def test_structure_tables_are_read_only_by_the_kernel():
                       if isinstance(node, ast.Attribute)
                       and node.attr in TABLES and id(node) not in writers]
     assert not offenders, "structure table read at " + ", ".join(offenders)
+
+
+def test_cochain_maps_stay_behind_the_map_tables():
+    """A linear map between algebras is its DgLieMap table: CochainMap is
+    named only in cochain and in dgla.is_acyclic_fibration, which compares
+    the stages of the lower central series, and no module reads a .cmap."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scope = tree if path.name == "cochain.py" else next(
+            (fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             and path.name == "dgla.py"
+             and fn.name == "is_acyclic_fibration"), None)
+        allowed = {id(n) for n in ast.walk(scope)} if scope else set()
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if (name == "CochainMap" and id(node) not in allowed) or \
+                    (isinstance(node, ast.Attribute) and node.attr == "cmap"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "dense map named at " + ", ".join(offenders)

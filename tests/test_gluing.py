@@ -161,16 +161,14 @@ def test_constraint_drift_raises_a_named_error(monkeypatch):
                              label="drift")
 
 
-def test_candidates_that_are_not_unit_vectors_are_solved_for():
-    # scaled candidates miss the unit lookup; the re-check then solves
-    # for the coordinates of the result
+def test_candidates_that_are_not_unit_vectors_are_refused():
+    # every caller passes distinct unit vectors, so the coordinates of
+    # a solution are read off by lookup; scaled or repeated candidates
+    # are refused before anything is solved
     ctx = FiniteLieContext(_ef_t3())
     keys = ctx.degree_keys(1)
-    candidates = [{k: Fraction(2)} for k in keys]
     target = {keys[0]: ONE}
-    x = constrained_mc_solve(ctx, candidates, [(dict, target)],
-                             rng=random.Random(2))
-    assert not mc_residual(ctx, x)
-    assert x.get(keys[0]) == ONE
-    with pytest.raises(ObstructionUnsolvable):
-        constrained_mc_solve(ctx, candidates[1:], [(dict, target)])
+    for candidates in ([{k: Fraction(2)} for k in keys],
+                       [{k: ONE} for k in keys + keys[:1]]):
+        with pytest.raises(ValueError, match="distinct unit vectors"):
+            constrained_mc_solve(ctx, candidates, [(dict, target)])

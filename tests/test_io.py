@@ -37,7 +37,7 @@ def test_algebra_roundtrip():
     for build in (ef_algebra, probe_class2, abelian_line):
         g = build()
         rec = algebra_to_record(g)
-        g2 = algebra_from_record(rec, validate=True)
+        g2 = algebra_from_record(rec)
         assert algebra_to_record(g2) == rec
 
 
@@ -79,7 +79,7 @@ def test_cosimplicial_roundtrip():
     cc = cech_cosimplicial(tensored_cover(segment_cover(), dual_numbers()),
                            N=2)
     rec = cosimplicial_to_record(cc)
-    cc2 = cosimplicial_from_record(rec, validate=True)
+    cc2 = cosimplicial_from_record(rec)
     assert cosimplicial_to_record(cc2) == rec
     assert cc2.vanishing_level == cc.vanishing_level
 

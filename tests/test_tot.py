@@ -22,7 +22,7 @@ def nilp_ef():
 
 def const_cc(N=2):
     nil = nilp_ef()
-    return constant_cosimplicial(nil.algebra, N, validate=True), nil
+    return constant_cosimplicial(nil.algebra, N), nil
 
 
 def test_constant_cosimplicial_validates_and_vanishes_at_zero():
@@ -123,7 +123,7 @@ def test_descent_groupoid_needs_three_levels():
 
 def test_abelian_presentations_of_constant():
     g = abelian_algebra({0: 2, 1: 2}, d={0: [[F(1), F(0)], [F(0), F(0)]]})
-    cc = constant_cosimplicial(g, 2, validate=True)
+    cc = constant_cosimplicial(g, 2)
     G = tot_groupoid(cc)
     assert G.is_abelian()
     # constant case: pi0 = H^1(g), Aut = Z^0(g)
@@ -134,7 +134,7 @@ def test_abelian_presentations_of_constant():
 def test_verify_descent_on_constant_instance():
     from dgdescent.cech import verify_descent
     g = abelian_algebra({0: 1, 1: 1})
-    cc = constant_cosimplicial(g, 2, validate=True)
+    cc = constant_cosimplicial(g, 2)
     rep = verify_descent(cc, D=1, stabilize_to=3)
     assert all(c["verdict"] == "verified" for c in rep["checks"])
     assert rep["falsified"] == 0
@@ -142,7 +142,7 @@ def test_verify_descent_on_constant_instance():
 
 def test_abelian_object_constructor():
     g = abelian_algebra({0: 1, 1: 1})
-    cc = constant_cosimplicial(g, 2, validate=True)
+    cc = constant_cosimplicial(g, 2)
     G = tot_groupoid(cc)
     sol = G.abelian_complex[0].cocycles(1)
     assert sol
@@ -177,7 +177,7 @@ def test_bad_cosimplicial_identities_rejected():
     # functoriality
     from dgdescent.dgla import DgLieMap, identity_map
     g = abelian_algebra({0: 1})
-    neg = DgLieMap(g, g, {0: [[F(-1)]]})
+    neg = DgLieMap(g, g, {0: {0: F(-1)}})
     ident = identity_map(g)
     with pytest.raises(ValueError, match="cosimplicial identity"):
         CosimplicialDgLie([g, g], [[ident, ident]], [[neg]])

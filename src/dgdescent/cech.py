@@ -56,6 +56,11 @@ class ExtractionFailed(Exception):
 # covers
 
 
+class RestrictionError(ValueError):
+    """A restriction of a CoverSpec that goes the wrong way, does not
+    match the stored algebras, is missing or breaks functoriality."""
+
+
 class CoverSpec:
     """Combinatorial cover: section algebras over nonempty intersections.
 
@@ -88,16 +93,17 @@ class CoverSpec:
         # every declared restriction connects stored algebras
         for (J, J2), f in self.restrictions.items():
             if J == J2 or not J <= J2:
-                raise ValueError("restrictions go from fewer opens to more")
+                raise RestrictionError("restrictions go from fewer opens "
+                                       "to more")
             if f.source is not self.sections[J] or \
                     f.target is not self.sections.get(J2):
-                raise ValueError(f"restriction ({set(J)}, {set(J2)}) does "
-                                 f"not match the stored algebras")
+                raise RestrictionError(f"restriction ({set(J)}, {set(J2)}) "
+                                       f"does not match the stored algebras")
         # and every pair of stored algebras has one
         for J2 in self.sections:
             for J in _nonempty_subsets(J2):
                 if (J, J2) not in self.restrictions:
-                    raise ValueError(
+                    raise RestrictionError(
                         f"missing restriction {set(J)} -> {set(J2)}")
         self._check_functoriality()
 
@@ -126,7 +132,7 @@ class CoverSpec:
                         via = self.restrict(J1, J2, self.restrict(J, J1, x))
                         direct = self.restrict(J, J2, x)
                         if not el_eq(via, direct):
-                            raise ValueError(
+                            raise RestrictionError(
                                 f"restrictions fail functoriality on "
                                 f"{set(J)} -> {set(J1)} -> {set(J2)}")
 

@@ -25,14 +25,20 @@ from .io import (ParseError, TruncationError, algebra_from_record,
 # is cached, so a module its command does not run only slows it down
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low):
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {n}")
+        return n
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _base_parser():
@@ -64,7 +70,7 @@ def build_parser():
     sp = sub.add_parser("cohomology", parents=[base],
                         help="betti numbers of an algebra's complex")
     sp.add_argument("file")
-    sp.add_argument("--max-degree", type=int, default=4)
+    sp.add_argument("--max-degree", type=_int_at_least(0), default=4)
     sp = sub.add_parser("mc", parents=[base],
                         help="Maurer-Cartan residuals and sampled solutions")
     sp.add_argument("file")
@@ -76,7 +82,7 @@ def build_parser():
     sp.add_argument("--base", help="artinian base record to tensor with")
     sp.add_argument("--x", required=True)
     sp.add_argument("--xp", required=True)
-    sp.add_argument("--max-depth", type=int, default=None)
+    sp.add_argument("--max-depth", type=_positive_int, default=None)
     sp = sub.add_parser("tot", parents=[base],
                         help="totalization with the de Rham comparison")
     sp.add_argument("file")

@@ -1,42 +1,37 @@
 """Graded spaces, cochain complexes over Q, cohomology, quasi-isomorphisms.
 
 Complexes are non-negatively graded and finite dimensional.  A complex
-stores one matrix per degree, d[n] : C^n -> C^{n+1}, columns indexed by
-the basis of C^n.  d . d = 0 is checked at construction; everything
-downstream assumes it.
+stores its differential as one sparse table {i: {k: coeff}} over the
+global basis indices of its space, the form of every linear map of the
+package (`DgLieAlgebra.d_table`, `DgLieMap.table`).  That d raises the
+degree by one and that d . d = 0 is checked at construction, through
+the one linear kernel `linalg.linear_apply`; everything downstream
+assumes it.  Cocycles, coboundaries and cohomology representatives are
+sparse vectors over the same indices.
 
-This module also owns the conversion between linear maps and those
-per-degree blocks, in both directions: `map_blocks` writes a map given
-on sparse vectors as blocks over reduced bases, and `table_from_blocks`
-turns blocks back into a sparse table {i: {k: coeff}}.
+`map_table` writes a map given on sparse vectors as such a table over
+reduced bases; `canonical_table` and `check_chain_map` are the checks
+on tables that `CochainMap` and `dgla.DgLieMap` share.
 """
 
-from .linalg import (ONE, ZERO, kernel_basis, mat_mul, mat_vec,
-                     sparse_eliminate, sparse_from_dense, sparse_kernel,
-                     span_basis, transpose, zero_matrix)
-
-# Degrees are capped to keep accidental runaway gradings out; the cap is
-# an artifact-level choice, overridable per space.
-DEFAULT_TOP_DEGREE = 8
+from .linalg import (ONE, echelon_basis, linear_apply, sparse_eliminate,
+                     sparse_kernel)
 
 
 class GradedSpace:
     """Finite family of based vector spaces indexed by degree >= 0."""
 
-    def __init__(self, degrees, top_degree=DEFAULT_TOP_DEGREE):
+    def __init__(self, degrees):
         """degrees: mapping degree -> list of basis labels."""
         self.degrees = {}
         for n, labels in sorted(degrees.items()):
             if n < 0:
                 raise ValueError(f"negative degree {n}")
-            if n > top_degree:
-                raise ValueError(f"degree {n} exceeds top degree {top_degree}")
             labels = list(labels)
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate basis labels in degree {n}")
             if labels:
                 self.degrees[n] = labels
-        self.top_degree = top_degree
         # global index: list of (degree, label); index lookup both ways
         self.basis = [(n, lab) for n in sorted(self.degrees)
                       for lab in self.degrees[n]]
@@ -80,35 +75,42 @@ class GradedSpace:
                 for n in self.degrees}
 
 
-def map_blocks(fn, source, target, shift=0):
-    """The per-degree blocks of a linear map given on sparse vectors.
+def map_table(fn, source, target, shift=0):
+    """The table of a linear map given on sparse vectors.
 
     source and target map each degree to a list of sparse vectors, and
     fn takes a sparse vector to a sparse vector: source degree n into
-    the span of target degree n + shift.  Every target list must be
-    reduced: vector i is 1 on a key where every other vector of its
+    the span of target degree n + shift.  The vectors of each side are
+    numbered through the degrees in increasing order, as the basis of a
+    GradedSpace with those dimensions is, and the table is
+    {source number: {target number: coeff}}.  Every target list must
+    be reduced: vector i is 1 on a key where every other vector of its
     degree is 0 (RREF rows, kernel bases that are 1 on their free
     columns, and unit bases all are), so coordinates are read off on
-    those keys.  Each column is checked by exact reconstruction: an
+    those keys.  Each image is checked by exact reconstruction: an
     image outside the target span, or a target that is not reduced,
-    raises ValueError.  Returns {n: block} for the nonzero blocks only.
+    raises ValueError.
     """
-    blocks = {}
-    for n, vecs in source.items():
+    first = {}
+    count = 0
+    for n in sorted(target):
+        first[n] = count
+        count += len(target[n])
+    table = {}
+    src = 0
+    for n in sorted(source):
         tvecs = target.get(n + shift, [])
         row_of = _unit_keys(tvecs, n + shift)
-        M = [[ZERO] * len(vecs) for _ in tvecs]
-        nonzero = False
-        for col, v in enumerate(vecs):
+        off = first.get(n + shift, 0)
+        for col, v in enumerate(source[n]):
             rest = {k: x for k, x in fn(v).items() if x}
             coords = [(row_of[k], x) for k, x in rest.items() if k in row_of]
             # only the nonzero coordinates' vectors are subtracted: a
             # sum over every target vector would cost the whole basis
-            # per column
+            # per image
             for r, c in coords:
-                M[r][col] = c
                 for k, x in tvecs[r].items():
-                    y = rest.get(k, ZERO) - c * x
+                    y = rest.get(k, 0) - c * x
                     if y:
                         rest[k] = y
                     else:
@@ -117,10 +119,10 @@ def map_blocks(fn, source, target, shift=0):
                 raise ValueError(f"the image of source vector {col} of "
                                  f"degree {n} leaves the span of the "
                                  f"target in degree {n + shift}")
-            nonzero = nonzero or bool(coords)
-        if nonzero:
-            blocks[n] = M
-    return blocks
+            if coords:
+                table[src + col] = {off + r: c for r, c in sorted(coords)}
+        src += len(source[n])
+    return table
 
 
 def _unit_keys(vecs, n):
@@ -142,75 +144,79 @@ def _unit_keys(vecs, n):
     return row_of
 
 
-def table_from_blocks(source, target, blocks, shift=0):
-    """{source gidx: {target gidx: coeff}} from the dense blocks
-    {n: block}, block n: source degree n -> target degree n + shift;
-    a missing block is zero."""
-    table = {}
-    for n, M in sorted(blocks.items()):
-        targets = target.degree_indices(n + shift)
-        for col, src in enumerate(source.degree_indices(n)):
-            entry = {targets[r]: row[col] for r, row in enumerate(M)
-                     if row[col]}
-            if entry:
-                table[src] = entry
-    return table
+def canonical_table(table, source, target, shift=0, what="map"):
+    """table without zero coefficients or empty entries, sources and
+    targets in index order; ValueError unless every entry takes a basis
+    element of the space source, of degree n, into degree n + shift of
+    the space target."""
+    change = f"raise by {shift}" if shift else "keep"
+    out = {}
+    for i in sorted(table):
+        entry = {k: c for k, c in sorted(table[i].items()) if c}
+        if not entry:
+            continue
+        if not 0 <= i < source.total_dim() or not all(
+                0 <= k < target.total_dim() and
+                target.degree_of(k) == source.degree_of(i) + shift
+                for k in entry):
+            raise ValueError(f"{what} entry {i} -> {sorted(entry)} does "
+                             f"not {change} the degree of basis element {i}")
+        out[i] = entry
+    return out
 
 
 class Cochain:
-    """A finite-dimensional complex: GradedSpace plus differentials."""
+    """A finite-dimensional complex: GradedSpace plus differential."""
 
     def __init__(self, space, d):
-        """d: mapping degree n -> matrix of d^n : C^n -> C^{n+1}."""
+        """d: the table {i: {k: coeff}} of the differential, i of some
+        degree n and every k of degree n + 1."""
         self.space = space
-        self.d = {}
-        for n, M in d.items():
-            rows, cols = len(M), (len(M[0]) if M else 0)
-            if rows != space.dim(n + 1) or \
-                    (rows > 0 and cols != space.dim(n)):
-                raise ValueError(
-                    f"d^{n} has shape {rows}x{cols}, expected "
-                    f"{space.dim(n + 1)}x{space.dim(n)}")
-            if any(x != 0 for row in M for x in row):
-                self.d[n] = [row[:] for row in M]
-        for n in list(self.d):
-            nxt = self.d_matrix(n + 1)
-            dd = mat_mul(nxt, self.d[n])
-            if any(x != 0 for row in dd for x in row):
+        self.d = canonical_table(d, space, space, 1, "d")
+        for i, image in self.d.items():
+            if linear_apply(self.d, image):
+                n = space.degree_of(i)
                 raise ValueError(f"d^2 != 0 between degrees {n} and {n + 2}")
 
-    def d_matrix(self, n):
-        if n in self.d:
-            return self.d[n]
-        return zero_matrix(self.space.dim(n + 1), self.space.dim(n))
+    def _kernel(self, n):
+        """The cocycles of degree n, each 1 on its own free index and 0
+        on the others', and those free indices."""
+        indices = self.space.degree_indices(n)
+        off = indices[0] if indices else 0
+        rows = {}
+        for i in indices:
+            for k, c in self.d.get(i, {}).items():
+                rows.setdefault(k, {})[i - off] = c
+        Z, free = sparse_kernel(list(rows.values()), len(indices),
+                                with_free=True)
+        return ([{j + off: c for j, c in z.items()} for z in Z],
+                [f + off for f in free])
 
     def cocycles(self, n):
-        return kernel_basis(self.d.get(n, []), self.space.dim(n))
+        return self._kernel(n)[0]
 
     def coboundaries(self, n):
-        if n == 0:
-            return []
-        prev = self.d_matrix(n - 1)
-        return span_basis(transpose(prev))
+        return echelon_basis([self.d[i] for i in
+                              self.space.degree_indices(n - 1)
+                              if i in self.d])
 
     def cohomology(self, n):
         """Dimension and representative cocycles of H^n.
 
         Representatives are cocycles that stay independent modulo
         coboundaries (dim = dim ker d^n - rank d^{n-1}).  The cocycle
-        basis is 1 on its free columns and 0 on the others', so the
+        basis is 1 on its free indices and 0 on the others', so the
         coordinates of a coboundary over it are its entries there; one
         elimination of those coordinate rows gives rank B, and the
         cocycles off its pivot columns complete B to a basis of Z.
         """
-        dim = self.space.dim(n)
-        Z, free = sparse_kernel(sparse_from_dense(self.d.get(n, [])), dim,
-                                with_free=True)
-        coords = [{i: b[f] for i, f in enumerate(free) if b[f]}
-                  for b in transpose(self.d.get(n - 1, []))]
+        Z, free = self._kernel(n)
+        position = {f: j for j, f in enumerate(free)}
+        coords = [{position[k]: c for k, c in self.d[i].items()
+                   if k in position}
+                  for i in self.space.degree_indices(n - 1) if i in self.d]
         pivots = set(sparse_eliminate(coords)[1])
-        reps = [[z.get(j, ZERO) for j in range(dim)]
-                for i, z in enumerate(Z) if i not in pivots]
+        reps = [z for j, z in enumerate(Z) if j not in pivots]
         return len(reps), reps
 
     def betti_numbers(self, up_to=None):
@@ -224,45 +230,29 @@ class Cochain:
                    for n in self.space.nonzero_degrees())
 
 
-class CochainMap:
-    """Degreewise matrices commuting with the differentials."""
+def check_chain_map(table, source, target):
+    """ValueError unless the degree-preserving table, from the complex
+    source to the complex target, commutes with d on every basis
+    element."""
+    for i in range(source.space.total_dim()):
+        if linear_apply(target.d, table.get(i, {})) != \
+                linear_apply(table, source.d.get(i, {})):
+            raise ValueError(f"map does not commute with d in degree "
+                             f"{source.space.degree_of(i)}")
 
-    def __init__(self, source, target, blocks):
+
+class CochainMap:
+    """A degree-preserving map of complexes, stored as its table
+    {source index: {target index: coeff}}, commuting with d."""
+
+    def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        self.blocks = {}
-        degs = set(source.space.nonzero_degrees()) | set(blocks)
-        for n in degs:
-            M = blocks.get(n)
-            if M is None:
-                M = zero_matrix(target.space.dim(n), source.space.dim(n))
-            rows, cols = len(M), (len(M[0]) if M else 0)
-            if rows != target.space.dim(n) or \
-                    (rows > 0 and cols != source.space.dim(n)):
-                raise ValueError(f"block {n} has the wrong shape")
-            self.blocks[n] = [row[:] for row in M]
-        for n in sorted(self.blocks):
-            lhs = mat_mul(target.d_matrix(n), self.block(n))
-            rhs = mat_mul(self.block(n + 1), source.d_matrix(n))
-            # zero-row matrices drop their column count, so compare
-            # entrywise with zero padding
-            rows = target.space.dim(n + 1)
-            cols = source.space.dim(n)
-            for i in range(rows):
-                for j in range(cols):
-                    a = lhs[i][j] if i < len(lhs) and j < len(lhs[i]) else ZERO
-                    b = rhs[i][j] if i < len(rhs) and j < len(rhs[i]) else ZERO
-                    if a != b:
-                        raise ValueError(
-                            f"map does not commute with d in degree {n}")
+        self.images = canonical_table(images, source.space, target.space)
+        check_chain_map(self.images, source, target)
 
-    def block(self, n):
-        if n in self.blocks:
-            return self.blocks[n]
-        return zero_matrix(self.target.space.dim(n), self.source.space.dim(n))
-
-    def apply(self, n, v):
-        return mat_vec(self.block(n), v)
+    def apply(self, v):
+        return linear_apply(self.images, v)
 
 
 def is_quasi_iso(f):
@@ -281,11 +271,10 @@ def is_quasi_iso(f):
             return False
         if hs == 0:
             continue
+        # an echelon basis is independent: its length is its rank
         B = f.target.coboundaries(n)
-        images = [f.apply(n, z) for z in reps]
-        rk_b = len(span_basis(B)) if B else 0
-        rk = len(span_basis(B + images)) - rk_b
-        if rk != hs:
+        images = [f.apply(z) for z in reps]
+        if len(echelon_basis(B + images)) - len(B) != hs:
             return False
     return True
 
@@ -299,45 +288,26 @@ def cone(f):
     a quasi-isomorphism.  Used as the independent cross-check route for
     is_quasi_iso.
     """
-    S, T = f.source, f.target
-    degs = sorted(set(d + 1 for d in T.space.nonzero_degrees()) |
-                  set(S.space.nonzero_degrees()))
+    S, T = f.source.space, f.target.space
     labels = {}
-    for m in degs:
-        labs = [("t", lab) for lab in T.space.labels(m - 1)] + \
-               [("s", lab) for lab in S.space.labels(m)]
-        if labs:
-            labels[m] = labs
-    top = max(degs, default=0) + 2
-    space = GradedSpace(labels, top_degree=max(top, DEFAULT_TOP_DEGREE))
-    d = {}
-    for m in space.nonzero_degrees():
-        tn, sn1 = T.space.dim(m - 1), S.space.dim(m)
-        tn1, sn2 = T.space.dim(m), S.space.dim(m + 1)
-        M = zero_matrix(tn1 + sn2, tn + sn1)
-        dT = T.d_matrix(m - 1)
-        for i in range(tn1):
-            for j in range(tn):
-                M[i][j] = dT[i][j]
-        fb = f.block(m)
-        for i in range(tn1):
-            for j in range(sn1):
-                M[i][tn + j] = fb[i][j]
-        dS = S.d_matrix(m)
-        for i in range(sn2):
-            for j in range(sn1):
-                M[tn1 + i][tn + j] = -dS[i][j]
-        d[m] = M
+    for side, space, shift in (("t", T, 1), ("s", S, 0)):
+        for n in space.nonzero_degrees():
+            labels.setdefault(n + shift, []).extend(
+                (side, lab) for lab in space.labels(n))
+    space = GradedSpace(labels)
+    t_of = {k: space.index(T.degree_of(k) + 1, ("t", T.label_of(k)))
+            for k in range(T.total_dim())}
+    s_of = {k: space.index(S.degree_of(k), ("s", S.label_of(k)))
+            for k in range(S.total_dim())}
+    d = {t_of[k]: {t_of[j]: c for j, c in entry.items()}
+         for k, entry in f.target.d.items()}
+    for k in range(S.total_dim()):
+        image = {t_of[j]: c for j, c in f.images.get(k, {}).items()}
+        image.update((s_of[j], -c) for j, c in f.source.d.get(k, {}).items())
+        d[s_of[k]] = image
     return Cochain(space, d)
 
 
 def is_acyclic(C):
     top = max(C.space.nonzero_degrees(), default=-1)
     return all(C.cohomology(n)[0] == 0 for n in range(top + 1))
-
-
-def complex_from_dims(dims, mats, top_degree=DEFAULT_TOP_DEGREE):
-    """Convenience: anonymous basis labels c{n}_{i}."""
-    degrees = {n: [f"c{n}_{i}" for i in range(k)]
-               for n, k in dims.items() if k}
-    return Cochain(GradedSpace(degrees, top_degree=top_degree), mats)

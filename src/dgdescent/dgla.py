@@ -17,9 +17,9 @@ randomized validation in the test suite).
 import functools
 from fractions import Fraction
 
-from .cochain import (Cochain, GradedSpace, DEFAULT_TOP_DEGREE, map_blocks,
-                      table_from_blocks)
-from .linalg import ONE, ZERO, echelon_basis
+from .cochain import (Cochain, GradedSpace, canonical_table, check_chain_map,
+                      map_table)
+from .linalg import ONE, ZERO, echelon_basis, linear_apply
 
 
 # ---------------------------------------------------------------------------
@@ -69,24 +69,8 @@ def el_eq(x, y):
 
 
 # ---------------------------------------------------------------------------
-# the structure-table kernel: the only loops that push sparse elements
-# through structure constants
-
-
-def linear_apply(table, x):
-    """x pushed through a linear table {i: {k: coeff}}."""
-    out = {}
-    for i, a in x.items():
-        entry = table.get(i)
-        if not entry:
-            continue
-        for k, c in entry.items():
-            v = out.get(k, ZERO) + a * c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
+# the structure-table kernel: with `linalg.linear_apply`, the only loops
+# that push sparse elements through structure constants
 
 
 def bilinear_apply(table, x, y):
@@ -209,8 +193,7 @@ class DgLieAlgebra:
                 sign = -Fraction((-1) ** (di * dj))
                 table[(j, i)] = {k: sign * v for k, v in val.items()}
         self.table = {ij: v for ij, v in table.items() if v}
-        self.d_table = table_from_blocks(self.space, self.space,
-                                         cochain.d, 1)
+        self.d_table = cochain.d
         if validate:
             self.validate()
 
@@ -308,25 +291,8 @@ class DgLieMap:
     def __init__(self, source, target, table, validate=True):
         self.source = source
         self.target = target
-        # canonical order: sources, then targets, by index
-        self.table = {}
-        dims = source.total_dim(), target.total_dim()
-        for i in sorted(table):
-            entry = {k: c for k, c in sorted(table[i].items()) if c}
-            if not entry:
-                continue
-            if not 0 <= i < dims[0] or not all(
-                    0 <= k < dims[1] and
-                    target.degree_of(k) == source.degree_of(i)
-                    for k in entry):
-                raise ValueError(f"map entry {i} -> {sorted(entry)} does "
-                                 f"not keep the degree of basis element {i}")
-            self.table[i] = entry
-        for i in range(source.total_dim()):
-            if not el_eq(target.d_element(self.apply({i: ONE})),
-                         self.apply(source.d_element({i: ONE}))):
-                raise ValueError(f"map does not commute with d in degree "
-                                 f"{source.degree_of(i)}")
+        self.table = canonical_table(table, source.space, target.space)
+        check_chain_map(self.table, source.cochain, target.cochain)
         if validate:
             n = source.total_dim()
             for i in range(n):
@@ -373,8 +339,7 @@ class DgCommAlgebra:
         self.table = _both_orders(raw, lambda i, j: Fraction(
             (-1) ** (self.degree_of(i) * self.degree_of(j))))
         self.unit_index = unit_index
-        self.d_table = table_from_blocks(self.space, self.space,
-                                         cochain.d, 1)
+        self.d_table = cochain.d
         if validate:
             self.validate()
 
@@ -543,13 +508,13 @@ class ArtinAlgebra:
 # tensor products
 
 
-def _tensor_space(a_basis, g, a_degrees, top_degree):
+def _tensor_space(a_basis, g, a_degrees):
     degrees = {}
     for ai, alab in enumerate(a_basis):
         for gi in range(g.total_dim()):
             n = a_degrees[ai] + g.degree_of(gi)
             degrees.setdefault(n, []).append((alab, g.space.label_of(gi)))
-    return GradedSpace(degrees, top_degree=top_degree)
+    return GradedSpace(degrees)
 
 
 def tensor_lie(A, g, validate=True):
@@ -577,33 +542,26 @@ def tensor_lie(A, g, validate=True):
         raise TypeError("tensor_lie expects a DgCommAlgebra, ArtinAlgebra "
                         "or MaximalIdeal")
 
-    g_top = max(g.space.nonzero_degrees(), default=0)
-    a_top = max(a_degrees, default=0)
-    top = max(DEFAULT_TOP_DEGREE, g_top + a_top)
-    space = _tensor_space(a_basis, g, a_degrees, top)
+    space = _tensor_space(a_basis, g, a_degrees)
     index = {}
     for ai, alab in enumerate(a_basis):
         for gi in range(g.total_dim()):
             n = a_degrees[ai] + g.degree_of(gi)
             index[(ai, gi)] = space.index(n, (alab, g.space.label_of(gi)))
 
-    # differential: d(a@x) = (da)@x + (-1)^{|a|} a@(dx)
-    back = {v: k for k, v in index.items()}
-
-    def d_tensor(x):
+    # differential: d(a@x) = (da)@x + (-1)^{|a|} a@(dx), written off the
+    # factors' tables
+    d = {}
+    for (ai, gi), src in index.items():
         parts = []
-        for src, c in x.items():
-            ai, gi = back[src]
-            if a_d is not None:
-                parts.append({index[(aj, gi)]: v for aj, v in
-                              a_d.d_element({ai: c}).items()})
-            sign = (-1) ** a_degrees[ai]
-            parts.append({index[(ai, gj)]: v for gj, v in
-                          g.d_element({gi: sign * c}).items()})
-        return el_sum(parts)
-
-    units = space.unit_bases()
-    cochain = Cochain(space, map_blocks(d_tensor, units, units, 1))
+        if a_d is not None:
+            parts.append({index[(aj, gi)]: v
+                          for aj, v in a_d.d_table.get(ai, {}).items()})
+        sign = (-1) ** a_degrees[ai]
+        parts.append({index[(ai, gj)]: sign * v
+                      for gj, v in g.d_table.get(gi, {}).items()})
+        d[src] = el_sum(parts)
+    cochain = Cochain(space, d)
 
     # bracket: [a@x, b@y] = (-1)^{|x||b|} (ab) @ [x,y]
     brackets = {}
@@ -738,10 +696,8 @@ def _sub_cochain(nil, stage):
             basis[n] = els
     degrees = {n: [f"s{stage}d{n}_{i}" for i in range(len(els))]
                for n, els in basis.items()}
-    space = GradedSpace(degrees,
-                        top_degree=max(degrees, default=0) + 1
-                        if degrees else 1)
-    return Cochain(space, map_blocks(g.d_element, basis, basis, 1)), basis
+    return Cochain(GradedSpace(degrees),
+                   map_table(g.d_element, basis, basis, 1)), basis
 
 
 def is_acyclic_fibration(f, nil_source=None, nil_target=None):
@@ -762,7 +718,7 @@ def is_acyclic_fibration(f, nil_source=None, nil_target=None):
         src_c, src_basis = _sub_cochain(nil_source, i)
         tgt_c, tgt_basis = _sub_cochain(nil_target, i)
         fmap = CochainMap(src_c, tgt_c,
-                          map_blocks(f.apply, src_basis, tgt_basis))
+                          map_table(f.apply, src_basis, tgt_basis))
         if not is_quasi_iso(fmap):
             return False
     return True
@@ -785,9 +741,7 @@ def direct_product(factors, tags=None):
         for gi in range(g.total_dim()):
             n = g.degree_of(gi)
             degrees.setdefault(n, []).append((tag, g.space.label_of(gi)))
-    top = max([DEFAULT_TOP_DEGREE] +
-              [max(g.space.nonzero_degrees(), default=0) for g in factors])
-    space = GradedSpace(degrees, top_degree=top)
+    space = GradedSpace(degrees)
     components = []
     for tag, g in zip(tags, factors):
         emb = {}
@@ -795,24 +749,15 @@ def direct_product(factors, tags=None):
             n = g.degree_of(gi)
             emb[gi] = space.index(n, (tag, g.space.label_of(gi)))
         components.append((tag, g, emb))
-    back = {pidx: (g, emb, gi) for tag, g, emb in components
-            for gi, pidx in emb.items()}
-
-    def d_product(x):
-        parts = []
-        for pidx, c in x.items():
-            g, emb, gi = back[pidx]
-            parts.append({emb[gj]: v for gj, v in
-                          g.d_element({gi: c}).items()})
-        return el_sum(parts)
-
-    units = space.unit_bases()
-    cochain = Cochain(space, map_blocks(d_product, units, units, 1))
+    # the differential and the brackets relabel the factors' tables
+    d = {}
     brackets = {}
     for tag, g, emb in components:
+        for i, val in g.d_table.items():
+            d[emb[i]] = {emb[k]: v for k, v in val.items()}
         for (i, j), val in g.table.items():
             brackets[(emb[i], emb[j])] = {emb[k]: v for k, v in val.items()}
-    out = DgLieAlgebra(cochain, brackets, validate=False,
+    out = DgLieAlgebra(Cochain(space, d), brackets, validate=False,
                        name="x".join(str(t) for t in tags))
     out.components = components
     return out

@@ -54,10 +54,9 @@ def probe_class2():
     [a,b] = c, [alpha,b] = beta.  Nilpotent of class 2 with d and
     brackets interacting; pins the bch convention."""
     space = GradedSpace({0: ["a", "b", "c"], 1: ["alpha", "beta"]})
-    d = {0: [[F(1), F(0), F(0)], [F(0), F(0), F(1)]]}
-    cochain = Cochain(space, d)
     a, b, c = (space.index(0, lbl) for lbl in ("a", "b", "c"))
     alpha, beta = (space.index(1, lbl) for lbl in ("alpha", "beta"))
+    cochain = Cochain(space, {a: {alpha: F(1)}, c: {beta: F(1)}})
     return DgLieAlgebra(cochain, {
         (a, b): {c: F(1)},
         (alpha, b): {beta: F(1)},
@@ -65,6 +64,8 @@ def probe_class2():
 
 
 def abelian_algebra(degree_dims, d=None, name="abelian"):
+    """Zero bracket; d is the table of the differential over the basis
+    a{n}_{i}, numbered through the degrees in increasing order."""
     degrees = {n: [f"a{n}_{i}" for i in range(k)]
                for n, k in degree_dims.items() if k}
     return DgLieAlgebra(Cochain(GradedSpace(degrees), d or {}), {},
@@ -80,15 +81,14 @@ def abelian_line():
 def cone_algebra(m=0):
     """Contractible abelian: u (deg m), v (deg m+1), du = v."""
     degrees = {m: [f"cu{m}"], m + 1: [f"cv{m}"]}
-    d = {m: [[F(1)]]}
-    return DgLieAlgebra(Cochain(GradedSpace(degrees), d), {},
+    return DgLieAlgebra(Cochain(GradedSpace(degrees), {0: {1: F(1)}}), {},
                         name=f"cone{m}")
 
 
 BASE_LIBRARY = [ef_algebra, wz_algebra, heisenberg, probe_class2,
                 lambda: abelian_algebra({0: 1, 1: 1}),
                 lambda: abelian_algebra({0: 1, 1: 1, 2: 1},
-                                        d={1: [[F(1)]]})]
+                                        d={1: {2: F(1)}})]
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +130,10 @@ def contractible_artin_dg():
     """A = k (+) (eps deg 0, delta deg 1) with d(eps) = delta and
     eps m = 0: a unital dg commutative algebra with H(A) = k."""
     space = GradedSpace({0: ["1", "eps"], 1: ["delta"]})
-    d = {0: [[F(0), F(1)]]}
-    cochain = Cochain(space, d)
     one = space.index(0, "1")
     eps = space.index(0, "eps")
     delta = space.index(1, "delta")
+    cochain = Cochain(space, {eps: {delta: F(1)}})
     products = {
         (one, one): {one: F(1)},
         (one, eps): {eps: F(1)},
@@ -324,7 +323,7 @@ def triple_cover(L=None, name="triple"):
 def tampered_fibration():
     """Surjective but not a quasi-isomorphism: the target MC element
     a vbar (a != 0) has no MC preimage."""
-    g = abelian_algebra({1: 1, 2: 1}, d={1: [[F(1)]]}, name="vw")
+    g = abelian_algebra({1: 1, 2: 1}, d={0: {1: F(1)}}, name="vw")
     h = abelian_algebra({1: 1}, name="vbar")
     f = DgLieMap(g, h, {0: {0: F(1)}})
     return f, lower_central_series(g), lower_central_series(h)
@@ -333,8 +332,7 @@ def tampered_fibration():
 def spec_lifting_fibration():
     """g = <v, v' deg 1, w deg 2; dv' = w> --> h = <vbar>, v |-> vbar."""
     space = GradedSpace({1: ["v", "vp"], 2: ["w"]})
-    d = {1: [[F(0), F(1)]]}
-    g = DgLieAlgebra(Cochain(space, d), {}, name="vvw")
+    g = DgLieAlgebra(Cochain(space, {1: {2: F(1)}}), {}, name="vvw")
     h = abelian_algebra({1: 1}, name="vbar")
     f = DgLieMap(g, h, {0: {0: F(1)}})
     return f, lower_central_series(g), lower_central_series(h)

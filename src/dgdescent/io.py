@@ -11,10 +11,9 @@ import functools
 import json
 from fractions import Fraction
 
-from .cochain import Cochain, GradedSpace, map_blocks, table_from_blocks
-from .dgla import (ArtinAlgebra, DgLieAlgebra, DgLieMap, identity_map,
-                   linear_apply)
-from .linalg import ZERO
+from .cochain import Cochain, GradedSpace
+from .dgla import ArtinAlgebra, DgLieAlgebra, DgLieMap, identity_map
+from .linalg import ONE, ZERO
 
 
 class ParseError(ValueError):
@@ -148,9 +147,8 @@ def algebra_from_record(rec, path="<record>"):
             raise ParseError(path, "basis.degree",
                              f"a degree is an integer, not {deg!r}")
         degrees.setdefault(deg, []).append(lab)
-    top = max(list(degrees) + [8]) + 1
     try:
-        space = GradedSpace(degrees, top_degree=top)
+        space = GradedSpace(degrees)
     except ValueError as exc:
         raise ParseError(path, "basis", str(exc))
     index = {}
@@ -175,10 +173,8 @@ def algebra_from_record(rec, path="<record>"):
                             path, "differential.coeff")
         entries.setdefault(src, {})[tgt] = \
             entries.get(src, {}).get(tgt, ZERO) + c
-    units = space.unit_bases()
     try:
-        cochain = Cochain(space, map_blocks(
-            lambda x: linear_apply(entries, x), units, units, 1))
+        cochain = Cochain(space, entries)
     except ValueError as exc:
         raise ParseError(path, "differential", str(exc))
     brackets = {}
@@ -292,7 +288,7 @@ def cover_to_record(cover):
 
 
 def cover_from_record(rec, path="<record>"):
-    from .cech import CoverSpec
+    from .cech import CoverSpec, RestrictionError
     if record_type(rec, path) != "cover":
         raise ParseError(path, "type", "expected cover")
     opens = _required(rec, "opens", path, "opens")
@@ -333,16 +329,41 @@ def cover_from_record(rec, path="<record>"):
     try:
         return CoverSpec(opens, sections, restrictions,
                          name=rec.get("name"))
+    except RestrictionError as exc:
+        raise ParseError(path, "restrictions", str(exc))
     except ValueError as exc:
         raise ParseError(path, "intersections", str(exc))
 
 
 def _map_to_matrices(f):
-    """The nonzero dense blocks of f, as record rows."""
-    blocks = map_blocks(f.apply, f.source.space.unit_bases(),
-                        f.target.space.unit_bases())
-    return {str(n): [[scalar_to_str(x) for x in row] for row in M]
-            for n, M in blocks.items()}
+    """The nonzero dense blocks of f, as record rows: block n has one
+    row per target and one column per source basis element of degree
+    n."""
+    src, tgt = f.source.space, f.target.space
+    blocks = {}
+    for n in src.nonzero_degrees():
+        row_of = {k: r for r, k in enumerate(tgt.degree_indices(n))}
+        M = [["0"] * src.dim(n) for _ in row_of]
+        for col, i in enumerate(src.degree_indices(n)):
+            for k, c in f.apply({i: ONE}).items():
+                M[row_of[k]][col] = scalar_to_str(c)
+                blocks[str(n)] = M
+    return blocks
+
+
+def table_from_blocks(source, target, blocks, shift=0):
+    """{source gidx: {target gidx: coeff}} from the dense blocks
+    {n: block}, block n: source degree n -> target degree n + shift;
+    a missing block is zero."""
+    table = {}
+    for n, M in sorted(blocks.items()):
+        targets = target.degree_indices(n + shift)
+        for col, src in enumerate(source.degree_indices(n)):
+            entry = {targets[r]: row[col] for r, row in enumerate(M)
+                     if row[col]}
+            if entry:
+                table[src] = entry
+    return table
 
 
 def _map_from_matrices(src, tgt, matrices, path, field):

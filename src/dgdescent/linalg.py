@@ -7,16 +7,14 @@ values never stored).  The systems of this package are mostly
 integral, so inside it integer-valued entries are held as int, and a
 column -> pivot-row index names the rows that each new pivot
 back-substitutes into; everything it returns is a Fraction again.
-Outside `cochain`, whose blocks are dense, a subspace is the list of
-its `echelon_basis` vectors (dicts over any sortable keys) and a
-system is a list of sparse rows.  The dense functions (lists of lists
-of Fraction) are thin adapters for `cochain`.
-Dense Gauss-Jordan elimination, `rref`, is kept only as the independent
-reference that the tests compare the sparse path against; nothing in
-the package calls it.  Likewise
-`coords_in_span`, which eliminates the basis once per vector, serves
-only the tests: the package reads coordinates off reduced bases
-(`cochain.map_blocks`).  No floats anywhere.
+A subspace is the list of its `echelon_basis` vectors (dicts over any
+sortable keys), a system is a list of sparse rows, and a linear map is
+a sparse table {i: {k: coeff}} that `linear_apply` pushes vectors
+through.  The dense functions (lists of lists of Fraction) are thin
+adapters that no other module of the package names: dense Gauss-Jordan
+elimination, `rref`, and `coords_in_span`, which eliminates the basis
+once per vector, are kept as the independent references that the
+tests compare the sparse path against.  No floats anywhere.
 """
 
 from fractions import Fraction
@@ -62,10 +60,6 @@ def zero_vector(n):
     return [ZERO] * n
 
 
-def zero_matrix(rows, cols):
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
@@ -74,23 +68,6 @@ def mat_vec(A, v):
     if A and len(A[0]) != len(v):
         raise ValueError(f"dimension mismatch: {len(A[0])} columns vs vector of length {len(v)}")
     return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in A]
-
-
-def mat_mul(A, B):
-    """The dense product A B, skipping the zero entries of A and of B."""
-    if A and B and len(A[0]) != len(B):
-        raise ValueError("dimension mismatch in matrix product")
-    cols = len(B[0]) if B else 0
-    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in B]
-    out = []
-    for row in A:
-        acc = [ZERO] * cols
-        for a, b_row in zip(row, b_rows):
-            if a:
-                for j, b in b_row:
-                    acc[j] += a * b
-        out.append(acc)
-    return out
 
 
 def transpose(A):
@@ -219,6 +196,22 @@ def intersect_spans(B1, B2):
 
 # ---------------------------------------------------------------------------
 # sparse rows: dict col -> Fraction (zero values never stored)
+
+
+def linear_apply(table, x):
+    """x pushed through a linear table {i: {k: coeff}}."""
+    out = {}
+    for i, a in x.items():
+        entry = table.get(i)
+        if not entry:
+            continue
+        for k, c in entry.items():
+            v = out.get(k, ZERO) + a * c
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
 
 
 def sparse_from_dense(A):

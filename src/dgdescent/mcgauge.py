@@ -639,7 +639,7 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
     "distinct".
     """
     c = ctx.nclass()
-    depth = min(max_depth or c, c)
+    depth = c if max_depth is None else min(max_depth, c)
     y0 = dict(y_init or {})
     params = []       # elements: active parameter directions
     complete = True

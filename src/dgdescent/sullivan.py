@@ -10,7 +10,7 @@ kernel computation and comes back as a finite-dimensional complex.
 
 from fractions import Fraction
 
-from .cochain import Cochain, GradedSpace, map_blocks
+from .cochain import Cochain, GradedSpace, map_table
 from .forms import (PolyForm, face_map, mono_form_degree, monomial_pullback,
                     monomials_up_to, restrict_to_face)
 from .linalg import NoSolution, ZERO, sparse_kernel, sparse_solve_affine
@@ -47,8 +47,7 @@ class SimplicialForms:
             self.basis_by_degree[k] = self._solve_degree(keys)
         degrees = {k: [f"w{k}_{i}" for i in range(len(v))]
                    for k, v in self.basis_by_degree.items() if v}
-        space = GradedSpace(degrees, top_degree=max(sset.dimension() + 1, 8))
-        self.cochain = Cochain(space, map_blocks(
+        self.cochain = Cochain(GradedSpace(degrees), map_table(
             self.differential, self.basis_by_degree, self.basis_by_degree, 1))
 
     # -- compatibility ---------------------------------------------------------

@@ -14,7 +14,7 @@ against the intersections of the cover, and the reports record N.
 import functools
 from fractions import Fraction
 
-from .cochain import Cochain, GradedSpace, map_blocks
+from .cochain import Cochain, GradedSpace, map_table
 from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
                    el_sub, el_sum, lower_central_series)
 from .forms import (compose_maps, degeneracy_map, face_map,
@@ -208,8 +208,7 @@ def tot_cochain(cc, N=None):
             pieces.setdefault(n, []).append((q, el))
     degrees = {n: [f"t{n}_{i}" for i in range(len(v))]
                for n, v in pieces.items()}
-    top = max(degrees, default=0) + 1
-    space = GradedSpace(degrees, top_degree=max(top, 8))
+    space = GradedSpace(degrees)
 
     def total_d(x):
         parts = []
@@ -229,7 +228,7 @@ def tot_cochain(cc, N=None):
     # basis vectors as sparse vectors over (level, global index) keys
     keyed = {n: [{(q, k): v for k, v in el.items()} for q, el in basis]
              for n, basis in pieces.items()}
-    return Cochain(space, map_blocks(total_d, keyed, keyed, 1)), pieces
+    return Cochain(space, map_table(total_d, keyed, keyed, 1)), pieces
 
 
 def _by_level(x):
@@ -432,9 +431,7 @@ class TotLieComplex:
                 self.basis_by_degree[n] = vecs
         degrees = {n: [f"T{n}_{i}" for i in range(len(v))]
                    for n, v in self.basis_by_degree.items()}
-        space = GradedSpace(degrees,
-                            top_degree=max(list(degrees) + [8]) + 1)
-        self.cochain = Cochain(space, map_blocks(
+        self.cochain = Cochain(GradedSpace(degrees), map_table(
             self.ctx.d_el, self.basis_by_degree, self.basis_by_degree, 1))
 
     def bracket(self, x, y):
@@ -573,7 +570,7 @@ class DescentGroupoid:
                     for k, v in el.items()}
 
         units = {n: [{k: ONE} for k in ks] for n, ks in keys.items()}
-        return Cochain(GradedSpace(keys), map_blocks(d, units, units, 1)), keys
+        return Cochain(GradedSpace(keys), map_table(d, units, units, 1)), keys
 
     def pi0_dimension(self):
         return self.abelian_complex[0].cohomology(1)[0]
@@ -586,8 +583,8 @@ class DescentGroupoid:
         C, keys = self.abelian_complex
         Z = C.cocycles(1)
         parts = {"a": {}, "theta": {}}
-        for i, (tag, k) in enumerate(keys[1]):
-            v = sum((c * z[i] for c, z in zip(coords, Z)), ZERO)
+        for i, (tag, k) in zip(C.space.degree_indices(1), keys[1]):
+            v = sum((c * z.get(i, ZERO) for c, z in zip(coords, Z)), ZERO)
             if v:
                 parts[tag][k] = v
         return DescentDatum(parts["a"], parts["theta"])

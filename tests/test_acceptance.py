@@ -29,7 +29,7 @@ from dgdescent.instances import (abelian_algebra, abelian_line, circle_cover,
                                  segment_cover, t_truncated,
                                  tampered_fibration, triple_cover,
                                  wz_algebra)
-from dgdescent.io import load_any, load_record
+from dgdescent.io import load_any, load_record, table_from_blocks
 from dgdescent.linalg import ZERO
 from dgdescent.mcgauge import (FiniteLieContext, FormLieContext,
                                ObstructionUnsolvable, bch, gauge_act,
@@ -179,7 +179,7 @@ def _hand_cech_complex(cover, artin):
         for gi in range(g.total_dim()):
             n = q + g.degree_of(gi)
             degrees.setdefault(n, []).append((T, g.space.label_of(gi)))
-    space = GradedSpace(degrees, top_degree=max(degrees, default=0) + 1)
+    space = GradedSpace(degrees)
     algebra_of = dict(entries)
     dmats = {}
     for n in space.nonzero_degrees():
@@ -222,7 +222,7 @@ def _hand_cech_complex(cover, artin):
                         nonzero = True
         if nonzero:
             dmats[n] = M
-    return Cochain(space, dmats)
+    return Cochain(space, table_from_blocks(space, space, dmats, 1))
 
 
 def test_criterion_5_de_rham_comparison():

@@ -152,22 +152,33 @@ def test_byte_identical_reports(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_strict_flag_fails_on_undecided(tmp_path, capsys):
-    # craft a report with an undecided verdict through gauge-orbit with
-    # max-depth 0 forcing an unknown
+def _gauge_pair():
+    """ef (x) m_{k[t]/t^3} and two MC elements of it that differ only
+    in the last stage."""
     from dgdescent.dgla import tensor_lie
     from dgdescent.instances import ef_algebra, t_truncated
     from fractions import Fraction as F
     nil = tensor_lie(t_truncated(3), ef_algebra())
-    g = nil.algebra
-    tf = g.space.index(1, ("t", "f"))
-    t2f = g.space.index(1, ("t2", "f"))
+    tf = nil.algebra.space.index(1, ("t", "f"))
+    t2f = nil.algebra.space.index(1, ("t2", "f"))
+    return nil, {tf: F(3), t2f: F(5)}, {tf: F(3), t2f: F(1)}
+
+
+def _gauge_orbit_args(tmp_path):
+    """A gauge-orbit command line on the _gauge_pair elements."""
+    nil, x, xp = _gauge_pair()
     xf, yf = tmp_path / "x.json", tmp_path / "y.json"
-    dump_record(element_to_record(g, {tf: F(3), t2f: F(5)}), xf)
-    dump_record(element_to_record(g, {tf: F(3), t2f: F(1)}), yf)
-    args = ["gauge-orbit", str(DATA / "algebra_ef.json"),
+    dump_record(element_to_record(nil.algebra, x), xf)
+    dump_record(element_to_record(nil.algebra, xp), yf)
+    return ["gauge-orbit", str(DATA / "algebra_ef.json"),
             "--base", str(DATA / "artin_t3.json"),
-            "--x", str(xf), "--xp", str(yf), "--max-depth", "1"]
+            "--x", str(xf), "--xp", str(yf)]
+
+
+def test_strict_flag_fails_on_undecided(tmp_path, capsys):
+    # craft a report with an undecided verdict through gauge-orbit with
+    # max-depth 1 forcing an unknown
+    args = _gauge_orbit_args(tmp_path) + ["--max-depth", "1"]
     code, rep = run_cli(capsys, *args)
     if rep["checks"][0]["status"] == "unknown":
         assert code == 0
@@ -594,3 +605,39 @@ def test_cosimplicial_counts_are_checked_before_indexing(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "cofaces" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gauge_orbit_depth_must_be_positive(tmp_path, capsys, value):
+    args = _gauge_orbit_args(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--max-depth", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be at least 1" in captured.err
+    # the default searches every stage of the lower central series
+    code, rep = run_cli(capsys, *args)
+    assert code == 0 and rep["checks"][0]["status"] != "unknown"
+
+
+def test_staged_search_depth_zero_searches_no_stage():
+    from dgdescent.mcgauge import FiniteLieContext, gauge_equivalent
+    nil, x, xp = _gauge_pair()
+    ctx = FiniteLieContext(nil)
+    assert gauge_equivalent(ctx, x, xp).status != "unknown"
+    res = gauge_equivalent(ctx, x, xp, max_depth=0)
+    assert (res.status, res.stage) == ("unknown", 0)
+
+
+def test_cohomology_degree_bound_must_be_nonnegative(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", str(DATA / "algebra_line.json"),
+              "--max-degree", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be at least 0" in captured.err
+    out = tmp_path / "report.json"
+    code, rep = run_cli(capsys, "cohomology", str(DATA / "algebra_line.json"),
+                        "--max-degree", "0", "--out", str(out))
+    assert code == 0 and rep["checks"][0]["betti"] == [1]
+    assert json.loads(out.read_text()) == rep

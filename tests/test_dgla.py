@@ -10,6 +10,7 @@ from dgdescent.dgla import (ArtinAlgebra, DgCommAlgebra, DgLieAlgebra,
                             NotNilpotent, direct_product, el_eq, ground_field,
                             identity_map, is_acyclic_fibration,
                             lower_central_series, tensor_lie)
+from dgdescent.io import table_from_blocks
 
 F = Fraction
 
@@ -36,7 +37,9 @@ def t_cubed():
 def abelian(degree_dims, d=None):
     degrees = {n: [f"a{n}_{i}" for i in range(k)]
                for n, k in degree_dims.items()}
-    return DgLieAlgebra(Cochain(GradedSpace(degrees), d or {}), {})
+    space = GradedSpace(degrees)
+    return DgLieAlgebra(Cochain(space, table_from_blocks(space, space,
+                                                         d or {}, 1)), {})
 
 
 def test_ef_algebra_validates():
@@ -61,7 +64,7 @@ def test_leibniz_rejected():
     # d f = g with [e,f] = f but [e,g] = 0 violates Leibniz
     space = GradedSpace({0: ["e"], 1: ["f"], 2: ["g"]})
     d = {1: [[F(1)]]}
-    cochain = Cochain(space, d)
+    cochain = Cochain(space, table_from_blocks(space, space, d, 1))
     with pytest.raises(ValueError, match="Leibniz"):
         DgLieAlgebra(cochain, {(0, 1): {1: F(1)}})
 
@@ -218,7 +221,8 @@ def test_spec_lifting_fibration_is_af():
     # g = <v, v' deg 1, w deg 2; dv' = w>, h = <vbar>, f: v -> vbar
     space = GradedSpace({1: ["v", "vp"], 2: ["w"]})
     d = {1: [[F(0), F(1)]]}
-    g = DgLieAlgebra(Cochain(space, d), {})
+    g = DgLieAlgebra(Cochain(space, table_from_blocks(space, space, d, 1)),
+                     {})
     h = abelian({1: 1})
     f = DgLieMap(g, h, {0: {0: F(1)}})
     assert is_acyclic_fibration(f)

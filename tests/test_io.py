@@ -171,3 +171,64 @@ def test_declared_opens_do_not_decide_memory():
     rec["opens"] = 1
     with pytest.raises(ParseError, match="bad index set"):
         cover_from_record(rec)
+
+
+def _segment_cover():
+    return json.loads((DATA / "instance_scaled_t3.json").read_text())["cover"]
+
+
+def _triple_cover():
+    return json.loads((DATA / "instance_triple_eps.json").read_text())["cover"]
+
+
+def _missing_restriction():
+    rec = _segment_cover()
+    del rec["restrictions"][1]
+    return rec
+
+
+def _backward_restriction():
+    rec = _segment_cover()
+    rec["restrictions"].append({"from": [0, 1], "to": [0],
+                                "matrix": "identity"})
+    return rec
+
+
+def _non_functorial():
+    # {0} -> {0, 1, 2} doubles, while {0} -> {0, 1} -> {0, 1, 2} is 1
+    rec = _triple_cover()
+    for entry in rec["restrictions"]:
+        if entry["from"] == [0] and entry["to"] == [0, 1, 2]:
+            entry["matrix"] = {"0": [["2"]], "1": [["2"]]}
+    return rec
+
+
+def _bad_index_set():
+    rec = _segment_cover()
+    rec["intersections"].append({"algebra": "ef", "indices": [5]})
+    return rec
+
+
+def _empty_face():
+    # U_01 is nonempty but U_1 is declared empty
+    rec = _segment_cover()
+    rec["intersections"] = [e for e in rec["intersections"]
+                            if e["indices"] != [1]]
+    rec["restrictions"] = [e for e in rec["restrictions"]
+                           if e["from"] != [1]]
+    return rec
+
+
+@pytest.mark.parametrize("make, field, message", [
+    (_missing_restriction, "restrictions", "missing restriction {1} -> "
+                                           "{0, 1}"),
+    (_backward_restriction, "restrictions", "from fewer opens to more"),
+    (_non_functorial, "restrictions", "fail functoriality on {0} -> "
+                                      "{0, 1} -> {0, 1, 2}"),
+    (_bad_index_set, "intersections", "bad index set {5}"),
+    (_empty_face, "intersections", "over {1} must be nonempty")])
+def test_cover_errors_name_their_field(make, field, message):
+    with pytest.raises(ParseError) as exc:
+        cover_from_record(make(), "cover.json")
+    assert exc.value.field == field
+    assert message in str(exc.value)

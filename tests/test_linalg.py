@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgdescent.linalg import (NoSolution, coords_in_span, echelon_basis,
                               frac, identity,
-                              intersect_spans, kernel_basis, mat_mul, mat_vec,
+                              intersect_spans, kernel_basis, mat_vec,
                               rank,
                               rref, solve_affine, span_basis, span_contains,
                               sparse_eliminate, sparse_from_dense,
@@ -362,56 +362,41 @@ def test_dense_rref_stays_a_test_reference():
 
 
 def test_dense_adapters_stay_in_linalg_and_cochain():
-    """Subspaces and linear systems are sparse outside cochain, whose
-    stored blocks are dense: no other module names a dense adapter of
-    the eliminator."""
+    """Subspaces, linear systems and complexes are sparse outside linalg,
+    cochain included: no other module names a dense adapter of the
+    eliminator or a dense matrix helper."""
     offenders = [hit for name in ("kernel_basis", "span_basis",
-                                  "solve_affine", "rank")
+                                  "solve_affine", "rank", "intersect_spans",
+                                  "mat_vec", "transpose", "sparse_from_dense",
+                                  "zero_vector")
                  for hit in _references(name, [
                      path for path in sorted(SRC.glob("*.py"))
-                     if path.name not in ("linalg.py", "cochain.py")])]
+                     if path.name != "linalg.py"])]
     assert not offenders, "dense adapter referenced at " + \
         ", ".join(offenders)
 
 
+def test_only_io_converts_blocks_to_tables():
+    """Dense blocks exist only at the record boundary: io reads the
+    restriction and cosimplicial-map matrices into tables with
+    table_from_blocks and prints tables as rows.  No other module names
+    table_from_blocks, and no module names the dense block writer or
+    products that complexes were once stored through."""
+    modules = sorted(SRC.glob("*.py"))
+    offenders = _references("table_from_blocks", [
+        path for path in modules if path.name != "io.py"])
+    offenders += [hit for name in ("map_blocks", "d_matrix", "mat_mul",
+                                   "zero_matrix")
+                  for hit in _references(name, modules)]
+    assert not offenders, "dense blocks converted at " + \
+        ", ".join(offenders)
+
+
 def test_coords_in_span_stays_a_test_reference():
-    """Outside linalg no module names coords_in_span: maps become blocks
-    through cochain.map_blocks, which reads coordinates off a reduced
-    basis instead of eliminating it once per column."""
+    """Outside linalg no module names coords_in_span: maps become tables
+    through cochain.map_table, which reads coordinates off a reduced
+    basis instead of eliminating it once per image."""
     offenders = _references("coords_in_span", [
         path for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"])
     assert not offenders, "coords_in_span referenced at " + \
         ", ".join(offenders)
-
-
-def naive_mat_mul(A, B):
-    cols = len(B[0]) if B else 0
-    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), F(0))
-             for j in range(cols)] for i in range(len(A))]
-
-
-sparse_entries = st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 3)])
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
-def test_mat_mul_matches_triple_loop(m, k, n, data):
-    A = [[F(data.draw(sparse_entries)) for _ in range(k)] for _ in range(m)]
-    B = [[F(data.draw(sparse_entries)) for _ in range(n)] for _ in range(k)]
-    assert mat_mul(A, B) == naive_mat_mul(A, B)
-
-
-def test_mat_mul_edge_shapes():
-    assert mat_mul([], M([[1, 2]])) == []
-    assert mat_mul(M([[1], [2]]), M([[]])) == [[], []]
-    assert mat_mul([[], []], []) == [[], []]
-    assert mat_mul(M([[0, 0]]), M([[0, 1], [2, 0]])) == M([[0, 0]])
-    # cancellation leaves an exact zero
-    assert mat_mul(M([[1, 1]]), M([[1], [-1]])) == M([[0]])
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        mat_mul(M([[1, 2]]), M([[1]]))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        mat_mul(M([[1], [0]]), M([[0, 1], [1, 0]]))

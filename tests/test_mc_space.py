@@ -32,7 +32,7 @@ def test_abelian_one_simplices_are_gauge_paths():
     # abelian du = v: solutions of the 1-simplex system at bound 1 are
     # exactly x0 + t dz + dt z
     nil = lower_central_series(abelian_algebra({0: 1, 1: 1},
-                                               d={0: [[F(1)]]}))
+                                               d={0: {1: F(1)}}))
     sys1 = mc_simplex_system(nil, 1, 1)
     u, v = 0, 1
     z = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(3)}

@@ -43,7 +43,7 @@ def test_residual_zero_element():
 
 def test_residual_abelian_is_differential():
     nil = lower_central_series(
-        abelian_algebra({0: 1, 1: 1, 2: 1}, d={1: [[F(1)]]}))
+        abelian_algebra({0: 1, 1: 1, 2: 1}, d={1: {2: F(1)}}))
     ctx = FiniteLieContext(nil)
     v = ctx.degree_keys(1)[0]
     w = ctx.degree_keys(2)[0]
@@ -65,7 +65,7 @@ def test_residual_wz_half_square():
 
 def test_gauge_abelian_is_translation_by_dy():
     nil = lower_central_series(
-        abelian_algebra({0: 2, 1: 2}, d={0: [[F(1), F(2)], [F(0), F(1)]]}))
+        abelian_algebra({0: 2, 1: 2}, d={0: {2: F(1)}, 1: {2: F(2), 3: F(1)}}))
     ctx = FiniteLieContext(nil)
     rng = random.Random(0)
     for _ in range(10):
@@ -178,7 +178,7 @@ def test_solve_1simplex_zero_gauge():
 
 def test_solve_1simplex_abelian_expansion():
     # abelian: z = x0 + t d(theta) + dt theta
-    nil = lower_central_series(abelian_algebra({0: 1, 1: 1}, d={0: [[F(1)]]}))
+    nil = lower_central_series(abelian_algebra({0: 1, 1: 1}, d={0: {1: F(1)}}))
     ctx1 = FormLieContext(nil, 1)
     u, v = 0, 1
     x0 = {}
@@ -290,7 +290,7 @@ def test_gauge_equivalent_reflexive():
 def test_gauge_equivalent_abelian_h1_criterion():
     # abelian: equivalent iff the difference is a coboundary
     nil = lower_central_series(
-        abelian_algebra({0: 2, 1: 2}, d={0: [[F(1), F(0)], [F(0), F(0)]]}))
+        abelian_algebra({0: 2, 1: 2}, d={0: {2: F(1)}}))
     ctx = FiniteLieContext(nil)
     v0, v1 = ctx.degree_keys(1)
     res = gauge_equivalent(ctx, {}, {v0: F(2)})
@@ -360,7 +360,7 @@ def test_element_validators():
 
 def test_abelian_presentations():
     nil = lower_central_series(
-        abelian_algebra({0: 2, 1: 2}, d={0: [[F(1), F(0)], [F(0), F(0)]]}))
+        abelian_algebra({0: 2, 1: 2}, d={0: {2: F(1)}}))
     C = DeligneGroupoid(nil)
     # H^1: two generators, one killed by the image of d
     assert C.pi0_dimension() == 1

@@ -122,7 +122,7 @@ def test_descent_groupoid_needs_three_levels():
 
 
 def test_abelian_presentations_of_constant():
-    g = abelian_algebra({0: 2, 1: 2}, d={0: [[F(1), F(0)], [F(0), F(0)]]})
+    g = abelian_algebra({0: 2, 1: 2}, d={0: {2: F(1)}})
     cc = constant_cosimplicial(g, 2)
     G = tot_groupoid(cc)
     assert G.is_abelian()
@@ -250,7 +250,7 @@ def _abelian_cosimplicials():
             out[cc.name] = cc
     for g in (abelian_algebra({0: 1, 1: 1}),
               abelian_algebra({0: 2, 1: 2},
-                              d={0: [[F(1), F(0)], [F(0), F(0)]]})):
+                              d={0: {2: F(1)}})):
         out[f"const {g.space.degrees}"] = constant_cosimplicial(g, 2)
     return {name: cc for name, cc in out.items()
             if all(g.is_abelian() for g in cc.levels[:3])}

@@ -220,10 +220,12 @@ class Cochain:
         return len(reps), reps
 
     def betti_numbers(self, up_to=None):
+        """dim H^n for n <= up_to, 0 above the top degree without solving."""
         top = max(self.space.nonzero_degrees(), default=-1)
         if up_to is None:
             up_to = top
-        return [self.cohomology(n)[0] for n in range(up_to + 1)]
+        bettis = [self.cohomology(n)[0] for n in range(min(up_to, top) + 1)]
+        return bettis + [0] * (up_to - top)
 
     def euler_characteristic(self):
         return sum((-1) ** n * self.space.dim(n)

@@ -4,9 +4,10 @@ Everything in this package reduces to solving linear systems over Q,
 and every solve runs through one sparse exact eliminator,
 `sparse_eliminate`, on rows stored as dicts col -> Fraction (zero
 values never stored).  The systems of this package are mostly
-integral, so inside it integer-valued entries are held as int, and a
-column -> pivot-row index names the rows that each new pivot
-back-substitutes into; everything it returns is a Fraction again.
+integral, so inside it integer-valued entries and right-hand sides
+stay int (a -1 pivot negates, an int pivot divides exactly where it
+can), a column -> pivot-row index names the rows that each new pivot
+back-substitutes into, and every value it returns is a Fraction.
 A subspace is the list of its `echelon_basis` vectors (dicts over any
 sortable keys), a system is a list of sparse rows, and a linear map is
 a sparse table {i: {k: coeff}} that `linear_apply` pushes vectors
@@ -64,18 +65,6 @@ def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_vec(A, v):
-    if A and len(A[0]) != len(v):
-        raise ValueError(f"dimension mismatch: {len(A[0])} columns vs vector of length {len(v)}")
-    return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in A]
-
-
-def transpose(A):
-    if not A:
-        return []
-    return [[A[i][j] for i in range(len(A))] for j in range(len(A[0]))]
-
-
 def rref(A, track=False):
     """Reduced row echelon form by dense Gauss-Jordan elimination.
 
@@ -98,15 +87,15 @@ def rref(A, track=False):
             T[r], T[p] = T[p], T[r]
         inv = ONE / R[r][c]
         if inv != 1:
-            R[r] = [x * inv for x in R[r]]
+            R[r] = [x * inv if x else x for x in R[r]]
             if track:
-                T[r] = [x * inv for x in T[r]]
+                T[r] = [x * inv if x else x for x in T[r]]
         for i in range(m):
             if i != r and R[i][c] != 0:
                 f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+                R[i] = [x - f * y if y else x for x, y in zip(R[i], R[r])]
                 if track:
-                    T[i] = [x - f * y for x, y in zip(T[i], T[r])]
+                    T[i] = [x - f * y if y else x for x, y in zip(T[i], T[r])]
         pivots.append(c)
         r += 1
         if r == m:
@@ -124,10 +113,6 @@ def _densify(v, n):
     for j, x in v.items():
         out[j] = x
     return out
-
-
-def rank(A):
-    return len(sparse_eliminate(sparse_from_dense(A))[1])
 
 
 def kernel_basis(A, ncols=None):
@@ -236,6 +221,21 @@ def _lower(x):
     return x.numerator if x.denominator == 1 else x
 
 
+# small ints, the most common results, as shared (immutable) Fractions
+_SMALL = {n: Fraction(n) for n in range(-64, 65)}
+
+
+def _fraction(x):
+    return x if type(x) is Fraction else _SMALL.get(x) or Fraction(x)
+
+
+def _div(x, p):
+    # x / p for an int pivot p: an int where p divides x
+    if type(x) is int and not x % p:
+        return x // p
+    return _lower(Fraction(x, p))
+
+
 def _axpy(row, f, pivot_row):
     # row -= f * pivot_row, in place
     for j, x in pivot_row.items():
@@ -287,14 +287,16 @@ def sparse_eliminate(rows, rhs=None, track=False):
     stripped from the pivot rows returned.
 
     Two things keep the elimination cheap without changing its result.
-    Integer-valued entries are held as int while eliminating (every
+    Integer-valued entries are held as int while eliminating, and an
+    int pivot p normalizes its row by x // p where p divides x (every
     value returned is a Fraction again).  And a column -> pivot-row
     index names the pivot rows that a new pivot row back-substitutes
     into, so no pass scans every pivot row.
     """
     rvals = [_lower(x) for x in rhs] if rhs is not None else [0] * len(rows)
     tag = 1 + max((max(r) for r in rows if r), default=-1)
-    work = [{j: _lower(x) for j, x in r.items()} for r in rows]
+    work = [{j: x.numerator if x.denominator == 1 else x
+             for j, x in r.items()} for r in rows]
     if track:
         for i, row in enumerate(work):
             row[tag + i] = 1
@@ -318,14 +320,22 @@ def sparse_eliminate(rows, rhs=None, track=False):
         if pj >= tag:
             # no real column left: the row is a combination of the others
             if rv:
-                bad = {j - tag: Fraction(x) for j, x in row.items()} \
+                bad = {j - tag: _fraction(x) for j, x in row.items()} \
                     if track else i
                 break
             continue
-        if row[pj] != 1:
-            inv = ONE / row[pj]
-            row = {j: _lower(x * inv) for j, x in row.items()}
-            rv = _lower(rv * inv)
+        p = row[pj]
+        if p == -1:
+            row = {j: -x for j, x in row.items()}
+            rv = -rv
+        elif p != 1:
+            if type(p) is int:
+                row = {j: _div(x, p) for j, x in row.items()}
+                rv = _div(rv, p)
+            else:
+                inv = ONE / p
+                row = {j: _lower(x * inv) for j, x in row.items()}
+                rv = _lower(rv * inv)
         # back-substitute into the earlier pivot rows nonzero on pj
         for k in holders.pop(pj, ()):
             f = pivot_rows[k][pj]
@@ -339,9 +349,10 @@ def sparse_eliminate(rows, rhs=None, track=False):
         pivot_rows.append(row)
         pivot_cols.append(pj)
         pivot_rhs.append(rv)
-    pivot_rows = [{j: Fraction(x) for j, x in row.items() if j < tag}
+    pivot_rows = [{j: x if type(x) is Fraction else _SMALL.get(x) or
+                   Fraction(x) for j, x in row.items() if j < tag}
                   for row in pivot_rows]
-    pivot_rhs = [Fraction(x) for x in pivot_rhs] if rhs is not None \
+    pivot_rhs = [_fraction(x) for x in pivot_rhs] if rhs is not None \
         else [ZERO] * len(pivot_rows)
     return pivot_rows, pivot_cols, pivot_rhs, bad
 

@@ -265,10 +265,9 @@ class FormLieContext:
     def keys_up_to(self, D, degree=None):
         out = []
         for mono in monomials_up_to(self.n, D):
-            fd = mono_form_degree(mono)
-            for gi in range(self.g.total_dim()):
-                if degree is None or self.g.degree_of(gi) + fd == degree:
-                    out.append((gi, mono))
+            gis = range(self.g.total_dim()) if degree is None else \
+                self.g.space.degree_indices(degree - mono_form_degree(mono))
+            out += [(gi, mono) for gi in gis]
         return out
 
     def stage_vectors_for(self, stage, keys):

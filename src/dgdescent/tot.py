@@ -376,15 +376,23 @@ class TotContext:
         (`is_tot_element`); rows appear in the order in which those
         defects would name them.
         """
+        by_level = {}
+        for col, (p, gi, mono) in enumerate(keys):
+            by_level.setdefault(p, []).append((col, p, gi, mono))
         rows = {}
         for gen in self.generators():
             u, psrc, qtgt = gen
             pushes = self._pushforwards[gen]
-            for col, (p, gi, mono) in enumerate(keys):
+            last = pulled = None
+            # the keys of the two levels u connects, in column order
+            for col, p, gi, mono in sorted(by_level.get(psrc, []) +
+                                           by_level.get(qtgt, [])):
                 if p == qtgt:
-                    for m, c in monomial_pullback(u, qtgt, mono):
+                    if mono is not last:    # one lookup per run of a monomial
+                        last, pulled = mono, monomial_pullback(u, qtgt, mono)
+                    for m, c in pulled:
                         rows.setdefault((u, psrc, (gi, m)), {})[col] = c
-                elif p == psrc:
+                else:
                     for gj, c in pushes[gi]:
                         rows.setdefault((u, psrc, (gj, mono)), {})[col] = c
         return rows

@@ -263,6 +263,25 @@ def three_term_complexes(draw):
     return {0: a, 1: b, 2: c}, {0: d0, 1: d1}
 
 
+@settings(max_examples=40, deadline=None)
+@given(three_term_complexes())
+def test_betti_numbers_eliminate_only_up_to_the_top_degree(cx):
+    """Above its top nonzero degree a complex has no cohomology, so
+    betti_numbers fills those degrees with 0 and runs one cohomology
+    per degree up to the top only, whatever the bound."""
+    C = complex_from_dims(*cx)
+    top = max(C.space.nonzero_degrees(), default=-1)
+    for bound in range(-1, top + 4):
+        assert C.betti_numbers(bound) == \
+            [C.cohomology(n)[0] for n in range(bound + 1)]
+    calls = []
+    cohomology = C.cohomology
+    C.cohomology = lambda n: calls.append(n) or cohomology(n)
+    bettis = C.betti_numbers(1000)
+    assert len(bettis) == 1001 and not any(bettis[top + 1:])
+    assert calls == list(range(top + 1))
+
+
 @settings(max_examples=80, deadline=None)
 @given(three_term_complexes())
 def test_table_cohomology_matches_dense_rref(cx):

@@ -7,14 +7,34 @@ from hypothesis import given, settings, strategies as st
 
 from dgdescent.linalg import (NoSolution, coords_in_span, echelon_basis,
                               frac, identity,
-                              intersect_spans, kernel_basis, mat_vec,
-                              rank,
+                              intersect_spans, kernel_basis,
                               rref, solve_affine, span_basis, span_contains,
                               sparse_eliminate, sparse_from_dense,
-                              sparse_kernel, sparse_solve_affine, transpose)
+                              sparse_kernel, sparse_solve_affine)
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
+
+
+# dense helpers of the tests only; rank reads the dense rref reference,
+# so rank-nullity checks the sparse eliminator against it
+
+
+def mat_vec(A, v):
+    if A and len(A[0]) != len(v):
+        raise ValueError(f"dimension mismatch: {len(A[0])} columns vs "
+                         f"vector of length {len(v)}")
+    return [sum((row[j] * v[j] for j in range(len(v))), F(0)) for row in A]
+
+
+def transpose(A):
+    if not A:
+        return []
+    return [[A[i][j] for i in range(len(A))] for j in range(len(A[0]))]
+
+
+def rank(A):
+    return len(rref(A)[1])
 
 
 def M(rows):
@@ -239,6 +259,70 @@ def test_sparse_paths_match_rref_on_mixed_rationals(system):
     assert [densify(v, n) for v in kernel] == ref_kernel
 
 
+int_pivots = st.sampled_from([-1, 2, -2, 3])
+int_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -5, 6])
+
+
+@st.composite
+def integral_system(draw):
+    """A x = b with integer entries, consistent or not: staggered rows
+    whose leading entry is -1, 2, -2 or 3 and whose later entries that
+    leading entry may or may not divide, plus integer combinations of
+    them, shuffled; the sparse rows hold the entries as int or Fraction."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    leads = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                          unique=True))
+    raw = []
+    for lead in sorted(leads):
+        raw.append([0] * lead + [draw(int_pivots)] +
+                   [draw(int_entries) for _ in range(lead + 1, n)])
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a, b = draw(st.sampled_from(raw)), draw(st.sampled_from(raw))
+        ca, cb = draw(int_pivots), draw(int_pivots)
+        raw.append([ca * x + cb * y for x, y in zip(a, b)])
+    raw = draw(st.permutations(raw))
+    b = [F(draw(int_entries)) for _ in raw]
+    rows = [{j: x if draw(st.booleans()) else F(x)
+             for j, x in enumerate(row) if x} for row in raw]
+    return [[F(x) for x in row] for row in raw], b, rows
+
+
+@given(integral_system())
+@settings(max_examples=80, deadline=None)
+def test_integer_pivots_match_rref(system):
+    """Pivots of -1, +-2 and 3 are normalized in integers where they
+    divide the entries and as Fractions where they do not; the pivot
+    rows, kernel, particular solution and certificates still equal or
+    satisfy what dense rref gives, as Fractions."""
+    A, b, rows = system
+    n = len(A[0])
+    R, pivots = rref(A)
+    pivot_rows, pivot_cols, _, bad = sparse_eliminate(rows)
+    assert bad is None
+    ordered = sorted(zip(pivot_cols, pivot_rows), key=lambda pr: pr[0])
+    assert [p for p, _ in ordered] == pivots
+    assert [densify(row, n) for _, row in ordered] == R[:len(pivots)]
+    assert _all_fractions(x for row in pivot_rows for x in row.values())
+    kernel = sparse_kernel(rows, n)
+    ref_kernel = dense_reference(A, [F(0)] * len(A))[1]
+    assert [densify(v, n) for v in kernel] == ref_kernel
+    assert _all_fractions(x for v in kernel for x in v.values())
+    res = sparse_solve_affine(rows, b, n)
+    if n in rref([row + [bv] for row, bv in zip(A, b)])[1]:
+        assert isinstance(res, NoSolution)
+        assert _all_fractions(res.certificate.values())
+        assert_certificate(A, b, densify(res.certificate, len(A)))
+        cert = sparse_eliminate(rows, b, track=True)[3]
+        assert cert == res.certificate
+        return
+    x0, kernel = res
+    ref_x0, ref_kernel, _ = dense_reference(A, b)
+    assert densify(x0, n) == ref_x0
+    assert [densify(v, n) for v in kernel] == ref_kernel
+    assert _all_fractions(x0.values())
+    assert _all_fractions(sparse_eliminate(rows, b)[2])
+
+
 def _all_fractions(values):
     return all(type(x) is Fraction for x in values)
 
@@ -261,6 +345,18 @@ def test_every_returned_value_is_a_fraction():
     res = sparse_solve_affine(rows + [{0: 2, 1: 4}], [1, 2, 3, 4, 5], 5)
     assert isinstance(res, NoSolution)
     assert _all_fractions(res.certificate.values())
+    # a -1 pivot (negated), a 2 pivot that divides one entry and not
+    # another, and a -1/2 pivot; and the echelon basis over tuple keys
+    rows = [{0: -1, 2: 1}, {1: 2, 2: 3, 3: 4}, {0: 1, 1: 1, 3: F(2)}]
+    pivot_rows, pivot_cols, pivot_rhs, _ = sparse_eliminate(rows, [1, 3, 2])
+    assert pivot_cols == [0, 1, 2]
+    assert _all_fractions(x for row in pivot_rows for x in row.values())
+    assert _all_fractions(pivot_rhs)
+    assert _all_fractions(x for v in sparse_kernel(rows, 4)
+                          for x in v.values())
+    basis = echelon_basis([{("a", 0): -1, ("b", 0): 1},
+                           {("a", 1): 2, ("b", 0): 3, ("c", 0): 4}])
+    assert _all_fractions(x for v in basis for x in v.values())
 
 
 def test_early_tracked_return_strips_tag_columns():

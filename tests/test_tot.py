@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from dgdescent.cech import cech_cosimplicial, tensored_cover
 from dgdescent.dgla import el_eq, el_is_zero, lower_central_series, tensor_lie
 from dgdescent.instances import (abelian_algebra, circle_cover, dual_numbers,
-                                 ef_algebra, t_truncated, triple_cover)
+                                 ef_algebra, scaled_cover, t_truncated,
+                                 triple_cover)
+from dgdescent.linalg import rref
 from dgdescent.mcgauge import FiniteLieContext, mc_residual
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, DescentGroupoid,
                            TotContext, constant_cosimplicial, tot_cochain,
@@ -187,6 +189,8 @@ def test_bad_cosimplicial_identities_rejected():
 def _cech_context(name):
     cover, base = {"triple/eps": (triple_cover, dual_numbers),
                    "circle/t3": (circle_cover,
+                                 lambda: t_truncated(3)),
+                   "scaled/t3": (scaled_cover,
                                  lambda: t_truncated(3))}[name]
     return TotContext(cech_cosimplicial(tensored_cover(cover(), base()),
                                         N=2))
@@ -228,6 +232,43 @@ def test_tot_basis_vectors_are_tot_elements():
     basis = ctx.tot_basis(1, 2)
     assert basis
     assert all(ctx.is_tot_element(v) for v in basis)
+
+
+def _defect_matrix(ctx, keys):
+    """The exchange conditions on the span of keys as a dense matrix,
+    built column by column from compatibility_defect of unit vectors.
+    Absent entries are int 0, which rref skips as cheaply as it can."""
+    rows = {}
+    for col, key in enumerate(keys):
+        for u, psrc, qtgt in ctx.generators():
+            for dk, c in ctx.compatibility_defect(u, psrc, qtgt,
+                                                  {key: F(1)}).items():
+                rows.setdefault((u, psrc, dk), {})[col] = c
+    return [[row.get(col, 0) for col in range(len(keys))]
+            for row in rows.values()]
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("name", ["triple/eps", "circle/t3", "scaled/t3"])
+def test_tot_basis_matches_the_dense_defect_reference(name, D):
+    """In every total degree the basis is made of Tot elements, is 1 on
+    its free keys (the non-pivot columns of the dense rref of the defect
+    matrix) and 0 on the others' free keys, and has dimension keys minus
+    rank."""
+    ctx = _cech_context(name)
+    degrees = sorted({n + k for p in range(ctx.N + 1)
+                      for n in ctx.cc.level(p).space.nonzero_degrees()
+                      for k in range(p + 1)})
+    for degree in degrees:
+        keys = ctx.keys_up_to(D, degree=degree)
+        basis = ctx.tot_basis(degree, D)
+        assert all(ctx.is_tot_element(v) for v in basis)
+        pivots = set(rref(_defect_matrix(ctx, keys))[1])
+        free = [k for col, k in enumerate(keys) if col not in pivots]
+        assert len(basis) == len(keys) - len(pivots)
+        assert [[v.get(k, 0) for k in free] for v in basis] == \
+            [[int(i == j) for j in range(len(free))]
+             for i in range(len(basis))]
 
 
 def _abelian_cosimplicials():

@@ -389,9 +389,10 @@ def gluing_blocks(cc, p, keys):
     Face i's block is Omega(face^i) (x) id: the column of (gi, mono)
     holds the pullback of mono (`monomial_pullback`) under gi.
     Degeneracy i's block is id (x) g(codeg^i): the column of (gi, mono)
-    holds the image of basis element gi, computed once per block, on
-    mono.  Column for column these are the `FormLieContext.restrict`
-    and `push` images of the keys' unit vectors.
+    holds the image of basis element gi
+    (`CosimplicialDgLie.generator_images`) on mono.  Column for column
+    these are the `FormLieContext.restrict` and `push` images of the
+    keys' unit vectors.
     """
     blocks = []
     for i in range(p + 1):
@@ -401,13 +402,11 @@ def gluing_blocks(cc, p, keys):
             for m, c in monomial_pullback(u, p, mono):
                 block.setdefault((gi, m), {})[col] = c
         blocks.append(block)
-    dim = cc.level(p).total_dim()
     for i in range(p):
-        images = [cc.codegeneracy(p - 1, i).apply({gi: ONE})
-                  for gi in range(dim)]
+        images = cc.generator_images(degeneracy_map(i, p - 1), p, p - 1)
         block = {}
         for col, (gi, mono) in enumerate(keys):
-            for gj, c in images[gi].items():
+            for gj, c in images[gi]:
                 block.setdefault((gj, mono), {})[col] = c
         blocks.append(block)
     return blocks

@@ -185,10 +185,13 @@ def cmd_mc(args, report):
         el = element_from_record(nil.algebra,
                                  load_record(args.element), args.element)
         res = mc_residual(ctx, el)
-        report["checks"].append({
-            "name": "Maurer-Cartan residual",
-            "verdict": "verified" if not res else "falsified",
-            "residual": element_to_record(nil.algebra, res)})
+        off = {k: v for k, v in el.items() if ctx.key_degree(k) != 1}
+        check = {"name": "Maurer-Cartan residual",
+                 "verdict": "falsified" if res or off else "verified",
+                 "residual": element_to_record(nil.algebra, res)}
+        if off:
+            check["not_degree_one"] = element_to_record(nil.algebra, off)
+        report["checks"].append(check)
     else:
         import random
         rng = random.Random(args.seed)
@@ -209,15 +212,17 @@ def cmd_mc(args, report):
 
 
 def cmd_gauge_orbit(args, report):
-    from .mcgauge import FiniteLieContext, gauge_equivalent, mc_residual
+    from .mcgauge import FiniteLieContext, gauge_equivalent, mc_element
     nil = _nilpotent_from_args(args)
     ctx = FiniteLieContext(nil)
     g = nil.algebra
     x = element_from_record(g, load_record(args.x), args.x)
     xp = element_from_record(g, load_record(args.xp), args.xp)
     for el, nm in ((x, args.x), (xp, args.xp)):
-        if mc_residual(ctx, el):
-            raise ParseError(nm, "element", "not a Maurer-Cartan element")
+        try:
+            mc_element(ctx, el)
+        except ValueError as exc:
+            raise ParseError(nm, "element", str(exc))
     res = gauge_equivalent(ctx, x, xp, max_depth=args.max_depth)
     verdict = {"witness": "verified", "distinct": "verified",
                "unknown": "undecided"}[res.status]

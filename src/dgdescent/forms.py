@@ -26,11 +26,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def mono_poly_degree(mono):
-    exps, mask = mono
-    return sum(exps) + bin(mask).count("1")
-
-
 def mono_form_degree(mono):
     return bin(mono[1]).count("1")
 
@@ -201,9 +196,6 @@ class PolyForm:
                     out.pop(m, None)
         return PolyForm(self.n, out)
 
-    def poly_degree(self):
-        return max((mono_poly_degree(m) for m in self.terms), default=0)
-
     def __repr__(self):
         return f"PolyForm({self.n}, {format_form(self)!r})"
 
@@ -261,10 +253,6 @@ def monotone_factorize(u, q):
     image = set(u)
     faces = sorted((i for i in range(q + 1) if i not in image), reverse=True)
     return faces, degens
-
-
-def vertex_map(i, n):
-    return (i,)
 
 
 def identity_monotone(n):
@@ -366,16 +354,6 @@ def monomial_product(a, b):
 def mono_is_odd(mono):
     """Whether the monomial has odd form degree."""
     return bool(mono[1].bit_count() & 1)
-
-
-def restrict_to_face(omega, i):
-    """Pullback along the i-th face inclusion."""
-    return omega_apply(face_map(i, omega.n), omega)
-
-
-def evaluate_at_vertex(omega, i):
-    """Pullback along the vertex [0] -> [n]; a constant form."""
-    return omega_apply(vertex_map(i, omega.n), omega)
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,9 @@ def element_from_record(g, rec, path="<record>"):
     out = {}
     for term in _object_list(rec, path, "element"):
         gi = _look(index, path, term, "basis", "element.basis")
+        if gi in out:
+            raise ParseError(path, "element.basis", f"basis label "
+                             f"{g.space.label_of(gi)!r} is listed twice")
         out[gi] = scalar_from_str(
             _required(term, "coeff", path, "element.coeff"), path,
             "element.coeff")

@@ -1,9 +1,5 @@
-"""Finite simplicial sets and limits over the category of simplex arrows.
-
-Simplices are kept in Eilenberg-Zilber normal form (word, name): name a
-nondegenerate simplex, word a strictly decreasing tuple (j1 > ... > jk)
-standing for s_{j1} s_{j2} ... s_{jk} applied to it.  Face and
-degeneracy operators act through the simplicial identities.
+"""Limits of finite-set-valued functors over the category of simplex
+arrows.
 
 The "arrow category" has the monotone maps u: [p] -> [q] as objects; a
 morphism from u to u' is a pair (alpha, beta) of monotone maps with
@@ -15,159 +11,14 @@ coface^i/codeg^i postcompose the target.  Objects are carried as
 Inverse limits of finite-set-valued functors over the truncation at
 level N are computed two ways: by brute force over compatible families,
 and by the matching-space recursion X(n) = X(id_n) x_{mu_n(X)} X(n-1);
-their agreement is an acceptance criterion.
+their agreement is an acceptance criterion.  No command imports this
+module: it is an oracle that only the tests run.
 """
 
 import itertools
 
 from .forms import (compose_maps, degeneracy_map, face_map,
                     identity_monotone, monotone_factorize, monotone_maps)
-
-
-# ---------------------------------------------------------------------------
-# normal forms for degenerate simplices
-
-
-def word_insert(word, i):
-    """Normal form of s_i applied after the degeneracy word."""
-    if not word or i > word[0]:
-        return (i,) + word
-    # s_i s_j = s_{j+1} s_i for i <= j
-    return (word[0] + 1,) + word_insert(word[1:], i)
-
-
-def degeneracy_monotone(word, total_dim):
-    """The monotone surjection realized by a degeneracy word.
-
-    For the simplex s_{j1}...s_{jk}(y) of dimension total_dim, the
-    compatible-family value is the pullback of the value on y along
-    this map [total_dim] -> [total_dim - k].
-    """
-    u = identity_monotone(total_dim)
-    m = total_dim
-    for j in word:
-        u = compose_maps(degeneracy_map(j, m - 1), u)
-        m -= 1
-    return u
-
-
-class FiniteSimplicialSet:
-    """Nondegenerate simplices per dimension plus their face table."""
-
-    def __init__(self, cells, faces, name=None):
-        """cells: {dim: [names]}; faces: {(name, i): (word, name)}."""
-        self.cells = {n: list(v) for n, v in cells.items() if v}
-        self.face_table = dict(faces)
-        self.name = name
-        self._dim_of = {}
-        for n, names in self.cells.items():
-            for nm in names:
-                if nm in self._dim_of:
-                    raise ValueError(f"duplicate simplex name {nm!r}")
-                self._dim_of[nm] = n
-        for n, names in self.cells.items():
-            if n == 0:
-                continue
-            for nm in names:
-                for i in range(n + 1):
-                    if (nm, i) not in self.face_table:
-                        raise ValueError(f"missing face ({nm!r}, {i})")
-        self.validate()
-
-    def dim_of_name(self, name):
-        return self._dim_of[name]
-
-    def dim_of(self, simplex):
-        word, name = simplex
-        return len(word) + self._dim_of[name]
-
-    def dimension(self):
-        return max(self.cells, default=-1)
-
-    def nondegenerate(self, n=None):
-        if n is None:
-            return [(m, nm) for m in sorted(self.cells)
-                    for nm in self.cells[m]]
-        return self.cells.get(n, [])
-
-    def face(self, simplex, i):
-        word, name = simplex
-        if not word:
-            m = self._dim_of[name]
-            if m == 0:
-                raise ValueError("vertices have no faces")
-            if not 0 <= i <= m:
-                raise ValueError(f"face index {i} out of range")
-            return self.face_table[(name, i)]
-        j = word[0]
-        rest = (word[1:], name)
-        if i < j:
-            w, nm = self.face(rest, i)
-            return (word_insert(w, j - 1), nm)
-        if i in (j, j + 1):
-            return rest
-        w, nm = self.face(rest, i - 1)
-        return (word_insert(w, j), nm)
-
-    def degeneracy(self, simplex, i):
-        word, name = simplex
-        if not 0 <= i <= self.dim_of(simplex):
-            raise ValueError(f"degeneracy index {i} out of range")
-        return (word_insert(word, i), name)
-
-    def simplices(self, n):
-        """All n-simplices: nondegenerate plus normal-form degeneracies."""
-        out = [((), nm) for nm in self.cells.get(n, [])]
-        for m in sorted(self.cells):
-            if m >= n:
-                continue
-            for nm in self.cells[m]:
-                for comb in itertools.combinations(range(n), n - m):
-                    out.append((tuple(sorted(comb, reverse=True)), nm))
-        return out
-
-    def validate(self):
-        for n, names in self.cells.items():
-            if n < 2:
-                continue
-            for nm in names:
-                sx = ((), nm)
-                for i in range(n + 1):
-                    for j in range(i + 1, n + 1):
-                        lhs = self.face(self.face(sx, j), i)
-                        rhs = self.face(self.face(sx, i), j - 1)
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"simplicial identity d_{i} d_{j} fails "
-                                f"on {nm!r}")
-        return True
-
-
-def standard_simplex(n):
-    """Delta^n: nondegenerate simplices are increasing vertex tuples."""
-    cells = {}
-    faces = {}
-    for m in range(n + 1):
-        cells[m] = list(itertools.combinations(range(n + 1), m + 1))
-    for m in range(1, n + 1):
-        for nm in cells[m]:
-            for i in range(m + 1):
-                faces[(nm, i)] = ((), nm[:i] + nm[i + 1:])
-    return FiniteSimplicialSet(cells, faces, name=f"Delta^{n}")
-
-
-def boundary_simplex(n):
-    """The boundary of Delta^n."""
-    full = standard_simplex(n)
-    cells = {m: v for m, v in full.cells.items() if m < n}
-    faces = {(nm, i): f for (nm, i), f in full.face_table.items()
-             if len(nm) - 1 < n}
-    return FiniteSimplicialSet(cells, faces, name=f"bdry Delta^{n}")
-
-
-def disjoint_points(k):
-    return FiniteSimplicialSet({0: [f"p{i}" for i in range(k)]}, {},
-                               name=f"{k} points")
 
 
 # ---------------------------------------------------------------------------
@@ -419,72 +270,3 @@ def arrow_commutes(src, tgt, alpha, beta):
     composed = compose_maps(beta, compose_maps(u, alpha))
     return composed == uu
 
-
-# ---------------------------------------------------------------------------
-# simplicial-set-valued functors, handled one simplicial level at a time
-
-
-class MSimplicialFunctor:
-    """A functor into simplicial sets, presented levelwise.
-
-    levels[m] is the set-valued functor of m-simplices; face/degen give
-    the simplicial operators X(a)_m -> X(a)_{m -+ 1}, natural in the
-    object a.  Naturality makes every levelwise limit construction act
-    componentwise on families.
-    """
-
-    def __init__(self, N, levels, face, degen):
-        self.N = N
-        self.levels = dict(levels)
-        self.face = face
-        self.degen = degen
-
-    def limit(self):
-        """Per-dimension families of the inverse limit, with the induced
-        face/degeneracy action (componentwise)."""
-        fams = {m: limit_recursive(X, self.N)
-                for m, X in sorted(self.levels.items())}
-        return LimitSimplicialSet(self, fams)
-
-
-class LimitSimplicialSet:
-    """The levelwise limit of an MSimplicialFunctor, with its simplicial
-    operators acting componentwise on compatible families."""
-
-    def __init__(self, functor, families):
-        self.functor = functor
-        self.families = families
-
-    def simplices(self, m):
-        return self.families.get(m, [])
-
-    def face(self, m, i, fam):
-        out = {obj: self.functor.face(m, i, obj, el)
-               for obj, el in fam.items()}
-        if family_key(out) not in {family_key(f)
-                                   for f in self.families.get(m - 1, [])}:
-            raise ValueError(
-                "face left the limit; the operators were not natural")
-        return out
-
-    def degeneracy(self, m, i, fam):
-        out = {obj: self.functor.degen(m, i, obj, el)
-               for obj, el in fam.items()}
-        if family_key(out) not in {family_key(f)
-                                   for f in self.families.get(m + 1, [])}:
-            raise ValueError(
-                "degeneracy left the limit; the operators were not natural")
-        return out
-
-
-def constant_msimplicial(N, sset, max_dim):
-    """The constant functor at a finite simplicial set, levelwise."""
-    levels = {}
-    for m in range(max_dim + 1):
-        values = {obj: sset.simplices(m) for obj in arrow_objects(N)}
-        levels[m] = MSetFunctor(N, values,
-                                lambda kind, i, src, el: el)
-    return MSimplicialFunctor(
-        N, levels,
-        face=lambda m, i, obj, el: sset.face(el, i),
-        degen=lambda m, i, obj, el: sset.degeneracy(el, i))

@@ -54,6 +54,7 @@ class CosimplicialDgLie:
                 raise ValueError(f"level {q} needs {q + 1} codegeneracies")
         self._validate_identities()
         self.vanishing_level = self._check_vanishing(vanishing_level)
+        self._images = {}
 
     # -- structure maps ---------------------------------------------------------
 
@@ -82,6 +83,19 @@ class CosimplicialDgLie:
         if level != q:
             raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
         return cur
+
+    def generator_images(self, u, p, q):
+        """g(u) of each basis element of g^p, for u: [p] -> [q], as
+        tuples of (target index, coefficient) pairs.  One table per
+        cosimplicial algebra, filled on first use: every
+        `TotContext.exchange_rows` (one context per truncation D) and
+        every `cech.gluing_blocks` call reads the same images."""
+        images = self._images.get((u, p, q))
+        if images is None:
+            images = self._images[(u, p, q)] = [
+                tuple(self.structure_map_to(u, q, {gi: ONE}, p=p).items())
+                for gi in range(self.levels[p].total_dim())]
+        return images
 
     def _elementary_from(self, q):
         """(name, u, target level, map) for every elementary map out of
@@ -352,17 +366,6 @@ class TotContext:
         return all(not self.compatibility_defect(u, p, q, x)
                    for (u, p, q) in self.generators())
 
-    @functools.cached_property
-    def _pushforwards(self):
-        """{generator: -g(u) of each basis element of g^{p_src}}, as
-        tuples of (target index, coefficient) pairs; built once per
-        context."""
-        return {(u, psrc, qtgt): [
-            tuple((gj, -c) for gj, c in self.cc.structure_map_to(
-                u, qtgt, {gi: ONE}, p=psrc).items())
-            for gi in range(self.cc.level(psrc).total_dim())]
-            for (u, psrc, qtgt) in self.generators()}
-
     def exchange_rows(self, keys):
         """The exchange conditions on the span of keys, as sparse rows
         {(u, p_src, defect key): {position in keys: coefficient}}.
@@ -371,10 +374,10 @@ class TotContext:
         (Omega(u) (x) id) - (id (x) g(u)): the column of a level-q_tgt
         key holds its pulled-back monomial (`monomial_pullback`), the
         column of a level-p_src key minus the image of its basis element
-        (`_pushforwards`).  Column for column this is compatibility_defect
-        of the key's unit vector, which stays the independent check
-        (`is_tot_element`); rows appear in the order in which those
-        defects would name them.
+        (`CosimplicialDgLie.generator_images`).  Column for column this
+        is compatibility_defect of the key's unit vector, which stays the
+        independent check (`is_tot_element`); rows appear in the order
+        in which those defects would name them.
         """
         by_level = {}
         for col, (p, gi, mono) in enumerate(keys):
@@ -382,7 +385,10 @@ class TotContext:
         rows = {}
         for gen in self.generators():
             u, psrc, qtgt = gen
-            pushes = self._pushforwards[gen]
+            images = self.cc.generator_images(*gen)
+            # -images[gi], negated once per basis element and generator:
+            # negating a Fraction costs more than writing the entry
+            pushes = {}
             last = pulled = None
             # the keys of the two levels u connects, in column order
             for col, p, gi, mono in sorted(by_level.get(psrc, []) +
@@ -393,6 +399,8 @@ class TotContext:
                     for m, c in pulled:
                         rows.setdefault((u, psrc, (gi, m)), {})[col] = c
                 else:
+                    if gi not in pushes:
+                        pushes[gi] = [(gj, -c) for gj, c in images[gi]]
                     for gj, c in pushes[gi]:
                         rows.setdefault((u, psrc, (gj, mono)), {})[col] = c
         return rows

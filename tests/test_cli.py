@@ -98,6 +98,41 @@ def test_gauge_orbit_command(tmp_path, capsys):
     assert rep2["checks"][0]["status"] == "distinct"
 
 
+def test_mc_element_off_degree_one_is_falsified(tmp_path, capsys):
+    # t e has degree 0: a gauge, not an MC element, though its residual
+    # d(te) + [te, te]/2 vanishes
+    f = tmp_path / "gauge.json"
+    f.write_text(json.dumps([{"basis": ["t", "e"], "coeff": "1"}]))
+    code, rep = run_cli(capsys, "mc", str(DATA / "algebra_ef.json"),
+                        "--base", str(DATA / "artin_t3.json"),
+                        "--element", str(f))
+    assert code == 1
+    check = rep["checks"][0]
+    assert check["verdict"] == "falsified"
+    assert check["residual"] == []
+    assert check["not_degree_one"] == [{"basis": ["t", "e"], "coeff": "1"}]
+
+
+def test_gauge_orbit_refuses_an_element_off_degree_one(tmp_path, capsys):
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps([{"basis": ["t", "e"], "coeff": "1"}]))
+    xp = tmp_path / "xp.json"
+    xp.write_text(json.dumps([{"basis": ["t", "e"], "coeff": "1"},
+                              {"basis": ["t2", "e"], "coeff": "3"}]))
+    base = ["gauge-orbit", str(DATA / "algebra_ef.json"),
+            "--base", str(DATA / "artin_t3.json")]
+    assert main(base + ["--x", str(x), "--xp", str(xp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(x) in captured.err and "degree 1" in captured.err
+    # a degree-1 element with a nonzero residual keeps its message
+    wz = ["gauge-orbit", str(DATA / "algebra_wz.json"),
+          "--base", str(DATA / "artin_t3.json")]
+    x.write_text(json.dumps([{"basis": ["t", "w"], "coeff": "1"}]))
+    assert main(wz + ["--x", str(x), "--xp", str(x)]) == 2
+    assert "not a Maurer-Cartan element" in capsys.readouterr().err
+
+
 def test_tot_command_constant_cosimplicial(capsys):
     code, rep = run_cli(capsys, "tot",
                         str(DATA / "cosimplicial_constant_ef_t3.json"),

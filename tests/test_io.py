@@ -93,6 +93,15 @@ def test_element_roundtrip():
     assert element_from_record(g, rec) == el
 
 
+def test_element_record_refuses_a_repeated_basis_term():
+    from dgdescent.dgla import tensor_lie
+    nil = tensor_lie(t_truncated(3), ef_algebra())
+    rec = [{"basis": ["t", "f"], "coeff": "1"},
+           {"basis": ["t", "f"], "coeff": "2"}]
+    with pytest.raises(ParseError, match="element.basis.*listed twice"):
+        element_from_record(nil.algebra, rec, path="el.json")
+
+
 def test_bad_records_name_file_and_field():
     with pytest.raises(ParseError, match="type"):
         algebra_from_record({"type": "nope"}, path="f.json")

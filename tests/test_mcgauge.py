@@ -7,6 +7,7 @@ import pytest
 
 from dgdescent.dgla import (el_add, el_eq, el_is_zero, el_scale, el_sub,
                             lower_central_series, tensor_lie)
+from dgdescent.forms import face_map
 from dgdescent.instances import (abelian_algebra, dual_numbers, ef_algebra,
                                  probe_class2, random_acyclic_fibration,
                                  random_gauge, random_mc, random_nilpotent,
@@ -14,10 +15,10 @@ from dgdescent.instances import (abelian_algebra, dual_numbers, ef_algebra,
                                  tampered_fibration, wz_algebra)
 from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext,
                                FormLieContext, ObstructionUnsolvable, bch,
-                               bch_many, gauge_act, gauge_equivalent,
-                               gauge_inverse, holonomy, mc_element,
-                               mc_residual, mc_lift, nonautonomous_gauge_act,
-                               solve_1simplex)
+                               bch_many, constrained_mc_solve, gauge_act,
+                               gauge_equivalent, gauge_inverse, holonomy,
+                               mc_element, mc_residual, mc_lift,
+                               nonautonomous_gauge_act, solve_1simplex)
 
 F = Fraction
 
@@ -165,6 +166,16 @@ def test_bch_inverse_and_many():
 
 # -- 1-simplices and holonomy --------------------------------------------------
 
+def _gauge_family(n, ys):
+    """The degree-0 family t_1 ys[0] + ... + t_n ys[n-1] on Omega_n (x) g."""
+    family = {}
+    for j, y in enumerate(ys):
+        mono = (tuple(1 if i == j else 0 for i in range(n)), 0)
+        for gi, c in y.items():
+            family[(gi, mono)] = c
+    return family
+
+
 def test_solve_1simplex_zero_gauge():
     nil, te, t2e, tf, t2f = tf_instance()
     ctx1 = FormLieContext(nil, 1)
@@ -186,6 +197,10 @@ def test_solve_1simplex_abelian_expansion():
     z = solve_1simplex(ctx1, x0, theta)
     expect = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(3)}
     assert el_eq(z, expect)
+    assert el_is_zero(mc_residual(ctx1, z))
+    # dt z must match the z in t dz: a mismatched path is not MC
+    bad = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(1)}
+    assert not el_is_zero(mc_residual(ctx1, bad))
 
 
 def test_solve_1simplex_endpoints_randomized():
@@ -200,6 +215,11 @@ def test_solve_1simplex_endpoints_randomized():
         assert el_is_zero(mc_residual(ctx1, z))
         assert el_eq(ctx1.vertex(0, z), x0)
         assert el_eq(ctx1.vertex(1, z), gauge_act(ctx, theta, x0))
+        # the 1-simplex generated by the gauge family t theta has the
+        # same ends
+        w = gauge_act(ctx1, _gauge_family(1, [theta]), ctx1.embed(x0))
+        assert el_eq(ctx1.vertex(0, w), x0)
+        assert el_eq(ctx1.vertex(1, w), gauge_act(ctx, theta, x0))
 
 
 def test_holonomy_constant_and_abelian():
@@ -377,3 +397,84 @@ def test_no_assert_statements_in_the_package():
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if isinstance(node, ast.Assert)]
     assert not offenders, "assert statement at " + ", ".join(offenders)
+
+
+# -- gauge-generated simplices of Omega_n (x) g -----------------------------
+
+def test_polynomial_gauge_families_keep_forms_mc():
+    rng = random.Random(23)
+    for n in (1, 2) * 5:
+        nil = random_nilpotent(rng)
+        ctx = FormLieContext(nil, n)
+        x = random_mc(rng, nil)
+        family = _gauge_family(n, [random_gauge(rng, nil) for _ in range(n)])
+        simplex = gauge_act(ctx, family, ctx.embed(x))
+        assert el_is_zero(mc_residual(ctx, simplex))
+
+
+def test_gauge_two_simplex_faces_compose_by_bch():
+    """Along each face of Delta^2 the gauge family and the simplex it
+    generates restrict to the face's own, and the edge gauges
+    bch(g_b, -g_a) between vertex gauges compose by bch."""
+    rng = random.Random(17)
+    nil, *_ = tf_instance()
+    ctx = FiniteLieContext(nil)
+    ctx1, ctx2 = FormLieContext(nil, 1), FormLieContext(nil, 2)
+    x = random_mc(rng, nil)
+    family = _gauge_family(2, [random_gauge(rng, nil),
+                               random_gauge(rng, nil)])
+    simplex = gauge_act(ctx2, family, ctx2.embed(x))
+    gs = [ctx2.vertex(j, family) for j in range(3)]
+
+    def edge(a, b):
+        return bch(ctx, gs[b], gauge_inverse(gs[a]))
+
+    for b in range(3):
+        assert el_eq(ctx2.vertex(b, simplex), gauge_act(ctx, gs[b], x))
+        for a in range(b):
+            assert el_eq(gauge_act(ctx, edge(a, b), ctx2.vertex(a, simplex)),
+                         ctx2.vertex(b, simplex))
+    assert el_eq(bch(ctx, edge(1, 2), edge(0, 1)), edge(0, 2))
+    for i in range(3):
+        u = face_map(i, 2)
+        restricted = ctx2.restrict(u, family)
+        assert [ctx1.vertex(j, restricted) for j in range(2)] == \
+            [g for j, g in enumerate(gs) if j != i]
+        assert el_eq(ctx2.restrict(u, simplex),
+                     gauge_act(ctx1, restricted, ctx1.embed(x)))
+
+
+def test_constant_shift_of_a_gauge_family():
+    """(h * g, x) and (h, g(x)) generate the same simplex for a
+    constant gauge g."""
+    rng = random.Random(41)
+    nil, *_ = tf_instance()
+    ctx, fctx = FiniteLieContext(nil), FormLieContext(nil, 1)
+    x = random_mc(rng, nil)
+    g = random_gauge(rng, nil)
+    family = _gauge_family(1, [random_gauge(rng, nil)])
+    shifted = bch(fctx, family, fctx.embed(g))
+    assert el_eq(gauge_act(fctx, shifted, fctx.embed(x)),
+                 gauge_act(fctx, family, fctx.embed(gauge_act(ctx, g, x))))
+
+
+def test_constrained_mc_solve_fills_the_faces_of_a_gauge_two_simplex():
+    """Faces of a gauge 2-simplex, with the interior forgotten, have an
+    MC filler found from scratch by affine solving and staged
+    correction."""
+    rng = random.Random(47)
+    nil, *_ = tf_instance()
+    fctx2 = FormLieContext(nil, 2)
+    x = random_mc(rng, nil)
+    family = _gauge_family(2, [random_gauge(rng, nil),
+                               random_gauge(rng, nil)])
+    reference = gauge_act(fctx2, family, fctx2.embed(x))
+    faces = [fctx2.restrict(face_map(i, 2), reference) for i in range(3)]
+    D = max((sum(mono[0]) + 2 for (_, mono) in reference), default=2)
+    candidates = [{k: F(1)} for k in fctx2.keys_up_to(D, degree=1)]
+    constraints = [(lambda el, i=i: fctx2.restrict(face_map(i, 2), el),
+                    faces[i]) for i in range(3)]
+    filler = constrained_mc_solve(fctx2, candidates, constraints)
+    assert el_is_zero(mc_residual(fctx2, filler))
+    for i in range(3):
+        assert el_eq(fctx2.restrict(face_map(i, 2), filler), faces[i])

@@ -1,89 +1,12 @@
 import itertools
-import random
-
-import pytest
 
 from dgdescent.forms import (compose_maps, degeneracy_map, face_map,
-                             identity_monotone, monotone_maps)
-from dgdescent.simplicial import (FiniteSimplicialSet, MSetFunctor,
-                                  arrow_objects, boundary_simplex,
-                                  constant_functor, degeneracy_monotone,
-                                  disjoint_points, family_key,
+                             identity_monotone, monotone_factorize,
+                             monotone_maps)
+from dgdescent.simplicial import (MSetFunctor, arrow_commutes, arrow_objects,
+                                  constant_functor, family_key,
                                   generating_arrows, limit_bruteforce,
-                                  limit_recursive, matching_space,
-                                  monotone_factorize, standard_simplex,
-                                  word_insert)
-
-
-def test_standard_simplex_counts():
-    S = standard_simplex(2)
-    assert len(S.cells[0]) == 3
-    assert len(S.cells[1]) == 3
-    assert len(S.cells[2]) == 1
-    B = boundary_simplex(2)
-    assert 2 not in B.cells
-
-
-def test_face_degeneracy_identities_on_normal_forms():
-    S = standard_simplex(3)
-    rng = random.Random(5)
-    sxs = S.simplices(2) + S.simplices(3)
-    for sx in sxs:
-        n = S.dim_of(sx)
-        # d_i d_j = d_{j-1} d_i for i < j
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                assert S.face(S.face(sx, j), i) == \
-                    S.face(S.face(sx, i), j - 1)
-        # d_i s_j identities
-        for j in range(n + 1):
-            up = S.degeneracy(sx, j)
-            for i in range(n + 2):
-                lhs = S.face(up, i)
-                if i == j or i == j + 1:
-                    assert lhs == sx
-                elif i < j:
-                    assert lhs == S.degeneracy(S.face(sx, i), j - 1)
-                else:
-                    assert lhs == S.degeneracy(S.face(sx, i - 1), j)
-        # s_i s_j = s_{j+1} s_i for i <= j
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                assert S.degeneracy(S.degeneracy(sx, j), i) == \
-                    S.degeneracy(S.degeneracy(sx, i), j + 1)
-
-
-def test_simplices_enumeration_counts():
-    # Delta^1 has n+2 simplices in dimension n (the monotone maps)
-    S = standard_simplex(1)
-    for n in range(4):
-        assert len(S.simplices(n)) == len(monotone_maps(n, 1))
-
-
-def test_degeneracy_monotone_realization():
-    # value on s_{j1}..s_{jk} y pulls back along the recorded surjection
-    S = standard_simplex(1)
-    for n in range(1, 4):
-        for (word, nm) in S.simplices(n):
-            if not word:
-                continue
-            u = degeneracy_monotone(word, n)
-            assert len(u) == n + 1
-            # surjective monotone onto the core dimension
-            core = S.dim_of_name(nm)
-            assert set(u) == set(range(core + 1))
-
-
-def test_bad_face_table_rejected():
-    # a 2-cell whose faces do not satisfy the simplicial identity
-    cells = {0: ["a", "b"], 1: ["e", "f"], 2: ["T"]}
-    faces = {
-        ("e", 0): ((), "b"), ("e", 1): ((), "a"),
-        ("f", 0): ((), "a"), ("f", 1): ((), "b"),
-        ("T", 0): ((), "e"), ("T", 1): ((), "f"), ("T", 2): ((), "e"),
-    }
-    with pytest.raises(ValueError, match="simplicial identity"):
-        FiniteSimplicialSet(cells, faces)
+                                  limit_recursive, matching_space)
 
 
 def test_monotone_factorization_recomposes():
@@ -213,7 +136,6 @@ def test_limit_recursion_matches_bruteforce_mixed_sizes():
 
 
 def test_arrow_commuting_square():
-    from dgdescent.simplicial import arrow_commutes
     # the generating arrows all commute; a mismatched pair does not
     for kind, i, src, tgt in generating_arrows(2):
         q, u = src
@@ -230,34 +152,3 @@ def test_arrow_commuting_square():
     src = (1, (0, 1))
     assert not arrow_commutes(src, (1, (0, 0)), identity_monotone(1),
                               identity_monotone(1))
-
-
-def test_constant_simplicial_functor_limit_is_the_set():
-    # the limit of the constant functor at S is S, level by level, and
-    # the face/degeneracy operators act componentwise
-    from dgdescent.simplicial import constant_msimplicial
-    S = standard_simplex(1)
-    X = constant_msimplicial(1, S, max_dim=2)
-    L = X.limit()
-    for m in range(3):
-        assert len(L.simplices(m)) == len(S.simplices(m))
-    fam = next(f for f in L.simplices(1)
-               if all(v == ((), (0, 1)) for v in f.values()))
-    lower = L.face(1, 0, fam)
-    assert all(v == ((), (1,)) for v in lower.values())
-    up = L.degeneracy(1, 0, fam)
-    assert all(v[0] == (0,) for v in up.values())
-
-
-def test_word_insert_normalizes():
-    assert word_insert((), 0) == (0,)
-    assert word_insert((0,), 0) == (1, 0)
-    assert word_insert((2, 0), 1) == (3, 1, 0) or \
-        word_insert((2, 0), 1) == (2, 1, 0)
-    # the result is always strictly decreasing
-    rng = random.Random(1)
-    for _ in range(50):
-        w = ()
-        for _ in range(5):
-            w = word_insert(w, rng.randint(0, 4))
-        assert all(w[i] > w[i + 1] for i in range(len(w) - 1))

@@ -197,10 +197,6 @@ def test_solve_1simplex_abelian_expansion():
     z = solve_1simplex(ctx1, x0, theta)
     expect = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(3)}
     assert el_eq(z, expect)
-    assert el_is_zero(mc_residual(ctx1, z))
-    # dt z must match the z in t dz: a mismatched path is not MC
-    bad = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(1)}
-    assert not el_is_zero(mc_residual(ctx1, bad))
 
 
 def test_solve_1simplex_endpoints_randomized():
@@ -215,11 +211,6 @@ def test_solve_1simplex_endpoints_randomized():
         assert el_is_zero(mc_residual(ctx1, z))
         assert el_eq(ctx1.vertex(0, z), x0)
         assert el_eq(ctx1.vertex(1, z), gauge_act(ctx, theta, x0))
-        # the 1-simplex generated by the gauge family t theta has the
-        # same ends
-        w = gauge_act(ctx1, _gauge_family(1, [theta]), ctx1.embed(x0))
-        assert el_eq(ctx1.vertex(0, w), x0)
-        assert el_eq(ctx1.vertex(1, w), gauge_act(ctx, theta, x0))
 
 
 def test_holonomy_constant_and_abelian():
@@ -410,6 +401,51 @@ def test_polynomial_gauge_families_keep_forms_mc():
         family = _gauge_family(n, [random_gauge(rng, nil) for _ in range(n)])
         simplex = gauge_act(ctx, family, ctx.embed(x))
         assert el_is_zero(mc_residual(ctx, simplex))
+
+
+def test_abelian_mc_one_simplices_are_gauge_paths():
+    # abelian du = v: t dz + dt z is MC on Delta^1 for the same z in both
+    # terms, and a mismatched path is not
+    nil = lower_central_series(abelian_algebra({0: 1, 1: 1},
+                                               d={0: {1: F(1)}}))
+    ctx1 = FormLieContext(nil, 1)
+    u, v = 0, 1
+    z = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(3)}
+    assert el_is_zero(mc_residual(ctx1, z))
+    bad = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(1)}
+    assert not el_is_zero(mc_residual(ctx1, bad))
+
+
+def test_gauge_one_simplex_vertices_are_x_and_its_gauge_image():
+    rng = random.Random(31)
+    nil, *_ = tf_instance()
+    ctx = FiniteLieContext(nil)
+    ctx1 = FormLieContext(nil, 1)
+    x = random_mc(rng, nil)
+    y = random_gauge(rng, nil)
+    simplex = gauge_act(ctx1, _gauge_family(1, [y]), ctx1.embed(x))
+    assert el_eq(ctx1.vertex(0, simplex), x)
+    assert el_eq(ctx1.vertex(1, simplex), gauge_act(ctx, y, x))
+
+
+def test_gauge_one_simplex_ends_agree_with_solve_1simplex():
+    # the family t y is the identity at vertex 0 and y at vertex 1, so
+    # its edge gauge carries x to the far end of solve_1simplex(x, y)
+    rng = random.Random(5)
+    nil, *_ = tf_instance()
+    ctx = FiniteLieContext(nil)
+    ctx1 = FormLieContext(nil, 1)
+    x = random_mc(rng, nil)
+    y = random_gauge(rng, nil)
+    family = _gauge_family(1, [y])
+    g0, g1 = ctx1.vertex(0, family), ctx1.vertex(1, family)
+    assert el_is_zero(g0)
+    edge = bch(ctx, g1, gauge_inverse(g0))
+    assert el_eq(edge, y)
+    z = solve_1simplex(ctx1, x, y)
+    assert el_eq(gauge_act(ctx, edge, x), ctx1.vertex(1, z))
+    assert el_eq(ctx1.vertex(1, z), ctx1.vertex(
+        1, gauge_act(ctx1, family, ctx1.embed(x))))
 
 
 def test_gauge_two_simplex_faces_compose_by_bch():

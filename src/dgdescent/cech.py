@@ -18,14 +18,13 @@ p >= 2 by boundary extension plus staged Maurer-Cartan correction.
 import itertools
 from fractions import Fraction
 
-from .dgla import (DgLieMap, NilpotentDgLie, direct_product, el_combination,
+from .dgla import (DgLieMap, SelfCheckFailed, direct_product, el_combination,
                    el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
 from .forms import degeneracy_map, face_map, monomial_pullback
 from .io import TruncationError
 from .linalg import NoSolution, ZERO, sparse_columns, sparse_solve_affine
-from .mcgauge import (DeligneGroupoid, FiniteLieContext,
-                      ObstructionUnsolvable, SelfCheckFailed,
+from .mcgauge import (FiniteLieContext, ObstructionUnsolvable,
                       constrained_mc_solve, constrained_mc_solve_rows,
                       gauge_act, holonomy, mc_residual, solve_1simplex,
                       staged_gauge_search)
@@ -269,34 +268,6 @@ def tensored_cover(cover, artin):
                      name=f"{artin.name or 'm'}@{cover.name or 'cover'}")
 
 
-class DeformationInstance:
-    """An artinian base, a cover of plain section algebras, and the
-    derived Cech cosimplicial algebra of the m-tensored sections."""
-
-    def __init__(self, base, cover, N=None):
-        self.base = base
-        self.cover = cover
-        self.tensored = tensored_cover(cover, base)
-        self.cech = cech_cosimplicial(self.tensored, N=N)
-        for q, g in enumerate(self.cech.levels):
-            nil = lower_central_series(g)
-            if not isinstance(nil, NilpotentDgLie):
-                raise AssertionError(f"level {q} failed to be nilpotent")
-            if nil.nilpotency_class >= base.maximal_ideal().nilpotency:
-                raise AssertionError("nilpotency class exceeds the "
-                                     "m-adic length")
-
-
-def deligne_functor(L, artin):
-    """The Deligne groupoid of m (x) L.
-
-    The ground field (m = 0) gives the one-object one-morphism groupoid:
-    the tensor algebra is zero, its only MC element is 0.
-    """
-    nil = tensor_lie(artin.maximal_ideal(), L)
-    return DeligneGroupoid(nil)
-
-
 # ---------------------------------------------------------------------------
 # the comparison functor C(Tot g) -> Tot(C(g))
 
@@ -403,7 +374,7 @@ def gluing_blocks(cc, p, keys):
                 block.setdefault((gi, m), {})[col] = c
         blocks.append(block)
     for i in range(p):
-        images = cc.generator_images(degeneracy_map(i, p - 1), p, p - 1)
+        images = cc.generator_images(degeneracy_map(i, p - 1), p - 1)
         block = {}
         for col, (gi, mono) in enumerate(keys):
             for gj, c in images[gi]:
@@ -415,13 +386,13 @@ def gluing_blocks(cc, p, keys):
 def _glue_level(cc, ctx, omegas, p, D):
     """Solve level p: face and degeneracy constraints, then MC."""
     fctx, prev_ctx = ctx.forms[p], ctx.forms[p - 1]
-    keys = fctx.keys_up_to(D, degree=1)
+    keys = fctx.keys_up_to(D, 1)
     prev = ctx.level_component(omegas[p - 1], p - 1)
     # face restrictions: Omega(face^i)(omega_p) = g(face^i)(omega_{p-1});
     # degeneracy conditions: g(codeg^i)(omega_p) = Omega(codeg^i)(omega_{p-1})
     targets = ([prev_ctx.push(cc.coface(p - 1, i).apply, prev)
                 for i in range(p + 1)] +
-               [prev_ctx.restrict(degeneracy_map(i, p - 1), prev, p)
+               [prev_ctx.restrict(degeneracy_map(i, p - 1), prev)
                 for i in range(p)])
     # one row per key of a block or its target, sorted; a target key
     # that no column reaches stays as an empty (insoluble) row
@@ -468,15 +439,15 @@ def _sample_descent_datum(inst_cech, rng):
         datum = G0.abelian_object(coords)
         return datum if G0.verify_object(datum) else None
     cover = cc.cover
-    m = cover.num_opens
-    opens = [cover.algebra({i}) for i in range(m)]
-    nils = [lower_central_series(g) for g in opens]
+    # the opens that carry a section: a declared open without one has
+    # no MC element to draw
+    opens = [i for (i,) in cc.tuples[0]]
     a_parts = {}
     theta_parts = {}
-    for j in range(m):
-        ctx = FiniteLieContext(nils[j])
+    for n, j in enumerate(opens):
+        ctx = FiniteLieContext(lower_central_series(cover.algebra({j})))
         constraints = []
-        for i in range(j):
+        for i in opens[:n]:
             J = frozenset({i, j})
             if cover.algebra(J) is None:
                 continue
@@ -499,7 +470,7 @@ def _sample_descent_datum(inst_cech, rng):
         except ObstructionUnsolvable:
             return None
     # assemble level elements
-    a = cc.from_components(0, {(i,): a_parts[i] for i in range(m)})
+    a = cc.from_components(0, {(i,): a_parts[i] for i in opens})
     # the diagonal tuples (i, i) carry the identity gauge
     theta = cc.from_components(1, theta_parts)
     datum = DescentDatum(a, theta)
@@ -509,7 +480,7 @@ def _sample_descent_datum(inst_cech, rng):
     return datum
 
 
-def find_descent_isomorphism(G, d1, d2, max_depth=None):
+def find_descent_isomorphism(G, d1, d2):
     """A level-0 gauge r with act(r, a1) = a2 intertwining the thetas.
 
     Staged search on the action equation plus the affine intertwining
@@ -519,8 +490,7 @@ def find_descent_isomorphism(G, d1, d2, max_depth=None):
         return G.identity_morphism()
     ctx0 = G.ctx0
     res = staged_gauge_search(ctx0, d1.a, d2.a,
-                              ctx0.basis_of_degree(0),
-                              max_depth=max_depth)
+                              ctx0.basis_of_degree(0))
     if res.status != "witness":
         return None
     r = res.witness
@@ -680,7 +650,8 @@ def _abelian_tot_dims(cc, D):
     return T.cochain.cohomology(1)[0], len(T.cochain.cocycles(0))
 
 
-def _random_tot_gauge(basis0, rng, spread=1):
-    """A random combination of the degree-0 Tot basis `basis0`."""
-    return el_sum(el_scale(Fraction(rng.randint(-spread, spread)), b)
+def _random_tot_gauge(basis0, rng):
+    """A random combination of the degree-0 Tot basis `basis0`, with
+    coefficients in -1..1."""
+    return el_sum(el_scale(Fraction(rng.randint(-1, 1)), b)
                   for b in basis0)

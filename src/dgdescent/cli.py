@@ -44,16 +44,26 @@ _positive_int = _int_at_least(1)
 def _base_parser():
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=25)
-    p.add_argument("--degree-bound", type=_positive_int, default=2)
-    p.add_argument("--trunc-level", type=int, default=None)
     p.add_argument("--strict", action="store_true",
                    help="undecided verdicts also fail the exit code")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical "
                         "reproducibility)")
     return p
+
+
+# the options that only some subcommands read
+def _sampling(sp):
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=_positive_int, default=25)
+
+
+def _degree_bound(sp):
+    sp.add_argument("--degree-bound", type=_positive_int, default=2)
+
+
+def _trunc_level(sp):
+    sp.add_argument("--trunc-level", type=int, default=None)
 
 
 def build_parser():
@@ -76,6 +86,7 @@ def build_parser():
     sp.add_argument("file")
     sp.add_argument("--base", help="artinian base record to tensor with")
     sp.add_argument("--element", help="element record file to test")
+    _sampling(sp)
     sp = sub.add_parser("gauge-orbit", parents=[base],
                         help="decide gauge equivalence of two MC elements")
     sp.add_argument("file")
@@ -86,12 +97,18 @@ def build_parser():
     sp = sub.add_parser("tot", parents=[base],
                         help="totalization with the de Rham comparison")
     sp.add_argument("file")
+    _degree_bound(sp)
+    _trunc_level(sp)
     sp = sub.add_parser("cech", parents=[base],
                         help="build the Cech cosimplicial algebra")
     sp.add_argument("file")
+    _trunc_level(sp)
     sp = sub.add_parser("verify-descent", parents=[base],
                         help="check the descent equivalence")
     sp.add_argument("file")
+    _sampling(sp)
+    _degree_bound(sp)
+    _trunc_level(sp)
     return parser
 
 
@@ -323,7 +340,9 @@ COMMANDS = {
 def run(args):
     report = {"tool": "dgdescent", "version": __version__,
               "command": args.command, "input": args.file,
-              "seed": args.seed, "checks": [], "timings": None}
+              "checks": [], "timings": None}
+    if "seed" in args:
+        report["seed"] = args.seed
     started = time.monotonic()
     COMMANDS[args.command](args, report)
     if args.timings:

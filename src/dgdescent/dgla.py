@@ -22,6 +22,13 @@ from .cochain import (Cochain, GradedSpace, canonical_table, check_chain_map,
 from .linalg import ONE, ZERO, echelon_basis, linear_apply
 
 
+class SelfCheckFailed(Exception):
+    """An exact check on the output of a construction failed.  The
+    construction makes the checked equation hold, so a failure is a
+    fault of the code, never a verdict on the input.  It is raised
+    explicitly, so `python -O` does not remove the check."""
+
+
 # ---------------------------------------------------------------------------
 # sparse element helpers
 
@@ -394,14 +401,6 @@ class DgCommAlgebra:
         return True
 
 
-def ground_field(label="1"):
-    """The field k as a dg commutative algebra concentrated in degree 0."""
-    space = GradedSpace({0: [label]})
-    cochain = Cochain(space, {})
-    return DgCommAlgebra(cochain, {(0, 0): {0: Fraction(1)}}, 0,
-                         validate=False)
-
-
 class MaximalIdeal:
     """Non-unital nilpotent commutative algebra, all in degree 0."""
 
@@ -468,34 +467,6 @@ class ArtinAlgebra:
         self.name = name
         self.ideal = MaximalIdeal(ideal_labels, ideal_products)
         self.labels = ["1"] + list(ideal_labels)
-
-    @classmethod
-    def from_table(cls, labels, products, unit="1", name=None):
-        """labels include the unit; products on full-basis indices."""
-        if unit not in labels:
-            raise ValueError("unit label missing")
-        u = labels.index(unit)
-        ideal_labels = [lab for lab in labels if lab != unit]
-        reindex = {labels.index(lab): k for k, lab in enumerate(ideal_labels)}
-        ideal_products = {}
-        for (i, j), val in products.items():
-            if i == u or j == u:
-                # unit row/column must be the identity
-                other = j if i == u else i
-                expected = {other: Fraction(1)}
-                if {k: v for k, v in val.items() if v} != expected:
-                    raise ValueError("unit does not act as the identity")
-                continue
-            entry = {}
-            for k, v in val.items():
-                if not v:
-                    continue
-                if k == u:
-                    raise ValueError(
-                        "maximal ideal is not closed under multiplication")
-                entry[reindex[k]] = v
-            ideal_products[(reindex[i], reindex[j])] = entry
-        return cls(ideal_labels, ideal_products, name=name)
 
     def dim(self):
         return 1 + self.ideal.dim()
@@ -591,11 +562,11 @@ def tensor_lie(A, g, validate=True):
     if certify:
         nil = lower_central_series(out)
         if isinstance(nil, NotNilpotent):
-            raise AssertionError("tensor with a nilpotent ideal must be "
-                                 "nilpotent")  # signals bad input constants
+            raise SelfCheckFailed("tensor with a nilpotent ideal must be "
+                                  "nilpotent")
         if nil.nilpotency_class >= A.nilpotency:
-            raise AssertionError("the class of m (x) g must be below the "
-                                 "nilpotency degree of m")
+            raise SelfCheckFailed("the class of m (x) g must be below the "
+                                  "nilpotency degree of m")
         return nil
     return out
 
@@ -638,31 +609,21 @@ class NilpotentDgLie:
             return []
         return [dict(e) for e in self.lcs[i].get(degree, [])]
 
-    def stage_dim(self, i):
-        if i > self.nilpotency_class:
-            return 0
-        return sum(len(v) for v in self.lcs[i].values())
 
-
-def lower_central_series(g, max_stages=None):
+def lower_central_series(g):
     """F^1 = g, F^{i+1} = [g, F^i]; returns NilpotentDgLie or NotNilpotent.
 
-    With the default max_stages the result is stored on g, and later
-    calls return that same object: an algebra is not changed after its
-    construction, and no caller changes the stored series.  An explicit
-    max_stages computes the series afresh.
+    The result is stored on g, and later calls return that same object:
+    an algebra is not changed after its construction, and no caller
+    changes the stored series.  Each stage either lowers the dimension
+    or stops the series, so it ends within total_dim() + 1 stages.
     """
-    if max_stages is not None:
-        return _lower_central_series(g, max_stages)
-    if g._lcs is None:
-        g._lcs = _lower_central_series(g, g.total_dim() + 1)
-    return g._lcs
-
-
-def _lower_central_series(g, max_stages):
+    if g._lcs is not None:
+        return g._lcs
     lcs = {1: g.space.unit_bases()}
     if g.total_dim() == 0:
-        return NilpotentDgLie(g, lcs, 0)
+        g._lcs = NilpotentDgLie(g, lcs, 0)
+        return g._lcs
     i = 1
     while True:
         current = lcs[i]
@@ -678,9 +639,11 @@ def _lower_central_series(g, max_stages):
         dim_now = sum(len(v) for v in current.values())
         dim_next = sum(len(v) for v in nxt.values())
         if dim_next == 0:
-            return NilpotentDgLie(g, lcs, i)
-        if dim_next == dim_now or i >= max_stages:
-            return NotNilpotent(i + 1, nxt)
+            g._lcs = NilpotentDgLie(g, lcs, i)
+            return g._lcs
+        if dim_next == dim_now:
+            g._lcs = NotNilpotent(i + 1, nxt)
+            return g._lcs
         lcs[i + 1] = nxt
         i += 1
 

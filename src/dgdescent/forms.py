@@ -115,10 +115,6 @@ class PolyForm:
             out = out - cls.dt(n, i)
         return out
 
-    @classmethod
-    def monomial(cls, n, mono, coeff=ONE):
-        return cls(n, {mono: Fraction(coeff)})
-
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other):
@@ -259,8 +255,8 @@ def identity_monotone(n):
     return tuple(range(n + 1))
 
 
-def omega_apply(u, omega, p=None):
-    """Pullback of forms along a monotone map u: [p] -> [q].
+def omega_apply(u, omega):
+    """Pullback of forms along a monotone map u: [p] -> [q], p = len(u) - 1.
 
     The algebra map is determined by t_i |-> sum over the preimage of i
     of the source coordinates (and the same on dt), with the eliminated
@@ -269,10 +265,9 @@ def omega_apply(u, omega, p=None):
     per monomial from a memo: the pullback of each monomial along u is
     multiplied out once and then only scaled and summed.
     """
-    if p is None:
-        p = len(u) - 1
+    p = len(u) - 1
     q = omega.n
-    if len(u) != p + 1 or any(x > q for x in u) or not is_monotone(u):
+    if any(x > q for x in u) or not is_monotone(u):
         raise ValueError(f"{u} is not a monotone map into [{q}]")
     u = tuple(u)
     out = {}

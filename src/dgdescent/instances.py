@@ -179,13 +179,9 @@ def random_nilpotent(rng, max_dim=12, max_class=4):
     raise RuntimeError("no instance inside the requested budget")
 
 
-def random_gauge(rng, nil, spread=2):
-    out = {}
-    for k in nil.algebra.space.degree_indices(0):
-        c = F(rng.randint(-spread, spread))
-        if c:
-            out[k] = c
-    return out
+def random_gauge(rng, nil):
+    from .mcgauge import DeligneGroupoid
+    return DeligneGroupoid(nil).random_gauge(rng)
 
 
 def random_mc(rng, nil):

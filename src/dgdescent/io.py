@@ -9,6 +9,7 @@ byte-identical file.
 
 import functools
 import json
+import re
 from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace
@@ -30,6 +31,10 @@ class TruncationError(ValueError):
     needs."""
 
 
+# ASCII only: str.isdigit and \d also accept other scripts' digits
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def scalar_to_str(x):
     x = Fraction(x)
     if x.denominator == 1:
@@ -38,11 +43,18 @@ def scalar_to_str(x):
 
 
 def scalar_from_str(s, path="<record>", field="coeff"):
+    """A JSON integer, or a string "p" or "p/q" of ASCII digits with an
+    optional leading minus sign, as a Fraction."""
     if isinstance(s, float):
         raise ParseError(path, field,
                          f"floats are not exact; write {s!r} as \"p/q\"")
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    if not isinstance(s, str) or not _SCALAR.fullmatch(s):
+        raise ParseError(path, field, f"bad rational {s!r}: expected an "
+                         f"integer or a string \"p\" or \"p/q\"")
     try:
-        return Fraction(str(s))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(path, field, f"bad rational {s!r}: {exc}")
 
@@ -497,6 +509,8 @@ def load_record(path):
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno}, column {exc.colno}",
                          exc.msg)
+    except ValueError as exc:   # an integer literal too long to convert
+        raise ParseError(path, "-", str(exc))
 
 
 def dump_record(rec, path=None):

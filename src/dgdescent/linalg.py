@@ -24,17 +24,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def frac(x):
-    """Coerce ints, strings like "3/4", and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot make an exact rational out of {x!r}")
-
-
 class NoSolution:
     """Witness of inconsistency of A x = b.
 
@@ -166,10 +155,6 @@ def coords_in_span(basis, v):
     for p, x in zip(pivot_cols, pivot_rhs):
         coords[p] = x
     return coords
-
-
-def span_contains(basis, v):
-    return coords_in_span(basis, v) is not None
 
 
 def intersect_spans(B1, B2):

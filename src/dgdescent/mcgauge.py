@@ -35,8 +35,8 @@ use bch, so the convention is fixed in exactly one place.
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .dgla import (el_add, el_combination, el_eq, el_is_zero, el_scale,
-                   el_sub, el_sum)
+from .dgla import (SelfCheckFailed, el_add, el_combination, el_eq,
+                   el_is_zero, el_scale, el_sub, el_sum)
 from .forms import (PolyForm, mono_form_degree, mono_is_odd, monomial_d,
                     monomial_product, monomials_up_to, omega_apply)
 from .linalg import (NoSolution, ZERO, echelon_basis, sparse_columns,
@@ -236,18 +236,15 @@ class FormLieContext:
     def bracket_el(self, x, y):
         return self.g.keyed_bracket(x, y, monomial_product, mono_is_odd)
 
-    def restrict(self, u, x, p=None):
+    def restrict(self, u, x):
         """Pullback along a monotone map u: [p] -> [n] on the form side;
-        the result lives on the p-simplex."""
-        if p is None:
-            p = len(u) - 1
+        the result lives on the p-simplex, p = len(u) - 1."""
         by_g = {}
         for (gi, mono), v in x.items():
             by_g.setdefault(gi, {})[mono] = v
         out = {}
         for gi, terms in by_g.items():
-            for m, c in omega_apply(u, PolyForm(self.n, terms),
-                                    p).terms.items():
+            for m, c in omega_apply(u, PolyForm(self.n, terms)).terms.items():
                 out[(gi, m)] = c
         return out
 
@@ -259,15 +256,14 @@ class FormLieContext:
 
     def vertex(self, i, x):
         """Evaluate at the i-th vertex; a plain algebra element."""
-        res = self.restrict((i,), x, 0)
+        res = self.restrict((i,), x)
         return {gi: v for (gi, mono), v in res.items()}
 
-    def keys_up_to(self, D, degree=None):
+    def keys_up_to(self, D, degree):
         out = []
         for mono in monomials_up_to(self.n, D):
-            gis = range(self.g.total_dim()) if degree is None else \
-                self.g.space.degree_indices(degree - mono_form_degree(mono))
-            out += [(gi, mono) for gi in gis]
+            out += [(gi, mono) for gi in self.g.space.degree_indices(
+                degree - mono_form_degree(mono))]
         return out
 
     def stage_vectors_for(self, stage, keys):
@@ -302,13 +298,6 @@ def mc_element(ctx, coords):
             raise ValueError("MC elements live in degree 1")
     if not el_is_zero(mc_residual(ctx, coords)):
         raise ValueError("not a Maurer-Cartan element")
-    return dict(coords)
-
-
-def gauge_element(ctx, coords):
-    for k in coords:
-        if ctx.key_degree(k) != 0:
-            raise ValueError("gauge elements live in degree 0")
     return dict(coords)
 
 
@@ -354,10 +343,6 @@ def flow_path(ctx, y_coeffs, x0):
 def gauge_act(ctx, y, x):
     """Time-1 value of the flow: the gauge action of exp(y) on x."""
     return el_sum(flow_path(ctx, [y], x))
-
-
-def nonautonomous_gauge_act(ctx, y_coeffs, x):
-    return el_sum(flow_path(ctx, y_coeffs, x))
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +419,6 @@ def bch(ctx, y1, y2):
     return _dynkin_eval(ctx, words, (y2, y1))
 
 
-def gauge_inverse(y):
-    return el_scale(-ONE, y)
-
-
-def bch_many(ctx, ys):
-    """Compose a list of gauges; the rightmost acts first."""
-    out = {}
-    for y in reversed(ys):
-        out = bch(ctx, y, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # holonomy of a time-dependent gauge path (right Magnus expansion)
 
@@ -512,13 +485,6 @@ def holonomy(ctx, y_coeffs):
 
 # ---------------------------------------------------------------------------
 # the 1-simplex attached to a gauge transformation
-
-
-class SelfCheckFailed(Exception):
-    """An exact check on the output of a construction failed.  The
-    construction makes the checked equation hold, so a failure is a
-    fault of the code, never a verdict on the input.  It is raised
-    explicitly, so `python -O` does not remove the check."""
 
 
 def solve_1simplex(ctx1, x0, theta):
@@ -683,8 +649,8 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
     if el_eq(gauge_act(ctx, y0, x), xp):
         return GaugeSearchResult("witness", witness=y0, complete=complete)
     if complete and depth == c:
-        raise AssertionError("complete staged search ended off-orbit; "
-                             "staging invariant broken")
+        raise SelfCheckFailed("complete staged search ended off-orbit; "
+                              "staging invariant broken")
     return GaugeSearchResult("unknown", stage=depth, complete=complete,
                              reason="depth exhausted before equality")
 
@@ -861,65 +827,29 @@ def mc_lift(f, nil_g, nil_h, xbar):
 
 
 # ---------------------------------------------------------------------------
-# the Deligne groupoid interface
+# sampling the Deligne groupoid
 
 
 class DeligneGroupoid:
     """Objects: MC elements; morphisms x -> x' : gauges g with x' = g(x).
 
-    Composition of morphisms is bch; hom-sets are witness sets, and the
-    orbit decision is the three-valued staged search.  The abelian case
-    carries the exact presentation pi0 = H^1, Aut = Z^0.
+    The sampler of both: random MC elements through the staged solver
+    with randomized free choices, and random gauges with small integer
+    coordinates.
     """
 
     def __init__(self, nil):
-        self.nil = nil
         self.ctx = FiniteLieContext(nil)
-
-    def is_object(self, x):
-        return all(self.ctx.key_degree(k) == 1 for k in x) and \
-            el_is_zero(mc_residual(self.ctx, x))
-
-    def act(self, y, x):
-        return gauge_act(self.ctx, y, x)
-
-    def compose(self, y1, y2):
-        """The morphism acting by y2 first, then y1."""
-        return bch(self.ctx, y1, y2)
-
-    def inverse(self, y):
-        return gauge_inverse(y)
-
-    def identity(self):
-        return {}
-
-    def hom_witness(self, x, xp, max_depth=None):
-        return gauge_equivalent(self.ctx, x, xp, max_depth=max_depth)
-
-    def is_abelian(self):
-        return self.nil.algebra.is_abelian()
-
-    def pi0_dimension(self):
-        """dim H^1 of the underlying complex; abelian owners only."""
-        if not self.is_abelian():
-            raise ValueError("exact pi0 presentation needs an abelian owner")
-        return self.nil.algebra.cochain.cohomology(1)[0]
-
-    def aut_dimension(self):
-        """dim Z^0; abelian owners only (Aut is exp of the 0-cocycles)."""
-        if not self.is_abelian():
-            raise ValueError("exact Aut presentation needs an abelian owner")
-        return len(self.nil.algebra.cochain.cocycles(0))
 
     def random_mc_element(self, rng):
         ctx = self.ctx
         return constrained_mc_solve(ctx, ctx.basis_of_degree(1), (),
                                     rng=rng, label="sample")
 
-    def random_gauge(self, rng, spread=2):
+    def random_gauge(self, rng):
         out = {}
         for k in self.ctx.degree_keys(0):
-            c = Fraction(rng.randint(-spread, spread))
+            c = Fraction(rng.randint(-2, 2))
             if c:
                 out[k] = c
         return out

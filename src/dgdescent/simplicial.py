@@ -17,6 +17,7 @@ module: it is an oracle that only the tests run.
 
 import itertools
 
+from .dgla import SelfCheckFailed
 from .forms import (compose_maps, degeneracy_map, face_map,
                     identity_monotone, monotone_factorize, monotone_maps)
 
@@ -244,10 +245,10 @@ def limit_recursive(X, N):
                     # beta = u: [n] -> [q] on the target side
                     val, obj = X.apply_target_map(idn, z, u, q)
                 else:
-                    raise AssertionError(
+                    raise SelfCheckFailed(
                         "object missed by the previous level")
                 if obj != (q, u):
-                    raise AssertionError(
+                    raise SelfCheckFailed(
                         f"object {(q, u)} reached as {obj}")
                 fam[(q, u)] = val
     return families

@@ -67,10 +67,10 @@ class CosimplicialDgLie:
     def codegeneracy(self, q, i):
         return self.codegens[q][i]
 
-    def structure_map_to(self, u, q, x, p=None):
-        """g(u) for u: [p] -> [q] with the codomain given explicitly."""
-        if p is None:
-            p = len(u) - 1
+    def structure_map_to(self, u, q, x):
+        """g(u) for u: [p] -> [q], p = len(u) - 1, with the codomain
+        given explicitly."""
+        p = len(u) - 1
         faces, degens = monotone_factorize(u, q)
         cur = x
         level = p
@@ -84,17 +84,17 @@ class CosimplicialDgLie:
             raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
         return cur
 
-    def generator_images(self, u, p, q):
+    def generator_images(self, u, q):
         """g(u) of each basis element of g^p, for u: [p] -> [q], as
         tuples of (target index, coefficient) pairs.  One table per
         cosimplicial algebra, filled on first use: every
         `TotContext.exchange_rows` (one context per truncation D) and
         every `cech.gluing_blocks` call reads the same images."""
-        images = self._images.get((u, p, q))
+        images = self._images.get((u, q))
         if images is None:
-            images = self._images[(u, p, q)] = [
-                tuple(self.structure_map_to(u, q, {gi: ONE}, p=p).items())
-                for gi in range(self.levels[p].total_dim())]
+            images = self._images[(u, q)] = [
+                tuple(self.structure_map_to(u, q, {gi: ONE}).items())
+                for gi in range(self.levels[len(u) - 1].total_dim())]
         return images
 
     def _elementary_from(self, q):
@@ -190,22 +190,16 @@ def constant_cosimplicial(g, N):
 # totalization of the underlying complexes
 
 
-def tot_cochain(cc, N=None):
-    """Total complex of the conormalized double complex.
+def tot_cochain(cc):
+    """Total complex of the conormalized double complex on levels
+    0..cc.N.
 
     Degree n holds the conormalized pieces N^{q, n-q}; the differential
     is the alternating coface sum plus (-1)^q times the internal one.
     Returns (Cochain, identification), the identification listing, per
     total degree, the (level, level element) pairs of basis vectors.
     """
-    if N is None:
-        N = cc.N
-    if N > cc.N:
-        raise ValueError("not enough levels stored")
-    if N < cc.vanishing_level:
-        raise ValueError(
-            f"truncation level {N} is below the normalization vanishing "
-            f"level {cc.vanishing_level}")
+    N = cc.N
     pieces = {}
     collected = {}
     for q in range(N + 1):
@@ -258,7 +252,7 @@ def _by_level(x):
 
 
 class TotContext:
-    """The product over p <= N of the ambients Omega_p (x) g^p.
+    """The product over p <= cc.N of the ambients Omega_p (x) g^p.
 
     forms[p] is the FormLieContext of level p.  Keys are (p, basis index
     of g^p, monomial on Delta^p); an element splits by level and every
@@ -269,16 +263,10 @@ class TotContext:
     subspace bases, not by the ambient itself.
     """
 
-    def __init__(self, cc, N=None):
+    def __init__(self, cc):
         self.cc = cc
-        self.N = cc.N if N is None else N
-        if self.N > cc.N:
-            raise ValueError(f"only levels 0..{cc.N} are stored")
-        if self.N < cc.vanishing_level:
-            raise ValueError(
-                f"truncation level {self.N} is below the normalization "
-                f"vanishing level {cc.vanishing_level}")
-        self.nils = cc.nilpotent_levels()[:self.N + 1]
+        self.N = cc.N
+        self.nils = cc.nilpotent_levels()
         self.forms = [FormLieContext(nil, p)
                       for p, nil in enumerate(self.nils)]
 
@@ -335,40 +323,43 @@ class TotContext:
         """The p = 0 component as a plain element of g^0."""
         return {gi: v for (p, gi, mono), v in x.items() if p == 0}
 
-    def keys_up_to(self, D, degree=None):
+    def keys_up_to(self, D, degree):
         return [(p, gi, mono) for p, fctx in enumerate(self.forms)
-                for (gi, mono) in fctx.keys_up_to(D, degree=degree)]
+                for (gi, mono) in fctx.keys_up_to(D, degree)]
 
     # -- compatibility with the structure maps ----------------------------------------
 
     def generators(self):
-        """The monotone maps whose exchange conditions cut out Tot."""
+        """The monotone maps u: [p] -> [q] whose exchange conditions cut
+        out Tot, as pairs (u, q); p is len(u) - 1."""
         gens = []
         for p in range(1, self.N + 1):
             for i in range(p + 1):
-                gens.append((face_map(i, p), p - 1, p))      # [p-1] -> [p]
+                gens.append((face_map(i, p), p))      # [p-1] -> [p]
         for p in range(self.N):
             for i in range(p + 1):
-                gens.append((degeneracy_map(i, p), p + 1, p))  # [p+1] -> [p]
+                gens.append((degeneracy_map(i, p), p))  # [p+1] -> [p]
         return gens
 
-    def compatibility_defect(self, u, psrc, qtgt, x):
+    def compatibility_defect(self, u, qtgt, x):
         """Omega(u)(level-q part) - g(u)(level-p part), a dict over
-        (target Lie index, monomial on Delta^{p_src}) keys."""
+        (target Lie index, monomial on Delta^p) keys, for
+        u: [p] -> [q]."""
+        psrc = len(u) - 1
         parts = self.split(x)
-        pulled = self.forms[qtgt].restrict(u, parts.get(qtgt, {}), psrc)
+        pulled = self.forms[qtgt].restrict(u, parts.get(qtgt, {}))
         pushed = self.forms[psrc].push(
-            lambda el: self.cc.structure_map_to(u, qtgt, el, p=psrc),
+            lambda el: self.cc.structure_map_to(u, qtgt, el),
             parts.get(psrc, {}))
         return el_sub(pulled, pushed)
 
     def is_tot_element(self, x):
-        return all(not self.compatibility_defect(u, p, q, x)
-                   for (u, p, q) in self.generators())
+        return all(not self.compatibility_defect(u, q, x)
+                   for (u, q) in self.generators())
 
     def exchange_rows(self, keys):
         """The exchange conditions on the span of keys, as sparse rows
-        {(u, p_src, defect key): {position in keys: coefficient}}.
+        {(u, defect key): {position in keys: coefficient}}.
 
         A generator u: [p_src] -> [q_tgt] contributes the row block
         (Omega(u) (x) id) - (id (x) g(u)): the column of a level-q_tgt
@@ -383,9 +374,9 @@ class TotContext:
         for col, (p, gi, mono) in enumerate(keys):
             by_level.setdefault(p, []).append((col, p, gi, mono))
         rows = {}
-        for gen in self.generators():
-            u, psrc, qtgt = gen
-            images = self.cc.generator_images(*gen)
+        for u, qtgt in self.generators():
+            psrc = len(u) - 1
+            images = self.cc.generator_images(u, qtgt)
             # -images[gi], negated once per basis element and generator:
             # negating a Fraction costs more than writing the entry
             pushes = {}
@@ -397,12 +388,12 @@ class TotContext:
                     if mono is not last:    # one lookup per run of a monomial
                         last, pulled = mono, monomial_pullback(u, qtgt, mono)
                     for m, c in pulled:
-                        rows.setdefault((u, psrc, (gi, m)), {})[col] = c
+                        rows.setdefault((u, (gi, m)), {})[col] = c
                 else:
                     if gi not in pushes:
                         pushes[gi] = [(gj, -c) for gj, c in images[gi]]
                     for gj, c in pushes[gi]:
-                        rows.setdefault((u, psrc, (gj, mono)), {})[col] = c
+                        rows.setdefault((u, (gj, mono)), {})[col] = c
         return rows
 
     def tot_basis(self, degree, D):
@@ -415,24 +406,22 @@ class TotContext:
         Basis vector i is 1 on its free key and 0 on the other vectors'
         free keys, so the basis is reduced.
         """
-        keys = self.keys_up_to(D, degree=degree)
+        keys = self.keys_up_to(D, degree)
         rows = self.exchange_rows(keys)
         return [{keys[i]: c for i, c in v.items()}
                 for v in sparse_kernel(list(rows.values()), len(keys))]
 
 
 class TotLieComplex:
-    """The degree-D truncation of the Thom-Sullivan totalization.
-
-    Carries the truncated complex, the termwise bracket (landing in the
-    2D-truncation), the projection to level 0, and the ambient context
+    """The degree-D truncation of the Thom-Sullivan totalization: the
+    truncated complex, its basis per degree, and the ambient context
     used by the groupoid machinery.
     """
 
-    def __init__(self, cc, D, N=None):
+    def __init__(self, cc, D):
         self.cc = cc
         self.D = D
-        self.ctx = TotContext(cc, N)
+        self.ctx = TotContext(cc)
         self.N = self.ctx.N
         degs = set()
         for p in range(self.N + 1):
@@ -450,15 +439,9 @@ class TotLieComplex:
         self.cochain = Cochain(GradedSpace(degrees), map_table(
             self.ctx.d_el, self.basis_by_degree, self.basis_by_degree, 1))
 
-    def bracket(self, x, y):
-        return self.ctx.bracket_el(x, y)
 
-    def projection_level0(self, x):
-        return self.ctx.level0(x)
-
-
-def tot_lie(cc, D, N=None):
-    return TotLieComplex(cc, D, N=N)
+def tot_lie(cc, D):
+    return TotLieComplex(cc, D)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +464,8 @@ class DescentGroupoid:
     """Tot of the levelwise Deligne groupoids of a cosimplicial algebra.
 
     Levels 0..2 are required: the cocycle condition lives at level 2.
-    Morphism equality and composition go through bch; in the abelian
-    case pi0 and Aut are H^1 and H^0 of `abelian_complex`.
+    Morphism equality goes through bch; in the abelian case pi0 and Aut
+    are H^1 and H^0 of `abelian_complex`.
     """
 
     def __init__(self, cc):
@@ -534,9 +517,6 @@ class DescentGroupoid:
 
     def identity_morphism(self):
         return {}
-
-    def compose(self, r1, r2):
-        return bch(self.ctx0, r1, r2)
 
     # -- abelian presentation -------------------------------------------------------
 

@@ -4,19 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from dgdescent.dgla import (ArtinAlgebra, DgLieMap, el_eq, el_is_zero,
-                            identity_map, lower_central_series, tensor_lie)
-from dgdescent.cech import (CoverSpec, ComparisonFunctor, DeformationInstance,
-                            ExtractionFailed, GluingFailed,
-                            _sample_descent_datum, cech_cosimplicial,
-                            deligne_functor,
-                            find_descent_isomorphism, glue_descent_datum,
+from dgdescent.dgla import (ArtinAlgebra, DgLieMap, NilpotentDgLie, el_eq,
+                            el_is_zero, identity_map, lower_central_series,
+                            tensor_lie)
+from dgdescent.cech import (CoverSpec, ComparisonFunctor, ExtractionFailed,
+                            GluingFailed, _sample_descent_datum,
+                            cech_cosimplicial, find_descent_isomorphism,
+                            glue_descent_datum,
                             lift_tot_gauge, tensored_cover, verify_descent)
 from dgdescent.instances import (abelian_line, circle_cover, dual_numbers,
                                  ef_algebra, probe_class2, segment_cover,
                                  t_truncated, triple_cover)
 from dgdescent.mcgauge import (FiniteLieContext, SelfCheckFailed, gauge_act,
-                               mc_residual)
+                               gauge_equivalent, mc_residual)
 from dgdescent.tot import (DescentDatum, TotContext, TruncationError,
                            tot_cochain, tot_groupoid, tot_lie)
 
@@ -85,30 +85,41 @@ def test_missing_subset_rejected():
         CoverSpec(2, {frozenset({0, 1}): L}, {})
 
 
+# the Deligne functor sends an artinian base to the Deligne groupoid of
+# m (x) L: objects are the MC elements of tensor_lie(m, L), morphisms
+# the gauges that gauge_equivalent finds
+
+
 def test_deligne_functor_ground_field():
-    C = deligne_functor(ef_algebra(), ArtinAlgebra([], {}, name="k"))
-    assert C.is_object({})
-    res = C.hom_witness({}, {})
+    # m = 0: one object, 0, and one morphism, the identity gauge
+    nil = tensor_lie(ArtinAlgebra([], {}, name="k"), ef_algebra())
+    ctx = FiniteLieContext(nil)
+    assert nil.algebra.total_dim() == 0
+    assert mc_residual(ctx, {}) == {}
+    res = gauge_equivalent(ctx, {}, {})
     assert res.status == "witness" and res.witness == {}
 
 
 def test_deligne_functor_abelian_pi0():
-    # L abelian: pi0 = H^1(L) (x) m
+    # L abelian: pi0 = H^1(m (x) L) = H^1(L) (x) m
     L = abelian_line()
-    C = deligne_functor(L, dual_numbers())
-    assert C.pi0_dimension() == L.cochain.cohomology(1)[0] * 1
-    C3 = deligne_functor(L, t_truncated(3))
-    assert C3.pi0_dimension() == L.cochain.cohomology(1)[0] * 2
+    for base, m_dim in ((dual_numbers(), 1), (t_truncated(3), 2)):
+        nil = tensor_lie(base, L)
+        assert nil.algebra.is_abelian()
+        assert nil.algebra.cochain.cohomology(1)[0] == \
+            L.cochain.cohomology(1)[0] * m_dim
 
 
 def test_deligne_functor_ef_orbits():
-    C = deligne_functor(ef_algebra(), t_truncated(3))
-    a = C.nil.algebra
+    nil = tensor_lie(t_truncated(3), ef_algebra())
+    ctx = FiniteLieContext(nil)
+    a = nil.algebra
     tf = a.space.index(1, ("t", "f"))
     t2f = a.space.index(1, ("t2", "f"))
-    res = C.hom_witness({tf: F(2), t2f: F(3)}, {tf: F(2), t2f: F(-1)})
+    res = gauge_equivalent(ctx, {tf: F(2), t2f: F(3)},
+                           {tf: F(2), t2f: F(-1)})
     assert res.status == "witness"
-    res2 = C.hom_witness({t2f: F(3)}, {t2f: F(-1)})
+    res2 = gauge_equivalent(ctx, {t2f: F(3)}, {t2f: F(-1)})
     assert res2.status == "distinct"
 
 
@@ -140,8 +151,15 @@ def test_deligne_functor_functorial_along_base_maps():
 
 
 def test_deformation_instance_nilpotency():
-    inst = DeformationInstance(t_truncated(3), segment_cover(ef_algebra()))
-    assert inst.cech.vanishing_level <= 1
+    # every Cech level of m (x) sections is nilpotent of class below the
+    # m-adic length
+    base = t_truncated(3)
+    cc = cech_cosimplicial(tensored_cover(segment_cover(ef_algebra()), base))
+    for g in cc.levels:
+        nil = lower_central_series(g)
+        assert isinstance(nil, NilpotentDgLie)
+        assert nil.nilpotency_class < base.maximal_ideal().nilpotency
+    assert cc.vanishing_level <= 1
 
 
 # -- comparison and gluing ------------------------------------------------------
@@ -325,7 +343,7 @@ def test_verify_descent_never_verifies_nothing():
 def test_unwitnessed_round_trip_is_undecided(monkeypatch):
     import dgdescent.cech as cech
     monkeypatch.setattr(cech, "find_descent_isomorphism",
-                        lambda G, d1, d2, max_depth=None: None)
+                        lambda G, d1, d2: None)
     cc = cech_cosimplicial(
         tensored_cover(segment_cover(ef_algebra()), t_truncated(3)), N=2)
     rep = verify_descent(cc, samples=1, seed=1, D=1)

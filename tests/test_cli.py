@@ -256,7 +256,9 @@ def test_cover_missing_a_restriction_exits_2(tmp_path, capsys, command,
     del rec.get("cover", rec)["restrictions"][1]
     path = tmp_path / "record.json"
     path.write_text(json.dumps(rec))
-    assert main([command, str(path), "--degree-bound", "1"]) == 2
+    extra = ["--degree-bound", "1"] if command in ("tot", "verify-descent") \
+        else []
+    assert main([command, str(path), *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "missing restriction {1} -> {0, 1}" in captured.err
@@ -301,6 +303,60 @@ def test_nonpositive_counts_rejected(flag, value, capsys):
               flag, value])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def _in_data(argv):
+    """argv with every .json file name taken from the bundled corpus."""
+    return [str(DATA / a) if a.endswith(".json") else a for a in argv]
+
+
+# a subcommand takes only the options it reads
+@pytest.mark.parametrize("argv, flag", [
+    (["check-algebra", "algebra_ef.json"], "--seed"),
+    (["cohomology", "algebra_ef.json"], "--samples"),
+    (["mc", "algebra_ef.json", "--base", "artin_t3.json"], "--degree-bound"),
+    (["gauge-orbit", "algebra_ef.json", "--x", "x.json", "--xp", "x.json"],
+     "--seed"),
+    (["tot", "cosimplicial_constant_ef_t3.json"], "--samples"),
+    (["cech", "instance_segment_eps.json"], "--samples"),
+    (["verify-descent", "instance_segment_eps.json"], "--max-degree")])
+def test_a_flag_the_command_does_not_read_is_refused(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_in_data(argv) + [flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, seeded", [
+    (["check-algebra", "algebra_ef.json"], False),
+    (["cech", "instance_segment_eps.json"], False),
+    (["mc", "algebra_ef.json", "--base", "artin_t3.json", "--samples", "1",
+      "--seed", "3"], True),
+    (["verify-descent", "instance_segment_eps.json", "--degree-bound", "1",
+      "--seed", "3"], True)])
+def test_only_sampling_commands_report_a_seed(argv, seeded, capsys):
+    code, rep = run_cli(capsys, *_in_data(argv))
+    assert code == 0
+    assert rep.get("seed") == (3 if seeded else None)
+    assert ("seed" in rep) == seeded
+
+
+def test_verify_descent_on_a_cover_with_an_open_without_sections(
+        tmp_path, capsys):
+    # a declared open that no intersection uses costs nothing: the
+    # sampler draws over the opens that carry a section, in the same
+    # order, so the report is that of the cover without it
+    rec = json.loads((DATA / "instance_segment_ef_t3.json").read_text())
+    args = ["--samples", "2", "--seed", "5"]
+    code, rep = run_cli(capsys, "verify-descent",
+                        str(DATA / "instance_segment_ef_t3.json"), *args)
+    assert code == 0 and rep["summary"]["verified"] == 1
+    rec["cover"]["opens"] = 3
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(rec))
+    code3, rep3 = run_cli(capsys, "verify-descent", str(path), *args)
+    assert code3 == 0
+    assert rep3["checks"] == rep["checks"]
 
 
 def test_truncation_below_level_two_is_a_clean_error(capsys):
@@ -545,8 +601,10 @@ def test_records_that_are_not_objects_exit_2(tmp_path, capsys, command,
 def test_element_records_are_lists_of_terms(tmp_path, capsys):
     base = ["mc", str(DATA / "algebra_ef.json"),
             "--base", str(DATA / "artin_t3.json")]
+    # "1e5000" once parsed to an integer too long to print
     for bad in ({"basis": "x", "coeff": "1"}, [1], [{"coeff": "1"}],
-                [{"basis": ["t", "f"]}]):
+                [{"basis": ["t", "f"]}],
+                [{"basis": ["t", "e"], "coeff": "1e5000"}]):
         path = tmp_path / "element.json"
         path.write_text(json.dumps(bad))
         assert main(base + ["--element", str(path)]) == 2

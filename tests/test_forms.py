@@ -49,7 +49,7 @@ def _random_form(rng, n, D):
     out = PolyForm.zero(n)
     for _ in range(rng.randint(1, 5)):
         m = rng.choice(monos)
-        out = out + PolyForm.monomial(n, m, F(rng.randint(-3, 3)))
+        out = out + PolyForm(n, {m: F(rng.randint(-3, 3))})
     return out
 
 
@@ -142,8 +142,6 @@ def test_invalid_maps_still_rejected_after_the_memo_is_warm():
     for bad in [(2, 0), (1, 0), (0, 3), (3,)]:
         with pytest.raises(ValueError, match="not a monotone map"):
             omega_apply(bad, omega)
-    with pytest.raises(ValueError, match="not a monotone map"):
-        omega_apply((0, 2), omega, p=2)
 
 
 def test_mutating_a_pullback_does_not_change_later_ones():

@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 from dgdescent.dgla import (NilpotentDgLie, el_add, el_eq, el_scale, el_sum,
                             lower_central_series, tensor_lie)
-from dgdescent.forms import mono_form_degree, mono_mul, monomial_d
+from dgdescent.forms import (mono_form_degree, mono_mul, monomial_d,
+                             monomials_up_to)
 from dgdescent.instances import (ef_algebra, heisenberg, probe_class2,
                                  segment_cover, t_truncated, wz_algebra)
 from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext,
                                FormLieContext, KPoly, flow_path, gauge_act,
-                               mc_residual, nonautonomous_gauge_act)
+                               mc_residual)
 
 F = Fraction
 ONE = F(1)
@@ -141,6 +142,13 @@ def _nil(name):
 ALGEBRAS = ["ef/t3", "wz/t3", "wz", "probe2", "heisenberg"]
 
 
+def _all_keys(fctx, D):
+    """Every key of Omega_n (x) g whose monomial has polynomial degree
+    at most D."""
+    return [(gi, mono) for mono in monomials_up_to(fctx.n, D)
+            for gi in range(fctx.g.total_dim())]
+
+
 @functools.lru_cache(maxsize=None)
 def _ambient(kind, name):
     """(context, reference context, keys of each degree)."""
@@ -151,7 +159,8 @@ def _ambient(kind, name):
                                               t_truncated(3)), N=2)
         ctx = TotContext(cc)
         ref = ReferenceTot(ctx)
-        keys = ctx.keys_up_to(2)
+        keys = [(p, *k) for p, fctx in enumerate(ctx.forms)
+                for k in _all_keys(fctx, 2)]
     elif kind == "finite":
         ctx = FiniteLieContext(_nil(name))
         ref = ctx
@@ -159,7 +168,7 @@ def _ambient(kind, name):
     else:
         ctx = FormLieContext(_nil(name), int(kind[-1]))
         ref = ReferenceForms(ctx)
-        keys = ctx.keys_up_to(2)
+        keys = _all_keys(ctx, 2)
     by_degree = {}
     for k in keys:
         by_degree.setdefault(ctx.key_degree(k), []).append(k)
@@ -258,7 +267,7 @@ def test_gauge_action_matches_picard_on_mc_elements(name, data):
     ctx = groupoid.ctx
     expected = el_sum(picard_flow_path(ctx, [y], x))
     assert gauge_act(ctx, y, x) == expected
-    assert nonautonomous_gauge_act(ctx, [y, {}], x) == expected
+    assert el_sum(flow_path(ctx, [y, {}], x)) == expected
 
 
 def test_flow_keeps_trailing_zeros_out():

@@ -49,7 +49,7 @@ def test_gluing_blocks_are_the_per_candidate_images(cover, base, D):
     cc = nonabelian_cech(cover, base)
     p = 2
     fctx = TotContext(cc).forms[p]
-    keys = fctx.keys_up_to(D, degree=1)
+    keys = fctx.keys_up_to(D, 1)
     units = [{k: ONE} for k in keys]
     expected = (
         [_block_of([fctx.restrict(face_map(i, p), z) for z in units])
@@ -69,9 +69,9 @@ def test_verify_descent_draws_gauges_from_the_degree0_basis(monkeypatch):
     seen = []
     draw = cech._random_tot_gauge
 
-    def spy(basis0, rng, spread=1):
+    def spy(basis0, rng):
         seen.append(basis0)
-        return draw(basis0, rng, spread)
+        return draw(basis0, rng)
 
     def no_tot_lie(*args, **kwargs):
         raise AssertionError("the nonabelian check built a Tot complex")
@@ -98,7 +98,7 @@ def test_unreachable_gluing_target_fails_at_stage_0():
         datum = _sample_descent_datum(cc, rng)
     path = solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(datum.a),
                           datum.theta)
-    gi = next(gi for gi, _ in ctx.forms[1].keys_up_to(0, degree=1))
+    gi = next(gi for gi, _ in ctx.forms[1].keys_up_to(0, 1))
     path[(gi, ((5,), 0))] = ONE
     omegas = [ctx.embed_level(0, datum.a), ctx.embed_form_level(1, path)]
     with pytest.raises(GluingFailed) as info:

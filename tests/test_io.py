@@ -25,12 +25,22 @@ def test_scalar_strings():
     assert scalar_to_str(F(3, 4)) == "3/4"
     assert scalar_to_str(F(-2)) == "-2"
     assert scalar_from_str("5/10") == F(1, 2)
+    assert scalar_from_str("-3") == F(-3)
+    assert scalar_from_str(7) == F(7)
     with pytest.raises(ParseError):
         scalar_from_str("1/0")
     with pytest.raises(ParseError):
         scalar_from_str(0.5)
     with pytest.raises(ParseError):
         scalar_from_str("x")
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", " 2 ", "1_0", "+4", "\u0664", "1e5", "1e5000", "2/-3", "", "-",
+    "1/", True, None, ["1"]])
+def test_scalars_are_integers_or_ascii_p_over_q(text):
+    with pytest.raises(ParseError, match="bad rational"):
+        scalar_from_str(text)
 
 
 def test_algebra_roundtrip():
@@ -131,6 +141,13 @@ def test_parse_error_reports_line(tmp_path):
     bad.write_text('{"type": "dg_lie_algebra",\n  "basis": [}\n')
     with pytest.raises(ParseError, match="line"):
         load_record(str(bad))
+
+
+def test_an_overlong_integer_literal_is_a_parse_error(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('[{"basis": "x", "coeff": 1' + "0" * 5000 + '}]')
+    with pytest.raises(ParseError, match="digits"):
+        load_record(str(big))
 
 
 def test_bundled_corpus_parses_and_reserializes():

@@ -43,12 +43,6 @@ def test_tot_cochain_of_constant_is_the_level():
         assert T.cohomology(n)[0] == g.cochain.cohomology(n)[0]
 
 
-def test_tot_cochain_requires_enough_levels():
-    cc, _ = const_cc(2)
-    with pytest.raises(ValueError):
-        tot_cochain(cc, N=5)
-
-
 def test_tot_lie_of_constant_is_the_level():
     cc, nil = const_cc(2)
     g = nil.algebra
@@ -61,7 +55,7 @@ def test_tot_lie_of_constant_is_the_level():
         for n, vecs in T.basis_by_degree.items():
             for v in vecs:
                 assert T.ctx.is_tot_element(v)
-                lvl0 = T.projection_level0(v)
+                lvl0 = T.ctx.level0(v)
                 assert lvl0
 
 
@@ -80,7 +74,7 @@ def test_tot_bracket_stays_in_tot():
     assert vecs1
     for v in vecs1[:2]:
         for w in vecs1[:2]:
-            b = T.bracket(v, w)
+            b = T.ctx.bracket_el(v, w)
             if b:
                 assert T.ctx.is_tot_element(b)
 
@@ -166,8 +160,8 @@ def test_enlarging_truncation_level_is_stable():
     for n in range(4):
         assert T2.cohomology(n)[0] == T3.cohomology(n)[0]
     for D in (1, 2):
-        L2 = tot_lie(cc2, D, N=2)
-        L3 = tot_lie(cc3, D, N=3)
+        L2 = tot_lie(cc2, D)
+        L3 = tot_lie(cc3, D)
         for n in range(4):
             assert L2.cochain.space.dim(n) == L3.cochain.space.dim(n)
             assert L2.cochain.cohomology(n)[0] == \
@@ -204,25 +198,25 @@ def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
     """Every entry of every generator's row block is the defect of the
     column's unit vector, and every nonzero defect entry is in a row."""
     ctx = _cech_context(name)
-    all_keys = ctx.keys_up_to(D, degree=degree)
+    all_keys = ctx.keys_up_to(D, degree)
     picks = data.draw(st.lists(st.integers(0, max(len(all_keys) - 1, 0)),
                                max_size=12, unique=True)) \
         if all_keys else []
     keys = [all_keys[i] for i in picks]
     rows = ctx.exchange_rows(keys)
     from_rows = {}
-    for (u, psrc, dk), row in rows.items():
+    for (u, dk), row in rows.items():
         assert row, "a stored row is empty"
         for col, c in row.items():
             assert c != 0
-            from_rows.setdefault((u, psrc, col), {})[dk] = c
+            from_rows.setdefault((u, col), {})[dk] = c
     order = {}
-    for u, psrc, qtgt in ctx.generators():
+    for u, qtgt in ctx.generators():
         for col, k in enumerate(keys):
-            defect = ctx.compatibility_defect(u, psrc, qtgt, {k: F(1)})
-            assert from_rows.get((u, psrc, col), {}) == defect
+            defect = ctx.compatibility_defect(u, qtgt, {k: F(1)})
+            assert from_rows.get((u, col), {}) == defect
             for dk in defect:
-                order.setdefault((u, psrc, dk), None)
+                order.setdefault((u, dk), None)
     # rows come in the order in which the defects first name them
     assert list(rows) == list(order)
 
@@ -240,10 +234,10 @@ def _defect_matrix(ctx, keys):
     Absent entries are int 0, which rref skips as cheaply as it can."""
     rows = {}
     for col, key in enumerate(keys):
-        for u, psrc, qtgt in ctx.generators():
-            for dk, c in ctx.compatibility_defect(u, psrc, qtgt,
+        for u, qtgt in ctx.generators():
+            for dk, c in ctx.compatibility_defect(u, qtgt,
                                                   {key: F(1)}).items():
-                rows.setdefault((u, psrc, dk), {})[col] = c
+                rows.setdefault((u, dk), {})[col] = c
     return [[row.get(col, 0) for col in range(len(keys))]
             for row in rows.values()]
 
@@ -260,7 +254,7 @@ def test_tot_basis_matches_the_dense_defect_reference(name, D):
                       for n in ctx.cc.level(p).space.nonzero_degrees()
                       for k in range(p + 1)})
     for degree in degrees:
-        keys = ctx.keys_up_to(D, degree=degree)
+        keys = ctx.keys_up_to(D, degree)
         basis = ctx.tot_basis(degree, D)
         assert all(ctx.is_tot_element(v) for v in basis)
         pivots = set(rref(_defect_matrix(ctx, keys))[1])

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .dgla import (DgLieMap, SelfCheckFailed, direct_product, el_combination,
                    el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
-from .forms import degeneracy_map, face_map, monomial_pullback
 from .io import TruncationError
 from .linalg import NoSolution, ZERO, sparse_columns, sparse_solve_affine
 from .mcgauge import (FiniteLieContext, ObstructionUnsolvable,
@@ -288,7 +287,7 @@ class ComparisonFunctor:
         if not el_is_zero(mc_residual(self.ctx, x)):
             raise ExtractionFailed("input family is not Maurer-Cartan")
         a = self.ctx.level0(x)
-        omega1 = self.ctx.level_component(x, 1)
+        omega1 = self.ctx.split(x).get(1, {})
         # the dt-part as time coefficients
         path = {}
         for (gi, mono), v in omega1.items():
@@ -339,7 +338,7 @@ def glue_descent_datum(cc, datum, D):
     path = solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(a), theta)
     omegas.append(ctx.embed_form_level(1, path))
     for p in range(2, ctx.N + 1):
-        omega_p = _glue_level(cc, ctx, omegas, p, D)
+        omega_p = _glue_level(ctx, omegas, p, D)
         omegas.append(ctx.embed_form_level(p, omega_p))
     x = el_sum(omegas)
     # every level was solved for these conditions
@@ -350,60 +349,25 @@ def glue_descent_datum(cc, datum, D):
     return x
 
 
-def gluing_blocks(cc, p, keys):
-    """The face and degeneracy conditions on the level-p member of a
-    glued family, as row blocks over the positions of keys (level-p
-    keys (basis index, monomial on Delta^p)): one {row key: {position:
-    coefficient}} per condition, faces 0..p first, then degeneracies
-    0..p-1.
-
-    Face i's block is Omega(face^i) (x) id: the column of (gi, mono)
-    holds the pullback of mono (`monomial_pullback`) under gi.
-    Degeneracy i's block is id (x) g(codeg^i): the column of (gi, mono)
-    holds the image of basis element gi
-    (`CosimplicialDgLie.generator_images`) on mono.  Column for column
-    these are the `FormLieContext.restrict` and `push` images of the
-    keys' unit vectors.
-    """
-    blocks = []
-    for i in range(p + 1):
-        u = face_map(i, p)
-        block = {}
-        for col, (gi, mono) in enumerate(keys):
-            for m, c in monomial_pullback(u, p, mono):
-                block.setdefault((gi, m), {})[col] = c
-        blocks.append(block)
-    for i in range(p):
-        images = cc.generator_images(degeneracy_map(i, p - 1), p - 1)
-        block = {}
-        for col, (gi, mono) in enumerate(keys):
-            for gj, c in images[gi]:
-                block.setdefault((gj, mono), {})[col] = c
-        blocks.append(block)
-    return blocks
-
-
-def _glue_level(cc, ctx, omegas, p, D):
-    """Solve level p: face and degeneracy constraints, then MC."""
-    fctx, prev_ctx = ctx.forms[p], ctx.forms[p - 1]
-    keys = fctx.keys_up_to(D, 1)
-    prev = ctx.level_component(omegas[p - 1], p - 1)
-    # face restrictions: Omega(face^i)(omega_p) = g(face^i)(omega_{p-1});
-    # degeneracy conditions: g(codeg^i)(omega_p) = Omega(codeg^i)(omega_{p-1})
-    targets = ([prev_ctx.push(cc.coface(p - 1, i).apply, prev)
-                for i in range(p + 1)] +
-               [prev_ctx.restrict(degeneracy_map(i, p - 1), prev)
-                for i in range(p)])
-    # one row per key of a block or its target, sorted; a target key
-    # that no column reaches stays as an empty (insoluble) row
-    rows, rhs = [], []
-    for block, target in zip(gluing_blocks(cc, p, keys), targets):
-        for k in sorted(block.keys() | target.keys()):
-            rows.append(block.get(k, {}))
-            rhs.append(target.get(k, ZERO))
+def _glue_level(ctx, omegas, p, D):
+    """Solve level p, then MC: the exchange rows of the faces [p-1] -> [p]
+    and the codegeneracies [p] -> [p-1] on the level-p keys, equal to
+    minus the compatibility defect of the level p-1 member (glued)."""
+    keys = ctx.forms[p].keys_up_to(D, 1)
+    generators = [(u, q) for u, q in ctx.generators()
+                  if {len(u) - 1, q} == {p - 1, p}]
+    rows = ctx.exchange_rows([(p, gi, mono) for gi, mono in keys],
+                             generators)
+    # a defect key that no column reaches stays an empty (insoluble) row
+    rhs = {}
+    for u, q in generators:
+        for k, c in ctx.compatibility_defect(u, q, omegas[p - 1]).items():
+            rows.setdefault((u, k), {})
+            rhs[(u, k)] = -c
     try:
         return constrained_mc_solve_rows(
-            fctx, [{k: ONE} for k in keys], rows, rhs, label=f"level {p}")
+            ctx.forms[p], [{k: ONE} for k in keys], list(rows.values()),
+            [rhs.get(k, ZERO) for k in rows], label=f"level {p}")
     except ObstructionUnsolvable as exc:
         if exc.stage == 0:
             raise GluingFailed(
@@ -418,7 +382,7 @@ def _glue_level(cc, ctx, omegas, p, D):
 # descent verification
 
 
-def _sample_descent_datum(inst_cech, rng):
+def _sample_descent_datum(cc, rng):
     """Draw a valid descent datum from the cover structure.
 
     Abelian instances sample uniformly small coordinates over the
@@ -429,15 +393,14 @@ def _sample_descent_datum(inst_cech, rng):
     draws return None for the caller to resample (honest rejection,
     never repair).
     """
-    cc = inst_cech
-    G0 = tot_groupoid(cc)
-    if G0.is_abelian():
-        Z = G0.abelian_complex[0].cocycles(1)
+    G = tot_groupoid(cc)
+    if G.is_abelian():
+        Z = G.abelian_complex[0].cocycles(1)
         if not Z:
             return DescentDatum({}, {})
         coords = [Fraction(rng.randint(-3, 3)) for _ in Z]
-        datum = G0.abelian_object(coords)
-        return datum if G0.verify_object(datum) else None
+        datum = G.abelian_object(coords)
+        return datum if G.verify_object(datum) else None
     cover = cc.cover
     # the opens that carry a section: a declared open without one has
     # no MC element to draw
@@ -474,10 +437,7 @@ def _sample_descent_datum(inst_cech, rng):
     # the diagonal tuples (i, i) carry the identity gauge
     theta = cc.from_components(1, theta_parts)
     datum = DescentDatum(a, theta)
-    G = tot_groupoid(cc)
-    if not G.verify_object(datum):
-        return None
-    return datum
+    return datum if G.verify_object(datum) else None
 
 
 def find_descent_isomorphism(G, d1, d2):

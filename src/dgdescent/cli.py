@@ -361,10 +361,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = run(args)
+        text = dump_record(report, args.out)
     except (ParseError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = dump_record(report, args.out)
     sys.stdout.write(text)
     bad = report["summary"]["falsified"]
     if args.strict:

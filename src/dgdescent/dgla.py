@@ -51,7 +51,15 @@ def el_add(x, y):
 
 
 def el_sub(x, y):
-    return el_add(x, {k: -v for k, v in y.items()})
+    # one Fraction subtraction per entry, not a negation and an addition
+    out = dict(x)
+    for k, v in y.items():
+        s = out.get(k, ZERO) - v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
 def el_scale(c, x):

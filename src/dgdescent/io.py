@@ -504,8 +504,8 @@ def load_record(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(path, "-", "file does not exist")
+    except OSError as exc:      # missing, a directory, unreadable, ...
+        raise ParseError(path, "-", exc.strerror or str(exc))
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno}, column {exc.colno}",
                          exc.msg)
@@ -516,8 +516,11 @@ def load_record(path):
 def dump_record(rec, path=None):
     text = json.dumps(rec, sort_keys=True, indent=2) + "\n"
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, no permission, ...
+            raise ParseError(path, "-", exc.strerror or str(exc))
     return text
 
 

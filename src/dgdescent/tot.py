@@ -53,8 +53,10 @@ class CosimplicialDgLie:
             if len(maps) != q + 1:
                 raise ValueError(f"level {q} needs {q + 1} codegeneracies")
         self._validate_identities()
-        self.vanishing_level = self._check_vanishing(vanishing_level)
+        # before _check_vanishing: normalization_basis reads these tables
         self._images = {}
+        self._negated = {}
+        self.vanishing_level = self._check_vanishing(vanishing_level)
 
     # -- structure maps ---------------------------------------------------------
 
@@ -70,32 +72,34 @@ class CosimplicialDgLie:
     def structure_map_to(self, u, q, x):
         """g(u) for u: [p] -> [q], p = len(u) - 1, with the codomain
         given explicitly."""
-        p = len(u) - 1
-        faces, degens = monotone_factorize(u, q)
-        cur = x
-        level = p
-        for j in reversed(degens):
-            cur = self.codegens[level - 1][j].apply(cur)
-            level -= 1
-        for i in reversed(faces):
-            cur = self.cofaces[level][i].apply(cur)
-            level += 1
-        if level != q:
-            raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
-        return cur
+        for f in self._normal_path(u, q):
+            x = f.apply(x)
+        return x
 
     def generator_images(self, u, q):
         """g(u) of each basis element of g^p, for u: [p] -> [q], as
         tuples of (target index, coefficient) pairs.  One table per
-        cosimplicial algebra, filled on first use: every
-        `TotContext.exchange_rows` (one context per truncation D) and
-        every `cech.gluing_blocks` call reads the same images."""
+        cosimplicial algebra, filled on first use: `normalization_basis`
+        reads the codegeneracy rows off it, and `negated_images` the
+        columns of `TotContext.exchange_rows`."""
         images = self._images.get((u, q))
         if images is None:
             images = self._images[(u, q)] = [
                 tuple(self.structure_map_to(u, q, {gi: ONE}).items())
                 for gi in range(self.levels[len(u) - 1].total_dim())]
         return images
+
+    def negated_images(self, u, q):
+        """-g(u) of each basis element, as in generator_images: the
+        columns of the level-p keys in `TotContext.exchange_rows`, negated
+        once per cosimplicial algebra because negating a Fraction costs
+        more than writing the entry."""
+        negated = self._negated.get((u, q))
+        if negated is None:
+            negated = self._negated[(u, q)] = [
+                tuple((gj, -c) for gj, c in image)
+                for image in self.generator_images(u, q)]
+        return negated
 
     def _elementary_from(self, q):
         """(name, u, target level, map) for every elementary map out of
@@ -109,8 +113,11 @@ class CosimplicialDgLie:
                       self.codegens[q - 1][i]) for i in range(q)]
         return maps
 
-    def _normal_path(self, u, q, p):
+    def _normal_path(self, u, q):
         """The maps that g(u), u: [p] -> [q], applies, in order."""
+        p = len(u) - 1
+        if list(u) != sorted(u) or not 0 <= u[0] <= u[-1] <= q:
+            raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
         faces, degens = monotone_factorize(u, q)
         low = p - len(degens)
         return ([self.codegens[p - 1 - k][j]
@@ -127,7 +134,7 @@ class CosimplicialDgLie:
             for name1, u1, lvl1, f1 in self._elementary_from(q):
                 images = [f1.apply(x) for x in basis]
                 for name2, u2, lvl2, f2 in self._elementary_from(lvl1):
-                    path = self._normal_path(compose_maps(u2, u1), lvl2, q)
+                    path = self._normal_path(compose_maps(u2, u1), lvl2)
                     if len(path) == 2 and path[0] is f1 and path[1] is f2:
                         continue
                     for x, image in zip(basis, images):
@@ -144,16 +151,15 @@ class CosimplicialDgLie:
     def normalization_basis(self, q):
         """Basis of N^q = joint kernel of the codegeneracies out of
         level q, as elements of the level-q algebra."""
-        g = self.levels[q]
         # one row per (codegeneracy i, level q-1 index t), filled from
         # the image of each basis element
         rows = {}
         for i in range(q):
-            sigma = self.codegens[q - 1][i]
-            for b in range(g.total_dim()):
-                for t, c in sigma.apply({b: ONE}).items():
+            for b, image in enumerate(
+                    self.generator_images(degeneracy_map(i, q - 1), q - 1)):
+                for t, c in image:
                     rows.setdefault((i, t), {})[b] = c
-        return sparse_kernel(list(rows.values()), g.total_dim())
+        return sparse_kernel(list(rows.values()), self.levels[q].total_dim())
 
     def _check_vanishing(self, declared):
         vanish = -1
@@ -316,9 +322,6 @@ class TotContext:
         """A FormLieContext-style element of level p into Tot keys."""
         return {(p, gi, mono): v for (gi, mono), v in form_el.items()}
 
-    def level_component(self, x, p):
-        return {(gi, mono): v for (pp, gi, mono), v in x.items() if pp == p}
-
     def level0(self, x):
         """The p = 0 component as a plain element of g^0."""
         return {gi: v for (p, gi, mono), v in x.items() if p == 0}
@@ -357,29 +360,29 @@ class TotContext:
         return all(not self.compatibility_defect(u, q, x)
                    for (u, q) in self.generators())
 
-    def exchange_rows(self, keys):
-        """The exchange conditions on the span of keys, as sparse rows
+    def exchange_rows(self, keys, generators):
+        """The exchange conditions of the generators (pairs (u, q_tgt),
+        as listed by `generators`) on the span of keys, as sparse rows
         {(u, defect key): {position in keys: coefficient}}.
 
         A generator u: [p_src] -> [q_tgt] contributes the row block
         (Omega(u) (x) id) - (id (x) g(u)): the column of a level-q_tgt
         key holds its pulled-back monomial (`monomial_pullback`), the
         column of a level-p_src key minus the image of its basis element
-        (`CosimplicialDgLie.generator_images`).  Column for column this
-        is compatibility_defect of the key's unit vector, which stays the
+        (`CosimplicialDgLie.negated_images`).  Column for column this is
+        compatibility_defect of the key's unit vector, which stays the
         independent check (`is_tot_element`); rows appear in the order
-        in which those defects would name them.
+        in which those defects would name them.  `tot_basis` takes every
+        generator, `cech._glue_level` the 2p+1 between levels p-1 and p
+        on the level-p keys.
         """
         by_level = {}
         for col, (p, gi, mono) in enumerate(keys):
             by_level.setdefault(p, []).append((col, p, gi, mono))
         rows = {}
-        for u, qtgt in self.generators():
+        for u, qtgt in generators:
             psrc = len(u) - 1
-            images = self.cc.generator_images(u, qtgt)
-            # -images[gi], negated once per basis element and generator:
-            # negating a Fraction costs more than writing the entry
-            pushes = {}
+            pushes = self.cc.negated_images(u, qtgt)
             last = pulled = None
             # the keys of the two levels u connects, in column order
             for col, p, gi, mono in sorted(by_level.get(psrc, []) +
@@ -390,8 +393,6 @@ class TotContext:
                     for m, c in pulled:
                         rows.setdefault((u, (gi, m)), {})[col] = c
                 else:
-                    if gi not in pushes:
-                        pushes[gi] = [(gj, -c) for gj, c in images[gi]]
                     for gj, c in pushes[gi]:
                         rows.setdefault((u, (gj, mono)), {})[col] = c
         return rows
@@ -407,7 +408,7 @@ class TotContext:
         free keys, so the basis is reduced.
         """
         keys = self.keys_up_to(D, degree)
-        rows = self.exchange_rows(keys)
+        rows = self.exchange_rows(keys, self.generators())
         return [{keys[i]: c for i, c in v.items()}
                 for v in sparse_kernel(list(rows.values()), len(keys))]
 

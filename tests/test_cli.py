@@ -35,6 +35,25 @@ def test_check_algebra_parse_error(tmp_path, capsys):
     assert "line" in err and str(bad) in err
 
 
+def test_a_directory_as_input_exits_2(capsys):
+    code = main(["check-algebra", str(DATA)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and str(DATA) in captured.err
+
+
+def test_an_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["check-algebra", str(DATA / "algebra_ef.json"),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert not out.parent.exists()
+
+
 def test_cohomology_command(capsys):
     code, rep = run_cli(capsys, "cohomology", str(DATA / "algebra_line.json"))
     assert code == 0

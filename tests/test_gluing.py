@@ -1,16 +1,15 @@
-"""Gluing constraints as row blocks, the rows-level constrained solver,
-and the degree-0 gauge basis of the nonabelian descent check."""
+"""Gluing constraints as exchange rows, the rows-level constrained
+solver, and the degree-0 gauge basis of the nonabelian descent check."""
 
 import functools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dgdescent import cech, mcgauge
 from dgdescent.cech import (GluingFailed, _glue_level, _sample_descent_datum,
-                            cech_cosimplicial, gluing_blocks,
+                            cech_cosimplicial, glue_descent_datum,
                             tensored_cover, verify_descent)
 from dgdescent.dgla import tensor_lie
 from dgdescent.forms import face_map
@@ -35,33 +34,30 @@ def nonabelian_cech(cover, base):
         tensored_cover(COVERS[cover](ef_algebra()), BASES[base]()), N=2)
 
 
-def _block_of(images):
-    """{row key: {position: coefficient}} of the matrix whose column j
-    is images[j], with the keys that sparse_columns would give rows."""
-    keys = sorted({k for img in images for k in img})
-    return {k: row for k, row in zip(keys, sparse_columns(images, keys))}
+@pytest.mark.parametrize("face", [0, 1, 2])
+@pytest.mark.parametrize("cover", ["segment", "circle"])
+def test_a_sign_flipped_face_block_never_glues(monkeypatch, cover, face):
+    """Face `face`'s exchange rows negated inside _glue_level: the
+    level-2 member then misses that face condition, so the system has
+    no solution or the assembled family fails its self-check."""
+    cc = nonabelian_cech(cover, "t3")
+    rng = random.Random(808)
+    datum = None
+    while datum is None or not datum.theta:
+        datum = _sample_descent_datum(cc, rng)
+    glue_descent_datum(cc, datum, 2)    # the system as built glues
+    flipped_u = face_map(face, 2)
+    exchange_rows = TotContext.exchange_rows
 
+    def flipped(self, keys, generators):
+        return {(u, dk): ({col: -c for col, c in row.items()}
+                          if u == flipped_u else row)
+                for (u, dk), row in exchange_rows(self, keys,
+                                                  generators).items()}
 
-@settings(max_examples=24, deadline=None)
-@given(cover=st.sampled_from(sorted(COVERS)),
-       base=st.sampled_from(sorted(BASES)), D=st.integers(1, 3))
-def test_gluing_blocks_are_the_per_candidate_images(cover, base, D):
-    cc = nonabelian_cech(cover, base)
-    p = 2
-    fctx = TotContext(cc).forms[p]
-    keys = fctx.keys_up_to(D, 1)
-    units = [{k: ONE} for k in keys]
-    expected = (
-        [_block_of([fctx.restrict(face_map(i, p), z) for z in units])
-         for i in range(p + 1)] +
-        [_block_of([fctx.push(cc.codegeneracy(p - 1, i).apply, z)
-                    for z in units])
-         for i in range(p)])
-    blocks = gluing_blocks(cc, p, keys)
-    assert len(blocks) == len(expected) == 2 * p + 1
-    for got, want in zip(blocks, expected):
-        assert got.keys() == want.keys()
-        assert got == want
+    monkeypatch.setattr(TotContext, "exchange_rows", flipped)
+    with pytest.raises((GluingFailed, SelfCheckFailed)):
+        glue_descent_datum(cc, datum, 2)
 
 
 def test_verify_descent_draws_gauges_from_the_degree0_basis(monkeypatch):
@@ -102,7 +98,7 @@ def test_unreachable_gluing_target_fails_at_stage_0():
     path[(gi, ((5,), 0))] = ONE
     omegas = [ctx.embed_level(0, datum.a), ctx.embed_form_level(1, path)]
     with pytest.raises(GluingFailed) as info:
-        _glue_level(cc, ctx, omegas, 2, 2)
+        _glue_level(ctx, omegas, 2, 2)
     assert info.value.level == 2
     assert "unsolvable within degree bound 2" in info.value.reason
     assert isinstance(info.value.__cause__, ObstructionUnsolvable)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dgdescent.cech import cech_cosimplicial, tensored_cover
 from dgdescent.dgla import el_eq, el_is_zero, lower_central_series, tensor_lie
 from dgdescent.instances import (abelian_algebra, circle_cover, dual_numbers,
-                                 ef_algebra, scaled_cover, t_truncated,
-                                 triple_cover)
+                                 ef_algebra, scaled_cover, segment_cover,
+                                 t_truncated, triple_cover)
 from dgdescent.linalg import rref
 from dgdescent.mcgauge import FiniteLieContext, mc_residual
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, DescentGroupoid,
@@ -185,25 +185,37 @@ def _cech_context(name):
                    "circle/t3": (circle_cover,
                                  lambda: t_truncated(3)),
                    "scaled/t3": (scaled_cover,
-                                 lambda: t_truncated(3))}[name]
+                                 lambda: t_truncated(3)),
+                   "segment-ef/t3": (lambda: segment_cover(ef_algebra()),
+                                     lambda: t_truncated(3))}[name]
     return TotContext(cech_cosimplicial(tensored_cover(cover(), base()),
                                         N=2))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["triple/eps", "circle/t3"]), st.integers(1, 3),
-       st.integers(0, 3), st.data())
+@given(st.sampled_from(["triple/eps", "circle/t3", "segment-ef/t3"]),
+       st.integers(1, 3), st.integers(0, 3), st.sampled_from([None, 1, 2]),
+       st.data())
 def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
-                                                       data):
+                                                       level, data):
     """Every entry of every generator's row block is the defect of the
-    column's unit vector, and every nonzero defect entry is in a row."""
+    column's unit vector, and every nonzero defect entry is in a row.
+    The system is drawn as `tot_basis` takes it (keys of every level,
+    every generator) or as `cech._glue_level` does (level-p keys, the
+    generators between levels p - 1 and p)."""
     ctx = _cech_context(name)
     all_keys = ctx.keys_up_to(D, degree)
+    generators = ctx.generators()
+    if level is not None:
+        all_keys = [k for k in all_keys if k[0] == level]
+        generators = [(u, q) for u, q in generators
+                      if {len(u) - 1, q} == {level - 1, level}]
+        assert len(generators) == 2 * level + 1
     picks = data.draw(st.lists(st.integers(0, max(len(all_keys) - 1, 0)),
                                max_size=12, unique=True)) \
         if all_keys else []
     keys = [all_keys[i] for i in picks]
-    rows = ctx.exchange_rows(keys)
+    rows = ctx.exchange_rows(keys, generators)
     from_rows = {}
     for (u, dk), row in rows.items():
         assert row, "a stored row is empty"
@@ -211,7 +223,7 @@ def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
             assert c != 0
             from_rows.setdefault((u, col), {})[dk] = c
     order = {}
-    for u, qtgt in ctx.generators():
+    for u, qtgt in generators:
         for col, k in enumerate(keys):
             defect = ctx.compatibility_defect(u, qtgt, {k: F(1)})
             assert from_rows.get((u, col), {}) == defect
@@ -219,6 +231,38 @@ def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
                 order.setdefault((u, dk), None)
     # rows come in the order in which the defects first name them
     assert list(rows) == list(order)
+
+
+def test_only_forms_and_tot_name_the_exchange_row_inputs():
+    """The pulled-back monomials and the structure-map images are read
+    only where the exchange rows are written, so face and degeneracy
+    rows cannot be written a second way unnoticed."""
+    import ast
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
+    watched = {"monomial_pullback", "generator_images", "negated_images"}
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("forms.py", "tot.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in watched:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders, "exchange-row inputs named at " + \
+        ", ".join(offenders)
+
+
+def test_a_map_that_is_not_monotone_into_the_codomain_is_refused():
+    cc = constant_cosimplicial(abelian_algebra({0: 1}), 2)
+    # (0, 1), (0, 2) and (-1, 0) leave [0] or [1]; (1, 0) decreases
+    for u, q in (((0, 1), 0), ((0, 2), 1), ((-1, 0), 1), ((1, 0), 1)):
+        with pytest.raises(ValueError, match="not a monotone map"):
+            cc.structure_map_to(u, q, {0: F(1)})
+        with pytest.raises(ValueError, match="not a monotone map"):
+            cc.generator_images(u, q)
 
 
 def test_tot_basis_vectors_are_tot_elements():
@@ -278,7 +322,6 @@ def _abelian_cosimplicials():
             out[f.name] = cech_cosimplicial(tensored_cover(obj[1], obj[2]))
         elif kind == "cosimplicial_dg_lie":
             out[f.name] = obj
-    from dgdescent.instances import segment_cover
     for cover in (segment_cover, circle_cover, triple_cover):
         for base in (dual_numbers, lambda: t_truncated(3)):
             cc = cech_cosimplicial(tensored_cover(cover(), base()), N=2)

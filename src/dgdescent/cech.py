@@ -16,21 +16,19 @@ p >= 2 by boundary extension plus staged Maurer-Cartan correction.
 """
 
 import itertools
-from fractions import Fraction
 
 from .dgla import (DgLieMap, SelfCheckFailed, direct_product, el_combination,
                    el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
-from .io import TruncationError
-from .linalg import NoSolution, ZERO, sparse_columns, sparse_solve_affine
+from .forms import format_mono
+from .io import TruncationError, label_to_json, scalar_to_str
+from .linalg import NoSolution, sparse_columns, sparse_solve_affine
 from .mcgauge import (FiniteLieContext, ObstructionUnsolvable,
                       constrained_mc_solve, constrained_mc_solve_rows,
                       gauge_act, holonomy, mc_residual, solve_1simplex,
                       staged_gauge_search)
 from .tot import (CosimplicialDgLie, DescentDatum, TotContext, tot_groupoid,
                   tot_lie)
-
-ONE = Fraction(1)
 
 
 class GluingFailed(Exception):
@@ -217,7 +215,7 @@ def _component_map(src, tgt, entries):
         emb = tgt_emb[ttag]
         for gi, pidx in src_emb[stag].items():
             entry = table.setdefault(pidx, {})
-            for k, v in fn({gi: ONE}).items():
+            for k, v in fn({gi: 1}).items():
                 entry[emb[k]] = v
     return DgLieMap(src, tgt, table, validate=False)
 
@@ -258,7 +256,7 @@ def tensored_cover(cover, artin):
     for (J, J2), f in cover.restrictions.items():
         src, tgt = sections[J], sections[J2]
         # m (x) f: a @ y -> a @ f(y)
-        images = [f.apply({gi: ONE}) for gi in range(f.source.total_dim())]
+        images = [f.apply({gi: 1}) for gi in range(f.source.total_dim())]
         restrictions[(J, J2)] = DgLieMap(src, tgt, {
             sidx: {tgt.tensor_index[(ai, gj)]: v
                    for gj, v in images[gi].items()}
@@ -366,8 +364,8 @@ def _glue_level(ctx, omegas, p, D):
             rhs[(u, k)] = -c
     try:
         return constrained_mc_solve_rows(
-            ctx.forms[p], [{k: ONE} for k in keys], list(rows.values()),
-            [rhs.get(k, ZERO) for k in rows], label=f"level {p}")
+            ctx.forms[p], [{k: 1} for k in keys], list(rows.values()),
+            [rhs.get(k, 0) for k in rows], label=f"level {p}")
     except ObstructionUnsolvable as exc:
         if exc.stage == 0:
             raise GluingFailed(
@@ -398,7 +396,7 @@ def _sample_descent_datum(cc, rng):
         Z = G.abelian_complex[0].cocycles(1)
         if not Z:
             return DescentDatum({}, {})
-        coords = [Fraction(rng.randint(-3, 3)) for _ in Z]
+        coords = [rng.randint(-3, 3) for _ in Z]
         datum = G.abelian_object(coords)
         return datum if G.verify_object(datum) else None
     cover = cc.cover
@@ -418,7 +416,7 @@ def _sample_descent_datum(cc, rng):
             otx = FiniteLieContext(overlap_nil)
             theta_ij = {}
             for k in cover.algebra(J).space.degree_indices(0):
-                c = Fraction(rng.randint(-2, 2))
+                c = rng.randint(-2, 2)
                 if c:
                     theta_ij[k] = c
             theta_parts[(i, j)] = theta_ij
@@ -428,7 +426,7 @@ def _sample_descent_datum(cc, rng):
                 (lambda x, J=J, j=j: cover.restrict({j}, J, x), target))
         try:
             a_parts[j] = constrained_mc_solve(
-                ctx, [{k: ONE} for k in ctx.degree_keys(1)],
+                ctx, [{k: 1} for k in ctx.degree_keys(1)],
                 constraints, rng=rng, label=f"open {j}")
         except ObstructionUnsolvable:
             return None
@@ -467,7 +465,7 @@ def lift_tot_gauge(ctx, tot_complex, x, xp, r0, D):
     # affine constraint: level0(rho) = r0
     level0 = [{k: c for k, c in b.items() if k[0] == 0} for b in basis0]
     keys0 = sorted({k for b in level0 for k in b})
-    rhs = [r0.get(k[1], ZERO) for k in keys0]
+    rhs = [r0.get(k[1], 0) for k in keys0]
     sol = sparse_solve_affine(sparse_columns(level0, keys0), rhs, len(basis0))
     if isinstance(sol, NoSolution):
         return None
@@ -572,7 +570,7 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
             falsified += 1
             report["checks"].append({
                 "name": "tot gauge projection", "verdict": "falsified",
-                "gauge": repr(rho)})
+                "gauge": _gauge_terms(cc, rho)})
     # verified needs every requested sample glued and witnessed, and at
     # least one sample: nothing glued supports nothing
     if falsified:
@@ -610,8 +608,17 @@ def _abelian_tot_dims(cc, D):
     return T.cochain.cohomology(1)[0], len(T.cochain.cocycles(0))
 
 
+def _gauge_terms(cc, rho):
+    """A Tot gauge as report data: one term per key (level p, basis
+    element of g^p, monomial on Delta^p), in key order."""
+    return [{"level": p,
+             "basis": label_to_json(cc.level(p).space.label_of(gi)),
+             "form": format_mono(mono), "coeff": scalar_to_str(c)}
+            for (p, gi, mono), c in sorted(rho.items())]
+
+
 def _random_tot_gauge(basis0, rng):
     """A random combination of the degree-0 Tot basis `basis0`, with
     coefficients in -1..1."""
-    return el_sum(el_scale(Fraction(rng.randint(-1, 1)), b)
+    return el_sum(el_scale(rng.randint(-1, 1), b)
                   for b in basis0)

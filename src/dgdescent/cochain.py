@@ -14,7 +14,7 @@ reduced bases; `canonical_table` and `check_chain_map` are the checks
 on tables that `CochainMap` and `dgla.DgLieMap` share.
 """
 
-from .linalg import (ONE, echelon_basis, linear_apply, sparse_eliminate,
+from .linalg import (echelon_basis, linear_apply, lower, sparse_eliminate,
                      sparse_kernel)
 
 
@@ -71,7 +71,7 @@ class GradedSpace:
 
     def unit_bases(self):
         """{n: [{g: 1} for every basis index g of degree n]}."""
-        return {n: [{g: ONE} for g in self.degree_indices(n)]
+        return {n: [{g: 1} for g in self.degree_indices(n)]
                 for n in self.degrees}
 
 
@@ -146,13 +146,14 @@ def _unit_keys(vecs, n):
 
 def canonical_table(table, source, target, shift=0, what="map"):
     """table without zero coefficients or empty entries, sources and
-    targets in index order; ValueError unless every entry takes a basis
+    targets in index order, and integral coefficients lowered to int
+    (`linalg.lower`); ValueError unless every entry takes a basis
     element of the space source, of degree n, into degree n + shift of
     the space target."""
     change = f"raise by {shift}" if shift else "keep"
     out = {}
     for i in sorted(table):
-        entry = {k: c for k, c in sorted(table[i].items()) if c}
+        entry = {k: lower(c) for k, c in sorted(table[i].items()) if c}
         if not entry:
             continue
         if not 0 <= i < source.total_dim() or not all(

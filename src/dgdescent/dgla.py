@@ -8,18 +8,19 @@ Sign conventions used everywhere in this package:
     [a@x, b@y] = (-1)^{|x||b|} (ab) @ [x,y]
     d(a@x) = (da)@x + (-1)^{|a|} a@(dx)
 
-Elements are sparse dicts {global basis index: Fraction}.  Axioms are
+Elements are sparse dicts {global basis index: scalar}, a scalar an
+int where it is integral and a Fraction where it is not (see `linalg`);
+structure tables are lowered to that form once, at construction.  Axioms are
 validated eagerly at construction on every basis pair/triple; internal
 constructions that preserve the axioms may opt out (they stay covered by
 randomized validation in the test suite).
 """
 
 import functools
-from fractions import Fraction
 
 from .cochain import (Cochain, GradedSpace, canonical_table, check_chain_map,
                       map_table)
-from .linalg import ONE, ZERO, echelon_basis, linear_apply
+from .linalg import echelon_basis, linear_apply, lower
 
 
 class SelfCheckFailed(Exception):
@@ -38,7 +39,7 @@ def el_sum(elements, start=None):
     out = dict(start or {})
     for e in elements:
         for k, v in e.items():
-            s = out.get(k, ZERO) + v
+            s = out.get(k, 0) + v
             if s:
                 out[k] = s
             else:
@@ -51,10 +52,10 @@ def el_add(x, y):
 
 
 def el_sub(x, y):
-    # one Fraction subtraction per entry, not a negation and an addition
+    # one subtraction per entry, not a negation and an addition
     out = dict(x)
     for k, v in y.items():
-        s = out.get(k, ZERO) - v
+        s = out.get(k, 0) - v
         if s:
             out[k] = s
         else:
@@ -65,7 +66,10 @@ def el_sub(x, y):
 def el_scale(c, x):
     if not c:
         return {}
-    return {k: c * v for k, v in x.items()}
+    if type(c) is int:
+        return {k: c * v for k, v in x.items()}
+    # a genuine quotient can still give integral products
+    return {k: lower(c * v) for k, v in x.items()}
 
 
 def el_combination(coeffs, elements, start=None):
@@ -100,7 +104,7 @@ def bilinear_apply(table, x, y):
             if not ab:
                 continue
             for k, c in entry.items():
-                v = out.get(k, ZERO) + ab * c
+                v = out.get(k, 0) + ab * c
                 if v:
                     out[k] = v
                 else:
@@ -136,32 +140,42 @@ def keyed_linear_apply(table, x, w_d, w_odd):
     return {k: v for k, v in out.items() if v}
 
 
-def keyed_bilinear_apply(table, x, y, w_product, w_odd, odd_indices):
+def keyed_bilinear_apply(rows, x, y, w_product, w_odd, odd_indices):
     """(x, y) pushed through [w1 (x) e_i, w2 (x) e_j] =
-    (-1)^{|e_i||w2|} w1 w2 (x) [e_i, e_j] in one pass over the key pairs.
+    (-1)^{|e_i||w2|} w1 w2 (x) [e_i, e_j], visiting only the pairs of
+    keys whose indices have a bracket.
 
-    w_product(w1, w2) is None when w1 w2 = 0, else (w, negative) with
-    w1 w2 = -w when negative and w otherwise; w_odd(w) tells whether |w|
-    is odd, odd_indices holds the odd-degree indices of L, and table is
-    L's bilinear table of the bracket.
+    rows is L's bracket table by first index (`DgLieAlgebra.bracket_rows`),
+    {i: [(j, (k, coeff) pairs of [e_i, e_j]), ...]}; y is grouped by its
+    index j once, so each key of x meets only the keys of y whose index
+    its row names.  w_product(w1, w2) is None when w1 w2 = 0, else
+    (w, negative) with w1 w2 = -w when negative and w otherwise; w_odd(w)
+    tells whether |w| is odd, and odd_indices holds the odd-degree
+    indices of L.
     """
-    ys = [(j, w2, b, w_odd(w2)) for (j, w2), b in y.items()]
+    ys = {}
+    for (j, w2), b in y.items():
+        ys.setdefault(j, []).append((w2, b, w_odd(w2)))
     out = {}
     for (i, w1), a in x.items():
+        row = rows.get(i)
+        if not row:
+            continue
         i_odd = i in odd_indices
-        for j, w2, b, w2_odd in ys:
-            entry = table.get((i, j))
-            if not entry:
+        for j, entry in row:
+            y_j = ys.get(j)
+            if y_j is None:
                 continue
-            prod = w_product(w1, w2)
-            if prod is None:
-                continue
-            w, negative = prod
-            ab = a * b
-            if negative != (i_odd and w2_odd):
-                ab = -ab
-            for k, c in entry.items():
-                _accumulate(out, (k, w), ab * c)
+            for w2, b, w2_odd in y_j:
+                prod = w_product(w1, w2)
+                if prod is None:
+                    continue
+                w, negative = prod
+                ab = a * b
+                if negative != (i_odd and w2_odd):
+                    ab = -ab
+                for k, c in entry:
+                    _accumulate(out, (k, w), ab * c)
     return {k: v for k, v in out.items() if v}
 
 
@@ -192,7 +206,7 @@ class DgLieAlgebra:
         self.name = name
         table = {}
         for (i, j), val in brackets.items():
-            val = {k: v for k, v in val.items() if v}
+            val = {k: lower(v) for k, v in val.items() if v}
             di, dj = self.space.degree_of(i), self.space.degree_of(j)
             for k in val:
                 if self.space.degree_of(k) != di + dj:
@@ -205,7 +219,7 @@ class DgLieAlgebra:
             # a (j, i) entry disagreeing with this one's flip was refused
             # above as a conflicting entry; validate() checks antisymmetry
             if i != j and (j, i) not in table:
-                sign = -Fraction((-1) ** (di * dj))
+                sign = -(-1) ** (di * dj)
                 table[(j, i)] = {k: sign * v for k, v in val.items()}
         self.table = {ij: v for ij, v in table.items() if v}
         self.d_table = cochain.d
@@ -230,6 +244,16 @@ class DgLieAlgebra:
         return linear_apply(self.d_table, x)
 
     @functools.cached_property
+    def bracket_rows(self):
+        """The bracket table by first index, {i: [(j, (k, coeff) pairs
+        of [e_i, e_j]), ...]} with the j in increasing order: the view
+        `keyed_bilinear_apply` walks.  Computed once per algebra."""
+        rows = {}
+        for (i, j), entry in sorted(self.table.items()):
+            rows.setdefault(i, []).append((j, tuple(entry.items())))
+        return rows
+
+    @functools.cached_property
     def odd_indices(self):
         return frozenset(i for i in range(self.total_dim())
                          if self.degree_of(i) % 2)
@@ -237,8 +261,8 @@ class DgLieAlgebra:
     def keyed_bracket(self, x, y, w_product, w_odd):
         """The bracket of W (x) self on keys (i, w); see
         `keyed_bilinear_apply`."""
-        return keyed_bilinear_apply(self.table, x, y, w_product, w_odd,
-                                    self.odd_indices)
+        return keyed_bilinear_apply(self.bracket_rows, x, y, w_product,
+                                    w_odd, self.odd_indices)
 
     def keyed_d_element(self, x, w_d, w_odd):
         """The differential of W (x) self on keys (i, w); see
@@ -246,7 +270,7 @@ class DgLieAlgebra:
         return keyed_linear_apply(self.d_table, x, w_d, w_odd)
 
     def basis_element(self, gidx):
-        return {gidx: Fraction(1)}
+        return {gidx: 1}
 
     def is_abelian(self):
         return not self.table
@@ -263,8 +287,7 @@ class DgLieAlgebra:
             for j in range(n):
                 dj = self.degree_of(j)
                 lhs = self.bracket_basis(i, j)
-                rhs = el_scale(-Fraction((-1) ** (di * dj)),
-                               self.bracket_basis(j, i))
+                rhs = el_scale(-(-1) ** (di * dj), self.bracket_basis(j, i))
                 if not el_eq(lhs, rhs):
                     raise ValueError(f"antisymmetry fails on pair ({i},{j})")
                 # Leibniz
@@ -272,7 +295,7 @@ class DgLieAlgebra:
                 left = self.d_element(self.bracket_basis(i, j))
                 right = el_add(
                     self.bracket(self.d_element(xi), xj),
-                    el_scale(Fraction((-1) ** di),
+                    el_scale((-1) ** di,
                              self.bracket(xi, self.d_element(xj))))
                 if not el_eq(left, right):
                     raise ValueError(f"Leibniz fails on pair ({i},{j})")
@@ -287,7 +310,7 @@ class DgLieAlgebra:
                     lhs = self.bracket(xi, self.bracket(xj, xk))
                     rhs = el_add(
                         self.bracket(self.bracket(xi, xj), xk),
-                        el_scale(Fraction((-1) ** (di * dj)),
+                        el_scale((-1) ** (di * dj),
                                  self.bracket(xj, self.bracket(xi, xk))))
                     if not el_eq(lhs, rhs):
                         raise ValueError(
@@ -329,7 +352,7 @@ class DgLieMap:
 
 
 def identity_map(g):
-    return DgLieMap(g, g, {i: {i: ONE} for i in range(g.total_dim())},
+    return DgLieMap(g, g, {i: {i: 1} for i in range(g.total_dim())},
                     validate=False)
 
 
@@ -345,14 +368,14 @@ class DgCommAlgebra:
         self.space = cochain.space
         raw = {}
         for (i, j), val in products.items():
-            val = {k: v for k, v in val.items() if v}
+            val = {k: lower(v) for k, v in val.items() if v}
             di = self.space.degree_of(i) + self.space.degree_of(j)
             for k in val:
                 if self.space.degree_of(k) != di:
                     raise ValueError("product breaks the grading")
             raw[(i, j)] = val
-        self.table = _both_orders(raw, lambda i, j: Fraction(
-            (-1) ** (self.degree_of(i) * self.degree_of(j))))
+        self.table = _both_orders(raw, lambda i, j: (-1) ** (
+            self.degree_of(i) * self.degree_of(j)))
         self.unit_index = unit_index
         self.d_table = cochain.d
         if validate:
@@ -371,7 +394,7 @@ class DgCommAlgebra:
         return linear_apply(self.d_table, x)
 
     def basis_element(self, gidx):
-        return {gidx: Fraction(1)}
+        return {gidx: 1}
 
     def validate(self):
         n = self.space.total_dim()
@@ -388,14 +411,13 @@ class DgCommAlgebra:
                 dj = self.degree_of(j)
                 xj = self.basis_element(j)
                 lhs = self.multiply_basis(i, j)
-                rhs = el_scale(Fraction((-1) ** (di * dj)),
-                               self.multiply_basis(j, i))
+                rhs = el_scale((-1) ** (di * dj), self.multiply_basis(j, i))
                 if not el_eq(lhs, rhs):
                     raise ValueError(f"commutativity fails on ({i},{j})")
                 left = self.d_element(self.multiply_basis(i, j))
                 right = el_add(
                     self.multiply(self.d_element(xi), xj),
-                    el_scale(Fraction((-1) ** di),
+                    el_scale((-1) ** di,
                              self.multiply(xi, self.d_element(xj))))
                 if not el_eq(left, right):
                     raise ValueError(f"Leibniz fails on ({i},{j})")
@@ -418,7 +440,7 @@ class MaximalIdeal:
         n = len(self.labels)
         self.products = {}
         for (i, j), val in products.items():
-            val = {k: v for k, v in val.items() if v}
+            val = {k: lower(v) for k, v in val.items() if v}
             if val:
                 self.products[(i, j)] = val
         self.table = _both_orders(self.products, lambda i, j: 1)
@@ -430,10 +452,8 @@ class MaximalIdeal:
                     raise ValueError(f"ideal multiplication not commutative "
                                      f"on ({i},{j})")
                 for k in range(n):
-                    a1 = self.multiply({i: Fraction(1)},
-                                       self.multiply_basis(j, k))
-                    a2 = self.multiply(self.multiply_basis(i, j),
-                                       {k: Fraction(1)})
+                    a1 = self.multiply({i: 1}, self.multiply_basis(j, k))
+                    a2 = self.multiply(self.multiply_basis(i, j), {k: 1})
                     if not el_eq(a1, a2):
                         raise ValueError("ideal multiplication not associative")
         self.nilpotency = self._nilpotency_degree()
@@ -452,10 +472,10 @@ class MaximalIdeal:
     def _nilpotency_degree(self):
         """Smallest s with m^s = 0; raises if the powers never die."""
         n = self.dim()
-        power = [{i: ONE} for i in range(n)]
+        power = [{i: 1} for i in range(n)]
         s = 1
         while power:
-            power = echelon_basis([self.multiply({i: ONE}, x)
+            power = echelon_basis([self.multiply({i: 1}, x)
                                    for x in power for i in range(n)])
             s += 1
             if s > n + 1:
@@ -552,12 +572,12 @@ def tensor_lie(A, g, validate=True):
             ab = a_mult(ai, bj)
             if not ab:
                 continue
-            sign = Fraction((-1) ** (g.degree_of(gi) * a_degrees[bj]))
+            sign = (-1) ** (g.degree_of(gi) * a_degrees[bj])
             entry = {}
             for ck, cv in ab.items():
                 for gk, gv in gbr.items():
                     t = index[(ck, gk)]
-                    v = entry.get(t, ZERO) + sign * cv * gv
+                    v = entry.get(t, 0) + sign * cv * gv
                     if v:
                         entry[t] = v
                     else:

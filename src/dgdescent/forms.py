@@ -14,6 +14,8 @@ every dt once; the form degree is the number of dt factors.
 Pullback along a monotone map (`omega_apply`) is linear, computed per
 monomial from a memo: the image of each (map, monomial) pair is
 multiplied out once, and later pullbacks only scale and sum them.
+Coefficients are int where they are integral (see `linalg`), and the
+memoized images are lowered to that form when they are built.
 `monomial_pullback` hands out one such image as an immutable tuple,
 `monomial_d` the differential of one monomial in the same way, and
 `monomial_product` the wedge of two monomials.
@@ -22,8 +24,7 @@ multiplied out once, and later pullbacks only scale and sum them.
 import functools
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import lower
 
 
 def mono_form_degree(mono):
@@ -45,7 +46,7 @@ def _merge_masks(m1, m2):
         # factors of m1 above this bit must jump over it
         inversions += bin(m1 >> low.bit_length()).count("1")
         m ^= low
-    sign = -ONE if inversions % 2 else ONE
+    sign = -1 if inversions % 2 else 1
     return m1 | m2, sign
 
 
@@ -75,7 +76,7 @@ class PolyForm:
 
     @classmethod
     def constant(cls, n, c):
-        c = Fraction(c)
+        c = lower(c)
         if not c:
             return cls(n)
         return cls(n, {((0,) * n, 0): c})
@@ -91,14 +92,14 @@ class PolyForm:
             raise ValueError(f"t_{i} is not a free coordinate on the "
                              f"{n}-simplex")
         exps = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, {(exps, 0): ONE})
+        return cls(n, {(exps, 0): 1})
 
     @classmethod
     def dt(cls, n, i):
         if not 1 <= i <= n:
             raise ValueError(f"dt_{i} is not a free coordinate on the "
                              f"{n}-simplex")
-        return cls(n, {((0,) * n, 1 << (i - 1)): ONE})
+        return cls(n, {((0,) * n, 1 << (i - 1)): 1})
 
     @classmethod
     def t0(cls, n):
@@ -121,7 +122,7 @@ class PolyForm:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, ZERO) + c
+            v = out.get(m, 0) + c
             if v:
                 out[m] = v
             else:
@@ -136,8 +137,8 @@ class PolyForm:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return PolyForm(self.n, {m: c * v for m, v in self.terms.items()})
+            return PolyForm(self.n, {m: other * v
+                                     for m, v in self.terms.items()})
         self._check(other)
         out = {}
         for m1, c1 in self.terms.items():
@@ -146,7 +147,7 @@ class PolyForm:
                 if prod is None:
                     continue
                 m, sign = prod
-                v = out.get(m, ZERO) + sign * c1 * c2
+                v = out.get(m, 0) + sign * c1 * c2
                 if v:
                     out[m] = v
                 else:
@@ -183,9 +184,9 @@ class PolyForm:
                 nexps = tuple(x - 1 if j == i else x
                               for j, x in enumerate(exps))
                 below = bin(mask & ((1 << i) - 1)).count("1")
-                sign = -ONE if below % 2 else ONE
+                sign = -1 if below % 2 else 1
                 m = (nexps, mask | (1 << i))
-                v = out.get(m, ZERO) + sign * e * c
+                v = out.get(m, 0) + sign * e * c
                 if v:
                     out[m] = v
                 else:
@@ -273,7 +274,7 @@ def omega_apply(u, omega):
     out = {}
     for mono, c in omega.terms.items():
         for m, v in _mono_pullback(u, q, mono).items():
-            s = out.get(m, ZERO) + c * v
+            s = out.get(m, 0) + c * v
             if s:
                 out[m] = s
             else:
@@ -285,8 +286,9 @@ def omega_apply(u, omega):
 def _mono_pullback(u, q, mono):
     """The terms of the pullback of one monomial on the q-simplex along
     u: t_i and dt_i go to the sums of the source coordinates (and
-    differentials) over the preimage of i.  Memoized; the dicts it
-    returns are shared, so only omega_apply reads them."""
+    differentials) over the preimage of i, coefficients lowered.
+    Memoized; the dicts it returns are shared, so only omega_apply and
+    monomial_pullback read them."""
     p = len(u) - 1
     src_t = [PolyForm.t0(p)] + [PolyForm.t(p, j) for j in range(1, p + 1)]
     src_dt = [PolyForm.dt0(p)] + [PolyForm.dt(p, j) for j in range(1, p + 1)]
@@ -311,7 +313,7 @@ def _mono_pullback(u, q, mono):
     for i in range(q):
         if (mask >> i) & 1:
             term = term * sub_dt[i]
-    return term.terms
+    return {m: lower(c) for m, c in term.terms.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,7 +332,8 @@ def monomial_d(n, mono):
     coefficient) pairs in the order PolyForm.d adds them.  Memoized and
     immutable: `FormLieContext.d_el` reads it once per key instead of
     differentiating a fresh form."""
-    return tuple(PolyForm(n, {mono: ONE}).d().terms.items())
+    return tuple((m, lower(c))
+                 for m, c in PolyForm(n, {mono: 1}).d().terms.items())
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,7 +394,7 @@ def truncated_form_cochain(n, D):
         by_deg.setdefault(mono_form_degree(m), []).append(m)
     degrees = {k: [format_mono(mono) for mono in v]
                for k, v in by_deg.items()}
-    units = {k: [{m: ONE} for m in ms] for k, ms in by_deg.items()}
+    units = {k: [{m: 1} for m in ms] for k, ms in by_deg.items()}
     d = map_table(lambda x: PolyForm(n, x).d().terms, units, units, 1)
     return Cochain(GradedSpace(degrees), d), by_deg
 

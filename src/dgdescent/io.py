@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace
 from .dgla import ArtinAlgebra, DgLieAlgebra, DgLieMap, identity_map
-from .linalg import ONE, ZERO
+from .linalg import lower
 
 
 class ParseError(ValueError):
@@ -36,25 +36,26 @@ _SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def scalar_to_str(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
+    x = lower(x)
+    if type(x) is int:
+        return str(x)
     return f"{x.numerator}/{x.denominator}"
 
 
 def scalar_from_str(s, path="<record>", field="coeff"):
     """A JSON integer, or a string "p" or "p/q" of ASCII digits with an
-    optional leading minus sign, as a Fraction."""
+    optional leading minus sign, as an int when it is integral and a
+    Fraction otherwise."""
     if isinstance(s, float):
         raise ParseError(path, field,
                          f"floats are not exact; write {s!r} as \"p/q\"")
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+        return int(s)
     if not isinstance(s, str) or not _SCALAR.fullmatch(s):
         raise ParseError(path, field, f"bad rational {s!r}: expected an "
                          f"integer or a string \"p\" or \"p/q\"")
     try:
-        return Fraction(s)
+        return lower(Fraction(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(path, field, f"bad rational {s!r}: {exc}")
 
@@ -184,7 +185,7 @@ def algebra_from_record(rec, path="<record>"):
                                       "differential.coeff"),
                             path, "differential.coeff")
         entries.setdefault(src, {})[tgt] = \
-            entries.get(src, {}).get(tgt, ZERO) + c
+            entries.get(src, {}).get(tgt, 0) + c
     try:
         cochain = Cochain(space, entries)
     except ValueError as exc:
@@ -196,7 +197,7 @@ def algebra_from_record(rec, path="<record>"):
         val = {}
         for term in _objects(entry, "value", path, "brackets.value"):
             k = look(term, "basis", "brackets.value.basis")
-            val[k] = val.get(k, ZERO) + scalar_from_str(
+            val[k] = val.get(k, 0) + scalar_from_str(
                 _required(term, "coeff", path, "brackets.value.coeff"),
                 path, "brackets.value.coeff")
         brackets[(i, j)] = val
@@ -357,7 +358,7 @@ def _map_to_matrices(f):
         row_of = {k: r for r, k in enumerate(tgt.degree_indices(n))}
         M = [["0"] * src.dim(n) for _ in row_of]
         for col, i in enumerate(src.degree_indices(n)):
-            for k, c in f.apply({i: ONE}).items():
+            for k, c in f.apply({i: 1}).items():
                 M[row_of[k]][col] = scalar_to_str(c)
                 blocks[str(n)] = M
     return blocks

@@ -2,16 +2,19 @@
 
 Everything in this package reduces to solving linear systems over Q,
 and every solve runs through one sparse exact eliminator,
-`sparse_eliminate`, on rows stored as dicts col -> Fraction (zero
-values never stored).  The systems of this package are mostly
-integral, so inside it integer-valued entries and right-hand sides
-stay int (a -1 pivot negates, an int pivot divides exactly where it
-can), a column -> pivot-row index names the rows that each new pivot
-back-substitutes into, and every value it returns is a Fraction.
+`sparse_eliminate`, on rows stored as dicts col -> scalar (zero values
+never stored).  A scalar of the package is an int where it is integral
+and a Fraction where it is not: int arithmetic is several times cheaper
+than Fraction arithmetic, the two compare and hash equal, and `lower`
+turns an integral Fraction into its int.  The systems of this package
+are mostly integral, so the eliminator works in ints (a -1 pivot
+negates, an int pivot divides exactly where it can), a column ->
+pivot-row index names the rows that each new pivot back-substitutes
+into, and every value it returns keeps that contract.
 A subspace is the list of its `echelon_basis` vectors (dicts over any
 sortable keys), a system is a list of sparse rows, and a linear map is
 a sparse table {i: {k: coeff}} that `linear_apply` pushes vectors
-through.  The dense functions (lists of lists of Fraction) are thin
+through.  The dense functions (lists of lists of scalars) are thin
 adapters that no other module of the package names: dense Gauss-Jordan
 elimination, `rref`, and `coords_in_span`, which eliminates the basis
 once per vector, are kept as the independent references that the
@@ -20,8 +23,12 @@ tests compare the sparse path against.  No floats anywhere.
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def lower(x):
+    """x as an int when it is an integral Fraction, x itself otherwise."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 class NoSolution:
@@ -47,24 +54,26 @@ class NoSolution:
 
 
 def zero_vector(n):
-    return [ZERO] * n
+    return [0] * n
 
 
 def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def rref(A, track=False):
     """Reduced row echelon form by dense Gauss-Jordan elimination.
 
     The test reference for the sparse eliminator; no solver calls it.
-    Returns (R, pivots) or, with track=True, (R, pivots, T) where T is
-    the invertible transform with R = T A.
+    It works in Fractions throughout, independently of the eliminator's
+    ints.  Returns (R, pivots) or, with track=True, (R, pivots, T) where
+    T is the invertible transform with R = T A.
     """
-    R = [row[:] for row in A]
+    R = [[Fraction(x) for x in row] for row in A]
     m = len(R)
     n = len(R[0]) if R else 0
-    T = identity(m) if track else None
+    T = [[Fraction(x) for x in row] for row in identity(m)] if track \
+        else None
     pivots = []
     r = 0
     for c in range(n):
@@ -74,7 +83,7 @@ def rref(A, track=False):
         R[r], R[p] = R[p], R[r]
         if track:
             T[r], T[p] = T[p], T[r]
-        inv = ONE / R[r][c]
+        inv = Fraction(1) / R[r][c]
         if inv != 1:
             R[r] = [x * inv if x else x for x in R[r]]
             if track:
@@ -98,7 +107,7 @@ def rref(A, track=False):
 
 
 def _densify(v, n):
-    out = [ZERO] * n
+    out = [0] * n
     for j, x in v.items():
         out[j] = x
     return out
@@ -165,7 +174,7 @@ def intersect_spans(B1, B2):
 
 
 # ---------------------------------------------------------------------------
-# sparse rows: dict col -> Fraction (zero values never stored)
+# sparse rows: dict col -> scalar (zero values never stored)
 
 
 def linear_apply(table, x):
@@ -176,7 +185,7 @@ def linear_apply(table, x):
         if not entry:
             continue
         for k, c in entry.items():
-            v = out.get(k, ZERO) + a * c
+            v = out.get(k, 0) + a * c
             if v:
                 out[k] = v
             else:
@@ -200,25 +209,18 @@ def sparse_columns(vectors, keys):
     return rows
 
 
-def _lower(x):
-    # an integer-valued rational as an int: int arithmetic is several
-    # times cheaper than Fraction arithmetic, and the values are equal
-    return x.numerator if x.denominator == 1 else x
+_INT = frozenset((int,))
 
 
-# small ints, the most common results, as shared (immutable) Fractions
-_SMALL = {n: Fraction(n) for n in range(-64, 65)}
-
-
-def _fraction(x):
-    return x if type(x) is Fraction else _SMALL.get(x) or Fraction(x)
+def _all_int(values):
+    return set(map(type, values)) <= _INT
 
 
 def _div(x, p):
     # x / p for an int pivot p: an int where p divides x
     if type(x) is int and not x % p:
         return x // p
-    return _lower(Fraction(x, p))
+    return lower(Fraction(x, p))
 
 
 def _axpy(row, f, pivot_row):
@@ -272,16 +274,27 @@ def sparse_eliminate(rows, rhs=None, track=False):
     stripped from the pivot rows returned.
 
     Two things keep the elimination cheap without changing its result.
-    Integer-valued entries are held as int while eliminating, and an
-    int pivot p normalizes its row by x // p where p divides x (every
-    value returned is a Fraction again).  And a column -> pivot-row
-    index names the pivot rows that a new pivot row back-substitutes
-    into, so no pass scans every pivot row.
+    Entries stay int where they are integral (an integral Fraction is
+    lowered on the way in), and an int pivot p normalizes its row by
+    x // p where p divides x, so an integral system is eliminated in
+    ints alone.  Only once a Fraction has entered the elimination are
+    the values returned lowered again, so every value returned is an
+    int exactly when it is integral.  And a column -> pivot-row index
+    names the pivot rows that a new pivot row back-substitutes into, so
+    no pass scans every pivot row.
     """
-    rvals = [_lower(x) for x in rhs] if rhs is not None else [0] * len(rows)
+    rvals = [lower(x) for x in rhs] if rhs is not None else [0] * len(rows)
     tag = 1 + max((max(r) for r in rows if r), default=-1)
-    work = [{j: x.numerator if x.denominator == 1 else x
-             for j, x in r.items()} for r in rows]
+    # whether a Fraction has entered: until then every value is an int
+    fractional = not _all_int(rvals)
+    work = []
+    for r in rows:
+        if _all_int(r.values()):
+            work.append(dict(r))
+        else:
+            r = {j: lower(x) for j, x in r.items()}
+            fractional = fractional or not _all_int(r.values())
+            work.append(r)
     if track:
         for i, row in enumerate(work):
             row[tag + i] = 1
@@ -305,8 +318,7 @@ def sparse_eliminate(rows, rhs=None, track=False):
         if pj >= tag:
             # no real column left: the row is a combination of the others
             if rv:
-                bad = {j - tag: _fraction(x) for j, x in row.items()} \
-                    if track else i
+                bad = {j - tag: x for j, x in row.items()} if track else i
                 break
             continue
         p = row[pj]
@@ -317,10 +329,13 @@ def sparse_eliminate(rows, rhs=None, track=False):
             if type(p) is int:
                 row = {j: _div(x, p) for j, x in row.items()}
                 rv = _div(rv, p)
+                if not fractional:
+                    fractional = type(rv) is not int or \
+                        not _all_int(row.values())
             else:
-                inv = ONE / p
-                row = {j: _lower(x * inv) for j, x in row.items()}
-                rv = _lower(rv * inv)
+                inv = Fraction(p.denominator, p.numerator)
+                row = {j: lower(x * inv) for j, x in row.items()}
+                rv = lower(rv * inv)
         # back-substitute into the earlier pivot rows nonzero on pj
         for k in holders.pop(pj, ()):
             f = pivot_rows[k][pj]
@@ -334,11 +349,18 @@ def sparse_eliminate(rows, rhs=None, track=False):
         pivot_rows.append(row)
         pivot_cols.append(pj)
         pivot_rhs.append(rv)
-    pivot_rows = [{j: x if type(x) is Fraction else _SMALL.get(x) or
-                   Fraction(x) for j, x in row.items() if j < tag}
-                  for row in pivot_rows]
-    pivot_rhs = [_fraction(x) for x in pivot_rhs] if rhs is not None \
-        else [ZERO] * len(pivot_rows)
+    if track:
+        pivot_rows = [{j: x for j, x in row.items() if j < tag}
+                      for row in pivot_rows]
+    if fractional:
+        # Fraction arithmetic can end on an integral value
+        pivot_rows = [{j: lower(x) for j, x in row.items()}
+                      for row in pivot_rows]
+        pivot_rhs = [lower(x) for x in pivot_rhs]
+        if track and bad is not None:
+            bad = {j: lower(x) for j, x in bad.items()}
+    if rhs is None:
+        pivot_rhs = [0] * len(pivot_rows)
     return pivot_rows, pivot_cols, pivot_rhs, bad
 
 
@@ -380,7 +402,7 @@ def _kernel(pivot_rows, pivot_cols, ncols):
     """Kernel basis from fully reduced pivot rows, one vector per free
     column f: 1 on f, minus row i's f-entry on pivot column i."""
     pivset = set(pivot_cols)
-    basis = {f: {f: ONE} for f in range(ncols) if f not in pivset}
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivset}
     for prow, pcol in zip(pivot_rows, pivot_cols):
         for j, c in prow.items():
             v = basis.get(j)

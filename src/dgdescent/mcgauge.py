@@ -39,10 +39,9 @@ from .dgla import (SelfCheckFailed, el_add, el_combination, el_eq,
                    el_is_zero, el_scale, el_sub, el_sum)
 from .forms import (PolyForm, mono_form_degree, mono_is_odd, monomial_d,
                     monomial_product, monomials_up_to, omega_apply)
-from .linalg import (NoSolution, ZERO, echelon_basis, sparse_columns,
+from .linalg import (NoSolution, echelon_basis, lower, sparse_columns,
                      sparse_solve_affine, span_intersection)
 
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -65,19 +64,19 @@ class KPoly:
 
     @classmethod
     def const(cls, c):
-        c = Fraction(c)
+        c = lower(c)
         return cls({(): c} if c else {})
 
     @classmethod
     def var(cls, i):
-        return cls({((i, 1),): ONE})
+        return cls({((i, 1),): 1})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = KPoly.const(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, ZERO) + c
+            v = out.get(m, 0) + c
             if v:
                 out[m] = v
             else:
@@ -99,10 +98,10 @@ class KPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return KPoly()
-            return KPoly({m: c * v for m, v in self.terms.items()})
+            return KPoly({m: lower(other * v)
+                          for m, v in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -110,7 +109,7 @@ class KPoly:
                 for var, e in m2:
                     d[var] = d.get(var, 0) + e
                 m = tuple(sorted(d.items()))
-                v = out.get(m, ZERO) + c1 * c2
+                v = out.get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
                 else:
@@ -139,7 +138,7 @@ class KPoly:
         return self.degree() <= 1
 
     def constant_part(self):
-        return self.terms.get((), ZERO)
+        return self.terms.get((), 0)
 
     def linear_part(self):
         out = {}
@@ -183,7 +182,7 @@ class FiniteLieContext:
         return self.g.space.degree_indices(n)
 
     def basis_of_degree(self, n):
-        return [{k: ONE} for k in self.degree_keys(n)]
+        return [{k: 1} for k in self.degree_keys(n)]
 
     def stage_vectors_for(self, stage, keys):
         """Spanning elements of F^stage restricted to degrees present."""
@@ -331,7 +330,8 @@ def flow_path(ctx, y_coeffs, x0):
                       for j in range(min(L, k + 1))
                       if coeffs[k - j] and y_coeffs[j]),
                      dy[k] if k < L else None)
-        nxt = el_scale(Fraction(1, k + 1), nxt)
+        if k:
+            nxt = el_scale(Fraction(1, k + 1), nxt)
         coeffs.append(nxt)
         zeros = 0 if nxt else zeros + 1
         k += 1
@@ -360,7 +360,7 @@ def _log_expexp_words(depth):
                 w = w1 + w2
                 if len(w) > depth:
                     continue
-                v = out.get(w, ZERO) + c1 * c2
+                v = out.get(w, 0) + c1 * c2
                 if v:
                     out[w] = v
                 else:
@@ -368,7 +368,7 @@ def _log_expexp_words(depth):
         return out
 
     def exp_letter(letter):
-        out = {(): ONE}
+        out = {(): 1}
         fact = 1
         for a in range(1, depth + 1):
             fact *= a
@@ -379,12 +379,12 @@ def _log_expexp_words(depth):
     E1 = dict(E)
     E1.pop((), None)  # E - 1
     out = {}
-    power = {(): ONE}
+    power = {(): 1}
     for m in range(1, depth + 1):
         power = trunc_mul(power, E1)
         sign = Fraction((-1) ** (m - 1), m)
         for w, c in power.items():
-            v = out.get(w, ZERO) + sign * c
+            v = out.get(w, 0) + sign * c
             if v:
                 out[w] = v
             else:
@@ -427,17 +427,17 @@ def bch(ctx, y1, y2):
 def _bernoulli_plus(k):
     """Bernoulli numbers with B1 = +1/2 (the "plus" convention)."""
     if k == 0:
-        return ONE
+        return 1
     if k == 1:
         return HALF
     # standard recurrence for B^- then flip the sign at odd k (only k=1 odd
     # is nonzero, so only the parity of k matters through (-1)^k)
     from math import comb
-    B = [ONE, Fraction(-1, 2)]
+    B = [1, Fraction(-1, 2)]
     for m in range(2, k + 1):
-        s = sum(Fraction(comb(m + 1, j)) * B[j] for j in range(m))
-        B.append(-s / (m + 1))
-    return B[k] * Fraction((-1) ** k)
+        s = sum(comb(m + 1, j) * B[j] for j in range(m))
+        B.append(Fraction(-s, m + 1))
+    return B[k] * (-1) ** k
 
 
 def holonomy(ctx, y_coeffs):
@@ -501,10 +501,10 @@ def solve_1simplex(ctx1, x0, theta):
     for k, c in enumerate(coeffs):
         mono = ((k,), 0)
         for gi, v in c.items():
-            out[(gi, mono)] = out.get((gi, mono), ZERO) + v
+            out[(gi, mono)] = out.get((gi, mono), 0) + v
     dt_mono = ((0,), 1)
     for gi, v in theta.items():
-        out[(gi, dt_mono)] = out.get((gi, dt_mono), ZERO) + v
+        out[(gi, dt_mono)] = out.get((gi, dt_mono), 0) + v
     out = {k: v for k, v in out.items() if v}
     if not el_is_zero(mc_residual(ctx1, out)):
         raise SelfCheckFailed("1-simplex construction lost the MC equation")
@@ -562,9 +562,9 @@ def _solve_congruence(ctx, images, residual_const, residual_linear, stage,
     keys = sorted(keys | _keys_of(aux))
     # sum_i kappa_i * (-residual_linear_i) + sum_j z_j images_j
     #   - sum_m w_m aux_m = residual_const
-    columns = ([el_scale(-ONE, r) for r in residual_linear] + images
-               + [el_scale(-ONE, a) for a in aux])
-    b = [residual_const.get(k, ZERO) for k in keys]
+    columns = ([el_scale(-1, r) for r in residual_linear] + images
+               + [el_scale(-1, a) for a in aux])
+    b = [residual_const.get(k, 0) for k in keys]
     res = sparse_solve_affine(sparse_columns(columns, keys), b, len(columns))
     if isinstance(res, NoSolution):
         return res
@@ -700,7 +700,7 @@ def constrained_mc_solve(ctx, candidates, constraints=(), rng=None,
         imgs = [fn(z) for z in candidates]
         keys = sorted(_keys_of(imgs) | set(target))
         rows += sparse_columns(imgs, keys)
-        rhs += [target.get(k, ZERO) for k in keys]
+        rhs += [target.get(k, 0) for k in keys]
     return constrained_mc_solve_rows(ctx, candidates, rows, rhs, rng=rng,
                                      label=label)
 
@@ -738,7 +738,7 @@ def constrained_mc_solve_rows(ctx, candidates, rows, rhs, rng=None,
 
 
 def _random_combination(rng, particular, kernel):
-    return el_sum((el_scale(Fraction(rng.randint(-2, 2)), k)
+    return el_sum((el_scale(rng.randint(-2, 2), k)
                    for k in kernel), particular)
 
 
@@ -788,7 +788,7 @@ def _constrained_mc_once(ctx, candidates, position, rows, rhs, rng, label):
                 if v and ctx.key_degree(next(iter(v))) == 1]
             cand_stage = span_intersection(free, stage_deg1)
         imgs = [ctx.d_el(z) for z in cand_stage]
-        sol = _solve_congruence(ctx, imgs, el_scale(-ONE, R), [], stage, 0)
+        sol = _solve_congruence(ctx, imgs, el_scale(-1, R), [], stage, 0)
         if isinstance(sol, NoSolution):
             raise ObstructionUnsolvable(stage, label)
         zvals, kern = sol
@@ -849,7 +849,7 @@ class DeligneGroupoid:
     def random_gauge(self, rng):
         out = {}
         for k in self.ctx.degree_keys(0):
-            c = Fraction(rng.randint(-2, 2))
+            c = rng.randint(-2, 2)
             if c:
                 out[k] = c
         return out

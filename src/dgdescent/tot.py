@@ -12,7 +12,6 @@ against the intersections of the cover, and the reports record N.
 """
 
 import functools
-from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace, map_table
 from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
@@ -20,11 +19,9 @@ from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
 from .forms import (compose_maps, degeneracy_map, face_map,
                     monomial_pullback, monotone_factorize)
 from .io import TruncationError
-from .linalg import ZERO, echelon_basis, sparse_kernel
+from .linalg import echelon_basis, lower, sparse_kernel
 from .mcgauge import (FiniteLieContext, FormLieContext, bch, gauge_act,
                       mc_residual)
-
-ONE = Fraction(1)
 
 
 class CosimplicialDgLie:
@@ -55,7 +52,6 @@ class CosimplicialDgLie:
         self._validate_identities()
         # before _check_vanishing: normalization_basis reads these tables
         self._images = {}
-        self._negated = {}
         self.vanishing_level = self._check_vanishing(vanishing_level)
 
     # -- structure maps ---------------------------------------------------------
@@ -78,28 +74,18 @@ class CosimplicialDgLie:
 
     def generator_images(self, u, q):
         """g(u) of each basis element of g^p, for u: [p] -> [q], as
-        tuples of (target index, coefficient) pairs.  One table per
-        cosimplicial algebra, filled on first use: `normalization_basis`
-        reads the codegeneracy rows off it, and `negated_images` the
-        columns of `TotContext.exchange_rows`."""
+        tuples of (target index, coefficient) pairs, coefficients
+        lowered (`linalg.lower`).  One table per cosimplicial algebra,
+        filled on first use: `normalization_basis` reads the codegeneracy
+        rows off it, and `TotContext.exchange_rows` the columns of the
+        level-p keys."""
         images = self._images.get((u, q))
         if images is None:
             images = self._images[(u, q)] = [
-                tuple(self.structure_map_to(u, q, {gi: ONE}).items())
+                tuple((gj, lower(c)) for gj, c in
+                      self.structure_map_to(u, q, {gi: 1}).items())
                 for gi in range(self.levels[len(u) - 1].total_dim())]
         return images
-
-    def negated_images(self, u, q):
-        """-g(u) of each basis element, as in generator_images: the
-        columns of the level-p keys in `TotContext.exchange_rows`, negated
-        once per cosimplicial algebra because negating a Fraction costs
-        more than writing the entry."""
-        negated = self._negated.get((u, q))
-        if negated is None:
-            negated = self._negated[(u, q)] = [
-                tuple((gj, -c) for gj, c in image)
-                for image in self.generator_images(u, q)]
-        return negated
 
     def _elementary_from(self, q):
         """(name, u, target level, map) for every elementary map out of
@@ -130,7 +116,7 @@ class CosimplicialDgLie:
         # cosimplicial identities; a pair that is its own normal form
         # would only be compared with itself
         for q in range(self.N + 1):
-            basis = [{b: ONE} for b in range(self.levels[q].total_dim())]
+            basis = [{b: 1} for b in range(self.levels[q].total_dim())]
             for name1, u1, lvl1, f1 in self._elementary_from(q):
                 images = [f1.apply(x) for x in basis]
                 for name2, u2, lvl2, f2 in self._elementary_from(lvl1):
@@ -229,12 +215,12 @@ def tot_cochain(cc):
         for q, el in _by_level(x).items():
             # Cech differential: alternating sum of cofaces
             if q + 1 <= N:
-                delta = el_sum(el_scale(-ONE if i % 2 else ONE,
+                delta = el_sum(el_scale(-1 if i % 2 else 1,
                                         cc.coface(q, i).apply(el))
                                for i in range(q + 2))
                 parts.append({(q + 1, k): v for k, v in delta.items()})
             # internal differential with the Koszul sign
-            sgn = -ONE if q % 2 else ONE
+            sgn = -1 if q % 2 else 1
             parts.append({(q, k): v for k, v in
                           el_scale(sgn, cc.level(q).d_element(el)).items()})
         return el_sum(parts)
@@ -369,7 +355,7 @@ class TotContext:
         (Omega(u) (x) id) - (id (x) g(u)): the column of a level-q_tgt
         key holds its pulled-back monomial (`monomial_pullback`), the
         column of a level-p_src key minus the image of its basis element
-        (`CosimplicialDgLie.negated_images`).  Column for column this is
+        (`CosimplicialDgLie.generator_images`).  Column for column this is
         compatibility_defect of the key's unit vector, which stays the
         independent check (`is_tot_element`); rows appear in the order
         in which those defects would name them.  `tot_basis` takes every
@@ -382,7 +368,7 @@ class TotContext:
         rows = {}
         for u, qtgt in generators:
             psrc = len(u) - 1
-            pushes = self.cc.negated_images(u, qtgt)
+            pushes = self.cc.generator_images(u, qtgt)
             last = pulled = None
             # the keys of the two levels u connects, in column order
             for col, p, gi, mono in sorted(by_level.get(psrc, []) +
@@ -394,7 +380,7 @@ class TotContext:
                         rows.setdefault((u, (gi, m)), {})[col] = c
                 else:
                     for gj, c in pushes[gi]:
-                        rows.setdefault((u, (gj, mono)), {})[col] = c
+                        rows.setdefault((u, (gj, mono)), {})[col] = -c
         return rows
 
     def tot_basis(self, degree, D):
@@ -566,7 +552,7 @@ class DescentGroupoid:
             return {(tag, k): v for tag, el in images.items()
                     for k, v in el.items()}
 
-        units = {n: [{k: ONE} for k in ks] for n, ks in keys.items()}
+        units = {n: [{k: 1} for k in ks] for n, ks in keys.items()}
         return Cochain(GradedSpace(keys), map_table(d, units, units, 1)), keys
 
     def pi0_dimension(self):
@@ -581,7 +567,7 @@ class DescentGroupoid:
         Z = C.cocycles(1)
         parts = {"a": {}, "theta": {}}
         for i, (tag, k) in zip(C.space.degree_indices(1), keys[1]):
-            v = sum((c * z.get(i, ZERO) for c, z in zip(coords, Z)), ZERO)
+            v = sum(c * z.get(i, 0) for c, z in zip(coords, Z))
             if v:
                 parts[tag][k] = v
         return DescentDatum(parts["a"], parts["theta"])

@@ -30,7 +30,6 @@ from dgdescent.instances import (abelian_algebra, abelian_line, circle_cover,
                                  tampered_fibration, triple_cover,
                                  wz_algebra)
 from dgdescent.io import load_any, load_record, table_from_blocks
-from dgdescent.linalg import ZERO
 from dgdescent.mcgauge import (FiniteLieContext, FormLieContext,
                                ObstructionUnsolvable, bch, gauge_act,
                                gauge_equivalent, mc_lift, mc_residual,
@@ -187,7 +186,7 @@ def _hand_cech_complex(cover, artin):
         cols = space.dim(n)
         if rows == 0 or cols == 0:
             continue
-        M = [[ZERO] * cols for _ in range(rows)]
+        M = [[F(0)] * cols for _ in range(rows)]
         row_of = {lab: r
                   for r, lab in enumerate(space.labels(n + 1))}
         nonzero = False

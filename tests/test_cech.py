@@ -1,20 +1,23 @@
 import copy
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from dgdescent.dgla import (ArtinAlgebra, DgLieMap, NilpotentDgLie, el_eq,
-                            el_is_zero, identity_map, lower_central_series,
-                            tensor_lie)
+                            el_is_zero, el_scale, identity_map,
+                            lower_central_series, tensor_lie)
 from dgdescent.cech import (CoverSpec, ComparisonFunctor, ExtractionFailed,
                             GluingFailed, _sample_descent_datum,
                             cech_cosimplicial, find_descent_isomorphism,
                             glue_descent_datum,
                             lift_tot_gauge, tensored_cover, verify_descent)
+from dgdescent.forms import format_mono
 from dgdescent.instances import (abelian_line, circle_cover, dual_numbers,
-                                 ef_algebra, probe_class2, segment_cover,
-                                 t_truncated, triple_cover)
+                                 ef_algebra, heisenberg, probe_class2,
+                                 segment_cover, t_truncated, triple_cover)
+from dgdescent.io import label_to_json, scalar_from_str
 from dgdescent.mcgauge import (FiniteLieContext, SelfCheckFailed, gauge_act,
                                gauge_equivalent, mc_residual)
 from dgdescent.tot import (DescentDatum, TotContext, TruncationError,
@@ -338,6 +341,46 @@ def test_verify_descent_never_verifies_nothing():
     summary = rep["checks"][-1]
     assert summary["glued"] == 0
     assert summary["verdict"] == "undecided"
+
+
+def test_falsified_projection_reports_the_gauge_as_terms(monkeypatch):
+    """A Tot gauge whose projection is not a descent morphism is
+    reported as data, one term per key, and the terms rebuild the gauge
+    exactly.  A projection that doubles the level-0 component breaks
+    the morphism condition of every gauge that moves the datum."""
+    cc = cech_cosimplicial(segment_cover(heisenberg()))
+    project = ComparisonFunctor.morphism_map
+    gauges = []
+
+    def doubled(self, rho):
+        gauges.append(rho)
+        return el_scale(2, project(self, rho))
+
+    monkeypatch.setattr(ComparisonFunctor, "morphism_map", doubled)
+    rep = verify_descent(cc, samples=3, seed=0, D=2)
+    falsified = [c for c in rep["checks"]
+                 if c["name"] == "tot gauge projection"]
+    assert falsified and rep["falsified"] == len(falsified)
+    assert rep["checks"][-1]["verdict"] == "falsified"
+    assert json.loads(json.dumps(rep)) == rep
+    ctx = TotContext(cc)
+    key_of = {json.dumps([p, label_to_json(cc.level(p).space.label_of(gi)),
+                          format_mono(mono)]): (p, gi, mono)
+              for p, gi, mono in ctx.keys_up_to(2, 0)}
+    rebuilt = []
+    for check in falsified:
+        assert check["verdict"] == "falsified"
+        rho = {}
+        for term in check["gauge"]:
+            assert set(term) == {"level", "basis", "form", "coeff"}
+            key = key_of[json.dumps([term["level"], term["basis"],
+                                     term["form"]])]
+            assert key not in rho
+            rho[key] = scalar_from_str(term["coeff"])
+        rebuilt.append(rho)
+    # the falsified gauges are drawn ones, in the order drawn
+    it = iter(gauges)
+    assert all(any(rho == g for g in it) for rho in rebuilt)
 
 
 def test_unwitnessed_round_trip_is_undecided(monkeypatch):

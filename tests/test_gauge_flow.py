@@ -5,8 +5,10 @@
 structure tables in one pass (`dgla.keyed_linear_apply`,
 `keyed_bilinear_apply`).  The references below are the earlier
 implementations, kept only here: Picard iteration on the time
-coefficients, and kernels that split both operands by monomial and go
-through the plain algebra's d and bracket once per monomial (pair).
+coefficients, kernels that split both operands by monomial and go
+through the plain algebra's d and bracket once per monomial (pair), and
+the keyed bracket that visits every pair of keys instead of the rows of
+the bracket table.
 """
 
 import functools
@@ -17,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgdescent.dgla import (NilpotentDgLie, el_add, el_eq, el_scale, el_sum,
+from dgdescent.cochain import Cochain, GradedSpace
+from dgdescent.dgla import (DgLieAlgebra, NilpotentDgLie, el_add, el_eq,
+                            el_scale, el_sum, keyed_bilinear_apply,
                             lower_central_series, tensor_lie)
-from dgdescent.forms import (mono_form_degree, mono_mul, monomial_d,
-                             monomials_up_to)
+from dgdescent.forms import (mono_form_degree, mono_is_odd, mono_mul,
+                             monomial_d, monomial_product, monomials_up_to)
 from dgdescent.instances import (ef_algebra, heisenberg, probe_class2,
                                  segment_cover, t_truncated, wz_algebra)
 from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext,
@@ -89,6 +93,30 @@ def per_monomial_bracket_el(ctx, x, y):
             if br:
                 parts.append({(gk, m): sign * c for gk, c in br.items()})
     return el_sum(parts)
+
+
+def all_pairs_keyed_bilinear_apply(table, x, y, w_product, w_odd,
+                                   odd_indices):
+    """The keyed bracket over every pair of keys of x and y, looking
+    each index pair up in the bilinear table {(i, j): {k: coeff}}."""
+    ys = [(j, w2, b, w_odd(w2)) for (j, w2), b in y.items()]
+    out = {}
+    for (i, w1), a in x.items():
+        i_odd = i in odd_indices
+        for j, w2, b, w2_odd in ys:
+            entry = table.get((i, j))
+            if not entry:
+                continue
+            prod = w_product(w1, w2)
+            if prod is None:
+                continue
+            w, negative = prod
+            ab = a * b
+            if negative != (i_odd and w2_odd):
+                ab = -ab
+            for k, c in entry.items():
+                out[(k, w)] = out.get((k, w), 0) + ab * c
+    return {k: v for k, v in out.items() if v}
 
 
 class ReferenceForms:
@@ -210,6 +238,52 @@ def test_form_kernels_match_per_monomial_references(amb, data):
     assert ctx.bracket_el(x, y) == ref.bracket_el(x, y)
     assert mc_residual(ctx, x) == el_add(
         ref.d_el(x), el_scale(F(1, 2), ref.bracket_el(x, x)))
+
+
+def _two_term():
+    """x, y, z, w in degree 0 with [x, y] = z + 2w central: unlike the
+    bundled algebras, a bracket whose entry has two terms."""
+    space = GradedSpace({0: ["x", "y", "z", "w"]})
+    return DgLieAlgebra(Cochain(space, {}), {(0, 1): {2: 1, 3: 2}},
+                        name="two-term")
+
+
+@functools.lru_cache(maxsize=None)
+def _tensored(name):
+    g = {"ef": ef_algebra, "heisenberg": heisenberg,
+         "probe2": probe_class2, "two-term": _two_term}[name]()
+    return tensor_lie(t_truncated(3), g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ef", "heisenberg", "probe2", "two-term"]),
+       st.sampled_from([1, 2]), st.data())
+def test_bracket_rows_match_all_pairs(name, n, data):
+    """keyed_bilinear_apply, which walks the rows of the bracket table,
+    gives the all-pairs bracket on random keyed elements of g (x) t^3
+    over Omega_1 and Omega_2."""
+    ctx = FormLieContext(_tensored(name), n)
+    keys = _all_keys(ctx, 2)
+    x = data.draw(elements(keys))
+    y = data.draw(elements(keys))
+    g = ctx.g
+    expected = all_pairs_keyed_bilinear_apply(
+        g.table, x, y, monomial_product, mono_is_odd, g.odd_indices)
+    assert keyed_bilinear_apply(g.bracket_rows, x, y, monomial_product,
+                                mono_is_odd, g.odd_indices) == expected
+    assert ctx.bracket_el(x, y) == expected
+
+
+def test_bracket_rows_list_the_table():
+    """bracket_rows is the bracket table by first index, second indices
+    in increasing order, computed once per algebra."""
+    g = _tensored("probe2").algebra
+    rows = g.bracket_rows
+    assert {(i, j): dict(entry) for i, row in rows.items()
+            for j, entry in row} == g.table
+    assert all([j for j, _ in row] == sorted(j for j, _ in row)
+               for row in rows.values())
+    assert g.bracket_rows is rows
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -284,7 +284,8 @@ def test_integer_pivots_match_rref(system):
     """Pivots of -1, +-2 and 3 are normalized in integers where they
     divide the entries and as Fractions where they do not; the pivot
     rows, kernel, particular solution and certificates still equal or
-    satisfy what dense rref gives, as Fractions."""
+    satisfy what dense rref gives, and every value is an int exactly
+    when it is integral."""
     A, b, rows = system
     n = len(A[0])
     R, pivots = rref(A)
@@ -293,15 +294,15 @@ def test_integer_pivots_match_rref(system):
     ordered = sorted(zip(pivot_cols, pivot_rows), key=lambda pr: pr[0])
     assert [p for p, _ in ordered] == pivots
     assert [densify(row, n) for _, row in ordered] == R[:len(pivots)]
-    assert _all_fractions(x for row in pivot_rows for x in row.values())
+    assert _all_lowered(x for row in pivot_rows for x in row.values())
     kernel = sparse_kernel(rows, n)
     ref_kernel = dense_reference(A, [F(0)] * len(A))[1]
     assert [densify(v, n) for v in kernel] == ref_kernel
-    assert _all_fractions(x for v in kernel for x in v.values())
+    assert _all_lowered(x for v in kernel for x in v.values())
     res = sparse_solve_affine(rows, b, n)
     if n in rref([row + [bv] for row, bv in zip(A, b)])[1]:
         assert isinstance(res, NoSolution)
-        assert _all_fractions(res.certificate.values())
+        assert _all_lowered(res.certificate.values())
         assert_certificate(A, b, densify(res.certificate, len(A)))
         cert = sparse_eliminate(rows, b, track=True)[3]
         assert cert == res.certificate
@@ -310,44 +311,61 @@ def test_integer_pivots_match_rref(system):
     ref_x0, ref_kernel, _ = dense_reference(A, b)
     assert densify(x0, n) == ref_x0
     assert [densify(v, n) for v in kernel] == ref_kernel
-    assert _all_fractions(x0.values())
-    assert _all_fractions(sparse_eliminate(rows, b)[2])
+    assert _all_lowered(x0.values())
+    assert _all_lowered(sparse_eliminate(rows, b)[2])
 
 
-def _all_fractions(values):
-    return all(type(x) is Fraction for x in values)
+def _all_lowered(values):
+    """Every value an int exactly when it is integral, otherwise a
+    Fraction with a denominator above 1; never a float or a bool."""
+    return all(type(x) is int or
+               (type(x) is Fraction and x.denominator > 1)
+               for x in values)
 
 
-def test_every_returned_value_is_a_fraction():
-    # integer-valued entries are eliminated as int but returned as
-    # Fraction, certificates included
+def test_every_returned_value_is_lowered():
+    # integral values come back as int and the others as Fraction,
+    # certificates included, whether the entries came in as int, as
+    # integral Fraction or as Fraction
     rows = [{0: 2, 1: F(4)}, {0: F(1), 2: -1}, {1: F(1, 2), 2: 3}, {3: 1}]
     pivot_rows, _, pivot_rhs, _ = sparse_eliminate(rows, [1, F(2), 3, 0])
-    assert _all_fractions(x for row in pivot_rows for x in row.values())
-    assert _all_fractions(pivot_rhs)
+    assert _all_lowered(x for row in pivot_rows for x in row.values())
+    assert _all_lowered(pivot_rhs)
     pivot_rows, _, pivot_rhs, _ = sparse_eliminate(rows)
-    assert _all_fractions(x for row in pivot_rows for x in row.values())
-    assert _all_fractions(pivot_rhs)
+    assert _all_lowered(x for row in pivot_rows for x in row.values())
+    assert _all_lowered(pivot_rhs)
     x0, kernel = sparse_solve_affine(rows, [1, 2, 3, 4], 5)
-    assert _all_fractions(x0.values())
-    assert _all_fractions(x for v in kernel for x in v.values())
-    assert _all_fractions(x for v in sparse_kernel(rows, 5)
-                          for x in v.values())
+    assert _all_lowered(x0.values())
+    assert _all_lowered(x for v in kernel for x in v.values())
+    assert _all_lowered(x for v in sparse_kernel(rows, 5)
+                        for x in v.values())
     res = sparse_solve_affine(rows + [{0: 2, 1: 4}], [1, 2, 3, 4, 5], 5)
     assert isinstance(res, NoSolution)
-    assert _all_fractions(res.certificate.values())
+    assert _all_lowered(res.certificate.values())
     # a -1 pivot (negated), a 2 pivot that divides one entry and not
     # another, and a -1/2 pivot; and the echelon basis over tuple keys
     rows = [{0: -1, 2: 1}, {1: 2, 2: 3, 3: 4}, {0: 1, 1: 1, 3: F(2)}]
     pivot_rows, pivot_cols, pivot_rhs, _ = sparse_eliminate(rows, [1, 3, 2])
     assert pivot_cols == [0, 1, 2]
-    assert _all_fractions(x for row in pivot_rows for x in row.values())
-    assert _all_fractions(pivot_rhs)
-    assert _all_fractions(x for v in sparse_kernel(rows, 4)
-                          for x in v.values())
+    assert _all_lowered(x for row in pivot_rows for x in row.values())
+    assert _all_lowered(pivot_rhs)
+    assert _all_lowered(x for v in sparse_kernel(rows, 4)
+                        for x in v.values())
     basis = echelon_basis([{("a", 0): -1, ("b", 0): 1},
                            {("a", 1): 2, ("b", 0): 3, ("c", 0): 4}])
-    assert _all_fractions(x for v in basis for x in v.values())
+    assert _all_lowered(x for v in basis for x in v.values())
+    # Fraction arithmetic that ends on integers comes back as int
+    rows = [{0: F(1, 2), 1: F(3, 2)}, {0: F(1, 3), 2: F(2, 3)}]
+    pivot_rows, pivot_cols, pivot_rhs, _ = sparse_eliminate(
+        rows, [F(5, 2), F(1, 3)])
+    assert sorted(zip(pivot_cols, pivot_rows, pivot_rhs)) == \
+        [(0, {0: 1, 2: 2}, 1), (1, {1: 1, 2: F(-2, 3)}, F(4, 3))]
+    assert _all_lowered(x for row in pivot_rows for x in row.values())
+    assert _all_lowered(pivot_rhs)
+    res = sparse_solve_affine(rows + [{1: F(3, 2), 2: -1}],
+                              [F(5, 2), F(1, 3), F(1, 2)], 3)
+    assert isinstance(res, NoSolution)
+    assert _all_lowered(res.certificate.values())
 
 
 def test_early_tracked_return_strips_tag_columns():

@@ -23,10 +23,10 @@ from .dgla import (DgLieMap, SelfCheckFailed, direct_product, el_combination,
 from .forms import format_mono
 from .io import TruncationError, label_to_json, scalar_to_str
 from .linalg import NoSolution, sparse_columns, sparse_solve_affine
-from .mcgauge import (FiniteLieContext, ObstructionUnsolvable,
-                      constrained_mc_solve, constrained_mc_solve_rows,
-                      gauge_act, holonomy, mc_residual, solve_1simplex,
-                      staged_gauge_search)
+from .mcgauge import (DeligneGroupoid, FiniteLieContext,
+                      ObstructionUnsolvable, constrained_mc_solve,
+                      constrained_mc_solve_rows, gauge_act, holonomy,
+                      mc_residual, solve_1simplex, staged_gauge_search)
 from .tot import (CosimplicialDgLie, DescentDatum, TotContext, tot_groupoid,
                   tot_lie)
 
@@ -277,7 +277,6 @@ class ComparisonFunctor:
         self.cc = cc
         self.ctx = TotContext(cc)
         self.groupoid = tot_groupoid(cc)
-        self.nil1 = self.ctx.nils[1]
 
     def object_map(self, x):
         """MC family -> (a, theta): theta is the exact holonomy of the
@@ -300,8 +299,7 @@ class ComparisonFunctor:
             y_coeffs = [path.get(k, {}) for k in range(top + 1)]
         else:
             y_coeffs = [{}]
-        ctx1 = FiniteLieContext(self.nil1)
-        theta = holonomy(ctx1, y_coeffs)
+        theta = holonomy(self.groupoid.ctx1, y_coeffs)
         datum = DescentDatum(a, theta)
         reasons = []
         if not self.groupoid.verify_object(datum, reasons):
@@ -412,15 +410,10 @@ def _sample_descent_datum(cc, rng):
             J = frozenset({i, j})
             if cover.algebra(J) is None:
                 continue
-            overlap_nil = lower_central_series(cover.algebra(J))
-            otx = FiniteLieContext(overlap_nil)
-            theta_ij = {}
-            for k in cover.algebra(J).space.degree_indices(0):
-                c = rng.randint(-2, 2)
-                if c:
-                    theta_ij[k] = c
+            overlap = DeligneGroupoid(lower_central_series(cover.algebra(J)))
+            theta_ij = overlap.random_gauge(rng)
             theta_parts[(i, j)] = theta_ij
-            target = gauge_act(otx, theta_ij,
+            target = gauge_act(overlap.ctx, theta_ij,
                                cover.restrict({i}, J, a_parts[i]))
             constraints.append(
                 (lambda x, J=J, j=j: cover.restrict({j}, J, x), target))

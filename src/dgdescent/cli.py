@@ -15,10 +15,9 @@ import time
 from . import __version__
 from .dgla import lower_central_series, NilpotentDgLie, tensor_lie
 from .io import (ParseError, TruncationError, algebra_from_record,
-                 artin_from_record, cosimplicial_from_record,
-                 cover_from_record, dump_record, element_from_record,
-                 element_to_record, instance_from_record, load_record,
-                 record_type)
+                 artin_from_record, cosimplicial_from_record, dump_record,
+                 element_from_record, element_to_record,
+                 instance_from_record, load_any, load_record, record_type)
 
 # cech, mcgauge and tot are imported by the commands that run them: each
 # job is a fresh process that compiles what it imports unless bytecode
@@ -153,32 +152,23 @@ def _cosimplicial_from_args(args):
                      f"cannot build a cosimplicial algebra from {kind!r}")
 
 
+# the check that reading a record of each kind performs
+_RECORD_CHECKS = {
+    "dg_lie_algebra": "d^2, antisymmetry, Jacobi, Leibniz",
+    "artin_algebra": "commutative local artinian axioms",
+    "cover": "restriction functoriality and dg Lie maps",
+    "descent_instance": "restriction functoriality, dg Lie maps and "
+                        "artinian base axioms",
+    "cosimplicial_dg_lie": "cosimplicial identities and dg Lie maps",
+}
+
+
 def cmd_check_algebra(args, report):
-    rec = load_record(args.file)
-    kind = record_type(rec, args.file)
-    if kind == "dg_lie_algebra":
-        algebra_from_record(rec, args.file)
-        report["checks"].append(
-            {"name": "d^2, antisymmetry, Jacobi, Leibniz",
-             "verdict": "verified"})
-    elif kind == "artin_algebra":
-        artin_from_record(rec, args.file)
-        report["checks"].append(
-            {"name": "commutative local artinian axioms",
-             "verdict": "verified"})
-    elif kind == "cover":
-        cover_from_record(rec, args.file)
-        report["checks"].append(
-            {"name": "restriction functoriality and dg Lie maps",
-             "verdict": "verified"})
-    elif kind == "cosimplicial_dg_lie":
-        cosimplicial_from_record(rec, args.file)
-        report["checks"].append(
-            {"name": "cosimplicial identities and dg Lie maps",
-             "verdict": "verified"})
-    else:
-        raise ParseError(args.file, "type", f"unknown record type {kind!r}")
-    report["instance"] = rec.get("name")
+    kind, obj = load_any(args.file)
+    report["checks"].append({"name": _RECORD_CHECKS[kind],
+                             "verdict": "verified"})
+    # a descent instance reads as its (name, cover, base)
+    report["instance"] = obj[0] if kind == "descent_instance" else obj.name
 
 
 def cmd_cohomology(args, report):

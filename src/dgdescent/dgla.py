@@ -10,9 +10,12 @@ Sign conventions used everywhere in this package:
 
 Elements are sparse dicts {global basis index: scalar}, a scalar an
 int where it is integral and a Fraction where it is not (see `linalg`);
-structure tables are lowered to that form once, at construction.  Axioms are
+structure tables are lowered to that form once, at construction.  Every
+bracket and product table is built by `_product_table`, so graded
+(anti)symmetry and the grading hold by construction, for every algebra.
+The remaining axioms (Leibniz, Jacobi or associativity, the unit) are
 validated eagerly at construction on every basis pair/triple; internal
-constructions that preserve the axioms may opt out (they stay covered by
+constructions that preserve them may opt out (they stay covered by
 randomized validation in the test suite).
 """
 
@@ -179,15 +182,63 @@ def keyed_bilinear_apply(rows, x, y, w_product, w_odd, odd_indices):
     return {k: v for k, v in out.items() if v}
 
 
-def _both_orders(products, sign):
-    """A product table completed in the missing orders: (j, i) gets
-    sign(i, j) times the (i, j) entry; empty entries are dropped last,
-    so an explicit empty entry still differs from a nonzero partner."""
-    table = dict(products)
+def _product_table(products, degree_of, sign, what, law):
+    """The structure table of a graded (anti)symmetric product.
+
+    products: {(i, j): {k: coeff}}, either order of a pair or both.
+    Coefficients are lowered, every entry must land in degree
+    |i| + |j|, and (j, i) is written as sign(|i|, |j|) times (i, j).
+    A given entry that disagrees with the flip of its partner is
+    refused; the diagonal is its own partner, so a nonzero (i, i) with
+    sign(|i|, |i|) = -1 is refused too.  An explicit empty entry counts
+    as zero.
+    """
+    table = {}
     for (i, j), val in products.items():
-        if (j, i) not in products:
-            table[(j, i)] = el_scale(sign(i, j), val)
+        val = {k: lower(v) for k, v in val.items() if v}
+        di, dj = degree_of(i), degree_of(j)
+        for k in val:
+            if degree_of(k) != di + dj:
+                raise ValueError(f"{what} ({i},{j}) hits degree "
+                                 f"{degree_of(k)}, expected {di + dj}")
+        s = sign(di, dj)
+        flip = {k: s * v for k, v in val.items()}
+        if table.get((i, j), val) != val:
+            raise ValueError(f"{what} ({i},{j}) breaks {law}")
+        table[(i, j)] = val
+        if table.setdefault((j, i), flip) != flip:
+            raise ValueError(f"{what} ({j},{i}) breaks {law}")
     return {ij: v for ij, v in table.items() if v}
+
+
+def _check_leibniz(alg, product):
+    """d(xy) = (dx)y + (-1)^{|x|} x(dy) on every basis pair of alg, the
+    product given as a function of two elements."""
+    n = alg.space.total_dim()
+    for i in range(n):
+        xi = {i: 1}
+        dxi = alg.d_element(xi)
+        sign = (-1) ** alg.degree_of(i)
+        for j in range(n):
+            xj = {j: 1}
+            left = alg.d_element(alg.table.get((i, j), {}))
+            right = el_add(product(dxi, xj),
+                           el_scale(sign, product(xi, alg.d_element(xj))))
+            if not el_eq(left, right):
+                raise ValueError(f"Leibniz fails on pair ({i},{j})")
+
+
+def _check_associativity(multiply, n):
+    """(xy)z = x(yz) on every basis triple of an n-dimensional algebra,
+    the product given as a function of two elements."""
+    for i in range(n):
+        for j in range(n):
+            xy = multiply({i: 1}, {j: 1})
+            for k in range(n):
+                if not el_eq(multiply(xy, {k: 1}),
+                             multiply({i: 1}, multiply({j: 1}, {k: 1}))):
+                    raise ValueError(
+                        f"associativity fails on ({i},{j},{k})")
 
 
 class DgLieAlgebra:
@@ -204,24 +255,9 @@ class DgLieAlgebra:
         self.cochain = cochain
         self.space = cochain.space
         self.name = name
-        table = {}
-        for (i, j), val in brackets.items():
-            val = {k: lower(v) for k, v in val.items() if v}
-            di, dj = self.space.degree_of(i), self.space.degree_of(j)
-            for k in val:
-                if self.space.degree_of(k) != di + dj:
-                    raise ValueError(
-                        f"bracket [{i},{j}] hits degree "
-                        f"{self.space.degree_of(k)}, expected {di + dj}")
-            if (i, j) in table and table[(i, j)] != val:
-                raise ValueError(f"conflicting entries for bracket ({i},{j})")
-            table[(i, j)] = val
-            # a (j, i) entry disagreeing with this one's flip was refused
-            # above as a conflicting entry; validate() checks antisymmetry
-            if i != j and (j, i) not in table:
-                sign = -(-1) ** (di * dj)
-                table[(j, i)] = {k: sign * v for k, v in val.items()}
-        self.table = {ij: v for ij, v in table.items() if v}
+        self.table = _product_table(
+            brackets, self.space.degree_of, lambda a, b: -(-1) ** (a * b),
+            "bracket", "graded antisymmetry")
         self.d_table = cochain.d
         if validate:
             self.validate()
@@ -278,27 +314,10 @@ class DgLieAlgebra:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        """Check graded antisymmetry, Jacobi and Leibniz on all basis tuples."""
+        """Check Leibniz and Jacobi on all basis tuples; graded
+        antisymmetry holds by construction."""
+        _check_leibniz(self, self.bracket)
         n = self.total_dim()
-        for i in range(n):
-            di = self.degree_of(i)
-            if di % 2 == 0 and self.bracket_basis(i, i):
-                raise ValueError(f"[x,x] != 0 for even basis element {i}")
-            for j in range(n):
-                dj = self.degree_of(j)
-                lhs = self.bracket_basis(i, j)
-                rhs = el_scale(-(-1) ** (di * dj), self.bracket_basis(j, i))
-                if not el_eq(lhs, rhs):
-                    raise ValueError(f"antisymmetry fails on pair ({i},{j})")
-                # Leibniz
-                xi, xj = self.basis_element(i), self.basis_element(j)
-                left = self.d_element(self.bracket_basis(i, j))
-                right = el_add(
-                    self.bracket(self.d_element(xi), xj),
-                    el_scale((-1) ** di,
-                             self.bracket(xi, self.d_element(xj))))
-                if not el_eq(left, right):
-                    raise ValueError(f"Leibniz fails on pair ({i},{j})")
         for i in range(n):
             di = self.degree_of(i)
             xi = self.basis_element(i)
@@ -366,16 +385,9 @@ class DgCommAlgebra:
     def __init__(self, cochain, products, unit_index, validate=True):
         self.cochain = cochain
         self.space = cochain.space
-        raw = {}
-        for (i, j), val in products.items():
-            val = {k: lower(v) for k, v in val.items() if v}
-            di = self.space.degree_of(i) + self.space.degree_of(j)
-            for k in val:
-                if self.space.degree_of(k) != di:
-                    raise ValueError("product breaks the grading")
-            raw[(i, j)] = val
-        self.table = _both_orders(raw, lambda i, j: (-1) ** (
-            self.degree_of(i) * self.degree_of(j)))
+        self.table = _product_table(
+            products, self.space.degree_of, lambda a, b: (-1) ** (a * b),
+            "product", "graded commutativity")
         self.unit_index = unit_index
         self.d_table = cochain.d
         if validate:
@@ -383,9 +395,6 @@ class DgCommAlgebra:
 
     def degree_of(self, gidx):
         return self.space.degree_of(gidx)
-
-    def multiply_basis(self, i, j):
-        return self.table.get((i, j), {})
 
     def multiply(self, x, y):
         return bilinear_apply(self.table, x, y)
@@ -397,6 +406,8 @@ class DgCommAlgebra:
         return {gidx: 1}
 
     def validate(self):
+        """Check the unit, Leibniz and associativity on all basis tuples;
+        graded commutativity holds by construction."""
         n = self.space.total_dim()
         one = self.basis_element(self.unit_index)
         if self.degree_of(self.unit_index) != 0:
@@ -406,72 +417,28 @@ class DgCommAlgebra:
             if not el_eq(self.multiply(one, xi), xi) or \
                     not el_eq(self.multiply(xi, one), xi):
                 raise ValueError(f"unit axiom fails on {i}")
-            di = self.degree_of(i)
-            for j in range(n):
-                dj = self.degree_of(j)
-                xj = self.basis_element(j)
-                lhs = self.multiply_basis(i, j)
-                rhs = el_scale((-1) ** (di * dj), self.multiply_basis(j, i))
-                if not el_eq(lhs, rhs):
-                    raise ValueError(f"commutativity fails on ({i},{j})")
-                left = self.d_element(self.multiply_basis(i, j))
-                right = el_add(
-                    self.multiply(self.d_element(xi), xj),
-                    el_scale((-1) ** di,
-                             self.multiply(xi, self.d_element(xj))))
-                if not el_eq(left, right):
-                    raise ValueError(f"Leibniz fails on ({i},{j})")
-                for k in range(n):
-                    xk = self.basis_element(k)
-                    a1 = self.multiply(self.multiply(xi, xj), xk)
-                    a2 = self.multiply(xi, self.multiply(xj, xk))
-                    if not el_eq(a1, a2):
-                        raise ValueError(
-                            f"associativity fails on ({i},{j},{k})")
+        _check_leibniz(self, self.multiply)
+        _check_associativity(self.multiply, n)
         return True
 
 
 class MaximalIdeal:
     """Non-unital nilpotent commutative algebra, all in degree 0."""
 
-    def __init__(self, labels, products, nilpotency=None):
+    def __init__(self, labels, products):
         """products: {(i, j): {k: coeff}} on ideal basis indices."""
         self.labels = list(labels)
-        n = len(self.labels)
-        self.products = {}
-        for (i, j), val in products.items():
-            val = {k: lower(v) for k, v in val.items() if v}
-            if val:
-                self.products[(i, j)] = val
-        self.table = _both_orders(self.products, lambda i, j: 1)
-        # commutativity and associativity
-        for i in range(n):
-            for j in range(n):
-                if not el_eq(self.multiply_basis(i, j),
-                             self.multiply_basis(j, i)):
-                    raise ValueError(f"ideal multiplication not commutative "
-                                     f"on ({i},{j})")
-                for k in range(n):
-                    a1 = self.multiply({i: 1}, self.multiply_basis(j, k))
-                    a2 = self.multiply(self.multiply_basis(i, j), {k: 1})
-                    if not el_eq(a1, a2):
-                        raise ValueError("ideal multiplication not associative")
+        self.table = _product_table(products, lambda i: 0, lambda a, b: 1,
+                                    "ideal product", "commutativity")
+        _check_associativity(self.multiply, len(self.labels))
         self.nilpotency = self._nilpotency_degree()
-        if nilpotency is not None and nilpotency != self.nilpotency:
-            raise ValueError("declared nilpotency degree is wrong")
-
-    def dim(self):
-        return len(self.labels)
-
-    def multiply_basis(self, i, j):
-        return self.table.get((i, j), {})
 
     def multiply(self, x, y):
         return bilinear_apply(self.table, x, y)
 
     def _nilpotency_degree(self):
         """Smallest s with m^s = 0; raises if the powers never die."""
-        n = self.dim()
+        n = len(self.labels)
         power = [{i: 1} for i in range(n)]
         s = 1
         while power:
@@ -486,18 +453,14 @@ class MaximalIdeal:
 class ArtinAlgebra:
     """Commutative local artinian algebra A = k.1 (+) m with m nilpotent.
 
-    The input is a raw multiplication table on the full basis (unit
-    first); locality is validated by checking that the span of the
-    non-unit basis is closed under multiplication and nilpotent.
+    The input is the maximal ideal m: its basis labels and its products
+    {(i, j): {k: coeff}} on ideal indices; the unit is implicit.  m is
+    validated as a commutative, associative and nilpotent algebra.
     """
 
     def __init__(self, ideal_labels, ideal_products, name=None):
         self.name = name
         self.ideal = MaximalIdeal(ideal_labels, ideal_products)
-        self.labels = ["1"] + list(ideal_labels)
-
-    def dim(self):
-        return 1 + self.ideal.dim()
 
     def maximal_ideal(self):
         return self.ideal
@@ -528,13 +491,11 @@ def tensor_lie(A, g, validate=True):
     if isinstance(A, MaximalIdeal):
         a_basis = list(A.labels)
         a_degrees = [0] * len(a_basis)
-        a_mult = A.multiply_basis
         a_d = None
         certify = True
     elif isinstance(A, DgCommAlgebra):
         a_basis = [A.space.label_of(i) for i in range(A.space.total_dim())]
         a_degrees = [A.degree_of(i) for i in range(A.space.total_dim())]
-        a_mult = A.multiply_basis
         a_d = A
         certify = False
     else:
@@ -562,16 +523,11 @@ def tensor_lie(A, g, validate=True):
         d[src] = el_sum(parts)
     cochain = Cochain(space, d)
 
-    # bracket: [a@x, b@y] = (-1)^{|x||b|} (ab) @ [x,y]
+    # bracket: [a@x, b@y] = (-1)^{|x||b|} (ab) @ [x,y], one entry per pair
+    # of entries of the factors' tables
     brackets = {}
-    for (ai, gi), src_i in index.items():
-        for (bj, gj), src_j in index.items():
-            gbr = g.bracket_basis(gi, gj)
-            if not gbr:
-                continue
-            ab = a_mult(ai, bj)
-            if not ab:
-                continue
+    for (gi, gj), gbr in g.table.items():
+        for (ai, bj), ab in A.table.items():
             sign = (-1) ** (g.degree_of(gi) * a_degrees[bj])
             entry = {}
             for ck, cv in ab.items():
@@ -583,7 +539,7 @@ def tensor_lie(A, g, validate=True):
                     else:
                         entry.pop(t, None)
             if entry:
-                brackets[(src_i, src_j)] = entry
+                brackets[(index[(ai, gi)], index[(bj, gj)])] = entry
     out = DgLieAlgebra(cochain, brackets, validate=validate,
                        name=f"tensor({getattr(A, 'name', 'A')},{g.name})")
     out.tensor_index = index

@@ -108,6 +108,33 @@ def _look(index, path, entry, key, field):
     return index[lab]
 
 
+def _product_entries(rec, key, look, path):
+    """{(i, j): {k: coeff}} from the entries {"left", "right", "value":
+    [{"basis", "coeff"}, ...]} listed under rec[key]: the brackets of an
+    algebra record, the products of an artin record.  A pair or a value
+    term listed twice is refused, never summed or overwritten."""
+    out = {}
+    for entry in _objects(rec, key, path):
+        ij = (look(entry, "left", f"{key}.left"),
+              look(entry, "right", f"{key}.right"))
+        if ij in out:
+            raise ParseError(path, key, f"the pair ({entry['left']!r}, "
+                             f"{entry['right']!r}) is listed twice")
+        val = {}
+        for term in _objects(entry, "value", path, f"{key}.value"):
+            k = look(term, "basis", f"{key}.value.basis")
+            if k in val:
+                raise ParseError(path, f"{key}.value.basis",
+                                 f"basis label {term['basis']!r} is listed "
+                                 f"twice in the value of ({entry['left']!r}, "
+                                 f"{entry['right']!r})")
+            val[k] = scalar_from_str(
+                _required(term, "coeff", path, f"{key}.value.coeff"),
+                path, f"{key}.value.coeff")
+        out[ij] = val
+    return out
+
+
 def _indices(entry, key, path, field):
     """The set of open indices listed under entry[key]."""
     val = _required(entry, key, path, field)
@@ -181,26 +208,18 @@ def algebra_from_record(rec, path="<record>"):
         if space.degree_of(tgt) != space.degree_of(src) + 1:
             raise ParseError(path, "differential",
                              "differential must raise degree by 1")
-        c = scalar_from_str(_required(entry, "coeff", path,
-                                      "differential.coeff"),
-                            path, "differential.coeff")
-        entries.setdefault(src, {})[tgt] = \
-            entries.get(src, {}).get(tgt, 0) + c
+        if tgt in entries.get(src, {}):
+            raise ParseError(path, "differential",
+                             f"the entry ({entry['from']!r} -> "
+                             f"{entry['to']!r}) is listed twice")
+        entries.setdefault(src, {})[tgt] = scalar_from_str(
+            _required(entry, "coeff", path, "differential.coeff"),
+            path, "differential.coeff")
     try:
         cochain = Cochain(space, entries)
     except ValueError as exc:
         raise ParseError(path, "differential", str(exc))
-    brackets = {}
-    for entry in _objects(rec, "brackets", path):
-        i = look(entry, "left", "brackets.left")
-        j = look(entry, "right", "brackets.right")
-        val = {}
-        for term in _objects(entry, "value", path, "brackets.value"):
-            k = look(term, "basis", "brackets.value.basis")
-            val[k] = val.get(k, 0) + scalar_from_str(
-                _required(term, "coeff", path, "brackets.value.coeff"),
-                path, "brackets.value.coeff")
-        brackets[(i, j)] = val
+    brackets = _product_entries(rec, "brackets", look, path)
     try:
         return DgLieAlgebra(cochain, brackets, name=rec.get("name"))
     except ValueError as exc:
@@ -238,17 +257,7 @@ def artin_from_record(rec, path="<record>"):
     labels = [label_from_json(x, path, "ideal_basis") for x in labels]
     look = functools.partial(_look, {lab: i for i, lab in enumerate(labels)},
                              path)
-    products = {}
-    for entry in _objects(rec, "products", path):
-        i = look(entry, "left", "products.left")
-        j = look(entry, "right", "products.right")
-        val = {}
-        for term in _objects(entry, "value", path, "products.value"):
-            val[look(term, "basis", "products.value.basis")] = \
-                scalar_from_str(_required(term, "coeff", path,
-                                          "products.value.coeff"),
-                                path, "products.value.coeff")
-        products[(i, j)] = val
+    products = _product_entries(rec, "products", look, path)
     try:
         return ArtinAlgebra(labels, products, name=rec.get("name"))
     except ValueError as exc:

@@ -26,7 +26,6 @@ ORACLES = {
     "io.cover_to_record": "record writer: the tests' round trips",
     "io.cosimplicial_to_record": "record writer: the tests' round trips",
     "io.instance_to_record": "record writer: the tests' round trips",
-    "io.load_any": "reads every bundled record: criterion 9's corpus check",
     "mcgauge.FormLieContext.vertex": "vertex evaluation of criterion 3",
     "mcgauge.mc_lift": "MC lifting of criterion 4",
     "dgla.is_acyclic_fibration": "the fibrations of criterion 4",

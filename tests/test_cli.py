@@ -26,6 +26,35 @@ def test_check_algebra_ok(capsys):
     assert rep["summary"]["verified"] == 1
 
 
+@pytest.mark.parametrize("name", sorted(f.name for f in DATA.glob("*.json")))
+def test_check_algebra_reads_every_record_type(capsys, name):
+    rec = json.loads((DATA / name).read_text())
+    code, rep = run_cli(capsys, "check-algebra", str(DATA / name))
+    assert code == 0 and rep["instance"] == rec["name"]
+    (check,) = rep["checks"]
+    assert check["verdict"] == "verified"
+    # one check name per record type
+    kind = {"dg_lie_algebra": "Jacobi", "artin_algebra": "artinian axioms",
+            "cover": "restriction functoriality",
+            "descent_instance": "artinian base axioms",
+            "cosimplicial_dg_lie": "cosimplicial identities"}
+    assert kind[rec["type"]] in check["name"]
+
+
+def test_check_algebra_refuses_a_repeated_product(tmp_path, capsys):
+    # a second t.t = 0 was once read as the only one: k[t]/t^3 with t^2 = 0
+    # passed as "verified"
+    rec = json.loads((DATA / "artin_t3.json").read_text())
+    rec["products"].append({"left": "t", "right": "t", "value": []})
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(rec))
+    code = main(["check-algebra", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{path}: field 'products'" in captured.err
+    assert "listed twice" in captured.err
+
+
 def test_check_algebra_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "dg_lie_algebra", "basis": [')

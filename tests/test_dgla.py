@@ -14,6 +14,9 @@ from dgdescent.io import table_from_blocks
 
 F = Fraction
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
+DATA = SRC / "data"
+
 
 def ef_algebra():
     """e in degree 0, f in degree 1, [e,f] = f, d = 0."""
@@ -250,7 +253,7 @@ def test_direct_product():
 
 def test_ideal_with_conflicting_orders_rejected():
     # t*s and s*t given in both orders with different values
-    with pytest.raises(ValueError, match="not commutative"):
+    with pytest.raises(ValueError, match="commutativity"):
         MaximalIdeal(["t", "s", "ts"],
                      {(0, 1): {2: F(1)}, (1, 0): {2: F(2)}})
 
@@ -274,6 +277,103 @@ def test_lie_brackets_breaking_antisymmetry_rejected(flipped):
     with pytest.raises(ValueError, match="conflicting|antisymmetry"):
         DgLieAlgebra(Cochain(space, {}),
                      {(0, 1): {2: F(1)}, (1, 0): {2: flipped}})
+
+
+def test_a_nonzero_square_that_must_vanish_is_refused_unvalidated():
+    # the diagonal is its own flip: an even [x,x] and an odd x.x equal
+    # their own negatives, so a nonzero one is refused at construction
+    space = GradedSpace({0: ["x", "y"]})
+    with pytest.raises(ValueError, match="antisymmetry"):
+        DgLieAlgebra(Cochain(space, {}), {(0, 0): {1: F(1)}},
+                     validate=False)
+    space = GradedSpace({0: ["1"], 1: ["x"], 2: ["xx"]})
+    products = {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (0, 2): {2: F(1)},
+                (1, 1): {2: F(1)}}
+    with pytest.raises(ValueError, match="commutativity"):
+        DgCommAlgebra(Cochain(space, {}), products, 0, validate=False)
+    # an odd [x,x] and an even x.x are not constrained by the flip
+    space = GradedSpace({1: ["x"], 2: ["y"]})
+    g = DgLieAlgebra(Cochain(space, {}), {(0, 0): {1: F(1)}},
+                     validate=False)
+    assert g.bracket_basis(0, 0) == {1: 1}
+    assert MaximalIdeal(["t", "t2"], {(0, 0): {1: 1}}).table == \
+        {(0, 0): {1: 1}}
+
+
+def _assert_graded_symmetric(name, table, degrees, sign):
+    """The all-pairs loop the constructors no longer run: [e_j, e_i] is
+    sign(|i|, |j|) [e_i, e_j] on every basis pair, the diagonal included.
+    degrees lists the degree of each basis index."""
+    for i, di in enumerate(degrees):
+        for j, dj in enumerate(degrees):
+            flip = {k: sign(di, dj) * v
+                    for k, v in table.get((i, j), {}).items()}
+            assert el_eq(table.get((j, i), {}), flip), (name, i, j)
+
+
+def _symmetric_structures():
+    """(name, table, degrees, sign) of every bundled and generated
+    structure table: the records and the instances, random nilpotent
+    draws, tensors with an artinian and a dg base, a direct product,
+    and the Cech levels of the bundled descent instances."""
+    import random
+    from dgdescent import instances
+    from dgdescent.cech import cech_cosimplicial, tensored_cover
+    from dgdescent.io import load_any
+    lies, ideals = [], []
+    for f in sorted(DATA.glob("*.json")):
+        kind, obj = load_any(f)
+        if kind == "dg_lie_algebra":
+            lies.append((f.name, obj))
+        elif kind == "artin_algebra":
+            ideals.append((f.name, obj.maximal_ideal()))
+        elif kind == "cover":
+            lies += [(f"{f.name} {sorted(J)}", g)
+                     for J, g in obj.sections.items()]
+        elif kind == "descent_instance":
+            _, cover, base = obj
+            ideals.append((f.name, base.maximal_ideal()))
+            cc = cech_cosimplicial(tensored_cover(cover, base))
+            lies += [(f"{f.name} level {q}", g)
+                     for q, g in enumerate(cc.levels)]
+        elif kind == "cosimplicial_dg_lie":
+            lies += [(f"{f.name} level {q}", g)
+                     for q, g in enumerate(obj.levels)]
+    for name in ("ef_algebra", "wz_algebra", "heisenberg", "probe_class2",
+                 "abelian_line"):
+        lies.append((name, getattr(instances, name)()))
+    lies += [(f"cone {m}", instances.cone_algebra(m)) for m in (0, 1)]
+    rng = random.Random(18)
+    lies += [(f"random draw {n}", instances.random_nilpotent(rng).algebra)
+             for n in range(15)]
+    ideals += [(f"artin {n}", make().maximal_ideal())
+               for n, make in enumerate(instances.ARTIN_LIBRARY)]
+    dg_base = instances.contractible_artin_dg()
+    for name in ("ef_algebra", "wz_algebra", "probe_class2"):
+        g = getattr(instances, name)()
+        lies.append((f"t3 (x) {name}",
+                     tensor_lie(instances.t_truncated(3), g).algebra))
+        lies.append((f"dg base (x) {name}", tensor_lie(dg_base, g)))
+    lies.append(("product", direct_product(
+        [instances.ef_algebra(), instances.wz_algebra(),
+         instances.cone_algebra(1)])))
+    out = [(name, g.table, [g.degree_of(i) for i in range(g.total_dim())],
+             lambda a, b: -(-1) ** (a * b)) for name, g in lies]
+    out += [(name, m.table, [0] * len(m.labels), lambda a, b: 1)
+            for name, m in ideals]
+    out.append(("dg base", dg_base.table,
+                [dg_base.degree_of(i) for i in
+                 range(dg_base.space.total_dim())],
+                lambda a, b: (-1) ** (a * b)))
+    return out
+
+
+def test_every_structure_table_is_graded_symmetric():
+    structures = _symmetric_structures()
+    # most of them have a product: the loop is not vacuous
+    assert sum(1 for _, table, _, _ in structures if table) > 30
+    for name, table, degrees, sign in structures:
+        _assert_graded_symmetric(name, table, degrees, sign)
 
 
 def _dense_lcs_reference(g, stage, degree):
@@ -331,7 +431,6 @@ def test_stage_elements_match_a_dense_reference_and_are_fresh(lie, base):
     assert nil.lcs == before
 
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
 TABLES = ("table", "d_table", "map_table")
 
 

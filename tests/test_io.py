@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -110,6 +111,65 @@ def test_element_record_refuses_a_repeated_basis_term():
            {"basis": ["t", "f"], "coeff": "2"}]
     with pytest.raises(ParseError, match="element.basis.*listed twice"):
         element_from_record(nil.algebra, rec, path="el.json")
+
+
+def _ef_record():
+    return json.loads((DATA / "algebra_ef.json").read_text())
+
+
+def _t3_record():
+    return json.loads((DATA / "artin_t3.json").read_text())
+
+
+def test_a_repeated_bracket_pair_is_refused():
+    # [e,f] = f then [e,f] = 2f once read as [e,f] = 2f
+    rec = _ef_record()
+    (entry,) = rec["brackets"]
+    twice = copy.deepcopy(entry)
+    twice["value"][0]["coeff"] = "2"
+    rec["brackets"].append(twice)
+    with pytest.raises(ParseError, match="'brackets'.*listed twice"):
+        algebra_from_record(rec, path="ef.json")
+
+
+def test_a_repeated_product_pair_is_refused():
+    # a second t.t = 0 once turned k[t]/t^3 into an algebra of nilpotency 2
+    rec = _t3_record()
+    rec["products"].append({"left": "t", "right": "t", "value": []})
+    with pytest.raises(ParseError, match="'products'.*listed twice"):
+        artin_from_record(rec, path="t3.json")
+
+
+@pytest.mark.parametrize("read, record, key", [
+    (algebra_from_record, _ef_record, "brackets"),
+    (artin_from_record, _t3_record, "products")])
+def test_a_repeated_value_term_is_refused(read, record, key):
+    # brackets once summed the terms (1 + 5), products kept the last (5)
+    rec = record()
+    value = rec[key][0]["value"]
+    value.append(dict(value[0], coeff="5"))
+    with pytest.raises(ParseError,
+                       match=f"'{key}.value.basis'.*listed twice"):
+        read(rec, path="r.json")
+
+
+def test_a_repeated_differential_entry_is_refused():
+    # d a = b listed twice once read as d a = 2b
+    rec = json.loads((DATA / "algebra_line.json").read_text())
+    rec["differential"] = [{"from": "a0_0", "to": "a1_0", "coeff": "1"}] * 2
+    with pytest.raises(ParseError, match="'differential'.*listed twice"):
+        algebra_from_record(rec, path="line.json")
+
+
+def test_both_orders_of_a_pair_are_not_a_repeat():
+    # [f,e] = -f restates [e,f] = f; [f,e] = f contradicts it
+    rec = _ef_record()
+    rec["brackets"].append({"left": "f", "right": "e",
+                            "value": [{"basis": "f", "coeff": "-1"}]})
+    assert algebra_to_record(algebra_from_record(rec)) == _ef_record()
+    rec["brackets"][1]["value"][0]["coeff"] = "1"
+    with pytest.raises(ParseError, match="'brackets'.*antisymmetry"):
+        algebra_from_record(rec, path="ef.json")
 
 
 def test_bad_records_name_file_and_field():

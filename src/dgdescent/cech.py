@@ -27,8 +27,7 @@ from .mcgauge import (DeligneGroupoid, FiniteLieContext,
                       ObstructionUnsolvable, constrained_mc_solve,
                       constrained_mc_solve_rows, gauge_act, holonomy,
                       mc_residual, solve_1simplex, staged_gauge_search)
-from .tot import (CosimplicialDgLie, DescentDatum, TotContext, tot_groupoid,
-                  tot_lie)
+from .tot import CosimplicialDgLie, DescentDatum, tot_lie
 
 
 class GluingFailed(Exception):
@@ -275,8 +274,8 @@ class ComparisonFunctor:
 
     def __init__(self, cc):
         self.cc = cc
-        self.ctx = TotContext(cc)
-        self.groupoid = tot_groupoid(cc)
+        self.ctx = cc.tot_context()
+        self.groupoid = cc.descent_groupoid()
 
     def object_map(self, x):
         """MC family -> (a, theta): theta is the exact holonomy of the
@@ -323,8 +322,8 @@ def glue_descent_datum(cc, datum, D):
     constraints, then staged corrections restore MC exactly without
     moving the constrained part.
     """
-    ctx = TotContext(cc)
-    G = tot_groupoid(cc)
+    ctx = cc.tot_context()
+    G = cc.descent_groupoid()
     reasons = []
     if not G.verify_object(datum, reasons):
         raise GluingFailed(0, "datum fails verification: "
@@ -347,23 +346,26 @@ def glue_descent_datum(cc, datum, D):
 
 def _glue_level(ctx, omegas, p, D):
     """Solve level p, then MC: the exchange rows of the faces [p-1] -> [p]
-    and the codegeneracies [p] -> [p-1] on the level-p keys, equal to
-    minus the compatibility defect of the level p-1 member (glued)."""
-    keys = ctx.forms[p].keys_up_to(D, 1)
-    generators = [(u, q) for u, q in ctx.generators()
-                  if {len(u) - 1, q} == {p - 1, p}]
-    rows = ctx.exchange_rows([(p, gi, mono) for gi, mono in keys],
-                             generators)
-    # a defect key that no column reaches stays an empty (insoluble) row
-    rhs = {}
-    for u, q in generators:
-        for k, c in ctx.compatibility_defect(u, q, omegas[p - 1]).items():
-            rows.setdefault((u, k), {})
-            rhs[(u, k)] = -c
+    and the codegeneracies [p] -> [p-1] on the level-p keys
+    (`TotContext.gluing_system`, factored once), equal to minus the
+    compatibility defect of the level p-1 member (glued)."""
+    keys, generators, index, factor = ctx.gluing_system(p, D)
+    label = f"level {p}"
     try:
+        rhs = [0] * len(factor.rows)
+        for u, q in generators:
+            row_of = index[u]
+            for k, c in ctx.compatibility_defect(u, q,
+                                                 omegas[p - 1]).items():
+                r = row_of.get(k)
+                if r is not None:
+                    rhs[r] = -c
+                elif c:
+                    # a defect key that no column reaches: an empty row
+                    # with a nonzero right-hand side
+                    raise ObstructionUnsolvable(0, label)
         return constrained_mc_solve_rows(
-            ctx.forms[p], [{k: 1} for k in keys], list(rows.values()),
-            [rhs.get(k, 0) for k in rows], label=f"level {p}")
+            ctx.forms[p], [{k: 1} for k in keys], factor, rhs, label=label)
     except ObstructionUnsolvable as exc:
         if exc.stage == 0:
             raise GluingFailed(
@@ -389,7 +391,7 @@ def _sample_descent_datum(cc, rng):
     draws return None for the caller to resample (honest rejection,
     never repair).
     """
-    G = tot_groupoid(cc)
+    G = cc.descent_groupoid()
     if G.is_abelian():
         Z = G.abelian_complex[0].cocycles(1)
         if not Z:
@@ -488,7 +490,7 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
     report = {"instance": cc.name, "levels": cc.N,
               "vanishing_level": cc.vanishing_level,
               "degree_bound": D, "checks": []}
-    G = tot_groupoid(cc)
+    G = cc.descent_groupoid()
     if G.is_abelian():
         stabilize_to = max(stabilize_to, D + 1)
         dims = {}
@@ -519,7 +521,7 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
     # sampled nonabelian verification
     if not isinstance(cc, CechCosimplicial):
         raise ValueError("sampled verification needs the cover structure")
-    ctx = TotContext(cc)
+    ctx = cc.tot_context()
     gauge_basis = ctx.tot_basis(0, D)
     comparison = ComparisonFunctor(cc)
     glued = 0

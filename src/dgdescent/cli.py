@@ -302,10 +302,9 @@ def cmd_cech(args, report):
 
 def cmd_verify_descent(args, report):
     from .cech import CechCosimplicial, verify_descent
-    from .tot import tot_groupoid
     cc = _cosimplicial_from_args(args)
     if not isinstance(cc, CechCosimplicial) and \
-            not tot_groupoid(cc).is_abelian():
+            not cc.descent_groupoid().is_abelian():
         raise ParseError(args.file, "type",
                          "the nonabelian check glues descent data over a "
                          "cover, which a cosimplicial_dg_lie record does "

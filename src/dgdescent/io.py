@@ -510,15 +510,28 @@ def element_from_record(g, rec, path="<record>"):
 # files
 
 
+def _unique_keys(path, pairs):
+    # json.load keeps the last of repeated keys; a record means one
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(path, key, "repeated key in one JSON object")
+    return obj
+
+
 def load_record(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=functools.partial(
+                _unique_keys, path))
     except OSError as exc:      # missing, a directory, unreadable, ...
         raise ParseError(path, "-", exc.strerror or str(exc))
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno}, column {exc.colno}",
                          exc.msg)
+    except ParseError:
+        raise
     except ValueError as exc:   # an integer literal too long to convert
         raise ParseError(path, "-", str(exc))
 

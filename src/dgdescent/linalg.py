@@ -11,6 +11,11 @@ are mostly integral, so the eliminator works in ints (a -1 pivot
 negates, an int pivot divides exactly where it can), a column ->
 pivot-row index names the rows that each new pivot back-substitutes
 into, and every value it returns keeps that contract.
+A solve is a factorization plus a replay: `sparse_factor` eliminates
+a system once and records the row operations, and its `solve` replays
+them on each right-hand side, so a system met with many right-hand
+sides is eliminated once (`sparse_solve_affine` is one factorization
+and one replay).
 A subspace is the list of its `echelon_basis` vectors (dicts over any
 sortable keys), a system is a list of sparse rows, and a linear map is
 a sparse table {i: {k: coeff}} that `linear_apply` pushes vectors
@@ -136,7 +141,7 @@ def solve_affine(A, b):
     if len(b) != m:
         raise ValueError(f"dimension mismatch: {m} rows vs rhs of length {len(b)}")
     n = len(A[0]) if A else 0
-    res = _solve(sparse_from_dense(A), b, n)
+    res = sparse_factor(sparse_from_dense(A), n).solve(b)
     if isinstance(res, NoSolution):
         return NoSolution(certificate=_densify(res.certificate, m))
     x0, kernel = res
@@ -253,7 +258,7 @@ def _back_substitute(prow, k, f, row, pj, holders):
             holders[j].discard(k)
 
 
-def sparse_eliminate(rows, rhs=None, track=False):
+def sparse_eliminate(rows, rhs=None, track=False, ops=None):
     """Gauss-Jordan elimination on sparse rows.
 
     Returns (pivot_rows, pivot_cols, pivot_rhs, inconsistent).  Each
@@ -282,6 +287,14 @@ def sparse_eliminate(rows, rhs=None, track=False):
     int exactly when it is integral.  And a column -> pivot-row index
     names the pivot rows that a new pivot row back-substitutes into, so
     no pass scans every pivot row.
+
+    ops, when a list (and rhs is None, so no row stops the
+    elimination), receives the row operations applied, one entry
+    (i, reductions, pivot, back) per original row i in the order the
+    rows are taken: reductions lists k1, f1, k2, f2, ... for row -= f *
+    pivot row k, pivot is the value the reduced row was divided by
+    (None when it reduced to zero), back lists k1, f1, ... for pivot
+    row k -= f * row.  `SparseFactor.solve` replays them.
     """
     rvals = [lower(x) for x in rhs] if rhs is not None else [0] * len(rows)
     tag = 1 + max((max(r) for r in rows if r), default=-1)
@@ -307,6 +320,7 @@ def sparse_eliminate(rows, rhs=None, track=False):
     # process rows in order of sparsity for less fill-in
     for i in sorted(range(len(work)), key=lambda i: len(work[i])):
         row, rv = work[i], rvals[i]
+        reductions = [] if ops is not None else None
         # pivot rows vanish on every other pivot column, so one pass
         # over the pivot columns present reduces the row
         for j in [j for j in row if j in pivot_of_col]:
@@ -314,12 +328,16 @@ def sparse_eliminate(rows, rhs=None, track=False):
             f = row[j]
             _axpy(row, f, pivot_rows[k])
             rv = rv - f * pivot_rhs[k]
+            if reductions is not None:
+                reductions += (k, f)
         pj = min(row, default=tag)
         if pj >= tag:
             # no real column left: the row is a combination of the others
             if rv:
                 bad = {j - tag: x for j, x in row.items()} if track else i
                 break
+            if ops is not None:
+                ops.append((i, tuple(reductions), None, ()))
             continue
         p = row[pj]
         if p == -1:
@@ -337,10 +355,15 @@ def sparse_eliminate(rows, rhs=None, track=False):
                 row = {j: lower(x * inv) for j, x in row.items()}
                 rv = lower(rv * inv)
         # back-substitute into the earlier pivot rows nonzero on pj
+        back = [] if ops is not None else None
         for k in holders.pop(pj, ()):
             f = pivot_rows[k][pj]
             _back_substitute(pivot_rows[k], k, f, row, pj, holders)
             pivot_rhs[k] = pivot_rhs[k] - f * rv
+            if back is not None:
+                back += (k, f)
+        if ops is not None:
+            ops.append((i, tuple(reductions), p, tuple(back)))
         k = len(pivot_rows)
         for j in row:
             if j != pj:
@@ -425,17 +448,74 @@ def sparse_kernel(rows, ncols, with_free=False):
     return list(basis.values())
 
 
-def _solve(rows, rhs, ncols):
-    # the body shared by solve_affine and sparse_solve_affine
-    pivot_rows, pivot_cols, pivot_rhs, bad = sparse_eliminate(rows, rhs)
-    if bad is not None:
-        return NoSolution(sparse_eliminate(rows, rhs, track=True)[3])
-    x0 = {p: x for p, x in zip(pivot_cols, pivot_rhs) if x}
-    return x0, list(_kernel(pivot_rows, pivot_cols, ncols).values())
+class SparseFactor:
+    """A sparse system A eliminated once, solved per right-hand side.
+
+    rows are the rows of A as tuples of (column, coefficient) pairs, a
+    compact copy of the sparse rows given, since a factor may be kept as
+    long as the algebra whose system it solves; ncols is A's number of
+    columns.  `sparse_factor` builds it from its one `sparse_eliminate`
+    call, which leaves the pivot columns, the kernel and the row
+    operations applied (ops).  `solve` replays those operations on a
+    right-hand side, so no consistent right-hand side eliminates A
+    again.
+    """
+
+    def __init__(self, rows, ncols, pivot_cols, kernel, ops):
+        self.rows = tuple(tuple(row.items()) for row in rows)
+        self.ncols = ncols
+        self._pivot_cols = pivot_cols
+        self._kernel = kernel
+        self._ops = ops
+
+    def solve(self, rhs):
+        """(x0, kernel) with A x0 = rhs, or a NoSolution, exactly as one
+        elimination of A with rhs gives them: x0 is zero on the free
+        columns and lists the pivots in the order found, kernel vector i
+        is 1 on the i-th free column and 0 on the others.  The
+        certificate of a NoSolution comes from a tracked elimination of
+        A with rhs, run only then."""
+        if len(rhs) != len(self.rows):
+            raise ValueError(f"dimension mismatch: {len(self.rows)} rows "
+                             f"vs rhs of length {len(rhs)}")
+        rvals = [lower(x) for x in rhs]
+        pivot_rhs = []
+        for i, reductions, p, back in self._ops:
+            rv = rvals[i]
+            if reductions:
+                pairs = iter(reductions)
+                for k, f in zip(pairs, pairs):
+                    rv = rv - f * pivot_rhs[k]
+            if p is None:
+                if rv:
+                    return NoSolution(sparse_eliminate(
+                        [dict(row) for row in self.rows], rhs,
+                        track=True)[3])
+                continue
+            if p == -1:
+                rv = -rv
+            elif p != 1:
+                rv = _div(rv, p) if type(p) is int else \
+                    lower(rv * Fraction(p.denominator, p.numerator))
+            if back:
+                pairs = iter(back)
+                for k, f in zip(pairs, pairs):
+                    pivot_rhs[k] = pivot_rhs[k] - f * rv
+            pivot_rhs.append(rv)
+        x0 = {c: lower(x) for c, x in zip(self._pivot_cols, pivot_rhs) if x}
+        return x0, [dict(v) for v in self._kernel]
+
+
+def sparse_factor(rows, ncols):
+    """The SparseFactor of the sparse rows over ncols columns."""
+    ops = []
+    pivot_rows, pivot_cols, _, _ = sparse_eliminate(rows, ops=ops)
+    kernel = list(_kernel(pivot_rows, pivot_cols, ncols).values())
+    return SparseFactor(rows, ncols, pivot_cols, kernel, ops)
 
 
 def sparse_solve_affine(rows, rhs, ncols):
     """Sparse analogue of solve_affine: x0 and the kernel vectors are
     sparse dicts, and a NoSolution carries its certificate as a sparse
-    dict original row -> coefficient."""
-    return _solve(rows, rhs, ncols)
+    dict original row -> coefficient.  One factorization, one replay."""
+    return sparse_factor(rows, ncols).solve(rhs)

@@ -40,7 +40,7 @@ from .dgla import (SelfCheckFailed, el_add, el_combination, el_eq,
 from .forms import (PolyForm, mono_form_degree, mono_is_odd, monomial_d,
                     monomial_product, monomials_up_to, omega_apply)
 from .linalg import (NoSolution, echelon_basis, lower, sparse_columns,
-                     sparse_solve_affine, span_intersection)
+                     sparse_factor, sparse_solve_affine, span_intersection)
 
 HALF = Fraction(1, 2)
 
@@ -701,40 +701,59 @@ def constrained_mc_solve(ctx, candidates, constraints=(), rng=None,
         keys = sorted(_keys_of(imgs) | set(target))
         rows += sparse_columns(imgs, keys)
         rhs += [target.get(k, 0) for k in keys]
-    return constrained_mc_solve_rows(ctx, candidates, rows, rhs, rng=rng,
-                                     label=label)
+    return constrained_mc_solve_rows(
+        ctx, candidates, sparse_factor(rows, len(candidates)), rhs, rng=rng,
+        label=label)
 
 
-def constrained_mc_solve_rows(ctx, candidates, rows, rhs, rng=None,
+def constrained_mc_solve_rows(ctx, candidates, system, rhs, rng=None,
                               label=""):
     """MC element x = sum_j c_j candidates[j] with rows . c = rhs.
 
     candidates: distinct unit vectors {key: 1} (ValueError otherwise).
-    rows: sparse rows {candidate position: coefficient}, rhs their
-    right-hand sides; the rows must be those of a linear map of
-    elements (as the rows of `constrained_mc_solve` are), and a row
-    that no candidate reaches stays in the system, so a nonzero rhs
-    there is insoluble.  x is exactly MC, and its coordinates are
-    checked against the rows once more after the MC correction.  rng,
-    when given, randomizes the free choices at every stage (the sampler
-    hook); random choices can land on obstructed points of the MC
-    variety, so failed attempts fall back to four fresh draws in all
-    and finally to the deterministic greedy path before the obstruction
-    is reported.
+    system: the `linalg.sparse_factor` of the sparse rows {candidate
+    position: coefficient} over len(candidates) columns, rhs their
+    right-hand sides; it is solved once, and every attempt corrects
+    that solution.  The rows
+    must be those of a linear map of elements (as the rows of
+    `constrained_mc_solve` are), and a row that no candidate reaches
+    stays in the system, so a nonzero rhs there is insoluble.  x is
+    exactly MC, and its coordinates are checked against the rows once
+    more after the MC correction.  rng, when given, randomizes the free
+    choices at every stage (the sampler hook); random choices can land
+    on obstructed points of the MC variety, so failed attempts fall
+    back to four fresh draws in all and finally to the deterministic
+    greedy path before the obstruction is reported.
     """
     position = {k: j for j, z in enumerate(candidates)
                 for k, c in z.items() if len(z) == 1 and c == 1}
     if len(position) != len(candidates):
         raise ValueError("candidates must be distinct unit vectors")
+    if system.ncols != len(candidates):
+        raise ValueError(f"a system over {system.ncols} columns for "
+                         f"{len(candidates)} candidates")
+    # no draw enters the affine constraints: one solve serves every round
+    res = system.solve(rhs)
+    if isinstance(res, NoSolution):
+        raise ObstructionUnsolvable(0, label or "constraints")
+    coeffs, kernel = res
+    x0 = el_combination(coeffs, candidates)
+    free = [d for d in (el_combination(kv, candidates) for kv in kernel)
+            if d]
     rounds = ([rng] * 4 + [None]) if rng is not None else [None]
-    last_exc = None
     for r in rounds:
         try:
-            return _constrained_mc_once(ctx, candidates, position, rows, rhs,
-                                        r, label)
+            x = _mc_correct(ctx, x0, free, r, label)
+            break
         except ObstructionUnsolvable as exc:
             last_exc = exc
-    raise last_exc
+    else:
+        raise last_exc
+    coords = _coordinates(position, x)
+    if coords is None or not _rows_hold(system.rows, rhs, coords):
+        raise SelfCheckFailed("constraints drifted during correction"
+                              + (f" ({label})" if label else ""))
+    return x
 
 
 def _random_combination(rng, particular, kernel):
@@ -751,10 +770,11 @@ def _coordinates(position, x):
 
 
 def _rows_hold(rows, rhs, coords):
-    """Whether rows . coords == rhs exactly."""
+    """Whether rows . coords == rhs exactly, for rows of (column,
+    coefficient) pairs."""
     for row, b in zip(rows, rhs):
         s = 0
-        for j, c in row.items():
+        for j, c in row:
             v = coords.get(j)
             if v is not None:
                 s += c * v
@@ -763,18 +783,11 @@ def _rows_hold(rows, rhs, coords):
     return True
 
 
-def _constrained_mc_once(ctx, candidates, position, rows, rhs, rng, label):
-    # solve the affine constraints over the candidate coordinates
-    res = sparse_solve_affine(rows, rhs, len(candidates))
-    if isinstance(res, NoSolution):
-        raise ObstructionUnsolvable(0, label or "constraints")
-    coeffs, kernel = res
-    x = el_combination(coeffs, candidates)
-    free = [d for d in (el_combination(kv, candidates) for kv in kernel)
-            if d]
+def _mc_correct(ctx, x, free, rng, label):
+    """x moved along the free directions (all of degree 1) until it is
+    MC, stage by stage; rng, when given, draws the free choices."""
     if rng is not None and free:
         x = _random_combination(rng, x, free)
-    # staged MC correction along the free directions (all of degree 1)
     c = ctx.nclass()
     for stage in range(1, c + 1):
         R = mc_residual(ctx, x)
@@ -801,10 +814,6 @@ def _constrained_mc_once(ctx, candidates, position, rows, rhs, rng, label):
     R = mc_residual(ctx, x)
     if not el_is_zero(R):
         raise ObstructionUnsolvable(ctx.nclass(), label or "final residual")
-    coords = _coordinates(position, x)
-    if coords is None or not _rows_hold(rows, rhs, coords):
-        raise SelfCheckFailed("constraints drifted during correction"
-                              + (f" ({label})" if label else ""))
     return x
 
 

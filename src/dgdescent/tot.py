@@ -19,7 +19,7 @@ from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
 from .forms import (compose_maps, degeneracy_map, face_map,
                     monomial_pullback, monotone_factorize)
 from .io import TruncationError
-from .linalg import echelon_basis, lower, sparse_kernel
+from .linalg import echelon_basis, lower, sparse_factor, sparse_kernel
 from .mcgauge import (FiniteLieContext, FormLieContext, bch, gauge_act,
                       mc_residual)
 
@@ -52,6 +52,7 @@ class CosimplicialDgLie:
         self._validate_identities()
         # before _check_vanishing: normalization_basis reads these tables
         self._images = {}
+        self._tot_context = self._descent_groupoid = None
         self.vanishing_level = self._check_vanishing(vanishing_level)
 
     # -- structure maps ---------------------------------------------------------
@@ -86,6 +87,21 @@ class CosimplicialDgLie:
                       self.structure_map_to(u, q, {gi: 1}).items())
                 for gi in range(self.levels[len(u) - 1].total_dim())]
         return images
+
+    def tot_context(self):
+        """The TotContext of this algebra: one per cosimplicial algebra,
+        built on first use, so the gluing systems it memoizes serve
+        every sample of every check on it."""
+        if self._tot_context is None:
+            self._tot_context = TotContext(self)
+        return self._tot_context
+
+    def descent_groupoid(self):
+        """The groupoid of descent data (`tot_groupoid`) of this
+        algebra, built on first use and shared the same way."""
+        if self._descent_groupoid is None:
+            self._descent_groupoid = tot_groupoid(self)
+        return self._descent_groupoid
 
     def _elementary_from(self, q):
         """(name, u, target level, map) for every elementary map out of
@@ -261,6 +277,7 @@ class TotContext:
         self.nils = cc.nilpotent_levels()
         self.forms = [FormLieContext(nil, p)
                       for p, nil in enumerate(self.nils)]
+        self._gluing = {}
 
     def nclass(self):
         return max(nil.nilpotency_class for nil in self.nils)
@@ -383,6 +400,35 @@ class TotContext:
                         rows.setdefault((u, (gj, mono)), {})[col] = -c
         return rows
 
+    def gluing_system(self, p, D):
+        """The system that glues level p onto level p - 1, as (keys,
+        generators, row index, factor), built once per (p, D).
+
+        keys are the level-p keys (basis index, monomial) of degree 1
+        up to D; generators the 2p+1 between levels p-1 and p (faces
+        [p-1] -> [p], codegeneracies [p] -> [p-1]); the rows are their
+        `exchange_rows` on those keys, the row index maps each
+        generator u to {defect key: position of the row (u, defect
+        key)}, and factor is the `linalg.sparse_factor` of the rows,
+        which every right-hand side (minus the defect of a glued level
+        p-1 member) replays.  Every caller gets the same objects, to
+        read and never to change.
+        """
+        system = self._gluing.get((p, D))
+        if system is None:
+            keys = self.forms[p].keys_up_to(D, 1)
+            generators = [(u, q) for u, q in self.generators()
+                          if {len(u) - 1, q} == {p - 1, p}]
+            rows = self.exchange_rows([(p, gi, mono) for gi, mono in keys],
+                                      generators)
+            index = {u: {} for u, _ in generators}
+            for r, (u, k) in enumerate(rows):
+                index[u][k] = r
+            system = self._gluing[(p, D)] = (
+                keys, generators, index,
+                sparse_factor(list(rows.values()), len(keys)))
+        return system
+
     def tot_basis(self, degree, D):
         """Basis of the degree-(D-truncated) totalization in one total
         degree: the kernel of the exchange row blocks (`exchange_rows`)
@@ -408,7 +454,7 @@ class TotLieComplex:
     def __init__(self, cc, D):
         self.cc = cc
         self.D = D
-        self.ctx = TotContext(cc)
+        self.ctx = cc.tot_context()
         self.N = self.ctx.N
         degs = set()
         for p in range(self.N + 1):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dgdescent.cli import main
-from dgdescent.io import dump_record, element_to_record
+from dgdescent.io import dump_record, element_to_record, load_record
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "dgdescent" / "data"
 
@@ -53,6 +53,25 @@ def test_check_algebra_refuses_a_repeated_product(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert f"{path}: field 'products'" in captured.err
     assert "listed twice" in captured.err
+
+
+def test_a_repeated_json_key_exits_2(tmp_path, capsys):
+    # the last of two "coeff" keys once won silently: t.t = 0 made
+    # k[t]/t^3 a "verified" algebra with t^2 = 0
+    text = (DATA / "artin_t3.json").read_text()
+    assert text.count('"coeff": "1"') == 1
+    path = tmp_path / "t3.json"
+    path.write_text(text.replace('"coeff": "1"',
+                                 '"coeff": "1", "coeff": "0"'))
+    code = main(["check-algebra", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path}: field 'coeff'")
+    assert "repeated key" in captured.err
+    # no bundled record repeats a key
+    for f in sorted(DATA.glob("*.json")):
+        assert load_record(f) == json.loads(f.read_text())
 
 
 def test_check_algebra_parse_error(tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Gluing constraints as exchange rows, the rows-level constrained
 solver, and the degree-0 gauge basis of the nonabelian descent check."""
 
+import ast
 import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dgdescent import cech, mcgauge
+from dgdescent import cech, mcgauge, tot
 from dgdescent.cech import (GluingFailed, _glue_level, _sample_descent_datum,
                             cech_cosimplicial, glue_descent_datum,
                             tensored_cover, verify_descent)
@@ -15,7 +17,7 @@ from dgdescent.dgla import tensor_lie
 from dgdescent.forms import face_map
 from dgdescent.instances import (circle_cover, dual_numbers, ef_algebra,
                                  segment_cover, t_truncated, triple_cover)
-from dgdescent.linalg import sparse_columns
+from dgdescent.linalg import sparse_columns, sparse_factor
 from dgdescent.mcgauge import (FiniteLieContext, ObstructionUnsolvable,
                                SelfCheckFailed, constrained_mc_solve,
                                constrained_mc_solve_rows, mc_residual,
@@ -39,7 +41,9 @@ def nonabelian_cech(cover, base):
 def test_a_sign_flipped_face_block_never_glues(monkeypatch, cover, face):
     """Face `face`'s exchange rows negated inside _glue_level: the
     level-2 member then misses that face condition, so the system has
-    no solution or the assembled family fails its self-check."""
+    no solution or the assembled family fails its self-check.  The
+    algebra that glued once owns its factored system, so the patched
+    run glues on a fresh one of the same cover."""
     cc = nonabelian_cech(cover, "t3")
     rng = random.Random(808)
     datum = None
@@ -56,8 +60,9 @@ def test_a_sign_flipped_face_block_never_glues(monkeypatch, cover, face):
                                                   generators).items()}
 
     monkeypatch.setattr(TotContext, "exchange_rows", flipped)
+    fresh = nonabelian_cech.__wrapped__(cover, "t3")
     with pytest.raises((GluingFailed, SelfCheckFailed)):
-        glue_descent_datum(cc, datum, 2)
+        glue_descent_datum(fresh, datum, 2)
 
 
 def test_verify_descent_draws_gauges_from_the_degree0_basis(monkeypatch):
@@ -81,6 +86,55 @@ def test_verify_descent_draws_gauges_from_the_degree0_basis(monkeypatch):
     assert reference
     for basis0 in seen:
         assert basis0 == reference
+
+
+def test_each_gluing_system_is_built_once_per_algebra(monkeypatch):
+    """Three samples glue on one TotContext and one DescentGroupoid of
+    the algebra, and its level-2 exchange rows are written once."""
+    cc = nonabelian_cech.__wrapped__("segment", "t3")
+    contexts, groupoids, level2_rows = [], [], []
+    init, groupoid_init = TotContext.__init__, tot.DescentGroupoid.__init__
+    exchange_rows = TotContext.exchange_rows
+
+    def count_init(self, *args):
+        contexts.append(self)
+        init(self, *args)
+
+    def count_groupoid(self, *args):
+        groupoids.append(self)
+        groupoid_init(self, *args)
+
+    def spy(self, keys, generators):
+        if {p for p, _, _ in keys} == {2}:
+            level2_rows.append(keys)
+        return exchange_rows(self, keys, generators)
+
+    monkeypatch.setattr(TotContext, "__init__", count_init)
+    monkeypatch.setattr(tot.DescentGroupoid, "__init__", count_groupoid)
+    monkeypatch.setattr(TotContext, "exchange_rows", spy)
+    report = verify_descent(cc, samples=3, seed=0, D=2)
+    assert report["falsified"] == 0
+    assert report["checks"][-1]["glued"] == 3
+    assert len(contexts) == 1 and contexts[0] is cc.tot_context()
+    assert len(groupoids) == 1 and groupoids[0] is cc.descent_groupoid()
+    assert len(level2_rows) == 1
+
+
+def test_cech_builds_tot_contexts_only_through_the_algebra():
+    """cech reaches the TotContext and the descent groupoid of an
+    algebra through its accessors, which build each once; a
+    TotContext(...) or tot_groupoid(...) call in cech would bring back
+    a rebuild per sample or per draw."""
+    path = Path(cech.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    called = [node.func.id if isinstance(node.func, ast.Name)
+              else node.func.attr
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))]
+    offenders = [name for name in called
+                 if name in ("TotContext", "tot_groupoid", "DescentGroupoid")]
+    assert not offenders, f"cech builds {offenders} itself"
+    assert "tot_context" in called and "descent_groupoid" in called
 
 
 def test_unreachable_gluing_target_fails_at_stage_0():
@@ -112,11 +166,12 @@ def _ef_t3():
 def test_rows_level_keeps_a_row_that_no_candidate_reaches():
     ctx = FiniteLieContext(_ef_t3())
     units = ctx.basis_of_degree(1)
+    system = sparse_factor([{}], len(units))
     with pytest.raises(ObstructionUnsolvable) as info:
-        constrained_mc_solve_rows(ctx, units, [{}], [ONE])
+        constrained_mc_solve_rows(ctx, units, system, [ONE])
     assert info.value.stage == 0
     # the same row with rhs 0 constrains nothing
-    x = constrained_mc_solve_rows(ctx, units, [{}], [Fraction(0)])
+    x = constrained_mc_solve_rows(ctx, units, system, [Fraction(0)])
     assert not mc_residual(ctx, x)
 
 
@@ -135,10 +190,10 @@ def test_pair_form_is_an_adapter_over_the_rows_level(monkeypatch):
     x = constrained_mc_solve(ctx, units, [(dict, target)],
                              rng=random.Random(4))
     assert len(calls) == 1
-    _, cands, rows, rhs = calls[0]
+    _, cands, system, rhs = calls[0]
     assert cands is units
     keys = sorted({k for u in units for k in u})
-    assert rows == sparse_columns(units, keys)
+    assert [dict(row) for row in system.rows] == sparse_columns(units, keys)
     assert rhs == [target.get(k, 0) for k in keys]
     assert not mc_residual(ctx, x)
     assert all(x.get(k, 0) == v for k, v in target.items())
@@ -155,6 +210,14 @@ def test_constraint_drift_raises_a_named_error(monkeypatch):
     with pytest.raises(SelfCheckFailed, match="constraints drifted"):
         constrained_mc_solve(ctx, units, [(dict, {key: ONE})],
                              label="drift")
+
+
+def test_a_factor_over_other_columns_is_refused():
+    ctx = FiniteLieContext(_ef_t3())
+    units = ctx.basis_of_degree(1)
+    with pytest.raises(ValueError, match="columns for"):
+        constrained_mc_solve_rows(ctx, units,
+                                  sparse_factor([], len(units) + 1), [])
 
 
 def test_candidates_that_are_not_unit_vectors_are_refused():

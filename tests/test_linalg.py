@@ -1,14 +1,18 @@
 import ast
+import copy
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgdescent import linalg
 from dgdescent.linalg import (NoSolution, coords_in_span, echelon_basis,
                               identity, intersect_spans, kernel_basis,
-                              rref, solve_affine, span_basis,
-                              sparse_eliminate, sparse_from_dense,
-                              sparse_kernel, sparse_solve_affine)
+                              lower, rref, solve_affine, span_basis,
+                              sparse_eliminate, sparse_factor,
+                              sparse_from_dense, sparse_kernel,
+                              sparse_solve_affine)
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
@@ -248,6 +252,141 @@ def test_sparse_paths_match_rref_on_mixed_rationals(system):
     ref_x0, ref_kernel, _ = dense_reference(A, b)
     assert densify(x0, n) == ref_x0
     assert [densify(v, n) for v in kernel] == ref_kernel
+
+
+def one_elimination(rows, b, ncols):
+    """(x0, kernel) or a NoSolution from one sparse_eliminate call on
+    rows with b, read off as the solver always has: x0 over the pivots
+    in the order found, kernel vector f 1 on free column f, then minus
+    each pivot row's f-entry in pivot-row order."""
+    pivot_rows, pivot_cols, pivot_rhs, bad = sparse_eliminate(rows, b)
+    if bad is not None:
+        return NoSolution(sparse_eliminate(rows, b, track=True)[3])
+    kernel = []
+    for f in (j for j in range(ncols) if j not in pivot_cols):
+        v = {f: 1}
+        for prow, pcol in zip(pivot_rows, pivot_cols):
+            if f in prow:
+                v[pcol] = -prow[f]
+        kernel.append(v)
+    return {p: x for p, x in zip(pivot_cols, pivot_rhs) if x}, kernel
+
+
+def rref_solution(A, b, ncols):
+    """(x0, kernel) read off the dense rref of [A | b], or None when b
+    is outside the column space."""
+    R, pivots = rref([row + [bv] for row, bv in zip(A, b)])
+    if ncols in pivots:
+        return None
+    x0 = [F(0)] * ncols
+    for i, p in enumerate(pivots):
+        x0[p] = R[i][ncols]
+    kernel = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -R[i][f]
+        kernel.append(v)
+    return x0, kernel
+
+
+def typed(result):
+    """A solve result with every scalar's type alongside, in order."""
+    if isinstance(result, NoSolution):
+        return [(i, c, type(c)) for i, c in result.certificate.items()]
+    x0, kernel = result
+    return ([(j, c, type(c)) for j, c in x0.items()],
+            [[(j, c, type(c)) for j, c in v.items()] for v in kernel])
+
+
+@st.composite
+def system_and_rhs(draw):
+    """Sparse rows of int and Fraction entries over 0..6 columns, 0..6
+    of them plus, sometimes, a combination of the others (so some
+    right-hand sides are inconsistent), with right-hand sides A x and
+    arbitrary ones."""
+    m = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=6))
+    A = [[F(draw(mixed_entries)) for _ in range(n)] for _ in range(m)]
+    if A and draw(st.booleans()):
+        coeffs = [F(draw(mixed_entries)) for _ in A]
+        A.append([sum((c * row[j] for c, row in zip(coeffs, A)), F(0))
+                  for j in range(n)])
+    rows = [{j: lower(x) if draw(st.booleans()) else x
+             for j, x in enumerate(row) if x} for row in A]
+    rhss = [mat_vec(A, [F(draw(mixed_entries)) for _ in range(n)])
+            for _ in range(draw(st.integers(min_value=1, max_value=2)))]
+    rhss += [[draw(mixed_entries) for _ in A]
+             for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return A, rows, n, rhss
+
+
+@given(system_and_rhs())
+@settings(max_examples=120, deadline=None)
+def test_factored_solves_match_one_elimination_and_rref(system):
+    A, rows, n, rhss = system
+    given_rows = copy.deepcopy(rows)
+    factor = sparse_factor(rows, n)
+    first = []
+    for b in rhss:
+        res = factor.solve(b)
+        # exactly what one elimination with b gives, order and int /
+        # Fraction types included
+        first.append(typed(res))
+        assert first[-1] == typed(one_elimination(rows, b, n))
+        ref = rref_solution(A, b, n)
+        if ref is None:
+            assert isinstance(res, NoSolution)
+            assert all(c != 0 for c in res.certificate.values())
+            assert_certificate(A, b, densify(res.certificate, len(A)))
+        else:
+            x0, kernel = res
+            assert (densify(x0, n), [densify(v, n) for v in kernel]) == ref
+            assert mat_vec(A, densify(x0, n)) == [F(x) for x in b]
+            # a caller that changes what it got changes nothing stored
+            for v in kernel:
+                v.clear()
+    # solving again gives the same: the factor is not mutated
+    assert [typed(factor.solve(b)) for b in rhss] == first
+    assert rows == given_rows
+    assert [dict(row) for row in factor.rows] == rows
+
+
+def test_factor_of_no_rows_and_of_no_columns():
+    # no equations: one solution, the kernel is everything
+    factor = sparse_factor([], 3)
+    for _ in range(2):
+        assert factor.solve([]) == ({}, [{0: 1}, {1: 1}, {2: 1}])
+    # equations in no unknowns: consistent exactly when b = 0
+    factor = sparse_factor([{}, {}], 0)
+    assert factor.solve([0, 0]) == ({}, [])
+    res = factor.solve([0, F(3)])
+    assert isinstance(res, NoSolution) and res.certificate == {1: 1}
+    assert factor.solve([0, 0]) == ({}, [])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        factor.solve([0])
+
+
+def test_a_factored_system_is_eliminated_once(monkeypatch):
+    rows = [{0: 2, 1: 1}, {1: 3, 2: -1}, {0: 2, 1: 4, 2: -1}]
+    calls = []
+    eliminate = linalg.sparse_eliminate
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("track", False))
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "sparse_eliminate", spy)
+    factor = linalg.sparse_factor(rows, 3)
+    for b in ([1, 2, 3], [0, 1, 1], [2, 0, 2]):
+        assert not isinstance(factor.solve(b), NoSolution)
+    assert calls == [False]
+    # an inconsistent right-hand side runs the tracked elimination
+    res = factor.solve([1, 0, 0])
+    assert isinstance(res, NoSolution) and calls == [False, True]
+    assert_certificate(M([[2, 1, 0], [0, 3, -1], [2, 4, -1]]), V([1, 0, 0]),
+                       densify(res.certificate, 3))
 
 
 int_pivots = st.sampled_from([-1, 2, -2, 3])

@@ -160,15 +160,22 @@ class CechCosimplicial(CosimplicialDgLie):
         return out
 
 
+def vanishing_level(cover):
+    """max |J| - 1 over the nonempty U_J: the level above which the
+    conormalization of the ordered Cech complex vanishes."""
+    return max((len(J) for J in cover.sections), default=1) - 1
+
+
 def cech_cosimplicial(cover, N=None):
-    """Levels 0..N of the ordered Cech cosimplicial algebra.
+    """Levels 0..N of the ordered Cech cosimplicial algebra, by default
+    N = max(2, vanishing_level(cover)).
 
     Its conormalization N^q is the sum of the sections over the
     intersections of q+1 distinct opens, so it can be nonzero up to
     max |J| - 1 over the nonempty U_J; a truncation below that level
     would hide nonzero N^q from every vanishing check and is refused.
     """
-    vanishing = max((len(J) for J in cover.sections), default=1) - 1
+    vanishing = vanishing_level(cover)
     if N is None:
         N = max(2, vanishing)
     if N < vanishing:
@@ -353,10 +360,10 @@ def _glue_level(ctx, omegas, p, D):
     label = f"level {p}"
     try:
         rhs = [0] * len(factor.rows)
+        parts = ctx.split(omegas[p - 1])
         for u, q in generators:
             row_of = index[u]
-            for k, c in ctx.compatibility_defect(u, q,
-                                                 omegas[p - 1]).items():
+            for k, c in ctx.compatibility_defect(u, q, parts).items():
                 r = row_of.get(k)
                 if r is not None:
                     rhs[r] = -c

@@ -129,14 +129,28 @@ def _nilpotent_from_args(args):
     return nil
 
 
+def _cech_from_args(args, cover, base):
+    """The Cech cosimplicial algebra of cover (x) base, truncated at
+    --trunc-level.  Levels above the vanishing level add only degenerate
+    tuples while the build grows with them, so a level more than one
+    above the default, max(2, vanishing level), is refused."""
+    from .cech import cech_cosimplicial, tensored_cover, vanishing_level
+    cover = tensored_cover(cover, base)
+    top = max(2, vanishing_level(cover)) + 1
+    if args.trunc_level is not None and args.trunc_level > top:
+        raise TruncationError(
+            f"truncation level {args.trunc_level} is above {top}, one more "
+            f"than the default max(2, vanishing level) = {top - 1}; higher "
+            f"levels add only degenerate tuples")
+    return cech_cosimplicial(cover, N=args.trunc_level)
+
+
 def _cosimplicial_from_args(args):
-    from .cech import cech_cosimplicial, tensored_cover
     rec = load_record(args.file)
     kind = record_type(rec, args.file)
     if kind == "descent_instance":
         _, cover, base = instance_from_record(rec, args.file)
-        return cech_cosimplicial(tensored_cover(cover, base),
-                                 N=args.trunc_level)
+        return _cech_from_args(args, cover, base)
     if kind == "cover":
         raise ParseError(args.file, "type",
                          "covers need an artinian base; wrap the record "
@@ -278,12 +292,11 @@ def cmd_tot(args, report):
 
 
 def cmd_cech(args, report):
-    from .cech import cech_cosimplicial, tensored_cover
     rec = load_record(args.file)
     if record_type(rec, args.file) != "descent_instance":
         raise ParseError(args.file, "type", "expected descent_instance")
     _, cover, base = instance_from_record(rec, args.file)
-    cc = cech_cosimplicial(tensored_cover(cover, base), N=args.trunc_level)
+    cc = _cech_from_args(args, cover, base)
     report["instance"] = rec.get("name")
     report["levels"] = [g.total_dim() for g in cc.levels]
     report["tuples"] = [[list(T) for T in Ts] for Ts in cc.tuples]

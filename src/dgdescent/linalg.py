@@ -15,7 +15,8 @@ A solve is a factorization plus a replay: `sparse_factor` eliminates
 a system once and records the row operations, and its `solve` replays
 them on each right-hand side, so a system met with many right-hand
 sides is eliminated once (`sparse_solve_affine` is one factorization
-and one replay).
+and one replay).  A kernel is presolved: `sparse_kernel` substitutes
+the one- and two-term rows away and eliminates only what is left.
 A subspace is the list of its `echelon_basis` vectors (dicts over any
 sortable keys), a system is a list of sparse rows, and a linear map is
 a sparse table {i: {k: coeff}} that `linear_apply` pushes vectors
@@ -26,6 +27,7 @@ once per vector, are kept as the independent references that the
 tests compare the sparse path against.  No floats anywhere.
 """
 
+import functools
 from fractions import Fraction
 
 
@@ -52,6 +54,18 @@ class NoSolution:
 
     def __repr__(self):
         return f"NoSolution(certificate={self.certificate!r})"
+
+
+class _DeferredNoSolution(NoSolution):
+    """A NoSolution whose certificate is computed on first read, by
+    find(); a caller that only tests for a solution pays nothing."""
+
+    def __init__(self, find):
+        self._find = find
+
+    @functools.cached_property
+    def certificate(self):
+        return self._find()
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +448,115 @@ def _kernel(pivot_rows, pivot_cols, ncols):
     return basis
 
 
+def _find(parent, ratio, j):
+    # (root, ratio to the root) of column j, compressing its path
+    path = []
+    while parent[j] != j:
+        path.append(j)
+        j = parent[j]
+    r = 1
+    for i in reversed(path):
+        r = ratio[i] * r
+        if type(r) is not int:
+            r = lower(r)
+        parent[i], ratio[i] = j, r
+    return j, r
+
+
+def _rewrite(row, parent, ratio, zero):
+    # row over the roots of its columns' live classes, zero terms dropped
+    out = {}
+    for j, a in row.items():
+        p = parent[j]
+        if p != j:
+            if parent[p] != p:
+                p = _find(parent, ratio, j)[0]
+            a = a * ratio[j]
+        if zero[p]:
+            continue
+        if p in out:
+            a += out[p]
+            if not a:
+                del out[p]
+                continue
+        out[p] = a
+    return out
+
+
 def sparse_kernel(rows, ncols, with_free=False):
-    """Kernel basis (list of sparse vectors) of a sparse homogeneous system.
+    """Kernel basis (list of sparse vectors) of a sparse homogeneous
+    system over the columns 0..ncols-1.
 
     Basis vector i has coefficient 1 on its free column and 0 on every
-    other free column, so coordinates over the basis are lookups; pass
-    with_free=True to get the free columns alongside.
+    other free column, and no column right of its own free one, so
+    coordinates over the basis are lookups; it is the basis that the
+    reduced row echelon form with leftmost pivots gives, and the vectors
+    come in the order of their free columns.  Pass with_free=True to get
+    the free columns alongside.
+
+    One- and two-term rows are presolved by substitution before any
+    elimination.  A scaled union-find keeps every column j as
+    x_j = c x_root of its class, or in a zeroed class, which has no
+    root.  The rows are taken in order of length, each rewritten over
+    the roots: a row that rewrites to one term zeroes its class, one
+    that rewrites to two terms merges their classes, and one that
+    rewrites to nothing is dropped.  The rest, rewritten over the final
+    roots, go to one `sparse_eliminate` call.  The root of a class is
+    its largest column, so a kernel vector of the remaining system,
+    expanded back over the classes, has its largest column where it had
+    it, at a root; the leftmost-pivot kernel basis of the remaining
+    system, 1 on its free root and 0 on the other free roots, therefore
+    expands to vectors that are 1 on their own free column, 0 on every
+    other free column, and 0 right of their own: the unique reduced
+    basis of the kernel, with no second echelon pass.
     """
-    pivot_rows, pivot_cols, _, _ = sparse_eliminate(rows)
-    basis = _kernel(pivot_rows, pivot_cols, ncols)
+    parent = list(range(ncols))
+    ratio = [1] * ncols
+    zero = [False] * ncols
+    rest = []
+    for row in sorted(rows, key=len):
+        row = _rewrite(row, parent, ratio, zero)
+        if len(row) > 2:
+            rest.append(row)
+        elif len(row) == 2:
+            # a x_lo + b x_hi = 0 merges lo's class into hi's
+            (lo, a), (hi, b) = row.items()
+            if lo > hi:
+                (lo, a), (hi, b) = (hi, b), (lo, a)
+            parent[lo] = hi
+            ratio[lo] = _div(-b, a) if type(a) is int else \
+                lower(-b * Fraction(a.denominator, a.numerator))
+        elif row:
+            zero[next(iter(row))] = True
+    rest = [r for r in (_rewrite(row, parent, ratio, zero) for row in rest)
+            if r]
+    pivot_rows, pivot_cols, _, _ = sparse_eliminate(rest)
+    pivots = set(pivot_cols)
+    free = [j for j in range(ncols)
+            if parent[j] == j and not zero[j] and j not in pivots]
+    # the remaining system's kernel by root: the (free root, entry)
+    # pairs of each live root on the kernel vectors
+    entries = {f: ((f, 1),) for f in free}
+    for prow, pcol in zip(pivot_rows, pivot_cols):
+        entries[pcol] = [(f, -c) for f, c in prow.items() if f != pcol]
+    basis = {f: {f: 1} for f in free}
+    # roots and their children are read without a call to _find
+    for j, p in enumerate(parent):
+        if p == j:
+            if zero[j] or j in basis:
+                continue
+            r = 1
+        elif parent[p] == p:
+            if zero[p]:
+                continue
+            r = ratio[j]
+        else:
+            p, r = _find(parent, ratio, j)
+            if zero[p]:
+                continue
+        for f, c in entries[p]:
+            v = c * r
+            basis[f][j] = v if type(v) is int else lower(v)
     if with_free:
         return list(basis.values()), list(basis)
     return list(basis.values())
@@ -474,7 +588,7 @@ class SparseFactor:
         columns and lists the pivots in the order found, kernel vector i
         is 1 on the i-th free column and 0 on the others.  The
         certificate of a NoSolution comes from a tracked elimination of
-        A with rhs, run only then."""
+        A with rhs, run only when the certificate is first read."""
         if len(rhs) != len(self.rows):
             raise ValueError(f"dimension mismatch: {len(self.rows)} rows "
                              f"vs rhs of length {len(rhs)}")
@@ -488,8 +602,9 @@ class SparseFactor:
                     rv = rv - f * pivot_rhs[k]
             if p is None:
                 if rv:
-                    return NoSolution(sparse_eliminate(
-                        [dict(row) for row in self.rows], rhs,
+                    # rvals is this call's own copy of rhs
+                    return _DeferredNoSolution(lambda: sparse_eliminate(
+                        [dict(row) for row in self.rows], rvals,
                         track=True)[3])
                 continue
             if p == -1:

@@ -259,6 +259,10 @@ def _by_level(x):
 # the Thom-Sullivan side: compatible form families
 
 
+class _LevelParts(dict):
+    """An element split by level, as `TotContext.split` returns it."""
+
+
 class TotContext:
     """The product over p <= cc.N of the ambients Omega_p (x) g^p.
 
@@ -288,7 +292,7 @@ class TotContext:
 
     def split(self, x):
         """{p: level-p part of x over (basis index, monomial) keys}."""
-        parts = {}
+        parts = _LevelParts()
         for (p, gi, mono), v in x.items():
             parts.setdefault(p, {})[(gi, mono)] = v
         return parts
@@ -350,9 +354,10 @@ class TotContext:
     def compatibility_defect(self, u, qtgt, x):
         """Omega(u)(level-q part) - g(u)(level-p part), a dict over
         (target Lie index, monomial on Delta^p) keys, for
-        u: [p] -> [q]."""
+        u: [p] -> [q].  x is an element or its `split`, so a caller
+        that checks many generators on one element splits it once."""
         psrc = len(u) - 1
-        parts = self.split(x)
+        parts = x if type(x) is _LevelParts else self.split(x)
         pulled = self.forms[qtgt].restrict(u, parts.get(qtgt, {}))
         pushed = self.forms[psrc].push(
             lambda el: self.cc.structure_map_to(u, qtgt, el),
@@ -360,7 +365,8 @@ class TotContext:
         return el_sub(pulled, pushed)
 
     def is_tot_element(self, x):
-        return all(not self.compatibility_defect(u, q, x)
+        parts = self.split(x)
+        return all(not self.compatibility_defect(u, q, parts)
                    for (u, q) in self.generators())
 
     def exchange_rows(self, keys, generators):
@@ -432,9 +438,9 @@ class TotContext:
     def tot_basis(self, degree, D):
         """Basis of the degree-(D-truncated) totalization in one total
         degree: the kernel of the exchange row blocks (`exchange_rows`)
-        on the keys of that degree.  `sparse_kernel` eliminates them
-        with integer entries held as int and a column -> pivot-row
-        index for back-substitution.
+        on the keys of that degree.  Most of those rows have one or two
+        terms; `sparse_kernel` substitutes them away and eliminates only
+        the rest.
 
         Basis vector i is 1 on its free key and 0 on the other vectors'
         free keys, so the basis is reduced.

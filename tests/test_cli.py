@@ -448,6 +448,29 @@ def test_truncation_below_cech_vanishing_level_is_a_clean_error(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["cech", "tot", "verify-descent"])
+def test_truncation_far_above_the_default_is_a_clean_error(capsys, command):
+    # the triple cover vanishes above level 2, its default truncation;
+    # level 4 adds only degenerate tuples, at a cost that grows with it
+    code = main([command, str(DATA / "instance_triple_eps.json"),
+                 "--trunc-level", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "above 3" in lines[0]
+
+
+def test_truncation_one_above_the_default_is_accepted(capsys):
+    # the segment cover vanishes above level 1, so its default is 2
+    code, rep = run_cli(capsys, "cech",
+                        str(DATA / "instance_segment_eps.json"),
+                        "--trunc-level", "3")
+    assert code == 0
+    assert len(rep["levels"]) == 4
+
+
 def test_trunc_level_rejected_for_cosimplicial_records(capsys):
     code = main(["tot", str(DATA / "cosimplicial_constant_ef_t3.json"),
                  "--trunc-level", "1"])

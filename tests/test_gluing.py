@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dgdescent import cech, mcgauge, tot
+from dgdescent import cech, linalg, mcgauge, tot
 from dgdescent.cech import (GluingFailed, _glue_level, _sample_descent_datum,
                             cech_cosimplicial, glue_descent_datum,
                             tensored_cover, verify_descent)
@@ -135,6 +135,35 @@ def test_cech_builds_tot_contexts_only_through_the_algebra():
                  if name in ("TotContext", "tot_groupoid", "DescentGroupoid")]
     assert not offenders, f"cech builds {offenders} itself"
     assert "tot_context" in called and "descent_groupoid" in called
+
+
+def test_a_rejected_draw_computes_no_certificate(monkeypatch):
+    """A sampler draw rejected for inconsistent constraints reads no
+    certificate, so it runs no tracked elimination."""
+    cc = nonabelian_cech("circle", "t3")
+    tracked, inconsistent = [], []
+    eliminate, solve = linalg.sparse_eliminate, linalg.SparseFactor.solve
+
+    def spy_eliminate(*args, **kwargs):
+        tracked.append(kwargs.get("track", False))
+        return eliminate(*args, **kwargs)
+
+    def spy_solve(self, rhs):
+        res = solve(self, rhs)
+        inconsistent.append(isinstance(res, linalg.NoSolution))
+        return res
+
+    monkeypatch.setattr(linalg, "sparse_eliminate", spy_eliminate)
+    monkeypatch.setattr(linalg.SparseFactor, "solve", spy_solve)
+    rng = random.Random(808)
+    rejected = 0
+    for _ in range(40):
+        before = inconsistent.count(True)
+        if _sample_descent_datum(cc, rng) is None and \
+                inconsistent.count(True) > before:
+            rejected += 1
+    assert rejected > 0
+    assert True not in tracked
 
 
 def test_unreachable_gluing_target_fails_at_stage_0():

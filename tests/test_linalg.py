@@ -382,11 +382,15 @@ def test_a_factored_system_is_eliminated_once(monkeypatch):
     for b in ([1, 2, 3], [0, 1, 1], [2, 0, 2]):
         assert not isinstance(factor.solve(b), NoSolution)
     assert calls == [False]
-    # an inconsistent right-hand side runs the tracked elimination
+    # an inconsistent right-hand side runs the tracked elimination when
+    # its certificate is first read, and only then
     res = factor.solve([1, 0, 0])
-    assert isinstance(res, NoSolution) and calls == [False, True]
+    assert isinstance(res, NoSolution)
+    assert calls == [False]
+    certificate = res.certificate
+    assert calls == [False, True] and res.certificate is certificate
     assert_certificate(M([[2, 1, 0], [0, 3, -1], [2, 4, -1]]), V([1, 0, 0]),
-                       densify(res.certificate, 3))
+                       densify(certificate, 3))
 
 
 int_pivots = st.sampled_from([-1, 2, -2, 3])
@@ -452,6 +456,125 @@ def test_integer_pivots_match_rref(system):
     assert [densify(v, n) for v in kernel] == ref_kernel
     assert _all_lowered(x0.values())
     assert _all_lowered(sparse_eliminate(rows, b)[2])
+
+
+presolve_coeffs = st.sampled_from([1, -1, 2, -2, 3, F(1, 2), F(-2, 3),
+                                   F(3, 4)])
+
+
+@st.composite
+def presolve_system(draw):
+    """Sparse rows over 1..8 columns, mostly of one and two terms: chains
+    of two-term rows closed into cycles by a row whose ratio agrees with
+    the chain's or is drawn freely (a cycle whose ratios disagree forces
+    its class to 0), singletons, scaled copies and sums of earlier rows
+    (which shrink or cancel once rewritten over the classes), and a few
+    longer rows.  Integral entries come as int or as Fraction."""
+    n = draw(st.integers(1, 8))
+    col = st.integers(0, n - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["one", "two", "two", "cycle", "cycle",
+                                     "copy", "sum", "long"]))
+        if kind == "one":
+            rows.append({draw(col): draw(presolve_coeffs)})
+        elif kind in ("two", "cycle", "long") and n > 1:
+            size = {"two": 2, "cycle": n, "long": min(n, 5)}[kind]
+            path = draw(st.lists(col, min_size=2, max_size=size,
+                                 unique=True))
+            if kind == "long":
+                rows.append({j: draw(presolve_coeffs) for j in path})
+                continue
+            # x_path[0] = ratio * x_path[-1] along the chain
+            ratio = F(1)
+            for a, b in zip(path, path[1:]):
+                ca, cb = draw(presolve_coeffs), draw(presolve_coeffs)
+                rows.append({a: ca, b: cb})
+                ratio *= -F(cb) / ca
+            if kind == "cycle":
+                c = draw(presolve_coeffs)
+                rows.append({path[0]: c, path[-1]: -c * ratio}
+                            if draw(st.booleans()) else
+                            {path[0]: c, path[-1]: draw(presolve_coeffs)})
+        elif kind in ("copy", "sum") and rows:
+            row = draw(st.sampled_from(rows))
+            c = draw(presolve_coeffs)
+            out = {j: c * x for j, x in row.items()}
+            if kind == "sum":
+                for j, x in draw(st.sampled_from(rows)).items():
+                    out[j] = out.get(j, 0) + x
+            rows.append({j: x for j, x in out.items() if x})
+    rows = [{j: lower(x) if draw(st.booleans()) else F(x)
+             for j, x in row.items()} for row in draw(st.permutations(rows))]
+    return rows, n
+
+
+def direct_kernel(rows, ncols):
+    """(kernel, free columns) as sparse_kernel gave them before its
+    presolve: one sparse_eliminate call on every row, read off by
+    one_elimination, whose vector f starts with its free column f."""
+    kernel = one_elimination(rows, None, ncols)[1]
+    return kernel, [next(iter(v)) for v in kernel]
+
+
+def typed_vectors(vectors):
+    return [{j: (c, type(c)) for j, c in v.items()} for v in vectors]
+
+
+@given(presolve_system())
+@settings(max_examples=300, deadline=None)
+def test_presolved_kernel_matches_rref(system):
+    """The presolved kernel is the reduced basis that dense rref gives:
+    same vectors in the same order, 1 on its own free column and 0 on
+    the others' and right of its own, the same free columns, each value
+    an int exactly when it is integral; and, as dicts, exactly what one
+    elimination of every row gives."""
+    rows, n = system
+    given_rows = copy.deepcopy(rows)
+    kernel, free = sparse_kernel(rows, n, with_free=True)
+    assert rows == given_rows
+    A = [[F(row.get(j, 0)) for j in range(n)] for row in rows]
+    pivots = rref(A)[1] if A else []
+    ref_kernel = rref_solution(A, [0] * len(A), n)[1]
+    assert [densify(v, n) for v in kernel] == ref_kernel
+    assert free == [j for j in range(n) if j not in pivots]
+    assert sparse_kernel(rows, n) == kernel
+    assert all(0 not in v.values() for v in kernel)
+    assert _all_lowered(x for v in kernel for x in v.values())
+    ref, ref_free = direct_kernel(rows, n)
+    assert typed_vectors(kernel) == typed_vectors(ref) and free == ref_free
+
+
+def test_tot_sweep_kernels_match_one_elimination():
+    """Every exchange system of the tot_sweep benchmark, triple/eps at
+    D <= 5 and circle/t^3 at D <= 4 in every total degree: the presolved
+    kernel equals, as dicts and in order, values and types included,
+    the kernel that one elimination of all the rows gives, and
+    tot_basis is that kernel over the keys."""
+    from dgdescent.cech import cech_cosimplicial, tensored_cover
+    from dgdescent.instances import (circle_cover, dual_numbers,
+                                     t_truncated, triple_cover)
+    systems = 0
+    for cover, base, top in ((triple_cover(), dual_numbers(), 5),
+                             (circle_cover(), t_truncated(3), 4)):
+        cc = cech_cosimplicial(tensored_cover(cover, base), N=2)
+        ctx = cc.tot_context()
+        degrees = {n + k for p in range(cc.N + 1)
+                   for n in cc.level(p).space.nonzero_degrees()
+                   for k in range(p + 1)}
+        for D in range(1, top + 1):
+            for degree in sorted(degrees):
+                keys = ctx.keys_up_to(D, degree)
+                rows = list(ctx.exchange_rows(keys,
+                                              ctx.generators()).values())
+                kernel, free = sparse_kernel(rows, len(keys), with_free=True)
+                ref, ref_free = direct_kernel(rows, len(keys))
+                assert typed_vectors(kernel) == typed_vectors(ref)
+                assert free == ref_free
+                assert ctx.tot_basis(degree, D) == \
+                    [{keys[j]: c for j, c in v.items()} for v in ref]
+                systems += 1
+    assert systems == 36
 
 
 def _all_lowered(values):

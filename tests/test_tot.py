@@ -272,6 +272,33 @@ def test_tot_basis_vectors_are_tot_elements():
     assert all(ctx.is_tot_element(v) for v in basis)
 
 
+def test_a_membership_check_splits_its_element_once(monkeypatch):
+    ctx = _cech_context("circle/t3")
+    x = ctx.tot_basis(1, 2)[0]
+    calls = []
+    split = TotContext.split
+
+    def spy(self, y):
+        calls.append(y)
+        return split(self, y)
+
+    monkeypatch.setattr(TotContext, "split", spy)
+    assert ctx.is_tot_element(x)
+    assert calls == [x]
+    # a defect splits a plain element and reads a split one as it is,
+    # with the same result
+    k = next(iter(x))
+    y = {**x, k: x[k] + 1}
+    parts = split(ctx, y)
+    calls.clear()
+    defects = [ctx.compatibility_defect(u, q, parts)
+               for u, q in ctx.generators()]
+    assert calls == []
+    assert defects == [ctx.compatibility_defect(u, q, y)
+                       for u, q in ctx.generators()]
+    assert len(calls) == len(defects) and any(defects)
+
+
 def _defect_matrix(ctx, keys):
     """The exchange conditions on the span of keys as a dense matrix,
     built column by column from compatibility_defect of unit vectors.

@@ -282,13 +282,17 @@ def cmd_tot(args, report):
             stable_at = DD
         prev = bl
     agree = prev == bettis[:len(prev)]
-    report["checks"].append({
+    check = {
         "name": "de Rham comparison of the truncated Thom-Sullivan side",
-        "verdict": "verified" if agree else
-        ("undecided" if stable_at is None else "falsified"),
+        "verdict": "verified" if agree else "undecided",
         "tot_lie_cohomology_by_bound": dims,
         "stabilized_at": stable_at,
-        "conormalized": bettis})
+        "conormalized": bettis}
+    if not agree and stable_at is not None:
+        # two equal bounds need not be the limit: on the 3-sphere TS_1
+        # and TS_2 agree because no 3-form has total degree below 3
+        check["reason"] = "stabilization in D proves nothing"
+    report["checks"].append(check)
 
 
 def cmd_cech(args, report):

@@ -256,10 +256,8 @@ def contractible_tensor_fibration(nil):
 def random_acyclic_fibration(rng, max_dim=12, max_class=4):
     nil = random_nilpotent(rng, max_dim=max_dim, max_class=max_class)
     builders = [lambda: cone_extension_fibration(nil, rng.randrange(2)),
-                lambda: contractible_tensor_fibration(nil),
-                lambda: (None, None, nil)]
-    f, nil_src, nil_tgt = rng.choice(builders[:2])()
-    return f, nil_src, nil_tgt
+                lambda: contractible_tensor_fibration(nil)]
+    return rng.choice(builders)()
 
 
 # ---------------------------------------------------------------------------

@@ -388,19 +388,34 @@ def table_from_blocks(source, target, blocks, shift=0):
     return table
 
 
+def _degree(key):
+    """The int that the string key is the canonical ASCII form of, or
+    None."""
+    try:
+        n = int(key)
+    except ValueError:
+        return None
+    return n if str(n) == key else None
+
+
 def _map_from_matrices(src, tgt, matrices, path, field):
     """The DgLieMap with the given dense blocks {degree: rows}; block n
     has one row per target and one column per source basis element of
     degree n."""
     if not isinstance(matrices, dict) or not all(
-            n.removeprefix("-").isdecimal() and isinstance(M, list) and
+            isinstance(M, list) and
             all(isinstance(row, list) and len(row) == len(M[0]) for row in M)
-            for n, M in matrices.items()):
+            for M in matrices.values()):
         raise ParseError(path, field, "expected an object mapping degrees "
                          "to lists of rows of equal length")
     blocks = {}
-    for n, M in matrices.items():
-        n = int(n)
+    for key, M in matrices.items():
+        n = _degree(key)
+        if n is None:
+            # "01" or a non-ASCII digit would read as another key's
+            # degree and overwrite its block
+            raise ParseError(path, field, f"degree {key!r} is not written "
+                             f"as a plain integer, like \"1\" or \"-1\"")
         shape = (tgt.space.dim(n), src.space.dim(n))
         if len(M) != shape[0] or (M and len(M[0]) != shape[1]):
             raise ParseError(path, field, f"block {n} has shape {len(M)}x"

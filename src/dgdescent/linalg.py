@@ -15,14 +15,17 @@ A solve is a factorization plus a replay: `sparse_factor` eliminates
 a system once and records the row operations, and its `solve` replays
 them on each right-hand side, so a system met with many right-hand
 sides is eliminated once (`sparse_solve_affine` is one factorization
-and one replay).  A kernel is presolved: `sparse_kernel` substitutes
-the one- and two-term rows away and eliminates only what is left.
+and one replay).  The eliminator itself sees no right-hand side: the
+certificate of an inconsistent one is read off the factor, by
+replaying the recorded operations on the rows' unit vectors.  A
+kernel is presolved: `sparse_kernel` substitutes the one- and two-term
+rows away and eliminates only what is left.
 A subspace is the list of its `echelon_basis` vectors (dicts over any
 sortable keys), a system is a list of sparse rows, and a linear map is
 a sparse table {i: {k: coeff}} that `linear_apply` pushes vectors
 through.  The dense functions (lists of lists of scalars) are thin
 adapters that no other module of the package names: dense Gauss-Jordan
-elimination, `rref`, and `coords_in_span`, which eliminates the basis
+elimination, `rref`, and `coords_in_span`, which factors the basis
 once per vector, are kept as the independent references that the
 tests compare the sparse path against.  No floats anywhere.
 """
@@ -43,7 +46,9 @@ class NoSolution:
 
     certificate is a row vector y with y A = 0 and y . b != 0: a dense
     list from solve_affine, a sparse dict row -> coefficient from
-    sparse_solve_affine.
+    sparse_solve_affine.  Both are read off the factor of A: the row
+    operations that eliminated A, replayed on the unit vectors of its
+    rows, give the combination of rows that reduced to 0 = y . b.
     """
 
     def __init__(self, certificate=None):
@@ -70,10 +75,6 @@ class _DeferredNoSolution(NoSolution):
 
 # ---------------------------------------------------------------------------
 # dense matrices
-
-
-def zero_vector(n):
-    return [0] * n
 
 
 def identity(n):
@@ -175,14 +176,11 @@ def coords_in_span(basis, v):
     if len(basis[0]) != len(v):
         raise ValueError(f"dimension mismatch: basis vectors of length "
                          f"{len(basis[0])} vs vector of length {len(v)}")
-    _, pivot_cols, pivot_rhs, bad = sparse_eliminate(
-        sparse_columns(sparse_from_dense(basis), range(len(v))), v)
-    if bad is not None:
+    res = sparse_factor(sparse_columns(sparse_from_dense(basis),
+                                       range(len(v))), len(basis)).solve(v)
+    if isinstance(res, NoSolution):
         return None
-    coords = zero_vector(len(basis))
-    for p, x in zip(pivot_cols, pivot_rhs):
-        coords[p] = x
-    return coords
+    return _densify(res[0], len(basis))
 
 
 def intersect_spans(B1, B2):
@@ -242,6 +240,13 @@ def _div(x, p):
     return lower(Fraction(x, p))
 
 
+def _over(x, p):
+    # x / p for a pivot p, an int or a Fraction
+    if type(p) is int:
+        return _div(x, p)
+    return lower(x * Fraction(p.denominator, p.numerator))
+
+
 def _axpy(row, f, pivot_row):
     # row -= f * pivot_row, in place
     for j, x in pivot_row.items():
@@ -272,48 +277,38 @@ def _back_substitute(prow, k, f, row, pj, holders):
             holders[j].discard(k)
 
 
-def sparse_eliminate(rows, rhs=None, track=False, ops=None):
+def sparse_eliminate(rows, ops=None):
     """Gauss-Jordan elimination on sparse rows.
 
-    Returns (pivot_rows, pivot_cols, pivot_rhs, inconsistent).  Each
-    pivot row has coefficient 1 on its pivot column and 0 on every
-    other pivot column.  A new pivot is the least column of a row
-    already reduced against the earlier pivots, so it is the leading
-    column of a vector of the row space; a subspace has exactly as many
-    leading columns as its dimension, so the pivots are the leftmost
-    independent columns whatever order the rows are taken in, and the
-    pivot rows sorted by pivot column are the reduced row echelon form.
-
-    inconsistent is None unless rhs is given and a row reduces to
-    0 = c != 0.  Then it is the index of that original row or, with
-    track=True, the certificate: a sparse dict y (original row ->
-    coefficient) with y A = 0 and y . rhs = c.  Tracking extends row i
-    by a tag column past every real column, so each reduced row carries
-    the combination of original rows that it is; the tag columns are
-    stripped from the pivot rows returned.
+    Returns (pivot_rows, pivot_cols).  Each pivot row has coefficient 1
+    on its pivot column and 0 on every other pivot column.  A new pivot
+    is the least column of a row already reduced against the earlier
+    pivots, so it is the leading column of a vector of the row space; a
+    subspace has exactly as many leading columns as its dimension, so
+    the pivots are the leftmost independent columns whatever order the
+    rows are taken in, and the pivot rows sorted by pivot column are the
+    reduced row echelon form.
 
     Two things keep the elimination cheap without changing its result.
     Entries stay int where they are integral (an integral Fraction is
     lowered on the way in), and an int pivot p normalizes its row by
     x // p where p divides x, so an integral system is eliminated in
     ints alone.  Only once a Fraction has entered the elimination are
-    the values returned lowered again, so every value returned is an
-    int exactly when it is integral.  And a column -> pivot-row index
+    the pivot rows lowered again, so every value returned is an int
+    exactly when it is integral.  And a column -> pivot-row index
     names the pivot rows that a new pivot row back-substitutes into, so
     no pass scans every pivot row.
 
-    ops, when a list (and rhs is None, so no row stops the
-    elimination), receives the row operations applied, one entry
+    ops, when a list, receives the row operations applied, one entry
     (i, reductions, pivot, back) per original row i in the order the
     rows are taken: reductions lists k1, f1, k2, f2, ... for row -= f *
     pivot row k, pivot is the value the reduced row was divided by
     (None when it reduced to zero), back lists k1, f1, ... for pivot
-    row k -= f * row.  `SparseFactor.solve` replays them.
+    row k -= f * row.  `SparseFactor` replays them, on a right-hand
+    side to solve and on the rows' unit vectors for a certificate.
     """
-    rvals = [lower(x) for x in rhs] if rhs is not None else [0] * len(rows)
-    tag = 1 + max((max(r) for r in rows if r), default=-1)
     # whether a Fraction has entered: until then every value is an int
-    fractional = not _all_int(rvals)
+    fractional = False
     work = []
     for r in rows:
         if _all_int(r.values()):
@@ -322,18 +317,13 @@ def sparse_eliminate(rows, rhs=None, track=False, ops=None):
             r = {j: lower(x) for j, x in r.items()}
             fractional = fractional or not _all_int(r.values())
             work.append(r)
-    if track:
-        for i, row in enumerate(work):
-            row[tag + i] = 1
     pivot_of_col = {}
     holders = {}
     pivot_rows = []
     pivot_cols = []
-    pivot_rhs = []
-    bad = None
     # process rows in order of sparsity for less fill-in
     for i in sorted(range(len(work)), key=lambda i: len(work[i])):
-        row, rv = work[i], rvals[i]
+        row = work[i]
         reductions = [] if ops is not None else None
         # pivot rows vanish on every other pivot column, so one pass
         # over the pivot columns present reduces the row
@@ -341,39 +331,30 @@ def sparse_eliminate(rows, rhs=None, track=False, ops=None):
             k = pivot_of_col[j]
             f = row[j]
             _axpy(row, f, pivot_rows[k])
-            rv = rv - f * pivot_rhs[k]
             if reductions is not None:
                 reductions += (k, f)
-        pj = min(row, default=tag)
-        if pj >= tag:
-            # no real column left: the row is a combination of the others
-            if rv:
-                bad = {j - tag: x for j, x in row.items()} if track else i
-                break
+        if not row:
+            # the row is a combination of the others
             if ops is not None:
                 ops.append((i, tuple(reductions), None, ()))
             continue
+        pj = min(row)
         p = row[pj]
         if p == -1:
             row = {j: -x for j, x in row.items()}
-            rv = -rv
         elif p != 1:
             if type(p) is int:
                 row = {j: _div(x, p) for j, x in row.items()}
-                rv = _div(rv, p)
                 if not fractional:
-                    fractional = type(rv) is not int or \
-                        not _all_int(row.values())
+                    fractional = not _all_int(row.values())
             else:
                 inv = Fraction(p.denominator, p.numerator)
                 row = {j: lower(x * inv) for j, x in row.items()}
-                rv = lower(rv * inv)
         # back-substitute into the earlier pivot rows nonzero on pj
         back = [] if ops is not None else None
         for k in holders.pop(pj, ()):
             f = pivot_rows[k][pj]
             _back_substitute(pivot_rows[k], k, f, row, pj, holders)
-            pivot_rhs[k] = pivot_rhs[k] - f * rv
             if back is not None:
                 back += (k, f)
         if ops is not None:
@@ -385,20 +366,11 @@ def sparse_eliminate(rows, rhs=None, track=False, ops=None):
         pivot_of_col[pj] = k
         pivot_rows.append(row)
         pivot_cols.append(pj)
-        pivot_rhs.append(rv)
-    if track:
-        pivot_rows = [{j: x for j, x in row.items() if j < tag}
-                      for row in pivot_rows]
     if fractional:
         # Fraction arithmetic can end on an integral value
         pivot_rows = [{j: lower(x) for j, x in row.items()}
                       for row in pivot_rows]
-        pivot_rhs = [lower(x) for x in pivot_rhs]
-        if track and bad is not None:
-            bad = {j: lower(x) for j, x in bad.items()}
-    if rhs is None:
-        pivot_rhs = [0] * len(pivot_rows)
-    return pivot_rows, pivot_cols, pivot_rhs, bad
+    return pivot_rows, pivot_cols
 
 
 def echelon_basis(vectors):
@@ -408,7 +380,7 @@ def echelon_basis(vectors):
     give equal bases."""
     keys = sorted({k for v in vectors for k in v})
     col = {k: j for j, k in enumerate(keys)}
-    pivot_rows, pivot_cols, _, _ = sparse_eliminate(
+    pivot_rows, pivot_cols = sparse_eliminate(
         [{col[k]: c for k, c in v.items() if c} for v in vectors])
     return [{keys[j]: row[j] for j in sorted(row)}
             for _, row in sorted(zip(pivot_cols, pivot_rows),
@@ -524,13 +496,12 @@ def sparse_kernel(rows, ncols, with_free=False):
             if lo > hi:
                 (lo, a), (hi, b) = (hi, b), (lo, a)
             parent[lo] = hi
-            ratio[lo] = _div(-b, a) if type(a) is int else \
-                lower(-b * Fraction(a.denominator, a.numerator))
+            ratio[lo] = _over(-b, a)
         elif row:
             zero[next(iter(row))] = True
     rest = [r for r in (_rewrite(row, parent, ratio, zero) for row in rest)
             if r]
-    pivot_rows, pivot_cols, _, _ = sparse_eliminate(rest)
+    pivot_rows, pivot_cols = sparse_eliminate(rest)
     pivots = set(pivot_cols)
     free = [j for j in range(ncols)
             if parent[j] == j and not zero[j] and j not in pivots]
@@ -571,8 +542,8 @@ class SparseFactor:
     columns.  `sparse_factor` builds it from its one `sparse_eliminate`
     call, which leaves the pivot columns, the kernel and the row
     operations applied (ops).  `solve` replays those operations on a
-    right-hand side, so no consistent right-hand side eliminates A
-    again.
+    right-hand side, and the certificate of an inconsistent one is read
+    off the same operations, so no right-hand side eliminates A again.
     """
 
     def __init__(self, rows, ncols, pivot_cols, kernel, ops):
@@ -583,12 +554,14 @@ class SparseFactor:
         self._ops = ops
 
     def solve(self, rhs):
-        """(x0, kernel) with A x0 = rhs, or a NoSolution, exactly as one
-        elimination of A with rhs gives them: x0 is zero on the free
-        columns and lists the pivots in the order found, kernel vector i
-        is 1 on the i-th free column and 0 on the others.  The
-        certificate of a NoSolution comes from a tracked elimination of
-        A with rhs, run only when the certificate is first read."""
+        """(x0, kernel) with A x0 = rhs, or a NoSolution: x0 is zero on
+        the free columns and lists the pivots in the order the
+        elimination found them, kernel vector i is 1 on the i-th free
+        column and 0 on the others.  The replay stops at the first row
+        that reduces to 0 = c != 0; the certificate of the NoSolution is
+        the combination of original rows that row reduced to, read off
+        the recorded operations replayed on the rows' unit vectors when
+        the certificate is first read."""
         if len(rhs) != len(self.rows):
             raise ValueError(f"dimension mismatch: {len(self.rows)} rows "
                              f"vs rhs of length {len(rhs)}")
@@ -602,16 +575,13 @@ class SparseFactor:
                     rv = rv - f * pivot_rhs[k]
             if p is None:
                 if rv:
-                    # rvals is this call's own copy of rhs
-                    return _DeferredNoSolution(lambda: sparse_eliminate(
-                        [dict(row) for row in self.rows], rvals,
-                        track=True)[3])
+                    return _DeferredNoSolution(
+                        functools.partial(self._certificate, i))
                 continue
             if p == -1:
                 rv = -rv
             elif p != 1:
-                rv = _div(rv, p) if type(p) is int else \
-                    lower(rv * Fraction(p.denominator, p.numerator))
+                rv = _over(rv, p)
             if back:
                 pairs = iter(back)
                 for k, f in zip(pairs, pairs):
@@ -620,11 +590,32 @@ class SparseFactor:
         x0 = {c: lower(x) for c, x in zip(self._pivot_cols, pivot_rhs) if x}
         return x0, [dict(v) for v in self._kernel]
 
+    def _certificate(self, stop):
+        """The combination of original rows that row `stop` reduced to,
+        as a sparse dict row -> coefficient: the recorded operations
+        replayed on the unit vectors of the rows, up to row stop."""
+        combos = []
+        for i, reductions, p, back in self._ops:
+            y = {i: 1}
+            pairs = iter(reductions)
+            for k, f in zip(pairs, pairs):
+                _axpy(y, f, combos[k])
+            if i == stop:
+                return {j: lower(x) for j, x in y.items()}
+            if p is None:
+                continue
+            if p != 1:
+                y = {j: _over(x, p) for j, x in y.items()}
+            pairs = iter(back)
+            for k, f in zip(pairs, pairs):
+                _axpy(combos[k], f, y)
+            combos.append(y)
+
 
 def sparse_factor(rows, ncols):
     """The SparseFactor of the sparse rows over ncols columns."""
     ops = []
-    pivot_rows, pivot_cols, _, _ = sparse_eliminate(rows, ops=ops)
+    pivot_rows, pivot_cols = sparse_eliminate(rows, ops=ops)
     kernel = list(_kernel(pivot_rows, pivot_cols, ncols).values())
     return SparseFactor(rows, ncols, pivot_cols, kernel, ops)
 

@@ -477,10 +477,23 @@ def test_stabilized_abelian_bounds_keep_their_verdict(monkeypatch):
     assert [c["verdict"] for c in rep["checks"]] == ["verified"] * 2
     assert all("reason" not in c for c in rep["checks"])
     assert "stabilized_at" not in rep["checks"][1]
-    # stabilizing only at the last bound still gives a verdict
+    # stabilizing only at the last bound still reads the dimensions off
+    # it, but a stabilized disagreement refutes nothing: undecided,
+    # never falsified
     monkeypatch.setattr(cech, "_abelian_tot_dims",
                         lambda cc, D: (min(D, 3), 0))
     rep = verify_descent(cc, D=1, stabilize_to=4)
     assert rep["checks"][0]["stabilized_at"] == 4
-    assert rep["undecided"] == 0
-    assert "undecided" not in [c["verdict"] for c in rep["checks"]]
+    assert [(c["tot_side"], c["descent_side"]) for c in rep["checks"]] == \
+        [(3, 1), (0, 1)]
+    assert [c["verdict"] for c in rep["checks"]] == ["undecided"] * 2
+    assert all(c["reason"] == "stabilization in D proves nothing"
+               for c in rep["checks"])
+    assert rep["undecided"] == 2 and rep["falsified"] == 0
+    # a stabilized agreement on one side and disagreement on the other
+    monkeypatch.setattr(cech, "_abelian_tot_dims",
+                        lambda cc, D: (1, min(D, 3)))
+    rep = verify_descent(cc, D=1, stabilize_to=4)
+    assert [c["verdict"] for c in rep["checks"]] == ["verified", "undecided"]
+    assert "reason" not in rep["checks"][0]
+    assert rep["undecided"] == 1 and rep["falsified"] == 0

@@ -210,6 +210,44 @@ def test_tot_command_constant_cosimplicial(capsys):
     assert all(c["verdict"] == "verified" for c in rep["checks"])
 
 
+def test_stabilized_tot_disagreement_on_the_3_sphere_is_undecided(
+        tmp_path, capsys):
+    # the boundary of the 4-simplex: five opens, one per facet, every
+    # proper sub-intersection nonempty.  No 3-form has total degree
+    # below 3, so TS_1 and TS_2 agree and both miss H^3; that equality
+    # is no limit and refutes nothing
+    import itertools
+    from dgdescent.cech import CoverSpec
+    from dgdescent.dgla import identity_map
+    from dgdescent.instances import abelian_line, dual_numbers
+    from dgdescent.io import instance_to_record
+    L = abelian_line()
+    sections = {frozenset(J): L
+                for facet in itertools.combinations(range(5), 4)
+                for r in range(1, 5)
+                for J in itertools.combinations(facet, r)}
+    restrictions = {(J, J2): identity_map(L) for J in sections
+                    for J2 in sections if J < J2}
+    path = tmp_path / "sphere3.json"
+    dump_record(instance_to_record(
+        "sphere3/eps", CoverSpec(5, sections, restrictions, name="sphere3"),
+        dual_numbers()), path)
+    code, rep = run_cli(capsys, "tot", str(path), "--degree-bound", "2")
+    assert code == 0
+    check = rep["checks"][1]
+    assert check["conormalized"] == [1, 1, 0, 1, 1]
+    assert check["tot_lie_cohomology_by_bound"] == {
+        "1": [1, 1, 0, 0, 0], "2": [1, 1, 0, 0, 0]}
+    assert check["stabilized_at"] == 2
+    assert check["verdict"] == "undecided"
+    assert check["reason"] == "stabilization in D proves nothing"
+    assert rep["summary"] == {"verified": 1, "falsified": 0, "undecided": 1}
+    code, rep = run_cli(capsys, "tot", str(path), "--degree-bound", "3")
+    assert code == 0
+    assert [c["verdict"] for c in rep["checks"]] == ["verified"] * 2
+    assert "reason" not in rep["checks"][1]
+
+
 def test_cech_command(capsys):
     code, rep = run_cli(capsys, "cech",
                         str(DATA / "instance_segment_eps.json"))
@@ -434,6 +472,30 @@ def test_truncation_below_level_two_is_a_clean_error(capsys):
     assert captured.out == ""
     assert "levels 0..2" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key", ["01", "\u0661", "-0"])
+@pytest.mark.parametrize("command, name", [
+    ("cech", "instance_projection_eps.json"),
+    ("tot", "cosimplicial_constant_ef_t3.json")])
+def test_degree_key_not_written_as_a_plain_integer_exits_2(
+        tmp_path, capsys, key, command, name):
+    # "01" and the Arabic-Indic one both read as degree 1, and "-0" as
+    # degree 0, and overwrote that block: the projection read as the
+    # zero map
+    rec = json.loads((DATA / name).read_text())
+    matrices = rec["cover"]["restrictions"][0]["matrix"] \
+        if "cover" in rec else rec["cofaces"][0][0]
+    matrices[key] = [["0"]]
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(rec))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    field = "restrictions.matrix" if "cover" in rec else "cofaces"
+    assert f"field '{field}" in captured.err
+    assert f"degree {key!r} is not written as a plain integer" in \
+        captured.err
 
 
 def test_truncation_below_cech_vanishing_level_is_a_clean_error(capsys):

@@ -177,9 +177,6 @@ def test_sparse_matches_dense(Ax):
     assert kernel_basis(A) == ref_kernel
     assert span_basis(A) == ref_rows
     assert rank(A) == len(ref_rows)
-    # tracking the row combinations changes nothing on a consistent system
-    rows = sparse_from_dense(A)
-    assert sparse_eliminate(rows, b, track=True) == sparse_eliminate(rows, b)
 
 
 @st.composite
@@ -238,8 +235,7 @@ def test_sparse_paths_match_rref_on_mixed_rationals(system):
     A, b, rows = system
     n = len(A[0])
     R, pivots = rref(A)
-    pivot_rows, pivot_cols, _, bad = sparse_eliminate(rows)
-    assert bad is None
+    pivot_rows, pivot_cols = sparse_eliminate(rows)
     ordered = sorted(zip(pivot_cols, pivot_rows), key=lambda pr: pr[0])
     assert [p for p, _ in ordered] == pivots
     assert [densify(row, n) for _, row in ordered] == R[:len(pivots)]
@@ -252,24 +248,6 @@ def test_sparse_paths_match_rref_on_mixed_rationals(system):
     ref_x0, ref_kernel, _ = dense_reference(A, b)
     assert densify(x0, n) == ref_x0
     assert [densify(v, n) for v in kernel] == ref_kernel
-
-
-def one_elimination(rows, b, ncols):
-    """(x0, kernel) or a NoSolution from one sparse_eliminate call on
-    rows with b, read off as the solver always has: x0 over the pivots
-    in the order found, kernel vector f 1 on free column f, then minus
-    each pivot row's f-entry in pivot-row order."""
-    pivot_rows, pivot_cols, pivot_rhs, bad = sparse_eliminate(rows, b)
-    if bad is not None:
-        return NoSolution(sparse_eliminate(rows, b, track=True)[3])
-    kernel = []
-    for f in (j for j in range(ncols) if j not in pivot_cols):
-        v = {f: 1}
-        for prow, pcol in zip(pivot_rows, pivot_cols):
-            if f in prow:
-                v[pcol] = -prow[f]
-        kernel.append(v)
-    return {p: x for p, x in zip(pivot_cols, pivot_rhs) if x}, kernel
 
 
 def rref_solution(A, b, ncols):
@@ -289,6 +267,23 @@ def rref_solution(A, b, ncols):
             v[p] = -R[i][f]
         kernel.append(v)
     return x0, kernel
+
+
+def one_elimination(A, rows, b, ncols):
+    """(x0, kernel) as sparse dicts, or None when b is outside the
+    column space: the values of rref_solution, lowered, keyed as the
+    solver keys them after one plain sparse_eliminate call on the rows,
+    x0 over the pivots in the order found, kernel vector f 1 on free
+    column f, then its entries on the pivots in that order."""
+    ref = rref_solution(A, b, ncols)
+    if ref is None:
+        return None
+    order = sparse_eliminate(rows)[1]
+    x0, kernel = ref
+    free = [j for j in range(ncols) if j not in order]
+    return ({p: lower(x0[p]) for p in order if x0[p]},
+            [{f: 1, **{p: lower(v[p]) for p in order if v[p]}}
+             for f, v in zip(free, kernel)])
 
 
 def typed(result):
@@ -331,18 +326,18 @@ def test_factored_solves_match_one_elimination_and_rref(system):
     first = []
     for b in rhss:
         res = factor.solve(b)
-        # exactly what one elimination with b gives, order and int /
-        # Fraction types included
         first.append(typed(res))
-        assert first[-1] == typed(one_elimination(rows, b, n))
-        ref = rref_solution(A, b, n)
+        ref = one_elimination(A, rows, b, n)
         if ref is None:
             assert isinstance(res, NoSolution)
             assert all(c != 0 for c in res.certificate.values())
+            assert _all_lowered(res.certificate.values())
             assert_certificate(A, b, densify(res.certificate, len(A)))
         else:
+            # the rref solution, in the eliminator's pivot order and
+            # with int / Fraction types as lower gives them
+            assert first[-1] == typed(ref)
             x0, kernel = res
-            assert (densify(x0, n), [densify(v, n) for v in kernel]) == ref
             assert mat_vec(A, densify(x0, n)) == [F(x) for x in b]
             # a caller that changes what it got changes nothing stored
             for v in kernel:
@@ -374,21 +369,20 @@ def test_a_factored_system_is_eliminated_once(monkeypatch):
     eliminate = linalg.sparse_eliminate
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("track", False))
+        calls.append(args)
         return eliminate(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "sparse_eliminate", spy)
     factor = linalg.sparse_factor(rows, 3)
     for b in ([1, 2, 3], [0, 1, 1], [2, 0, 2]):
         assert not isinstance(factor.solve(b), NoSolution)
-    assert calls == [False]
-    # an inconsistent right-hand side runs the tracked elimination when
-    # its certificate is first read, and only then
+    assert len(calls) == 1
+    # an inconsistent right-hand side eliminates nothing either: its
+    # certificate is read off the factor, when first read
     res = factor.solve([1, 0, 0])
     assert isinstance(res, NoSolution)
-    assert calls == [False]
     certificate = res.certificate
-    assert calls == [False, True] and res.certificate is certificate
+    assert len(calls) == 1 and res.certificate is certificate
     assert_certificate(M([[2, 1, 0], [0, 3, -1], [2, 4, -1]]), V([1, 0, 0]),
                        densify(certificate, 3))
 
@@ -432,8 +426,7 @@ def test_integer_pivots_match_rref(system):
     A, b, rows = system
     n = len(A[0])
     R, pivots = rref(A)
-    pivot_rows, pivot_cols, _, bad = sparse_eliminate(rows)
-    assert bad is None
+    pivot_rows, pivot_cols = sparse_eliminate(rows)
     ordered = sorted(zip(pivot_cols, pivot_rows), key=lambda pr: pr[0])
     assert [p for p, _ in ordered] == pivots
     assert [densify(row, n) for _, row in ordered] == R[:len(pivots)]
@@ -445,17 +438,15 @@ def test_integer_pivots_match_rref(system):
     res = sparse_solve_affine(rows, b, n)
     if n in rref([row + [bv] for row, bv in zip(A, b)])[1]:
         assert isinstance(res, NoSolution)
+        assert all(c != 0 for c in res.certificate.values())
         assert _all_lowered(res.certificate.values())
         assert_certificate(A, b, densify(res.certificate, len(A)))
-        cert = sparse_eliminate(rows, b, track=True)[3]
-        assert cert == res.certificate
         return
     x0, kernel = res
     ref_x0, ref_kernel, _ = dense_reference(A, b)
     assert densify(x0, n) == ref_x0
     assert [densify(v, n) for v in kernel] == ref_kernel
-    assert _all_lowered(x0.values())
-    assert _all_lowered(sparse_eliminate(rows, b)[2])
+    assert typed(res) == typed(one_elimination(A, rows, b, n))
 
 
 presolve_coeffs = st.sampled_from([1, -1, 2, -2, 3, F(1, 2), F(-2, 3),
@@ -511,9 +502,17 @@ def presolve_system(draw):
 
 def direct_kernel(rows, ncols):
     """(kernel, free columns) as sparse_kernel gave them before its
-    presolve: one sparse_eliminate call on every row, read off by
-    one_elimination, whose vector f starts with its free column f."""
-    kernel = one_elimination(rows, None, ncols)[1]
+    presolve: one sparse_eliminate call on every row, kernel vector f
+    1 on free column f, then minus each pivot row's f-entry in
+    pivot-row order."""
+    pivot_rows, pivot_cols = sparse_eliminate(rows)
+    kernel = []
+    for f in (j for j in range(ncols) if j not in pivot_cols):
+        v = {f: 1}
+        for prow, pcol in zip(pivot_rows, pivot_cols):
+            if f in prow:
+                v[pcol] = -prow[f]
+        kernel.append(v)
     return kernel, [next(iter(v)) for v in kernel]
 
 
@@ -590,12 +589,10 @@ def test_every_returned_value_is_lowered():
     # certificates included, whether the entries came in as int, as
     # integral Fraction or as Fraction
     rows = [{0: 2, 1: F(4)}, {0: F(1), 2: -1}, {1: F(1, 2), 2: 3}, {3: 1}]
-    pivot_rows, _, pivot_rhs, _ = sparse_eliminate(rows, [1, F(2), 3, 0])
+    pivot_rows, _ = sparse_eliminate(rows)
     assert _all_lowered(x for row in pivot_rows for x in row.values())
-    assert _all_lowered(pivot_rhs)
-    pivot_rows, _, pivot_rhs, _ = sparse_eliminate(rows)
-    assert _all_lowered(x for row in pivot_rows for x in row.values())
-    assert _all_lowered(pivot_rhs)
+    x0, _ = sparse_solve_affine(rows, [1, F(2), 3, 0], 5)
+    assert _all_lowered(x0.values())
     x0, kernel = sparse_solve_affine(rows, [1, 2, 3, 4], 5)
     assert _all_lowered(x0.values())
     assert _all_lowered(x for v in kernel for x in v.values())
@@ -607,10 +604,11 @@ def test_every_returned_value_is_lowered():
     # a -1 pivot (negated), a 2 pivot that divides one entry and not
     # another, and a -1/2 pivot; and the echelon basis over tuple keys
     rows = [{0: -1, 2: 1}, {1: 2, 2: 3, 3: 4}, {0: 1, 1: 1, 3: F(2)}]
-    pivot_rows, pivot_cols, pivot_rhs, _ = sparse_eliminate(rows, [1, 3, 2])
+    pivot_rows, pivot_cols = sparse_eliminate(rows)
     assert pivot_cols == [0, 1, 2]
     assert _all_lowered(x for row in pivot_rows for x in row.values())
-    assert _all_lowered(pivot_rhs)
+    x0, _ = sparse_solve_affine(rows, [1, 3, 2], 4)
+    assert list(x0) == [0, 1, 2] and _all_lowered(x0.values())
     assert _all_lowered(x for v in sparse_kernel(rows, 4)
                         for x in v.values())
     basis = echelon_basis([{("a", 0): -1, ("b", 0): 1},
@@ -618,28 +616,29 @@ def test_every_returned_value_is_lowered():
     assert _all_lowered(x for v in basis for x in v.values())
     # Fraction arithmetic that ends on integers comes back as int
     rows = [{0: F(1, 2), 1: F(3, 2)}, {0: F(1, 3), 2: F(2, 3)}]
-    pivot_rows, pivot_cols, pivot_rhs, _ = sparse_eliminate(
-        rows, [F(5, 2), F(1, 3)])
-    assert sorted(zip(pivot_cols, pivot_rows, pivot_rhs)) == \
-        [(0, {0: 1, 2: 2}, 1), (1, {1: 1, 2: F(-2, 3)}, F(4, 3))]
+    pivot_rows, pivot_cols = sparse_eliminate(rows)
+    assert sorted(zip(pivot_cols, pivot_rows)) == \
+        [(0, {0: 1, 2: 2}), (1, {1: 1, 2: F(-2, 3)})]
     assert _all_lowered(x for row in pivot_rows for x in row.values())
-    assert _all_lowered(pivot_rhs)
+    x0, _ = sparse_solve_affine(rows, [F(5, 2), F(1, 3)], 3)
+    assert typed((x0, [])) == ([(0, 1, int), (1, F(4, 3), F)], [])
     res = sparse_solve_affine(rows + [{1: F(3, 2), 2: -1}],
                               [F(5, 2), F(1, 3), F(1, 2)], 3)
     assert isinstance(res, NoSolution)
     assert _all_lowered(res.certificate.values())
 
 
-def test_early_tracked_return_strips_tag_columns():
-    # the third row repeats the first with another right-hand side, so
-    # the elimination stops there with two pivot rows already built
-    A = M([[1, 1, 0], [0, 1, 1], [1, 1, 0]])
-    b = V([1, 1, 2])
-    pivot_rows, pivot_cols, _, cert = sparse_eliminate(
-        sparse_from_dense(A), b, track=True)
-    assert pivot_cols == [0, 1]
-    assert all(j < 3 for row in pivot_rows for j in row)
-    assert_certificate(A, b, densify(cert, 3))
+def test_certificate_is_replayed_up_to_the_failing_row():
+    # row 0 is divided by its pivot 2, row 1 by 3 and back-substituted
+    # into row 0, and row 2 then reduces to 0 = 1: its certificate needs
+    # both steps, and the longer row 3, taken after it, takes no part
+    A = M([[2, 2, 0], [0, 3, 3], [1, 0, -1], [1, 1, 1]])
+    b = V([0, 0, 1, 5])
+    res = sparse_solve_affine(sparse_from_dense(A), b, 3)
+    assert isinstance(res, NoSolution)
+    assert typed(res) == [(2, 1, int), (0, F(-1, 2), F), (1, F(1, 3), F)]
+    assert_certificate(A, b, densify(res.certificate, 4))
+    assert solve_affine(A, b).certificate == [F(-1, 2), F(1, 3), 1, 0]
 
 
 def test_sparse_inconsistent():
@@ -734,8 +733,7 @@ def test_dense_adapters_stay_in_linalg_and_cochain():
     eliminator or a dense matrix helper."""
     offenders = [hit for name in ("kernel_basis", "span_basis",
                                   "solve_affine", "rank", "intersect_spans",
-                                  "mat_vec", "transpose", "sparse_from_dense",
-                                  "zero_vector")
+                                  "mat_vec", "transpose", "sparse_from_dense")
                  for hit in _references(name, [
                      path for path in sorted(SRC.glob("*.py"))
                      if path.name != "linalg.py"])]

@@ -348,8 +348,7 @@ def sparse_eliminate(rows, ops=None):
                 if not fractional:
                     fractional = not _all_int(row.values())
             else:
-                inv = Fraction(p.denominator, p.numerator)
-                row = {j: lower(x * inv) for j, x in row.items()}
+                row = {j: _over(x, p) for j, x in row.items()}
         # back-substitute into the earlier pivot rows nonzero on pj
         back = [] if ops is not None else None
         for k in holders.pop(pj, ()):

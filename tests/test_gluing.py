@@ -139,21 +139,22 @@ def test_cech_builds_tot_contexts_only_through_the_algebra():
 
 def test_a_rejected_draw_computes_no_certificate(monkeypatch):
     """A sampler draw rejected for inconsistent constraints reads no
-    certificate, so it runs no tracked elimination."""
+    certificate, so it never replays the factor's operations for one."""
     cc = nonabelian_cech("circle", "t3")
-    tracked, inconsistent = [], []
-    eliminate, solve = linalg.sparse_eliminate, linalg.SparseFactor.solve
+    certificates, inconsistent = [], []
+    certificate, solve = linalg.SparseFactor._certificate, \
+        linalg.SparseFactor.solve
 
-    def spy_eliminate(*args, **kwargs):
-        tracked.append(kwargs.get("track", False))
-        return eliminate(*args, **kwargs)
+    def spy_certificate(self, stop):
+        certificates.append(stop)
+        return certificate(self, stop)
 
     def spy_solve(self, rhs):
         res = solve(self, rhs)
         inconsistent.append(isinstance(res, linalg.NoSolution))
         return res
 
-    monkeypatch.setattr(linalg, "sparse_eliminate", spy_eliminate)
+    monkeypatch.setattr(linalg.SparseFactor, "_certificate", spy_certificate)
     monkeypatch.setattr(linalg.SparseFactor, "solve", spy_solve)
     rng = random.Random(808)
     rejected = 0
@@ -163,7 +164,7 @@ def test_a_rejected_draw_computes_no_certificate(monkeypatch):
                 inconsistent.count(True) > before:
             rejected += 1
     assert rejected > 0
-    assert True not in tracked
+    assert not certificates
 
 
 def test_unreachable_gluing_target_fails_at_stage_0():

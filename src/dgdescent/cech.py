@@ -60,7 +60,8 @@ class CoverSpec:
     """Combinatorial cover: section algebras over nonempty intersections.
 
     sections: {frozenset J: DgLieAlgebra} for nonempty U_J (J a nonempty
-    subset of range(num_opens)); absent J means U_J is empty.
+    subset of range(num_opens)); absent J means U_J is empty, and at
+    least one U_J is nonempty.
     restrictions: {(J, J2): DgLieMap}, one for every pair J < J2 of
     nonempty intersections; identities are implicit, composites are
     validated.
@@ -72,6 +73,8 @@ class CoverSpec:
         self.restrictions = {(frozenset(J), frozenset(J2)): f
                              for (J, J2), f in restrictions.items()}
         self.name = name
+        if not self.sections:
+            raise ValueError("a cover needs at least one nonempty open")
         # bounds, not set(range(num_opens)): the declared count of
         # opens must not decide how much memory the check takes
         for J in self.sections:
@@ -191,8 +194,6 @@ def cech_cosimplicial(cover, N=None):
     for q in range(N + 1):
         Ts = [T for T in itertools.combinations_with_replacement(used, q + 1)
               if cover.algebra(set(T)) is not None]
-        if not Ts:
-            raise ValueError("a cover needs at least one nonempty open")
         tuples.append(Ts)
         prod = direct_product([cover.algebra(set(T)) for T in Ts], tags=Ts)
         levels.append(prod)

@@ -188,10 +188,9 @@ class Cochain:
         for i in indices:
             for k, c in self.d.get(i, {}).items():
                 rows.setdefault(k, {})[i - off] = c
-        Z, free = sparse_kernel(list(rows.values()), len(indices),
-                                with_free=True)
+        Z = sparse_kernel(list(rows.values()), len(indices))
         return ([{j + off: c for j, c in z.items()} for z in Z],
-                [f + off for f in free])
+                [max(z) + off for z in Z])
 
     def cocycles(self, n):
         return self._kernel(n)[0]

@@ -8,6 +8,7 @@ specimens; every draw still goes through full validation in the axiom
 tests.
 """
 
+import itertools
 from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace
@@ -261,57 +262,45 @@ def random_acyclic_fibration(rng, max_dim=12, max_class=4):
 
 
 # ---------------------------------------------------------------------------
-# covers (combinatorial; identity restrictions onto a shared section algebra)
+# covers whose nerve is a simplicial complex: identity restrictions onto
+# one shared section algebra
 
 
-def _identity_restrictions(sections):
+def complex_cover(facets, L=None, name=None):
+    """The cover whose nerve is the simplicial complex with the given
+    maximal simplices (tuples of vertices 0, 1, ...): one open per
+    vertex, the section algebra L (default abelian_line()) on every face
+    and identity restrictions, sections and restrictions inserted by
+    face size, then vertex order."""
+    from .cech import CoverSpec
     from .dgla import identity_map
-    out = {}
-    for J in sections:
-        for J2 in sections:
-            if J < J2:
-                out[(J, J2)] = identity_map(sections[J])
-    return out
+    L = L or abelian_line()
+    faces = sorted({frozenset(c) for facet in facets
+                    for r in range(1, len(facet) + 1)
+                    for c in itertools.combinations(facet, r)},
+                   key=lambda J: (len(J), sorted(J)))
+    restrictions = {(J, J2): identity_map(L)
+                    for J in faces for J2 in faces if J < J2}
+    return CoverSpec(1 + max(set().union(*faces), default=-1),
+                     dict.fromkeys(faces, L), restrictions, name=name)
 
 
 def segment_cover(L=None, name="segment"):
     """Two opens with one overlap; every section algebra is L and all
     restrictions are the identity."""
-    from .cech import CoverSpec
-    L = L or abelian_line()
-    sections = {frozenset({0}): L, frozenset({1}): L,
-                frozenset({0, 1}): L}
-    return CoverSpec(2, sections, _identity_restrictions(sections),
-                     name=name)
+    return complex_cover([(0, 1)], L, name)
 
 
 def circle_cover(L=None, name="circle"):
     """Three opens with pairwise overlaps and an empty triple overlap:
     the nerve is a circle."""
-    from .cech import CoverSpec
-    L = L or abelian_line()
-    sections = {}
-    for i in range(3):
-        sections[frozenset({i})] = L
-    for i in range(3):
-        for j in range(i + 1, 3):
-            sections[frozenset({i, j})] = L
-    return CoverSpec(3, sections, _identity_restrictions(sections),
-                     name=name)
+    return complex_cover([(0, 1), (0, 2), (1, 2)], L, name)
 
 
 def triple_cover(L=None, name="triple"):
     """Three opens with every intersection nonempty: the nerve is a full
     2-simplex, so gluing has to build a genuine level-2 component."""
-    import itertools
-    from .cech import CoverSpec
-    L = L or abelian_line()
-    sections = {}
-    for r in range(1, 4):
-        for c in itertools.combinations(range(3), r):
-            sections[frozenset(c)] = L
-    return CoverSpec(3, sections, _identity_restrictions(sections),
-                     name=name)
+    return complex_cover([(0, 1, 2)], L, name)
 
 
 def tampered_fibration():

@@ -77,23 +77,16 @@ class _DeferredNoSolution(NoSolution):
 # dense matrices
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def rref(A, track=False):
+def rref(A):
     """Reduced row echelon form by dense Gauss-Jordan elimination.
 
     The test reference for the sparse eliminator; no solver calls it.
     It works in Fractions throughout, independently of the eliminator's
-    ints.  Returns (R, pivots) or, with track=True, (R, pivots, T) where
-    T is the invertible transform with R = T A.
+    ints.  Returns (R, pivots).
     """
     R = [[Fraction(x) for x in row] for row in A]
     m = len(R)
     n = len(R[0]) if R else 0
-    T = [[Fraction(x) for x in row] for row in identity(m)] if track \
-        else None
     pivots = []
     r = 0
     for c in range(n):
@@ -101,25 +94,17 @@ def rref(A, track=False):
         if p is None:
             continue
         R[r], R[p] = R[p], R[r]
-        if track:
-            T[r], T[p] = T[p], T[r]
         inv = Fraction(1) / R[r][c]
         if inv != 1:
             R[r] = [x * inv if x else x for x in R[r]]
-            if track:
-                T[r] = [x * inv if x else x for x in T[r]]
         for i in range(m):
             if i != r and R[i][c] != 0:
                 f = R[i][c]
                 R[i] = [x - f * y if y else x for x, y in zip(R[i], R[r])]
-                if track:
-                    T[i] = [x - f * y if y else x for x, y in zip(T[i], T[r])]
         pivots.append(c)
         r += 1
         if r == m:
             break
-    if track:
-        return R, pivots, T
     return R, pivots
 
 
@@ -454,7 +439,7 @@ def _rewrite(row, parent, ratio, zero):
     return out
 
 
-def sparse_kernel(rows, ncols, with_free=False):
+def sparse_kernel(rows, ncols):
     """Kernel basis (list of sparse vectors) of a sparse homogeneous
     system over the columns 0..ncols-1.
 
@@ -462,8 +447,8 @@ def sparse_kernel(rows, ncols, with_free=False):
     other free column, and no column right of its own free one, so
     coordinates over the basis are lookups; it is the basis that the
     reduced row echelon form with leftmost pivots gives, and the vectors
-    come in the order of their free columns.  Pass with_free=True to get
-    the free columns alongside.
+    come in the order of their free columns.  A vector's free column is
+    its largest key.
 
     One- and two-term rows are presolved by substitution before any
     elimination.  A scaled union-find keeps every column j as
@@ -527,8 +512,6 @@ def sparse_kernel(rows, ncols, with_free=False):
         for f, c in entries[p]:
             v = c * r
             basis[f][j] = v if type(v) is int else lower(v)
-    if with_free:
-        return list(basis.values()), list(basis)
     return list(basis.values())
 
 

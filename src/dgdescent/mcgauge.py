@@ -192,9 +192,6 @@ class FiniteLieContext:
             out.extend(self.nil.stage_elements(stage, n))
         return out
 
-    def degree_component(self, x, n):
-        return {k: v for k, v in x.items() if self.key_degree(k) == n}
-
 
 class FormLieContext:
     """Omega_n tensor g as an ambient; keys = (basis index, monomial).
@@ -276,9 +273,6 @@ class FormLieContext:
                 for el in self.nil.stage_elements(stage, n):
                     out.append({(gi, mono): c for gi, c in el.items()})
         return out
-
-    def degree_component(self, x, n):
-        return {k: v for k, v in x.items() if self.key_degree(k) == n}
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +617,8 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
             const = res0
             linear = []
         cand = ctx.stage_vectors_for(stage, _keys_of(witness_space + [y0]))
-        cand = [e for e in (ctx.degree_component(v, 0) for v in cand) if e]
+        # stage vectors are homogeneous: keep those of degree 0
+        cand = [v for v in cand if ctx.key_degree(next(iter(v))) == 0]
         cand = span_intersection(witness_space, cand) \
             if stage > 1 else list(witness_space)
         images = [ctx.d_el(z) for z in cand]

@@ -10,8 +10,9 @@ coface^i/codeg^i postcompose the target.  Objects are carried as
 
 Inverse limits of finite-set-valued functors over the truncation at
 level N are computed two ways: by brute force over compatible families,
-and by the matching-space recursion X(n) = X(id_n) x_{mu_n(X)} X(n-1);
-their agreement is an acceptance criterion.  No command imports this
+and by the matching-space recursion X(n) = X(id_n) x_{mu_n(X)} X(n-1),
+which compares matching tuples; their agreement is an acceptance
+criterion.  No command imports this
 module: it is an oracle that only the tests run.
 """
 
@@ -136,61 +137,6 @@ def matching_tuple_from_below(X, n, fam):
                for i in range(n + 1))
     ys = tuple(X.apply_generator("s", i, idn1, z) for i in range(n))
     return xs, ys
-
-
-def matching_space(X, n):
-    """Enumerate mu_n(X) through the conditions (d), (sigma), (d sigma).
-
-    Returns the list of ((x_0..x_n), (y^0..y^{n-1})); n = 0 gives the
-    single empty tuple (terminal object).
-    """
-    if n == 0:
-        return [((), ())]
-    face_objs = [(n, face_map(i, n)) for i in range(n + 1)]
-    deg_objs = [(n - 1, degeneracy_map(i, n - 1)) for i in range(n)]
-    out = []
-    for xs in itertools.product(*[X.value(o) for o in face_objs]):
-        ok = True
-        for j in range(n + 1):
-            for i in range(j):
-                # (d): d_i x_j = d_{j-1} x_i
-                lhs = X.apply_generator("d", i, face_objs[j], xs[j])
-                rhs = X.apply_generator("d", j - 1, face_objs[i], xs[i])
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for ys in itertools.product(*[X.value(o) for o in deg_objs]):
-            good = True
-            for i in range(n):
-                for j in range(i, n - 1):
-                    # (sigma): sigma^j y^i = sigma^i y^{j+1}
-                    lhs = X.apply_generator("codeg", j, deg_objs[i], ys[i])
-                    rhs = X.apply_generator("codeg", i, deg_objs[j + 1],
-                                            ys[j + 1])
-                    if lhs != rhs:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                for i in range(n + 1):
-                    for j in range(n):
-                        # (d sigma): sigma^j x_i = d_i y^j
-                        lhs = X.apply_generator("codeg", j, face_objs[i],
-                                                xs[i])
-                        rhs = X.apply_generator("d", i, deg_objs[j], ys[j])
-                        if lhs != rhs:
-                            good = False
-                            break
-                    if not good:
-                        break
-            if good:
-                out.append((tuple(xs), tuple(ys)))
-    return out
 
 
 def limit_bruteforce(X, N, budget=2 * 10 ** 6):

@@ -308,9 +308,6 @@ class TotContext:
                 for (gi, mono), v in self.forms[p].bracket_el(
                     part, ys[p]).items()}
 
-    def degree_component(self, x, n):
-        return {k: v for k, v in x.items() if self.key_degree(k) == n}
-
     def stage_vectors_for(self, stage, keys):
         by_level = {}
         for (p, gi, mono) in keys:

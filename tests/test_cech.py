@@ -14,9 +14,10 @@ from dgdescent.cech import (CoverSpec, ComparisonFunctor, ExtractionFailed,
                             glue_descent_datum,
                             lift_tot_gauge, tensored_cover, verify_descent)
 from dgdescent.forms import format_mono
-from dgdescent.instances import (abelian_line, circle_cover, dual_numbers,
-                                 ef_algebra, heisenberg, probe_class2,
-                                 segment_cover, t_truncated, triple_cover)
+from dgdescent.instances import (abelian_line, circle_cover, complex_cover,
+                                 dual_numbers, ef_algebra, heisenberg,
+                                 probe_class2, segment_cover, t_truncated,
+                                 triple_cover)
 from dgdescent.io import label_to_json, scalar_from_str
 from dgdescent.mcgauge import (FiniteLieContext, SelfCheckFailed, gauge_act,
                                gauge_equivalent, mc_residual)
@@ -27,8 +28,7 @@ F = Fraction
 
 
 def one_open_cover():
-    L = abelian_line()
-    return CoverSpec(1, {frozenset({0}): L}, {}, name="one")
+    return complex_cover([(0,)], name="one")
 
 
 def test_one_open_is_constant():

@@ -217,20 +217,12 @@ def test_stabilized_tot_disagreement_on_the_3_sphere_is_undecided(
     # below 3, so TS_1 and TS_2 agree and both miss H^3; that equality
     # is no limit and refutes nothing
     import itertools
-    from dgdescent.cech import CoverSpec
-    from dgdescent.dgla import identity_map
-    from dgdescent.instances import abelian_line, dual_numbers
+    from dgdescent.instances import complex_cover, dual_numbers
     from dgdescent.io import instance_to_record
-    L = abelian_line()
-    sections = {frozenset(J): L
-                for facet in itertools.combinations(range(5), 4)
-                for r in range(1, 5)
-                for J in itertools.combinations(facet, r)}
-    restrictions = {(J, J2): identity_map(L) for J in sections
-                    for J2 in sections if J < J2}
     path = tmp_path / "sphere3.json"
     dump_record(instance_to_record(
-        "sphere3/eps", CoverSpec(5, sections, restrictions, name="sphere3"),
+        "sphere3/eps", complex_cover(itertools.combinations(range(5), 4),
+                                     name="sphere3"),
         dual_numbers()), path)
     code, rep = run_cli(capsys, "tot", str(path), "--degree-bound", "2")
     assert code == 0
@@ -508,6 +500,24 @@ def test_truncation_below_cech_vanishing_level_is_a_clean_error(capsys):
     assert captured.out == ""
     assert "vanishing level 2" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command",
+                         ["cech", "tot", "verify-descent", "check-algebra"])
+def test_a_cover_with_no_nonempty_open_exits_2(tmp_path, capsys, command):
+    # the first three once ended in a traceback with exit 1, the
+    # "falsified" code, and check-algebra called the record verified
+    rec = json.loads((DATA / "instance_segment_t3.json").read_text())
+    rec["cover"]["intersections"] = []
+    rec["cover"]["restrictions"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(rec))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert "a cover needs at least one nonempty open" in line
 
 
 @pytest.mark.parametrize("command", ["cech", "tot", "verify-descent"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgdescent import linalg
 from dgdescent.linalg import (NoSolution, coords_in_span, echelon_basis,
-                              identity, intersect_spans, kernel_basis,
+                              intersect_spans, kernel_basis,
                               lower, rref, solve_affine, span_basis,
                               sparse_eliminate, sparse_factor,
                               sparse_from_dense, sparse_kernel,
@@ -37,6 +37,10 @@ def transpose(A):
 
 def rank(A):
     return len(rref(A)[1])
+
+
+def identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def M(rows):
@@ -530,7 +534,8 @@ def test_presolved_kernel_matches_rref(system):
     elimination of every row gives."""
     rows, n = system
     given_rows = copy.deepcopy(rows)
-    kernel, free = sparse_kernel(rows, n, with_free=True)
+    kernel = sparse_kernel(rows, n)
+    free = [max(v) for v in kernel]
     assert rows == given_rows
     A = [[F(row.get(j, 0)) for j in range(n)] for row in rows]
     pivots = rref(A)[1] if A else []
@@ -566,7 +571,8 @@ def test_tot_sweep_kernels_match_one_elimination():
                 keys = ctx.keys_up_to(D, degree)
                 rows = list(ctx.exchange_rows(keys,
                                               ctx.generators()).values())
-                kernel, free = sparse_kernel(rows, len(keys), with_free=True)
+                kernel = sparse_kernel(rows, len(keys))
+                free = [max(v) for v in kernel]
                 ref, ref_free = direct_kernel(rows, len(keys))
                 assert typed_vectors(kernel) == typed_vectors(ref)
                 assert free == ref_free

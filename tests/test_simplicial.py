@@ -1,12 +1,10 @@
-import itertools
-
 from dgdescent.forms import (compose_maps, degeneracy_map, face_map,
                              identity_monotone, monotone_factorize,
                              monotone_maps)
 from dgdescent.simplicial import (MSetFunctor, arrow_commutes, arrow_objects,
                                   constant_functor, family_key,
                                   generating_arrows, limit_bruteforce,
-                                  limit_recursive, matching_space)
+                                  limit_recursive)
 
 
 def test_monotone_factorization_recomposes():
@@ -70,36 +68,6 @@ def _cosimplicial_cyclic_functor(N, sizes):
             return el % sizes[q + 1]
         return el % sizes[q - 1]
     return MSetFunctor(N, values, action)
-
-
-def test_matching_space_point_and_terminal():
-    X = constant_functor(2, ["*"])
-    assert matching_space(X, 0) == [((), ())]
-    mu1 = matching_space(X, 1)
-    assert len(mu1) == 1
-
-
-def test_matching_space_bruteforce_agreement():
-    # mu_1 by the three conditions equals brute-force enumeration of
-    # compatible tuples for a small instance
-    X = _cosimplicial_cyclic_functor(2, [2, 2, 2])
-    mu = matching_space(X, 1)
-    # brute force over all tuples, checking the defining conditions raw
-    face_objs = [(1, face_map(i, 1)) for i in range(2)]
-    deg_objs = [(0, degeneracy_map(0, 0))]
-    brute = []
-    for xs in itertools.product(X.value(face_objs[0]),
-                                X.value(face_objs[1])):
-        for ys in itertools.product(X.value(deg_objs[0])):
-            conds = []
-            for i in range(2):
-                for j in range(1):
-                    conds.append(
-                        X.apply_generator("codeg", j, face_objs[i], xs[i])
-                        == X.apply_generator("d", i, deg_objs[j], ys[j]))
-            if all(conds):
-                brute.append((xs, ys))
-    assert sorted(mu) == sorted(brute)
 
 
 def test_limit_constant_functor_is_the_set():

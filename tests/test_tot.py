@@ -1,4 +1,5 @@
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from dgdescent.cech import cech_cosimplicial, tensored_cover
 from dgdescent.dgla import el_eq, el_is_zero, lower_central_series, tensor_lie
-from dgdescent.instances import (abelian_algebra, circle_cover, dual_numbers,
-                                 ef_algebra, scaled_cover, segment_cover,
-                                 t_truncated, triple_cover)
+from dgdescent.instances import (abelian_algebra, circle_cover, complex_cover,
+                                 dual_numbers, ef_algebra, scaled_cover,
+                                 segment_cover, t_truncated, triple_cover)
 from dgdescent.linalg import rref
 from dgdescent.mcgauge import FiniteLieContext, mc_residual
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, DescentGroupoid,
@@ -377,3 +378,71 @@ def test_abelian_complex_agrees_with_tot_cochain_on_every_instance():
         for i in range(len(Z)):
             datum = G.abelian_object([F(i == j) for j in range(len(Z))])
             assert G.verify_object(datum), (name, i)
+
+
+# ---------------------------------------------------------------------------
+# covers by simplicial complexes: Tot is Omega(K) (x) h
+
+
+def _prism(p):
+    """The maximal chains of [1] x [p], vertex (a, b) numbered
+    a (p + 1) + b."""
+    return [tuple(range(k + 1)) + tuple(range(p + 1 + k, 2 * p + 2))
+            for k in range(p + 1)]
+
+
+COMPLEXES = {
+    "horn 1 of [2]": ([(0, 1), (1, 2)], [1, 0]),
+    "[1] x [1]": (_prism(1), [1, 0, 0]),
+    "[1] x [2]": (_prism(2), [1, 0, 0, 0]),
+    "4-cycle": ([(0, 1), (1, 2), (2, 3), (0, 3)], [1, 1]),
+    "boundary of [3]": (list(itertools.combinations(range(4), 3)),
+                        [1, 0, 1]),
+    "7-vertex torus": ([tuple(sorted({i, (i + a) % 7, (i + 3) % 7}))
+                        for i in range(7) for a in (1, 2)], [1, 2, 1]),
+    "boundary of [4]": (list(itertools.combinations(range(5), 4)),
+                        [1, 0, 0, 1]),
+}
+
+
+def _simplicial_betti(facets):
+    """Betti numbers of the complex over Q, from the ranks of its
+    boundary matrices by the dense rref reference."""
+    faces = sorted({c for f in facets for r in range(1, len(f) + 1)
+                    for c in itertools.combinations(sorted(f), r)})
+    by_dim = {}
+    for c in faces:
+        by_dim.setdefault(len(c) - 1, []).append(c)
+    top = max(by_dim)
+
+    def rank(n):
+        # the boundary C_n -> C_{n-1}
+        if n < 1 or n > top:
+            return 0
+        row = {c: i for i, c in enumerate(by_dim[n - 1])}
+        A = [[0] * len(by_dim[n]) for _ in by_dim[n - 1]]
+        for j, c in enumerate(by_dim[n]):
+            for i in range(len(c)):
+                A[row[c[:i] + c[i + 1:]]][j] = (-1) ** i
+        return len(rref(A)[1])
+    return [len(by_dim[n]) - rank(n) - rank(n + 1) for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("name", list(COMPLEXES))
+def test_complex_cover_tot_is_the_cohomology_of_the_complex(name):
+    """On the cover of K with sections abelian_line() (x) k[eps]/eps^2,
+    whose cohomology is one class in degree 0 and one in degree 1, the
+    conormalized complex and tot_lie at D = dim K both have cohomology
+    H*(K) (x) (1, 1), with the Betti numbers of K computed by brute
+    force."""
+    facets, betti = COMPLEXES[name]
+    assert _simplicial_betti(facets) == betti
+    dim = len(betti) - 1
+    padded = [0] + betti + [0, 0]
+    expected = [padded[n] + padded[n + 1] for n in range(dim + 3)]
+    cc = cech_cosimplicial(tensored_cover(complex_cover(facets, name=name),
+                                          dual_numbers()))
+    T, _ = tot_cochain(cc)
+    assert [T.cohomology(n)[0] for n in range(dim + 3)] == expected
+    C = tot_lie(cc, dim).cochain
+    assert [C.cohomology(n)[0] for n in range(dim + 3)] == expected

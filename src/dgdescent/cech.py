@@ -294,7 +294,7 @@ class ComparisonFunctor:
         omega1 = self.ctx.split(x).get(1, {})
         # the dt-part as time coefficients
         path = {}
-        for (gi, mono), v in omega1.items():
+        for (_, gi, mono), v in omega1.items():
             exps, mask = mono
             if mask == 1:
                 path.setdefault(exps[0], {})[gi] = v
@@ -337,12 +337,10 @@ def glue_descent_datum(cc, datum, D):
         raise GluingFailed(0, "datum fails verification: "
                            + "; ".join(reasons))
     a, theta = datum.a, datum.theta
-    omegas = [ctx.embed_level(0, a)]
-    path = solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(a), theta)
-    omegas.append(ctx.embed_form_level(1, path))
+    omegas = [ctx.embed_level(0, a),
+              solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(a), theta)]
     for p in range(2, ctx.N + 1):
-        omega_p = _glue_level(ctx, omegas, p, D)
-        omegas.append(ctx.embed_form_level(p, omega_p))
+        omegas.append(_glue_level(ctx, omegas, p, D))
     x = el_sum(omegas)
     # every level was solved for these conditions
     if not ctx.is_tot_element(x):

@@ -115,10 +115,12 @@ def bilinear_apply(table, x, y):
     return out
 
 
-# The keyed case: elements of W (x) L over keys (i, w), the tensor w (x) e_i
-# of a key w of a graded factor W with a basis index i of L.  The factor W
-# enters through pure functions of its keys, so a form-valued element is
-# pushed through L's tables in one pass, without splitting it by w first.
+# The keyed case: elements of the sum over levels p of W_p (x) L_p, over
+# keys (p, i, w), the tensor w (x) e_i of a key w of a graded factor W_p
+# with a basis index i of L_p.  The levels' algebras come as {p: L_p},
+# and the factors enter through pure functions of their keys, so a
+# form-valued element of several levels is pushed through each level's
+# tables in one pass, without splitting it by level or by w first.
 
 
 def _accumulate(out, key, t):
@@ -126,47 +128,48 @@ def _accumulate(out, key, t):
     out[key] = t if v is None else v + t
 
 
-def keyed_linear_apply(table, x, w_d, w_odd):
+def keyed_linear_apply(algebras, x, w_d, w_odd):
     """x pushed through d(w (x) e_i) = dw (x) e_i + (-1)^{|w|} w (x) d(e_i)
     in one pass per key: w_d(w) gives the (w', c) terms of dw, w_odd(w)
-    whether |w| is odd, and table is L's linear table of d."""
+    whether |w| is odd, and the differential of e_i is read off the
+    d_table of algebras[p]."""
     out = {}
-    for (i, w), a in x.items():
+    for (p, i, w), a in x.items():
         for w2, c in w_d(w):
-            _accumulate(out, (i, w2), a * c)
-        entry = table.get(i)
+            _accumulate(out, (p, i, w2), a * c)
+        entry = algebras[p].d_table.get(i)
         if entry:
             if w_odd(w):
                 a = -a
             for k, c in entry.items():
-                _accumulate(out, (k, w), a * c)
+                _accumulate(out, (p, k, w), a * c)
     return {k: v for k, v in out.items() if v}
 
 
-def keyed_bilinear_apply(rows, x, y, w_product, w_odd, odd_indices):
+def keyed_bilinear_apply(algebras, x, y, w_product, w_odd):
     """(x, y) pushed through [w1 (x) e_i, w2 (x) e_j] =
-    (-1)^{|e_i||w2|} w1 w2 (x) [e_i, e_j], visiting only the pairs of
-    keys whose indices have a bracket.
+    (-1)^{|e_i||w2|} w1 w2 (x) [e_i, e_j] within each level p, visiting
+    only the pairs of keys whose indices have a bracket.
 
-    rows is L's bracket table by first index (`DgLieAlgebra.bracket_rows`),
-    {i: [(j, (k, coeff) pairs of [e_i, e_j]), ...]}; y is grouped by its
-    index j once, so each key of x meets only the keys of y whose index
-    its row names.  w_product(w1, w2) is None when w1 w2 = 0, else
-    (w, negative) with w1 w2 = -w when negative and w otherwise; w_odd(w)
-    tells whether |w| is odd, and odd_indices holds the odd-degree
-    indices of L.
+    Each key of x walks the bracket table of algebras[p] by first index
+    (`DgLieAlgebra.bracket_rows`); y is grouped by (p, j) once, so a key
+    meets only the keys of y of its level whose index its row names.
+    w_product(w1, w2) is None when w1 w2 = 0, else (w, negative) with
+    w1 w2 = -w when negative and w otherwise; w_odd(w) tells whether |w|
+    is odd.
     """
     ys = {}
-    for (j, w2), b in y.items():
-        ys.setdefault(j, []).append((w2, b, w_odd(w2)))
+    for (p, j, w2), b in y.items():
+        ys.setdefault((p, j), []).append((w2, b, w_odd(w2)))
     out = {}
-    for (i, w1), a in x.items():
-        row = rows.get(i)
+    for (p, i, w1), a in x.items():
+        g = algebras[p]
+        row = g.bracket_rows.get(i)
         if not row:
             continue
-        i_odd = i in odd_indices
+        i_odd = i in g.odd_indices
         for j, entry in row:
-            y_j = ys.get(j)
+            y_j = ys.get((p, j))
             if y_j is None:
                 continue
             for w2, b, w2_odd in y_j:
@@ -178,7 +181,7 @@ def keyed_bilinear_apply(rows, x, y, w_product, w_odd, odd_indices):
                 if negative != (i_odd and w2_odd):
                     ab = -ab
                 for k, c in entry:
-                    _accumulate(out, (k, w), ab * c)
+                    _accumulate(out, (p, k, w), ab * c)
     return {k: v for k, v in out.items() if v}
 
 
@@ -293,17 +296,6 @@ class DgLieAlgebra:
     def odd_indices(self):
         return frozenset(i for i in range(self.total_dim())
                          if self.degree_of(i) % 2)
-
-    def keyed_bracket(self, x, y, w_product, w_odd):
-        """The bracket of W (x) self on keys (i, w); see
-        `keyed_bilinear_apply`."""
-        return keyed_bilinear_apply(self.bracket_rows, x, y, w_product,
-                                    w_odd, self.odd_indices)
-
-    def keyed_d_element(self, x, w_d, w_odd):
-        """The differential of W (x) self on keys (i, w); see
-        `keyed_linear_apply`."""
-        return keyed_linear_apply(self.d_table, x, w_d, w_odd)
 
     def basis_element(self, gidx):
         return {gidx: 1}

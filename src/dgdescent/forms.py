@@ -12,13 +12,13 @@ index order.  The polynomial degree of a monomial counts every t and
 every dt once; the form degree is the number of dt factors.
 
 Pullback along a monotone map (`omega_apply`) is linear, computed per
-monomial from a memo: the image of each (map, monomial) pair is
-multiplied out once, and later pullbacks only scale and sum them.
-Coefficients are int where they are integral (see `linalg`), and the
-memoized images are lowered to that form when they are built.
-`monomial_pullback` hands out one such image as an immutable tuple,
-`monomial_d` the differential of one monomial in the same way, and
-`monomial_product` the wedge of two monomials.
+monomial from a memo: `monomial_pullback` multiplies out the image of
+each (map, monomial) pair once, as an immutable tuple, and later
+pullbacks only scale and sum them.  Coefficients are int where they
+are integral (see `linalg`), and the memoized images are lowered to
+that form when they are built.  `monomial_d` gives the differential of
+one monomial in the same way, and `monomial_product` the wedge of two
+monomials.
 """
 
 import functools
@@ -273,7 +273,7 @@ def omega_apply(u, omega):
     u = tuple(u)
     out = {}
     for mono, c in omega.terms.items():
-        for m, v in _mono_pullback(u, q, mono).items():
+        for m, v in monomial_pullback(u, q, mono):
             s = out.get(m, 0) + c * v
             if s:
                 out[m] = s
@@ -283,12 +283,14 @@ def omega_apply(u, omega):
 
 
 @functools.lru_cache(maxsize=None)
-def _mono_pullback(u, q, mono):
-    """The terms of the pullback of one monomial on the q-simplex along
-    u: t_i and dt_i go to the sums of the source coordinates (and
-    differentials) over the preimage of i, coefficients lowered.
-    Memoized; the dicts it returns are shared, so only omega_apply and
-    monomial_pullback read them."""
+def monomial_pullback(u, q, mono):
+    """The pullback of one monomial on the q-simplex along the monotone
+    map u (a tuple): t_i and dt_i go to the sums of the source
+    coordinates (and differentials) over the preimage of i.  A tuple of
+    (monomial, coefficient) pairs, coefficients lowered, in the order
+    omega_apply adds them.  Memoized and immutable, so a caller may keep
+    it: `TotContext.exchange_rows` reads its columns off it instead of
+    pulling back one form per column."""
     p = len(u) - 1
     src_t = [PolyForm.t0(p)] + [PolyForm.t(p, j) for j in range(1, p + 1)]
     src_dt = [PolyForm.dt0(p)] + [PolyForm.dt(p, j) for j in range(1, p + 1)]
@@ -309,31 +311,22 @@ def _mono_pullback(u, q, mono):
         for _ in range(exps[i]):
             term = term * sub_t[i]
         if not term:
-            return {}
+            return ()
     for i in range(q):
         if (mask >> i) & 1:
             term = term * sub_dt[i]
-    return {m: lower(c) for m, c in term.terms.items()}
+    return tuple((m, lower(c)) for m, c in term.terms.items())
 
 
 @functools.lru_cache(maxsize=None)
-def monomial_pullback(u, q, mono):
-    """The pullback of one monomial on the q-simplex along the monotone
-    map u, as a tuple of (monomial, coefficient) pairs in the order
-    omega_apply adds them.  Memoized and immutable, so a caller may keep
-    it: `TotContext.exchange_rows` reads its columns off it instead of
-    pulling back one form per column."""
-    return tuple(_mono_pullback(tuple(u), q, mono).items())
-
-
-@functools.lru_cache(maxsize=None)
-def monomial_d(n, mono):
-    """d of one monomial on the n-simplex, as a tuple of (monomial,
-    coefficient) pairs in the order PolyForm.d adds them.  Memoized and
-    immutable: `FormLieContext.d_el` reads it once per key instead of
+def monomial_d(mono):
+    """d of one monomial, on the simplex whose dimension is its number
+    of exponents, as a tuple of (monomial, coefficient) pairs in the
+    order PolyForm.d adds them.  Memoized and immutable:
+    `FormLieContext.d_el` reads it once per key instead of
     differentiating a fresh form."""
-    return tuple((m, lower(c))
-                 for m, c in PolyForm(n, {mono: 1}).d().terms.items())
+    return tuple((m, lower(c)) for m, c in
+                 PolyForm(len(mono[0]), {mono: 1}).d().terms.items())
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,16 +7,18 @@ algebra ambient:
 
   * FiniteLieContext -- the algebra g itself, keys are basis indices;
     d_el and bracket_el are g's own structure-table kernels;
-  * FormLieContext   -- Omega_n (x) g, forms on the n-simplex tensored
-    with the algebra, keys are (basis index, form monomial); d_el and
-    bracket_el are the keyed cases of g's kernels (one pass over the
-    keys, monomials multiplied and differentiated by the memoized
-    forms tables); it also carries the two functorialities of such
-    elements, restrict (pull the forms back along a monotone map) and
-    push (apply a map of algebra elements monomial by monomial).
+  * FormLieContext   -- Omega (x) g over one or several levels p, forms
+    on the p-simplex tensored with the level-p algebra, keys are
+    (p, basis index of g^p, form monomial on Delta^p); d_el and
+    bracket_el are the keyed cases of the levels' kernels (one pass
+    over the keys, monomials multiplied and differentiated by the
+    memoized forms tables); it also carries the two functorialities of
+    such elements, restrict (pull the forms back along a monotone map)
+    and push (apply a map of algebra elements monomial by monomial).
 
-The Thom-Sullivan ambient tot.TotContext is the product of the
-FormLieContexts of its levels.
+An element of one level is already an element over every level, so the
+Thom-Sullivan ambient tot.TotContext is the FormLieContext over all
+levels of a cosimplicial algebra, with the Tot conditions added.
 
 The gauge action is the time-1 flow of rho(y)(x) = dy + [x, y]; the flow
 is polynomial in time by nilpotency, and its time coefficients follow
@@ -33,10 +35,11 @@ use bch, so the convention is fixed in exactly one place.
 """
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .dgla import (SelfCheckFailed, el_add, el_combination, el_eq,
-                   el_is_zero, el_scale, el_sub, el_sum)
+                   el_is_zero, el_scale, el_sub, el_sum,
+                   keyed_bilinear_apply, keyed_linear_apply)
 from .forms import (PolyForm, mono_form_degree, mono_is_odd, monomial_d,
                     monomial_product, monomials_up_to, omega_apply)
 from .linalg import (NoSolution, echelon_basis, lower, sparse_columns,
@@ -194,84 +197,93 @@ class FiniteLieContext:
 
 
 class FormLieContext:
-    """Omega_n tensor g as an ambient; keys = (basis index, monomial).
+    """Omega (x) g as an ambient, over the levels p of {p: g^p}: the sum
+    of the Omega_p (x) g^p, forms on the p-simplex tensored with the
+    level-p algebra; keys = (p, basis index of g^p, monomial on
+    Delta^p).  FormLieContext(nil, n) is the one level n; a subclass
+    (tot.TotContext) sets nils to every level of a cosimplicial algebra.
 
     The total differential is the de Rham d on the form side plus the
-    internal d with the Koszul sign; brackets multiply forms and carry
-    the (-1)^{|x||omega'|} sign past the first Lie factor.
+    internal d with the Koszul sign; brackets multiply forms of one
+    level and carry the (-1)^{|x||omega'|} sign past the first Lie
+    factor.  Both are one pass of g's keyed kernels over the keys, the
+    monomials multiplied and differentiated by the memoized forms
+    tables.
     """
 
     def __init__(self, nil, n):
-        self.nil = nil
-        self.g = nil.algebra
         self.n = n
-        self._zero_mono = ((0,) * n, 0)
-        self._mono_d = partial(monomial_d, n)
+        self.nils = {n: nil}
+
+    @cached_property
+    def algebras(self):
+        return {p: nil.algebra for p, nil in self.nils.items()}
 
     def nclass(self):
-        return self.nil.nilpotency_class
+        return max(nil.nilpotency_class for nil in self.nils.values())
 
     def key_degree(self, key):
-        gi, mono = key
-        return self.g.degree_of(gi) + mono_form_degree(mono)
+        p, gi, mono = key
+        return self.algebras[p].degree_of(gi) + mono_form_degree(mono)
 
     def embed(self, x):
-        """A plain algebra element as a constant form-valued element."""
-        return {(gi, self._zero_mono): v for gi, v in x.items()}
-
-    def by_mono(self, x):
-        """{monomial: plain algebra element} of x."""
-        parts = {}
-        for (gi, mono), v in x.items():
-            parts.setdefault(mono, {})[gi] = v
-        return parts
+        """A plain element of g^n as a constant form-valued element."""
+        return {(self.n, gi, ((0,) * self.n, 0)): v for gi, v in x.items()}
 
     def d_el(self, x):
-        return self.g.keyed_d_element(x, self._mono_d, mono_is_odd)
+        return keyed_linear_apply(self.algebras, x, monomial_d, mono_is_odd)
 
     def bracket_el(self, x, y):
-        return self.g.keyed_bracket(x, y, monomial_product, mono_is_odd)
+        return keyed_bilinear_apply(self.algebras, x, y, monomial_product,
+                                    mono_is_odd)
 
     def restrict(self, u, x):
-        """Pullback along a monotone map u: [p] -> [n] on the form side;
-        the result lives on the p-simplex, p = len(u) - 1."""
+        """Pullback along a monotone map u: [p] -> [q] on the form side
+        of an element x of level q; the result lives on the p-simplex,
+        p = len(u) - 1, so its keys are (p, basis index of g^q,
+        monomial on Delta^p)."""
+        p = len(u) - 1
         by_g = {}
-        for (gi, mono), v in x.items():
-            by_g.setdefault(gi, {})[mono] = v
+        for (q, gi, mono), v in x.items():
+            by_g.setdefault((q, gi), {})[mono] = v
         out = {}
-        for gi, terms in by_g.items():
-            for m, c in omega_apply(u, PolyForm(self.n, terms)).terms.items():
-                out[(gi, m)] = c
+        for (q, gi), terms in by_g.items():
+            for m, c in omega_apply(u, PolyForm(q, terms)).terms.items():
+                out[(p, gi, m)] = c
         return out
 
     def push(self, f, x):
         """Apply f, a linear map of plain algebra elements, monomial by
-        monomial; f may land in another algebra."""
-        return {(gj, mono): c for mono, el in self.by_mono(x).items()
+        monomial; f may land in another algebra, and the keys keep
+        their level p, the simplex of their monomial."""
+        parts = {}
+        for (p, gi, mono), v in x.items():
+            parts.setdefault((p, mono), {})[gi] = v
+        return {(p, gj, mono): c for (p, mono), el in parts.items()
                 for gj, c in f(el).items()}
 
     def vertex(self, i, x):
         """Evaluate at the i-th vertex; a plain algebra element."""
-        res = self.restrict((i,), x)
-        return {gi: v for (gi, mono), v in res.items()}
+        return {gi: v for (_, gi, _), v in self.restrict((i,), x).items()}
 
     def keys_up_to(self, D, degree):
-        out = []
-        for mono in monomials_up_to(self.n, D):
-            out += [(gi, mono) for gi in self.g.space.degree_indices(
-                degree - mono_form_degree(mono))]
-        return out
+        return [(p, gi, mono) for p, g in sorted(self.algebras.items())
+                for mono in monomials_up_to(p, D)
+                for gi in g.space.degree_indices(
+                    degree - mono_form_degree(mono))]
 
     def stage_vectors_for(self, stage, keys):
         by_mono = {}
-        for (gi, mono) in keys:
-            by_mono.setdefault(mono, set()).add(self.g.degree_of(gi))
+        for (p, gi, mono) in keys:
+            by_mono.setdefault((p, mono), set()).add(
+                self.algebras[p].degree_of(gi))
         out = []
-        for mono, degs in sorted(by_mono.items(),
-                                 key=lambda kv: (kv[0][1], kv[0][0])):
+        for (p, mono), degs in sorted(
+                by_mono.items(), key=lambda kv: (kv[0][0], kv[0][1][1],
+                                                 kv[0][1][0])):
             for n in sorted(degs):
-                for el in self.nil.stage_elements(stage, n):
-                    out.append({(gi, mono): c for gi, c in el.items()})
+                for el in self.nils[p].stage_elements(stage, n):
+                    out.append({(p, gi, mono): c for gi, c in el.items()})
         return out
 
 
@@ -489,16 +501,16 @@ def solve_1simplex(ctx1, x0, theta):
     with x(t) the exact flow, so z restricts to x0 at the 0-vertex and
     to gauge_act(theta, x0) at the 1-vertex, and z is MC upstairs.
     """
-    fin = FiniteLieContext(ctx1.nil)
+    fin = FiniteLieContext(ctx1.nils[1])
     coeffs = flow_path(fin, [theta], x0)
     out = {}
     for k, c in enumerate(coeffs):
         mono = ((k,), 0)
         for gi, v in c.items():
-            out[(gi, mono)] = out.get((gi, mono), 0) + v
+            out[(1, gi, mono)] = out.get((1, gi, mono), 0) + v
     dt_mono = ((0,), 1)
     for gi, v in theta.items():
-        out[(gi, dt_mono)] = out.get((gi, dt_mono), 0) + v
+        out[(1, gi, dt_mono)] = out.get((1, gi, dt_mono), 0) + v
     out = {k: v for k, v in out.items() if v}
     if not el_is_zero(mc_residual(ctx1, out)):
         raise SelfCheckFailed("1-simplex construction lost the MC equation")

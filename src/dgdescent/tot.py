@@ -2,7 +2,10 @@
 
 * complexes: the conormalized double complex, totalized;
 * dg Lie algebras: families (omega_p in Omega_p (x) g^p) compatible with
-  the pullback/pushforward exchange, truncated at polynomial degree D;
+  the pullback/pushforward exchange, truncated at polynomial degree D.
+  Their ambient, TotContext, is the forms (x) algebra ambient
+  mcgauge.FormLieContext over every level, whose keys carry their
+  level; it adds only the exchange conditions;
 * groupoids: descent data (a, theta) with the cocycle condition.
 
 The truncation level N must dominate the level above which the
@@ -263,76 +266,43 @@ class _LevelParts(dict):
     """An element split by level, as `TotContext.split` returns it."""
 
 
-class TotContext:
-    """The product over p <= cc.N of the ambients Omega_p (x) g^p.
+class TotContext(FormLieContext):
+    """The FormLieContext over every level p <= cc.N, with the Tot
+    conditions.
 
-    forms[p] is the FormLieContext of level p.  Keys are (p, basis index
-    of g^p, monomial on Delta^p); an element splits by level and every
-    ambient operation (d, bracket, keys, stage vectors) is the level's
-    own, so the lower-central-series machinery of the gauge searches
-    works with the levelwise filtrations.  Membership in the
-    totalization is a linear condition handled by compatibility_defect /
-    subspace bases, not by the ambient itself.
+    Keys are (p, basis index of g^p, monomial on Delta^p), so an
+    element of one level is already an element here, and every ambient
+    operation (d, bracket, keys, stage vectors) is the levels' own: the
+    lower-central-series machinery of the gauge searches works with the
+    levelwise filtrations.  forms[p] is the one-level FormLieContext of
+    level p, whose nilpotency class is that level's own.  Membership in
+    the totalization is a linear condition handled by
+    compatibility_defect / subspace bases, not by the ambient itself.
     """
 
     def __init__(self, cc):
         self.cc = cc
         self.N = cc.N
-        self.nils = cc.nilpotent_levels()
-        self.forms = [FormLieContext(nil, p)
-                      for p, nil in enumerate(self.nils)]
+        self.nils = dict(enumerate(cc.nilpotent_levels()))
+        self.forms = [FormLieContext(nil, p) for p, nil in self.nils.items()]
         self._gluing = {}
 
-    def nclass(self):
-        return max(nil.nilpotency_class for nil in self.nils)
-
-    def key_degree(self, key):
-        p, gi, mono = key
-        return self.forms[p].key_degree((gi, mono))
-
     def split(self, x):
-        """{p: level-p part of x over (basis index, monomial) keys}."""
+        """{p: level-p part of x}, the keys as they are."""
         parts = _LevelParts()
-        for (p, gi, mono), v in x.items():
-            parts.setdefault(p, {})[(gi, mono)] = v
+        for key, v in x.items():
+            parts.setdefault(key[0], {})[key] = v
         return parts
-
-    def d_el(self, x):
-        return {(p, gi, mono): v for p, part in self.split(x).items()
-                for (gi, mono), v in self.forms[p].d_el(part).items()}
-
-    def bracket_el(self, x, y):
-        ys = self.split(y)
-        return {(p, gi, mono): v for p, part in self.split(x).items()
-                if p in ys
-                for (gi, mono), v in self.forms[p].bracket_el(
-                    part, ys[p]).items()}
-
-    def stage_vectors_for(self, stage, keys):
-        by_level = {}
-        for (p, gi, mono) in keys:
-            by_level.setdefault(p, []).append((gi, mono))
-        return [self.embed_form_level(p, el) for p in sorted(by_level)
-                for el in self.forms[p].stage_vectors_for(stage,
-                                                          by_level[p])]
 
     # -- level embeddings and projections ------------------------------------------
 
     def embed_level(self, p, el):
         """A plain element of g^p as a constant level-p family member."""
-        return self.embed_form_level(p, self.forms[p].embed(el))
-
-    def embed_form_level(self, p, form_el):
-        """A FormLieContext-style element of level p into Tot keys."""
-        return {(p, gi, mono): v for (gi, mono), v in form_el.items()}
+        return self.forms[p].embed(el)
 
     def level0(self, x):
         """The p = 0 component as a plain element of g^0."""
         return {gi: v for (p, gi, mono), v in x.items() if p == 0}
-
-    def keys_up_to(self, D, degree):
-        return [(p, gi, mono) for p, fctx in enumerate(self.forms)
-                for (gi, mono) in fctx.keys_up_to(D, degree)]
 
     # -- compatibility with the structure maps ----------------------------------------
 
@@ -350,15 +320,14 @@ class TotContext:
 
     def compatibility_defect(self, u, qtgt, x):
         """Omega(u)(level-q part) - g(u)(level-p part), a dict over
-        (target Lie index, monomial on Delta^p) keys, for
+        (p, target Lie index, monomial on Delta^p) keys, for
         u: [p] -> [q].  x is an element or its `split`, so a caller
         that checks many generators on one element splits it once."""
         psrc = len(u) - 1
         parts = x if type(x) is _LevelParts else self.split(x)
-        pulled = self.forms[qtgt].restrict(u, parts.get(qtgt, {}))
-        pushed = self.forms[psrc].push(
-            lambda el: self.cc.structure_map_to(u, qtgt, el),
-            parts.get(psrc, {}))
+        pulled = self.restrict(u, parts.get(qtgt, {}))
+        pushed = self.push(lambda el: self.cc.structure_map_to(u, qtgt, el),
+                           parts.get(psrc, {}))
         return el_sub(pulled, pushed)
 
     def is_tot_element(self, x):
@@ -369,7 +338,8 @@ class TotContext:
     def exchange_rows(self, keys, generators):
         """The exchange conditions of the generators (pairs (u, q_tgt),
         as listed by `generators`) on the span of keys, as sparse rows
-        {(u, defect key): {position in keys: coefficient}}.
+        {(u, defect key): {position in keys: coefficient}}, a defect key
+        (p_src, target Lie index, monomial on Delta^p_src).
 
         A generator u: [p_src] -> [q_tgt] contributes the row block
         (Omega(u) (x) id) - (id (x) g(u)): the column of a level-q_tgt
@@ -397,19 +367,19 @@ class TotContext:
                     if mono is not last:    # one lookup per run of a monomial
                         last, pulled = mono, monomial_pullback(u, qtgt, mono)
                     for m, c in pulled:
-                        rows.setdefault((u, (gi, m)), {})[col] = c
+                        rows.setdefault((u, (psrc, gi, m)), {})[col] = c
                 else:
                     for gj, c in pushes[gi]:
-                        rows.setdefault((u, (gj, mono)), {})[col] = -c
+                        rows.setdefault((u, (psrc, gj, mono)), {})[col] = -c
         return rows
 
     def gluing_system(self, p, D):
         """The system that glues level p onto level p - 1, as (keys,
         generators, row index, factor), built once per (p, D).
 
-        keys are the level-p keys (basis index, monomial) of degree 1
-        up to D; generators the 2p+1 between levels p-1 and p (faces
-        [p-1] -> [p], codegeneracies [p] -> [p-1]); the rows are their
+        keys are the level-p keys of degree 1 up to D; generators the
+        2p+1 between levels p-1 and p (faces [p-1] -> [p],
+        codegeneracies [p] -> [p-1]); the rows are their
         `exchange_rows` on those keys, the row index maps each
         generator u to {defect key: position of the row (u, defect
         key)}, and factor is the `linalg.sparse_factor` of the rows,
@@ -422,8 +392,7 @@ class TotContext:
             keys = self.forms[p].keys_up_to(D, 1)
             generators = [(u, q) for u, q in self.generators()
                           if {len(u) - 1, q} == {p - 1, p}]
-            rows = self.exchange_rows([(p, gi, mono) for gi, mono in keys],
-                                      generators)
+            rows = self.exchange_rows(keys, generators)
             index = {u: {} for u, _ in generators}
             for r, (u, k) in enumerate(rows):
                 index[u][k] = r

@@ -64,48 +64,60 @@ def picard_flow_path(ctx, y_coeffs, x0):
                           "ambient is not nilpotent")
 
 
+def by_mono(x):
+    """{(level, monomial): plain algebra element} of x."""
+    parts = {}
+    for (p, gi, mono), v in x.items():
+        parts.setdefault((p, mono), {})[gi] = v
+    return parts
+
+
 def per_monomial_d_el(ctx, x):
-    """d on Omega_n (x) g, one monomial at a time."""
+    """d on Omega_p (x) g^p, one monomial at a time."""
     parts = []
-    for mono, el in ctx.by_mono(x).items():
-        for m2, c in monomial_d(ctx.n, mono):
-            parts.append({(gi, m2): c * v for gi, v in el.items()})
+    for (p, mono), el in by_mono(x).items():
+        for m2, c in monomial_d(mono):
+            parts.append({(p, gi, m2): c * v for gi, v in el.items()})
         sign = -ONE if mono_form_degree(mono) % 2 else ONE
-        parts.append({(gj, mono): sign * c
-                      for gj, c in ctx.g.d_element(el).items()})
+        parts.append({(p, gj, mono): sign * c
+                      for gj, c in ctx.algebras[p].d_element(el).items()})
     return el_sum(parts)
 
 
 def per_monomial_bracket_el(ctx, x, y):
-    """The bracket on Omega_n (x) g, one pair of monomials at a time."""
-    ys = ctx.by_mono(y)
+    """The bracket on Omega_p (x) g^p, one pair of monomials of one
+    level at a time."""
+    ys = by_mono(y)
     parts = []
-    for m1, el1 in ctx.by_mono(x).items():
-        twisted = {gi: -v if ctx.g.degree_of(gi) % 2 else v
+    for (p, m1), el1 in by_mono(x).items():
+        g = ctx.algebras[p]
+        twisted = {gi: -v if g.degree_of(gi) % 2 else v
                    for gi, v in el1.items()}
-        for m2, el2 in ys.items():
+        for (q, m2), el2 in ys.items():
+            if q != p:
+                continue
             prod = mono_mul(m1, m2)
             if prod is None:
                 continue
             m, sign = prod
-            br = ctx.g.bracket(
-                twisted if mono_form_degree(m2) % 2 else el1, el2)
+            br = g.bracket(twisted if mono_form_degree(m2) % 2 else el1, el2)
             if br:
-                parts.append({(gk, m): sign * c for gk, c in br.items()})
+                parts.append({(p, gk, m): sign * c for gk, c in br.items()})
     return el_sum(parts)
 
 
 def all_pairs_keyed_bilinear_apply(table, x, y, w_product, w_odd,
                                    odd_indices):
-    """The keyed bracket over every pair of keys of x and y, looking
-    each index pair up in the bilinear table {(i, j): {k: coeff}}."""
-    ys = [(j, w2, b, w_odd(w2)) for (j, w2), b in y.items()]
+    """The keyed bracket over every pair of keys of x and y of one
+    level, looking each index pair up in the bilinear table
+    {(i, j): {k: coeff}}."""
+    ys = [(q, j, w2, b, w_odd(w2)) for (q, j, w2), b in y.items()]
     out = {}
-    for (i, w1), a in x.items():
+    for (p, i, w1), a in x.items():
         i_odd = i in odd_indices
-        for j, w2, b, w2_odd in ys:
+        for q, j, w2, b, w2_odd in ys:
             entry = table.get((i, j))
-            if not entry:
+            if q != p or not entry:
                 continue
             prod = w_product(w1, w2)
             if prod is None:
@@ -115,12 +127,13 @@ def all_pairs_keyed_bilinear_apply(table, x, y, w_product, w_odd,
             if negative != (i_odd and w2_odd):
                 ab = -ab
             for k, c in entry.items():
-                out[(k, w)] = out.get((k, w), 0) + ab * c
+                out[(p, k, w)] = out.get((p, k, w), 0) + ab * c
     return {k: v for k, v in out.items() if v}
 
 
 class ReferenceForms:
-    """A FormLieContext whose d and bracket are the references."""
+    """A FormLieContext or TotContext whose d and bracket are the
+    references."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -133,23 +146,6 @@ class ReferenceForms:
 
     def bracket_el(self, x, y):
         return per_monomial_bracket_el(self.ctx, x, y)
-
-
-class ReferenceTot(ReferenceForms):
-    """A TotContext whose levels use the reference kernels."""
-
-    def _levelwise(self, fn, *els):
-        parts = [self.ctx.split(e) for e in els]
-        return {(p, gi, mono): v for p in sorted(parts[0])
-                if all(p in q for q in parts)
-                for (gi, mono), v in fn(self.ctx.forms[p],
-                                        *(q[p] for q in parts)).items()}
-
-    def d_el(self, x):
-        return self._levelwise(per_monomial_d_el, x)
-
-    def bracket_el(self, x, y):
-        return self._levelwise(per_monomial_bracket_el, x, y)
 
 
 # -- ambients -------------------------------------------------------------------
@@ -173,8 +169,8 @@ ALGEBRAS = ["ef/t3", "wz/t3", "wz", "probe2", "heisenberg"]
 def _all_keys(fctx, D):
     """Every key of Omega_n (x) g whose monomial has polynomial degree
     at most D."""
-    return [(gi, mono) for mono in monomials_up_to(fctx.n, D)
-            for gi in range(fctx.g.total_dim())]
+    return [(fctx.n, gi, mono) for mono in monomials_up_to(fctx.n, D)
+            for gi in range(fctx.algebras[fctx.n].total_dim())]
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,9 +182,8 @@ def _ambient(kind, name):
         cc = cech_cosimplicial(tensored_cover(segment_cover(ef_algebra()),
                                               t_truncated(3)), N=2)
         ctx = TotContext(cc)
-        ref = ReferenceTot(ctx)
-        keys = [(p, *k) for p, fctx in enumerate(ctx.forms)
-                for k in _all_keys(fctx, 2)]
+        ref = ReferenceForms(ctx)
+        keys = [k for fctx in ctx.forms for k in _all_keys(fctx, 2)]
     elif kind == "finite":
         ctx = FiniteLieContext(_nil(name))
         ref = ctx
@@ -266,11 +261,11 @@ def test_bracket_rows_match_all_pairs(name, n, data):
     keys = _all_keys(ctx, 2)
     x = data.draw(elements(keys))
     y = data.draw(elements(keys))
-    g = ctx.g
+    g = ctx.algebras[n]
     expected = all_pairs_keyed_bilinear_apply(
         g.table, x, y, monomial_product, mono_is_odd, g.odd_indices)
-    assert keyed_bilinear_apply(g.bracket_rows, x, y, monomial_product,
-                                mono_is_odd, g.odd_indices) == expected
+    assert keyed_bilinear_apply({n: g}, x, y, monomial_product,
+                                mono_is_odd) == expected
     assert ctx.bracket_el(x, y) == expected
 
 
@@ -291,29 +286,30 @@ def test_odd_lie_elements_pass_odd_forms_with_a_sign(n):
     """[1 (x) w, dt_1 (x) w] = (-1)^{|w||dt_1|} dt_1 (x) [w, w] = -dt_1 (x) z:
     the Koszul sign of an odd Lie factor moving past an odd form."""
     ctx = FormLieContext(_nil("wz"), n)
-    g = ctx.g
+    g = ctx.algebras[n]
     w = g.space.index(1, "w")
     z = g.space.index(2, "z")
     one = ((0,) * n, 0)
     dt1 = ((0,) * n, 1)
-    x, y = {(w, one): ONE}, {(w, dt1): ONE}
-    assert ctx.bracket_el(x, y) == {(z, dt1): -ONE}
-    assert ctx.bracket_el(y, x) == {(z, dt1): ONE}
+    x, y = {(n, w, one): ONE}, {(n, w, dt1): ONE}
+    assert ctx.bracket_el(x, y) == {(n, z, dt1): -ONE}
+    assert ctx.bracket_el(y, x) == {(n, z, dt1): ONE}
     assert ctx.bracket_el(y, x) == per_monomial_bracket_el(ctx, y, x)
     # an even form on the right leaves the sign alone
     t1 = (tuple(1 if i == 0 else 0 for i in range(n)), 0)
-    assert ctx.bracket_el(x, {(w, t1): ONE}) == {(z, t1): ONE}
+    assert ctx.bracket_el(x, {(n, w, t1): ONE}) == {(n, z, t1): ONE}
 
 
 def test_internal_d_carries_the_form_degree_sign():
     """d(dt_1 (x) a) = -dt_1 (x) da and d(t_1 (x) a) = dt_1 (x) a + t_1 (x) da."""
     ctx = FormLieContext(_nil("probe2"), 1)
-    g = ctx.g
+    g = ctx.algebras[1]
     a = g.space.index(0, "a")
     alpha = g.space.index(1, "alpha")
     t1, dt1 = ((1,), 0), ((0,), 1)
-    assert ctx.d_el({(a, dt1): ONE}) == {(alpha, dt1): -ONE}
-    assert ctx.d_el({(a, t1): ONE}) == {(a, dt1): ONE, (alpha, t1): ONE}
+    assert ctx.d_el({(1, a, dt1): ONE}) == {(1, alpha, dt1): -ONE}
+    assert ctx.d_el({(1, a, t1): ONE}) == {(1, a, dt1): ONE,
+                                           (1, alpha, t1): ONE}
 
 
 # -- the flow -----------------------------------------------------------------------

@@ -178,9 +178,9 @@ def test_unreachable_gluing_target_fails_at_stage_0():
         datum = _sample_descent_datum(cc, rng)
     path = solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(datum.a),
                           datum.theta)
-    gi = next(gi for gi, _ in ctx.forms[1].keys_up_to(0, 1))
-    path[(gi, ((5,), 0))] = ONE
-    omegas = [ctx.embed_level(0, datum.a), ctx.embed_form_level(1, path)]
+    gi = next(gi for _, gi, _ in ctx.forms[1].keys_up_to(0, 1))
+    path[(1, gi, ((5,), 0))] = ONE
+    omegas = [ctx.embed_level(0, datum.a), path]
     with pytest.raises(GluingFailed) as info:
         _glue_level(ctx, omegas, 2, 2)
     assert info.value.level == 2

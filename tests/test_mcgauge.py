@@ -171,7 +171,7 @@ def _gauge_family(n, ys):
     for j, y in enumerate(ys):
         mono = (tuple(1 if i == j else 0 for i in range(n)), 0)
         for gi, c in y.items():
-            family[(gi, mono)] = c
+            family[(n, gi, mono)] = c
     return family
 
 
@@ -183,7 +183,7 @@ def test_solve_1simplex_zero_gauge():
     assert el_eq(ctx1.vertex(0, z), x0)
     assert el_eq(ctx1.vertex(1, z), x0)
     # constant simplex: no dt part, no t dependence
-    assert all(mono == ((0,), 0) for (_, mono) in z)
+    assert all(mono == ((0,), 0) for (_, _, mono) in z)
 
 
 def test_solve_1simplex_abelian_expansion():
@@ -194,7 +194,7 @@ def test_solve_1simplex_abelian_expansion():
     x0 = {}
     theta = {u: F(3)}
     z = solve_1simplex(ctx1, x0, theta)
-    expect = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(3)}
+    expect = {(1, v, ((1,), 0)): F(3), (1, u, ((0,), 1)): F(3)}
     assert el_eq(z, expect)
 
 
@@ -399,9 +399,9 @@ def test_abelian_mc_one_simplices_are_gauge_paths():
                                                d={0: {1: F(1)}}))
     ctx1 = FormLieContext(nil, 1)
     u, v = 0, 1
-    z = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(3)}
+    z = {(1, v, ((1,), 0)): F(3), (1, u, ((0,), 1)): F(3)}
     assert el_is_zero(mc_residual(ctx1, z))
-    bad = {(v, ((1,), 0)): F(3), (u, ((0,), 1)): F(1)}
+    bad = {(1, v, ((1,), 0)): F(3), (1, u, ((0,), 1)): F(1)}
     assert not el_is_zero(mc_residual(ctx1, bad))
 
 
@@ -495,7 +495,7 @@ def test_constrained_mc_solve_fills_the_faces_of_a_gauge_two_simplex():
                                random_gauge(rng, nil)])
     reference = gauge_act(fctx2, family, fctx2.embed(x))
     faces = [fctx2.restrict(face_map(i, 2), reference) for i in range(3)]
-    D = max((sum(mono[0]) + 2 for (_, mono) in reference), default=2)
+    D = max((sum(mono[0]) + 2 for (_, _, mono) in reference), default=2)
     candidates = [{k: F(1)} for k in fctx2.keys_up_to(D, 1)]
     constraints = [(lambda el, i=i: fctx2.restrict(face_map(i, 2), el),
                     faces[i]) for i in range(3)]

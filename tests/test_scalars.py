@@ -99,7 +99,7 @@ def test_tables_are_lowered_at_construction():
     assert _lowered(_scalars(nil.algebra.table))
     assert _lowered(_scalars(nil.algebra.d_table))
     for mono in monomials_up_to(2, 2):
-        assert _lowered(_scalars(monomial_d(2, mono)))
+        assert _lowered(_scalars(monomial_d(mono)))
         assert _lowered(_scalars(monomial_pullback((0, 2, 2), 2, mono)))
         assert _lowered(_scalars(monomial_pullback((1, 1), 2, mono)))
 

@@ -694,7 +694,9 @@ def constrained_mc_solve(ctx, candidates, constraints=(), rng=None,
                          label=""):
     """MC element in an affine slice of the degree-1 candidate space.
 
-    candidates: elements spanning the search space (degree 1).
+    candidates: distinct unit vectors {key: 1} of degree 1, whose span
+    is the search space (`constrained_mc_solve_rows` accepts no other
+    candidates).
     constraints: pairs (linear map on elements, target element); the
     solution x satisfies every map(x) == target exactly and
     mc_residual(x) == 0 exactly.  An adapter over

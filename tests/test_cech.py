@@ -9,7 +9,8 @@ from dgdescent.dgla import (ArtinAlgebra, DgLieMap, NilpotentDgLie, el_eq,
                             el_is_zero, el_scale, identity_map,
                             lower_central_series, tensor_lie)
 from dgdescent.cech import (CoverSpec, ComparisonFunctor, ExtractionFailed,
-                            GluingFailed, _sample_descent_datum,
+                            GluingFailed, _random_tot_gauge,
+                            _sample_descent_datum,
                             cech_cosimplicial, find_descent_isomorphism,
                             glue_descent_datum,
                             lift_tot_gauge, tensored_cover, verify_descent)
@@ -275,6 +276,36 @@ def test_lift_tot_gauge_identity():
     rho = lift_tot_gauge(ctx, T, x, x, {}, 1)
     assert rho is not None
     assert el_eq(gauge_act(ctx, rho, x), x)
+
+
+@pytest.mark.parametrize("cover,algebra,glued", [
+    (segment_cover, ef_algebra, 12), (circle_cover, ef_algebra, 2),
+    (segment_cover, heisenberg, 12)])
+def test_lift_tot_gauge_carries_x_along_a_sampled_tot_gauge(cover, algebra,
+                                                            glued):
+    """Each glued family x, acted on by a random Tot gauge rho, has a
+    lift of level0(rho) that carries x to gauge_act(rho, x) and whose
+    level-0 part is level0(rho): twelve draws at seed 808, D = 2."""
+    cc = cech_cosimplicial(tensored_cover(cover(algebra()), t_truncated(3)),
+                           N=2)
+    ctx = cc.tot_context()
+    T = tot_lie(cc, 2)
+    rng = random.Random(808)
+    lifted = moved = 0
+    for _ in range(12):
+        datum = _sample_descent_datum(cc, rng)
+        if datum is None:
+            continue
+        x = glue_descent_datum(cc, datum, 2)
+        rho = _random_tot_gauge(ctx.tot_basis(0, 2), rng)
+        xp = gauge_act(ctx, rho, x)
+        lift = lift_tot_gauge(ctx, T, x, xp, ctx.level0(rho), 2)
+        assert lift is not None
+        assert el_eq(gauge_act(ctx, lift, x), xp)
+        assert el_eq(ctx.level0(lift), ctx.level0(rho))
+        lifted += 1
+        moved += not el_eq(xp, x)
+    assert lifted == glued and moved
 
 
 # -- verify_descent -------------------------------------------------------------

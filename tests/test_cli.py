@@ -896,3 +896,30 @@ def test_cohomology_degree_bound_must_be_nonnegative(tmp_path, capsys):
                         "--max-degree", "0", "--out", str(out))
     assert code == 0 and rep["checks"][0]["betti"] == [1]
     assert json.loads(out.read_text()) == rep
+
+
+def test_cohomology_degree_bound_above_the_top_degree_is_refused(tmp_path,
+                                                                 capsys):
+    # the line algebra's top degree is 1: a bound above max(4, 1) could
+    # only print zeros, as many as it asks for
+    code = main(["cohomology", str(DATA / "algebra_line.json"),
+                 "--max-degree", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "above 4" in lines[0]
+    code, rep = run_cli(capsys, "cohomology", str(DATA / "algebra_line.json"),
+                        "--max-degree", "4")
+    assert code == 0 and rep["checks"][0]["betti"] == [1, 1, 0, 0, 0]
+    # a complex reaching degree 6 allows bounds up to 6
+    rec = {"type": "dg_lie_algebra", "name": "high",
+           "basis": [{"degree": 6, "label": "x"}],
+           "brackets": [], "differential": []}
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(rec))
+    code, rep = run_cli(capsys, "cohomology", str(path), "--max-degree", "6")
+    assert code == 0 and rep["checks"][0]["betti"] == [0] * 6 + [1]
+    assert main(["cohomology", str(path), "--max-degree", "7"]) == 2
+    assert "above 6" in capsys.readouterr().err

@@ -191,11 +191,11 @@ def cmd_cohomology(args, report):
     # every betti number above the top degree is 0: a bound far above
     # it would only print zeros, as many as it asks for
     top = max(g.space.nonzero_degrees(), default=0)
-    if args.max_degree > max(4, top):
+    bound = max(4, top)
+    if args.max_degree > bound:
         raise TruncationError(
-            f"degree bound {args.max_degree} is above {max(4, top)}, "
-            f"max(4, top degree {top}); betti numbers above degree {top} "
-            f"are 0")
+            f"degree bound {args.max_degree} is above {bound}, max(4, top "
+            f"degree {top}); betti numbers above degree {top} are 0")
     bettis = g.cochain.betti_numbers(args.max_degree)
     report["instance"] = rec.get("name")
     report["checks"].append({

@@ -462,9 +462,10 @@ def find_descent_isomorphism(G, d1, d2):
     return None
 
 
-def lift_tot_gauge(ctx, tot_complex, x, xp, r0, D):
-    """A Tot gauge from x to xp whose level-0 component is r0."""
-    basis0 = tot_complex.basis_by_degree.get(0, [])
+def lift_tot_gauge(ctx, x, xp, r0, D):
+    """A Tot gauge from x to xp whose level-0 component is r0, in the
+    span of the degree-0 Tot basis at degree bound D."""
+    basis0 = ctx.tot_basis(0, D)
     if not basis0:
         return None
     # affine constraint: level0(rho) = r0
@@ -496,7 +497,11 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
     Otherwise: sampled gluing round-trips with explicit isomorphism
     witnesses plus sampled Tot-gauge projections.  Verdicts are
     verified / falsified / undecided, never silently optimistic.
+    A negative sample count is refused with ValueError, and so is a
+    negative degree bound (`forms.monomials_up_to`).
     """
+    if samples < 0:
+        raise ValueError(f"sample count must be >= 0, got {samples}")
     import random as _random
     rng = _random.Random(seed)
     report = {"instance": cc.name, "levels": cc.N,

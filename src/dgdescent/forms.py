@@ -352,7 +352,12 @@ def mono_is_odd(mono):
 
 
 def monomials_up_to(n, D):
-    """All monomials on the n-simplex of polynomial degree <= D, sorted."""
+    """All monomials on the n-simplex of polynomial degree <= D, sorted.
+
+    Every degree-D truncation takes its monomials from here, so a
+    negative D, which would truncate to nothing, is refused here."""
+    if D < 0:
+        raise ValueError(f"degree bound must be >= 0, got {D}")
     out = []
 
     def exps_rec(prefix, remaining):

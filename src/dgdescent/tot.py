@@ -93,8 +93,8 @@ class CosimplicialDgLie:
 
     def tot_context(self):
         """The TotContext of this algebra: one per cosimplicial algebra,
-        built on first use, so the gluing systems it memoizes serve
-        every sample of every check on it."""
+        built on first use, so the gluing systems and Tot bases it
+        memoizes serve every sample of every check on it."""
         if self._tot_context is None:
             self._tot_context = TotContext(self)
         return self._tot_context
@@ -286,6 +286,7 @@ class TotContext(FormLieContext):
         self.nils = dict(enumerate(cc.nilpotent_levels()))
         self.forms = [FormLieContext(nil, p) for p, nil in self.nils.items()]
         self._gluing = {}
+        self._bases = {}
 
     def split(self, x):
         """{p: level-p part of x}, the keys as they are."""
@@ -409,18 +410,28 @@ class TotContext(FormLieContext):
         the rest.
 
         Basis vector i is 1 on its free key and 0 on the other vectors'
-        free keys, so the basis is reduced.
+        free keys, so the basis is reduced.  It is built once per
+        (degree, D), and every caller gets the same list, to read and
+        never to change.
         """
-        keys = self.keys_up_to(D, degree)
-        rows = self.exchange_rows(keys, self.generators())
-        return [{keys[i]: c for i, c in v.items()}
+        basis = self._bases.get((degree, D))
+        if basis is None:
+            keys = self.keys_up_to(D, degree)
+            rows = self.exchange_rows(keys, self.generators())
+            basis = self._bases[(degree, D)] = [
+                {keys[i]: c for i, c in v.items()}
                 for v in sparse_kernel(list(rows.values()), len(keys))]
+        return basis
 
 
 class TotLieComplex:
     """The degree-D truncation of the Thom-Sullivan totalization: the
     truncated complex, its basis per degree, and the ambient context
     used by the groupoid machinery.
+
+    basis_by_degree holds the algebra's memoized `TotContext.tot_basis`
+    lists themselves, so a second complex at the same D solves nothing
+    again; read them and never change them.
     """
 
     def __init__(self, cc, D):

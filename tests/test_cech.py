@@ -14,7 +14,7 @@ from dgdescent.cech import (CoverSpec, ComparisonFunctor, ExtractionFailed,
                             cech_cosimplicial, find_descent_isomorphism,
                             glue_descent_datum,
                             lift_tot_gauge, tensored_cover, verify_descent)
-from dgdescent.forms import format_mono
+from dgdescent.forms import format_mono, monomials_up_to
 from dgdescent.instances import (abelian_line, circle_cover, complex_cover,
                                  dual_numbers, ef_algebra, heisenberg,
                                  probe_class2, segment_cover, t_truncated,
@@ -273,7 +273,7 @@ def test_lift_tot_gauge_identity():
     rng = random.Random(2)
     datum = _sample_descent_datum(cc, rng)
     x = glue_descent_datum(cc, datum, D=1)
-    rho = lift_tot_gauge(ctx, T, x, x, {}, 1)
+    rho = lift_tot_gauge(ctx, x, x, {}, 1)
     assert rho is not None
     assert el_eq(gauge_act(ctx, rho, x), x)
 
@@ -299,7 +299,7 @@ def test_lift_tot_gauge_carries_x_along_a_sampled_tot_gauge(cover, algebra,
         x = glue_descent_datum(cc, datum, 2)
         rho = _random_tot_gauge(ctx.tot_basis(0, 2), rng)
         xp = gauge_act(ctx, rho, x)
-        lift = lift_tot_gauge(ctx, T, x, xp, ctx.level0(rho), 2)
+        lift = lift_tot_gauge(ctx, x, xp, ctx.level0(rho), 2)
         assert lift is not None
         assert el_eq(gauge_act(ctx, lift, x), xp)
         assert el_eq(ctx.level0(lift), ctx.level0(rho))
@@ -372,6 +372,40 @@ def test_verify_descent_never_verifies_nothing():
     summary = rep["checks"][-1]
     assert summary["glued"] == 0
     assert summary["verdict"] == "undecided"
+
+
+def test_a_negative_sample_count_is_refused():
+    """samples=-1 used to come back as a top-level undecided count of
+    -1; samples=0 keeps its "no samples requested" verdict."""
+    cc = cech_cosimplicial(
+        tensored_cover(segment_cover(ef_algebra()), t_truncated(3)), N=2)
+    with pytest.raises(ValueError, match="sample count"):
+        verify_descent(cc, samples=-1, seed=1, D=2)
+    rep = verify_descent(cc, samples=0, seed=1, D=2)
+    assert rep["checks"][-1]["reason"] == "no samples requested"
+    assert rep["undecided"] == 0
+
+
+def test_a_negative_degree_bound_is_refused():
+    """A truncation below degree 0 has no monomials, so it used to give
+    the zero Tot complex and two "verified" abelian checks; every
+    truncation is refused where the monomials are listed.  D = 0, the
+    constant forms, stays."""
+    cc = cech_cosimplicial(tensored_cover(segment_cover(), dual_numbers()),
+                           N=2)
+    ctx = TotContext(cc)
+    with pytest.raises(ValueError, match="degree bound"):
+        monomials_up_to(1, -1)
+    for call in (lambda: ctx.keys_up_to(-1, 1),
+                 lambda: ctx.tot_basis(0, -1),
+                 lambda: ctx.tot_basis(0, -1),    # nothing was memoized
+                 lambda: ctx.gluing_system(1, -1),
+                 lambda: tot_lie(cc, -1),
+                 lambda: verify_descent(cc, D=-1)):
+        with pytest.raises(ValueError, match="degree bound"):
+            call()
+    assert ctx.forms[1].keys_up_to(0, 1)
+    assert tot_lie(cc, 0).basis_by_degree
 
 
 def test_falsified_projection_reports_the_gauge_as_terms(monkeypatch):

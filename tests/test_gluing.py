@@ -120,6 +120,66 @@ def test_each_gluing_system_is_built_once_per_algebra(monkeypatch):
     assert len(level2_rows) == 1
 
 
+def test_the_gauge_basis_is_solved_once_per_algebra(monkeypatch):
+    """Two checks on one algebra draw their Tot gauges from one degree-0
+    basis: its exchange rows are written once."""
+    cc = nonabelian_cech.__wrapped__("segment", "t3")
+    keys0 = cc.tot_context().keys_up_to(2, 0)
+    written = []
+    exchange_rows = TotContext.exchange_rows
+
+    def spy(self, keys, generators):
+        written.append(keys)
+        return exchange_rows(self, keys, generators)
+
+    monkeypatch.setattr(TotContext, "exchange_rows", spy)
+    for seed in (0, 1):
+        report = verify_descent(cc, samples=2, seed=seed, D=2)
+        assert report["falsified"] == 0
+    assert written.count(keys0) == 1
+
+
+@pytest.mark.parametrize("cover,algebra", [("segment", ef_algebra),
+                                           ("circle", None)])
+def test_no_caller_changes_a_memoized_tot_basis(cover, algebra):
+    """After a descent check, Tot complexes and lifts on one algebra,
+    every basis it memoized equals, term for term and in order, with the
+    same scalar types, the basis that a fresh TotContext solves."""
+    cc = cech_cosimplicial(tensored_cover(
+        COVERS[cover](algebra() if algebra else None), BASES["t3"]()), N=2)
+    requests = []
+    tot_basis = TotContext.tot_basis
+
+    def spy(self, degree, D):
+        requests.append((degree, D))
+        return tot_basis(self, degree, D)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TotContext, "tot_basis", spy)
+        verify_descent(cc, samples=3, seed=808, D=2)
+        for D in (1, 2):
+            tot_lie(cc, D)
+        ctx = cc.tot_context()
+        rng = random.Random(808)
+        for _ in range(3):
+            datum = _sample_descent_datum(cc, rng)
+            if datum is None:
+                continue
+            x = glue_descent_datum(cc, datum, 2)
+            rho = cech._random_tot_gauge(ctx.tot_basis(0, 2), rng)
+            xp = mcgauge.gauge_act(ctx, rho, x)
+            assert cech.lift_tot_gauge(ctx, x, xp, ctx.level0(rho),
+                                       2) is not None
+    assert (0, 2) in requests
+
+    def terms(basis):
+        return [[(k, type(c), c) for k, c in v.items()] for v in basis]
+
+    for degree, D in sorted(set(requests)):
+        assert terms(ctx.tot_basis(degree, D)) == \
+            terms(TotContext(cc).tot_basis(degree, D))
+
+
 def test_cech_builds_tot_contexts_only_through_the_algebra():
     """cech reaches the TotContext and the descent groupoid of an
     algebra through its accessors, which build each once; a

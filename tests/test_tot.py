@@ -337,6 +337,62 @@ def test_tot_basis_matches_the_dense_defect_reference(name, D):
              for i in range(len(basis))]
 
 
+def _spy_exchange_rows(monkeypatch):
+    """The keys of every exchange_rows call, in call order."""
+    written = []
+    exchange_rows = TotContext.exchange_rows
+
+    def spy(self, keys, generators):
+        written.append(tuple(keys))
+        return exchange_rows(self, keys, generators)
+
+    monkeypatch.setattr(TotContext, "exchange_rows", spy)
+    return written
+
+
+def test_each_tot_basis_is_built_once_per_degree_and_bound(monkeypatch):
+    """tot_lie twice at D = 2, then at D = 3, on one algebra: the
+    exchange rows of each requested (degree, D) are written once, and
+    the second complex holds the first one's basis lists."""
+    cc = _cech_context.__wrapped__("circle/t3").cc
+    requests = []
+    tot_basis = TotContext.tot_basis
+
+    def spy(self, degree, D):
+        requests.append((degree, D))
+        return tot_basis(self, degree, D)
+
+    written = _spy_exchange_rows(monkeypatch)
+    monkeypatch.setattr(TotContext, "tot_basis", spy)
+    first, second = tot_lie(cc, 2), tot_lie(cc, 2)
+    tot_lie(cc, 3)
+    ctx = cc.tot_context()
+    asked = set(requests)
+    at2 = {(n, D) for n, D in asked if D == 2}
+    assert at2 and asked - at2
+    assert len(requests) == 2 * len(at2) + len(asked - at2)
+    assert len(written) == len(asked)
+    assert sorted(written) == sorted(tuple(ctx.keys_up_to(D, n))
+                                     for n, D in asked)
+    assert second.basis_by_degree.keys() == first.basis_by_degree.keys()
+    assert all(second.basis_by_degree[n] is vecs
+               for n, vecs in first.basis_by_degree.items())
+
+
+def test_two_algebras_share_no_tot_basis(monkeypatch):
+    """Equal algebras built twice, and a second TotContext on one of
+    them, each solve their own basis."""
+    ccs = [_cech_context.__wrapped__("circle/t3").cc for _ in range(2)]
+    written = _spy_exchange_rows(monkeypatch)
+    bases = [cc.tot_context().tot_basis(1, 2) for cc in ccs]
+    bases.append(TotContext(ccs[0]).tot_basis(1, 2))
+    assert len(written) == 3
+    assert bases[0] == bases[1] == bases[2] and bases[0]
+    assert len({id(b) for b in bases}) == 3
+    assert ccs[0].tot_context().tot_basis(1, 2) is bases[0]
+    assert len(written) == 3
+
+
 def _abelian_cosimplicials():
     """Every bundled abelian instance and constant record, plus the
     segment, circle and triple covers over eps and t^3."""

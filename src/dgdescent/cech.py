@@ -25,8 +25,8 @@ from .io import TruncationError, label_to_json, scalar_to_str
 from .linalg import NoSolution, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
                       ObstructionUnsolvable, constrained_mc_solve,
-                      constrained_mc_solve_rows, gauge_act, holonomy,
-                      mc_residual, solve_1simplex, staged_gauge_search)
+                      constraint_system, gauge_act, holonomy, mc_residual,
+                      solve_1simplex, staged_gauge_search)
 from .tot import CosimplicialDgLie, DescentDatum, tot_lie
 
 
@@ -370,8 +370,8 @@ def _glue_level(ctx, omegas, p, D):
                     # a defect key that no column reaches: an empty row
                     # with a nonzero right-hand side
                     raise ObstructionUnsolvable(0, label)
-        return constrained_mc_solve_rows(
-            ctx.forms[p], [{k: 1} for k in keys], factor, rhs, label=label)
+        return constrained_mc_solve(ctx.forms[p], keys, factor, rhs,
+                                    label=label)
     except ObstructionUnsolvable as exc:
         if exc.stage == 0:
             raise GluingFailed(
@@ -425,10 +425,11 @@ def _sample_descent_datum(cc, rng):
                                cover.restrict({i}, J, a_parts[i]))
             constraints.append(
                 (lambda x, J=J, j=j: cover.restrict({j}, J, x), target))
+        keys = ctx.degree_keys(1)
+        system, rhs = constraint_system(keys, constraints)
         try:
-            a_parts[j] = constrained_mc_solve(
-                ctx, [{k: 1} for k in ctx.degree_keys(1)],
-                constraints, rng=rng, label=f"open {j}")
+            a_parts[j] = constrained_mc_solve(ctx, keys, system, rhs,
+                                              rng=rng, label=f"open {j}")
         except ObstructionUnsolvable:
             return None
     # assemble level elements

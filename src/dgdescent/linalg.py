@@ -48,29 +48,24 @@ class NoSolution:
     list from solve_affine, a sparse dict row -> coefficient from
     sparse_solve_affine.  Both are read off the factor of A: the row
     operations that eliminated A, replayed on the unit vectors of its
-    rows, give the combination of rows that reduced to 0 = y . b.
+    rows, give the combination of rows that reduced to 0 = y . b.  Given
+    a function that finds the certificate, it runs on the first read.
     """
 
     def __init__(self, certificate=None):
-        self.certificate = certificate
+        self._certificate = certificate
+
+    @property
+    def certificate(self):
+        if callable(self._certificate):
+            self._certificate = self._certificate()
+        return self._certificate
 
     def __bool__(self):
         return False
 
     def __repr__(self):
         return f"NoSolution(certificate={self.certificate!r})"
-
-
-class _DeferredNoSolution(NoSolution):
-    """A NoSolution whose certificate is computed on first read, by
-    find(); a caller that only tests for a solution pays nothing."""
-
-    def __init__(self, find):
-        self._find = find
-
-    @functools.cached_property
-    def certificate(self):
-        return self._find()
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +552,7 @@ class SparseFactor:
                     rv = rv - f * pivot_rhs[k]
             if p is None:
                 if rv:
-                    return _DeferredNoSolution(
+                    return NoSolution(
                         functools.partial(self._certificate, i))
                 continue
             if p == -1:

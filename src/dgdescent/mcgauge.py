@@ -551,6 +551,18 @@ def _keys_of(elements):
     return keys
 
 
+def _stage_span(ctx, stage, space, degree):
+    """The echelon basis of span(space) & F^stage for a space of
+    elements of one degree, or space itself at stage 1, where F^stage is
+    everything.  Each stage vector lies in one block of keys, so those
+    of the blocks that the space reaches give the whole intersection."""
+    if stage == 1:
+        return space
+    stage_vectors = [v for v in ctx.stage_vectors_for(stage, _keys_of(space))
+                     if v and ctx.key_degree(next(iter(v))) == degree]
+    return span_intersection(space, stage_vectors)
+
+
 def _solve_congruence(ctx, images, residual_const, residual_linear, stage,
                       nparams):
     """Solve sum z_j images[j] = residual (mod F^{stage+1}) jointly affine
@@ -628,11 +640,7 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
             res0 = el_sub(xp, gauge_act(ctx, y0, x))
             const = res0
             linear = []
-        cand = ctx.stage_vectors_for(stage, _keys_of(witness_space + [y0]))
-        # stage vectors are homogeneous: keep those of degree 0
-        cand = [v for v in cand if ctx.key_degree(next(iter(v))) == 0]
-        cand = span_intersection(witness_space, cand) \
-            if stage > 1 else list(witness_space)
+        cand = _stage_span(ctx, stage, witness_space, 0)
         images = [ctx.d_el(z) for z in cand]
         sol = _solve_congruence(ctx, images, const, linear, stage,
                                 len(params))
@@ -690,65 +698,56 @@ class ObstructionUnsolvable(Exception):
                          + (f" ({label})" if label else ""))
 
 
-def constrained_mc_solve(ctx, candidates, constraints=(), rng=None,
-                         label=""):
-    """MC element in an affine slice of the degree-1 candidate space.
+def constraint_system(keys, pairs):
+    """The factored rows and right-hand sides of affine constraints on
+    elements over the keys, for `constrained_mc_solve`.
 
-    candidates: distinct unit vectors {key: 1} of degree 1, whose span
-    is the search space (`constrained_mc_solve_rows` accepts no other
-    candidates).
-    constraints: pairs (linear map on elements, target element); the
-    solution x satisfies every map(x) == target exactly and
-    mc_residual(x) == 0 exactly.  An adapter over
-    `constrained_mc_solve_rows`: a pair becomes the rows of the matrix
-    whose column j is map(candidates[j]), one row per key of the images
-    and the target, in sorted order.
+    pairs: (linear map on elements, target element); a pair becomes the
+    rows of the matrix whose column j is map({keys[j]: 1}), one row per
+    key of the images and the target, in sorted order.
     """
+    units = [{k: 1} for k in keys]
     rows, rhs = [], []
-    for fn, target in constraints:
-        imgs = [fn(z) for z in candidates]
-        keys = sorted(_keys_of(imgs) | set(target))
-        rows += sparse_columns(imgs, keys)
-        rhs += [target.get(k, 0) for k in keys]
-    return constrained_mc_solve_rows(
-        ctx, candidates, sparse_factor(rows, len(candidates)), rhs, rng=rng,
-        label=label)
+    for fn, target in pairs:
+        imgs = [fn(z) for z in units]
+        row_keys = sorted(_keys_of(imgs) | set(target))
+        rows += sparse_columns(imgs, row_keys)
+        rhs += [target.get(k, 0) for k in row_keys]
+    return sparse_factor(rows, len(keys)), rhs
 
 
-def constrained_mc_solve_rows(ctx, candidates, system, rhs, rng=None,
-                              label=""):
-    """MC element x = sum_j c_j candidates[j] with rows . c = rhs.
+def constrained_mc_solve(ctx, keys, system, rhs, rng=None, label=""):
+    """MC element x = sum_j c_j {keys[j]: 1} with rows . c = rhs.
 
-    candidates: distinct unit vectors {key: 1} (ValueError otherwise).
-    system: the `linalg.sparse_factor` of the sparse rows {candidate
-    position: coefficient} over len(candidates) columns, rhs their
-    right-hand sides; it is solved once, and every attempt corrects
-    that solution.  The rows
-    must be those of a linear map of elements (as the rows of
-    `constrained_mc_solve` are), and a row that no candidate reaches
-    stays in the system, so a nonzero rhs there is insoluble.  x is
-    exactly MC, and its coordinates are checked against the rows once
-    more after the MC correction.  rng, when given, randomizes the free
-    choices at every stage (the sampler hook); random choices can land
-    on obstructed points of the MC variety, so failed attempts fall
-    back to four fresh draws in all and finally to the deterministic
-    greedy path before the obstruction is reported.
+    keys: distinct keys of degree 1 (ValueError when one repeats).
+    system: the `linalg.sparse_factor` of sparse rows {key position:
+    coefficient} over len(keys) columns, rhs their right-hand sides, as
+    `constraint_system` writes them; the rows must be those of a linear
+    map of elements.  The system is solved once and every attempt
+    corrects that solution; a row that no key reaches stays in it, so a
+    nonzero rhs there is insoluble.  x is exactly MC, and its
+    coordinates are checked against the rows once more after the MC
+    correction.  rng, when given, randomizes the free choices at every
+    stage (the sampler hook); random choices can land on obstructed
+    points of the MC variety, so failed attempts fall back to four
+    fresh draws in all and finally to the deterministic greedy path
+    before the obstruction is reported.
     """
-    position = {k: j for j, z in enumerate(candidates)
-                for k, c in z.items() if len(z) == 1 and c == 1}
-    if len(position) != len(candidates):
-        raise ValueError("candidates must be distinct unit vectors")
-    if system.ncols != len(candidates):
+    position = {k: j for j, k in enumerate(keys)}
+    if len(position) != len(keys):
+        raise ValueError("keys must be distinct")
+    if system.ncols != len(keys):
         raise ValueError(f"a system over {system.ncols} columns for "
-                         f"{len(candidates)} candidates")
+                         f"{len(keys)} keys")
     # no draw enters the affine constraints: one solve serves every round
     res = system.solve(rhs)
     if isinstance(res, NoSolution):
         raise ObstructionUnsolvable(0, label or "constraints")
     coeffs, kernel = res
-    x0 = el_combination(coeffs, candidates)
-    free = [d for d in (el_combination(kv, candidates) for kv in kernel)
-            if d]
+    # keys listed in column order, as el_combination lists them; every
+    # kernel vector is 1 on its free column, so no free direction is 0
+    x0, *free = [{keys[j]: c for j, c in sorted(v.items()) if c}
+                 for v in (coeffs, *kernel)]
     rounds = ([rng] * 4 + [None]) if rng is not None else [None]
     for r in rounds:
         try:
@@ -758,8 +757,9 @@ def constrained_mc_solve_rows(ctx, candidates, system, rhs, rng=None,
             last_exc = exc
     else:
         raise last_exc
-    coords = _coordinates(position, x)
-    if coords is None or not _rows_hold(system.rows, rhs, coords):
+    # a key outside the columns reads as position None
+    coords = {position.get(k): v for k, v in x.items()}
+    if None in coords or not _rows_hold(system.rows, rhs, coords):
         raise SelfCheckFailed("constraints drifted during correction"
                               + (f" ({label})" if label else ""))
     return x
@@ -768,14 +768,6 @@ def constrained_mc_solve_rows(ctx, candidates, system, rhs, rng=None,
 def _random_combination(rng, particular, kernel):
     return el_sum((el_scale(rng.randint(-2, 2), k)
                    for k in kernel), particular)
-
-
-def _coordinates(position, x):
-    """x as {candidate position: coefficient} over unit candidates
-    ({key: position}), or None outside their span."""
-    if not x.keys() <= position.keys():
-        return None
-    return {position[k]: v for k, v in x.items()}
 
 
 def _rows_hold(rows, rhs, coords):
@@ -802,13 +794,7 @@ def _mc_correct(ctx, x, free, rng, label):
         R = mc_residual(ctx, x)
         if el_is_zero(R):
             break
-        if stage == 1:
-            cand_stage = free
-        else:
-            stage_deg1 = [v for v in ctx.stage_vectors_for(
-                stage, _keys_of(free) | set(R))
-                if v and ctx.key_degree(next(iter(v))) == 1]
-            cand_stage = span_intersection(free, stage_deg1)
+        cand_stage = _stage_span(ctx, stage, free, 1)
         imgs = [ctx.d_el(z) for z in cand_stage]
         sol = _solve_congruence(ctx, imgs, el_scale(-1, R), [], stage, 0)
         if isinstance(sol, NoSolution):
@@ -836,9 +822,9 @@ def mc_lift(f, nil_g, nil_h, xbar):
     one (re-validate the input).
     """
     ctx = FiniteLieContext(nil_g)
-    candidates = ctx.basis_of_degree(1)
-    constraints = [(lambda z: f.apply(z), dict(xbar))]
-    x = constrained_mc_solve(ctx, candidates, constraints, label="mc_lift")
+    keys = ctx.degree_keys(1)
+    system, rhs = constraint_system(keys, [(f.apply, dict(xbar))])
+    x = constrained_mc_solve(ctx, keys, system, rhs, label="mc_lift")
     if not el_eq(f.apply(x), xbar):
         raise SelfCheckFailed("mc_lift: the lift does not map to xbar")
     return x
@@ -860,9 +846,10 @@ class DeligneGroupoid:
         self.ctx = FiniteLieContext(nil)
 
     def random_mc_element(self, rng):
-        ctx = self.ctx
-        return constrained_mc_solve(ctx, ctx.basis_of_degree(1), (),
-                                    rng=rng, label="sample")
+        keys = self.ctx.degree_keys(1)
+        return constrained_mc_solve(self.ctx, keys,
+                                    *constraint_system(keys, ()), rng=rng,
+                                    label="sample")
 
     def random_gauge(self, rng):
         out = {}

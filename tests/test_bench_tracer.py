@@ -81,3 +81,37 @@ def test_install_uninstall_round_trip(spans):
     assert tracer.counts["forms.pullback.calls"] > 0
     after = _bindings(spans)
     assert [k for k in before if after.get(k) is not before[k]] == []
+
+
+def test_a_deferred_certificate_counts_as_no_solution(spans):
+    from dgdescent import linalg
+    tracer = spans.Tracer()
+    inst = spans.install(tracer)
+    try:
+        res = linalg.sparse_solve_affine([{}], [1], 0)
+    finally:
+        inst.uninstall()
+    assert isinstance(res, linalg.NoSolution)
+    assert res.certificate == {0: 1}
+    assert tracer.counts.get("linalg.nosolution", 0) == 1
+
+
+def test_a_traced_glue_counts_its_constrained_solve(spans):
+    import random
+
+    from dgdescent import cech, instances
+    cc = cech.cech_cosimplicial(cech.tensored_cover(
+        instances.segment_cover(instances.ef_algebra()),
+        instances.t_truncated(3)), N=2)
+    rng = random.Random(0)
+    datum = None
+    while datum is None:
+        datum = cech._sample_descent_datum(cc, rng)
+    tracer = spans.Tracer()
+    inst = spans.install(tracer)
+    try:
+        cech.glue_descent_datum(cc, datum, 2)
+    finally:
+        inst.uninstall()
+    assert tracer.counts["cech.glue.calls"] == 1
+    assert tracer.counts.get("mcgauge.mc_solve.calls", 0) >= 1

@@ -188,8 +188,10 @@ def test_glue_constant_datum():
     sec = cc.cover.algebra({0})
     nil_sec = lower_central_series(sec)
     C0 = FiniteLieContext(nil_sec)
-    from dgdescent.mcgauge import constrained_mc_solve
-    a_sec = constrained_mc_solve(C0, C0.basis_of_degree(1), (), rng=rng)
+    from dgdescent.mcgauge import constrained_mc_solve, constraint_system
+    keys = C0.degree_keys(1)
+    a_sec = constrained_mc_solve(C0, keys, *constraint_system(keys, ()),
+                                 rng=rng)
     a = cc.from_components(0, {(0,): a_sec, (1,): a_sec})
     datum = DescentDatum(a, {})
     x = glue_descent_datum(cc, datum, D=1)

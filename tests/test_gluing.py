@@ -1,5 +1,5 @@
-"""Gluing constraints as exchange rows, the rows-level constrained
-solver, and the degree-0 gauge basis of the nonabelian descent check."""
+"""Gluing constraints as exchange rows, the constrained MC solver, and
+the degree-0 gauge basis of the nonabelian descent check."""
 
 import ast
 import functools
@@ -20,7 +20,7 @@ from dgdescent.instances import (circle_cover, dual_numbers, ef_algebra,
 from dgdescent.linalg import sparse_columns, sparse_factor
 from dgdescent.mcgauge import (FiniteLieContext, ObstructionUnsolvable,
                                SelfCheckFailed, constrained_mc_solve,
-                               constrained_mc_solve_rows, mc_residual,
+                               constraint_system, mc_residual,
                                solve_1simplex)
 from dgdescent.tot import TotContext, tot_lie
 
@@ -253,71 +253,62 @@ def _ef_t3():
     return tensor_lie(t_truncated(3).maximal_ideal(), ef_algebra())
 
 
-def test_rows_level_keeps_a_row_that_no_candidate_reaches():
+def test_a_row_that_no_key_reaches_stays_in_the_system():
     ctx = FiniteLieContext(_ef_t3())
-    units = ctx.basis_of_degree(1)
-    system = sparse_factor([{}], len(units))
+    keys = ctx.degree_keys(1)
+    system = sparse_factor([{}], len(keys))
     with pytest.raises(ObstructionUnsolvable) as info:
-        constrained_mc_solve_rows(ctx, units, system, [ONE])
+        constrained_mc_solve(ctx, keys, system, [ONE])
     assert info.value.stage == 0
     # the same row with rhs 0 constrains nothing
-    x = constrained_mc_solve_rows(ctx, units, system, [Fraction(0)])
+    x = constrained_mc_solve(ctx, keys, system, [Fraction(0)])
     assert not mc_residual(ctx, x)
 
 
-def test_pair_form_is_an_adapter_over_the_rows_level(monkeypatch):
+def test_constraint_system_writes_the_rows_of_each_pair():
     ctx = FiniteLieContext(_ef_t3())
-    units = ctx.basis_of_degree(1)
-    target = {next(iter(units[0])): ONE}
-    calls = []
-    rows_level = mcgauge.constrained_mc_solve_rows
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return rows_level(*args, **kwargs)
-
-    monkeypatch.setattr(mcgauge, "constrained_mc_solve_rows", spy)
-    x = constrained_mc_solve(ctx, units, [(dict, target)],
-                             rng=random.Random(4))
-    assert len(calls) == 1
-    _, cands, system, rhs = calls[0]
-    assert cands is units
-    keys = sorted({k for u in units for k in u})
-    assert [dict(row) for row in system.rows] == sparse_columns(units, keys)
-    assert rhs == [target.get(k, 0) for k in keys]
+    keys = ctx.degree_keys(1)
+    units = [{k: 1} for k in keys]
+    target = {keys[0]: ONE}
+    system, rhs = constraint_system(keys, [(dict, target)])
+    assert system.ncols == len(keys)
+    row_keys = sorted(keys)
+    assert [dict(row) for row in system.rows] == \
+        sparse_columns(units, row_keys)
+    assert rhs == [target.get(k, 0) for k in row_keys]
+    x = constrained_mc_solve(ctx, keys, system, rhs, rng=random.Random(4))
     assert not mc_residual(ctx, x)
     assert all(x.get(k, 0) == v for k, v in target.items())
 
 
 def test_constraint_drift_raises_a_named_error(monkeypatch):
     ctx = FiniteLieContext(_ef_t3())
-    units = ctx.basis_of_degree(1)
-    key = next(iter(units[0]))
-    # coordinates that miss the constrained one: the re-check must
-    # raise, and not through an assert that `python -O` removes
-    monkeypatch.setattr(mcgauge, "_coordinates",
-                        lambda candidates, x: {})
-    with pytest.raises(SelfCheckFailed, match="constraints drifted"):
-        constrained_mc_solve(ctx, units, [(dict, {key: ONE})],
-                             label="drift")
+    keys = ctx.degree_keys(1)
+    # a correction that moves the constrained coordinate: the re-check
+    # must raise, and not through an assert that `python -O` removes
+    system, rhs = constraint_system(keys, [(dict, {keys[0]: ONE})])
+    # and so must one that leaves the span of the keys
+    for drift in (lambda x: {}, lambda x: dict(x, outside=ONE)):
+        monkeypatch.setattr(mcgauge, "_mc_correct",
+                            lambda ctx, x, free, rng, label, drift=drift:
+                            drift(x))
+        with pytest.raises(SelfCheckFailed, match="constraints drifted"):
+            constrained_mc_solve(ctx, keys, system, rhs, label="drift")
 
 
 def test_a_factor_over_other_columns_is_refused():
     ctx = FiniteLieContext(_ef_t3())
-    units = ctx.basis_of_degree(1)
-    with pytest.raises(ValueError, match="columns for"):
-        constrained_mc_solve_rows(ctx, units,
-                                  sparse_factor([], len(units) + 1), [])
-
-
-def test_candidates_that_are_not_unit_vectors_are_refused():
-    # every caller passes distinct unit vectors, so the coordinates of
-    # a solution are read off by lookup; scaled or repeated candidates
-    # are refused before anything is solved
-    ctx = FiniteLieContext(_ef_t3())
     keys = ctx.degree_keys(1)
-    target = {keys[0]: ONE}
-    for candidates in ([{k: Fraction(2)} for k in keys],
-                       [{k: ONE} for k in keys + keys[:1]]):
-        with pytest.raises(ValueError, match="distinct unit vectors"):
-            constrained_mc_solve(ctx, candidates, [(dict, target)])
+    with pytest.raises(ValueError, match="columns for"):
+        constrained_mc_solve(ctx, keys, sparse_factor([], len(keys) + 1),
+                             [])
+
+
+def test_repeated_keys_are_refused():
+    # a solution's coordinates are read off by key position, so a
+    # repeated key is refused before anything is solved
+    ctx = FiniteLieContext(_ef_t3())
+    keys = ctx.degree_keys(1) + ctx.degree_keys(1)[:1]
+    system, rhs = constraint_system(keys, [(dict, {keys[0]: ONE})])
+    with pytest.raises(ValueError, match="keys must be distinct"):
+        constrained_mc_solve(ctx, keys, system, rhs)

@@ -15,9 +15,10 @@ from dgdescent.instances import (abelian_algebra, dual_numbers, ef_algebra,
                                  tampered_fibration, wz_algebra)
 from dgdescent.mcgauge import (FiniteLieContext, FormLieContext,
                                ObstructionUnsolvable, bch,
-                               constrained_mc_solve, flow_path, gauge_act,
-                               gauge_equivalent, holonomy, mc_element,
-                               mc_residual, mc_lift, solve_1simplex)
+                               constrained_mc_solve, constraint_system,
+                               flow_path, gauge_act, gauge_equivalent,
+                               holonomy, mc_element, mc_residual, mc_lift,
+                               solve_1simplex)
 
 F = Fraction
 
@@ -496,10 +497,11 @@ def test_constrained_mc_solve_fills_the_faces_of_a_gauge_two_simplex():
     reference = gauge_act(fctx2, family, fctx2.embed(x))
     faces = [fctx2.restrict(face_map(i, 2), reference) for i in range(3)]
     D = max((sum(mono[0]) + 2 for (_, _, mono) in reference), default=2)
-    candidates = [{k: F(1)} for k in fctx2.keys_up_to(D, 1)]
+    keys = fctx2.keys_up_to(D, 1)
     constraints = [(lambda el, i=i: fctx2.restrict(face_map(i, 2), el),
                     faces[i]) for i in range(3)]
-    filler = constrained_mc_solve(fctx2, candidates, constraints)
+    system, rhs = constraint_system(keys, constraints)
+    filler = constrained_mc_solve(fctx2, keys, system, rhs)
     assert el_is_zero(mc_residual(fctx2, filler))
     for i in range(3):
         assert el_eq(fctx2.restrict(face_map(i, 2), filler), faces[i])

@@ -61,10 +61,6 @@ def _degree_bound(sp):
     sp.add_argument("--degree-bound", type=_positive_int, default=2)
 
 
-def _trunc_level(sp):
-    sp.add_argument("--trunc-level", type=int, default=None)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dgdescent",
@@ -92,22 +88,18 @@ def build_parser():
     sp.add_argument("--base", help="artinian base record to tensor with")
     sp.add_argument("--x", required=True)
     sp.add_argument("--xp", required=True)
-    sp.add_argument("--max-depth", type=_positive_int, default=None)
     sp = sub.add_parser("tot", parents=[base],
                         help="totalization with the de Rham comparison")
     sp.add_argument("file")
     _degree_bound(sp)
-    _trunc_level(sp)
     sp = sub.add_parser("cech", parents=[base],
                         help="build the Cech cosimplicial algebra")
     sp.add_argument("file")
-    _trunc_level(sp)
     sp = sub.add_parser("verify-descent", parents=[base],
                         help="check the descent equivalence")
     sp.add_argument("file")
     _sampling(sp)
     _degree_bound(sp)
-    _trunc_level(sp)
     return parser
 
 
@@ -129,20 +121,13 @@ def _nilpotent_from_args(args):
     return nil
 
 
-def _cech_from_args(args, cover, base):
-    """The Cech cosimplicial algebra of cover (x) base, truncated at
-    --trunc-level.  Levels above the vanishing level add only degenerate
-    tuples while the build grows with them, so a level more than one
-    above the default, max(2, vanishing level), is refused."""
-    from .cech import cech_cosimplicial, tensored_cover, vanishing_level
-    cover = tensored_cover(cover, base)
-    top = max(2, vanishing_level(cover)) + 1
-    if args.trunc_level is not None and args.trunc_level > top:
-        raise TruncationError(
-            f"truncation level {args.trunc_level} is above {top}, one more "
-            f"than the default max(2, vanishing level) = {top - 1}; higher "
-            f"levels add only degenerate tuples")
-    return cech_cosimplicial(cover, N=args.trunc_level)
+def _cech_from_args(cover, base):
+    """The Cech cosimplicial algebra of cover (x) base at levels
+    0..max(2, vanishing level): Tot needs the levels up to the vanishing
+    level of the conormalization, the descent groupoid levels 0..2, and
+    the levels above both add only degenerate tuples."""
+    from .cech import cech_cosimplicial, tensored_cover
+    return cech_cosimplicial(tensored_cover(cover, base))
 
 
 def _cosimplicial_from_args(args):
@@ -150,17 +135,12 @@ def _cosimplicial_from_args(args):
     kind = record_type(rec, args.file)
     if kind == "descent_instance":
         _, cover, base = instance_from_record(rec, args.file)
-        return _cech_from_args(args, cover, base)
+        return _cech_from_args(cover, base)
     if kind == "cover":
         raise ParseError(args.file, "type",
                          "covers need an artinian base; wrap the record "
                          "into a descent_instance")
     if kind == "cosimplicial_dg_lie":
-        if args.trunc_level is not None:
-            raise ParseError(args.file, "type",
-                             "a cosimplicial_dg_lie record fixes its own "
-                             "levels; --trunc-level applies to "
-                             "descent_instance records only")
         return cosimplicial_from_record(rec, args.file)
     raise ParseError(args.file, "type",
                      f"cannot build a cosimplicial algebra from {kind!r}")
@@ -252,7 +232,7 @@ def cmd_gauge_orbit(args, report):
             mc_element(ctx, el)
         except ValueError as exc:
             raise ParseError(nm, "element", str(exc))
-    res = gauge_equivalent(ctx, x, xp, max_depth=args.max_depth)
+    res = gauge_equivalent(ctx, x, xp)
     verdict = {"witness": "verified", "distinct": "verified",
                "unknown": "undecided"}[res.status]
     entry = {"name": "gauge orbit decision", "verdict": verdict,
@@ -308,7 +288,7 @@ def cmd_cech(args, report):
     if record_type(rec, args.file) != "descent_instance":
         raise ParseError(args.file, "type", "expected descent_instance")
     _, cover, base = instance_from_record(rec, args.file)
-    cc = _cech_from_args(args, cover, base)
+    cc = _cech_from_args(cover, base)
     report["instance"] = rec.get("name")
     report["levels"] = [g.total_dim() for g in cc.levels]
     report["tuples"] = [[list(T) for T in Ts] for Ts in cc.tuples]

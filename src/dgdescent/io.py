@@ -28,7 +28,7 @@ class ParseError(ValueError):
 # without importing the totalization it may not run
 class TruncationError(ValueError):
     """A cosimplicial algebra truncated below the levels a construction
-    needs, or a truncation or degree bound above what it can use."""
+    needs, or a degree bound above what it can use."""
 
 
 # ASCII only: str.isdigit and \d also accept other scripts' digits

@@ -611,22 +611,22 @@ def _split_parameterized(el, nparams):
     return const, linear, affine
 
 
-def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
-                        max_depth=None):
+def staged_gauge_search(ctx, x, xp, witness_space, y_init=None):
     """Search for y = y_init + (span of witness_space) with
-    gauge_act(y, x) = xp, stage by stage along the lower central series.
+    gauge_act(y, x) = xp, stage by stage along the lower central series,
+    through every stage up to the nilpotency class.
 
     Solution-space parameters from earlier stages propagate symbolically
     into later stages while they enter affinely; a stage where they do
     not stays sound but forfeits the completeness needed to certify
-    "distinct".
+    "distinct".  A complete search that ends off-orbit raises
+    SelfCheckFailed; an incomplete one that does returns "unknown".
     """
     c = ctx.nclass()
-    depth = c if max_depth is None else min(max_depth, c)
     y0 = dict(y_init or {})
     params = []       # elements: active parameter directions
     complete = True
-    for stage in range(1, depth + 1):
+    for stage in range(1, c + 1):
         # y with symbolic parameters
         y_sym = el_sum(({k: KPoly.var(i) * v for k, v in p.items()}
                         for i, p in enumerate(params)),
@@ -663,25 +663,25 @@ def staged_gauge_search(ctx, x, xp, witness_space, y_init=None,
         y0, params = new_y0, new_params
     if el_eq(gauge_act(ctx, y0, x), xp):
         return GaugeSearchResult("witness", witness=y0, complete=complete)
-    if complete and depth == c:
+    if complete:
         raise SelfCheckFailed("complete staged search ended off-orbit; "
                               "staging invariant broken")
-    return GaugeSearchResult("unknown", stage=depth, complete=complete,
+    return GaugeSearchResult("unknown", stage=c, complete=False,
                              reason="depth exhausted before equality")
 
 
-def gauge_equivalent(ctx, x, xp, max_depth=None):
-    """Witness / distinct / unknown for the gauge orbit question.
+def gauge_equivalent(ctx, x, xp):
+    """Witness / distinct / unknown for the gauge orbit question, by a
+    staged search through the whole lower central series.
 
     The witness space is the whole degree-0 part, so "distinct" verdicts
     are genuine certificates whenever the staged search stays complete
-    (always, in the abelian case).
+    (always, in the abelian case); "unknown" comes only from a search
+    that lost completeness.
     """
     if el_eq(x, xp):
         return GaugeSearchResult("witness", witness={}, complete=True)
-    witness_space = ctx.basis_of_degree(0)
-    return staged_gauge_search(ctx, x, xp, witness_space,
-                               max_depth=max_depth)
+    return staged_gauge_search(ctx, x, xp, ctx.basis_of_degree(0))
 
 
 # ---------------------------------------------------------------------------

@@ -307,18 +307,42 @@ def _gauge_orbit_args(tmp_path):
             "--x", str(xf), "--xp", str(yf)]
 
 
-def test_strict_flag_fails_on_undecided(tmp_path, capsys):
-    # craft a report with an undecided verdict through gauge-orbit with
-    # max-depth 1 forcing an unknown
-    args = _gauge_orbit_args(tmp_path) + ["--max-depth", "1"]
+def test_strict_flag_fails_on_undecided(tmp_path, capsys, monkeypatch):
+    # a search that lost completeness is the one source of an undecided
+    # gauge-orbit report; cmd_gauge_orbit imports the search when it runs
+    from dgdescent import mcgauge
+    monkeypatch.setattr(
+        mcgauge, "gauge_equivalent",
+        lambda ctx, x, xp: mcgauge.GaugeSearchResult(
+            "unknown", stage=2, complete=False,
+            reason="depth exhausted before equality"))
+    args = _gauge_orbit_args(tmp_path)
     code, rep = run_cli(capsys, *args)
-    if rep["checks"][0]["status"] == "unknown":
-        assert code == 0
-        code2, _ = run_cli(capsys, *args, "--strict")
-        assert code2 == 1
-    else:
-        # depth 1 already found the witness; force strict success instead
-        assert code == 0
+    assert code == 0
+    assert rep["checks"][0]["verdict"] == "undecided"
+    assert rep["summary"]["undecided"] == 1
+    code, _ = run_cli(capsys, *args, "--strict")
+    assert code == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("tot", "--trunc-level"), ("cech", "--trunc-level"),
+    ("verify-descent", "--trunc-level"), ("gauge-orbit", "--max-depth")],
+    ids=["tot", "cech", "verify-descent", "gauge-orbit"])
+def test_removed_bound_options_exit_2(tmp_path, capsys, command, flag):
+    # a Cech instance is always built at max(2, vanishing level) and the
+    # gauge search always runs to the nilpotency class: no option sets
+    # either bound, and without one every command decides
+    args = (_gauge_orbit_args(tmp_path) if command == "gauge-orbit"
+            else [command, str(DATA / "instance_triple_eps.json")])
+    with pytest.raises(SystemExit) as exc:
+        main([*args, flag, "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} 2" in captured.err
+    code, rep = run_cli(capsys, *args, "--strict")
+    assert code == 0 and rep["summary"]["undecided"] == 0
 
 
 def test_gluing_beyond_the_degree_bound_is_undecided(tmp_path, capsys):
@@ -456,9 +480,16 @@ def test_verify_descent_on_a_cover_with_an_open_without_sections(
     assert rep3["checks"] == rep["checks"]
 
 
-def test_truncation_below_level_two_is_a_clean_error(capsys):
-    code = main(["verify-descent", str(DATA / "instance_segment_ef_t3.json"),
-                 "--trunc-level", "1"])
+def test_truncation_below_level_two_is_a_clean_error(tmp_path, capsys):
+    # a cosimplicial_dg_lie record fixes its own levels; two are too few
+    # for the descent groupoid
+    from dgdescent.instances import abelian_line
+    from dgdescent.io import cosimplicial_to_record
+    from dgdescent.tot import constant_cosimplicial
+    path = tmp_path / "two_levels.json"
+    dump_record(cosimplicial_to_record(
+        constant_cosimplicial(abelian_line(), 1)), path)
+    code = main(["verify-descent", str(path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -490,18 +521,6 @@ def test_degree_key_not_written_as_a_plain_integer_exits_2(
         captured.err
 
 
-def test_truncation_below_cech_vanishing_level_is_a_clean_error(capsys):
-    # the triple cover has a nonempty triple overlap, so N^2 != 0; cut at
-    # level 1 the conormalized side read betti [1, 2, 1] as verified
-    code = main(["tot", str(DATA / "instance_triple_eps.json"),
-                 "--trunc-level", "1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "vanishing level 2" in captured.err
-    assert "Traceback" not in captured.err
-
-
 @pytest.mark.parametrize("command",
                          ["cech", "tot", "verify-descent", "check-algebra"])
 def test_a_cover_with_no_nonempty_open_exits_2(tmp_path, capsys, command):
@@ -518,38 +537,6 @@ def test_a_cover_with_no_nonempty_open_exits_2(tmp_path, capsys, command):
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
     assert "a cover needs at least one nonempty open" in line
-
-
-@pytest.mark.parametrize("command", ["cech", "tot", "verify-descent"])
-def test_truncation_far_above_the_default_is_a_clean_error(capsys, command):
-    # the triple cover vanishes above level 2, its default truncation;
-    # level 4 adds only degenerate tuples, at a cost that grows with it
-    code = main([command, str(DATA / "instance_triple_eps.json"),
-                 "--trunc-level", "4"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "above 3" in lines[0]
-
-
-def test_truncation_one_above_the_default_is_accepted(capsys):
-    # the segment cover vanishes above level 1, so its default is 2
-    code, rep = run_cli(capsys, "cech",
-                        str(DATA / "instance_segment_eps.json"),
-                        "--trunc-level", "3")
-    assert code == 0
-    assert len(rep["levels"]) == 4
-
-
-def test_trunc_level_rejected_for_cosimplicial_records(capsys):
-    code = main(["tot", str(DATA / "cosimplicial_constant_ef_t3.json"),
-                 "--trunc-level", "1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "--trunc-level" in captured.err
 
 
 def test_verify_descent_refuses_nonabelian_records_without_cover(capsys):
@@ -862,28 +849,6 @@ def test_cosimplicial_counts_are_checked_before_indexing(tmp_path, capsys,
     assert "cofaces" in captured.err
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_gauge_orbit_depth_must_be_positive(tmp_path, capsys, value):
-    args = _gauge_orbit_args(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main([*args, "--max-depth", value])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "must be at least 1" in captured.err
-    # the default searches every stage of the lower central series
-    code, rep = run_cli(capsys, *args)
-    assert code == 0 and rep["checks"][0]["status"] != "unknown"
-
-
-def test_staged_search_depth_zero_searches_no_stage():
-    from dgdescent.mcgauge import FiniteLieContext, gauge_equivalent
-    nil, x, xp = _gauge_pair()
-    ctx = FiniteLieContext(nil)
-    assert gauge_equivalent(ctx, x, xp).status != "unknown"
-    res = gauge_equivalent(ctx, x, xp, max_depth=0)
-    assert (res.status, res.stage) == ("unknown", 0)
-
-
 def test_cohomology_degree_bound_must_be_nonnegative(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", str(DATA / "algebra_line.json"),
@@ -923,3 +888,25 @@ def test_cohomology_degree_bound_above_the_top_degree_is_refused(tmp_path,
     assert code == 0 and rep["checks"][0]["betti"] == [0] * 6 + [1]
     assert main(["cohomology", str(path), "--max-degree", "7"]) == 2
     assert "above 6" in capsys.readouterr().err
+
+
+def test_readme_option_table_matches_the_parser():
+    # README's "its own options" table lists, per subcommand, every
+    # option the parser defines beyond the shared --out, --strict and
+    # --timings, so a removed or added option cannot leave it stale
+    import argparse
+    import re
+    from dgdescent.cli import build_parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| command | its own options |\n|---|---|\n")[1]
+    table = {}
+    for row in rows.split("\n\n")[0].splitlines():
+        command, options = re.fullmatch(r"\| `([\w-]+)` \| (.*) \|",
+                                        row).groups()
+        table[command] = set(re.findall(r"`(--[\w-]+)`", options))
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    shared = {"--out", "--strict", "--timings", "-h", "--help"}
+    parsed = {command: {o for a in sp._actions for o in a.option_strings}
+              - shared for command, sp in sub.choices.items()}
+    assert table == parsed

@@ -1,6 +1,7 @@
 import functools
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from dgdescent.tot import (CosimplicialDgLie, DescentDatum, DescentGroupoid,
                            tot_groupoid, tot_lie)
 
 F = Fraction
+DATA = Path(__file__).resolve().parents[1] / "src" / "dgdescent" / "data"
 
 
 def nilp_ef():
@@ -147,26 +149,38 @@ def test_abelian_object_constructor():
     assert G.verify_object(datum)
 
 
-def test_enlarging_truncation_level_is_stable():
-    # the finiteness hypothesis makes the truncated limit honest: going
-    # one level beyond the normalization vanishing level changes nothing
-    from dgdescent.cech import cech_cosimplicial, tensored_cover
-    from dgdescent.instances import circle_cover, dual_numbers
-    cover = tensored_cover(circle_cover(), dual_numbers())
-    cc2 = cech_cosimplicial(cover, N=2)
-    cc3 = cech_cosimplicial(cover, N=3)
-    assert cc2.vanishing_level == cc3.vanishing_level == 1
-    T2, _ = tot_cochain(cc2)
-    T3, _ = tot_cochain(cc3)
-    for n in range(4):
-        assert T2.cohomology(n)[0] == T3.cohomology(n)[0]
+def _truncation_invariants(cc):
+    """What the truncation level of a Cech algebra could change: the
+    conormalized Betti numbers, the truncated Thom-Sullivan cohomology
+    (with its dimensions) at D = 1 and 2, and the descent report."""
+    from dgdescent.cech import verify_descent
+    T, _ = tot_cochain(cc)
+    top = max(T.space.nonzero_degrees(), default=0)
+    lie = []
     for D in (1, 2):
-        L2 = tot_lie(cc2, D)
-        L3 = tot_lie(cc3, D)
-        for n in range(4):
-            assert L2.cochain.space.dim(n) == L3.cochain.space.dim(n)
-            assert L2.cochain.cohomology(n)[0] == \
-                L3.cochain.cohomology(n)[0]
+        L = tot_lie(cc, D).cochain
+        lie.append([(L.space.dim(n), L.cohomology(n)[0])
+                    for n in range(top + 1)])
+    report = verify_descent(cc, samples=3)
+    del report["levels"]
+    return T.betti_numbers(top), lie, report
+
+
+@pytest.mark.parametrize("name", sorted(
+    f.name for f in DATA.glob("instance_*.json")))
+def test_enlarging_truncation_level_is_stable(name):
+    # the finiteness hypothesis makes the truncated limit honest: going
+    # one level beyond the default, max(2, vanishing level), changes
+    # nothing, which is why no command lets a user pick the level
+    from dgdescent.cech import vanishing_level
+    from dgdescent.io import instance_from_record, load_record
+    _, cover, base = instance_from_record(load_record(DATA / name))
+    cover = tensored_cover(cover, base)
+    N = max(2, vanishing_level(cover))
+    cc = cech_cosimplicial(cover)
+    assert cc.N == N
+    assert _truncation_invariants(cc) == \
+        _truncation_invariants(cech_cosimplicial(cover, N=N + 1))
 
 
 def test_bad_cosimplicial_identities_rejected():
@@ -239,7 +253,6 @@ def test_only_forms_and_tot_name_the_exchange_row_inputs():
     only where the exchange rows are written, so face and degeneracy
     rows cannot be written a second way unnoticed."""
     import ast
-    from pathlib import Path
     src = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
     watched = {"monomial_pullback", "generator_images"}
     offenders = []
@@ -396,11 +409,9 @@ def test_two_algebras_share_no_tot_basis(monkeypatch):
 def _abelian_cosimplicials():
     """Every bundled abelian instance and constant record, plus the
     segment, circle and triple covers over eps and t^3."""
-    from pathlib import Path
     from dgdescent.io import load_any
-    data = Path(__file__).resolve().parents[1] / "src" / "dgdescent" / "data"
     out = {}
-    for f in sorted(data.glob("*.json")):
+    for f in sorted(DATA.glob("*.json")):
         kind, obj = load_any(str(f))
         if kind == "descent_instance":
             out[f.name] = cech_cosimplicial(tensored_cover(obj[1], obj[2]))

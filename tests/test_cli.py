@@ -325,24 +325,35 @@ def test_strict_flag_fails_on_undecided(tmp_path, capsys, monkeypatch):
     assert code == 1
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("tot", "--trunc-level"), ("cech", "--trunc-level"),
-    ("verify-descent", "--trunc-level"), ("gauge-orbit", "--max-depth")],
-    ids=["tot", "cech", "verify-descent", "gauge-orbit"])
-def test_removed_bound_options_exit_2(tmp_path, capsys, command, flag):
-    # a Cech instance is always built at max(2, vanishing level) and the
-    # gauge search always runs to the nilpotency class: no option sets
-    # either bound, and without one every command decides
-    args = (_gauge_orbit_args(tmp_path) if command == "gauge-orbit"
-            else [command, str(DATA / "instance_triple_eps.json")])
+@pytest.mark.parametrize("command", ["tot", "cech", "verify-descent"])
+def test_removed_bound_options_exit_2(capsys, command):
+    # a Cech instance is always built at max(2, vanishing level): no option
+    # sets the truncation, and without one every command decides
+    args = [command, str(DATA / "instance_triple_eps.json")]
     with pytest.raises(SystemExit) as exc:
-        main([*args, flag, "2"])
+        main([*args, "--trunc-level", "2"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unrecognized arguments: {flag} 2" in captured.err
+    assert "unrecognized arguments: --trunc-level 2" in captured.err
     code, rep = run_cli(capsys, *args, "--strict")
     assert code == 0 and rep["summary"]["undecided"] == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gauge_orbit_depth_must_be_positive(tmp_path, capsys, value):
+    # the search always runs to the nilpotency class, so no depth, positive
+    # or not, can be asked for: --max-depth is an unrecognized argument
+    args = _gauge_orbit_args(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--max-depth", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --max-depth {value}" in captured.err
+    # the default searches every stage of the lower central series
+    code, rep = run_cli(capsys, *args)
+    assert code == 0 and rep["checks"][0]["status"] != "unknown"
 
 
 def test_gluing_beyond_the_degree_bound_is_undecided(tmp_path, capsys):

@@ -20,7 +20,7 @@ import itertools
 from .dgla import (DgLieMap, SelfCheckFailed, direct_product, el_combination,
                    el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
-from .forms import format_mono
+from .forms import format_mono, mono_form_degree
 from .io import TruncationError, label_to_json, scalar_to_str
 from .linalg import NoSolution, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
@@ -151,6 +151,29 @@ class CechCosimplicial(CosimplicialDgLie):
         super().__init__(levels, cofaces, codegens,
                          vanishing_level=cover.num_opens - 1,
                          name=f"cech({cover.name or cover.num_opens})")
+
+    def degenerate_copies(self):
+        """{s: {i: j}}: a tuple T with a repeated index is T' o s for the
+        strictly increasing T' of its distinct indices and a surjection
+        s: [q] -> [p], and U_T = U_T', so basis element j of the
+        T-component of g^q is the copy along s of basis element i of the
+        T'-component of g^p (`TotContext` keys only the nondegenerate
+        components)."""
+        embeddings = [{tag: emb for tag, _, emb in level.components}
+                      for level in self.levels]
+        copies = {}
+        for q, Ts in enumerate(self.tuples):
+            for T in Ts:
+                base = tuple(dict.fromkeys(T))
+                if len(base) == len(T):
+                    continue
+                source = embeddings[len(base) - 1][base]
+                target = embeddings[q][T]
+                index = copies.setdefault(
+                    tuple(base.index(i) for i in T), {})
+                for k, gi in source.items():
+                    index[gi] = target[k]
+        return copies
 
     def from_components(self, q, parts):
         """Assemble a level-q element from {tuple: element}."""
@@ -323,12 +346,17 @@ class ComparisonFunctor:
 
 
 def glue_descent_datum(cc, datum, D):
-    """An MC family whose comparison image is the given datum.
+    """An MC family over the keys of cc.tot_context() whose comparison
+    image is the given datum.
 
     Level 0 is a itself; level 1 the gauge path of theta; level p >= 2
-    is solved: the sigma-conditions and face restrictions are affine
-    constraints, then staged corrections restore MC exactly without
-    moving the constrained part.
+    is solved on its keys: the face restrictions are affine constraints
+    on its nondegenerate components, then staged corrections restore MC
+    exactly without moving the constrained part.  The degenerate
+    components are the pullbacks `TotContext.extend` writes.  A Cech
+    algebra has no nondegenerate tuple above its nerve dimension, so
+    there the system is empty: a cover without triple overlaps solves
+    nothing above level 1.
     """
     ctx = cc.tot_context()
     G = cc.descent_groupoid()
@@ -337,27 +365,34 @@ def glue_descent_datum(cc, datum, D):
         raise GluingFailed(0, "datum fails verification: "
                            + "; ".join(reasons))
     a, theta = datum.a, datum.theta
-    omegas = [ctx.embed_level(0, a),
-              solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(a), theta)]
+    omegas = [ctx.embed_level(0, a), ctx.project(
+        solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(a), theta))]
     for p in range(2, ctx.N + 1):
         omegas.append(_glue_level(ctx, omegas, p, D))
     x = el_sum(omegas)
-    # every level was solved for these conditions
+    # every level was solved for these conditions; both checks read
+    # the whole family, degenerate components included
     if not ctx.is_tot_element(x):
         raise SelfCheckFailed("assembled family is not compatible")
-    if not el_is_zero(mc_residual(ctx, x)):
+    if not el_is_zero(mc_residual(ctx, ctx.extend(x))):
         raise SelfCheckFailed("assembled family is not Maurer-Cartan")
     return x
 
 
 def _glue_level(ctx, omegas, p, D):
-    """Solve level p, then MC: the exchange rows of the faces [p-1] -> [p]
-    and the codegeneracies [p] -> [p-1] on the level-p keys
-    (`TotContext.gluing_system`, factored once), equal to minus the
+    """Solve level p, then MC: the exchange rows of the generators
+    between levels p-1 and p on the level-p keys (the faces
+    [p-1] -> [p] into nondegenerate components;
+    `TotContext.gluing_system`, factored once), equal to minus the
     compatibility defect of the level p-1 member (glued)."""
     keys, generators, index, factor = ctx.gluing_system(p, D)
     label = f"level {p}"
     try:
+        # the degenerate components of level p copy the level p-1
+        # member (`TotContext.extend`), polynomial degrees and all
+        if any(sum(mono[0]) + mono_form_degree(mono) > D
+               for _, _, mono in omegas[p - 1]):
+            raise ObstructionUnsolvable(0, label)
         rhs = [0] * len(factor.rows)
         parts = ctx.split(omegas[p - 1])
         for u, q in generators:
@@ -585,7 +620,7 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
             falsified += 1
             report["checks"].append({
                 "name": "tot gauge projection", "verdict": "falsified",
-                "gauge": _gauge_terms(cc, rho)})
+                "gauge": _gauge_terms(cc, ctx.extend(rho))})
     # verified needs every requested sample glued and witnessed, and at
     # least one sample: nothing glued supports nothing
     if falsified:
@@ -624,8 +659,9 @@ def _abelian_tot_dims(cc, D):
 
 
 def _gauge_terms(cc, rho):
-    """A Tot gauge as report data: one term per key (level p, basis
-    element of g^p, monomial on Delta^p), in key order."""
+    """A Tot gauge as report data, extended to every tuple
+    (`TotContext.extend`) by the caller: one term per key (level p,
+    basis element of g^p, monomial on Delta^p), in key order."""
     return [{"level": p,
              "basis": label_to_json(cc.level(p).space.label_of(gi)),
              "form": format_mono(mono), "coeff": scalar_to_str(c)}

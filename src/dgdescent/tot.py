@@ -5,7 +5,10 @@
   the pullback/pushforward exchange, truncated at polynomial degree D.
   Their ambient, TotContext, is the forms (x) algebra ambient
   mcgauge.FormLieContext over every level, whose keys carry their
-  level; it adds only the exchange conditions;
+  level; it adds only the exchange conditions.  On a Cech algebra the
+  keys are those of the nondegenerate (strictly increasing) tuples and
+  the conditions the faces between them; the degenerate components are
+  pullbacks of those, written by TotContext.extend;
 * groupoids: descent data (a, theta) with the cocycle condition.
 
 The truncation level N must dominate the level above which the
@@ -178,6 +181,16 @@ class CosimplicialDgLie:
                 f"{declared}: N^{vanish} != 0")
         return vanish
 
+    def degenerate_copies(self):
+        """None: Tot keys every component of every level.  A cosimplicial
+        algebra whose levels split into nondegenerate components and
+        copies of them (`cech.CechCosimplicial`) returns
+        {s: {i: j}}, where s: [q] -> [p] is a surjection and basis
+        element j of g^q is the copy of basis element i of g^p along s,
+        so that the j-component of a Tot element is the pullback along
+        s of its i-component."""
+        return None
+
     def nilpotent_levels(self):
         nils = []
         for g in self.levels:
@@ -263,7 +276,24 @@ def _by_level(x):
 
 
 class _LevelParts(dict):
-    """An element split by level, as `TotContext.split` returns it."""
+    """An element split by level, as `TotContext.split` returns it.
+    `whole` marks the whole family of an element (`TotContext.extend`),
+    whose defects are read at every target."""
+
+    whole = False
+
+
+def _cofaces(N):
+    """The cofaces [p-1] -> [p] into levels 1..N, as pairs (u, p)."""
+    return [(face_map(i, p), p) for p in range(1, N + 1)
+            for i in range(p + 1)]
+
+
+def _structure_maps(N):
+    """Every coface and codegeneracy [p+1] -> [p] of levels 0..N, as
+    pairs (u, q)."""
+    return _cofaces(N) + [(degeneracy_map(i, p), p) for p in range(N)
+                          for i in range(p + 1)]
 
 
 class TotContext(FormLieContext):
@@ -278,12 +308,40 @@ class TotContext(FormLieContext):
     level p, whose nilpotency class is that level's own.  Membership in
     the totalization is a linear condition handled by
     compatibility_defect / subspace bases, not by the ambient itself.
+
+    Which components carry keys.  When cc.degenerate_copies() is None
+    (a `cosimplicial_dg_lie` record, a constant algebra), every
+    component of every level does, and Tot is cut out by every coface
+    and codegeneracy.  A Cech algebra names its degenerate components,
+    those of the tuples with a repeated index: each is s*(x_{T'}) for a
+    strictly increasing T' and a surjection s, forced so by the
+    codegeneracy conditions (Eilenberg-Zilber).  Then only the
+    nondegenerate components carry keys, Tot is cut out by the cofaces
+    between them alone (the semicosimplicial Thom-Whitney totalization
+    of Fiorenza-Manetti-Martinengo), and `extend` writes the degenerate
+    components for the callers that need the whole family:
+    `is_tot_element` checks every coface and codegeneracy on it.  The
+    keys are a subset of the all-tuples ones, so both models share
+    indices, and d and bracket act componentwise: an element over the
+    keys stays one.  cells[p] is the set of basis indices of g^p that
+    carry keys (None when all do), and copies the algebra's
+    `degenerate_copies` ({} when all do).
     """
 
     def __init__(self, cc):
         self.cc = cc
         self.N = cc.N
         self.nils = dict(enumerate(cc.nilpotent_levels()))
+        copies = cc.degenerate_copies()
+        self.cells = None
+        if copies is not None:
+            copied = {}
+            for s, index in copies.items():
+                copied.setdefault(len(s) - 1, set()).update(index.values())
+            self.cells = {p: frozenset(range(g.total_dim()))
+                          - copied.get(p, set())
+                          for p, g in enumerate(cc.levels)}
+        self.copies = copies or {}
         self.forms = [FormLieContext(nil, p) for p, nil in self.nils.items()]
         self._gluing = {}
         self._bases = {}
@@ -294,6 +352,47 @@ class TotContext(FormLieContext):
         for key, v in x.items():
             parts.setdefault(key[0], {})[key] = v
         return parts
+
+    # -- keys and the whole family ----------------------------------------------
+
+    def carries(self, key):
+        """Whether a key of the all-tuples ambient is a key here."""
+        return self.cells is None or key[1] in self.cells[key[0]]
+
+    def keys_up_to(self, D, degree):
+        return [k for k in super().keys_up_to(D, degree) if self.carries(k)]
+
+    def project(self, x):
+        """The terms of x on the keys."""
+        return {k: v for k, v in x.items() if self.carries(k)}
+
+    def extend(self, x):
+        """The whole family of x, a family over the keys: x with every
+        degenerate component written in, x_j = s*(x_i) for each copy j
+        of i along s (`CosimplicialDgLie.degenerate_copies`).  It is an
+        element of the all-tuples totalization exactly when x is one of
+        this one; with every component keyed it is x itself."""
+        return {k: v for part in self._whole(self.split(x)).values()
+                for k, v in part.items()}
+
+    def _whole(self, parts):
+        """The whole family of a split element, split: each term's
+        monomial pulled back along s (`monomial_pullback`) onto each
+        copy of its basis element."""
+        whole = _LevelParts((p, dict(part)) for p, part in parts.items())
+        whole.whole = True
+        for s, index in self.copies.items():
+            p, q = s[-1], len(s) - 1
+            level = whole.setdefault(q, {})
+            for (_, gi, mono), c in parts.get(p, {}).items():
+                gj = index.get(gi)
+                if gj is not None:
+                    for m, v in monomial_pullback(s, p, mono):
+                        key = (q, gj, m)
+                        level[key] = level.get(key, 0) + c * v
+        for p, level in whole.items():
+            whole[p] = {k: lower(v) for k, v in level.items() if v}
+        return whole
 
     # -- level embeddings and projections ------------------------------------------
 
@@ -309,38 +408,50 @@ class TotContext(FormLieContext):
 
     def generators(self):
         """The monotone maps u: [p] -> [q] whose exchange conditions cut
-        out Tot, as pairs (u, q); p is len(u) - 1."""
-        gens = []
-        for p in range(1, self.N + 1):
-            for i in range(p + 1):
-                gens.append((face_map(i, p), p))      # [p-1] -> [p]
-        for p in range(self.N):
-            for i in range(p + 1):
-                gens.append((degeneracy_map(i, p), p))  # [p+1] -> [p]
-        return gens
+        out Tot on the keys, as pairs (u, q); p is len(u) - 1: every
+        coface and codegeneracy, or only the cofaces when only the
+        nondegenerate components carry keys."""
+        if self.cells is None:
+            return _structure_maps(self.N)
+        return _cofaces(self.N)
 
     def compatibility_defect(self, u, qtgt, x):
         """Omega(u)(level-q part) - g(u)(level-p part), a dict over
         (p, target Lie index, monomial on Delta^p) keys, for
-        u: [p] -> [q].  x is an element or its `split`, so a caller
-        that checks many generators on one element splits it once."""
+        u: [p] -> [q], at the targets that carry keys; on the whole
+        family (`extend`), at every target.  x is an element or its
+        `split`, so a caller that checks many generators on one element
+        splits it once."""
         psrc = len(u) - 1
         parts = x if type(x) is _LevelParts else self.split(x)
+        cells = None if parts.whole or self.cells is None \
+            else self.cells[qtgt]
+        if cells is not None and not cells:
+            return {}
         pulled = self.restrict(u, parts.get(qtgt, {}))
         pushed = self.push(lambda el: self.cc.structure_map_to(u, qtgt, el),
                            parts.get(psrc, {}))
-        return el_sub(pulled, pushed)
+        defect = el_sub(pulled, pushed)
+        if cells is None:
+            return defect
+        return {k: v for k, v in defect.items() if k[1] in cells}
 
     def is_tot_element(self, x):
-        parts = self.split(x)
-        return all(not self.compatibility_defect(u, q, parts)
-                   for (u, q) in self.generators())
+        """Whether x, a family over the keys, is in Tot: its whole family
+        (`extend`) meets the exchange condition of every coface and
+        codegeneracy of levels 0..N.  A term off the keys is refused."""
+        if not all(map(self.carries, x)):
+            return False
+        whole = self._whole(self.split(x))
+        return all(not self.compatibility_defect(u, q, whole)
+                   for (u, q) in _structure_maps(self.N))
 
     def exchange_rows(self, keys, generators):
         """The exchange conditions of the generators (pairs (u, q_tgt),
         as listed by `generators`) on the span of keys, as sparse rows
         {(u, defect key): {position in keys: coefficient}}, a defect key
-        (p_src, target Lie index, monomial on Delta^p_src).
+        (p_src, target Lie index, monomial on Delta^p_src) whose target
+        carries keys.
 
         A generator u: [p_src] -> [q_tgt] contributes the row block
         (Omega(u) (x) id) - (id (x) g(u)): the column of a level-q_tgt
@@ -350,8 +461,8 @@ class TotContext(FormLieContext):
         compatibility_defect of the key's unit vector, which stays the
         independent check (`is_tot_element`); rows appear in the order
         in which those defects would name them.  `tot_basis` takes every
-        generator, `cech._glue_level` the 2p+1 between levels p-1 and p
-        on the level-p keys.
+        generator, `cech._glue_level` those between levels p-1 and p on
+        the level-p keys.
         """
         by_level = {}
         for col, (p, gi, mono) in enumerate(keys):
@@ -360,6 +471,7 @@ class TotContext(FormLieContext):
         for u, qtgt in generators:
             psrc = len(u) - 1
             pushes = self.cc.generator_images(u, qtgt)
+            cells = None if self.cells is None else self.cells[qtgt]
             last = pulled = None
             # the keys of the two levels u connects, in column order
             for col, p, gi, mono in sorted(by_level.get(psrc, []) +
@@ -371,26 +483,29 @@ class TotContext(FormLieContext):
                         rows.setdefault((u, (psrc, gi, m)), {})[col] = c
                 else:
                     for gj, c in pushes[gi]:
-                        rows.setdefault((u, (psrc, gj, mono)), {})[col] = -c
+                        if cells is None or gj in cells:
+                            rows.setdefault((u, (psrc, gj, mono)),
+                                            {})[col] = -c
         return rows
 
     def gluing_system(self, p, D):
         """The system that glues level p onto level p - 1, as (keys,
         generators, row index, factor), built once per (p, D).
 
-        keys are the level-p keys of degree 1 up to D; generators the
-        2p+1 between levels p-1 and p (faces [p-1] -> [p],
-        codegeneracies [p] -> [p-1]); the rows are their
-        `exchange_rows` on those keys, the row index maps each
-        generator u to {defect key: position of the row (u, defect
-        key)}, and factor is the `linalg.sparse_factor` of the rows,
-        which every right-hand side (minus the defect of a glued level
-        p-1 member) replays.  Every caller gets the same objects, to
-        read and never to change.
+        keys are the level-p keys of degree 1 up to D; generators those
+        of `generators` between levels p-1 and p (the faces
+        [p-1] -> [p], and the codegeneracies [p] -> [p-1] when every
+        component carries keys); the rows are their `exchange_rows` on
+        those keys, the row index maps each generator u to {defect key:
+        position of the row (u, defect key)}, and factor is the
+        `linalg.sparse_factor` of the rows, which every right-hand side
+        (minus the defect of a glued level p-1 member) replays.  Every
+        caller gets the same objects, to read and never to change.
         """
         system = self._gluing.get((p, D))
         if system is None:
-            keys = self.forms[p].keys_up_to(D, 1)
+            keys = [k for k in self.forms[p].keys_up_to(D, 1)
+                    if self.carries(k)]
             generators = [(u, q) for u, q in self.generators()
                           if {len(u) - 1, q} == {p - 1, p}]
             rows = self.exchange_rows(keys, generators)
@@ -404,10 +519,10 @@ class TotContext(FormLieContext):
 
     def tot_basis(self, degree, D):
         """Basis of the degree-(D-truncated) totalization in one total
-        degree: the kernel of the exchange row blocks (`exchange_rows`)
-        on the keys of that degree.  Most of those rows have one or two
-        terms; `sparse_kernel` substitutes them away and eliminates only
-        the rest.
+        degree, over the keys: the kernel of the exchange row blocks
+        (`exchange_rows`) of `generators` on the keys of that degree.
+        Most of those rows have one or two terms; `sparse_kernel`
+        substitutes them away and eliminates only the rest.
 
         Basis vector i is 1 on its free key and 0 on the other vectors'
         free keys, so the basis is reduced.  It is built once per

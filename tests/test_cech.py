@@ -22,8 +22,9 @@ from dgdescent.instances import (abelian_line, circle_cover, complex_cover,
 from dgdescent.io import label_to_json, scalar_from_str
 from dgdescent.mcgauge import (FiniteLieContext, SelfCheckFailed, gauge_act,
                                gauge_equivalent, mc_residual)
-from dgdescent.tot import (DescentDatum, TotContext, TruncationError,
-                           tot_cochain, tot_groupoid, tot_lie)
+from dgdescent.tot import (CosimplicialDgLie, DescentDatum, TotContext,
+                           TruncationError, tot_cochain, tot_groupoid,
+                           tot_lie)
 
 F = Fraction
 
@@ -412,9 +413,11 @@ def test_a_negative_degree_bound_is_refused():
 
 def test_falsified_projection_reports_the_gauge_as_terms(monkeypatch):
     """A Tot gauge whose projection is not a descent morphism is
-    reported as data, one term per key, and the terms rebuild the gauge
-    exactly.  A projection that doubles the level-0 component breaks
-    the morphism condition of every gauge that moves the datum."""
+    reported as data, one term per key of its whole family (degenerate
+    tuples included, as over all tuples), and the terms rebuild that
+    family exactly.  A projection that doubles the level-0 component
+    breaks the morphism condition of every gauge that moves the
+    datum."""
     cc = cech_cosimplicial(segment_cover(heisenberg()))
     project = ComparisonFunctor.morphism_map
     gauges = []
@@ -430,10 +433,12 @@ def test_falsified_projection_reports_the_gauge_as_terms(monkeypatch):
     assert falsified and rep["falsified"] == len(falsified)
     assert rep["checks"][-1]["verdict"] == "falsified"
     assert json.loads(json.dumps(rep)) == rep
-    ctx = TotContext(cc)
+    ctx = cc.tot_context()
+    all_tuples = TotContext(CosimplicialDgLie(cc.levels, cc.cofaces,
+                                              cc.codegens))
     key_of = {json.dumps([p, label_to_json(cc.level(p).space.label_of(gi)),
                           format_mono(mono)]): (p, gi, mono)
-              for p, gi, mono in ctx.keys_up_to(2, 0)}
+              for p, gi, mono in all_tuples.keys_up_to(2, 0)}
     rebuilt = []
     for check in falsified:
         assert check["verdict"] == "falsified"
@@ -447,7 +452,7 @@ def test_falsified_projection_reports_the_gauge_as_terms(monkeypatch):
         rebuilt.append(rho)
     # the falsified gauges are drawn ones, in the order drawn
     it = iter(gauges)
-    assert all(any(rho == g for g in it) for rho in rebuilt)
+    assert all(any(rho == ctx.extend(g) for g in it) for rho in rebuilt)
 
 
 def test_unwitnessed_round_trip_is_undecided(monkeypatch):

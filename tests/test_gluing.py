@@ -3,6 +3,7 @@ the degree-0 gauge basis of the nonabelian descent check."""
 
 import ast
 import functools
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -13,16 +14,17 @@ from dgdescent import cech, linalg, mcgauge, tot
 from dgdescent.cech import (GluingFailed, _glue_level, _sample_descent_datum,
                             cech_cosimplicial, glue_descent_datum,
                             tensored_cover, verify_descent)
-from dgdescent.dgla import tensor_lie
+from dgdescent.dgla import el_scale, lower_central_series, tensor_lie
 from dgdescent.forms import face_map
-from dgdescent.instances import (circle_cover, dual_numbers, ef_algebra,
-                                 segment_cover, t_truncated, triple_cover)
+from dgdescent.instances import (circle_cover, complex_cover, dual_numbers,
+                                 ef_algebra, segment_cover, t_truncated,
+                                 triple_cover)
 from dgdescent.linalg import sparse_columns, sparse_factor
-from dgdescent.mcgauge import (FiniteLieContext, ObstructionUnsolvable,
-                               SelfCheckFailed, constrained_mc_solve,
-                               constraint_system, mc_residual,
-                               solve_1simplex)
-from dgdescent.tot import TotContext, tot_lie
+from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext,
+                               ObstructionUnsolvable, SelfCheckFailed, bch,
+                               constrained_mc_solve, constraint_system,
+                               gauge_act, mc_residual, solve_1simplex)
+from dgdescent.tot import DescentDatum, TotContext, tot_lie
 
 ONE = Fraction(1)
 COVERS = {"segment": segment_cover, "circle": circle_cover,
@@ -36,19 +38,71 @@ def nonabelian_cech(cover, base):
         tensored_cover(COVERS[cover](ef_algebra()), BASES[base]()), N=2)
 
 
+def coboundary_datum(cc, rng):
+    """A descent datum that glues by construction, on a cover whose
+    opens all carry one section algebra with identity restrictions
+    (`instances.complex_cover`): a random MC element a0 and random
+    gauges g_i give a_i = g_i . a0 and theta_ij = bch(g_j, -g_i), which
+    carries a_i to a_j and meets the cocycle condition on every triple
+    overlap.  The sampler draws its thetas freely, so on a cover with a
+    triple overlap it glues almost nothing."""
+    cover = cc.cover
+    opens = [i for (i,) in cc.tuples[0]]
+    nil = lower_central_series(cover.algebra({opens[0]}))
+    a0 = DeligneGroupoid(nil).random_mc_element(rng)
+    g = {i: DeligneGroupoid(nil).random_gauge(rng) for i in opens}
+    a = {(i,): gauge_act(FiniteLieContext(nil), g[i], a0) for i in opens}
+    theta = {}
+    for i, j in itertools.combinations(opens, 2):
+        J = {i, j}
+        overlap = FiniteLieContext(lower_central_series(cover.algebra(J)))
+        theta[(i, j)] = bch(overlap, cover.restrict({j}, J, g[j]),
+                            el_scale(-1, cover.restrict({i}, J, g[i])))
+    return DescentDatum(cc.from_components(0, a),
+                        cc.from_components(1, theta))
+
+
+def test_constructed_coboundary_data_glue_on_the_triple_cover():
+    """Five coboundary data on triple-ef/t^3 glue through the
+    nondegenerate level-2 tuple (0, 1, 2), and object_map returns each
+    datum itself."""
+    cc = nonabelian_cech("triple", "t3")
+    comparison = cech.ComparisonFunctor(cc)
+    rng = random.Random(1)
+    for _ in range(5):
+        datum = coboundary_datum(cc, rng)
+        x = glue_descent_datum(cc, datum, 2)
+        assert any(p == 2 for p, _, _ in x)
+        image = comparison.object_map(x)
+        assert image.a == datum.a and image.theta == datum.theta
+
+
+# the cones over the segment and circle nerves: an apex open that meets
+# every other fills each edge with a triangle; the cone over the segment
+# is the triple cover
+CONES = {"segment": [(0, 1, 2)], "circle": [(0, 1, 3), (0, 2, 3), (1, 2, 3)]}
+
+
+def cone_cech(cover):
+    return cech_cosimplicial(tensored_cover(
+        complex_cover(CONES[cover], ef_algebra(), name=f"cone({cover})"),
+        t_truncated(3)))
+
+
 @pytest.mark.parametrize("face", [0, 1, 2])
 @pytest.mark.parametrize("cover", ["segment", "circle"])
 def test_a_sign_flipped_face_block_never_glues(monkeypatch, cover, face):
     """Face `face`'s exchange rows negated inside _glue_level: the
     level-2 member then misses that face condition, so the system has
-    no solution or the assembled family fails its self-check.  The
-    algebra that glued once owns its factored system, so the patched
-    run glues on a fresh one of the same cover."""
-    cc = nonabelian_cech(cover, "t3")
-    rng = random.Random(808)
-    datum = None
-    while datum is None or not datum.theta:
-        datum = _sample_descent_datum(cc, rng)
+    no solution or the assembled family fails its self-check.  Level 2
+    has nondegenerate tuples only on a cover with triple overlaps, so
+    this runs on the cone over the segment or circle cover (ef/t^3),
+    with a coboundary datum.  The algebra that glued once owns its
+    factored system, so the patched run glues on a fresh one of the
+    same cover."""
+    cc = cone_cech(cover)
+    rng = random.Random(1)
+    datum = coboundary_datum(cc, rng)
     glue_descent_datum(cc, datum, 2)    # the system as built glues
     flipped_u = face_map(face, 2)
     exchange_rows = TotContext.exchange_rows
@@ -60,7 +114,7 @@ def test_a_sign_flipped_face_block_never_glues(monkeypatch, cover, face):
                                                   generators).items()}
 
     monkeypatch.setattr(TotContext, "exchange_rows", flipped)
-    fresh = nonabelian_cech.__wrapped__(cover, "t3")
+    fresh = cone_cech(cover)
     with pytest.raises((GluingFailed, SelfCheckFailed)):
         glue_descent_datum(fresh, datum, 2)
 
@@ -90,7 +144,10 @@ def test_verify_descent_draws_gauges_from_the_degree0_basis(monkeypatch):
 
 def test_each_gluing_system_is_built_once_per_algebra(monkeypatch):
     """Three samples glue on one TotContext and one DescentGroupoid of
-    the algebra, and its level-2 exchange rows are written once."""
+    the algebra, and its level-2 exchange rows are written once.
+    segment-ef/t^3 has no nondegenerate level-2 tuple, so the level-2
+    rows are counted on triple-ef/t^3, where three coboundary data
+    glue."""
     cc = nonabelian_cech.__wrapped__("segment", "t3")
     contexts, groupoids, level2_rows = [], [], []
     init, groupoid_init = TotContext.__init__, tot.DescentGroupoid.__init__
@@ -117,6 +174,13 @@ def test_each_gluing_system_is_built_once_per_algebra(monkeypatch):
     assert report["checks"][-1]["glued"] == 3
     assert len(contexts) == 1 and contexts[0] is cc.tot_context()
     assert len(groupoids) == 1 and groupoids[0] is cc.descent_groupoid()
+    assert level2_rows == []
+    triple = nonabelian_cech.__wrapped__("triple", "t3")
+    rng = random.Random(1)
+    for _ in range(3):
+        glue_descent_datum(triple, coboundary_datum(triple, rng), 2)
+    assert len(contexts) == 2 and contexts[1] is triple.tot_context()
+    assert len(groupoids) == 2 and groupoids[1] is triple.descent_groupoid()
     assert len(level2_rows) == 1
 
 
@@ -228,8 +292,8 @@ def test_a_rejected_draw_computes_no_certificate(monkeypatch):
 
 
 def test_unreachable_gluing_target_fails_at_stage_0():
-    # a level-1 member of degree 5 in t pushes face targets that no
-    # level-2 candidate of degree <= 2 reaches: empty rows, rhs != 0
+    # a level-1 member of degree 5 in t has level-2 copies (the
+    # degenerate components) that no level-2 key of degree <= 2 reaches
     cc = nonabelian_cech("segment", "t3")
     ctx = TotContext(cc)
     rng = random.Random(1)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from dgdescent.dgla import el_eq, el_is_zero, lower_central_series, tensor_lie
 from dgdescent.instances import (abelian_algebra, circle_cover, complex_cover,
                                  dual_numbers, ef_algebra, scaled_cover,
                                  segment_cover, t_truncated, triple_cover)
-from dgdescent.linalg import rref
+from dgdescent.linalg import echelon_basis, rref
 from dgdescent.mcgauge import FiniteLieContext, mc_residual
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, DescentGroupoid,
                            TotContext, constant_cosimplicial, tot_cochain,
@@ -196,6 +197,11 @@ def test_bad_cosimplicial_identities_rejected():
 
 @functools.lru_cache(maxsize=None)
 def _cech_context(name):
+    """The TotContext of a Cech algebra, or with " over all tuples"
+    appended, that of its levels wrapped in a plain CosimplicialDgLie."""
+    if name.endswith(" over all tuples"):
+        cc = _cech_context(name[:-len(" over all tuples")]).cc
+        return TotContext(_all_tuples(cc))
     cover, base = {"triple/eps": (triple_cover, dual_numbers),
                    "circle/t3": (circle_cover,
                                  lambda: t_truncated(3)),
@@ -208,7 +214,8 @@ def _cech_context(name):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["triple/eps", "circle/t3", "segment-ef/t3"]),
+@given(st.sampled_from(["triple/eps", "circle/t3", "segment-ef/t3",
+                        "triple/eps over all tuples"]),
        st.integers(1, 3), st.integers(0, 3), st.sampled_from([None, 1, 2]),
        st.data())
 def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
@@ -225,7 +232,11 @@ def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
         all_keys = [k for k in all_keys if k[0] == level]
         generators = [(u, q) for u, q in generators
                       if {len(u) - 1, q} == {level - 1, level}]
-        assert len(generators) == 2 * level + 1
+        # a Cech context keys the nondegenerate tuples only, and their
+        # Tot conditions are the cofaces [level - 1] -> [level]; over all
+        # tuples the codegeneracies [level] -> [level - 1] join them
+        assert len(generators) == (level + 1 if ctx.cells is not None
+                                   else 2 * level + 1)
     picks = data.draw(st.lists(st.integers(0, max(len(all_keys) - 1, 0)),
                                max_size=12, unique=True)) \
         if all_keys else []
@@ -513,3 +524,111 @@ def test_complex_cover_tot_is_the_cohomology_of_the_complex(name):
     assert [T.cohomology(n)[0] for n in range(dim + 3)] == expected
     C = tot_lie(cc, dim).cochain
     assert [C.cohomology(n)[0] for n in range(dim + 3)] == expected
+
+
+# ---------------------------------------------------------------------------
+# the nondegenerate model against the all-tuples one
+
+
+def _all_tuples(cc):
+    """The levels and structure maps of a Cech algebra as a plain
+    CosimplicialDgLie, whose TotContext keys every monotone tuple: the
+    oracle of the nondegenerate model."""
+    return CosimplicialDgLie(cc.levels, cc.cofaces, cc.codegens,
+                             name=cc.name)
+
+
+def _oracle_instances():
+    """The Betti-oracle complexes over eps and every bundled instance."""
+    from dgdescent.io import load_any
+    out = {name: (lambda facets=facets, name=name: cech_cosimplicial(
+        tensored_cover(complex_cover(facets, name=name), dual_numbers())))
+        for name, (facets, _) in COMPLEXES.items()}
+    for f in sorted(DATA.glob("instance_*.json")):
+        out[f.name] = lambda f=f: cech_cosimplicial(
+            tensored_cover(*load_any(str(f))[1][1:]))
+    return out
+
+
+ORACLE_INSTANCES = _oracle_instances()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_INSTANCES))
+def test_the_nondegenerate_basis_extends_to_the_all_tuples_basis(name):
+    """In degrees 0-2 at D = 1..3 the Tot basis over the nondegenerate
+    tuples has the dimension of the all-tuples one, each of its vectors
+    extends to an all-tuples Tot element, and the extended vectors span
+    the all-tuples basis."""
+    cc = ORACLE_INSTANCES[name]()
+    ctx, oracle = cc.tot_context(), TotContext(_all_tuples(cc))
+    assert ctx.cells is not None and oracle.cells is None
+    for D in (1, 2, 3):
+        for degree in (0, 1, 2):
+            basis = ctx.tot_basis(degree, D)
+            whole = oracle.tot_basis(degree, D)
+            assert len(basis) == len(whole), (D, degree)
+            extended = [ctx.extend(v) for v in basis]
+            assert all(oracle.is_tot_element(v) for v in extended)
+            assert echelon_basis(extended) == echelon_basis(whole)
+
+
+@pytest.mark.parametrize("cover", [segment_cover, circle_cover])
+def test_the_glued_family_extends_to_the_all_tuples_glued_family(cover):
+    """On segment- and circle-ef/t^3 the family glued over the
+    nondegenerate tuples extends, term for term, to the family glued
+    over every monotone tuple: level 1 the whole gauge path, level 2
+    solved on every level-2 key from the faces and codegeneracies into
+    and out of it."""
+    from dgdescent.cech import (_glue_level, _sample_descent_datum,
+                                glue_descent_datum)
+    from dgdescent.dgla import el_sum
+    from dgdescent.mcgauge import solve_1simplex
+    cc = cech_cosimplicial(tensored_cover(cover(ef_algebra()),
+                                          t_truncated(3)))
+    ctx, oracle = cc.tot_context(), TotContext(_all_tuples(cc))
+    rng = random.Random(808)
+    glued = draws = 0
+    while glued < 3 and draws < 40:
+        draws += 1
+        datum = _sample_descent_datum(cc, rng)
+        if datum is None:
+            continue
+        x = glue_descent_datum(cc, datum, 2)
+        omegas = [oracle.embed_level(0, datum.a),
+                  solve_1simplex(oracle.forms[1],
+                                 cc.coface(0, 1).apply(datum.a),
+                                 datum.theta)]
+        omegas.append(_glue_level(oracle, omegas, 2, 2))
+        assert ctx.extend(x) == el_sum(omegas)
+        assert not any(p == 2 for p, _, _ in x) and omegas[2]
+        glued += 1
+    assert glued == 3
+
+
+# the counts and system shapes at D = 2 that a slide back to all tuples
+# would change: (degree-0 keys, degree-1 keys, degree-1 keys over all
+# tuples, {p: rows x columns of gluing_system(p, 2)})
+SHAPES = {
+    "segment": (10, 14, 130, {1: (4, 10), 2: (0, 0)}),
+    "circle": (24, 36, 282, {1: (12, 30), 2: (0, 0)}),
+    "triple": (36, 60, 306, {1: (12, 30), 2: (30, 24)}),
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_key_counts_and_gluing_shapes_are_those_of_the_nondegenerate_tuples(
+        name):
+    cover = {"segment": segment_cover, "circle": circle_cover,
+             "triple": triple_cover}[name]
+    cc = cech_cosimplicial(tensored_cover(cover(ef_algebra()),
+                                          t_truncated(3)))
+    ctx = cc.tot_context()
+    keys0, keys1, all_keys1, shapes = SHAPES[name]
+    assert len(ctx.keys_up_to(2, 0)) == keys0
+    assert len(ctx.keys_up_to(2, 1)) == keys1
+    assert len(TotContext(_all_tuples(cc)).keys_up_to(2, 1)) == all_keys1
+    got = {}
+    for p in range(1, cc.N + 1):
+        keys, _, _, factor = ctx.gluing_system(p, 2)
+        got[p] = (len(factor.rows), len(keys))
+    assert got == shapes

@@ -33,8 +33,9 @@ from .tot import CosimplicialDgLie, DescentDatum, tot_lie
 class GluingFailed(Exception):
     """A datum that fails verification (level 0, stage None), or a level
     out of reach within the degree bound: stage 0 when its face and
-    degeneracy constraints have no solution, k when the MC correction
-    is obstructed at filtration stage k."""
+    degeneracy constraints have no solution (at level 1, when the gauge
+    path of theta is of higher polynomial degree), k when the MC
+    correction is obstructed at filtration stage k."""
 
     def __init__(self, level, reason, stage=None):
         self.level = level
@@ -349,8 +350,9 @@ def glue_descent_datum(cc, datum, D):
     """An MC family over the keys of cc.tot_context() whose comparison
     image is the given datum.
 
-    Level 0 is a itself; level 1 the gauge path of theta; level p >= 2
-    is solved on its keys: the face restrictions are affine constraints
+    Level 0 is a itself; level 1 the gauge path of theta, out of reach
+    (`GluingFailed` at level 1) when its polynomial degree exceeds D;
+    level p >= 2 is solved on its keys: the face restrictions are affine constraints
     on its nondegenerate components, then staged corrections restore MC
     exactly without moving the constrained part.  The degenerate
     components are the pullbacks `TotContext.extend` writes.  A Cech
@@ -367,6 +369,13 @@ def glue_descent_datum(cc, datum, D):
     a, theta = datum.a, datum.theta
     omegas = [ctx.embed_level(0, a), ctx.project(
         solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(a), theta))]
+    # the gauge path is the flow of theta, not cut at the bound: a path
+    # above it is out of reach at level 1, whatever the levels above hold
+    degree = max((_poly_degree(mono) for _, _, mono in omegas[1]), default=0)
+    if degree > D:
+        raise GluingFailed(1, f"the gauge path of theta has polynomial "
+                              f"degree {degree}, above the degree bound "
+                              f"{D}", 0)
     for p in range(2, ctx.N + 1):
         omegas.append(_glue_level(ctx, omegas, p, D))
     x = el_sum(omegas)
@@ -377,6 +386,11 @@ def glue_descent_datum(cc, datum, D):
     if not el_is_zero(mc_residual(ctx, ctx.extend(x))):
         raise SelfCheckFailed("assembled family is not Maurer-Cartan")
     return x
+
+
+def _poly_degree(mono):
+    """The polynomial degree of a monomial: every t and every dt once."""
+    return sum(mono[0]) + mono_form_degree(mono)
 
 
 def _glue_level(ctx, omegas, p, D):
@@ -390,8 +404,7 @@ def _glue_level(ctx, omegas, p, D):
     try:
         # the degenerate components of level p copy the level p-1
         # member (`TotContext.extend`), polynomial degrees and all
-        if any(sum(mono[0]) + mono_form_degree(mono) > D
-               for _, _, mono in omegas[p - 1]):
+        if any(_poly_degree(mono) > D for _, _, mono in omegas[p - 1]):
             raise ObstructionUnsolvable(0, label)
         rhs = [0] * len(factor.rows)
         parts = ctx.split(omegas[p - 1])

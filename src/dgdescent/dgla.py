@@ -593,6 +593,10 @@ def lower_central_series(g):
     an algebra is not changed after its construction, and no caller
     changes the stored series.  Each stage either lowers the dimension
     or stops the series, so it ends within total_dim() + 1 stages.
+
+    The series of a `direct_product` is the product of its factors'
+    series (`_product_series`) when every factor is nilpotent; otherwise
+    the stages are bracketed out here.
     """
     if g._lcs is not None:
         return g._lcs
@@ -600,6 +604,11 @@ def lower_central_series(g):
     if g.total_dim() == 0:
         g._lcs = NilpotentDgLie(g, lcs, 0)
         return g._lcs
+    if getattr(g, "components", None):
+        nil = _product_series(g)
+        if nil is not None:
+            g._lcs = nil
+            return nil
     i = 1
     while True:
         current = lcs[i]
@@ -622,6 +631,36 @@ def lower_central_series(g):
             return g._lcs
         lcs[i + 1] = nxt
         i += 1
+
+
+def _product_series(g):
+    """The lower central series of a direct product, put together from
+    the factors' stored series, or None when a factor is not nilpotent.
+
+    [g, F^i] is computed componentwise, so stage i of the product is the
+    sum of the factors' stages i, each carried through its embedding.
+    The embeddings keep the order of the indices, so the factors'
+    reduced echelon bases stay reduced and keep their keys in
+    increasing order; merged by pivot they are the product's
+    `echelon_basis`, the same lists the bracket loop would give."""
+    nils = []
+    for _, factor, emb in g.components:
+        nil = lower_central_series(factor)
+        if isinstance(nil, NotNilpotent):
+            return None
+        nils.append((nil, emb))
+    nclass = max(nil.nilpotency_class for nil, _ in nils)
+    lcs = {1: g.space.unit_bases()}
+    for i in range(2, nclass + 1):
+        stage = {}
+        for nil, emb in nils:
+            if i <= nil.nilpotency_class:
+                for n, els in nil.lcs[i].items():
+                    stage.setdefault(n, []).extend(
+                        {emb[k]: c for k, c in el.items()} for el in els)
+        lcs[i] = {n: sorted(els, key=lambda el: next(iter(el)))
+                  for n, els in sorted(stage.items()) if els}
+    return NilpotentDgLie(g, lcs, nclass)
 
 
 def _sub_cochain(nil, stage):

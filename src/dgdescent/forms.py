@@ -215,8 +215,12 @@ def monotone_maps(p, q):
     return out
 
 
-def is_monotone(u):
-    return all(u[i] <= u[i + 1] for i in range(len(u) - 1))
+@functools.lru_cache(maxsize=None)
+def _monotone_into(u, q):
+    """Whether the tuple u is a monotone map [len(u) - 1] -> [q].
+    Memoized, so a map that many pullbacks share is checked once."""
+    return all(0 <= x <= q for x in u) and \
+        all(a <= b for a, b in zip(u, u[1:]))
 
 
 def compose_maps(u, v):
@@ -264,13 +268,15 @@ def omega_apply(u, omega):
     coordinates t_0, dt_0 written out through the simplex relations.
     Commutes with d and with products.  It is linear, so it is computed
     per monomial from a memo: the pullback of each monomial along u is
-    multiplied out once and then only scaled and summed.
+    multiplied out once and then only scaled and summed.  The map is
+    checked on every call, even on the zero form, through the memoized
+    `_monotone_into`.
     """
     p = len(u) - 1
     q = omega.n
-    if any(x > q for x in u) or not is_monotone(u):
-        raise ValueError(f"{u} is not a monotone map into [{q}]")
     u = tuple(u)
+    if not _monotone_into(u, q):
+        raise ValueError(f"{u} is not a monotone map into [{q}]")
     out = {}
     for mono, c in omega.terms.items():
         for m, v in monomial_pullback(u, q, mono):

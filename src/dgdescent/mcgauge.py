@@ -196,6 +196,22 @@ class FiniteLieContext:
         return out
 
 
+class MonomialGroups(dict):
+    """{(p, monomial on Delta^p): level-p algebra element}, an element of
+    Omega (x) g grouped by the level and monomial of its keys, as
+    `by_monomial` writes it and `FormLieContext.restrict` and `push`
+    read it."""
+
+
+def by_monomial(x):
+    """The `MonomialGroups` of an element over (p, basis index,
+    monomial) keys."""
+    groups = MonomialGroups()
+    for (p, gi, mono), v in x.items():
+        groups.setdefault((p, mono), {})[gi] = v
+    return groups
+
+
 class FormLieContext:
     """Omega (x) g as an ambient, over the levels p of {p: g^p}: the sum
     of the Omega_p (x) g^p, forms on the p-simplex tensored with the
@@ -241,25 +257,26 @@ class FormLieContext:
         """Pullback along a monotone map u: [p] -> [q] on the form side
         of an element x of level q; the result lives on the p-simplex,
         p = len(u) - 1, so its keys are (p, basis index of g^q,
-        monomial on Delta^p)."""
+        monomial on Delta^p).  x is an element or its `by_monomial`
+        grouping: each monomial is pulled back once (`omega_apply` of
+        the unit form) and tensored with its coefficient vector."""
         p = len(u) - 1
-        by_g = {}
-        for (q, gi, mono), v in x.items():
-            by_g.setdefault((q, gi), {})[mono] = v
+        groups = x if type(x) is MonomialGroups else by_monomial(x)
         out = {}
-        for (q, gi), terms in by_g.items():
-            for m, c in omega_apply(u, PolyForm(q, terms)).terms.items():
-                out[(p, gi, m)] = c
-        return out
+        for (q, mono), el in groups.items():
+            for m, c in omega_apply(u, PolyForm(q, {mono: 1})).terms.items():
+                for gi, v in el.items():
+                    key = (p, gi, m)
+                    out[key] = out.get(key, 0) + c * v
+        return {k: v for k, v in out.items() if v}
 
     def push(self, f, x):
         """Apply f, a linear map of plain algebra elements, monomial by
         monomial; f may land in another algebra, and the keys keep
-        their level p, the simplex of their monomial."""
-        parts = {}
-        for (p, gi, mono), v in x.items():
-            parts.setdefault((p, mono), {})[gi] = v
-        return {(p, gj, mono): c for (p, mono), el in parts.items()
+        their level p, the simplex of their monomial.  x is an element
+        or its `by_monomial` grouping."""
+        groups = x if type(x) is MonomialGroups else by_monomial(x)
+        return {(p, gj, mono): c for (p, mono), el in groups.items()
                 for gj, c in f(el).items()}
 
     def vertex(self, i, x):
@@ -399,19 +416,29 @@ def _log_expexp_words(depth):
     return out
 
 
-def _dynkin_eval(ctx, words, letters):
-    """Evaluate a Lie series given by words via the Dynkin projection:
-    a word w contributes coeff/len(w) times the right-nested bracket."""
-    out = {}
-    for w, coeff in words.items():
-        cur = letters[w[-1]]
-        for letter in reversed(w[:-1]):
-            cur = ctx.bracket_el(letters[letter], cur)
-            if not cur:
-                break
-        if cur:
-            out = el_add(out, el_scale(coeff * Fraction(1, len(w)), cur))
-    return out
+@lru_cache(maxsize=None)
+def _bch_table(depth):
+    """The Dynkin bracketing of log(exp X0 exp X1) up to word length
+    `depth`, folded for even letters: ((word, coefficient), ...), a word
+    w standing for the right-nested bracket [w0, [w1, ... [w_{n-2},
+    w_{n-1}]]] and its coefficient already divided by len(w).
+
+    The letters of a gauge are even, so [y, y] = 0 and [b, a] = -[a, b]:
+    a word that ends in two equal letters is dropped, and one that ends
+    in (1, 0) is read as the word ending in (0, 1) with the sign
+    flipped.  Words are listed by length, then lexicographically."""
+    table = {}
+    for w, c in _log_expexp_words(depth).items():
+        c = Fraction(c, len(w))
+        if len(w) > 1:
+            if w[-1] == w[-2]:
+                continue
+            if w[-2:] == (1, 0):
+                w, c = w[:-2] + (0, 1), -c
+        table[w] = table.get(w, 0) + c
+    return tuple((w, lower(c)) for w, c in
+                 sorted(table.items(), key=lambda wc: (len(wc[0]), wc[0]))
+                 if c)
 
 
 def bch(ctx, y1, y2):
@@ -419,10 +446,29 @@ def bch(ctx, y1, y2):
 
     Computed as log(exp Y2 exp Y1) in the free associative algebra
     truncated beyond the nilpotency class, pushed into the algebra by
-    the Dynkin bracketing.
+    the Dynkin bracketing.  y1 and y2 are gauges, of degree 0, so the
+    bracketing is read off the folded table `_bch_table`: every
+    right-nested bracket is computed once, from the one of its tail,
+    and the terms are summed in one pass and lowered once at the end.
     """
-    words = _log_expexp_words(ctx.nclass())
-    return _dynkin_eval(ctx, words, (y2, y1))
+    letters = (y2, y1)
+    nested = {}
+
+    def bracketed(w):
+        if len(w) == 1:
+            return letters[w[0]]
+        b = nested.get(w)
+        if b is None:
+            tail = bracketed(w[1:])
+            b = nested[w] = ctx.bracket_el(letters[w[0]], tail) \
+                if tail else {}
+        return b
+
+    out = {}
+    for w, c in _bch_table(ctx.nclass()):
+        for k, v in bracketed(w).items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: lower(v) for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .forms import (compose_maps, degeneracy_map, face_map,
                     monomial_pullback, monotone_factorize)
 from .io import TruncationError
 from .linalg import echelon_basis, lower, sparse_factor, sparse_kernel
-from .mcgauge import (FiniteLieContext, FormLieContext, bch, gauge_act,
-                      mc_residual)
+from .mcgauge import (FiniteLieContext, FormLieContext, bch, by_monomial,
+                      gauge_act, mc_residual)
 
 
 class CosimplicialDgLie:
@@ -55,6 +55,8 @@ class CosimplicialDgLie:
         for q, maps in enumerate(self.codegens):
             if len(maps) != q + 1:
                 raise ValueError(f"level {q} needs {q + 1} codegeneracies")
+        # before _validate_identities, which walks the normal paths
+        self._paths = {}
         self._validate_identities()
         # before _check_vanishing: normalization_basis reads these tables
         self._images = {}
@@ -122,16 +124,23 @@ class CosimplicialDgLie:
         return maps
 
     def _normal_path(self, u, q):
-        """The maps that g(u), u: [p] -> [q], applies, in order."""
-        p = len(u) - 1
-        if list(u) != sorted(u) or not 0 <= u[0] <= u[-1] <= q:
-            raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
-        faces, degens = monotone_factorize(u, q)
-        low = p - len(degens)
-        return ([self.codegens[p - 1 - k][j]
+        """The maps that g(u), u: [p] -> [q], applies, in order, as a
+        tuple.  Memoized per (u, q); a map that is not monotone into [q]
+        is never stored, so it is refused on every call."""
+        key = (tuple(u), q)
+        path = self._paths.get(key)
+        if path is None:
+            p = len(u) - 1
+            if list(u) != sorted(u) or not 0 <= u[0] <= u[-1] <= q:
+                raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
+            faces, degens = monotone_factorize(u, q)
+            low = p - len(degens)
+            path = self._paths[key] = tuple(
+                [self.codegens[p - 1 - k][j]
                  for k, j in enumerate(reversed(degens))] +
                 [self.cofaces[low + k][i]
                  for k, i in enumerate(reversed(faces))])
+        return path
 
     def _validate_identities(self):
         # functoriality over composable elementary pairs covers all the
@@ -278,9 +287,22 @@ def _by_level(x):
 class _LevelParts(dict):
     """An element split by level, as `TotContext.split` returns it.
     `whole` marks the whole family of an element (`TotContext.extend`),
-    whose defects are read at every target."""
+    whose defects are read at every target.  `groups(p)` is the level-p
+    part grouped by monomial, built once for every structure map that
+    pulls it back or pushes it forward."""
 
     whole = False
+    _groups = None
+
+    def groups(self, p):
+        """`mcgauge.by_monomial` of the level-p part, built on first use;
+        the parts are not changed after that."""
+        if self._groups is None:
+            self._groups = {}
+        groups = self._groups.get(p)
+        if groups is None:
+            groups = self._groups[p] = by_monomial(self.get(p, {}))
+        return groups
 
 
 def _cofaces(N):
@@ -428,9 +450,9 @@ class TotContext(FormLieContext):
             else self.cells[qtgt]
         if cells is not None and not cells:
             return {}
-        pulled = self.restrict(u, parts.get(qtgt, {}))
+        pulled = self.restrict(u, parts.groups(qtgt))
         pushed = self.push(lambda el: self.cc.structure_map_to(u, qtgt, el),
-                           parts.get(psrc, {}))
+                           parts.groups(psrc))
         defect = el_sub(pulled, pushed)
         if cells is None:
             return defect

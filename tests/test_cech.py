@@ -496,16 +496,17 @@ def test_samples_never_glued_count_as_undecided(monkeypatch):
 
 
 def test_gluing_out_of_reach_of_the_degree_bound_is_undecided():
-    # at degree bound 1 the level-2 constraints of some segment-probe2
-    # data have no solution; that refutes nothing, and bound 2 glues them
+    # at degree bound 1 the gauge path of some segment-probe2 data is
+    # of degree 2, out of reach at level 1; that refutes nothing, and
+    # bound 2 glues them
     cc = cech_cosimplicial(
         tensored_cover(segment_cover(probe_class2()), t_truncated(3)), N=2)
     rep = verify_descent(cc, samples=3, seed=11, D=1)
     *gluing, summary = rep["checks"]
     assert gluing and all(c == {
-        "name": "gluing", "verdict": "undecided", "level": 2, "stage": 0,
-        "reason": "boundary/degeneracy constraints unsolvable within "
-                  "degree bound 1"} for c in gluing)
+        "name": "gluing", "verdict": "undecided", "level": 1, "stage": 0,
+        "reason": "the gauge path of theta has polynomial degree 2, above "
+                  "the degree bound 1"} for c in gluing)
     # each is one of the three samples, and undecided
     assert summary["glued"] + len(gluing) == 3
     assert summary["undecided"] == len(gluing)

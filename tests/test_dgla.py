@@ -142,6 +142,40 @@ def test_lcs_memo_matches_a_freshly_built_algebra():
     assert lower_central_series(a) is stored
 
 
+def _bracketed_series(g):
+    """The lower central series of g by the bracket loop: g's tables in
+    a plain algebra, which has no factors to put it together from."""
+    return lower_central_series(DgLieAlgebra(g.cochain, g.table,
+                                             validate=False))
+
+
+def test_lcs_of_a_product_is_put_together_from_the_factors():
+    nils = [tensor_lie(t_cubed(), ef_algebra()),
+            lower_central_series(abelian({0: 1, 1: 2})),
+            tensor_lie(dual_numbers(), ef_algebra())]
+    g = direct_product([nil.algebra for nil in nils], tags="abc")
+    nil = lower_central_series(g)
+    ref = _bracketed_series(g)
+    assert nil.nilpotency_class == ref.nilpotency_class == 2
+    # stage by stage, degree by degree, in the same order
+    assert [(i, n, [list(el.items()) for el in els])
+            for i, stage in sorted(nil.lcs.items())
+            for n, els in sorted(stage.items())] == \
+        [(i, n, [list(el.items()) for el in els])
+         for i, stage in sorted(ref.lcs.items())
+         for n, els in sorted(stage.items())]
+    assert lower_central_series(g) is nil
+
+
+def test_lcs_of_a_product_with_a_non_nilpotent_factor_brackets_it_out():
+    g = direct_product([tensor_lie(t_cubed(), ef_algebra()).algebra,
+                        ef_algebra()])
+    res = lower_central_series(g)
+    ref = _bracketed_series(g)
+    assert isinstance(res, NotNilpotent) and isinstance(ref, NotNilpotent)
+    assert res.stage == ref.stage and res.subspace == ref.subspace
+
+
 def test_lcs_not_nilpotent_is_stored_too():
     g = ef_algebra()
     first = lower_central_series(g)

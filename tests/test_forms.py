@@ -136,9 +136,14 @@ def test_invalid_maps_still_rejected_after_the_memo_is_warm():
     omega = PolyForm.t(2, 1) * PolyForm.dt(2, 2) + PolyForm.t(2, 2)
     for u in monotone_maps(1, 2):
         omega_apply(u, omega)
-    for bad in [(2, 0), (1, 0), (0, 3), (3,)]:
-        with pytest.raises(ValueError, match="not a monotone map"):
-            omega_apply(bad, omega)
+    # the map check is memoized too: a refused map is refused on every
+    # call, on the zero form as well, and a valid one still passes
+    for _ in range(2):
+        for bad in [(2, 0), (1, 0), (0, 3), (3,), (-1, 0), [1, 0]]:
+            for form in (omega, PolyForm.zero(2)):
+                with pytest.raises(ValueError, match="not a monotone map"):
+                    omega_apply(bad, form)
+        assert omega_apply((0, 2), PolyForm.zero(2)) == PolyForm.zero(1)
 
 
 def test_mutating_a_pullback_does_not_change_later_ones():

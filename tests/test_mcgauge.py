@@ -14,7 +14,7 @@ from dgdescent.instances import (abelian_algebra, dual_numbers, ef_algebra,
                                  spec_lifting_fibration, t_truncated,
                                  tampered_fibration, wz_algebra)
 from dgdescent.mcgauge import (FiniteLieContext, FormLieContext,
-                               ObstructionUnsolvable, bch,
+                               ObstructionUnsolvable, _log_expexp_words, bch,
                                constrained_mc_solve, constraint_system,
                                flow_path, gauge_act, gauge_equivalent,
                                holonomy, mc_element, mc_residual, mc_lift,
@@ -162,6 +162,91 @@ def test_bch_inverse_and_many():
           {g.space.index(0, "c"): F(1)}]
     folded = bch(ctx, bch(ctx, ys[0], ys[1]), ys[2])
     assert el_eq(folded, bch(ctx, ys[0], bch(ctx, ys[1], ys[2])))
+
+
+def _dynkin_eval(ctx, words, letters):
+    """The word-by-word Dynkin bracketing, the test reference for bch:
+    each word w of a Lie series contributes coeff/len(w) times its
+    right-nested bracket, computed afresh for every word."""
+    out = {}
+    for w, coeff in words.items():
+        cur = letters[w[-1]]
+        for letter in reversed(w[:-1]):
+            cur = ctx.bracket_el(letters[letter], cur)
+            if not cur:
+                break
+        if cur:
+            out = el_add(out, el_scale(coeff * F(1, len(w)), cur))
+    return out
+
+
+def _reference_bch(ctx, y1, y2):
+    return _dynkin_eval(ctx, _log_expexp_words(ctx.nclass()), (y2, y1))
+
+
+class _AtClass:
+    """An ambient read at nilpotency class c: bch truncates at c, and
+    both sides of a comparison read the same words up to length c."""
+
+    def __init__(self, ctx, c):
+        self.ctx, self.c = ctx, c
+
+    def nclass(self):
+        return self.c
+
+    def bracket_el(self, x, y):
+        return self.ctx.bracket_el(x, y)
+
+
+def test_bch_matches_the_word_by_word_dynkin_reference():
+    rng = random.Random(23)
+    for _ in range(12):
+        nil = random_nilpotent(rng)
+        ctx = FiniteLieContext(nil)
+        y1, y2 = random_gauge(rng, nil), random_gauge(rng, nil)
+        for c in range(1, 6):
+            at = _AtClass(ctx, c)
+            assert bch(at, y1, y2) == _reference_bch(at, y1, y2), c
+    # a genuine class-5 algebra: (t)/t^6 (x) ef
+    nil = tensor_lie(t_truncated(6), ef_algebra())
+    assert nil.nilpotency_class == 5
+    ctx = FiniteLieContext(nil)
+    for _ in range(5):
+        y1, y2 = random_gauge(rng, nil), random_gauge(rng, nil)
+        assert bch(ctx, y1, y2) == _reference_bch(ctx, y1, y2)
+
+
+def test_bch_of_form_valued_gauges_matches_the_reference():
+    rng = random.Random(29)
+    nil, *_ = tf_instance()
+    for n in (1, 2):
+        ctx = FormLieContext(nil, n)
+        for _ in range(6):
+            y1 = _gauge_family(n, [random_gauge(rng, nil)
+                                   for _ in range(n)])
+            y2 = el_add(_gauge_family(n, [random_gauge(rng, nil)
+                                          for _ in range(n)]),
+                        ctx.embed(random_gauge(rng, nil)))
+            assert bch(ctx, y1, y2) == _reference_bch(ctx, y1, y2)
+
+
+def test_a_class_two_bch_makes_one_bracket():
+    nil = lower_central_series(probe_class2())
+    g = nil.algebra
+    calls = []
+
+    class Counting(FiniteLieContext):
+        def bracket_el(self, x, y):
+            calls.append((x, y))
+            return super().bracket_el(x, y)
+
+    ctx = Counting(nil)
+    a = {g.space.index(0, "a"): F(1)}
+    b = {g.space.index(0, "b"): F(1)}
+    assert nil.nilpotency_class == 2 and ctx.bracket_el(a, b)
+    calls.clear()
+    assert bch(ctx, a, b) == _reference_bch(FiniteLieContext(nil), a, b)
+    assert len(calls) == 1
 
 
 # -- 1-simplices and holonomy --------------------------------------------------

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdescent.cech import cech_cosimplicial, tensored_cover
-from dgdescent.dgla import el_eq, el_is_zero, lower_central_series, tensor_lie
+from dgdescent.dgla import (DgLieAlgebra, el_eq, el_is_zero, el_sub,
+                            lower_central_series, tensor_lie)
+from dgdescent.forms import PolyForm, monotone_maps, omega_apply
 from dgdescent.instances import (abelian_algebra, circle_cover, complex_cover,
-                                 dual_numbers, ef_algebra, scaled_cover,
-                                 segment_cover, t_truncated, triple_cover)
+                                 dual_numbers, ef_algebra, heisenberg,
+                                 probe_class2, scaled_cover, segment_cover,
+                                 t_truncated, triple_cover)
 from dgdescent.linalg import echelon_basis, rref
-from dgdescent.mcgauge import FiniteLieContext, mc_residual
+from dgdescent.mcgauge import (FiniteLieContext, FormLieContext, by_monomial,
+                               mc_residual)
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, DescentGroupoid,
                            TotContext, constant_cosimplicial, tot_cochain,
                            tot_groupoid, tot_lie)
@@ -288,6 +292,18 @@ def test_a_map_that_is_not_monotone_into_the_codomain_is_refused():
             cc.structure_map_to(u, q, {0: F(1)})
         with pytest.raises(ValueError, match="not a monotone map"):
             cc.generator_images(u, q)
+
+
+def test_a_structure_map_path_is_walked_once_and_a_bad_map_every_time():
+    cc = constant_cosimplicial(abelian_algebra({0: 1}), 2)
+    path = cc._normal_path((0, 2), 2)
+    assert cc._normal_path((0, 2), 2) is path
+    assert cc._normal_path([0, 2], 2) is path
+    assert cc.structure_map_to((0, 2), 2, {0: 1}) == {0: 1}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a monotone map"):
+            cc.structure_map_to((1, 0), 1, {0: 1})
+    assert ((1, 0), 1) not in cc._paths
 
 
 def test_tot_basis_vectors_are_tot_elements():
@@ -632,3 +648,182 @@ def test_key_counts_and_gluing_shapes_are_those_of_the_nondegenerate_tuples(
         keys, _, _, factor = ctx.gluing_system(p, 2)
         got[p] = (len(factor.rows), len(keys))
     assert got == shapes
+
+
+# ---------------------------------------------------------------------------
+# lower central series of the Cech product levels
+
+
+def _bracketed_series(g):
+    """The lower central series of g by the bracket loop: g's tables in
+    a plain algebra, which has no factors to put it together from."""
+    return lower_central_series(DgLieAlgebra(g.cochain, g.table,
+                                             validate=False))
+
+
+def _series_lists(nil):
+    return [(i, n, [list(el.items()) for el in els])
+            for i, stage in sorted(nil.lcs.items())
+            for n, els in sorted(stage.items())]
+
+
+def _t3_instance(cover, algebra):
+    return lambda: cech_cosimplicial(tensored_cover(cover(algebra()),
+                                                    t_truncated(3)))
+
+
+SERIES_INSTANCES = dict(
+    ORACLE_INSTANCES,
+    **{"segment-ef/t3": _t3_instance(segment_cover, ef_algebra),
+       "circle-ef/t3": _t3_instance(circle_cover, ef_algebra),
+       "triple-ef/t3": _t3_instance(triple_cover, ef_algebra),
+       "segment-probe2/t3": _t3_instance(segment_cover, probe_class2),
+       "segment-heisenberg/t3": _t3_instance(segment_cover, heisenberg)})
+
+
+@pytest.mark.parametrize("name", list(SERIES_INSTANCES))
+def test_the_series_of_a_cech_level_is_the_bracketed_series(name):
+    """Every Cech level is a product of section algebras, and its
+    series, put together from theirs, is the one the bracket loop
+    computes: stage by stage, degree by degree, in the same order."""
+    cc = SERIES_INSTANCES[name]()
+    for g in cc.levels:
+        assert g.components
+        nil, ref = lower_central_series(g), _bracketed_series(g)
+        assert nil.nilpotency_class == ref.nilpotency_class
+        assert _series_lists(nil) == _series_lists(ref)
+
+
+# ---------------------------------------------------------------------------
+# pullbacks by monomial against pullbacks by basis index
+
+
+def _restrict_by_basis_index(u, x):
+    """The pullback along u of an element of level q, one `omega_apply`
+    per (level, basis index) of all the monomials of that index: the
+    test reference for `FormLieContext.restrict`, which pulls each
+    (level, monomial) back once."""
+    p = len(u) - 1
+    by_g = {}
+    for (q, gi, mono), v in x.items():
+        by_g.setdefault((q, gi), {})[mono] = v
+    out = {}
+    for (q, gi), terms in by_g.items():
+        for m, c in omega_apply(u, PolyForm(q, terms)).terms.items():
+            out[(p, gi, m)] = c
+    return out
+
+
+def _defect_by_basis_index(ctx, u, q, x, whole=False):
+    """compatibility_defect from `_restrict_by_basis_index` and the
+    image of every key's basis element on its own."""
+    p = len(u) - 1
+    pulled = _restrict_by_basis_index(
+        u, {k: v for k, v in x.items() if k[0] == q})
+    pushed = {}
+    for (level, gi, mono), v in x.items():
+        if level == p:
+            for gj, c in ctx.cc.structure_map_to(u, q, {gi: 1}).items():
+                key = (p, gj, mono)
+                pushed[key] = pushed.get(key, 0) + c * v
+    defect = el_sub(pulled, pushed)
+    if ctx.cells is None or whole:
+        return defect
+    return {k: v for k, v in defect.items() if k[1] in ctx.cells[q]}
+
+
+@functools.cache
+def _form_keys(q):
+    ctx = FormLieContext(nilp_ef(), q)
+    return ctx, [k for n in range(3) for k in ctx.keys_up_to(3, n)]
+
+
+@st.composite
+def _form_elements(draw):
+    """(FormLieContext of level q, element over its keys, a monotone
+    map u: [p] -> [q])."""
+    q = draw(st.integers(0, 2))
+    ctx, keys = _form_keys(q)
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=12))
+    x = {k: F(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+         for k in chosen}
+    x = {k: v for k, v in x.items() if v}
+    p = draw(st.integers(0, 3))
+    u = draw(st.sampled_from(monotone_maps(p, q)))
+    return ctx, x, u
+
+
+@settings(max_examples=60, deadline=None)
+@given(_form_elements())
+def test_restrict_by_monomial_is_restrict_by_basis_index(case):
+    ctx, x, u = case
+    ref = _restrict_by_basis_index(u, x)
+    assert ctx.restrict(u, x) == ref
+    assert ctx.restrict(u, by_monomial(x)) == ref
+
+
+@functools.cache
+def _tot_keys(name):
+    ctx = _cech_context(name)
+    return ctx, [k for n in range(3) for k in ctx.keys_up_to(2, n)]
+
+
+@st.composite
+def _tot_elements(draw):
+    """(TotContext, element over its keys, a monotone map u: [p] -> [q]
+    between levels 0..N)."""
+    ctx, keys = _tot_keys(draw(st.sampled_from(
+        ["circle/t3", "circle/t3 over all tuples", "triple/eps"])))
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=16))
+    x = {k: F(draw(st.integers(-3, 3))) for k in chosen}
+    x = {k: v for k, v in x.items() if v}
+    q = draw(st.integers(0, ctx.N))
+    u = draw(st.sampled_from(monotone_maps(draw(st.integers(0, ctx.N)), q)))
+    return ctx, x, u, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tot_elements())
+def test_defect_by_monomial_is_defect_by_basis_index(case):
+    ctx, x, u, q = case
+    assert ctx.compatibility_defect(u, q, x) == \
+        _defect_by_basis_index(ctx, u, q, x)
+    # on the whole family, at every target
+    whole = ctx._whole(ctx.split(x))
+    assert ctx.compatibility_defect(u, q, whole) == \
+        _defect_by_basis_index(ctx, u, q, ctx.extend(x), whole=True)
+
+
+# ---------------------------------------------------------------------------
+# operation counts of the membership check
+
+
+def test_a_membership_check_pulls_each_level_and_monomial_back_once(
+        monkeypatch):
+    """On a glued circle-ef/t^3 sample, is_tot_element pulls back, per
+    structure map u: [p] -> [q], each distinct (level q, monomial) of
+    the whole family once, not each (level q, basis index)."""
+    from dgdescent import mcgauge
+    from dgdescent.cech import _sample_descent_datum, glue_descent_datum
+    from dgdescent.tot import _structure_maps
+    cc = cech_cosimplicial(tensored_cover(circle_cover(ef_algebra()),
+                                          t_truncated(3)))
+    ctx = cc.tot_context()
+    rng = random.Random(808)
+    datum = None
+    while datum is None:
+        datum = _sample_descent_datum(cc, rng)
+    x = glue_descent_datum(cc, datum, 2)
+    whole = ctx.extend(x)
+    calls = []
+    apply = mcgauge.omega_apply
+    monkeypatch.setattr(mcgauge, "omega_apply",
+                        lambda u, omega: calls.append(u) or apply(u, omega))
+    assert ctx.is_tot_element(x)
+    maps = _structure_maps(cc.N)
+    assert len(maps) == 8
+    monomials = sum(len({mono for p, _, mono in whole if p == q})
+                    for _, q in maps)
+    indices = sum(len({gi for p, gi, _ in whole if p == q})
+                  for _, q in maps)
+    assert (len(calls), monomials, indices) == (18, 18, 94)

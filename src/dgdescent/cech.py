@@ -352,13 +352,13 @@ def glue_descent_datum(cc, datum, D):
 
     Level 0 is a itself; level 1 the gauge path of theta, out of reach
     (`GluingFailed` at level 1) when its polynomial degree exceeds D;
-    level p >= 2 is solved on its keys: the face restrictions are affine constraints
-    on its nondegenerate components, then staged corrections restore MC
-    exactly without moving the constrained part.  The degenerate
-    components are the pullbacks `TotContext.extend` writes.  A Cech
-    algebra has no nondegenerate tuple above its nerve dimension, so
-    there the system is empty: a cover without triple overlaps solves
-    nothing above level 1.
+    level p >= 2 is solved on its keys: the face restrictions are
+    affine constraints on its nondegenerate components, then staged
+    corrections restore MC exactly without moving the constrained part.
+    The degenerate components are the pullbacks `TotContext.extend`
+    writes.  A Cech algebra has no nondegenerate tuple above its nerve
+    dimension, so there the system is empty: a cover without triple
+    overlaps solves nothing above level 1.
     """
     ctx = cc.tot_context()
     G = cc.descent_groupoid()

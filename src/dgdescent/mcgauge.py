@@ -14,7 +14,9 @@ algebra ambient:
     over the keys, monomials multiplied and differentiated by the
     memoized forms tables); it also carries the two functorialities of
     such elements, restrict (pull the forms back along a monotone map)
-    and push (apply a map of algebra elements monomial by monomial).
+    and push (apply a map of algebra elements monomial by monomial),
+    both over the element grouped by (level, monomial) once
+    (`by_monomial`).
 
 An element of one level is already an element over every level, so the
 Thom-Sullivan ambient tot.TotContext is the FormLieContext over all
@@ -28,7 +30,8 @@ computed once and everything stays exact.
 Composition convention: gauge elements are stored as logarithm
 coordinates, and bch(y1, y2) is defined as the gauge whose action is
 "act by y2, then by y1".  For the flow above this is log(exp Y2 exp Y1)
-of the free associative world, evaluated through the Dynkin bracketing;
+of the free associative world, evaluated through the Dynkin bracketing
+(one table per nilpotency class, folded for even letters);
 the class-2 instance in the tests pins the convention down.  All
 groupoid composition, cocycle conditions and nerve simplices downstream
 use bch, so the convention is fixed in exactly one place.
@@ -224,7 +227,11 @@ class FormLieContext:
     level and carry the (-1)^{|x||omega'|} sign past the first Lie
     factor.  Both are one pass of g's keyed kernels over the keys, the
     monomials multiplied and differentiated by the memoized forms
-    tables.
+    tables.  restrict and push read the element grouped by (level,
+    monomial) into algebra elements (`by_monomial`, or a grouping the
+    caller keeps, as `tot.TotContext.split` does): restrict pulls each
+    monomial back once and tensors its image with that algebra
+    element, push applies its map once per monomial.
     """
 
     def __init__(self, nil, n):

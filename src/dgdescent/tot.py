@@ -369,7 +369,9 @@ class TotContext(FormLieContext):
         self._bases = {}
 
     def split(self, x):
-        """{p: level-p part of x}, the keys as they are."""
+        """{p: level-p part of x}, the keys as they are, as a
+        `_LevelParts`: every structure map that reads a level of it
+        shares that level's grouping by monomial."""
         parts = _LevelParts()
         for key, v in x.items():
             parts.setdefault(key[0], {})[key] = v
@@ -443,7 +445,9 @@ class TotContext(FormLieContext):
         u: [p] -> [q], at the targets that carry keys; on the whole
         family (`extend`), at every target.  x is an element or its
         `split`, so a caller that checks many generators on one element
-        splits it once."""
+        splits it, and groups each level by monomial, once.  The
+        level-q part is pulled back (`restrict`) and the level-p part
+        pushed forward (`push`) monomial by monomial."""
         psrc = len(u) - 1
         parts = x if type(x) is _LevelParts else self.split(x)
         cells = None if parts.whole or self.cells is None \

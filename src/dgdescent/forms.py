@@ -15,10 +15,10 @@ Pullback along a monotone map (`omega_apply`) is linear, computed per
 monomial from a memo: `monomial_pullback` multiplies out the image of
 each (map, monomial) pair once, as an immutable tuple, and later
 pullbacks only scale and sum them.  The map is checked on every call,
-through a memo per (map, target simplex).  Its callers in the
-package, `mcgauge.FormLieContext.restrict`, pull back each monomial of
-a form-valued element once, as the unit form, whatever the number of
-algebra basis elements it carries.  Coefficients are int where they
+through a memo per (map, target simplex).  Its caller in the
+package, `mcgauge.FormLieContext.restrict`, pulls back each monomial
+of a form-valued element once, as the unit form, whatever the number
+of algebra basis elements it carries.  Coefficients are int where they
 are integral (see `linalg`), and the memoized images are lowered to
 that form when they are built.  `monomial_d` gives the differential of
 one monomial in the same way, and `monomial_product` the wedge of two

@@ -26,7 +26,7 @@ from .linalg import NoSolution, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
                       ObstructionUnsolvable, constrained_mc_solve,
                       constraint_system, gauge_act, holonomy, mc_residual,
-                      solve_1simplex, staged_gauge_search)
+                      _stage_span, solve_1simplex, staged_gauge_search)
 from .tot import CosimplicialDgLie, DescentDatum, tot_lie
 
 
@@ -488,47 +488,80 @@ def _sample_descent_datum(cc, rng):
     return datum if G.verify_object(datum) else None
 
 
+class NotIsomorphic(Exception):
+    """The level-0 search certified that two descent data lie in
+    different orbits: no gauge moves a1 to a2, insoluble at `stage`."""
+
+    def __init__(self, stage):
+        self.stage = stage
+        super().__init__(f"descent data not isomorphic (stage {stage})")
+
+
 def find_descent_isomorphism(G, d1, d2):
     """A level-0 gauge r with act(r, a1) = a2 intertwining the thetas,
-    or None.
+    or None; NotIsomorphic when no level-0 gauge moves a1 to a2.
 
-    The staged search runs on the action equation a1 -> a2 alone; the
-    thetas enter only afterwards, when `verify_morphism` checks the
-    witness exactly.  A witness that does not intertwine them gives
-    None, as does a search that finds none, so the caller counts the
-    round trip as undecided.
+    The staged search (`mcgauge.staged_gauge_search`, over the whole
+    degree-0 part of level 0, a Lie subalgebra) runs on the action
+    equation a1 -> a2 alone; the thetas enter only afterwards, when
+    `verify_morphism` checks the witness exactly.  A witness that does
+    not intertwine them gives None, so the caller counts the round trip
+    as undecided; a "distinct" verdict is a certificate that d1 and d2
+    are not isomorphic, and raises NotIsomorphic with its stage.
     """
     if el_eq(d1.a, d2.a) and el_eq(d1.theta, d2.theta):
         return G.identity_morphism()
     ctx0 = G.ctx0
     res = staged_gauge_search(ctx0, d1.a, d2.a,
                               ctx0.basis_of_degree(0))
-    if res.status != "witness":
-        return None
+    if res.status == "distinct":
+        raise NotIsomorphic(res.stage)
     r = res.witness
     if G.verify_morphism(d1, d2, r):
         return r
     return None
 
 
-def lift_tot_gauge(ctx, x, xp, r0, D):
-    """A Tot gauge from x to xp whose level-0 component is r0, in the
-    span of the degree-0 Tot basis at degree bound D."""
+def _level0_fiber(ctx, D, r0):
+    """(a degree-0 Tot gauge at bound D whose level-0 component is r0,
+    the spanning list of those whose level-0 component is 0), or None
+    when no gauge at bound D has level-0 component r0."""
     basis0 = ctx.tot_basis(0, D)
-    if not basis0:
-        return None
-    # affine constraint: level0(rho) = r0
-    level0 = [{k: c for k, c in b.items() if k[0] == 0} for b in basis0]
+    level0 = [ctx.level0(b) for b in basis0]
     keys0 = sorted({k for b in level0 for k in b})
-    rhs = [r0.get(k[1], 0) for k in keys0]
+    rhs = [r0.get(k, 0) for k in keys0]
     sol = sparse_solve_affine(sparse_columns(level0, keys0), rhs, len(basis0))
     if isinstance(sol, NoSolution):
         return None
     coords, kernel = sol
-    y0 = el_combination(coords, basis0)
-    witness_space = [d for d in (el_combination(kv, basis0) for kv in kernel)
-                     if d]
-    res = staged_gauge_search(ctx, x, xp, witness_space, y_init=y0)
+    return (el_combination(coords, basis0),
+            [d for d in (el_combination(kv, basis0) for kv in kernel) if d])
+
+
+def _lift_witness_span(ctx, D):
+    """W = the sum over j = 1..class of F^j & (the level-0 kernel at
+    bound j*D), as a spanning list.  A bracket of elements of pieces i
+    and j lies in F^{i+j} at bound (i+j)*D and has level-0 component 0,
+    so W is a Lie subalgebra; it holds bch(-y0, y) for any two gauges
+    y0, y at bound D with equal level-0 components."""
+    return [w for j in range(1, ctx.nclass() + 1)
+            for w in _stage_span(ctx, j, _level0_fiber(ctx, j * D, {})[1], 0)]
+
+
+def lift_tot_gauge(ctx, x, xp, r0, D):
+    """A Tot gauge from x to xp whose level-0 component is exactly r0,
+    or None.
+
+    The staged search starts from a gauge y0 at degree bound D with
+    level-0 component r0 and composes it with gauges of
+    `_lift_witness_span`, whose level-0 components are 0; so it finds a
+    lift whenever one exists at bound D, and the lift, a BCH product,
+    can exceed polynomial degree D (up to class * D)."""
+    fiber = _level0_fiber(ctx, D, r0)
+    if fiber is None:
+        return None
+    res = staged_gauge_search(ctx, x, xp, _lift_witness_span(ctx, D),
+                              y_init=fiber[0])
     if res.status == "witness":
         return res.witness
     return None
@@ -617,11 +650,18 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
             continue
         glued += 1
         image = comparison.object_map(x)
-        witness = find_descent_isomorphism(G, image, datum)
-        if witness is None:
-            undecided += 1
-        else:
-            roundtrips += 1
+        try:
+            if find_descent_isomorphism(G, image, datum) is None:
+                undecided += 1
+            else:
+                roundtrips += 1
+        except NotIsomorphic as exc:
+            # object_map(glue(datum)) is certified not isomorphic to
+            # datum: the round trip refutes the equivalence
+            falsified += 1
+            report["checks"].append({"name": "round trip",
+                                     "verdict": "falsified",
+                                     "stage": exc.stage})
         # a sampled Tot gauge out of x projects to a descent morphism
         rho = _random_tot_gauge(gauge_basis, rng)
         xp = gauge_act(ctx, rho, x)

@@ -27,6 +27,13 @@ is polynomial in time by nilpotency, and its time coefficients follow
 from the earlier ones by an exact recursion (`flow_path`), so each is
 computed once and everything stays exact.
 
+Gauge orbits are decided along the lower central series F^k, one linear
+solve per stage (`staged_gauge_search`): a gauge u that fixes x modulo
+F^k moves it by the twisted differential d_x u = du + [x, u] modulo
+F^{k+1}, so each stage solves d_x u = residual over a witness span,
+which must be a Lie subalgebra of degree 0; an insoluble stage is a
+certificate that the orbits differ.
+
 Composition convention: gauge elements are stored as logarithm
 coordinates, and bch(y1, y2) is defined as the gauge whose action is
 "act by y2, then by y1".  For the flow above this is log(exp Y2 exp Y1)
@@ -45,120 +52,10 @@ from .dgla import (SelfCheckFailed, el_add, el_combination, el_eq,
                    keyed_bilinear_apply, keyed_linear_apply)
 from .forms import (PolyForm, mono_form_degree, mono_is_odd, monomial_d,
                     monomial_product, monomials_up_to, omega_apply)
-from .linalg import (NoSolution, echelon_basis, lower, sparse_columns,
-                     sparse_factor, sparse_solve_affine, span_intersection)
+from .linalg import (NoSolution, lower, sparse_columns, sparse_factor,
+                     sparse_solve_affine, span_intersection)
 
 HALF = Fraction(1, 2)
-
-
-# ---------------------------------------------------------------------------
-# parameter polynomials for the staged searches
-
-
-class KPoly:
-    """Polynomial in scalar search parameters, exact coefficients.
-
-    Monomials are sorted tuples of (variable, exponent).  Mixed
-    arithmetic with Fraction/int works from either side, so parameterized
-    elements can share all the plain element helpers.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def const(cls, c):
-        c = lower(c)
-        return cls({(): c} if c else {})
-
-    @classmethod
-    def var(cls, i):
-        return cls({((i, 1),): 1})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = KPoly.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return KPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return KPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = KPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return KPoly()
-            return KPoly({m: lower(other * v)
-                          for m, v in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                d = dict(m1)
-                for var, e in m2:
-                    d[var] = d.get(var, 0) + e
-                m = tuple(sorted(d.items()))
-                v = out.get(m, 0) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return KPoly(out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = KPoly.const(other)
-        if not isinstance(other, KPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
-    def is_affine(self):
-        return self.degree() <= 1
-
-    def constant_part(self):
-        return self.terms.get((), 0)
-
-    def linear_part(self):
-        out = {}
-        for m, c in self.terms.items():
-            if len(m) == 1 and m[0][1] == 1:
-                out[m[0][0]] = c
-        return out
-
-    def __repr__(self):
-        return f"KPoly({self.terms!r})"
-
-
-def as_kpoly(v):
-    return v if isinstance(v, KPoly) else KPoly.const(v)
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +468,18 @@ def solve_1simplex(ctx1, x0, theta):
 
 
 # ---------------------------------------------------------------------------
-# staged affine machinery
+# staged gauge-orbit search
 
 
 class GaugeSearchResult:
     """Verdict of a staged gauge-orbit search.
 
-    status is "witness", "distinct" or "unknown"; a witness verifies
-    gauge_act(witness, x) == xp exactly before being returned; distinct
-    carries the stage whose affine system is insoluble, which is a
-    certificate when the search stayed complete (no parameter entered a
-    stage nonlinearly and the witness space covered all gauges).
+    status is "witness" or "distinct" ("unknown" stays a valid status
+    for callers that report it, but the search never returns it); a
+    witness verifies gauge_act(witness, x) == xp exactly before being
+    returned; distinct carries the stage whose linear system is
+    insoluble, which is a certificate.  complete is always True for the
+    search's own results.
     """
 
     def __init__(self, status, witness=None, stage=None, complete=True,
@@ -616,124 +514,75 @@ def _stage_span(ctx, stage, space, degree):
     return span_intersection(space, stage_vectors)
 
 
-def _solve_congruence(ctx, images, residual_const, residual_linear, stage,
-                      nparams):
-    """Solve sum z_j images[j] = residual (mod F^{stage+1}) jointly affine
-    in the z's and the active parameters.
+def _solve_congruence(ctx, images, residual, stage):
+    """Solve sum z_j images[j] = residual (mod F^{stage+1}).
 
-    residual_linear: list (per parameter) of constant elements.  Returns
-    (x0, kernel) or NoSolution; x0 and the kernel vectors are sparse
-    dicts over the (params..., z...) coordinates.
+    Returns (z, kernel) or NoSolution; z and the kernel vectors are
+    sparse dicts over the positions of the images.
     """
-    keys = set(_keys_of(images)) | set(residual_const)
-    for r in residual_linear:
-        keys |= set(r)
+    keys = _keys_of(images) | set(residual)
     aux = ctx.stage_vectors_for(stage + 1, keys) if stage + 1 <= ctx.nclass() \
         else []
     keys = sorted(keys | _keys_of(aux))
-    # sum_i kappa_i * (-residual_linear_i) + sum_j z_j images_j
-    #   - sum_m w_m aux_m = residual_const
-    columns = ([el_scale(-1, r) for r in residual_linear] + images
-               + [el_scale(-1, a) for a in aux])
-    b = [residual_const.get(k, 0) for k in keys]
+    # sum_j z_j images_j - sum_m w_m aux_m = residual
+    columns = images + [el_scale(-1, a) for a in aux]
+    b = [residual.get(k, 0) for k in keys]
     res = sparse_solve_affine(sparse_columns(columns, keys), b, len(columns))
     if isinstance(res, NoSolution):
         return res
-    x0, ker = res
+    z, ker = res
     # strip the aux coordinates
-    keep = nparams + len(images)
-    return ({j: c for j, c in x0.items() if j < keep},
+    keep = len(images)
+    return ({j: c for j, c in z.items() if j < keep},
             [{j: c for j, c in v.items() if j < keep} for v in ker])
 
 
-def _split_parameterized(el, nparams):
-    """Split a KPoly-valued element into constant, per-parameter linear
-    parts, and an affinity flag."""
-    const = {}
-    linear = [dict() for _ in range(nparams)]
-    affine = True
-    for k, v in el.items():
-        v = as_kpoly(v)
-        if not v.is_affine():
-            affine = False
-        c = v.constant_part()
-        if c:
-            const[k] = c
-        for var, coef in v.linear_part().items():
-            linear[var][k] = coef
-    return const, linear, affine
-
-
 def staged_gauge_search(ctx, x, xp, witness_space, y_init=None):
-    """Search for y = y_init + (span of witness_space) with
-    gauge_act(y, x) = xp, stage by stage along the lower central series,
-    through every stage up to the nilpotency class.
+    """Search for y = bch(y_init, w) with w in the span W of
+    witness_space and gauge_act(y, x) = xp, one linear solve per stage of
+    the lower central series, through every stage up to the nilpotency
+    class.  W must be a Lie subalgebra of degree 0 (g^0 is one).
 
-    Solution-space parameters from earlier stages propagate symbolically
-    into later stages while they enter affinely; a stage where they do
-    not stays sound but forfeits the completeness needed to certify
-    "distinct".  A complete search that ends off-orbit raises
-    SelfCheckFailed; an incomplete one that does returns "unknown".
+    Stage k starts from a y that moves x to xp modulo F^k.  Every other
+    such y' in bch(y_init, W) is bch(y, u) for a u in W that fixes x
+    modulo F^k, so d_x u = du + [x, u] lies in F^k (the gauge action of u
+    moves x by an invertible operator applied to d_x u), and then u moves
+    x by d_x u modulo F^{k+1}.  So the stage is the linear congruence
+    d_x u = xp - gauge_act(y, x) (mod F^{k+1}) over u in W, with the
+    images d_x w of the witness span computed once, and y becomes
+    bch(y, u).  An insoluble stage is a certificate that no gauge of
+    bch(y_init, W) moves x to xp: "distinct", with that stage.  A search
+    that ends off-orbit raises SelfCheckFailed.
     """
-    c = ctx.nclass()
-    y0 = dict(y_init or {})
-    params = []       # elements: active parameter directions
-    complete = True
-    for stage in range(1, c + 1):
-        # y with symbolic parameters
-        y_sym = el_sum(({k: KPoly.var(i) * v for k, v in p.items()}
-                        for i, p in enumerate(params)),
-                       {k: as_kpoly(v) for k, v in y0.items()})
-        res = el_sub(xp, gauge_act(ctx, y_sym, x))
-        const, linear, affine = _split_parameterized(res, len(params))
-        if not affine:
-            # freeze the parameters at zero and go on incompletely
-            complete = False
-            params = []
-            res0 = el_sub(xp, gauge_act(ctx, y0, x))
-            const = res0
-            linear = []
-        cand = _stage_span(ctx, stage, witness_space, 0)
-        images = [ctx.d_el(z) for z in cand]
-        sol = _solve_congruence(ctx, images, const, linear, stage,
-                                len(params))
+    y = dict(y_init or {})
+    twisted = [el_add(ctx.d_el(w), ctx.bracket_el(x, w))
+               for w in witness_space]
+    for stage in range(1, ctx.nclass() + 1):
+        residual = el_sub(xp, gauge_act(ctx, y, x))
+        if el_is_zero(residual):
+            break
+        sol = _solve_congruence(ctx, twisted, residual, stage)
         if isinstance(sol, NoSolution):
-            if complete:
-                return GaugeSearchResult(
-                    "distinct", stage=stage, complete=True,
-                    reason=f"affine obstruction insoluble at stage {stage}")
             return GaugeSearchResult(
-                "unknown", stage=stage, complete=False,
-                reason=f"greedy search stuck at stage {stage} after a "
-                       f"nonlinear parameter entry")
-        x0, kernel = sol
-        new_y0 = el_combination(x0, params + cand, start=y0)
-        new_params = [d for d in (el_combination(kv, params + cand)
-                                  for kv in kernel) if d]
-        # echelonize directions over their keys to keep the count small
-        if new_params:
-            new_params = echelon_basis(new_params)
-        y0, params = new_y0, new_params
-    if el_eq(gauge_act(ctx, y0, x), xp):
-        return GaugeSearchResult("witness", witness=y0, complete=complete)
-    if complete:
-        raise SelfCheckFailed("complete staged search ended off-orbit; "
-                              "staging invariant broken")
-    return GaugeSearchResult("unknown", stage=c, complete=False,
-                             reason="depth exhausted before equality")
+                "distinct", stage=stage,
+                reason=f"affine obstruction insoluble at stage {stage}")
+        y = bch(ctx, y, el_combination(sol[0], witness_space))
+    if el_eq(gauge_act(ctx, y, x), xp):
+        return GaugeSearchResult("witness", witness=y)
+    raise SelfCheckFailed("staged search ended off-orbit; "
+                          "staging invariant broken")
 
 
 def gauge_equivalent(ctx, x, xp):
-    """Witness / distinct / unknown for the gauge orbit question, by a
-    staged search through the whole lower central series.
+    """Witness or distinct for the gauge orbit question, by a staged
+    search through the whole lower central series.
 
-    The witness space is the whole degree-0 part, so "distinct" verdicts
-    are genuine certificates whenever the staged search stays complete
-    (always, in the abelian case); "unknown" comes only from a search
-    that lost completeness.
+    The witness space is the whole degree-0 part, a Lie subalgebra, so
+    "distinct" is a certificate that x and xp lie in different orbits,
+    and the result is always complete.
     """
     if el_eq(x, xp):
-        return GaugeSearchResult("witness", witness={}, complete=True)
+        return GaugeSearchResult("witness", witness={})
     return staged_gauge_search(ctx, x, xp, ctx.basis_of_degree(0))
 
 
@@ -849,7 +698,7 @@ def _mc_correct(ctx, x, free, rng, label):
             break
         cand_stage = _stage_span(ctx, stage, free, 1)
         imgs = [ctx.d_el(z) for z in cand_stage]
-        sol = _solve_congruence(ctx, imgs, el_scale(-1, R), [], stage, 0)
+        sol = _solve_congruence(ctx, imgs, el_scale(-1, R), stage)
         if isinstance(sol, NoSolution):
             raise ObstructionUnsolvable(stage, label)
         zvals, kern = sol

@@ -9,8 +9,8 @@ from dgdescent.dgla import (ArtinAlgebra, DgLieMap, NilpotentDgLie, el_eq,
                             el_is_zero, el_scale, identity_map,
                             lower_central_series, tensor_lie)
 from dgdescent.cech import (CoverSpec, ComparisonFunctor, ExtractionFailed,
-                            GluingFailed, _random_tot_gauge,
-                            _sample_descent_datum,
+                            GluingFailed, _lift_witness_span,
+                            _random_tot_gauge, _sample_descent_datum,
                             cech_cosimplicial, find_descent_isomorphism,
                             glue_descent_datum,
                             lift_tot_gauge, tensored_cover, verify_descent)
@@ -20,6 +20,7 @@ from dgdescent.instances import (abelian_line, circle_cover, complex_cover,
                                  probe_class2, segment_cover, t_truncated,
                                  triple_cover)
 from dgdescent.io import label_to_json, scalar_from_str
+from dgdescent.linalg import echelon_basis
 from dgdescent.mcgauge import (FiniteLieContext, SelfCheckFailed, gauge_act,
                                gauge_equivalent, mc_residual)
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, TotContext,
@@ -304,11 +305,27 @@ def test_lift_tot_gauge_carries_x_along_a_sampled_tot_gauge(cover, algebra,
         xp = gauge_act(ctx, rho, x)
         lift = lift_tot_gauge(ctx, x, xp, ctx.level0(rho), 2)
         assert lift is not None
+        assert ctx.is_tot_element(lift)
         assert el_eq(gauge_act(ctx, lift, x), xp)
         assert el_eq(ctx.level0(lift), ctx.level0(rho))
         lifted += 1
         moved += not el_eq(xp, x)
     assert lifted == glued and moved
+
+
+def test_lift_witness_span_is_a_lie_subalgebra():
+    """The staged search needs its witness span closed under the
+    bracket: on segment-heisenberg/t^3 at D = 2 the bracket of any two
+    spanning vectors of the lift's span lies in that span."""
+    cc = cech_cosimplicial(tensored_cover(segment_cover(heisenberg()),
+                                          t_truncated(3)), N=2)
+    ctx = cc.tot_context()
+    span = _lift_witness_span(ctx, 2)
+    assert span and all(ctx.level0(w) == {} for w in span)
+    rank = len(echelon_basis(span))
+    brackets = [b for u in span for v in span if (b := ctx.bracket_el(u, v))]
+    assert brackets
+    assert len(echelon_basis(span + brackets)) == rank
 
 
 # -- verify_descent -------------------------------------------------------------
@@ -465,6 +482,31 @@ def test_unwitnessed_round_trip_is_undecided(monkeypatch):
     summary = rep["checks"][-1]
     assert summary["glued"] == 1 and summary["undecided"] == 1
     assert summary["verdict"] == "undecided"
+
+
+def test_round_trip_into_another_orbit_is_falsified(monkeypatch):
+    """A comparison image whose level-0 part lies in another orbit than
+    the datum's is certified not isomorphic to it: a "falsified" round
+    trip with the stage of the insoluble level-0 search.  In ef (x) t/t^3
+    (d = 0) the orbit of a = 0 is {0}."""
+    import dgdescent.cech as cech
+    real = cech.ComparisonFunctor.object_map
+
+    def elsewhere(self, x):
+        image = real(self, x)
+        assert image.a
+        return DescentDatum({}, image.theta)
+    monkeypatch.setattr(cech.ComparisonFunctor, "object_map", elsewhere)
+    cc = cech_cosimplicial(
+        tensored_cover(segment_cover(ef_algebra()), t_truncated(3)), N=2)
+    rep = verify_descent(cc, samples=1, seed=1, D=1)
+    round_trip, summary = rep["checks"]
+    assert round_trip["name"] == "round trip"
+    assert round_trip["verdict"] == "falsified"
+    assert round_trip["stage"] in (1, 2)
+    assert summary["verdict"] == "falsified"
+    assert summary["glued"] == 1 and summary["round_trips_witnessed"] == 0
+    assert rep["falsified"] == 1
 
 
 def test_truncation_below_the_cover_vanishing_level_is_refused():

@@ -28,7 +28,7 @@ from dgdescent.forms import (mono_form_degree, mono_is_odd, mono_mul,
 from dgdescent.instances import (ef_algebra, heisenberg, probe_class2,
                                  segment_cover, t_truncated, wz_algebra)
 from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext,
-                               FormLieContext, KPoly, flow_path, gauge_act,
+                               FormLieContext, flow_path, gauge_act,
                                mc_residual)
 
 F = Fraction
@@ -206,18 +206,10 @@ scalars = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
 
 
 @st.composite
-def elements(draw, keys, kpoly=False):
+def elements(draw, keys):
     """Elements on a random share of the keys, so that most pairs of
     them have nonzero brackets."""
-    out = {}
-    for k in keys:
-        if not draw(st.booleans()):
-            continue
-        c = draw(scalars)
-        if kpoly and draw(st.booleans()):
-            c = c * KPoly.var(draw(st.integers(0, 1))) + draw(scalars)
-        out[k] = c
-    return out
+    return {k: draw(scalars) for k in keys if draw(st.booleans())}
 
 
 # -- one-pass kernels ---------------------------------------------------------------
@@ -226,9 +218,8 @@ def elements(draw, keys, kpoly=False):
 @given(ambients, st.data())
 def test_form_kernels_match_per_monomial_references(amb, data):
     ctx, ref, keys, _ = _ambient(*amb)
-    kpoly = data.draw(st.booleans())
-    x = data.draw(elements(keys, kpoly))
-    y = data.draw(elements(keys, kpoly))
+    x = data.draw(elements(keys))
+    y = data.draw(elements(keys))
     assert ctx.d_el(x) == ref.d_el(x)
     assert ctx.bracket_el(x, y) == ref.bracket_el(x, y)
     assert mc_residual(ctx, x) == el_add(
@@ -315,12 +306,12 @@ def test_internal_d_carries_the_form_degree_sign():
 # -- the flow -----------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(ambients, st.integers(1, 3), st.booleans(), st.data())
-def test_flow_recursion_matches_picard(amb, length, kpoly, data):
-    """Constant (length 1) and polynomial gauge paths, plain and
-    KPoly-valued, from any starting element."""
+@given(ambients, st.integers(1, 3), st.data())
+def test_flow_recursion_matches_picard(amb, length, data):
+    """Constant (length 1) and polynomial gauge paths from any
+    starting element."""
     ctx, ref, keys, by_degree = _ambient(*amb)
-    y = [data.draw(elements(by_degree.get(0, []), kpoly))
+    y = [data.draw(elements(by_degree.get(0, [])))
          for _ in range(length)]
     x0 = data.draw(elements(keys))
     assert flow_path(ctx, y, x0) == picard_flow_path(ref, y, x0)

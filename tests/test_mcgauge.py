@@ -424,6 +424,30 @@ def test_gauge_equivalent_witnesses_verify_randomized():
         assert el_eq(gauge_act(ctx, res.witness, x), xp)
 
 
+def test_gauge_search_decides_every_pair():
+    """200 seeded pairs, the even ones gauge-related: the staged search
+    never gives up, is symmetric in its verdict (and in the stage of a
+    "distinct"), and every witness moves x to xp exactly."""
+    rng = random.Random(25)
+    for i in range(200):
+        nil = random_nilpotent(rng)
+        ctx = FiniteLieContext(nil)
+        x = random_mc(rng, nil)
+        xp = gauge_act(ctx, random_gauge(rng, nil), x) if i % 2 == 0 \
+            else random_mc(rng, nil)
+        res = gauge_equivalent(ctx, x, xp)
+        back = gauge_equivalent(ctx, xp, x)
+        for r, (a, b) in ((res, (x, xp)), (back, (xp, x))):
+            assert r.status in ("witness", "distinct") and r.complete, i
+            if r.status == "witness":
+                assert el_eq(gauge_act(ctx, r.witness, a), b), i
+        assert res.status == back.status, i
+        if res.status == "distinct":
+            assert res.stage == back.stage, i
+        if i % 2 == 0:
+            assert res.status == "witness", i
+
+
 # -- groupoid interface -----------------------------------------------------------
 
 def test_deligne_groupoid_interface():

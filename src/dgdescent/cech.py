@@ -20,13 +20,14 @@ import itertools
 from .dgla import (DgLieMap, SelfCheckFailed, direct_product, el_combination,
                    el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
-from .forms import format_mono, mono_form_degree
+from .forms import degeneracy_map, face_map, format_mono, mono_form_degree
 from .io import TruncationError, label_to_json, scalar_to_str
 from .linalg import NoSolution, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
-                      ObstructionUnsolvable, constrained_mc_solve,
-                      constraint_system, gauge_act, holonomy, mc_residual,
-                      _stage_span, solve_1simplex, staged_gauge_search)
+                      ObstructionUnsolvable, by_monomial,
+                      constrained_mc_solve, constraint_system, gauge_act,
+                      holonomy, mc_residual, _stage_span, solve_1simplex,
+                      staged_gauge_search)
 from .tot import CosimplicialDgLie, DescentDatum, tot_lie
 
 
@@ -221,53 +222,29 @@ def cech_cosimplicial(cover, N=None):
         tuples.append(Ts)
         prod = direct_product([cover.algebra(set(T)) for T in Ts], tags=Ts)
         levels.append(prod)
-    cofaces = []
-    codegens = []
-    for q in range(N):
-        cof = []
-        for i in range(q + 2):
-            cof.append(_coface_map(cover, levels, tuples, q, i))
-        cofaces.append(cof)
-        cod = []
-        for i in range(q + 1):
-            cod.append(_codegeneracy_map(levels, tuples, q, i))
-        codegens.append(cod)
+    cofaces = [[_structure_map(cover, levels, face_map(i, q + 1), q + 1)
+                for i in range(q + 2)] for q in range(N)]
+    codegens = [[_structure_map(cover, levels, degeneracy_map(i, q), q)
+                 for i in range(q + 1)] for q in range(N)]
     return CechCosimplicial(cover, levels, cofaces, codegens, tuples)
 
 
-def _component_map(src, tgt, entries):
-    """The map of products that sends component stag through fn into
-    component ttag, for each (stag, ttag, fn) in entries: its table
-    relabels fn's image of every basis element of stag."""
-    src_emb = {tag: emb for tag, g, emb in src.components}
-    tgt_emb = {tag: emb for tag, g, emb in tgt.components}
+def _structure_map(cover, levels, u, q):
+    """g(u): level p -> level q of the Cech algebra, for a monotone
+    u: [p] -> [q]: component T receives the restriction from U_{T o u}
+    to U_T of component T o u.  A coface deletes an index and
+    restricts; a codegeneracy repeats one, and its restriction is the
+    identity."""
+    p = len(u) - 1
+    source = {tag: emb for tag, _, emb in levels[p].components}
     table = {}
-    for stag, ttag, fn in entries:
-        emb = tgt_emb[ttag]
-        for gi, pidx in src_emb[stag].items():
+    for T, _, emb in levels[q].components:
+        S = tuple(T[k] for k in u)  # nonempty: CoverSpec checked subsets
+        for gi, pidx in source[S].items():
             entry = table.setdefault(pidx, {})
-            for k, v in fn({gi: 1}).items():
+            for k, v in cover.restrict(set(S), set(T), {gi: 1}).items():
                 entry[emb[k]] = v
-    return DgLieMap(src, tgt, table, validate=False)
-
-
-def _coface_map(cover, levels, tuples, q, i):
-    """coface^i: level q -> level q+1, delete index i then restrict."""
-    entries = []
-    for T in tuples[q + 1]:
-        S = T[:i] + T[i + 1:]   # nonempty: CoverSpec checked subsets
-        entries.append(
-            (S, T, lambda x, S=S, T=T: cover.restrict(set(S), set(T), x)))
-    return _component_map(levels[q], levels[q + 1], entries)
-
-
-def _codegeneracy_map(levels, tuples, q, i):
-    """codeg^i: level q+1 -> level q, repeat index i (same index set)."""
-    entries = []
-    for T in tuples[q]:
-        S = T[:i + 1] + T[i:]
-        entries.append((S, T, lambda x: dict(x)))
-    return _component_map(levels[q + 1], levels[q], entries)
+    return DgLieMap(levels[p], levels[q], table, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +292,11 @@ class ComparisonFunctor:
         if not el_is_zero(mc_residual(self.ctx, x)):
             raise ExtractionFailed("input family is not Maurer-Cartan")
         a = self.ctx.level0(x)
-        omega1 = self.ctx.split(x).get(1, {})
-        # the dt-part as time coefficients
+        # the dt-part of level 1 as time coefficients
         path = {}
-        for (_, gi, mono), v in omega1.items():
-            exps, mask = mono
+        for (p, gi, (exps, mask)), v in x.items():
+            if p != 1:
+                continue
             if mask == 1:
                 path.setdefault(exps[0], {})[gi] = v
             elif mask:
@@ -368,7 +345,7 @@ def glue_descent_datum(cc, datum, D):
                            + "; ".join(reasons))
     a, theta = datum.a, datum.theta
     omegas = [ctx.embed_level(0, a), ctx.project(
-        solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(a), theta))]
+        solve_1simplex(ctx, cc.coface(0, 1).apply(a), theta))]
     # the gauge path is the flow of theta, not cut at the bound: a path
     # above it is out of reach at level 1, whatever the levels above hold
     degree = max((_poly_degree(mono) for _, _, mono in omegas[1]), default=0)
@@ -407,10 +384,10 @@ def _glue_level(ctx, omegas, p, D):
         if any(_poly_degree(mono) > D for _, _, mono in omegas[p - 1]):
             raise ObstructionUnsolvable(0, label)
         rhs = [0] * len(factor.rows)
-        parts = ctx.split(omegas[p - 1])
+        groups = by_monomial(omegas[p - 1])
         for u, q in generators:
             row_of = index[u]
-            for k, c in ctx.compatibility_defect(u, q, parts).items():
+            for k, c in ctx.compatibility_defect(u, q, groups).items():
                 r = row_of.get(k)
                 if r is not None:
                     rhs[r] = -c
@@ -418,8 +395,7 @@ def _glue_level(ctx, omegas, p, D):
                     # a defect key that no column reaches: an empty row
                     # with a nonzero right-hand side
                     raise ObstructionUnsolvable(0, label)
-        return constrained_mc_solve(ctx.forms[p], keys, factor, rhs,
-                                    label=label)
+        return constrained_mc_solve(ctx, keys, factor, rhs, label=label)
     except ObstructionUnsolvable as exc:
         if exc.stage == 0:
             raise GluingFailed(

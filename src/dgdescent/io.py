@@ -67,8 +67,18 @@ def label_to_json(label):
 
 
 def label_from_json(x, path="<record>", field="label"):
+    """A label: a string, an integer, or a tuple of labels from a JSON
+    list.  A list nested past the interpreter's recursion limit is a
+    ParseError, not a crash."""
+    try:
+        return _label(x, path, field)
+    except RecursionError:
+        raise ParseError(path, field, "a label nested too deeply") from None
+
+
+def _label(x, path, field):
     if isinstance(x, list):
-        return tuple(label_from_json(y, path, field) for y in x)
+        return tuple(_label(y, path, field) for y in x)
     if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
         return x
     raise ParseError(path, field, f"a label is a string, an integer or a "
@@ -545,6 +555,8 @@ def load_record(path):
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"line {exc.lineno}, column {exc.colno}",
                          exc.msg)
+    except RecursionError:      # lists or objects nested too deeply
+        raise ParseError(path, "-", "JSON nested too deeply") from None
     except ParseError:
         raise
     except ValueError as exc:   # an integer literal too long to convert

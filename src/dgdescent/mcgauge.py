@@ -14,9 +14,10 @@ algebra ambient:
     over the keys, monomials multiplied and differentiated by the
     memoized forms tables); it also carries the two functorialities of
     such elements, restrict (pull the forms back along a monotone map)
-    and push (apply a map of algebra elements monomial by monomial),
-    both over the element grouped by (level, monomial) once
-    (`by_monomial`).
+    and push (apply a map of algebra elements monomial by monomial).
+    Both read one level of the grouping {p: {monomial: level-p
+    element}} that `by_monomial` builds in one pass, and read the
+    level off the monomials.
 
 An element of one level is already an element over every level, so the
 Thom-Sullivan ambient tot.TotContext is the FormLieContext over all
@@ -96,19 +97,14 @@ class FiniteLieContext:
         return out
 
 
-class MonomialGroups(dict):
-    """{(p, monomial on Delta^p): level-p algebra element}, an element of
-    Omega (x) g grouped by the level and monomial of its keys, as
-    `by_monomial` writes it and `FormLieContext.restrict` and `push`
-    read it."""
-
-
 def by_monomial(x):
-    """The `MonomialGroups` of an element over (p, basis index,
-    monomial) keys."""
-    groups = MonomialGroups()
+    """{p: {monomial on Delta^p: level-p algebra element}}, an element
+    of Omega (x) g over (p, basis index, monomial) keys grouped in one
+    pass, as `FormLieContext.restrict` and `push` read it, one level at
+    a time."""
+    groups = {}
     for (p, gi, mono), v in x.items():
-        groups.setdefault((p, mono), {})[gi] = v
+        groups.setdefault(p, {}).setdefault(mono, {})[gi] = v
     return groups
 
 
@@ -124,15 +120,13 @@ class FormLieContext:
     level and carry the (-1)^{|x||omega'|} sign past the first Lie
     factor.  Both are one pass of g's keyed kernels over the keys, the
     monomials multiplied and differentiated by the memoized forms
-    tables.  restrict and push read the element grouped by (level,
-    monomial) into algebra elements (`by_monomial`, or a grouping the
-    caller keeps, as `tot.TotContext.split` does): restrict pulls each
-    monomial back once and tensors its image with that algebra
+    tables.  restrict and push read one level of the element grouped
+    by monomial into algebra elements (`by_monomial`): restrict pulls
+    each monomial back once and tensors its image with that algebra
     element, push applies its map once per monomial.
     """
 
     def __init__(self, nil, n):
-        self.n = n
         self.nils = {n: nil}
 
     @cached_property
@@ -146,9 +140,9 @@ class FormLieContext:
         p, gi, mono = key
         return self.algebras[p].degree_of(gi) + mono_form_degree(mono)
 
-    def embed(self, x):
-        """A plain element of g^n as a constant form-valued element."""
-        return {(self.n, gi, ((0,) * self.n, 0)): v for gi, v in x.items()}
+    def embed_level(self, p, x):
+        """A plain element of g^p as a constant level-p element."""
+        return {(p, gi, ((0,) * p, 0)): v for gi, v in x.items()}
 
     def d_el(self, x):
         return keyed_linear_apply(self.algebras, x, monomial_d, mono_is_odd)
@@ -157,35 +151,37 @@ class FormLieContext:
         return keyed_bilinear_apply(self.algebras, x, y, monomial_product,
                                     mono_is_odd)
 
-    def restrict(self, u, x):
+    def restrict(self, u, groups):
         """Pullback along a monotone map u: [p] -> [q] on the form side
-        of an element x of level q; the result lives on the p-simplex,
-        p = len(u) - 1, so its keys are (p, basis index of g^q,
-        monomial on Delta^p).  x is an element or its `by_monomial`
-        grouping: each monomial is pulled back once (`omega_apply` of
-        the unit form) and tensored with its coefficient vector."""
+        of one level of a `by_monomial` grouping, {monomial on Delta^q:
+        level-q element}; q is read off the monomials, and the result
+        lives on the p-simplex, p = len(u) - 1, so its keys are (p,
+        basis index of g^q, monomial on Delta^p).  Each monomial is
+        pulled back once (`omega_apply` of the unit form) and tensored
+        with its algebra element."""
         p = len(u) - 1
-        groups = x if type(x) is MonomialGroups else by_monomial(x)
         out = {}
-        for (q, mono), el in groups.items():
-            for m, c in omega_apply(u, PolyForm(q, {mono: 1})).terms.items():
+        for mono, el in groups.items():
+            pulled = omega_apply(u, PolyForm(len(mono[0]), {mono: 1}))
+            for m, c in pulled.terms.items():
                 for gi, v in el.items():
                     key = (p, gi, m)
                     out[key] = out.get(key, 0) + c * v
         return {k: v for k, v in out.items() if v}
 
-    def push(self, f, x):
-        """Apply f, a linear map of plain algebra elements, monomial by
-        monomial; f may land in another algebra, and the keys keep
-        their level p, the simplex of their monomial.  x is an element
-        or its `by_monomial` grouping."""
-        groups = x if type(x) is MonomialGroups else by_monomial(x)
-        return {(p, gj, mono): c for (p, mono), el in groups.items()
+    def push(self, f, groups):
+        """Apply f, a linear map of plain algebra elements, to each
+        algebra element of one level of a `by_monomial` grouping; f may
+        land in another algebra, and the keys keep the level read off
+        their monomial."""
+        return {(len(mono[0]), gj, mono): c for mono, el in groups.items()
                 for gj, c in f(el).items()}
 
     def vertex(self, i, x):
         """Evaluate at the i-th vertex; a plain algebra element."""
-        return {gi: v for (_, gi, _), v in self.restrict((i,), x).items()}
+        return el_sum({gi: v for (_, gi, _), v in
+                       self.restrict((i,), groups).items()}
+                      for groups in by_monomial(x).values())
 
     def keys_up_to(self, D, degree):
         return [(p, gi, mono) for p, g in sorted(self.algebras.items())
@@ -443,15 +439,16 @@ def holonomy(ctx, y_coeffs):
 # the 1-simplex attached to a gauge transformation
 
 
-def solve_1simplex(ctx1, x0, theta):
+def solve_1simplex(ctx, x0, theta):
     """The MC element of Omega_1 (x) g built from the flow of theta.
 
-    ctx1 is the FormLieContext of the owner at n = 1; x0 an MC element
-    of the owner; theta a gauge element.  Returns z = x(t) + dt theta
-    with x(t) the exact flow, so z restricts to x0 at the 0-vertex and
-    to gauge_act(theta, x0) at the 1-vertex, and z is MC upstairs.
+    ctx is a forms (x) algebra ambient whose level 1, ctx.nils[1], is
+    the owner g; x0 an MC element of the owner; theta a gauge element.
+    Returns z = x(t) + dt theta with x(t) the exact flow, so z restricts
+    to x0 at the 0-vertex and to gauge_act(theta, x0) at the 1-vertex,
+    and z is MC upstairs.
     """
-    fin = FiniteLieContext(ctx1.nils[1])
+    fin = FiniteLieContext(ctx.nils[1])
     coeffs = flow_path(fin, [theta], x0)
     out = {}
     for k, c in enumerate(coeffs):
@@ -462,7 +459,7 @@ def solve_1simplex(ctx1, x0, theta):
     for gi, v in theta.items():
         out[(1, gi, dt_mono)] = out.get((1, gi, dt_mono), 0) + v
     out = {k: v for k, v in out.items() if v}
-    if not el_is_zero(mc_residual(ctx1, out)):
+    if not el_is_zero(mc_residual(ctx, out)):
         raise SelfCheckFailed("1-simplex construction lost the MC equation")
     return out
 
@@ -474,25 +471,20 @@ def solve_1simplex(ctx1, x0, theta):
 class GaugeSearchResult:
     """Verdict of a staged gauge-orbit search.
 
-    status is "witness" or "distinct" ("unknown" stays a valid status
-    for callers that report it, but the search never returns it); a
-    witness verifies gauge_act(witness, x) == xp exactly before being
-    returned; distinct carries the stage whose linear system is
-    insoluble, which is a certificate.  complete is always True for the
-    search's own results.
+    status is "witness" or "distinct"; a witness verifies
+    gauge_act(witness, x) == xp exactly before being returned; distinct
+    carries the stage whose linear system is insoluble, which is a
+    certificate.
     """
 
-    def __init__(self, status, witness=None, stage=None, complete=True,
-                 reason=""):
+    def __init__(self, status, witness=None, stage=None, reason=""):
         self.status = status
         self.witness = witness
         self.stage = stage
-        self.complete = complete
         self.reason = reason
 
     def __repr__(self):
-        return (f"GaugeSearchResult({self.status!r}, stage={self.stage}, "
-                f"complete={self.complete})")
+        return f"GaugeSearchResult({self.status!r}, stage={self.stage})"
 
 
 def _keys_of(elements):
@@ -578,8 +570,7 @@ def gauge_equivalent(ctx, x, xp):
     search through the whole lower central series.
 
     The witness space is the whole degree-0 part, a Lie subalgebra, so
-    "distinct" is a certificate that x and xp lie in different orbits,
-    and the result is always complete.
+    "distinct" is a certificate that x and xp lie in different orbits.
     """
     if el_eq(x, xp):
         return GaugeSearchResult("witness", witness={})

@@ -5,7 +5,9 @@
   the pullback/pushforward exchange, truncated at polynomial degree D.
   Their ambient, TotContext, is the forms (x) algebra ambient
   mcgauge.FormLieContext over every level, whose keys carry their
-  level; it adds only the exchange conditions.  On a Cech algebra the
+  level; it adds only the exchange conditions, which read each
+  structure map g(u) off one memoized table
+  (CosimplicialDgLie.structure_table).  On a Cech algebra the
   keys are those of the nondegenerate (strictly increasing) tuples and
   the conditions the faces between them; the degenerate components are
   pullbacks of those, written by TotContext.extend;
@@ -25,7 +27,8 @@ from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
 from .forms import (compose_maps, degeneracy_map, face_map,
                     monomial_pullback, monotone_factorize)
 from .io import TruncationError
-from .linalg import echelon_basis, lower, sparse_factor, sparse_kernel
+from .linalg import (echelon_basis, linear_apply, lower, sparse_factor,
+                     sparse_kernel)
 from .mcgauge import (FiniteLieContext, FormLieContext, bch, by_monomial,
                       gauge_act, mc_residual)
 
@@ -55,11 +58,9 @@ class CosimplicialDgLie:
         for q, maps in enumerate(self.codegens):
             if len(maps) != q + 1:
                 raise ValueError(f"level {q} needs {q + 1} codegeneracies")
-        # before _validate_identities, which walks the normal paths
-        self._paths = {}
         self._validate_identities()
         # before _check_vanishing: normalization_basis reads these tables
-        self._images = {}
+        self._tables = {}
         self._tot_context = self._descent_groupoid = None
         self.vanishing_level = self._check_vanishing(vanishing_level)
 
@@ -74,27 +75,26 @@ class CosimplicialDgLie:
     def codegeneracy(self, q, i):
         return self.codegens[q][i]
 
-    def structure_map_to(self, u, q, x):
-        """g(u) for u: [p] -> [q], p = len(u) - 1, with the codomain
-        given explicitly."""
-        for f in self._normal_path(u, q):
-            x = f.apply(x)
-        return x
-
-    def generator_images(self, u, q):
-        """g(u) of each basis element of g^p, for u: [p] -> [q], as
-        tuples of (target index, coefficient) pairs, coefficients
-        lowered (`linalg.lower`).  One table per cosimplicial algebra,
-        filled on first use: `normalization_basis` reads the codegeneracy
-        rows off it, and `TotContext.exchange_rows` the columns of the
-        level-p keys."""
-        images = self._images.get((u, q))
-        if images is None:
-            images = self._images[(u, q)] = [
-                tuple((gj, lower(c)) for gj, c in
-                      self.structure_map_to(u, q, {gi: 1}).items())
-                for gi in range(self.levels[len(u) - 1].total_dim())]
-        return images
+    def structure_table(self, u, q):
+        """The table {i: {j: c}} of g(u) for u: [p] -> [q],
+        p = len(u) - 1: the image of basis element i of g^p, coefficients
+        lowered (`linalg.lower`).  Built by walking the normal path of u
+        once and memoized per (u, q); a map that is not monotone into
+        [q] is never stored, so it is refused on every call.
+        `normalization_basis` reads the codegeneracy rows off it,
+        `TotContext.exchange_rows` the columns of the level-p keys and
+        `TotContext.compatibility_defect` pushes through it."""
+        key = (tuple(u), q)
+        table = self._tables.get(key)
+        if table is None:
+            images = [{gi: 1} for gi in
+                      range(self.levels[len(u) - 1].total_dim())]
+            for f in self._normal_path(u, q):
+                images = [f.apply(x) for x in images]
+            table = self._tables[key] = {
+                gi: {gj: lower(c) for gj, c in image.items()}
+                for gi, image in enumerate(images)}
+        return table
 
     def tot_context(self):
         """The TotContext of this algebra: one per cosimplicial algebra,
@@ -124,23 +124,18 @@ class CosimplicialDgLie:
         return maps
 
     def _normal_path(self, u, q):
-        """The maps that g(u), u: [p] -> [q], applies, in order, as a
-        tuple.  Memoized per (u, q); a map that is not monotone into [q]
-        is never stored, so it is refused on every call."""
-        key = (tuple(u), q)
-        path = self._paths.get(key)
-        if path is None:
-            p = len(u) - 1
-            if list(u) != sorted(u) or not 0 <= u[0] <= u[-1] <= q:
-                raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
-            faces, degens = monotone_factorize(u, q)
-            low = p - len(degens)
-            path = self._paths[key] = tuple(
-                [self.codegens[p - 1 - k][j]
+        """The elementary maps that g(u), u: [p] -> [q], applies, in
+        order: the codegeneracies, then the cofaces of its epi-mono
+        factorization.  ValueError when u is not monotone into [q]."""
+        p = len(u) - 1
+        if list(u) != sorted(u) or not 0 <= u[0] <= u[-1] <= q:
+            raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
+        faces, degens = monotone_factorize(u, q)
+        low = p - len(degens)
+        return ([self.codegens[p - 1 - k][j]
                  for k, j in enumerate(reversed(degens))] +
                 [self.cofaces[low + k][i]
                  for k, i in enumerate(reversed(faces))])
-        return path
 
     def _validate_identities(self):
         # functoriality over composable elementary pairs covers all the
@@ -172,9 +167,9 @@ class CosimplicialDgLie:
         # the image of each basis element
         rows = {}
         for i in range(q):
-            for b, image in enumerate(
-                    self.generator_images(degeneracy_map(i, q - 1), q - 1)):
-                for t, c in image:
+            table = self.structure_table(degeneracy_map(i, q - 1), q - 1)
+            for b, image in table.items():
+                for t, c in image.items():
                     rows.setdefault((i, t), {})[b] = c
         return sparse_kernel(list(rows.values()), self.levels[q].total_dim())
 
@@ -284,27 +279,6 @@ def _by_level(x):
 # the Thom-Sullivan side: compatible form families
 
 
-class _LevelParts(dict):
-    """An element split by level, as `TotContext.split` returns it.
-    `whole` marks the whole family of an element (`TotContext.extend`),
-    whose defects are read at every target.  `groups(p)` is the level-p
-    part grouped by monomial, built once for every structure map that
-    pulls it back or pushes it forward."""
-
-    whole = False
-    _groups = None
-
-    def groups(self, p):
-        """`mcgauge.by_monomial` of the level-p part, built on first use;
-        the parts are not changed after that."""
-        if self._groups is None:
-            self._groups = {}
-        groups = self._groups.get(p)
-        if groups is None:
-            groups = self._groups[p] = by_monomial(self.get(p, {}))
-        return groups
-
-
 def _cofaces(N):
     """The cofaces [p-1] -> [p] into levels 1..N, as pairs (u, p)."""
     return [(face_map(i, p), p) for p in range(1, N + 1)
@@ -326,8 +300,9 @@ class TotContext(FormLieContext):
     element of one level is already an element here, and every ambient
     operation (d, bracket, keys, stage vectors) is the levels' own: the
     lower-central-series machinery of the gauge searches works with the
-    levelwise filtrations.  forms[p] is the one-level FormLieContext of
-    level p, whose nilpotency class is that level's own.  Membership in
+    levelwise filtrations: the stage vectors of a level-p key are those
+    of level p, so the staged solvers of one level (`cech._glue_level`,
+    `mcgauge.solve_1simplex`) run in this ambient too.  Membership in
     the totalization is a linear condition handled by
     compatibility_defect / subspace bases, not by the ambient itself.
 
@@ -364,18 +339,8 @@ class TotContext(FormLieContext):
                           - copied.get(p, set())
                           for p, g in enumerate(cc.levels)}
         self.copies = copies or {}
-        self.forms = [FormLieContext(nil, p) for p, nil in self.nils.items()]
         self._gluing = {}
         self._bases = {}
-
-    def split(self, x):
-        """{p: level-p part of x}, the keys as they are, as a
-        `_LevelParts`: every structure map that reads a level of it
-        shares that level's grouping by monomial."""
-        parts = _LevelParts()
-        for key, v in x.items():
-            parts.setdefault(key[0], {})[key] = v
-        return parts
 
     # -- keys and the whole family ----------------------------------------------
 
@@ -396,33 +361,34 @@ class TotContext(FormLieContext):
         of i along s (`CosimplicialDgLie.degenerate_copies`).  It is an
         element of the all-tuples totalization exactly when x is one of
         this one; with every component keyed it is x itself."""
-        return {k: v for part in self._whole(self.split(x)).values()
-                for k, v in part.items()}
+        return {(p, gi, mono): v
+                for p, level in self._whole(by_monomial(x)).items()
+                for mono, el in level.items() for gi, v in el.items()}
 
-    def _whole(self, parts):
-        """The whole family of a split element, split: each term's
-        monomial pulled back along s (`monomial_pullback`) onto each
-        copy of its basis element."""
-        whole = _LevelParts((p, dict(part)) for p, part in parts.items())
-        whole.whole = True
+    def _whole(self, groups):
+        """The whole family of a `by_monomial` grouping, grouped the
+        same way: each monomial of a copied component pulled back along
+        s (`monomial_pullback`) onto the copies of its basis
+        elements."""
+        whole = {p: {mono: dict(el) for mono, el in level.items()}
+                 for p, level in groups.items()}
         for s, index in self.copies.items():
             p, q = s[-1], len(s) - 1
             level = whole.setdefault(q, {})
-            for (_, gi, mono), c in parts.get(p, {}).items():
-                gj = index.get(gi)
-                if gj is not None:
-                    for m, v in monomial_pullback(s, p, mono):
-                        key = (q, gj, m)
-                        level[key] = level.get(key, 0) + c * v
-        for p, level in whole.items():
-            whole[p] = {k: lower(v) for k, v in level.items() if v}
-        return whole
+            for mono, el in groups.get(p, {}).items():
+                copied = [(index[gi], c) for gi, c in el.items()
+                          if gi in index]
+                if not copied:
+                    continue
+                for m, v in monomial_pullback(s, p, mono):
+                    image = level.setdefault(m, {})
+                    for gj, c in copied:
+                        image[gj] = image.get(gj, 0) + c * v
+        return {p: {mono: low for mono, el in level.items()
+                    if (low := {gi: lower(v) for gi, v in el.items() if v})}
+                for p, level in whole.items()}
 
-    # -- level embeddings and projections ------------------------------------------
-
-    def embed_level(self, p, el):
-        """A plain element of g^p as a constant level-p family member."""
-        return self.forms[p].embed(el)
+    # -- projections ----------------------------------------------------------
 
     def level0(self, x):
         """The p = 0 component as a plain element of g^0."""
@@ -439,24 +405,24 @@ class TotContext(FormLieContext):
             return _structure_maps(self.N)
         return _cofaces(self.N)
 
-    def compatibility_defect(self, u, qtgt, x):
+    def compatibility_defect(self, u, qtgt, groups, whole=False):
         """Omega(u)(level-q part) - g(u)(level-p part), a dict over
         (p, target Lie index, monomial on Delta^p) keys, for
-        u: [p] -> [q], at the targets that carry keys; on the whole
-        family (`extend`), at every target.  x is an element or its
-        `split`, so a caller that checks many generators on one element
-        splits it, and groups each level by monomial, once.  The
-        level-q part is pulled back (`restrict`) and the level-p part
-        pushed forward (`push`) monomial by monomial."""
+        u: [p] -> [q], of an element grouped by `by_monomial`, so a
+        caller that checks many generators on one element groups it
+        once.  The defect is read at the targets that carry keys, or at
+        every target when whole is set: the grouping is then that of a
+        whole family (`extend`).  The level-q part is pulled back
+        (`restrict`) and the level-p part pushed through the structure
+        table of u (`push`), monomial by monomial."""
         psrc = len(u) - 1
-        parts = x if type(x) is _LevelParts else self.split(x)
-        cells = None if parts.whole or self.cells is None \
-            else self.cells[qtgt]
+        cells = None if whole or self.cells is None else self.cells[qtgt]
         if cells is not None and not cells:
             return {}
-        pulled = self.restrict(u, parts.groups(qtgt))
-        pushed = self.push(lambda el: self.cc.structure_map_to(u, qtgt, el),
-                           parts.groups(psrc))
+        table = self.cc.structure_table(u, qtgt)
+        pulled = self.restrict(u, groups.get(qtgt, {}))
+        pushed = self.push(lambda el: linear_apply(table, el),
+                           groups.get(psrc, {}))
         defect = el_sub(pulled, pushed)
         if cells is None:
             return defect
@@ -468,8 +434,8 @@ class TotContext(FormLieContext):
         codegeneracy of levels 0..N.  A term off the keys is refused."""
         if not all(map(self.carries, x)):
             return False
-        whole = self._whole(self.split(x))
-        return all(not self.compatibility_defect(u, q, whole)
+        whole = self._whole(by_monomial(x))
+        return all(not self.compatibility_defect(u, q, whole, whole=True)
                    for (u, q) in _structure_maps(self.N))
 
     def exchange_rows(self, keys, generators):
@@ -483,7 +449,7 @@ class TotContext(FormLieContext):
         (Omega(u) (x) id) - (id (x) g(u)): the column of a level-q_tgt
         key holds its pulled-back monomial (`monomial_pullback`), the
         column of a level-p_src key minus the image of its basis element
-        (`CosimplicialDgLie.generator_images`).  Column for column this is
+        (`CosimplicialDgLie.structure_table`).  Column for column this is
         compatibility_defect of the key's unit vector, which stays the
         independent check (`is_tot_element`); rows appear in the order
         in which those defects would name them.  `tot_basis` takes every
@@ -496,7 +462,7 @@ class TotContext(FormLieContext):
         rows = {}
         for u, qtgt in generators:
             psrc = len(u) - 1
-            pushes = self.cc.generator_images(u, qtgt)
+            pushes = self.cc.structure_table(u, qtgt)
             cells = None if self.cells is None else self.cells[qtgt]
             last = pulled = None
             # the keys of the two levels u connects, in column order
@@ -508,7 +474,7 @@ class TotContext(FormLieContext):
                     for m, c in pulled:
                         rows.setdefault((u, (psrc, gi, m)), {})[col] = c
                 else:
-                    for gj, c in pushes[gi]:
+                    for gj, c in pushes[gi].items():
                         if cells is None or gj in cells:
                             rows.setdefault((u, (psrc, gj, mono)),
                                             {})[col] = -c
@@ -530,8 +496,7 @@ class TotContext(FormLieContext):
         """
         system = self._gluing.get((p, D))
         if system is None:
-            keys = [k for k in self.forms[p].keys_up_to(D, 1)
-                    if self.carries(k)]
+            keys = [k for k in self.keys_up_to(D, 1) if k[0] == p]
             generators = [(u, q) for u, q in self.generators()
                           if {len(u) - 1, q} == {p - 1, p}]
             rows = self.exchange_rows(keys, generators)

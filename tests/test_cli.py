@@ -307,24 +307,6 @@ def _gauge_orbit_args(tmp_path):
             "--x", str(xf), "--xp", str(yf)]
 
 
-def test_strict_flag_fails_on_undecided(tmp_path, capsys, monkeypatch):
-    # a search that lost completeness is the one source of an undecided
-    # gauge-orbit report; cmd_gauge_orbit imports the search when it runs
-    from dgdescent import mcgauge
-    monkeypatch.setattr(
-        mcgauge, "gauge_equivalent",
-        lambda ctx, x, xp: mcgauge.GaugeSearchResult(
-            "unknown", stage=2, complete=False,
-            reason="depth exhausted before equality"))
-    args = _gauge_orbit_args(tmp_path)
-    code, rep = run_cli(capsys, *args)
-    assert code == 0
-    assert rep["checks"][0]["verdict"] == "undecided"
-    assert rep["summary"]["undecided"] == 1
-    code, _ = run_cli(capsys, *args, "--strict")
-    assert code == 1
-
-
 @pytest.mark.parametrize("command", ["tot", "cech", "verify-descent"])
 def test_removed_bound_options_exit_2(capsys, command):
     # a Cech instance is always built at max(2, vanishing level): no option
@@ -548,6 +530,34 @@ def test_a_cover_with_no_nonempty_open_exits_2(tmp_path, capsys, command):
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
     assert "a cover needs at least one nonempty open" in line
+
+
+def _deeply_nested_label_record():
+    """algebra_ef with one basis label nested 700 lists deep: past the
+    recursion limit of a label parser that spends two frames a level."""
+    rec = json.loads((DATA / "algebra_ef.json").read_text())
+    label = rec["basis"][0]["label"]
+    for _ in range(700):
+        label = [label]
+    rec["basis"][0]["label"] = label
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[" * 100000 + "]" * 100000, "field '-'"),
+    (_deeply_nested_label_record(), "field 'basis.label'")],
+    ids=["deep-json", "deep-label"])
+def test_a_deeply_nested_record_exits_2(tmp_path, capsys, text, field):
+    # both once ended in a RecursionError traceback with exit 1, the
+    # "falsified" code
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    assert main(["check-algebra", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {path}: {field}: ")
+    assert "nested too deeply" in line
 
 
 def test_verify_descent_refuses_nonabelian_records_without_cover(capsys):

@@ -79,7 +79,7 @@ def results():
         res = gauge_equivalent(ctx, x, xp)
         out[f"gauge_equivalent {i}"] = [
             _element(x), _element(xp), res.status, _element(res.witness),
-            res.stage, res.complete, res.reason]
+            res.stage, res.reason]
     rng = random.Random(26)
     for i in range(LIFTS):
         f, nil_src, nil_tgt = random_acyclic_fibration(rng)

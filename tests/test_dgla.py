@@ -491,6 +491,46 @@ def test_structure_tables_are_read_only_by_the_kernel():
     assert not offenders, "structure table read at " + ", ".join(offenders)
 
 
+def _calls_of(name):
+    """(module file, enclosing class.function, line) of every call of a
+    function or method called name under src/."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef)]
+        scopes += [(fn.name, fn) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef)]
+        owner = {id(n): scope for scope, fn in scopes for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if called == name:
+                    calls.append((path.name, owner.get(id(node)),
+                                  node.lineno))
+    return calls
+
+
+def test_the_tot_context_is_the_one_form_ambient_of_an_algebra():
+    """No module builds a FormLieContext: the Tot context of a
+    cosimplicial algebra, a FormLieContext over all its levels, is the
+    one form ambient the package solves and checks in."""
+    assert _calls_of("FormLieContext") == []
+
+
+def test_structure_maps_are_composed_only_into_their_tables():
+    """A composite structure map is walked only to fill its memoized
+    table (`CosimplicialDgLie.structure_table`) and to validate the
+    cosimplicial identities, so every other reader goes through the
+    table."""
+    assert {(f, scope) for f, scope, _ in _calls_of("_normal_path")} == {
+        ("tot.py", "CosimplicialDgLie.structure_table"),
+        ("tot.py", "CosimplicialDgLie._validate_identities")}
+
+
 def test_cochain_maps_stay_behind_the_map_tables():
     """A linear map between algebras is its DgLieMap table: CochainMap is
     named only in cochain and in dgla.is_acyclic_fibration, which compares

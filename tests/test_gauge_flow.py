@@ -166,11 +166,11 @@ def _nil(name):
 ALGEBRAS = ["ef/t3", "wz/t3", "wz", "probe2", "heisenberg"]
 
 
-def _all_keys(fctx, D):
-    """Every key of Omega_n (x) g whose monomial has polynomial degree
-    at most D."""
-    return [(fctx.n, gi, mono) for mono in monomials_up_to(fctx.n, D)
-            for gi in range(fctx.algebras[fctx.n].total_dim())]
+def _all_keys(ctx, D):
+    """Every key of Omega_p (x) g^p, over the levels p of the ambient,
+    whose monomial has polynomial degree at most D."""
+    return [(p, gi, mono) for p, g in sorted(ctx.algebras.items())
+            for mono in monomials_up_to(p, D) for gi in range(g.total_dim())]
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,7 +183,7 @@ def _ambient(kind, name):
                                               t_truncated(3)), N=2)
         ctx = TotContext(cc)
         ref = ReferenceForms(ctx)
-        keys = [k for fctx in ctx.forms for k in _all_keys(fctx, 2)]
+        keys = _all_keys(ctx, 2)
     elif kind == "finite":
         ctx = FiniteLieContext(_nil(name))
         ref = ctx

@@ -300,9 +300,8 @@ def test_unreachable_gluing_target_fails_at_stage_0():
     datum = None
     while datum is None:
         datum = _sample_descent_datum(cc, rng)
-    path = solve_1simplex(ctx.forms[1], cc.coface(0, 1).apply(datum.a),
-                          datum.theta)
-    gi = next(gi for _, gi, _ in ctx.forms[1].keys_up_to(0, 1))
+    path = solve_1simplex(ctx, cc.coface(0, 1).apply(datum.a), datum.theta)
+    gi = cc.level(1).space.degree_indices(1)[0]
     path[(1, gi, ((5,), 0))] = ONE
     omegas = [ctx.embed_level(0, datum.a), path]
     with pytest.raises(GluingFailed) as info:

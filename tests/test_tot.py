@@ -255,7 +255,8 @@ def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
     order = {}
     for u, qtgt in generators:
         for col, k in enumerate(keys):
-            defect = ctx.compatibility_defect(u, qtgt, {k: F(1)})
+            defect = ctx.compatibility_defect(u, qtgt,
+                                              by_monomial({k: F(1)}))
             assert from_rows.get((u, col), {}) == defect
             for dk in defect:
                 order.setdefault((u, dk), None)
@@ -269,7 +270,7 @@ def test_only_forms_and_tot_name_the_exchange_row_inputs():
     rows cannot be written a second way unnoticed."""
     import ast
     src = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
-    watched = {"monomial_pullback", "generator_images"}
+    watched = {"monomial_pullback", "structure_table"}
     offenders = []
     for path in sorted(src.glob("*.py")):
         if path.name in ("forms.py", "tot.py"):
@@ -289,21 +290,27 @@ def test_a_map_that_is_not_monotone_into_the_codomain_is_refused():
     # (0, 1), (0, 2) and (-1, 0) leave [0] or [1]; (1, 0) decreases
     for u, q in (((0, 1), 0), ((0, 2), 1), ((-1, 0), 1), ((1, 0), 1)):
         with pytest.raises(ValueError, match="not a monotone map"):
-            cc.structure_map_to(u, q, {0: F(1)})
-        with pytest.raises(ValueError, match="not a monotone map"):
-            cc.generator_images(u, q)
+            cc.structure_table(u, q)
 
 
-def test_a_structure_map_path_is_walked_once_and_a_bad_map_every_time():
+def test_a_structure_map_path_is_walked_once_and_a_bad_map_every_time(
+        monkeypatch):
     cc = constant_cosimplicial(abelian_algebra({0: 1}), 2)
-    path = cc._normal_path((0, 2), 2)
-    assert cc._normal_path((0, 2), 2) is path
-    assert cc._normal_path([0, 2], 2) is path
-    assert cc.structure_map_to((0, 2), 2, {0: 1}) == {0: 1}
+    # validating the identities stores nothing; the conormalization
+    # stores the codegeneracy tables it reads
+    assert cc._tables and all(len(set(u)) < len(u) for u, _ in cc._tables)
+    walks = []
+    walk = CosimplicialDgLie._normal_path
+    monkeypatch.setattr(CosimplicialDgLie, "_normal_path",
+                        lambda self, u, q: walks.append(u) or walk(self, u, q))
+    table = cc.structure_table((0, 2), 2)
+    assert cc.structure_table((0, 2), 2) is table
+    assert cc.structure_table([0, 2], 2) is table
+    assert table == {0: {0: 1}} and walks == [(0, 2)]
     for _ in range(2):
         with pytest.raises(ValueError, match="not a monotone map"):
-            cc.structure_map_to((1, 0), 1, {0: 1})
-    assert ((1, 0), 1) not in cc._paths
+            cc.structure_table((1, 0), 1)
+    assert ((1, 0), 1) not in cc._tables and len(walks) == 3
 
 
 def test_tot_basis_vectors_are_tot_elements():
@@ -313,31 +320,28 @@ def test_tot_basis_vectors_are_tot_elements():
     assert all(ctx.is_tot_element(v) for v in basis)
 
 
-def test_a_membership_check_splits_its_element_once(monkeypatch):
+def test_a_membership_check_groups_its_element_once(monkeypatch):
+    from dgdescent import tot
     ctx = _cech_context("circle/t3")
     x = ctx.tot_basis(1, 2)[0]
     calls = []
-    split = TotContext.split
+    group = tot.by_monomial
 
-    def spy(self, y):
+    def spy(y):
         calls.append(y)
-        return split(self, y)
+        return group(y)
 
-    monkeypatch.setattr(TotContext, "split", spy)
+    monkeypatch.setattr(tot, "by_monomial", spy)
     assert ctx.is_tot_element(x)
     assert calls == [x]
-    # a defect splits a plain element and reads a split one as it is,
-    # with the same result
+    # a defect reads the grouping it is given, and groups nothing again
     k = next(iter(x))
     y = {**x, k: x[k] + 1}
-    parts = split(ctx, y)
+    groups = group(y)
     calls.clear()
-    defects = [ctx.compatibility_defect(u, q, parts)
+    defects = [ctx.compatibility_defect(u, q, groups)
                for u, q in ctx.generators()]
-    assert calls == []
-    assert defects == [ctx.compatibility_defect(u, q, y)
-                       for u, q in ctx.generators()]
-    assert len(calls) == len(defects) and any(defects)
+    assert calls == [] and any(defects)
 
 
 def _defect_matrix(ctx, keys):
@@ -347,8 +351,8 @@ def _defect_matrix(ctx, keys):
     rows = {}
     for col, key in enumerate(keys):
         for u, qtgt in ctx.generators():
-            for dk, c in ctx.compatibility_defect(u, qtgt,
-                                                  {key: F(1)}).items():
+            for dk, c in ctx.compatibility_defect(
+                    u, qtgt, by_monomial({key: F(1)})).items():
                 rows.setdefault((u, dk), {})[col] = c
     return [[row.get(col, 0) for col in range(len(keys))]
             for row in rows.values()]
@@ -611,8 +615,7 @@ def test_the_glued_family_extends_to_the_all_tuples_glued_family(cover):
             continue
         x = glue_descent_datum(cc, datum, 2)
         omegas = [oracle.embed_level(0, datum.a),
-                  solve_1simplex(oracle.forms[1],
-                                 cc.coface(0, 1).apply(datum.a),
+                  solve_1simplex(oracle, cc.coface(0, 1).apply(datum.a),
                                  datum.theta)]
         omegas.append(_glue_level(oracle, omegas, 2, 2))
         assert ctx.extend(x) == el_sum(omegas)
@@ -714,6 +717,43 @@ def _restrict_by_basis_index(u, x):
     return out
 
 
+def _elementary_apply(cc, u, q, x):
+    """g(u)(x) for u: [p] -> [q], the elementary maps applied one by one
+    along the word that takes the smallest indices first: u is
+    face_i . u' for the smallest i off its image, else u' . degen_j for
+    the smallest repeated position j, else the identity.  The normal
+    form that `CosimplicialDgLie.structure_table` walks puts them in
+    another order; the cosimplicial identities make the two agree."""
+    p = len(u) - 1
+    missing = [i for i in range(q + 1) if i not in u]
+    if missing:
+        i = missing[0]
+        inner = tuple(v if v < i else v - 1 for v in u)
+        return cc.coface(q - 1, i).apply(_elementary_apply(cc, inner, q - 1,
+                                                           x))
+    repeats = [j for j in range(p) if u[j] == u[j + 1]]
+    if repeats:
+        j = repeats[0]
+        return _elementary_apply(cc, u[:j + 1] + u[j + 2:], q,
+                                 cc.codegeneracy(p - 1, j).apply(x))
+    return dict(x)
+
+
+def test_the_structure_tables_of_a_record_are_its_elementary_maps():
+    """On the cosimplicial record, the structure table of every
+    monotone u: [p] -> [q] between its levels is the image of each
+    basis element under its elementary maps applied one by one."""
+    from dgdescent.io import load_any
+    _, cc = load_any(str(DATA / "cosimplicial_constant_ef_t3.json"))
+    for p in range(cc.N + 1):
+        for q in range(cc.N + 1):
+            for u in monotone_maps(p, q):
+                table = cc.structure_table(u, q)
+                assert list(table) == list(range(cc.level(p).total_dim()))
+                for gi, row in table.items():
+                    assert row == _elementary_apply(cc, u, q, {gi: 1}), u
+
+
 def _defect_by_basis_index(ctx, u, q, x, whole=False):
     """compatibility_defect from `_restrict_by_basis_index` and the
     image of every key's basis element on its own."""
@@ -723,7 +763,7 @@ def _defect_by_basis_index(ctx, u, q, x, whole=False):
     pushed = {}
     for (level, gi, mono), v in x.items():
         if level == p:
-            for gj, c in ctx.cc.structure_map_to(u, q, {gi: 1}).items():
+            for gj, c in _elementary_apply(ctx.cc, u, q, {gi: 1}).items():
                 key = (p, gj, mono)
                 pushed[key] = pushed.get(key, 0) + c * v
     defect = el_sub(pulled, pushed)
@@ -741,7 +781,7 @@ def _form_keys(q):
 @st.composite
 def _form_elements(draw):
     """(FormLieContext of level q, element over its keys, a monotone
-    map u: [p] -> [q])."""
+    map u: [p] -> [q], q)."""
     q = draw(st.integers(0, 2))
     ctx, keys = _form_keys(q)
     chosen = draw(st.lists(st.sampled_from(keys), max_size=12))
@@ -750,16 +790,15 @@ def _form_elements(draw):
     x = {k: v for k, v in x.items() if v}
     p = draw(st.integers(0, 3))
     u = draw(st.sampled_from(monotone_maps(p, q)))
-    return ctx, x, u
+    return ctx, x, u, q
 
 
 @settings(max_examples=60, deadline=None)
 @given(_form_elements())
 def test_restrict_by_monomial_is_restrict_by_basis_index(case):
-    ctx, x, u = case
-    ref = _restrict_by_basis_index(u, x)
-    assert ctx.restrict(u, x) == ref
-    assert ctx.restrict(u, by_monomial(x)) == ref
+    ctx, x, u, q = case
+    assert ctx.restrict(u, by_monomial(x).get(q, {})) == \
+        _restrict_by_basis_index(u, x)
 
 
 @functools.cache
@@ -786,11 +825,11 @@ def _tot_elements(draw):
 @given(_tot_elements())
 def test_defect_by_monomial_is_defect_by_basis_index(case):
     ctx, x, u, q = case
-    assert ctx.compatibility_defect(u, q, x) == \
+    assert ctx.compatibility_defect(u, q, by_monomial(x)) == \
         _defect_by_basis_index(ctx, u, q, x)
     # on the whole family, at every target
-    whole = ctx._whole(ctx.split(x))
-    assert ctx.compatibility_defect(u, q, whole) == \
+    whole = ctx._whole(by_monomial(x))
+    assert ctx.compatibility_defect(u, q, whole, whole=True) == \
         _defect_by_basis_index(ctx, u, q, ctx.extend(x), whole=True)
 
 

@@ -413,22 +413,13 @@ def _glue_level(ctx, omegas, p, D):
 def _sample_descent_datum(cc, rng):
     """Draw a valid descent datum from the cover structure.
 
-    Abelian instances sample uniformly small coordinates over the
-    1-cocycles of the abelian descent complex.  Otherwise per-open MC
-    elements are drawn through the staged solver with randomized free
-    choices and the overlap gauges sampled freely; that satisfies the
-    cocycle condition whenever triple overlaps are empty, and invalid
-    draws return None for the caller to resample (honest rejection,
-    never repair).
+    Per-open MC elements are drawn through the staged solver with
+    randomized free choices and the overlap gauges sampled freely; that
+    satisfies the cocycle condition whenever triple overlaps are empty,
+    and invalid draws return None for the caller to resample (honest
+    rejection, never repair).
     """
     G = cc.descent_groupoid()
-    if G.is_abelian():
-        Z = G.abelian_complex[0].cocycles(1)
-        if not Z:
-            return DescentDatum({}, {})
-        coords = [rng.randint(-3, 3) for _ in Z]
-        datum = G.abelian_object(coords)
-        return datum if G.verify_object(datum) else None
     cover = cc.cover
     # the opens that carry a section: a declared open without one has
     # no MC element to draw
@@ -486,7 +477,7 @@ def find_descent_isomorphism(G, d1, d2):
     are not isomorphic, and raises NotIsomorphic with its stage.
     """
     if el_eq(d1.a, d2.a) and el_eq(d1.theta, d2.theta):
-        return G.identity_morphism()
+        return {}      # the identity gauge
     ctx0 = G.ctx0
     res = staged_gauge_search(ctx0, d1.a, d2.a,
                               ctx0.basis_of_degree(0))

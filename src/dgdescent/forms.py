@@ -389,24 +389,6 @@ def monomials_up_to(n, D):
     return out
 
 
-def truncated_form_cochain(n, D):
-    """The complex F_D(Omega_n) with basis the monomials of degree <= D.
-
-    Returns (Cochain, monomial lists per form degree).  d preserves the
-    polynomial degree, so F_D really is a subcomplex.
-    """
-    from .cochain import Cochain, GradedSpace, map_table
-    monos = monomials_up_to(n, D)
-    by_deg = {}
-    for m in monos:
-        by_deg.setdefault(mono_form_degree(m), []).append(m)
-    degrees = {k: [format_mono(mono) for mono in v]
-               for k, v in by_deg.items()}
-    units = {k: [{m: 1} for m in ms] for k, ms in by_deg.items()}
-    d = map_table(lambda x: PolyForm(n, x).d().terms, units, units, 1)
-    return Cochain(GradedSpace(degrees), d), by_deg
-
-
 # ---------------------------------------------------------------------------
 # printing
 

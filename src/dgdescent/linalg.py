@@ -368,22 +368,19 @@ def echelon_basis(vectors):
 
 def span_intersection(vectors1, vectors2):
     """The echelon_basis of span(vectors1) & span(vectors2), for sparse
-    vectors over sortable keys."""
-    keys = sorted({k for v in vectors1 + vectors2 for k in v})
-    if not keys or not vectors1 or not vectors2:
-        return []
-    # combinations (a, b) with sum a_i v1_i - sum b_j v2_j = 0
-    n1 = len(vectors1)
-    cols = sparse_columns(vectors1 + [{k: -x for k, x in v.items()}
-                                      for v in vectors2], keys)
-    inter = []
-    for comb in sparse_kernel(cols, n1 + len(vectors2)):
-        w = {}
-        for i in sorted(i for i in comb if i < n1):
-            for k, x in vectors1[i].items():
-                w[k] = w.get(k, 0) + comb[i] * x
-        inter.append(w)
-    return echelon_basis(inter)
+    vectors over sortable keys.
+
+    Zassenhaus: one echelon basis of the pairs (v, v), v in vectors1,
+    and (w, 0), w in vectors2, keyed (0, k) and (1, k).  The row space
+    is the (v + w, v) with v in span(vectors1) and w in span(vectors2),
+    and it vanishes on the first copy exactly when v = -w lies in both
+    spans; the basis vectors whose pivot lies in the second copy, read
+    on that copy, are the reduced echelon basis of those v."""
+    pairs = [{**{(0, k): x for k, x in v.items()},
+              **{(1, k): x for k, x in v.items()}} for v in vectors1]
+    pairs += [{(0, k): x for k, x in w.items()} for w in vectors2]
+    return [{k: x for (_, k), x in b.items()}
+            for b in echelon_basis(pairs) if next(iter(b))[0] == 1]
 
 
 def _kernel(pivot_rows, pivot_cols, ncols):

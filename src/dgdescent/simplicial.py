@@ -205,15 +205,3 @@ def family_key(fam):
     return tuple(sorted((obj, repr(val)) for obj, val in fam.items()))
 
 
-def arrow_commutes(src, tgt, alpha, beta):
-    """Whether (alpha, beta) is a morphism src -> tgt of the arrow
-    category: beta . src . alpha == tgt as monotone maps."""
-    q, u = src
-    qq, uu = tgt
-    if len(beta) != q + 1 or (beta and max(beta) > qq):
-        return False
-    if len(alpha) != len(uu):
-        return False
-    composed = compose_maps(beta, compose_maps(u, alpha))
-    return composed == uu
-

@@ -205,15 +205,6 @@ class CosimplicialDgLie:
         return nils
 
 
-def constant_cosimplicial(g, N):
-    from .dgla import identity_map
-    levels = [g] * (N + 1)
-    cofaces = [[identity_map(g) for _ in range(q + 2)] for q in range(N)]
-    codegens = [[identity_map(g) for _ in range(q + 1)] for q in range(N)]
-    return CosimplicialDgLie(levels, cofaces, codegens,
-                             name=f"const({g.name})")
-
-
 # ---------------------------------------------------------------------------
 # totalization of the underlying complexes
 
@@ -233,12 +224,10 @@ def tot_cochain(cc):
     for q in range(N + 1):
         g = cc.level(q)
         for el in cc.normalization_basis(q):
-            # the conormalization is graded; split defensively anyway
-            by_deg = {}
-            for k, v in el.items():
-                by_deg.setdefault(g.degree_of(k), {})[k] = v
-            for dd, part in by_deg.items():
-                collected.setdefault((q, q + dd), []).append(part)
+            # the codegeneracies keep degrees, so each reduced kernel
+            # vector lies in one degree
+            dd = g.degree_of(next(iter(el)))
+            collected.setdefault((q, q + dd), []).append(el)
     for (q, n), parts in sorted(collected.items()):
         for el in echelon_basis(parts):
             pieces.setdefault(n, []).append((q, el))
@@ -637,9 +626,6 @@ class DescentGroupoid:
         rhs = bch(self.ctx1, self.cf(0, 0, r), d1.theta)
         return el_eq(lhs, rhs)
 
-    def identity_morphism(self):
-        return {}
-
     # -- abelian presentation -------------------------------------------------------
 
     def is_abelian(self):
@@ -695,17 +681,6 @@ class DescentGroupoid:
 
     def aut_dimension(self):
         return self.abelian_complex[0].cohomology(0)[0]
-
-    def abelian_object(self, coords):
-        """The datum with the given coordinates over cocycles(1)."""
-        C, keys = self.abelian_complex
-        Z = C.cocycles(1)
-        parts = {"a": {}, "theta": {}}
-        for i, (tag, k) in zip(C.space.degree_indices(1), keys[1]):
-            v = sum(c * z.get(i, 0) for c, z in zip(coords, Z))
-            if v:
-                parts[tag][k] = v
-        return DescentDatum(parts["a"], parts["theta"])
 
 
 def tot_groupoid(cc):

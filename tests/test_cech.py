@@ -2,6 +2,7 @@ import copy
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,8 @@ from dgdescent.instances import (abelian_line, circle_cover, complex_cover,
                                  dual_numbers, ef_algebra, heisenberg,
                                  probe_class2, projection_cover, scaled_cover,
                                  segment_cover, t_truncated, triple_cover)
-from dgdescent.io import label_to_json, scalar_from_str
+from dgdescent.io import (ParseError, label_to_json, load_any,
+                          scalar_from_str)
 from dgdescent.linalg import echelon_basis
 from dgdescent.mcgauge import (FiniteLieContext, SelfCheckFailed, gauge_act,
                                gauge_equivalent, mc_residual)
@@ -27,7 +29,10 @@ from dgdescent.tot import (CosimplicialDgLie, DescentDatum, TotContext,
                            TruncationError, tot_cochain, tot_groupoid,
                            tot_lie)
 
+from builders import constant_cosimplicial, sample_abelian_datum
+
 F = Fraction
+DATA = Path(__file__).resolve().parents[1] / "src" / "dgdescent" / "data"
 
 
 def one_open_cover():
@@ -267,6 +272,28 @@ def test_every_structure_table_is_the_restriction_of_the_cover(name):
                     expect, (u, q)
 
 
+@pytest.mark.parametrize("name", list(CECH_MAP_COVERS) +
+                         ["segment-ef/t3", "record"])
+def test_every_normalization_basis_vector_lies_in_one_degree(name):
+    """The codegeneracies keep degrees, so each reduced kernel vector
+    of normalization_basis(q) lies in one degree: `tot_cochain` reads
+    the degree of a vector off one of its keys."""
+    if name == "record":
+        _, cc = load_any(str(DATA / "cosimplicial_constant_ef_t3.json"))
+    elif name == "segment-ef/t3":
+        cc = cech_cosimplicial(tensored_cover(segment_cover(ef_algebra()),
+                                              t_truncated(3)))
+    else:
+        cc = cech_cosimplicial(CECH_MAP_COVERS[name]())
+    seen = 0
+    for q in range(cc.N + 1):
+        g = cc.level(q)
+        for el in cc.normalization_basis(q):
+            assert len({g.degree_of(k) for k in el}) == 1, (q, el)
+            seen += 1
+    assert seen
+
+
 def test_comparison_rejects_non_mc():
     cc = _nonabelian_cc()
     comp = ComparisonFunctor(cc)
@@ -300,7 +327,7 @@ def test_triple_cover_glues_through_level_two():
                            N=2)
     assert cc.vanishing_level == 2
     rng = random.Random(3)
-    datum = _sample_descent_datum(cc, rng)
+    datum = sample_abelian_datum(cc, rng)
     assert datum is not None
     x = glue_descent_datum(cc, datum, D=2)
     ctx = TotContext(cc)
@@ -308,6 +335,34 @@ def test_triple_cover_glues_through_level_two():
     assert el_is_zero(mc_residual(ctx, x))
     img = ComparisonFunctor(cc).object_map(x)
     assert find_descent_isomorphism(tot_groupoid(cc), img, datum) is not None
+
+
+def _bundled_cosimplicial(path):
+    """The cosimplicial algebra that the command line checks for a
+    bundled record, or None for a record that carries none."""
+    from argparse import Namespace
+    from dgdescent.cli import _cosimplicial_from_args
+    try:
+        return _cosimplicial_from_args(Namespace(file=str(path)))
+    except ParseError:      # an algebra, artin or cover record
+        return None
+
+
+def test_verify_descent_never_samples_an_abelian_instance(monkeypatch):
+    """Abelian levels are decided by linear algebra alone: the sampler
+    is never called, on every abelian bundled instance and on the
+    constant cosimplicial line."""
+    def refuse(cc, rng):
+        raise AssertionError(f"sampled {cc.name}")
+
+    import dgdescent.cech as cech
+    monkeypatch.setattr(cech, "_sample_descent_datum", refuse)
+    ccs = [cc for cc in map(_bundled_cosimplicial, sorted(DATA.glob("*.json")))
+           if cc is not None and cc.descent_groupoid().is_abelian()]
+    assert len(ccs) >= 6
+    for cc in ccs + [constant_cosimplicial(abelian_line(), 2)]:
+        report = verify_descent(cc, samples=3)
+        assert report["falsified"] == 0
 
 
 def test_lift_tot_gauge_identity():

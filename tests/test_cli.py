@@ -218,7 +218,7 @@ def test_stabilized_tot_disagreement_on_the_3_sphere_is_undecided(
     # is no limit and refutes nothing
     import itertools
     from dgdescent.instances import complex_cover, dual_numbers
-    from dgdescent.io import instance_to_record
+    from records import instance_to_record
     path = tmp_path / "sphere3.json"
     dump_record(instance_to_record(
         "sphere3/eps", complex_cover(itertools.combinations(range(5), 4),
@@ -340,7 +340,7 @@ def test_gauge_orbit_depth_must_be_positive(tmp_path, capsys, value):
 
 def test_gluing_beyond_the_degree_bound_is_undecided(tmp_path, capsys):
     from dgdescent.instances import probe_class2, segment_cover, t_truncated
-    from dgdescent.io import instance_to_record
+    from records import instance_to_record
     path = tmp_path / "probe2.json"
     dump_record(instance_to_record("segment-probe2/t3",
                                    segment_cover(probe_class2()),
@@ -477,8 +477,8 @@ def test_truncation_below_level_two_is_a_clean_error(tmp_path, capsys):
     # a cosimplicial_dg_lie record fixes its own levels; two are too few
     # for the descent groupoid
     from dgdescent.instances import abelian_line
-    from dgdescent.io import cosimplicial_to_record
-    from dgdescent.tot import constant_cosimplicial
+    from builders import constant_cosimplicial
+    from records import cosimplicial_to_record
     path = tmp_path / "two_levels.json"
     dump_record(cosimplicial_to_record(
         constant_cosimplicial(abelian_line(), 1)), path)
@@ -576,8 +576,8 @@ def test_verify_descent_refuses_nonabelian_records_without_cover(capsys):
 def test_verify_descent_checks_abelian_cosimplicial_records(tmp_path,
                                                             capsys):
     from dgdescent.instances import abelian_line
-    from dgdescent.io import cosimplicial_to_record
-    from dgdescent.tot import constant_cosimplicial
+    from builders import constant_cosimplicial
+    from records import cosimplicial_to_record
     path = tmp_path / "const_line.json"
     dump_record(cosimplicial_to_record(constant_cosimplicial(abelian_line(),
                                                              2)), path)

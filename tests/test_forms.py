@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgdescent.cochain import Cochain, GradedSpace, map_table
 from dgdescent.forms import (PolyForm, compose_maps, degeneracy_map,
-                             face_map, identity_monotone, mono_form_degree,
-                             monomials_up_to, monotone_maps, omega_apply,
-                             truncated_form_cochain)
+                             face_map, format_mono, identity_monotone,
+                             mono_form_degree, monomials_up_to,
+                             monotone_maps, omega_apply)
 
 F = Fraction
 
@@ -240,6 +241,23 @@ def test_truncation_is_a_subcomplex():
         assert _poly_degree(omega.d()) <= max(D, 0)
         u = rng.choice(monotone_maps(rng.randint(0, 3), n))
         assert _poly_degree(omega_apply(u, omega)) <= D
+
+
+def truncated_form_cochain(n, D):
+    """The complex F_D(Omega_n) with basis the monomials of degree <= D.
+
+    Returns (Cochain, monomial lists per form degree).  d preserves the
+    polynomial degree, so F_D really is a subcomplex.
+    """
+    monos = monomials_up_to(n, D)
+    by_deg = {}
+    for m in monos:
+        by_deg.setdefault(mono_form_degree(m), []).append(m)
+    degrees = {k: [format_mono(mono) for mono in v]
+               for k, v in by_deg.items()}
+    units = {k: [{m: 1} for m in ms] for k, ms in by_deg.items()}
+    d = map_table(lambda x: PolyForm(n, x).d().terms, units, units, 1)
+    return Cochain(GradedSpace(degrees), d), by_deg
 
 
 def test_poincare_lemma_truncated():

@@ -9,13 +9,14 @@ from dgdescent.cech import cech_cosimplicial, tensored_cover
 from dgdescent.dgla import ArtinAlgebra
 from dgdescent.instances import (abelian_line, dual_numbers, ef_algebra,
                                  probe_class2, segment_cover, t_truncated)
-from dgdescent.io import (ParseError, algebra_from_record, algebra_to_record,
-                          artin_from_record, artin_to_record,
-                          cosimplicial_from_record, cosimplicial_to_record,
-                          cover_from_record, cover_to_record, dump_record,
-                          element_from_record, element_to_record,
-                          instance_from_record, instance_to_record,
+from dgdescent.io import (ParseError, algebra_from_record, artin_from_record,
+                          cosimplicial_from_record, cover_from_record,
+                          dump_record, element_from_record,
+                          element_to_record, instance_from_record,
                           load_record, scalar_from_str, scalar_to_str)
+from records import (algebra_to_record, artin_to_record,
+                     cosimplicial_to_record, cover_to_record,
+                     instance_to_record)
 
 F = Fraction
 

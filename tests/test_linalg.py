@@ -4,12 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dgdescent import linalg
 from dgdescent.linalg import (NoSolution, coords_in_span, echelon_basis,
                               intersect_spans, kernel_basis,
                               lower, rref, solve_affine, span_basis,
+                              span_intersection, sparse_columns,
                               sparse_eliminate, sparse_factor,
                               sparse_from_dense, sparse_kernel,
                               sparse_solve_affine)
@@ -580,6 +581,69 @@ def test_tot_sweep_kernels_match_one_elimination():
                     [{keys[j]: c for j, c in v.items()} for v in ref]
                 systems += 1
     assert systems == 36
+
+
+def span_intersection_by_kernel(vectors1, vectors2):
+    """The intersection by the kernel of [vectors1 | -vectors2]: each
+    kernel vector (a, b) gives sum a_i v1_i, and echelon_basis reduces
+    those; the reference for the one elimination of span_intersection."""
+    keys = sorted({k for v in vectors1 + vectors2 for k in v})
+    if not keys or not vectors1 or not vectors2:
+        return []
+    # combinations (a, b) with sum a_i v1_i - sum b_j v2_j = 0
+    n1 = len(vectors1)
+    cols = sparse_columns(vectors1 + [{k: -x for k, x in v.items()}
+                                      for v in vectors2], keys)
+    inter = []
+    for comb in sparse_kernel(cols, n1 + len(vectors2)):
+        w = {}
+        for i in sorted(i for i in comb if i < n1):
+            for k, x in vectors1[i].items():
+                w[k] = w.get(k, 0) + comb[i] * x
+        inter.append(w)
+    return echelon_basis(inter)
+
+
+span_coeffs = st.sampled_from([0, 1, -1, 2, -3, F(2), F(1, 2), F(-2, 3)])
+
+
+@st.composite
+def span_pairs(draw):
+    """Two lists of sparse vectors over up to five tuple keys, either
+    possibly empty, with zero vectors and explicit zero entries; part of
+    the second list is drawn from combinations of the first, so the
+    spans often meet."""
+    keys = [(i, "x") for i in range(draw(st.integers(1, 5)))]
+    vector = st.dictionaries(st.sampled_from(keys), span_coeffs, max_size=4)
+    v1 = draw(st.lists(vector, max_size=4))
+    v2 = draw(st.lists(vector, max_size=3))
+    for _ in range(draw(st.integers(0, 2)) if v1 else 0):
+        w = {}
+        for v in v1:
+            c = draw(span_coeffs)
+            for k, x in v.items():
+                w[k] = w.get(k, 0) + c * x
+        v2.insert(draw(st.integers(0, len(v2))), w)
+    return v1, v2
+
+
+@given(span_pairs())
+@example(([], []))
+@example(([{0: 1}], []))
+@example(([], [{0: 1}]))
+@example(([{}, {0: 0}], [{0: 1}]))
+@example(([{0: 2, 1: 4}], [{0: 1, 1: 2}, {}]))
+@settings(max_examples=300, deadline=None)
+def test_span_intersection_matches_the_kernel_construction(pair):
+    """One elimination of the pairs (v, v) and (w, 0) gives the basis
+    that the kernel of [vectors1 | -vectors2] gives: the same vectors
+    in the same order, keys in the same order, values and their int or
+    Fraction types included."""
+    v1, v2 = pair
+    got = span_intersection(v1, v2)
+    ref = span_intersection_by_kernel(v1, v2)
+    assert typed_vectors(got) == typed_vectors(ref)
+    assert [list(v) for v in got] == [list(v) for v in ref]
 
 
 def _all_lowered(values):

@@ -19,8 +19,9 @@ from dgdescent.linalg import echelon_basis, rref
 from dgdescent.mcgauge import (FiniteLieContext, FormLieContext, by_monomial,
                                mc_residual)
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, DescentGroupoid,
-                           TotContext, constant_cosimplicial, tot_cochain,
-                           tot_groupoid, tot_lie)
+                           TotContext, tot_cochain, tot_groupoid, tot_lie)
+
+from builders import abelian_object, constant_cosimplicial
 
 F = Fraction
 DATA = Path(__file__).resolve().parents[1] / "src" / "dgdescent" / "data"
@@ -150,7 +151,7 @@ def test_abelian_object_constructor():
     G = tot_groupoid(cc)
     sol = G.abelian_complex[0].cocycles(1)
     assert sol
-    datum = G.abelian_object([F(1)] * len(sol))
+    datum = abelian_object(G, [F(1)] * len(sol))
     assert G.verify_object(datum)
 
 
@@ -474,7 +475,7 @@ def test_abelian_complex_agrees_with_tot_cochain_on_every_instance():
         Z = C.cocycles(1)
         assert len(keys[1]) == C.space.dim(1)
         for i in range(len(Z)):
-            datum = G.abelian_object([F(i == j) for j in range(len(Z))])
+            datum = abelian_object(G, [F(i == j) for j in range(len(Z))])
             assert G.verify_object(datum), (name, i)
 
 

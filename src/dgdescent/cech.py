@@ -15,6 +15,7 @@ Gluing goes the other way: level 0 and 1 from the datum itself, level
 p >= 2 by boundary extension plus staged Maurer-Cartan correction.
 """
 
+import functools
 import itertools
 
 from .dgla import (DgLieMap, SelfCheckFailed, direct_product, el_combination,
@@ -25,7 +26,8 @@ from .io import TruncationError, label_to_json, scalar_to_str
 from .linalg import NoSolution, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
                       ObstructionUnsolvable, by_monomial,
-                      constrained_mc_solve, constraint_system, gauge_act,
+                      constrained_mc_solve, constraint_rhs,
+                      constraint_rows, gauge_act,
                       holonomy, mc_residual, _stage_span, solve_1simplex,
                       staged_gauge_search)
 from .tot import CosimplicialDgLie, DescentDatum, tot_lie
@@ -150,6 +152,8 @@ class CechCosimplicial(CosimplicialDgLie):
     def __init__(self, cover, levels, cofaces, codegens, tuples):
         self.cover = cover
         self.tuples = tuples
+        # the sampler's factored restriction systems (`_open_system`)
+        self.open_systems = {}
         super().__init__(levels, cofaces, codegens,
                          vanishing_level=cover.num_opens - 1,
                          name=f"cech({cover.name or cover.num_opens})")
@@ -417,7 +421,10 @@ def _sample_descent_datum(cc, rng):
     randomized free choices and the overlap gauges sampled freely; that
     satisfies the cocycle condition whenever triple overlaps are empty,
     and invalid draws return None for the caller to resample (honest
-    rejection, never repair).
+    rejection, never repair).  Each open's restriction system is
+    factored once per algebra (`_open_system`); a draw writes only its
+    right-hand side, and one that a target makes insoluble is rejected
+    before any random choice of the MC solve.
     """
     G = cc.descent_groupoid()
     cover = cc.cover
@@ -427,21 +434,20 @@ def _sample_descent_datum(cc, rng):
     a_parts = {}
     theta_parts = {}
     for n, j in enumerate(opens):
-        ctx = FiniteLieContext(lower_central_series(cover.algebra({j})))
-        constraints = []
-        for i in opens[:n]:
-            J = frozenset({i, j})
-            if cover.algebra(J) is None:
-                continue
+        earlier = [(i, frozenset({i, j})) for i in opens[:n]
+                   if cover.algebra(frozenset({i, j})) is not None]
+        ctx, keys, system, row_keys = _open_system(
+            cc, j, tuple(J for _, J in earlier))
+        targets = []
+        for i, J in earlier:
             overlap = DeligneGroupoid(lower_central_series(cover.algebra(J)))
             theta_ij = overlap.random_gauge(rng)
             theta_parts[(i, j)] = theta_ij
-            target = gauge_act(overlap.ctx, theta_ij,
-                               cover.restrict({i}, J, a_parts[i]))
-            constraints.append(
-                (lambda x, J=J, j=j: cover.restrict({j}, J, x), target))
-        keys = ctx.degree_keys(1)
-        system, rhs = constraint_system(keys, constraints)
+            targets.append(gauge_act(overlap.ctx, theta_ij,
+                                     cover.restrict({i}, J, a_parts[i])))
+        rhs = constraint_rhs(row_keys, targets)
+        if rhs is None:
+            return None
         try:
             a_parts[j] = constrained_mc_solve(ctx, keys, system, rhs,
                                               rng=rng, label=f"open {j}")
@@ -453,6 +459,23 @@ def _sample_descent_datum(cc, rng):
     theta = cc.from_components(1, theta_parts)
     datum = DescentDatum(a, theta)
     return datum if G.verify_object(datum) else None
+
+
+def _open_system(cc, j, overlaps):
+    """(context, degree-1 keys, factored rows, row keys per overlap) of
+    the draw of open j's MC element under its restrictions to the given
+    overlaps J, built and factored once per Cech algebra: only the
+    targets depend on the draw (`mcgauge.constraint_rhs`)."""
+    system = cc.open_systems.get((j, overlaps))
+    if system is None:
+        cover = cc.cover
+        ctx = FiniteLieContext(lower_central_series(cover.algebra({j})))
+        keys = ctx.degree_keys(1)
+        system = cc.open_systems[j, overlaps] = (
+            ctx, keys, *constraint_rows(
+                keys, [functools.partial(cover.restrict, {j}, J)
+                       for J in overlaps]))
+    return system
 
 
 class NotIsomorphic(Exception):

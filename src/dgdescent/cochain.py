@@ -14,7 +14,7 @@ reduced bases; `canonical_table` and `check_chain_map` are the checks
 on tables that `CochainMap` and `dgla.DgLieMap` share.
 """
 
-from .linalg import (echelon_basis, linear_apply, lower, sparse_eliminate,
+from .linalg import (echelon_basis, linear_apply, lower, sparse_free_columns,
                      sparse_kernel)
 
 
@@ -63,11 +63,14 @@ class GradedSpace:
     def label_of(self, gidx):
         return self.basis[gidx][1]
 
+    def degree_range(self, n):
+        """The global indices of degree n, a range (empty when the
+        degree is)."""
+        off = self._offset.get(n, 0)
+        return range(off, off + self.dim(n))
+
     def degree_indices(self, n):
-        if n not in self.degrees:
-            return []
-        off = self._offset[n]
-        return list(range(off, off + len(self.degrees[n])))
+        return list(self.degree_range(n))
 
     def unit_bases(self):
         """{n: [{g: 1} for every basis index g of degree n]}."""
@@ -127,7 +130,23 @@ def map_table(fn, source, target, shift=0):
 
 def _unit_keys(vecs, n):
     """{key: i}: for each vector i a key where it is 1 and every other
-    vector is 0; ValueError if some vector has none."""
+    vector is 0, the first such key of the vector; ValueError if some
+    vector has none."""
+    # a kernel basis lists each vector's own free key first, and an
+    # RREF row its pivot: try each vector's first key before counting
+    # every key's vectors
+    owner = {}
+    for i, v in enumerate(vecs):
+        k = next(iter(v), None)
+        if k is not None and v[k] == 1:
+            owner[k] = None if k in owner else i
+    for i, v in enumerate(vecs):
+        for k in v.keys() & owner.keys():
+            if owner[k] != i:
+                owner[k] = None
+    row_of = {k: i for k, i in owner.items() if i is not None}
+    if len(row_of) == len(vecs):
+        return row_of
     count = {}
     for v in vecs:
         for k, x in v.items():
@@ -152,14 +171,20 @@ def canonical_table(table, source, target, shift=0, what="map"):
     the space target."""
     change = f"raise by {shift}" if shift else "keep"
     out = {}
+    # the index ranges of the degree of the current source index and of
+    # its target degree, looked up once per source degree
+    here = there = range(0)
     for i in sorted(table):
         entry = {k: lower(c) for k, c in sorted(table[i].items()) if c}
         if not entry:
             continue
-        if not 0 <= i < source.total_dim() or not all(
-                0 <= k < target.total_dim() and
-                target.degree_of(k) == source.degree_of(i) + shift
-                for k in entry):
+        if i not in here and 0 <= i < source.total_dim():
+            n = source.degree_of(i)
+            here, there = source.degree_range(n), \
+                target.degree_range(n + shift)
+        # the keys are sorted, so the first and the last bound them
+        if i not in here or next(iter(entry)) not in there or \
+                next(reversed(entry)) not in there:
             raise ValueError(f"{what} entry {i} -> {sorted(entry)} does "
                              f"not {change} the degree of basis element {i}")
         out[i] = entry
@@ -206,17 +231,19 @@ class Cochain:
         Representatives are cocycles that stay independent modulo
         coboundaries (dim = dim ker d^n - rank d^{n-1}).  The cocycle
         basis is 1 on its free indices and 0 on the others', so the
-        coordinates of a coboundary over it are its entries there; one
-        elimination of those coordinate rows gives rank B, and the
-        cocycles off its pivot columns complete B to a basis of Z.
+        coordinates of a coboundary over it are its entries there.  The
+        cocycles off the pivot columns of those coordinate rows' reduced
+        row echelon form complete B to a basis of Z, and they are the
+        cocycles on the rows' free columns (`linalg.sparse_free_columns`),
+        in order: on a Cech Tot complex the rows have one or two terms,
+        and the presolve decides them without an elimination.
         """
         Z, free = self._kernel(n)
         position = {f: j for j, f in enumerate(free)}
         coords = [{position[k]: c for k, c in self.d[i].items()
                    if k in position}
                   for i in self.space.degree_indices(n - 1) if i in self.d]
-        pivots = set(sparse_eliminate(coords)[1])
-        reps = [z for j, z in enumerate(Z) if j not in pivots]
+        reps = [Z[j] for j in sparse_free_columns(coords, len(Z))]
         return len(reps), reps
 
     def betti_numbers(self, up_to=None):

@@ -19,7 +19,11 @@ and one replay).  The eliminator itself sees no right-hand side: the
 certificate of an inconsistent one is read off the factor, by
 replaying the recorded operations on the rows' unit vectors.  A
 kernel is presolved: `sparse_kernel` substitutes the one- and two-term
-rows away and eliminates only what is left.
+rows away and eliminates only what is left, and `sparse_free_columns`
+stops after that presolve with the free columns alone, the non-pivot
+columns of the reduced row echelon form: `Cochain.cohomology` picks
+its representatives by them, and a system of one- and two-term rows
+is decided by the union-find alone.
 A subspace is the list of its `echelon_basis` vectors (dicts over any
 sortable keys), a system is a list of sparse rows, and a linear map is
 a sparse table {i: {k: coeff}} that `linear_apply` pushes vectors
@@ -431,33 +435,13 @@ def _rewrite(row, parent, ratio, zero):
     return out
 
 
-def sparse_kernel(rows, ncols):
-    """Kernel basis (list of sparse vectors) of a sparse homogeneous
-    system over the columns 0..ncols-1.
-
-    Basis vector i has coefficient 1 on its free column and 0 on every
-    other free column, and no column right of its own free one, so
-    coordinates over the basis are lookups; it is the basis that the
-    reduced row echelon form with leftmost pivots gives, and the vectors
-    come in the order of their free columns.  A vector's free column is
-    its largest key.
-
-    One- and two-term rows are presolved by substitution before any
-    elimination.  A scaled union-find keeps every column j as
-    x_j = c x_root of its class, or in a zeroed class, which has no
-    root.  The rows are taken in order of length, each rewritten over
-    the roots: a row that rewrites to one term zeroes its class, one
-    that rewrites to two terms merges their classes, and one that
-    rewrites to nothing is dropped.  The rest, rewritten over the final
-    roots, go to one `sparse_eliminate` call.  The root of a class is
-    its largest column, so a kernel vector of the remaining system,
-    expanded back over the classes, has its largest column where it had
-    it, at a root; the leftmost-pivot kernel basis of the remaining
-    system, 1 on its free root and 0 on the other free roots, therefore
-    expands to vectors that are 1 on their own free column, 0 on every
-    other free column, and 0 right of their own: the unique reduced
-    basis of the kernel, with no second echelon pass.
-    """
+def _presolve(rows, ncols):
+    """The scaled union-find presolve of `sparse_kernel` and
+    `sparse_free_columns`: (parent, ratio, zero, pivot_rows, pivot_cols,
+    free), where column j is x_j = ratio[j] x_parent[j] unless its class
+    is zeroed, the pivot rows and columns are those of the remaining
+    system over the roots, and free lists the free columns in
+    increasing order."""
     parent = list(range(ncols))
     ratio = [1] * ncols
     zero = [False] * ncols
@@ -481,6 +465,55 @@ def sparse_kernel(rows, ncols):
     pivots = set(pivot_cols)
     free = [j for j in range(ncols)
             if parent[j] == j and not zero[j] and j not in pivots]
+    return parent, ratio, zero, pivot_rows, pivot_cols, free
+
+
+def sparse_free_columns(rows, ncols):
+    """The free columns, in increasing order, of a sparse homogeneous
+    system over the columns 0..ncols-1: the columns that are not pivots
+    of its reduced row echelon form with leftmost pivots, so the
+    complement of `sparse_eliminate(rows)[1]`, and the largest keys of
+    the `sparse_kernel` vectors.
+
+    Read off the presolve of `sparse_kernel` without expanding a kernel:
+    a free column is a root of a live class (a column merged into a
+    class lies left of its root, so it is a pivot) that is not a pivot
+    of the remaining system.  A system of one- and two-term rows hands
+    `sparse_eliminate` no row at all.
+    """
+    return _presolve(rows, ncols)[-1]
+
+
+def sparse_kernel(rows, ncols):
+    """Kernel basis (list of sparse vectors) of a sparse homogeneous
+    system over the columns 0..ncols-1.
+
+    Basis vector i has coefficient 1 on its free column and 0 on every
+    other free column, and no column right of its own free one, so
+    coordinates over the basis are lookups; it is the basis that the
+    reduced row echelon form with leftmost pivots gives, and the vectors
+    come in the order of their free columns (`sparse_free_columns`).  A
+    vector's free column is its largest key.
+
+    One- and two-term rows are presolved by substitution before any
+    elimination.  A scaled union-find keeps every column j as
+    x_j = c x_root of its class, or in a zeroed class, which has no
+    root.  The rows are taken in order of length, each rewritten over
+    the roots: a row that rewrites to one term zeroes its class, one
+    that rewrites to two terms merges their classes, and one that
+    rewrites to nothing is dropped.  The rest, rewritten over the final
+    roots, go to one `sparse_eliminate` call.  The root of a class is
+    its largest column, so a kernel vector of the remaining system,
+    expanded back over the classes, has its largest column where it had
+    it, at a root; the leftmost-pivot kernel basis of the remaining
+    system, 1 on its free root and 0 on the other free roots, therefore
+    expands to vectors that are 1 on their own free column, 0 on every
+    other free column, and 0 right of their own: the unique reduced
+    basis of the kernel, with no second echelon pass.  Its free columns
+    are the free roots, which `sparse_free_columns` returns alone.
+    """
+    parent, ratio, zero, pivot_rows, pivot_cols, free = _presolve(rows,
+                                                                  ncols)
     # the remaining system's kernel by root: the (free root, entry)
     # pairs of each live root on the kernel vectors
     entries = {f: ((f, 1),) for f in free}

@@ -184,10 +184,15 @@ class FormLieContext:
                       for groups in by_monomial(x).values())
 
     def keys_up_to(self, D, degree):
-        return [(p, gi, mono) for p, g in sorted(self.algebras.items())
+        return [(p, gi, mono) for p in sorted(self.algebras)
                 for mono in monomials_up_to(p, D)
-                for gi in g.space.degree_indices(
-                    degree - mono_form_degree(mono))]
+                for gi in self.key_indices(p,
+                                           degree - mono_form_degree(mono))]
+
+    def key_indices(self, p, n):
+        """The basis indices of degree n of g^p that keys name: all of
+        them here."""
+        return self.algebras[p].space.degree_indices(n)
 
     def stage_vectors_for(self, stage, keys):
         by_mono = {}
@@ -591,6 +596,14 @@ class ObstructionUnsolvable(Exception):
                          + (f" ({label})" if label else ""))
 
 
+def _image_rows(units, fn, extra=()):
+    """The rows of the matrix whose column j is fn(units[j]), one per
+    key of the images and of extra, in sorted order, and those keys."""
+    imgs = [fn(z) for z in units]
+    row_keys = sorted(_keys_of(imgs) | set(extra))
+    return sparse_columns(imgs, row_keys), row_keys
+
+
 def constraint_system(keys, pairs):
     """The factored rows and right-hand sides of affine constraints on
     elements over the keys, for `constrained_mc_solve`.
@@ -602,11 +615,38 @@ def constraint_system(keys, pairs):
     units = [{k: 1} for k in keys]
     rows, rhs = [], []
     for fn, target in pairs:
-        imgs = [fn(z) for z in units]
-        row_keys = sorted(_keys_of(imgs) | set(target))
-        rows += sparse_columns(imgs, row_keys)
+        image_rows, row_keys = _image_rows(units, fn, target)
+        rows += image_rows
         rhs += [target.get(k, 0) for k in row_keys]
     return sparse_factor(rows, len(keys)), rhs
+
+
+def constraint_rows(keys, maps):
+    """The factored rows of affine constraints whose targets are drawn
+    later, and the row keys of each map: `constraint_system` without
+    the targets, whose keys add no row.  `constraint_rhs` writes the
+    right-hand sides of each draw of targets."""
+    units = [{k: 1} for k in keys]
+    rows, row_keys = [], []
+    for fn in maps:
+        image_rows, keys_of_map = _image_rows(units, fn)
+        rows += image_rows
+        row_keys.append(keys_of_map)
+    return sparse_factor(rows, len(keys)), row_keys
+
+
+def constraint_rhs(row_keys, targets):
+    """The right-hand sides of `constraint_rows` for one target per map,
+    or None when a target is nonzero on a key that no image reaches:
+    the row 0 = c that `constraint_system` would write there has no
+    solution."""
+    rhs = []
+    for keys_of_map, target in zip(row_keys, targets):
+        reached = set(keys_of_map)
+        if any(c and k not in reached for k, c in target.items()):
+            return None
+        rhs += [target.get(k, 0) for k in keys_of_map]
+    return rhs
 
 
 def constrained_mc_solve(ctx, keys, system, rhs, rng=None, label=""):
@@ -615,7 +655,9 @@ def constrained_mc_solve(ctx, keys, system, rhs, rng=None, label=""):
     keys: distinct keys of degree 1 (ValueError when one repeats).
     system: the `linalg.sparse_factor` of sparse rows {key position:
     coefficient} over len(keys) columns, rhs their right-hand sides, as
-    `constraint_system` writes them; the rows must be those of a linear
+    `constraint_system` writes them (or `constraint_rows` and
+    `constraint_rhs`, for a system factored once and met with many
+    targets); the rows must be those of a linear
     map of elements.  The system is solved once and every attempt
     corrects that solution; a row that no key reaches stays in it, so a
     nonzero rhs there is insoluble.  x is exactly MC, and its

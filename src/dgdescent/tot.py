@@ -330,6 +330,7 @@ class TotContext(FormLieContext):
         self.copies = copies or {}
         self._gluing = {}
         self._bases = {}
+        self._key_indices = {}
 
     # -- keys and the whole family ----------------------------------------------
 
@@ -337,8 +338,16 @@ class TotContext(FormLieContext):
         """Whether a key of the all-tuples ambient is a key here."""
         return self.cells is None or key[1] in self.cells[key[0]]
 
-    def keys_up_to(self, D, degree):
-        return [k for k in super().keys_up_to(D, degree) if self.carries(k)]
+    def key_indices(self, p, n):
+        """The basis indices of degree n of g^p that carry keys, in
+        order; listed once per (p, n), so `keys_up_to` enumerates the
+        keys without testing each all-tuples key."""
+        out = self._key_indices.get((p, n))
+        if out is None:
+            out = self._key_indices[p, n] = [
+                gi for gi in super().key_indices(p, n)
+                if self.cells is None or gi in self.cells[p]]
+        return out
 
     def project(self, x):
         """The terms of x on the keys."""

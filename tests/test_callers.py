@@ -29,6 +29,9 @@ ORACLES = {
     "dgla.is_acyclic_fibration": "the fibrations of criterion 4",
     "cech.lift_tot_gauge": "the fullness lift of Tot gauges, kept for the "
                            "fullness check the descent check still lacks",
+    "cochain.GradedSpace.labels": "the basis labels of a degree, read by "
+                                  "criterion 5's hand-built Cech oracle and "
+                                  "the tests' mapping cone",
 }
 
 
@@ -67,15 +70,37 @@ def _parse(path):
     return ast.parse(path.read_text(), str(path))
 
 
-def _names_in(nodes):
-    """Every name and attribute name that the nodes mention."""
+def _instance_attributes():
+    """The names that the package assigns as self.<name>."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Store) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == "self":
+                out.add(node.attr)
+    return out
+
+
+def _names_in(nodes, attributes=frozenset()):
+    """Every name and attribute name that the nodes mention, an
+    attribute name as "." + name: a bare name reaches module-level
+    definitions only, since a method is only ever named as an
+    attribute.  A read of an attribute named in `attributes` (an
+    instance attribute of the package) counts only where it is called:
+    reading MaximalIdeal.labels, an instance attribute, reaches no
+    method labels."""
     out = set()
     for node in nodes:
+        called = {id(sub.func) for sub in ast.walk(node)
+                  if isinstance(sub, ast.Call)}
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+            elif isinstance(sub, ast.Attribute) and (
+                    sub.attr not in attributes or id(sub) in called):
+                out.add("." + sub.attr)
     return out
 
 
@@ -106,18 +131,19 @@ def _definitions():
     return defs, toplevel
 
 
-def _bench_roots():
+def _bench_roots(attributes):
     """The names perfbench reaches: the (module, path) pairs of
     spans.TARGETS, read without importing it, and every name and
-    attribute that workloads.py reads."""
+    attribute that workloads.py reads (`_names_in`)."""
     names = set()
     for node in ast.walk(_parse(BENCH / "spans.py")):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TARGETS"
                 for t in node.targets):
             for entry in node.value.elts:
-                names.update(entry.elts[1].value.split("."))
-    return names | _names_in([_parse(BENCH / "workloads.py")])
+                names.update("." + part for part in
+                             entry.elts[1].value.split("."))
+    return names | _names_in([_parse(BENCH / "workloads.py")], attributes)
 
 
 def _criterion6_roots():
@@ -134,13 +160,18 @@ def _unreached(oracles=ORACLES):
     roots are the command line, the fixtures, the benchmark, criterion
     6 and the given oracles."""
     defs, toplevel = _definitions()
+    # an attribute name reaches every definition of its name, a bare
+    # name the module-level ones (`_names_in`)
     by_name = {}
     for key, (short, _) in defs.items():
-        by_name.setdefault(short, []).append(key)
+        by_name.setdefault("." + short, []).append(key)
+        if key.count(".") == 1:
+            by_name.setdefault(short, []).append(key)
     criterion6 = _criterion6_roots()
     roots = [k for k in defs if k.split(".")[0] in {"instances", "cli"}
              or k in oracles or k in criterion6]
-    names = _bench_roots() | _names_in(toplevel)
+    attributes = _instance_attributes()
+    names = _bench_roots(attributes) | _names_in(toplevel, attributes)
     reached = set()
     todo = list(roots) + [k for n in names for k in by_name.get(n, [])]
     while todo:
@@ -148,7 +179,7 @@ def _unreached(oracles=ORACLES):
         if key in reached:
             continue
         reached.add(key)
-        for n in _names_in(defs[key][1]):
+        for n in _names_in(defs[key][1], attributes):
             todo.extend(by_name.get(n, []))
     return sorted(set(defs) - reached), defs
 
@@ -166,3 +197,13 @@ def test_no_oracle_is_reached_by_a_caller():
     unreached, _ = _unreached(oracles={})
     stale = sorted(set(ORACLES) - set(unreached))
     assert not stale, f"reached without an oracle entry: {stale}"
+
+
+def test_an_instance_attribute_read_reaches_no_method():
+    """Reading an instance attribute reaches no method of its name, and
+    calling it does; a bare name reaches no method at all."""
+    nodes = [ast.parse("n = len(a.labels)\nb.degree_of(k)\nlabels = c.dim")]
+    assert _names_in(nodes, {"labels", "degree_of"}) == \
+        {"n", "len", "a", "b", ".degree_of", "k", "labels", "c", ".dim"}
+    assert ".labels" in _names_in(nodes)
+    assert "labels" in _instance_attributes()

@@ -26,8 +26,7 @@ from dgdescent.linalg import echelon_basis
 from dgdescent.mcgauge import (FiniteLieContext, SelfCheckFailed, gauge_act,
                                gauge_equivalent, mc_residual)
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, TotContext,
-                           TruncationError, tot_cochain, tot_groupoid,
-                           tot_lie)
+                           TruncationError, tot_groupoid, tot_lie)
 
 from builders import constant_cosimplicial, sample_abelian_datum
 

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgdescent import cochain as cochain_module, linalg
 from dgdescent.cochain import (Cochain, CochainMap, GradedSpace,
                                is_quasi_iso, map_table)
 from dgdescent.dgla import el_sum
 from dgdescent.io import table_from_blocks
 from dgdescent.linalg import (coords_in_span, echelon_basis, kernel_basis,
-                              linear_apply, rref, span_basis)
+                              linear_apply, rref, span_basis,
+                              sparse_eliminate)
 
 F = Fraction
 
@@ -43,9 +45,27 @@ def test_dd_zero_enforced():
         complex_from_dims({0: 1, 1: 1, 2: 1}, {0: M([[1]]), 1: M([[1]])})
     # d must raise the degree by one
     space = GradedSpace({0: ["a", "b"], 1: ["c"]})
-    for d in ({0: {1: F(1)}}, {0: {3: F(1)}}, {5: {2: F(1)}}):
+    for d in ({0: {1: F(1)}}, {0: {3: F(1)}}, {5: {2: F(1)}},
+              # a negative index, on either side
+              {0: {-1: F(1)}}, {-1: {2: F(1)}},
+              # one bad key among good ones, first or last
+              {1: {1: F(1), 2: F(1)}}, {0: {2: F(1), 3: F(1)}},
+              {1: {-2: F(1), 2: F(1)}},
+              # a degree with no basis elements above it
+              {2: {2: F(1)}}):
         with pytest.raises(ValueError, match="raise by 1 the degree"):
             Cochain(space, d)
+    with pytest.raises(ValueError) as info:
+        Cochain(space, {1: {-1: F(2), 2: F(1)}})
+    assert str(info.value) == \
+        "d entry 1 -> [-1, 2] does not raise by 1 the degree of " \
+        "basis element 1"
+    # and a map of degree 0 past the end of its target
+    with pytest.raises(ValueError) as info:
+        CochainMap(Cochain(space, {}), Cochain(GradedSpace({0: ["x"]}), {}),
+                   {0: {0: F(1)}, 1: {1: F(1)}})
+    assert str(info.value) == \
+        "map entry 1 -> [1] does not keep the degree of basis element 1"
 
 
 def test_cochain_rejects_d_squared_nonzero():
@@ -296,6 +316,118 @@ def test_table_cohomology_matches_dense_rref(cx):
     for n in range(3):
         assert not any(linear_apply(C.d, z)
                        for z in C.cocycles(n) + C.cohomology(n)[1])
+
+
+def cohomology_by_elimination(C, n):
+    """cohomology(n) by one full elimination, the reference route: the
+    cocycles off the pivot columns that `sparse_eliminate` finds on the
+    coboundaries' coordinate rows over the cocycle basis."""
+    Z = C.cocycles(n)
+    # a cocycle's free index is its largest one
+    position = {max(z): j for j, z in enumerate(Z)}
+    coords = [{position[k]: c for k, c in C.d[i].items() if k in position}
+              for i in C.space.degree_indices(n - 1) if i in C.d]
+    pivots = set(sparse_eliminate(coords)[1])
+    reps = [z for j, z in enumerate(Z) if j not in pivots]
+    return len(reps), reps
+
+
+def typed_reps(reps):
+    return [{k: (c, type(c)) for k, c in z.items()} for z in reps]
+
+
+@settings(max_examples=80, deadline=None)
+@given(three_term_complexes())
+def test_representatives_match_one_elimination(cx):
+    C = complex_from_dims(*cx)
+    for n in range(3):
+        dim, reps = C.cohomology(n)
+        ref_dim, ref = cohomology_by_elimination(C, n)
+        assert dim == ref_dim and typed_reps(reps) == typed_reps(ref)
+
+
+def tot_sweep_complexes():
+    """(name, D, the cochain complex of tot_lie) for every item of the
+    tot_sweep benchmark: triple/eps at D = 1..5, circle/t^3 at D = 1..4."""
+    from dgdescent.cech import cech_cosimplicial, tensored_cover
+    from dgdescent.instances import (circle_cover, dual_numbers,
+                                     t_truncated, triple_cover)
+    from dgdescent.tot import tot_lie
+    for name, cover, base, top in (
+            ("triple/eps", triple_cover(), dual_numbers(), 5),
+            ("circle/t3", circle_cover(), t_truncated(3), 4)):
+        cc = cech_cosimplicial(tensored_cover(cover, base), N=2)
+        for D in range(1, top + 1):
+            yield name, D, tot_lie(cc, D).cochain
+
+
+def test_tot_sweep_representatives_match_one_elimination():
+    bettis = {}
+    for name, D, C in tot_sweep_complexes():
+        for n in range(max(C.space.nonzero_degrees()) + 1):
+            dim, reps = C.cohomology(n)
+            ref_dim, ref = cohomology_by_elimination(C, n)
+            assert dim == ref_dim and typed_reps(reps) == typed_reps(ref)
+        bettis[name, D] = C.betti_numbers(4)
+    assert bettis == {**{("triple/eps", D): [1, 1, 0, 0, 0]
+                         for D in range(1, 6)},
+                      **{("circle/t3", D): [2, 4, 2, 0, 0]
+                         for D in range(1, 5)}}
+
+
+def test_tot_cohomology_hands_no_row_to_the_eliminator(monkeypatch):
+    """On circle/t^3 at D = 4 the coboundaries' coordinate rows and the
+    cocycle systems of degrees 1 and 2 have one or two terms each, so
+    the presolve decides them: every eliminator call gets no row.  The
+    complex reaches the eliminator only through linalg."""
+    assert "sparse_eliminate" not in vars(cochain_module)
+    C = [C for name, D, C in tot_sweep_complexes()
+         if (name, D) == ("circle/t3", 4)][0]
+    calls = []
+    eliminate = linalg.sparse_eliminate
+
+    def spy(rows, ops=None):
+        calls.append(len(rows))
+        return eliminate(rows, ops)
+
+    monkeypatch.setattr(linalg, "sparse_eliminate", spy)
+    for n in (1, 2):
+        del calls[:]
+        assert C.cohomology(n)[0] == (4, 2)[n - 1]
+        assert calls and not any(calls)
+
+
+def _unit_keys_by_count(vecs):
+    """{key: i} by counting every key's vectors first: vector i's first
+    key that is 1 there and 0 on every other vector; None when some
+    vector has none."""
+    count = {}
+    for v in vecs:
+        for k, x in v.items():
+            if x:
+                count[k] = count.get(k, 0) + 1
+    row_of = {}
+    for i, v in enumerate(vecs):
+        k = next((k for k, x in v.items() if x == 1 and count[k] == 1), None)
+        if k is None:
+            return None
+        row_of[k] = i
+    return row_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5),
+                                st.sampled_from([1, 1, 1, -1, 2, F(1, 2)]),
+                                max_size=4), max_size=4))
+def test_unit_keys_match_counting(vecs):
+    """The first-key shortcut picks the key that counting picks, and
+    refuses exactly the lists that counting refuses."""
+    ref = _unit_keys_by_count(vecs)
+    if ref is None:
+        with pytest.raises(ValueError, match="not reduced"):
+            cochain_module._unit_keys(vecs, 0)
+    else:
+        assert cochain_module._unit_keys(vecs, 0) == ref
 
 
 def cone(f):

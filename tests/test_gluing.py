@@ -203,6 +203,69 @@ def test_the_gauge_basis_is_solved_once_per_algebra(monkeypatch):
     assert written.count(keys0) == 1
 
 
+@pytest.mark.parametrize("cover", ["segment", "circle"])
+def test_the_sampler_factors_each_open_system_once(cover, monkeypatch):
+    """Across repeated descent checks on one algebra, the sampler factors
+    each open's restriction system at most once per (open, overlaps);
+    every later draw writes only its right-hand side."""
+    cc = nonabelian_cech.__wrapped__(cover, "t3")
+    factored = []
+    draws = []
+    rows, sample = mcgauge.constraint_rows, cech._sample_descent_datum
+
+    def rows_spy(keys, maps):
+        factored.append((tuple(keys), len(maps)))
+        return rows(keys, maps)
+
+    def sample_spy(cc, rng):
+        draws.append(1)
+        return sample(cc, rng)
+
+    monkeypatch.setattr(cech, "constraint_rows", rows_spy)
+    monkeypatch.setattr(cech, "_sample_descent_datum", sample_spy)
+    for seed in (808, 4242, 808):
+        report = verify_descent(cc, samples=2, seed=seed, D=2)
+        assert report["falsified"] == 0
+    opens = len(cc.tuples[0])
+    assert len(factored) == len(set(factored)) == len(cc.open_systems) \
+        == opens
+    assert sorted(j for j, _ in cc.open_systems) == list(range(opens))
+    assert len(draws) >= 6
+
+
+def test_a_target_key_that_no_image_reaches_rejects_the_draw():
+    """constraint_rhs refuses a target that is nonzero off the images,
+    where constraint_system writes an insoluble row 0 = c; with targets
+    inside the images both routes give the same rows and solutions."""
+    ctx = FiniteLieContext(_ef_t3())
+    keys = ctx.degree_keys(1)
+    half = keys[:len(keys) // 2]
+
+    def project(x):
+        return {k: v for k, v in x.items() if k in half}
+
+    factor, row_keys = mcgauge.constraint_rows(keys, [project])
+    assert row_keys == [sorted(half)]
+    outside = {keys[-1]: ONE}
+    assert mcgauge.constraint_rhs(row_keys, [outside]) is None
+    assert mcgauge.constraint_rhs(row_keys, [{keys[-1]: 0}]) == \
+        [0] * len(half)
+    with pytest.raises(ObstructionUnsolvable):
+        constrained_mc_solve(ctx, keys,
+                             *constraint_system(keys, [(project, outside)]))
+    for seed in range(4):
+        rng = random.Random(seed)
+        target = {k: Fraction(rng.randint(-2, 2)) for k in half[:3]}
+        system, rhs = constraint_system(keys, [(project, target)])
+        assert [dict(r) for r in system.rows] == \
+            [dict(r) for r in factor.rows]
+        assert rhs == mcgauge.constraint_rhs(row_keys, [target])
+        assert constrained_mc_solve(ctx, keys, system, rhs,
+                                    rng=random.Random(seed)) == \
+            constrained_mc_solve(ctx, keys, factor, rhs,
+                                 rng=random.Random(seed))
+
+
 @pytest.mark.parametrize("cover,algebra", [("segment", ef_algebra),
                                            ("circle", None)])
 def test_no_caller_changes_a_memoized_tot_basis(cover, algebra):

@@ -12,8 +12,8 @@ from dgdescent.linalg import (NoSolution, coords_in_span, echelon_basis,
                               lower, rref, solve_affine, span_basis,
                               span_intersection, sparse_columns,
                               sparse_eliminate, sparse_factor,
-                              sparse_from_dense, sparse_kernel,
-                              sparse_solve_affine)
+                              sparse_free_columns, sparse_from_dense,
+                              sparse_kernel, sparse_solve_affine)
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src" / "dgdescent"
@@ -548,6 +548,65 @@ def test_presolved_kernel_matches_rref(system):
     assert _all_lowered(x for v in kernel for x in v.values())
     ref, ref_free = direct_kernel(rows, n)
     assert typed_vectors(kernel) == typed_vectors(ref) and free == ref_free
+
+
+@st.composite
+def free_column_system(draw):
+    """A presolve_system with stars of two-term rows around one column
+    and empty rows mixed in; columns that no row names stay zero
+    columns of the system."""
+    rows, n = draw(presolve_system())
+    rows = list(rows)
+    if n > 1 and draw(st.booleans()):
+        centre = draw(st.integers(0, n - 1))
+        for leaf in draw(st.lists(st.integers(0, n - 1), max_size=n,
+                                  unique=True)):
+            if leaf != centre:
+                rows.append({centre: draw(presolve_coeffs),
+                             leaf: draw(presolve_coeffs)})
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), {})
+    rows = [{j: lower(x) if draw(st.booleans()) else F(x)
+             for j, x in row.items()} for row in rows]
+    return rows, n
+
+
+@given(free_column_system())
+@settings(max_examples=300, deadline=None)
+@example(([], 3))
+@example(([{}, {}], 2))
+@example(([{0: 1, j: -1} for j in range(1, 5)], 6))
+@example(([{j: 1, j + 1: F(-1, 2)} for j in range(4)], 5))
+@example(([{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: 2}], 3))
+def test_free_columns_are_the_non_pivot_columns(system):
+    """sparse_free_columns is the complement of the pivots that dense
+    rref finds, and the largest keys of the sparse_kernel vectors, in
+    order; the rows given are not changed."""
+    rows, n = system
+    given_rows = copy.deepcopy(rows)
+    free = sparse_free_columns(rows, n)
+    assert rows == given_rows
+    A = [[F(row.get(j, 0)) for j in range(n)] for row in rows]
+    pivots = rref(A)[1] if A else []
+    assert free == [j for j in range(n) if j not in pivots]
+    assert free == [max(v) for v in sparse_kernel(rows, n)]
+
+
+def test_two_term_free_columns_eliminate_nothing(monkeypatch):
+    """A system of one- and two-term rows is decided by the presolve:
+    the eliminator is called once, on no row."""
+    calls = []
+    eliminate = linalg.sparse_eliminate
+
+    def spy(rows, ops=None):
+        calls.append(len(rows))
+        return eliminate(rows, ops)
+
+    monkeypatch.setattr(linalg, "sparse_eliminate", spy)
+    rows = [{0: 1, 3: -1}, {1: 2, 3: 1}, {2: 1}, {4: 1, 5: F(1, 2)},
+            {0: 3, 1: 1}]
+    assert sparse_free_columns(rows, 7) == [5, 6]
+    assert calls == [0]
 
 
 def test_tot_sweep_kernels_match_one_elimination():

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from dgdescent.dgla import (el_add, el_eq, el_is_zero, el_scale, el_sub,
-                            el_sum, lower_central_series, tensor_lie)
+from dgdescent.dgla import (el_add, el_eq, el_is_zero, el_scale, el_sum,
+                            lower_central_series, tensor_lie)
 from dgdescent.forms import face_map
 from dgdescent.instances import (abelian_algebra, dual_numbers, ef_algebra,
                                  probe_class2, random_acyclic_fibration,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdescent.cech import cech_cosimplicial, tensored_cover
-from dgdescent.dgla import (DgLieAlgebra, el_eq, el_is_zero, el_sub,
+from dgdescent.dgla import (DgLieAlgebra, el_eq, el_sub,
                             lower_central_series, tensor_lie)
 from dgdescent.forms import PolyForm, monotone_maps, omega_apply
 from dgdescent.instances import (abelian_algebra, circle_cover, complex_cover,
@@ -18,8 +18,8 @@ from dgdescent.instances import (abelian_algebra, circle_cover, complex_cover,
 from dgdescent.linalg import echelon_basis, rref
 from dgdescent.mcgauge import (FiniteLieContext, FormLieContext, by_monomial,
                                mc_residual)
-from dgdescent.tot import (CosimplicialDgLie, DescentDatum, DescentGroupoid,
-                           TotContext, tot_cochain, tot_groupoid, tot_lie)
+from dgdescent.tot import (CosimplicialDgLie, DescentDatum, TotContext,
+                           tot_cochain, tot_groupoid, tot_lie)
 
 from builders import abelian_object, constant_cosimplicial
 
@@ -652,6 +652,39 @@ def test_key_counts_and_gluing_shapes_are_those_of_the_nondegenerate_tuples(
         keys, _, _, factor = ctx.gluing_system(p, 2)
         got[p] = (len(factor.rows), len(keys))
     assert got == shapes
+
+
+def _filtered_keys(ctx, D, degree):
+    """The keys of degree `degree` at bound D as the all-tuples ambient
+    lists them, filtered through `carries`."""
+    from dgdescent.forms import mono_form_degree, monomials_up_to
+    return [k for k in
+            ((p, gi, mono) for p, g in sorted(ctx.algebras.items())
+             for mono in monomials_up_to(p, D)
+             for gi in g.space.degree_indices(
+                 degree - mono_form_degree(mono)))
+            if ctx.carries(k)]
+
+
+@pytest.mark.parametrize("name", ["segment", "circle", "triple", "simplex5"])
+def test_keys_are_enumerated_from_the_cells(name):
+    """keys_up_to lists the carried keys straight from the cells: the
+    same keys, in the same order, as filtering the all-tuples keys."""
+    cover = {"segment": segment_cover, "circle": circle_cover,
+             "triple": triple_cover,
+             "simplex5": lambda L: complex_cover([tuple(range(5))], L,
+                                                 name="simplex5")}[name]
+    cc = cech_cosimplicial(tensored_cover(cover(ef_algebra()),
+                                          dual_numbers()))
+    ctx = cc.tot_context()
+    assert ctx.cells is not None
+    total = 0
+    for D in range(4):
+        for degree in range(3):
+            keys = ctx.keys_up_to(D, degree)
+            assert keys == _filtered_keys(ctx, D, degree)
+            total += len(keys)
+    assert total
 
 
 # ---------------------------------------------------------------------------

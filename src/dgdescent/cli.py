@@ -283,8 +283,6 @@ def cmd_tot(args, report):
 
 def cmd_cech(args, report):
     rec = load_record(args.file)
-    if record_type(rec, args.file) != "descent_instance":
-        raise ParseError(args.file, "type", "expected descent_instance")
     _, cover, base = instance_from_record(rec, args.file)
     cc = _cech_from_args(cover, base)
     report["instance"] = rec.get("name")

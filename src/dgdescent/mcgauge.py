@@ -23,10 +23,13 @@ An element of one level is already an element over every level, so the
 Thom-Sullivan ambient tot.TotContext is the FormLieContext over all
 levels of a cosimplicial algebra, with the Tot conditions added.
 
-The gauge action is the time-1 flow of rho(y)(x) = dy + [x, y]; the flow
-is polynomial in time by nilpotency, and its time coefficients follow
-from the earlier ones by an exact recursion (`flow_path`), so each is
-computed once and everything stays exact.
+The gauge action is the time-1 flow of rho(y)(x) = dy + [x, y], and the
+holonomy of a gauge path y(t) the time-1 value of the right Magnus
+equation theta' = sum_k (B+_k / k!) ad_theta^k y.  Both are polynomial
+in time by nilpotency (the holonomy of degree at most class * len(y)),
+and their time coefficients follow from the earlier ones by exact
+recursions (`flow_path`, `holonomy`), so each is computed once and
+everything stays exact.
 
 Gauge orbits are decided along the lower central series F^k, one linear
 solve per stage (`staged_gauge_search`): a gauge u that fixes x modulo
@@ -47,6 +50,7 @@ use bch, so the convention is fixed in exactly one place.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb, factorial
 
 from .dgla import (SelfCheckFailed, el_add, el_combination, el_eq,
                    el_is_zero, el_scale, el_sub, el_sum,
@@ -389,7 +393,6 @@ def _bernoulli_plus(k):
         return HALF
     # standard recurrence for B^- then flip the sign at odd k (only k=1 odd
     # is nonzero, so only the parity of k matters through (-1)^k)
-    from math import comb
     B = [1, Fraction(-1, 2)]
     for m in range(2, k + 1):
         s = sum(comb(m + 1, j) * B[j] for j in range(m))
@@ -400,43 +403,33 @@ def _bernoulli_plus(k):
 def holonomy(ctx, y_coeffs):
     """theta with exp(theta) the time-ordered exponential of the path y(t).
 
-    Solves theta' = sum_k (B+_k / k!) ad_theta^k (y(t)) exactly by
-    Picard iteration on time coefficients; gauge_act(theta, x) equals
+    theta(t) = sum_{m>=1} theta_m t^m solves the right Magnus equation
+    theta' = sum_{k<c} (B+_k / k!) ad_theta^k y(t), c the nilpotency
+    class.  With P_k[m] = sum_{i=1..m} [theta_i, P_{k-1}[m-i]] the time
+    coefficients of ad_theta^k y (P_0 = y), the coefficients of t^m
+    give the exact recursion
+
+        (m+1) theta_{m+1} = sum_{k<c} (B+_k / k!) P_k[m],
+
+    whose right side reads only theta_1 .. theta_m.  The part of theta
+    in F^j has t-degree at most j len(y) (by induction on j), so the
+    c len(y) coefficients are all of them.  gauge_act(theta, x) equals
     the time-1 nonautonomous flow from x for every MC x (tested).
     """
-    nc = ctx.nclass()
-    fact = [1]
-    for k in range(1, nc + 1):
-        fact.append(fact[-1] * k)
-    theta = []
-    for _ in range(nc + 3):
-        # rhs(t) = sum_k B+_k/k! ad_theta(t)^k y(t), as time coefficients
-        term = list(y_coeffs)
-        rhs = [el_scale(_bernoulli_plus(0), c) for c in term]
-        for k in range(1, nc):
-            nxt = [dict() for _ in range(len(theta) + len(term))]
-            for i, tc in enumerate(theta):
-                for j, yc in enumerate(term):
-                    b = ctx.bracket_el(tc, yc)
-                    if b:
-                        nxt[i + j] = el_add(nxt[i + j], b)
-            term = nxt
-            if all(not c for c in term):
-                break
-            coeff = _bernoulli_plus(k) * Fraction(1, fact[k])
-            while len(rhs) < len(term):
-                rhs.append({})
-            for idx, c in enumerate(term):
-                if c:
-                    rhs[idx] = el_add(rhs[idx], el_scale(coeff, c))
-        new = [{}] + [el_scale(Fraction(1, k + 1), rhs[k])
-                      for k in range(len(rhs))]
-        while new and not new[-1]:
-            new.pop()
-        if len(new) == len(theta) and all(
-                el_eq(a, b) for a, b in zip(new, theta)):
-            break
-        theta = new
+    c, L = ctx.nclass(), len(y_coeffs)
+    weights = [Fraction(_bernoulli_plus(k), factorial(k)) for k in range(c)]
+    theta = [{}]
+    powers = [list(y_coeffs)] + [[] for _ in range(1, c)]   # P_k[0 .. m]
+    for m in range(c * L):
+        if m >= L:
+            powers[0].append({})
+        for k in range(1, c):
+            powers[k].append(el_sum(
+                ctx.bracket_el(theta[i], powers[k - 1][m - i])
+                for i in range(1, m + 1)
+                if theta[i] and powers[k - 1][m - i]))
+        theta.append(el_scale(Fraction(1, m + 1), el_sum(
+            el_scale(w, P[m]) for w, P in zip(weights, powers))))
     return el_sum(theta)
 
 
@@ -596,50 +589,26 @@ class ObstructionUnsolvable(Exception):
                          + (f" ({label})" if label else ""))
 
 
-def _image_rows(units, fn, extra=()):
-    """The rows of the matrix whose column j is fn(units[j]), one per
-    key of the images and of extra, in sorted order, and those keys."""
-    imgs = [fn(z) for z in units]
-    row_keys = sorted(_keys_of(imgs) | set(extra))
-    return sparse_columns(imgs, row_keys), row_keys
-
-
-def constraint_system(keys, pairs):
-    """The factored rows and right-hand sides of affine constraints on
-    elements over the keys, for `constrained_mc_solve`.
-
-    pairs: (linear map on elements, target element); a pair becomes the
-    rows of the matrix whose column j is map({keys[j]: 1}), one row per
-    key of the images and the target, in sorted order.
-    """
-    units = [{k: 1} for k in keys]
-    rows, rhs = [], []
-    for fn, target in pairs:
-        image_rows, row_keys = _image_rows(units, fn, target)
-        rows += image_rows
-        rhs += [target.get(k, 0) for k in row_keys]
-    return sparse_factor(rows, len(keys)), rhs
-
-
 def constraint_rows(keys, maps):
-    """The factored rows of affine constraints whose targets are drawn
-    later, and the row keys of each map: `constraint_system` without
-    the targets, whose keys add no row.  `constraint_rhs` writes the
-    right-hand sides of each draw of targets."""
+    """The factored rows of affine constraints on elements over the
+    keys, for `constrained_mc_solve`, and the row keys of each map: a
+    map becomes the rows of the matrix whose column j is
+    map({keys[j]: 1}), one row per key of the images, in sorted order.
+    `constraint_rhs` writes the right-hand sides of each draw of
+    targets."""
     units = [{k: 1} for k in keys]
     rows, row_keys = [], []
     for fn in maps:
-        image_rows, keys_of_map = _image_rows(units, fn)
-        rows += image_rows
-        row_keys.append(keys_of_map)
+        imgs = [fn(z) for z in units]
+        row_keys.append(sorted(_keys_of(imgs)))
+        rows += sparse_columns(imgs, row_keys[-1])
     return sparse_factor(rows, len(keys)), row_keys
 
 
 def constraint_rhs(row_keys, targets):
     """The right-hand sides of `constraint_rows` for one target per map,
     or None when a target is nonzero on a key that no image reaches:
-    the row 0 = c that `constraint_system` would write there has no
-    solution."""
+    no solution maps there."""
     rhs = []
     for keys_of_map, target in zip(row_keys, targets):
         reached = set(keys_of_map)
@@ -655,9 +624,8 @@ def constrained_mc_solve(ctx, keys, system, rhs, rng=None, label=""):
     keys: distinct keys of degree 1 (ValueError when one repeats).
     system: the `linalg.sparse_factor` of sparse rows {key position:
     coefficient} over len(keys) columns, rhs their right-hand sides, as
-    `constraint_system` writes them (or `constraint_rows` and
-    `constraint_rhs`, for a system factored once and met with many
-    targets); the rows must be those of a linear
+    `constraint_rows` and `constraint_rhs` write them (a system factored
+    once and met with many targets); the rows must be those of a linear
     map of elements.  The system is solved once and every attempt
     corrects that solution; a row that no key reaches stays in it, so a
     nonzero rhs there is insoluble.  x is exactly MC, and its
@@ -758,7 +726,10 @@ def mc_lift(f, nil_g, nil_h, xbar):
     """
     ctx = FiniteLieContext(nil_g)
     keys = ctx.degree_keys(1)
-    system, rhs = constraint_system(keys, [(f.apply, dict(xbar))])
+    system, row_keys = constraint_rows(keys, [f.apply])
+    rhs = constraint_rhs(row_keys, [xbar])
+    if rhs is None:
+        raise ObstructionUnsolvable(0, "mc_lift")
     x = constrained_mc_solve(ctx, keys, system, rhs, label="mc_lift")
     if not el_eq(f.apply(x), xbar):
         raise SelfCheckFailed("mc_lift: the lift does not map to xbar")
@@ -782,8 +753,8 @@ class DeligneGroupoid:
 
     def random_mc_element(self, rng):
         keys = self.ctx.degree_keys(1)
-        return constrained_mc_solve(self.ctx, keys,
-                                    *constraint_system(keys, ()), rng=rng,
+        system, _ = constraint_rows(keys, ())
+        return constrained_mc_solve(self.ctx, keys, system, [], rng=rng,
                                     label="sample")
 
     def random_gauge(self, rng):

@@ -194,10 +194,10 @@ def test_glue_constant_datum():
     sec = cc.cover.algebra({0})
     nil_sec = lower_central_series(sec)
     C0 = FiniteLieContext(nil_sec)
-    from dgdescent.mcgauge import constrained_mc_solve, constraint_system
+    from dgdescent.mcgauge import constrained_mc_solve, constraint_rows
     keys = C0.degree_keys(1)
-    a_sec = constrained_mc_solve(C0, keys, *constraint_system(keys, ()),
-                                 rng=rng)
+    system, _ = constraint_rows(keys, ())
+    a_sec = constrained_mc_solve(C0, keys, system, [], rng=rng)
     a = cc.from_components(0, {(0,): a_sec, (1,): a_sec})
     datum = DescentDatum(a, {})
     x = glue_descent_datum(cc, datum, D=1)

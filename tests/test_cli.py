@@ -378,6 +378,17 @@ def test_cover_missing_a_restriction_exits_2(tmp_path, capsys, command,
     assert "missing restriction {1} -> {0, 1}" in captured.err
 
 
+@pytest.mark.parametrize("name", ["cover_segment_line.json",
+                                  "algebra_ef.json"])
+def test_cech_on_another_record_type_exits_2(capsys, name):
+    path = DATA / name
+    assert main(["cech", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {path}: field 'type': expected descent_instance\n"
+
+
 @pytest.mark.parametrize("degree, block", [
     ("0", [["1", "0"]]), ("0", [["1"], ["0"]]), ("0", []), ("5", [["1"]])])
 def test_restriction_block_of_the_wrong_shape_exits_2(tmp_path, capsys,

@@ -14,7 +14,8 @@ from dgdescent import cech, linalg, mcgauge, tot
 from dgdescent.cech import (GluingFailed, _glue_level, _sample_descent_datum,
                             cech_cosimplicial, glue_descent_datum,
                             tensored_cover, verify_descent)
-from dgdescent.dgla import el_scale, lower_central_series, tensor_lie
+from dgdescent.dgla import (el_eq, el_scale, lower_central_series,
+                            tensor_lie)
 from dgdescent.forms import face_map
 from dgdescent.instances import (circle_cover, complex_cover, dual_numbers,
                                  ef_algebra, segment_cover, t_truncated,
@@ -22,8 +23,8 @@ from dgdescent.instances import (circle_cover, complex_cover, dual_numbers,
 from dgdescent.linalg import sparse_columns, sparse_factor
 from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext,
                                ObstructionUnsolvable, SelfCheckFailed, bch,
-                               constrained_mc_solve, constraint_system,
-                               gauge_act, mc_residual, solve_1simplex)
+                               constrained_mc_solve, gauge_act, mc_residual,
+                               solve_1simplex)
 from dgdescent.tot import DescentDatum, TotContext, tot_lie
 
 ONE = Fraction(1)
@@ -235,8 +236,8 @@ def test_the_sampler_factors_each_open_system_once(cover, monkeypatch):
 
 def test_a_target_key_that_no_image_reaches_rejects_the_draw():
     """constraint_rhs refuses a target that is nonzero off the images,
-    where constraint_system writes an insoluble row 0 = c; with targets
-    inside the images both routes give the same rows and solutions."""
+    where no solution can land; a target inside the images is met by
+    an exact MC solution."""
     ctx = FiniteLieContext(_ef_t3())
     keys = ctx.degree_keys(1)
     half = keys[:len(keys) // 2]
@@ -250,20 +251,14 @@ def test_a_target_key_that_no_image_reaches_rejects_the_draw():
     assert mcgauge.constraint_rhs(row_keys, [outside]) is None
     assert mcgauge.constraint_rhs(row_keys, [{keys[-1]: 0}]) == \
         [0] * len(half)
-    with pytest.raises(ObstructionUnsolvable):
-        constrained_mc_solve(ctx, keys,
-                             *constraint_system(keys, [(project, outside)]))
     for seed in range(4):
         rng = random.Random(seed)
         target = {k: Fraction(rng.randint(-2, 2)) for k in half[:3]}
-        system, rhs = constraint_system(keys, [(project, target)])
-        assert [dict(r) for r in system.rows] == \
-            [dict(r) for r in factor.rows]
-        assert rhs == mcgauge.constraint_rhs(row_keys, [target])
-        assert constrained_mc_solve(ctx, keys, system, rhs,
-                                    rng=random.Random(seed)) == \
-            constrained_mc_solve(ctx, keys, factor, rhs,
+        rhs = mcgauge.constraint_rhs(row_keys, [target])
+        x = constrained_mc_solve(ctx, keys, factor, rhs,
                                  rng=random.Random(seed))
+        assert not mc_residual(ctx, x)
+        assert el_eq(project(x), target)
 
 
 @pytest.mark.parametrize("cover,algebra", [("segment", ef_algebra),
@@ -391,20 +386,27 @@ def test_a_row_that_no_key_reaches_stays_in_the_system():
     assert not mc_residual(ctx, x)
 
 
-def test_constraint_system_writes_the_rows_of_each_pair():
+def test_constraint_rows_write_the_rows_of_each_map():
     ctx = FiniteLieContext(_ef_t3())
     keys = ctx.degree_keys(1)
     units = [{k: 1} for k in keys]
-    target = {keys[0]: ONE}
-    system, rhs = constraint_system(keys, [(dict, target)])
+
+    def first_two(x):
+        return {k: 2 * v for k, v in x.items() if k in keys[:2]}
+
+    system, row_keys = mcgauge.constraint_rows(keys, [dict, first_two])
     assert system.ncols == len(keys)
-    row_keys = sorted(keys)
+    assert row_keys == [sorted(keys), sorted(keys[:2])]
     assert [dict(row) for row in system.rows] == \
-        sparse_columns(units, row_keys)
-    assert rhs == [target.get(k, 0) for k in row_keys]
+        sparse_columns(units, row_keys[0]) + \
+        sparse_columns([first_two(u) for u in units], row_keys[1])
+    targets = [{keys[0]: ONE}, {keys[0]: 2 * ONE}]
+    rhs = mcgauge.constraint_rhs(row_keys, targets)
+    assert rhs == [t.get(k, 0) for t, ks in zip(targets, row_keys)
+                   for k in ks]
     x = constrained_mc_solve(ctx, keys, system, rhs, rng=random.Random(4))
     assert not mc_residual(ctx, x)
-    assert all(x.get(k, 0) == v for k, v in target.items())
+    assert x == {keys[0]: 1}
 
 
 def test_constraint_drift_raises_a_named_error(monkeypatch):
@@ -412,7 +414,8 @@ def test_constraint_drift_raises_a_named_error(monkeypatch):
     keys = ctx.degree_keys(1)
     # a correction that moves the constrained coordinate: the re-check
     # must raise, and not through an assert that `python -O` removes
-    system, rhs = constraint_system(keys, [(dict, {keys[0]: ONE})])
+    system, row_keys = mcgauge.constraint_rows(keys, [dict])
+    rhs = mcgauge.constraint_rhs(row_keys, [{keys[0]: ONE}])
     # and so must one that leaves the span of the keys
     for drift in (lambda x: {}, lambda x: dict(x, outside=ONE)):
         monkeypatch.setattr(mcgauge, "_mc_correct",
@@ -435,6 +438,7 @@ def test_repeated_keys_are_refused():
     # repeated key is refused before anything is solved
     ctx = FiniteLieContext(_ef_t3())
     keys = ctx.degree_keys(1) + ctx.degree_keys(1)[:1]
-    system, rhs = constraint_system(keys, [(dict, {keys[0]: ONE})])
+    system, row_keys = mcgauge.constraint_rows(keys, [dict])
+    rhs = mcgauge.constraint_rhs(row_keys, [{keys[0]: ONE}])
     with pytest.raises(ValueError, match="keys must be distinct"):
         constrained_mc_solve(ctx, keys, system, rhs)

@@ -5,21 +5,26 @@ from pathlib import Path
 
 import pytest
 
-from dgdescent.dgla import (el_add, el_eq, el_is_zero, el_scale, el_sum,
-                            lower_central_series, tensor_lie)
+from dgdescent import cech
+from dgdescent.cech import cech_cosimplicial, tensored_cover, verify_descent
+from dgdescent.cochain import Cochain, GradedSpace
+from dgdescent.dgla import (DgLieAlgebra, el_add, el_eq, el_is_zero,
+                            el_scale, el_sum, lower_central_series,
+                            tensor_lie)
 from dgdescent.forms import face_map
-from dgdescent.instances import (abelian_algebra, dual_numbers, ef_algebra,
+from dgdescent.instances import (abelian_algebra, circle_cover,
+                                 dual_numbers, ef_algebra, heisenberg,
                                  probe_class2, random_acyclic_fibration,
                                  random_gauge, random_mc, random_nilpotent,
-                                 spec_lifting_fibration, t_truncated,
-                                 tampered_fibration, wz_algebra)
+                                 segment_cover, spec_lifting_fibration,
+                                 t_truncated, tampered_fibration, wz_algebra)
 from dgdescent.mcgauge import (FiniteLieContext, FormLieContext,
-                               ObstructionUnsolvable, _log_expexp_words, bch,
-                               by_monomial, constrained_mc_solve,
-                               constraint_system,
-                               flow_path, gauge_act, gauge_equivalent,
-                               holonomy, mc_element, mc_residual, mc_lift,
-                               solve_1simplex)
+                               ObstructionUnsolvable, _bernoulli_plus,
+                               _log_expexp_words, bch, by_monomial,
+                               constrained_mc_solve, constraint_rhs,
+                               constraint_rows, flow_path, gauge_act,
+                               gauge_equivalent, holonomy, mc_element,
+                               mc_residual, mc_lift, solve_1simplex)
 
 F = Fraction
 
@@ -323,6 +328,110 @@ def test_holonomy_matches_nonautonomous_flow():
                      el_sum(flow_path(ctx, path, x)))
 
 
+def _picard_holonomy(ctx, y_coeffs):
+    """The Picard iteration on time coefficients, the test reference for
+    holonomy: theta' = sum_k (B+_k / k!) ad_theta^k (y(t)) solved by
+    class + 3 rounds, every bracket recomputed in every round."""
+    nc = ctx.nclass()
+    fact = [1]
+    for k in range(1, nc + 1):
+        fact.append(fact[-1] * k)
+    theta = []
+    for _ in range(nc + 3):
+        # rhs(t) = sum_k B+_k/k! ad_theta(t)^k y(t), as time coefficients
+        term = list(y_coeffs)
+        rhs = [el_scale(_bernoulli_plus(0), c) for c in term]
+        for k in range(1, nc):
+            nxt = [dict() for _ in range(len(theta) + len(term))]
+            for i, tc in enumerate(theta):
+                for j, yc in enumerate(term):
+                    b = ctx.bracket_el(tc, yc)
+                    if b:
+                        nxt[i + j] = el_add(nxt[i + j], b)
+            term = nxt
+            if all(not c for c in term):
+                break
+            coeff = _bernoulli_plus(k) * Fraction(1, fact[k])
+            while len(rhs) < len(term):
+                rhs.append({})
+            for idx, c in enumerate(term):
+                if c:
+                    rhs[idx] = el_add(rhs[idx], el_scale(coeff, c))
+        new = [{}] + [el_scale(Fraction(1, k + 1), rhs[k])
+                      for k in range(len(rhs))]
+        while new and not new[-1]:
+            new.pop()
+        if len(new) == len(theta) and all(
+                el_eq(a, b) for a, b in zip(new, theta)):
+            break
+        theta = new
+    return el_sum(theta)
+
+
+def _filiform(c):
+    """x, y1 .. yc in degree 0 with [x, yi] = y(i+1): nilpotent of class
+    c, and its degree-0 part, where gauges live, of class c too."""
+    space = GradedSpace({0: ["x"] + [f"y{i}" for i in range(1, c + 1)]})
+    return lower_central_series(DgLieAlgebra(
+        Cochain(space, {}), {(0, i): {i + 1: F(1)} for i in range(1, c)},
+        name=f"filiform{c}"))
+
+
+def _holonomy_campaign():
+    """(ambient, path) over filiform algebras of class 1-4 and
+    random_nilpotent draws, with paths of 1-3 random gauges."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        nils = [_filiform(c) for c in range(1, 5)] + \
+            [random_nilpotent(rng) for _ in range(4)]
+        for nil in nils:
+            for length in (1, 2, 3):
+                yield FiniteLieContext(nil), [random_gauge(rng, nil)
+                                              for _ in range(length)]
+
+
+def test_holonomy_matches_the_picard_reference():
+    classes = set()
+    for ctx, path in _holonomy_campaign():
+        classes.add(ctx.nclass())
+        assert holonomy(ctx, path) == _picard_holonomy(ctx, path)
+    assert classes == {1, 2, 3, 4}
+
+
+def test_the_holonomy_has_no_coefficient_past_class_times_length():
+    """The recursion continued to 2 c len(y) coefficients adds only
+    zeros.  theta(s), the holonomy of the path s y(s t), is the
+    polynomial sum_m theta_m s^m, so the two readings of it agree at
+    2 c len(y) values of s > 0 only when their difference, of degree at
+    most 2 c len(y) and without constant term, is zero."""
+    for ctx, path in _holonomy_campaign():
+        c, L = ctx.nclass(), len(path)
+        for s in range(1, 2 * c * L + 1):
+            scaled = [el_scale(s ** (j + 1), y) for j, y in enumerate(path)]
+            assert holonomy(_AtClass(ctx, 2 * c), scaled) == \
+                holonomy(ctx, scaled)
+
+
+@pytest.mark.parametrize("cover, algebra", [
+    (segment_cover, ef_algebra), (circle_cover, ef_algebra),
+    (segment_cover, heisenberg)])
+def test_every_holonomy_of_the_descent_check_matches_the_reference(
+        monkeypatch, cover, algebra):
+    calls = []
+
+    def spy(ctx, y_coeffs):
+        theta = holonomy(ctx, y_coeffs)
+        calls.append(theta == _picard_holonomy(ctx, y_coeffs))
+        return theta
+
+    monkeypatch.setattr(cech, "holonomy", spy)
+    cc = cech_cosimplicial(tensored_cover(cover(algebra()), t_truncated(3)),
+                           N=2)
+    report = verify_descent(cc, samples=3, seed=808, D=2)
+    assert report["falsified"] == 0
+    assert calls and all(calls)
+
+
 # -- lifting -------------------------------------------------------------------
 
 def test_mc_lift_identity():
@@ -364,6 +473,17 @@ def test_mc_lift_randomized_fibrations():
         assert el_eq(f.apply(x), xbar)
         assert el_is_zero(mc_residual(FiniteLieContext(nil_src), x))
         count += 1
+
+
+def test_mc_lift_to_a_target_off_the_image_fails_at_stage_0():
+    # a target key that no image reaches is refused before any solve
+    from dgdescent.dgla import DgLieMap
+    nil, *_ = tf_instance()
+    h = abelian_algebra({1: 1})
+    f = DgLieMap(nil.algebra, h, {})
+    with pytest.raises(ObstructionUnsolvable) as info:
+        mc_lift(f, nil, lower_central_series(h), {0: F(1)})
+    assert (info.value.stage, info.value.label) == (0, "mc_lift")
 
 
 def test_mc_lift_tampered_fibration_fails():
@@ -615,9 +735,10 @@ def test_constrained_mc_solve_fills_the_faces_of_a_gauge_two_simplex():
     faces = [_restrict(fctx2, face_map(i, 2), reference) for i in range(3)]
     D = max((sum(mono[0]) + 2 for (_, _, mono) in reference), default=2)
     keys = fctx2.keys_up_to(D, 1)
-    constraints = [(lambda el, i=i: _restrict(fctx2, face_map(i, 2), el),
-                    faces[i]) for i in range(3)]
-    system, rhs = constraint_system(keys, constraints)
+    system, row_keys = constraint_rows(
+        keys, [lambda el, i=i: _restrict(fctx2, face_map(i, 2), el)
+               for i in range(3)])
+    rhs = constraint_rhs(row_keys, faces)
     filler = constrained_mc_solve(fctx2, keys, system, rhs)
     assert el_is_zero(mc_residual(fctx2, filler))
     for i in range(3):

@@ -7,9 +7,11 @@ unmutated run of the same instance and seed is "verified", so a
 falsified verdict names the mutant and nothing else.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from dgdescent import tot
+from dgdescent import cech, mcgauge, tot
 from dgdescent.cech import cech_cosimplicial, tensored_cover, verify_descent
 from dgdescent.dgla import el_add
 from dgdescent.instances import heisenberg, segment_cover, t_truncated
@@ -46,6 +48,24 @@ MUTANTS = {
 def test_a_broken_bch_in_the_descent_groupoid_is_falsified(monkeypatch,
                                                             name):
     monkeypatch.setattr(tot, "bch", MUTANTS[name])
+    report, check = _report()
+    assert report["falsified"] >= 1
+    assert check["verdict"] == "falsified"
+
+
+def test_the_holonomy_in_the_b_minus_convention_is_falsified(monkeypatch):
+    """With B_1 = -1/2 the holonomy solves the Magnus equation of the
+    opposite time order: exp(theta) composes the path's steps the other
+    way round."""
+    plus, holonomy = mcgauge._bernoulli_plus, mcgauge.holonomy
+
+    def b_minus_holonomy(ctx, y_coeffs):
+        with monkeypatch.context() as m:
+            m.setattr(mcgauge, "_bernoulli_plus",
+                      lambda k: Fraction(-1, 2) if k == 1 else plus(k))
+            return holonomy(ctx, y_coeffs)
+
+    monkeypatch.setattr(cech, "holonomy", b_minus_holonomy)
     report, check = _report()
     assert report["falsified"] >= 1
     assert check["verdict"] == "falsified"

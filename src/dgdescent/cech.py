@@ -1,12 +1,13 @@
 """Cech cosimplicial algebras of covers and the descent comparison.
 
-Covers are purely combinatorial: an index set, a dg Lie algebra of
-sections for every nonempty intersection, and restriction maps.  The
-Cech cosimplicial algebra has level q the product over nondecreasing
-index tuples of length q+1 (empty intersections contribute nothing);
-cofaces delete an index and restrict, codegeneracies repeat an index.
-Only this ordered version keeps the conormalization vanishing above
-#opens - 1, which the totalization machinery requires.
+Covers (`dgla.CoverSpec`) are purely combinatorial: an index set, a dg
+Lie algebra of sections for every nonempty intersection, and
+restriction maps.  The Cech cosimplicial algebra has level q the
+product over nondecreasing index tuples of length q+1 (empty
+intersections contribute nothing); cofaces delete an index and
+restrict, codegeneracies repeat an index.  Only this ordered version
+keeps the conormalization vanishing above #opens - 1, which the
+totalization machinery requires.
 
 The comparison functor sends an MC family (omega_p) to the descent
 datum (a, theta): a is the level-0 component, theta the holonomy of the
@@ -18,9 +19,10 @@ p >= 2 by boundary extension plus staged Maurer-Cartan correction.
 import functools
 import itertools
 
-from .dgla import (DgLieMap, SelfCheckFailed, direct_product, el_combination,
-                   el_eq, el_is_zero, el_scale, el_sum, lower_central_series,
-                   tensor_lie)
+# CoverSpec and RestrictionError stay importable from here
+from .dgla import (CoverSpec, DgLieMap, RestrictionError, SelfCheckFailed,
+                   direct_product, el_combination, el_eq, el_is_zero,
+                   el_scale, el_sum, lower_central_series, tensor_lie)
 from .forms import degeneracy_map, face_map, format_mono, mono_form_degree
 from .io import TruncationError, label_to_json, scalar_to_str
 from .linalg import NoSolution, sparse_columns, sparse_solve_affine
@@ -49,101 +51,6 @@ class GluingFailed(Exception):
 
 class ExtractionFailed(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# covers
-
-
-class RestrictionError(ValueError):
-    """A restriction of a CoverSpec that goes the wrong way, does not
-    match the stored algebras, is missing or breaks functoriality."""
-
-
-class CoverSpec:
-    """Combinatorial cover: section algebras over nonempty intersections.
-
-    sections: {frozenset J: DgLieAlgebra} for nonempty U_J (J a nonempty
-    subset of range(num_opens)); absent J means U_J is empty, and at
-    least one U_J is nonempty.
-    restrictions: {(J, J2): DgLieMap}, one for every pair J < J2 of
-    nonempty intersections; identities are implicit, composites are
-    validated.
-    """
-
-    def __init__(self, num_opens, sections, restrictions, name=None):
-        self.num_opens = num_opens
-        self.sections = {frozenset(J): g for J, g in sections.items()}
-        self.restrictions = {(frozenset(J), frozenset(J2)): f
-                             for (J, J2), f in restrictions.items()}
-        self.name = name
-        if not self.sections:
-            raise ValueError("a cover needs at least one nonempty open")
-        # bounds, not set(range(num_opens)): the declared count of
-        # opens must not decide how much memory the check takes
-        for J in self.sections:
-            if not J or not all(isinstance(i, int) and 0 <= i < num_opens
-                                for i in J):
-                raise ValueError(f"bad index set {set(J)}")
-        # monotonicity of nonemptiness: subsets of nonempty are nonempty
-        for J in self.sections:
-            for sub in _nonempty_subsets(J):
-                if sub not in self.sections:
-                    raise ValueError(
-                        f"intersection over {set(sub)} must be nonempty "
-                        f"since the one over {set(J)} is")
-        # every declared restriction connects stored algebras
-        for (J, J2), f in self.restrictions.items():
-            if J == J2 or not J <= J2:
-                raise RestrictionError("restrictions go from fewer opens "
-                                       "to more")
-            if f.source is not self.sections[J] or \
-                    f.target is not self.sections.get(J2):
-                raise RestrictionError(f"restriction ({set(J)}, {set(J2)}) "
-                                       f"does not match the stored algebras")
-        # and every pair of stored algebras has one
-        for J2 in self.sections:
-            for J in _nonempty_subsets(J2):
-                if (J, J2) not in self.restrictions:
-                    raise RestrictionError(
-                        f"missing restriction {set(J)} -> {set(J2)}")
-        self._check_functoriality()
-
-    def algebra(self, J):
-        return self.sections.get(frozenset(J))
-
-    def restrict(self, J, J2, x):
-        J, J2 = frozenset(J), frozenset(J2)
-        if J == J2:
-            return dict(x)
-        if J2 not in self.sections:
-            return {}
-        return self.restrictions[(J, J2)].apply(x)
-
-    def _check_functoriality(self):
-        for J in self.sections:
-            for J2 in self.sections:
-                if not (J < J2):
-                    continue
-                for J1 in self.sections:
-                    if not (J < J1 and J1 < J2):
-                        continue
-                    g = self.sections[J]
-                    for b in range(g.total_dim()):
-                        x = g.basis_element(b)
-                        via = self.restrict(J1, J2, self.restrict(J, J1, x))
-                        direct = self.restrict(J, J2, x)
-                        if not el_eq(via, direct):
-                            raise RestrictionError(
-                                f"restrictions fail functoriality on "
-                                f"{set(J)} -> {set(J1)} -> {set(J2)}")
-
-
-def _nonempty_subsets(J):
-    J = sorted(J)
-    for r in range(1, len(J)):
-        for c in itertools.combinations(J, r):
-            yield frozenset(c)
 
 
 class CechCosimplicial(CosimplicialDgLie):
@@ -380,26 +287,21 @@ def _glue_level(ctx, omegas, p, D):
     [p-1] -> [p] into nondegenerate components;
     `TotContext.gluing_system`, factored once), equal to minus the
     compatibility defect of the level p-1 member (glued)."""
-    keys, generators, index, factor = ctx.gluing_system(p, D)
+    keys, generators, row_keys, factor = ctx.gluing_system(p, D)
     label = f"level {p}"
     try:
         # the degenerate components of level p copy the level p-1
         # member (`TotContext.extend`), polynomial degrees and all
         if any(_poly_degree(mono) > D for _, _, mono in omegas[p - 1]):
             raise ObstructionUnsolvable(0, label)
-        rhs = [0] * len(factor.rows)
         groups = by_monomial(omegas[p - 1])
-        for u, q in generators:
-            row_of = index[u]
-            for k, c in ctx.compatibility_defect(u, q, groups).items():
-                r = row_of.get(k)
-                if r is not None:
-                    rhs[r] = -c
-                elif c:
-                    # a defect key that no column reaches: an empty row
-                    # with a nonzero right-hand side
-                    raise ObstructionUnsolvable(0, label)
-        return constrained_mc_solve(ctx, keys, factor, rhs, label=label)
+        defects = constraint_rhs(
+            row_keys, [ctx.compatibility_defect(u, q, groups)
+                       for u, q in generators])
+        if defects is None:     # a defect key that no column reaches
+            raise ObstructionUnsolvable(0, label)
+        return constrained_mc_solve(ctx, keys, factor,
+                                    [-c for c in defects], label=label)
     except ObstructionUnsolvable as exc:
         if exc.stage == 0:
             raise GluingFailed(

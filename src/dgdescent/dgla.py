@@ -17,9 +17,13 @@ The remaining axioms (Leibniz, Jacobi or associativity, the unit) are
 validated eagerly at construction on every basis pair/triple; internal
 constructions that preserve them may opt out (they stay covered by
 randomized validation in the test suite).
+
+A cover (`CoverSpec`) is dg Lie data too: section algebras over the
+nonempty intersections and restriction `DgLieMap`s between them.
 """
 
 import functools
+import itertools
 
 from .cochain import (Cochain, GradedSpace, canonical_table, check_chain_map,
                       map_table)
@@ -365,6 +369,101 @@ class DgLieMap:
 def identity_map(g):
     return DgLieMap(g, g, {i: {i: 1} for i in range(g.total_dim())},
                     validate=False)
+
+
+# ---------------------------------------------------------------------------
+# covers
+
+
+class RestrictionError(ValueError):
+    """A restriction of a CoverSpec that goes the wrong way, does not
+    match the stored algebras, is missing or breaks functoriality."""
+
+
+class CoverSpec:
+    """Combinatorial cover: section algebras over nonempty intersections.
+
+    sections: {frozenset J: DgLieAlgebra} for nonempty U_J (J a nonempty
+    subset of range(num_opens)); absent J means U_J is empty, and at
+    least one U_J is nonempty.
+    restrictions: {(J, J2): DgLieMap}, one for every pair J < J2 of
+    nonempty intersections; identities are implicit, composites are
+    validated.
+    """
+
+    def __init__(self, num_opens, sections, restrictions, name=None):
+        self.num_opens = num_opens
+        self.sections = {frozenset(J): g for J, g in sections.items()}
+        self.restrictions = {(frozenset(J), frozenset(J2)): f
+                             for (J, J2), f in restrictions.items()}
+        self.name = name
+        if not self.sections:
+            raise ValueError("a cover needs at least one nonempty open")
+        # bounds, not set(range(num_opens)): the declared count of
+        # opens must not decide how much memory the check takes
+        for J in self.sections:
+            if not J or not all(isinstance(i, int) and 0 <= i < num_opens
+                                for i in J):
+                raise ValueError(f"bad index set {set(J)}")
+        # monotonicity of nonemptiness: subsets of nonempty are nonempty
+        for J in self.sections:
+            for sub in _nonempty_subsets(J):
+                if sub not in self.sections:
+                    raise ValueError(
+                        f"intersection over {set(sub)} must be nonempty "
+                        f"since the one over {set(J)} is")
+        # every declared restriction connects stored algebras
+        for (J, J2), f in self.restrictions.items():
+            if J == J2 or not J <= J2:
+                raise RestrictionError("restrictions go from fewer opens "
+                                       "to more")
+            if f.source is not self.sections[J] or \
+                    f.target is not self.sections.get(J2):
+                raise RestrictionError(f"restriction ({set(J)}, {set(J2)}) "
+                                       f"does not match the stored algebras")
+        # and every pair of stored algebras has one
+        for J2 in self.sections:
+            for J in _nonempty_subsets(J2):
+                if (J, J2) not in self.restrictions:
+                    raise RestrictionError(
+                        f"missing restriction {set(J)} -> {set(J2)}")
+        self._check_functoriality()
+
+    def algebra(self, J):
+        return self.sections.get(frozenset(J))
+
+    def restrict(self, J, J2, x):
+        J, J2 = frozenset(J), frozenset(J2)
+        if J == J2:
+            return dict(x)
+        if J2 not in self.sections:
+            return {}
+        return self.restrictions[(J, J2)].apply(x)
+
+    def _check_functoriality(self):
+        for J in self.sections:
+            for J2 in self.sections:
+                if not (J < J2):
+                    continue
+                for J1 in self.sections:
+                    if not (J < J1 and J1 < J2):
+                        continue
+                    g = self.sections[J]
+                    for b in range(g.total_dim()):
+                        x = g.basis_element(b)
+                        via = self.restrict(J1, J2, self.restrict(J, J1, x))
+                        direct = self.restrict(J, J2, x)
+                        if not el_eq(via, direct):
+                            raise RestrictionError(
+                                f"restrictions fail functoriality on "
+                                f"{set(J)} -> {set(J1)} -> {set(J2)}")
+
+
+def _nonempty_subsets(J):
+    J = sorted(J)
+    for r in range(1, len(J)):
+        for c in itertools.combinations(J, r):
+            yield frozenset(c)
 
 
 # ---------------------------------------------------------------------------

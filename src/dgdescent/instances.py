@@ -12,9 +12,9 @@ import itertools
 from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace
-from .dgla import (ArtinAlgebra, DgCommAlgebra, DgLieAlgebra, DgLieMap,
-                   direct_product, lower_central_series, NilpotentDgLie,
-                   tensor_lie)
+from .dgla import (ArtinAlgebra, CoverSpec, DgCommAlgebra, DgLieAlgebra,
+                   DgLieMap, direct_product, identity_map,
+                   lower_central_series, NilpotentDgLie, tensor_lie)
 
 F = Fraction
 
@@ -193,8 +193,6 @@ def random_mc(rng, nil):
 def projection_cover(name="segment-projection"):
     """Two opens with two-dimensional abelian sections and a smaller
     overlap algebra: the restrictions are genuine projections."""
-    from .cech import CoverSpec
-    from .dgla import DgLieMap
     big = abelian_algebra({0: 1, 1: 1}, name="line")
     small = abelian_algebra({1: 1}, name="point1")
     proj = {(frozenset({i}), frozenset({0, 1})):
@@ -208,8 +206,6 @@ def projection_cover(name="segment-projection"):
 def scaled_cover(name="segment-scaled"):
     """Nonabelian two-open cover whose second restriction rescales f:
     e -> e, f -> 2f is a dg Lie endomorphism of the ef algebra."""
-    from .cech import CoverSpec
-    from .dgla import DgLieMap, identity_map
     L = ef_algebra()
     scale = DgLieMap(L, L, {0: {0: F(1)}, 1: {1: F(2)}})
     sections = {frozenset({0}): L, frozenset({1}): L,
@@ -272,8 +268,6 @@ def complex_cover(facets, L=None, name=None):
     vertex, the section algebra L (default abelian_line()) on every face
     and identity restrictions, sections and restrictions inserted by
     face size, then vertex order."""
-    from .cech import CoverSpec
-    from .dgla import identity_map
     L = L or abelian_line()
     faces = sorted({frozenset(c) for facet in facets
                     for r in range(1, len(facet) + 1)

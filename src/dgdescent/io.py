@@ -13,7 +13,8 @@ import re
 from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace
-from .dgla import ArtinAlgebra, DgLieAlgebra, DgLieMap, identity_map
+from .dgla import (ArtinAlgebra, CoverSpec, DgLieAlgebra, DgLieMap,
+                   RestrictionError, identity_map)
 from .linalg import lower
 
 
@@ -234,7 +235,6 @@ def artin_from_record(rec, path="<record>"):
 
 
 def cover_from_record(rec, path="<record>"):
-    from .cech import CoverSpec, RestrictionError
     if record_type(rec, path) != "cover":
         raise ParseError(path, "type", "expected cover")
     opens = _required(rec, "opens", path, "opens")

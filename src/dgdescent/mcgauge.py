@@ -606,9 +606,10 @@ def constraint_rows(keys, maps):
 
 
 def constraint_rhs(row_keys, targets):
-    """The right-hand sides of `constraint_rows` for one target per map,
-    or None when a target is nonzero on a key that no image reaches:
-    no solution maps there."""
+    """The right-hand sides of `constraint_rows` (or of
+    `TotContext.gluing_system`) for one target per map, or None when a
+    target is nonzero on a key that no image reaches: no solution maps
+    there."""
     rhs = []
     for keys_of_map, target in zip(row_keys, targets):
         reached = set(keys_of_map)

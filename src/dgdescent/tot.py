@@ -480,17 +480,18 @@ class TotContext(FormLieContext):
 
     def gluing_system(self, p, D):
         """The system that glues level p onto level p - 1, as (keys,
-        generators, row index, factor), built once per (p, D).
+        generators, row keys, factor), built once per (p, D).
 
         keys are the level-p keys of degree 1 up to D; generators those
         of `generators` between levels p-1 and p (the faces
         [p-1] -> [p], and the codegeneracies [p] -> [p-1] when every
         component carries keys); the rows are their `exchange_rows` on
-        those keys, the row index maps each generator u to {defect key:
-        position of the row (u, defect key)}, and factor is the
-        `linalg.sparse_factor` of the rows, which every right-hand side
-        (minus the defect of a glued level p-1 member) replays.  Every
-        caller gets the same objects, to read and never to change.
+        those keys, one block per generator in generator order, row
+        keys lists each generator's defect keys in row order, and
+        factor is the `linalg.sparse_factor` of the rows, which every
+        right-hand side (minus the defect of a glued level p-1 member,
+        `mcgauge.constraint_rhs`) replays.  Every caller gets the same
+        objects, to read and never to change.
         """
         system = self._gluing.get((p, D))
         if system is None:
@@ -498,11 +499,11 @@ class TotContext(FormLieContext):
             generators = [(u, q) for u, q in self.generators()
                           if {len(u) - 1, q} == {p - 1, p}]
             rows = self.exchange_rows(keys, generators)
-            index = {u: {} for u, _ in generators}
-            for r, (u, k) in enumerate(rows):
-                index[u][k] = r
+            row_keys = {u: [] for u, _ in generators}
+            for u, k in rows:
+                row_keys[u].append(k)
             system = self._gluing[(p, D)] = (
-                keys, generators, index,
+                keys, generators, list(row_keys.values()),
                 sparse_factor(list(rows.values()), len(keys)))
         return system
 

@@ -47,8 +47,13 @@ def test_package_import_loads_no_submodule():
     assert loaded == ["dgdescent"]
 
 
-def test_check_algebra_loads_only_the_record_readers():
-    loaded = _cli_modules("check-algebra", DATA / "algebra_ef.json")
+# one record of each kind check-algebra reads: a cover is dg Lie data,
+# so reading one (or an instance of one) loads no Cech machinery
+@pytest.mark.parametrize("record", [
+    "algebra_ef.json", "artin_t3.json", "cover_segment_line.json",
+    "instance_segment_t3.json"])
+def test_check_algebra_loads_only_the_record_readers(record):
+    loaded = _cli_modules("check-algebra", DATA / record)
     assert loaded == {"dgdescent", "dgdescent.cli", "dgdescent.io",
                       "dgdescent.dgla", "dgdescent.cochain",
                       "dgdescent.linalg"}

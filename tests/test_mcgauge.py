@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -213,13 +214,16 @@ def test_bch_matches_the_word_by_word_dynkin_reference():
         for c in range(1, 6):
             at = _AtClass(ctx, c)
             assert bch(at, y1, y2) == _reference_bch(at, y1, y2), c
-    # a genuine class-5 algebra: (t)/t^6 (x) ef
-    nil = tensor_lie(t_truncated(6), ef_algebra())
-    assert nil.nilpotency_class == 5
-    ctx = FiniteLieContext(nil)
-    for _ in range(5):
-        y1, y2 = random_gauge(rng, nil), random_gauge(rng, nil)
-        assert bch(ctx, y1, y2) == _reference_bch(ctx, y1, y2)
+    # a genuine class-5 algebra, (t)/t^6 (x) ef, whose gauges commute,
+    # and filiform ones whose gauges bracket three and four deep
+    algebras = [tensor_lie(t_truncated(6), ef_algebra()), _filiform(3),
+                _filiform(4)]
+    assert [nil.nilpotency_class for nil in algebras] == [5, 3, 4]
+    for nil in algebras:
+        ctx = FiniteLieContext(nil)
+        for _ in range(5):
+            y1, y2 = random_gauge(rng, nil), random_gauge(rng, nil)
+            assert bch(ctx, y1, y2) == _reference_bch(ctx, y1, y2)
 
 
 def test_bch_of_form_valued_gauges_matches_the_reference():
@@ -375,6 +379,21 @@ def _filiform(c):
     return lower_central_series(DgLieAlgebra(
         Cochain(space, {}), {(0, i): {i + 1: F(1)} for i in range(1, c)},
         name=f"filiform{c}"))
+
+
+def _filiform_module():
+    """filiform(3) acting on <v0 .. v3> in degree 1: x shifts v_i to
+    v_(i+1) and y_i sends v0 to v_i.  The degree-0 part has class 3,
+    y3 moves v0, the whole algebra has class 4, and every element of
+    degree 1 is MC."""
+    space = GradedSpace({0: ["x", "y1", "y2", "y3"],
+                         1: [f"v{i}" for i in range(4)]})
+    v = [space.index(1, f"v{i}") for i in range(4)]
+    brackets = {(0, 1): {2: F(1)}, (0, 2): {3: F(1)}}
+    brackets.update({(0, v[i]): {v[i + 1]: F(1)} for i in range(3)})
+    brackets.update({(i, v[0]): {v[i]: F(1)} for i in range(1, 4)})
+    return lower_central_series(DgLieAlgebra(
+        Cochain(space, {}), brackets, name="filiform3-module"))
 
 
 def _holonomy_campaign():
@@ -546,12 +565,18 @@ def test_gauge_equivalent_witnesses_verify_randomized():
 
 
 def test_gauge_search_decides_every_pair():
-    """200 seeded pairs, the even ones gauge-related: the staged search
-    never gives up, is symmetric in its verdict (and in the stage of a
-    "distinct"), and every witness moves x to xp exactly."""
+    """240 seeded pairs, the even ones gauge-related, on 200
+    random_nilpotent draws and then on `_filiform_module`, whose
+    degree-0 part has class 3 and whose witnesses take three stages:
+    the staged search never gives up, is symmetric in its verdict (and
+    in the stage of a "distinct"), and every witness moves x to xp
+    exactly."""
     rng = random.Random(25)
-    for i in range(200):
-        nil = random_nilpotent(rng)
+    module = _filiform_module()
+    assert module.nilpotency_class == 4
+    draws = itertools.chain((random_nilpotent(rng) for _ in range(200)),
+                            [module] * 40)
+    for i, nil in enumerate(draws):
         ctx = FiniteLieContext(nil)
         x = random_mc(rng, nil)
         xp = gauge_act(ctx, random_gauge(rng, nil), x) if i % 2 == 0 \

@@ -21,17 +21,18 @@ import itertools
 
 # CoverSpec and RestrictionError stay importable from here
 from .dgla import (CoverSpec, DgLieMap, RestrictionError, SelfCheckFailed,
-                   direct_product, el_combination, el_eq, el_is_zero,
-                   el_scale, el_sum, lower_central_series, tensor_lie)
+                   TruncationError, direct_product, el_combination, el_eq,
+                   el_is_zero, el_scale, el_sum, lower_central_series,
+                   tensor_lie)
 from .forms import degeneracy_map, face_map, format_mono, mono_form_degree
-from .io import TruncationError, label_to_json, scalar_to_str
+from .io import label_to_json, scalar_to_str
 from .linalg import NoSolution, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
-                      ObstructionUnsolvable, by_monomial,
+                      ObstructionUnsolvable, bch, by_monomial,
                       constrained_mc_solve, constraint_rhs,
-                      constraint_rows, gauge_act,
-                      holonomy, mc_residual, _stage_span, solve_1simplex,
-                      staged_gauge_search)
+                      constraint_rows, gauge_act, gauge_equivalent,
+                      holonomy, mc_residual, random_combination,
+                      _stage_span, solve_1simplex, staged_gauge_search)
 from .tot import CosimplicialDgLie, DescentDatum, tot_lie
 
 
@@ -393,9 +394,9 @@ def find_descent_isomorphism(G, d1, d2):
     """A level-0 gauge r with act(r, a1) = a2 intertwining the thetas,
     or None; NotIsomorphic when no level-0 gauge moves a1 to a2.
 
-    The staged search (`mcgauge.staged_gauge_search`, over the whole
-    degree-0 part of level 0, a Lie subalgebra) runs on the action
-    equation a1 -> a2 alone; the thetas enter only afterwards, when
+    The orbit question (`mcgauge.gauge_equivalent`, a staged search over
+    the whole degree-0 part of level 0) is asked of the action equation
+    a1 -> a2 alone; the thetas enter only afterwards, when
     `verify_morphism` checks the witness exactly.  A witness that does
     not intertwine them gives None, so the caller counts the round trip
     as undecided; a "distinct" verdict is a certificate that d1 and d2
@@ -403,9 +404,7 @@ def find_descent_isomorphism(G, d1, d2):
     """
     if el_eq(d1.a, d2.a) and el_eq(d1.theta, d2.theta):
         return {}      # the identity gauge
-    ctx0 = G.ctx0
-    res = staged_gauge_search(ctx0, d1.a, d2.a,
-                              ctx0.basis_of_degree(0))
+    res = gauge_equivalent(G.ctx0, d1.a, d2.a)
     if res.status == "distinct":
         raise NotIsomorphic(res.stage)
     r = res.witness
@@ -420,7 +419,8 @@ def _level0_fiber(ctx, D, r0):
     when no gauge at bound D has level-0 component r0."""
     basis0 = ctx.tot_basis(0, D)
     level0 = [ctx.level0(b) for b in basis0]
-    keys0 = sorted({k for b in level0 for k in b})
+    # r0's keys too: a term that no basis vector reaches is insoluble
+    keys0 = sorted({k for b in level0 for k in b} | set(r0))
     rhs = [r0.get(k, 0) for k in keys0]
     sol = sparse_solve_affine(sparse_columns(level0, keys0), rhs, len(basis0))
     if isinstance(sol, NoSolution):
@@ -444,18 +444,20 @@ def lift_tot_gauge(ctx, x, xp, r0, D):
     """A Tot gauge from x to xp whose level-0 component is exactly r0,
     or None.
 
-    The staged search starts from a gauge y0 at degree bound D with
-    level-0 component r0 and composes it with gauges of
-    `_lift_witness_span`, whose level-0 components are 0; so it finds a
-    lift whenever one exists at bound D, and the lift, a BCH product,
-    can exceed polynomial degree D (up to class * D)."""
+    A gauge y0 at degree bound D with level-0 component r0 is composed
+    with a gauge w of `_lift_witness_span`, whose level-0 components are
+    0: the staged search looks for w from x to gauge_act(-y0, xp), and
+    the lift is bch(y0, w).  So it finds a lift whenever one exists at
+    bound D, and the lift, a BCH product, can exceed polynomial degree D
+    (up to class * D)."""
     fiber = _level0_fiber(ctx, D, r0)
     if fiber is None:
         return None
-    res = staged_gauge_search(ctx, x, xp, _lift_witness_span(ctx, D),
-                              y_init=fiber[0])
+    y0 = fiber[0]
+    res = staged_gauge_search(ctx, x, gauge_act(ctx, el_scale(-1, y0), xp),
+                              _lift_witness_span(ctx, D))
     if res.status == "witness":
-        return res.witness
+        return bch(ctx, y0, res.witness)
     return None
 
 
@@ -616,5 +618,4 @@ def _gauge_terms(cc, rho):
 def _random_tot_gauge(basis0, rng):
     """A random combination of the degree-0 Tot basis `basis0`, with
     coefficients in -1..1."""
-    return el_sum(el_scale(rng.randint(-1, 1), b)
-                  for b in basis0)
+    return random_combination(rng, basis0, 1)

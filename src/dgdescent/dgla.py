@@ -37,6 +37,12 @@ class SelfCheckFailed(Exception):
     explicitly, so `python -O` does not remove the check."""
 
 
+# below `io` and `tot`, so that `tot` raises it without importing `io`
+class TruncationError(ValueError):
+    """A cosimplicial algebra truncated below the levels a construction
+    needs, or a degree bound above what it can use."""
+
+
 # ---------------------------------------------------------------------------
 # sparse element helpers
 
@@ -79,11 +85,10 @@ def el_scale(c, x):
     return {k: lower(c * v) for k, v in x.items()}
 
 
-def el_combination(coeffs, elements, start=None):
-    """start + sum of coeffs[j] * elements[j] over a sparse coefficient
-    dict, added in index order."""
-    return el_sum((el_scale(coeffs[j], elements[j]) for j in sorted(coeffs)),
-                  start)
+def el_combination(coeffs, elements):
+    """The sum of coeffs[j] * elements[j] over a sparse coefficient dict,
+    added in index order."""
+    return el_sum(el_scale(coeffs[j], elements[j]) for j in sorted(coeffs))
 
 
 def el_is_zero(x):

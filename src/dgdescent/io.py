@@ -13,8 +13,9 @@ import re
 from fractions import Fraction
 
 from .cochain import Cochain, GradedSpace
+# TruncationError stays importable from here, beside ParseError
 from .dgla import (ArtinAlgebra, CoverSpec, DgLieAlgebra, DgLieMap,
-                   RestrictionError, identity_map)
+                   RestrictionError, TruncationError, identity_map)
 from .linalg import lower
 
 
@@ -23,13 +24,6 @@ class ParseError(ValueError):
         self.path = path
         self.field = field
         super().__init__(f"{path}: field {field!r}: {message}")
-
-
-# defined beside ParseError so that the command line can report both
-# without importing the totalization it may not run
-class TruncationError(ValueError):
-    """A cosimplicial algebra truncated below the levels a construction
-    needs, or a degree bound above what it can use."""
 
 
 # ASCII only: str.isdigit and \d also accept other scripts' digits

@@ -39,11 +39,11 @@ which must be a Lie subalgebra of degree 0; an insoluble stage is a
 certificate that the orbits differ.
 
 Composition convention: gauge elements are stored as logarithm
-coordinates, and bch(y1, y2) is defined as the gauge whose action is
-"act by y2, then by y1".  For the flow above this is log(exp Y2 exp Y1)
-of the free associative world, evaluated through the Dynkin bracketing
-(one table per nilpotency class, folded for even letters);
-the class-2 instance in the tests pins the convention down.  All
+coordinates, and bch(y1, y2) is the holonomy of the constant path y1
+started at y2, so it acts by y2, then by y1: the convention follows
+from the flow.  bch reads it off one Dynkin table per nilpotency class,
+folded for even letters: that holonomy in the free associative algebra
+on two letters.  The class-2 instance in the tests pins it down.  All
 groupoid composition, cocycle conditions and nerve simplices downstream
 use bch, so the convention is fixed in exactly one place.
 """
@@ -278,51 +278,28 @@ def gauge_act(ctx, y, x):
 
 
 # ---------------------------------------------------------------------------
-# Baker-Campbell-Hausdorff through the free associative algebra
+# Baker-Campbell-Hausdorff as a holonomy
 
 
-@lru_cache(maxsize=None)
-def _log_expexp_words(depth):
-    """log(exp X0 exp X1) in the free associative algebra on two letters,
-    truncated beyond word length `depth`; {word tuple: coefficient}."""
-    def trunc_mul(f, g):
+class _Words:
+    """The free associative algebra on the letters 0 and 1, truncated
+    beyond word length `depth`, as an ambient of class `depth`: {word
+    tuple: coefficient}, bracketed by the commutator."""
+
+    def __init__(self, depth):
+        self.depth = depth
+
+    def nclass(self):
+        return self.depth
+
+    def bracket_el(self, x, y):
         out = {}
-        for w1, c1 in f.items():
-            for w2, c2 in g.items():
-                w = w1 + w2
-                if len(w) > depth:
-                    continue
-                v = out.get(w, 0) + c1 * c2
-                if v:
-                    out[w] = v
-                else:
-                    out.pop(w, None)
-        return out
-
-    def exp_letter(letter):
-        out = {(): 1}
-        fact = 1
-        for a in range(1, depth + 1):
-            fact *= a
-            out[(letter,) * a] = Fraction(1, fact)
-        return out
-
-    E = trunc_mul(exp_letter(0), exp_letter(1))
-    E1 = dict(E)
-    E1.pop((), None)  # E - 1
-    out = {}
-    power = {(): 1}
-    for m in range(1, depth + 1):
-        power = trunc_mul(power, E1)
-        sign = Fraction((-1) ** (m - 1), m)
-        for w, c in power.items():
-            v = out.get(w, 0) + sign * c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-    out.pop((), None)
-    return out
+        for w1, c1 in x.items():
+            for w2, c2 in y.items():
+                if len(w1) + len(w2) <= self.depth:
+                    out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+                    out[w2 + w1] = out.get(w2 + w1, 0) - c1 * c2
+        return {w: c for w, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -332,12 +309,15 @@ def _bch_table(depth):
     w standing for the right-nested bracket [w0, [w1, ... [w_{n-2},
     w_{n-1}]]] and its coefficient already divided by len(w).
 
-    The letters of a gauge are even, so [y, y] = 0 and [b, a] = -[a, b]:
-    a word that ends in two equal letters is dropped, and one that ends
-    in (1, 0) is read as the word ending in (0, 1) with the sign
-    flipped.  Words are listed by length, then lexicographically."""
+    log(exp X0 exp X1) is the holonomy of the constant path X1 started
+    at X0, which acts by X0 and then by X1, read in the free associative
+    algebra on the two letters (`_Words`).  The letters of a gauge are
+    even, so [y, y] = 0 and [b, a] = -[a, b]: a word that ends in two
+    equal letters is dropped, and one that ends in (1, 0) is read as the
+    word ending in (0, 1) with the sign flipped.  Words are listed by
+    length, then lexicographically."""
     table = {}
-    for w, c in _log_expexp_words(depth).items():
+    for w, c in holonomy(_Words(depth), [{(1,): 1}], {(0,): 1}).items():
         c = Fraction(c, len(w))
         if len(w) > 1:
             if w[-1] == w[-2]:
@@ -353,8 +333,8 @@ def _bch_table(depth):
 def bch(ctx, y1, y2):
     """The gauge with gauge_act(bch(y1,y2), x) = gauge_act(y1, gauge_act(y2, x)).
 
-    Computed as log(exp Y2 exp Y1) in the free associative algebra
-    truncated beyond the nilpotency class, pushed into the algebra by
+    It is holonomy(ctx, [y1], y2), evaluated as log(exp Y2 exp Y1)
+    truncated beyond the nilpotency class and pushed into the algebra by
     the Dynkin bracketing.  y1 and y2 are gauges, of degree 0, so the
     bracketing is read off the folded table `_bch_table`: every
     right-nested bracket is computed once, from the one of its tail,
@@ -400,25 +380,28 @@ def _bernoulli_plus(k):
     return B[k] * (-1) ** k
 
 
-def holonomy(ctx, y_coeffs):
-    """theta with exp(theta) the time-ordered exponential of the path y(t).
+def holonomy(ctx, y_coeffs, theta0=None):
+    """theta with exp(theta) = exp(theta0) followed by the time-ordered
+    exponential of the path y(t): it acts by theta0, then along y.
 
-    theta(t) = sum_{m>=1} theta_m t^m solves the right Magnus equation
-    theta' = sum_{k<c} (B+_k / k!) ad_theta^k y(t), c the nilpotency
-    class.  With P_k[m] = sum_{i=1..m} [theta_i, P_{k-1}[m-i]] the time
-    coefficients of ad_theta^k y (P_0 = y), the coefficients of t^m
-    give the exact recursion
+    theta(t) = sum_{m>=0} theta_m t^m, theta_0 = theta0 (default 0),
+    solves the right Magnus equation theta' = sum_{k<c} (B+_k / k!)
+    ad_theta^k y(t), c the nilpotency class.  With P_k[m] = sum_{i=0..m}
+    [theta_i, P_{k-1}[m-i]] the time coefficients of ad_theta^k y
+    (P_0 = y), the coefficients of t^m give the exact recursion
 
         (m+1) theta_{m+1} = sum_{k<c} (B+_k / k!) P_k[m],
 
-    whose right side reads only theta_1 .. theta_m.  The part of theta
-    in F^j has t-degree at most j len(y) (by induction on j), so the
-    c len(y) coefficients are all of them.  gauge_act(theta, x) equals
-    the time-1 nonautonomous flow from x for every MC x (tested).
+    whose right side reads only theta_0 .. theta_m.  A term of theta_m,
+    m >= 1, brackets r >= 1 coefficients of y (and copies of theta0), has
+    m <= r len(y), by induction on m; it lies in F^r, so r <= c and the
+    c len(y) coefficients after theta0 are all of them, whatever theta0
+    is.  gauge_act(theta, x) equals the time-1 nonautonomous flow from x
+    for every MC x (tested).
     """
     c, L = ctx.nclass(), len(y_coeffs)
     weights = [Fraction(_bernoulli_plus(k), factorial(k)) for k in range(c)]
-    theta = [{}]
+    theta = [dict(theta0 or {})]
     powers = [list(y_coeffs)] + [[] for _ in range(1, c)]   # P_k[0 .. m]
     for m in range(c * L):
         if m >= L:
@@ -426,7 +409,7 @@ def holonomy(ctx, y_coeffs):
         for k in range(1, c):
             powers[k].append(el_sum(
                 ctx.bracket_el(theta[i], powers[k - 1][m - i])
-                for i in range(1, m + 1)
+                for i in range(m + 1)
                 if theta[i] and powers[k - 1][m - i]))
         theta.append(el_scale(Fraction(1, m + 1), el_sum(
             el_scale(w, P[m]) for w, P in zip(weights, powers))))
@@ -527,24 +510,24 @@ def _solve_congruence(ctx, images, residual, stage):
             [{j: c for j, c in v.items() if j < keep} for v in ker])
 
 
-def staged_gauge_search(ctx, x, xp, witness_space, y_init=None):
-    """Search for y = bch(y_init, w) with w in the span W of
-    witness_space and gauge_act(y, x) = xp, one linear solve per stage of
-    the lower central series, through every stage up to the nilpotency
-    class.  W must be a Lie subalgebra of degree 0 (g^0 is one).
+def staged_gauge_search(ctx, x, xp, witness_space):
+    """Search for y in the span W of witness_space with gauge_act(y, x)
+    = xp, one linear solve per stage of the lower central series,
+    through every stage up to the nilpotency class.  W must be a Lie
+    subalgebra of degree 0 (g^0 is one), so that bch stays in W.
 
     Stage k starts from a y that moves x to xp modulo F^k.  Every other
-    such y' in bch(y_init, W) is bch(y, u) for a u in W that fixes x
-    modulo F^k, so d_x u = du + [x, u] lies in F^k (the gauge action of u
-    moves x by an invertible operator applied to d_x u), and then u moves
-    x by d_x u modulo F^{k+1}.  So the stage is the linear congruence
+    such y' in W is bch(y, u) for a u in W that fixes x modulo F^k, so
+    d_x u = du + [x, u] lies in F^k (the gauge action of u moves x by an
+    invertible operator applied to d_x u), and then u moves x by d_x u
+    modulo F^{k+1}.  So the stage is the linear congruence
     d_x u = xp - gauge_act(y, x) (mod F^{k+1}) over u in W, with the
     images d_x w of the witness span computed once, and y becomes
-    bch(y, u).  An insoluble stage is a certificate that no gauge of
-    bch(y_init, W) moves x to xp: "distinct", with that stage.  A search
-    that ends off-orbit raises SelfCheckFailed.
+    bch(y, u).  An insoluble stage is a certificate that no gauge of W
+    moves x to xp: "distinct", with that stage.  A search that ends
+    off-orbit raises SelfCheckFailed.
     """
-    y = dict(y_init or {})
+    y = {}
     twisted = [el_add(ctx.d_el(w), ctx.bracket_el(x, w))
                for w in witness_space]
     for stage in range(1, ctx.nclass() + 1):
@@ -669,9 +652,11 @@ def constrained_mc_solve(ctx, keys, system, rhs, rng=None, label=""):
     return x
 
 
-def _random_combination(rng, particular, kernel):
-    return el_sum((el_scale(rng.randint(-2, 2), k)
-                   for k in kernel), particular)
+def random_combination(rng, vectors, bound, start=None):
+    """start + sum of rng.randint(-bound, bound) * v over the vectors,
+    drawn in order: the one random draw of the samplers."""
+    return el_sum((el_scale(rng.randint(-bound, bound), v)
+                   for v in vectors), start)
 
 
 def _rows_hold(rows, rhs, coords):
@@ -692,7 +677,7 @@ def _mc_correct(ctx, x, free, rng, label):
     """x moved along the free directions (all of degree 1) until it is
     MC, stage by stage; rng, when given, draws the free choices."""
     if rng is not None and free:
-        x = _random_combination(rng, x, free)
+        x = random_combination(rng, free, 2, x)
     c = ctx.nclass()
     for stage in range(1, c + 1):
         R = mc_residual(ctx, x)
@@ -708,7 +693,7 @@ def _mc_correct(ctx, x, free, rng, label):
         if rng is not None and kern:
             dirs = [d for d in (el_combination(kv, cand_stage)
                                 for kv in kern) if d]
-            z = _random_combination(rng, z, dirs)
+            z = random_combination(rng, dirs, 2, z)
         x = el_add(x, z)
     R = mc_residual(ctx, x)
     if not el_is_zero(R):
@@ -759,9 +744,4 @@ class DeligneGroupoid:
                                     label="sample")
 
     def random_gauge(self, rng):
-        out = {}
-        for k in self.ctx.degree_keys(0):
-            c = rng.randint(-2, 2)
-            if c:
-                out[k] = c
-        return out
+        return random_combination(rng, self.ctx.basis_of_degree(0), 2)

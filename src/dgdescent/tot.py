@@ -22,11 +22,10 @@ against the intersections of the cover, and the reports record N.
 import functools
 
 from .cochain import Cochain, GradedSpace, map_table
-from .dgla import (NilpotentDgLie, el_add, el_eq, el_is_zero, el_scale,
-                   el_sub, el_sum, lower_central_series)
+from .dgla import (NilpotentDgLie, TruncationError, el_add, el_eq,
+                   el_is_zero, el_scale, el_sub, el_sum, lower_central_series)
 from .forms import (compose_maps, degeneracy_map, face_map,
                     monomial_pullback, monotone_factorize)
-from .io import TruncationError
 from .linalg import (echelon_basis, linear_apply, lower, sparse_factor,
                      sparse_kernel)
 from .mcgauge import (FiniteLieContext, FormLieContext, bch, by_monomial,

@@ -376,6 +376,23 @@ def test_lift_tot_gauge_identity():
     assert el_eq(gauge_act(ctx, rho, x), x)
 
 
+@pytest.mark.parametrize("D", [1, 2])
+def test_lift_tot_gauge_refuses_a_level0_part_no_gauge_has(D):
+    """Key 4 of level 0 of segment-ef/t^3 is of degree 1, so no gauge
+    has level-0 part {4: 1}, and the lift is None rather than a gauge
+    whose level-0 part drops that term."""
+    cc = cech_cosimplicial(tensored_cover(segment_cover(ef_algebra()),
+                                          t_truncated(3)), N=2)
+    ctx = cc.tot_context()
+    assert cc.level(0).degree_of(4) == 1
+    rng = random.Random(808)
+    datum = None
+    while datum is None:
+        datum = _sample_descent_datum(cc, rng)
+    x = glue_descent_datum(cc, datum, D)
+    assert lift_tot_gauge(ctx, x, x, {4: 1}, D) is None
+
+
 @pytest.mark.parametrize("cover,algebra,glued", [
     (segment_cover, ef_algebra, 12), (circle_cover, ef_algebra, 2),
     (segment_cover, heisenberg, 12)])

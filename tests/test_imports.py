@@ -47,6 +47,14 @@ def test_package_import_loads_no_submodule():
     assert loaded == ["dgdescent"]
 
 
+def test_the_totalization_loads_no_record_reader():
+    """`tot` raises TruncationError from `dgla`, so no io <-> tot cycle
+    is left."""
+    loaded = _run("import sys, dgdescent.tot; print(*sorted("
+                  "m for m in sys.modules if m.startswith('dgdescent')))")
+    assert "dgdescent.tot" in loaded and "dgdescent.io" not in loaded
+
+
 # one record of each kind check-algebra reads: a cover is dg Lie data,
 # so reading one (or an instance of one) loads no Cech machinery
 @pytest.mark.parametrize("record", [

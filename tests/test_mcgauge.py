@@ -2,11 +2,12 @@ import ast
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from dgdescent import cech
+from dgdescent import cech, mcgauge
 from dgdescent.cech import cech_cosimplicial, tensored_cover, verify_descent
 from dgdescent.cochain import Cochain, GradedSpace
 from dgdescent.dgla import (DgLieAlgebra, el_add, el_eq, el_is_zero,
@@ -19,9 +20,9 @@ from dgdescent.instances import (abelian_algebra, circle_cover,
                                  random_gauge, random_mc, random_nilpotent,
                                  segment_cover, spec_lifting_fibration,
                                  t_truncated, tampered_fibration, wz_algebra)
-from dgdescent.mcgauge import (FiniteLieContext, FormLieContext,
-                               ObstructionUnsolvable, _bernoulli_plus,
-                               _log_expexp_words, bch, by_monomial,
+from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext,
+                               FormLieContext, ObstructionUnsolvable,
+                               _bch_table, _bernoulli_plus, bch, by_monomial,
                                constrained_mc_solve, constraint_rhs,
                                constraint_rows, flow_path, gauge_act,
                                gauge_equivalent, holonomy, mc_element,
@@ -171,6 +172,52 @@ def test_bch_inverse_and_many():
     assert el_eq(folded, bch(ctx, ys[0], bch(ctx, ys[1], ys[2])))
 
 
+@lru_cache(maxsize=None)
+def _log_expexp_words(depth):
+    """log(exp X0 exp X1) in the free associative algebra on two letters,
+    truncated beyond word length `depth`; {word tuple: coefficient}.
+    The exp/log series, the test reference for the BCH table, which the
+    package reads off `holonomy` instead."""
+    def trunc_mul(f, g):
+        out = {}
+        for w1, c1 in f.items():
+            for w2, c2 in g.items():
+                w = w1 + w2
+                if len(w) > depth:
+                    continue
+                v = out.get(w, 0) + c1 * c2
+                if v:
+                    out[w] = v
+                else:
+                    out.pop(w, None)
+        return out
+
+    def exp_letter(letter):
+        out = {(): 1}
+        fact = 1
+        for a in range(1, depth + 1):
+            fact *= a
+            out[(letter,) * a] = Fraction(1, fact)
+        return out
+
+    E = trunc_mul(exp_letter(0), exp_letter(1))
+    E1 = dict(E)
+    E1.pop((), None)  # E - 1
+    out = {}
+    power = {(): 1}
+    for m in range(1, depth + 1):
+        power = trunc_mul(power, E1)
+        sign = Fraction((-1) ** (m - 1), m)
+        for w, c in power.items():
+            v = out.get(w, 0) + sign * c
+            if v:
+                out[w] = v
+            else:
+                out.pop(w, None)
+    out.pop((), None)
+    return out
+
+
 def _dynkin_eval(ctx, words, letters):
     """The word-by-word Dynkin bracketing, the test reference for bch:
     each word w of a Lie series contributes coeff/len(w) times its
@@ -238,6 +285,65 @@ def test_bch_of_form_valued_gauges_matches_the_reference():
                                           for _ in range(n)]),
                         ctx.embed_level(n, random_gauge(rng, nil)))
             assert bch(ctx, y1, y2) == _reference_bch(ctx, y1, y2)
+
+
+def _folded_reference_table(depth):
+    """The Dynkin table of the exp/log reference, folded for even
+    letters as `_bch_table` documents it: (word, coefficient / len(word),
+    type of the coefficient), an int where it is integral."""
+    table = {}
+    for w, c in _log_expexp_words(depth).items():
+        c = F(c, len(w))
+        if len(w) > 1 and w[-1] == w[-2]:
+            continue
+        if len(w) > 1 and w[-2:] == (1, 0):
+            w, c = w[:-2] + (0, 1), -c
+        table[w] = table.get(w, 0) + c
+    entries = [(w, int(c) if c.denominator == 1 else c)
+               for w, c in sorted(table.items(),
+                                  key=lambda wc: (len(wc[0]), wc[0])) if c]
+    return [(w, c, type(c)) for w, c in entries]
+
+
+def _table_matches_the_reference(depth):
+    return [(w, c, type(c)) for w, c in _bch_table(depth)] == \
+        _folded_reference_table(depth)
+
+
+def test_the_bch_table_read_off_the_holonomy_matches_exp_log():
+    for depth in range(1, 7):
+        assert _table_matches_the_reference(depth), depth
+
+
+def test_the_bch_table_reference_kills_a_b_minus_holonomy(monkeypatch):
+    """The reference shares no series with the package: the table that
+    a holonomy with B1 = -1/2 yields differs from it.  The table cache
+    is cleared on both sides of the patch, so no mutant table outlives
+    this test."""
+    plus = mcgauge._bernoulli_plus
+    _bch_table.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(mcgauge, "_bernoulli_plus",
+                      lambda k: F(-1, 2) if k == 1 else plus(k))
+            assert not all(_table_matches_the_reference(depth)
+                           for depth in range(1, 7))
+    finally:
+        _bch_table.cache_clear()
+    assert _table_matches_the_reference(2)
+
+
+def test_bch_is_the_holonomy_of_a_constant_path():
+    """bch(y1, y2) acts by y2, then by y1: the holonomy of the constant
+    path y1 started at y2."""
+    rng = random.Random(31)
+    nils = [_filiform(3), _filiform(4)] + \
+        [random_nilpotent(rng) for _ in range(8)]
+    for nil in nils:
+        ctx = FiniteLieContext(nil)
+        for _ in range(4):
+            y1, y2 = random_gauge(rng, nil), random_gauge(rng, nil)
+            assert holonomy(ctx, [y1], y2) == bch(ctx, y1, y2)
 
 
 def test_a_class_two_bch_makes_one_bracket():
@@ -609,6 +715,61 @@ def test_deligne_groupoid_interface():
     lhs = bch(ctx, bch(ctx, g1, g2), g3)
     rhs = bch(ctx, g1, bch(ctx, g2, g3))
     assert el_eq(lhs, rhs)
+
+
+class _RecordingRng:
+    """Records every randint(a, b) and answers a + n mod (b - a + 1) at
+    the n-th call, so consecutive draws differ."""
+
+    def __init__(self):
+        self.calls, self.values = [], []
+
+    def randint(self, a, b):
+        self.calls.append((a, b))
+        self.values.append(a + len(self.calls) % (b - a + 1))
+        return self.values[-1]
+
+
+def test_each_random_draw_is_one_randint_per_vector_in_order(monkeypatch):
+    """The gauge sampler, the free choices of the MC solver and the Tot
+    gauge of the descent check each draw rng.randint(-b, b) once per
+    vector, in order, and nothing else."""
+    nil, *_ = tf_instance()
+    groupoid = DeligneGroupoid(nil)
+    rng = _RecordingRng()
+    y = groupoid.random_gauge(rng)
+    keys = groupoid.ctx.degree_keys(0)
+    assert rng.calls == [(-2, 2)] * len(keys)
+    assert y == {k: v for k, v in zip(keys, rng.values) if v}
+
+    real, drawn = mcgauge.random_combination, []
+
+    def spy(rng, vectors, bound, start=None):
+        before = len(rng.calls)
+        out = real(rng, vectors, bound, start)
+        assert rng.calls[before:] == [(-bound, bound)] * len(vectors)
+        assert out == el_sum((el_scale(c, v) for c, v in
+                              zip(rng.values[before:], vectors)), start)
+        drawn.append((bound, len(vectors)))
+        return out
+
+    monkeypatch.setattr(mcgauge, "random_combination", spy)
+    # wz (x) (t)/t^3 corrects its draws, so the solver draws again
+    wz = tensor_lie(t_truncated(3), wz_algebra())
+    rng = _RecordingRng()
+    x = DeligneGroupoid(wz).random_mc_element(rng)
+    assert el_is_zero(mc_residual(FiniteLieContext(wz), x))
+    assert len(drawn) > 1 and {b for b, _ in drawn} == {2}
+    assert len(rng.calls) == sum(n for _, n in drawn)
+    monkeypatch.undo()
+
+    cc = cech.cech_cosimplicial(tensored_cover(segment_cover(ef_algebra()),
+                                               t_truncated(3)), N=2)
+    basis0 = cc.tot_context().tot_basis(0, 1)
+    rng = _RecordingRng()
+    rho = cech._random_tot_gauge(basis0, rng)
+    assert rng.calls == [(-1, 1)] * len(basis0)
+    assert rho == el_sum(el_scale(c, b) for c, b in zip(rng.values, basis0))
 
 
 def test_element_validators():

@@ -618,7 +618,8 @@ def constrained_mc_solve(ctx, keys, system, rhs, rng=None, label=""):
     stage (the sampler hook); random choices can land on obstructed
     points of the MC variety, so failed attempts fall back to four
     fresh draws in all and finally to the deterministic greedy path
-    before the obstruction is reported.
+    before the obstruction is reported.  The rounds share each stage's
+    span of the free directions and its d images, built once per call.
     """
     position = {k: j for j, k in enumerate(keys)}
     if len(position) != len(keys):
@@ -636,9 +637,10 @@ def constrained_mc_solve(ctx, keys, system, rhs, rng=None, label=""):
     x0, *free = [{keys[j]: c for j, c in sorted(v.items()) if c}
                  for v in (coeffs, *kernel)]
     rounds = ([rng] * 4 + [None]) if rng is not None else [None]
+    spans = {}
     for r in rounds:
         try:
-            x = _mc_correct(ctx, x0, free, r, label)
+            x = _mc_correct(ctx, x0, free, r, label, spans)
             break
         except ObstructionUnsolvable as exc:
             last_exc = exc
@@ -673,9 +675,12 @@ def _rows_hold(rows, rhs, coords):
     return True
 
 
-def _mc_correct(ctx, x, free, rng, label):
+def _mc_correct(ctx, x, free, rng, label, spans):
     """x moved along the free directions (all of degree 1) until it is
-    MC, stage by stage; rng, when given, draws the free choices."""
+    MC, stage by stage; rng, when given, draws the free choices.  spans
+    memoizes each stage's span of the free directions and their d
+    images, which depend on nothing else: the rounds of one
+    `constrained_mc_solve` share it."""
     if rng is not None and free:
         x = random_combination(rng, free, 2, x)
     c = ctx.nclass()
@@ -683,8 +688,10 @@ def _mc_correct(ctx, x, free, rng, label):
         R = mc_residual(ctx, x)
         if el_is_zero(R):
             break
-        cand_stage = _stage_span(ctx, stage, free, 1)
-        imgs = [ctx.d_el(z) for z in cand_stage]
+        if stage not in spans:
+            span = _stage_span(ctx, stage, free, 1)
+            spans[stage] = span, [ctx.d_el(z) for z in span]
+        cand_stage, imgs = spans[stage]
         sol = _solve_congruence(ctx, imgs, el_scale(-1, R), stage)
         if isinstance(sol, NoSolution):
             raise ObstructionUnsolvable(stage, label)

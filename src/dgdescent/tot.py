@@ -311,6 +311,12 @@ class TotContext(FormLieContext):
     keys stays one.  cells[p] is the set of basis indices of g^p that
     carry keys (None when all do), and copies the algebra's
     `degenerate_copies` ({} when all do).
+
+    What depends only on the algebra and a bound is built once per
+    context and memoized in it: the gluing systems per (level, D), and
+    per (degree, D) the Tot bases (`tot_basis`) and the blocks of d
+    between them (`tot_differential`).  Another context, even on an
+    equal algebra, shares none of them.
     """
 
     def __init__(self, cc):
@@ -329,6 +335,7 @@ class TotContext(FormLieContext):
         self.copies = copies or {}
         self._gluing = {}
         self._bases = {}
+        self._differentials = {}
         self._key_indices = {}
 
     # -- keys and the whole family ----------------------------------------------
@@ -514,9 +521,9 @@ class TotContext(FormLieContext):
         substitutes them away and eliminates only the rest.
 
         Basis vector i is 1 on its free key and 0 on the other vectors'
-        free keys, so the basis is reduced.  It is built once per
-        (degree, D), and every caller gets the same list, to read and
-        never to change.
+        free keys, so the basis is reduced, as `tot_differential` needs
+        its targets.  It is built once per (degree, D), and every caller
+        gets the same list, to read and never to change.
         """
         basis = self._bases.get((degree, D))
         if basis is None:
@@ -527,6 +534,28 @@ class TotContext(FormLieContext):
                 for v in sparse_kernel(list(rows.values()), len(keys))]
         return basis
 
+    def tot_differential(self, degree, D):
+        """The table of d from `tot_basis(degree, D)` to
+        `tot_basis(degree + 1, D)`, {i: {j: coeff}} over the positions
+        in those lists, written by `cochain.map_table`, which checks
+        every image by exact reconstruction.
+
+        It is built once per (degree, D), from the memoized bases (a
+        basis not yet built is built here), and every caller gets the
+        same table, to read and never to change.
+        """
+        block = self._differentials.get((degree, D))
+        if block is None:
+            bases = {}
+            for n in (degree, degree + 1):
+                bases[n] = self._bases.get((n, D))
+                if bases[n] is None:
+                    bases[n] = self.tot_basis(n, D)
+            block = self._differentials[(degree, D)] = map_table(
+                self.d_el, {degree: bases[degree]},
+                {degree + 1: bases[degree + 1]}, 1)
+        return block
+
 
 class TotLieComplex:
     """The degree-D truncation of the Thom-Sullivan totalization: the
@@ -534,8 +563,12 @@ class TotLieComplex:
     used by the groupoid machinery.
 
     basis_by_degree holds the algebra's memoized `TotContext.tot_basis`
-    lists themselves, so a second complex at the same D solves nothing
-    again; read them and never change them.
+    lists themselves, and the differential is assembled from its
+    memoized `TotContext.tot_differential` blocks, placed at the
+    offsets of their degrees, so a second complex at the same D solves
+    nothing again and applies d to nothing; read the lists and never
+    change them.  The complex itself is not memoized: its `Cochain`
+    checks d (degrees, d . d = 0) and computes cohomology anew.
     """
 
     def __init__(self, cc, D):
@@ -554,10 +587,15 @@ class TotLieComplex:
             vecs = self.ctx.tot_basis(n, D)
             if vecs:
                 self.basis_by_degree[n] = vecs
-        degrees = {n: [f"T{n}_{i}" for i in range(len(v))]
-                   for n, v in self.basis_by_degree.items()}
-        self.cochain = Cochain(GradedSpace(degrees), map_table(
-            self.ctx.d_el, self.basis_by_degree, self.basis_by_degree, 1))
+        space = GradedSpace({n: [f"T{n}_{i}" for i in range(len(v))]
+                             for n, v in self.basis_by_degree.items()})
+        d = {}
+        for n in self.basis_by_degree:
+            src = space.degree_range(n).start
+            tgt = space.degree_range(n + 1).start
+            for i, image in self.ctx.tot_differential(n, D).items():
+                d[src + i] = {tgt + j: c for j, c in image.items()}
+        self.cochain = Cochain(space, d)
 
 
 def tot_lie(cc, D):

@@ -419,8 +419,8 @@ def test_constraint_drift_raises_a_named_error(monkeypatch):
     # and so must one that leaves the span of the keys
     for drift in (lambda x: {}, lambda x: dict(x, outside=ONE)):
         monkeypatch.setattr(mcgauge, "_mc_correct",
-                            lambda ctx, x, free, rng, label, drift=drift:
-                            drift(x))
+                            lambda ctx, x, free, rng, label, spans,
+                            drift=drift: drift(x))
         with pytest.raises(SelfCheckFailed, match="constraints drifted"):
             constrained_mc_solve(ctx, keys, system, rhs, label="drift")
 

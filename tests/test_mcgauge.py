@@ -772,6 +772,52 @@ def test_each_random_draw_is_one_randint_per_vector_in_order(monkeypatch):
     assert rho == el_sum(el_scale(c, b) for c, b in zip(rng.values, basis0))
 
 
+def test_the_rounds_of_one_mc_solve_share_each_stage_span(monkeypatch):
+    """Every round of one constrained_mc_solve (four randomized, then
+    the deterministic one) reads each stage's span of the free
+    directions and their d images from one memo, so _stage_span runs
+    at most once per stage per call.  Draw 14 of random_nilpotent seed
+    16 runs all five rounds.  Every draw equals the one made with a
+    fresh memo per round, which spans each stage in every round."""
+    real_span, spans = mcgauge._stage_span, []
+
+    def span_spy(ctx, stage, space, degree):
+        spans[-1].append(stage)
+        return real_span(ctx, stage, space, degree)
+
+    real_solve = mcgauge.constrained_mc_solve
+
+    def solve_spy(*args, **kwargs):
+        spans.append([])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(mcgauge, "_stage_span", span_spy)
+    monkeypatch.setattr(mcgauge, "constrained_mc_solve", solve_spy)
+
+    def draws():
+        spans.clear()
+        rng = random.Random(16)
+        nil = random_nilpotent(rng)
+        return [random_mc(rng, nil) for _ in range(15)], list(spans)
+
+    real_correct, rounds = mcgauge._mc_correct, []
+
+    def fresh_memo(ctx, x, free, rng, label, memo):
+        rounds.append(len(spans))
+        return real_correct(ctx, x, free, rng, label, {})
+
+    monkeypatch.setattr(mcgauge, "_mc_correct", fresh_memo)
+    reference, unshared = draws()
+    assert rounds.count(15) == 5
+    monkeypatch.setattr(mcgauge, "_mc_correct", real_correct)
+    drawn, shared = draws()
+    assert drawn == reference
+    assert len(shared) == 15
+    assert all(len(set(stages)) == len(stages) for stages in shared)
+    assert len(set(unshared[14])) < len(unshared[14])
+    assert sum(map(len, shared)) < sum(map(len, unshared))
+
+
 def test_element_validators():
     nil, te, t2e, tf, t2f = tf_instance()
     ctx = FiniteLieContext(nil)

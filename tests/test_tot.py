@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgdescent.cech import cech_cosimplicial, tensored_cover
+from dgdescent.cochain import canonical_table, map_table
 from dgdescent.dgla import (DgLieAlgebra, el_eq, el_sub,
                             lower_central_series, tensor_lie)
 from dgdescent.forms import PolyForm, monotone_maps, omega_apply
@@ -436,6 +438,119 @@ def test_two_algebras_share_no_tot_basis(monkeypatch):
     assert len({id(b) for b in bases}) == 3
     assert ccs[0].tot_context().tot_basis(1, 2) is bases[0]
     assert len(written) == 3
+
+
+def _spy_d_el(monkeypatch):
+    """Count the calls of d on the Tot ambient."""
+    applied = []
+    d_el = TotContext.d_el
+
+    def spy(self, x):
+        applied.append(self)
+        return d_el(self, x)
+
+    monkeypatch.setattr(TotContext, "d_el", spy)
+    return applied
+
+
+def test_each_tot_differential_block_is_built_once_per_degree_and_bound(
+        monkeypatch):
+    """tot_lie twice at D = 2, then at D = 3, on one algebra: d is
+    applied once to each basis vector of each (degree, D), so the second
+    complex at D = 2 applies it to nothing and holds the first one's
+    differential; D = 3 builds only its own blocks."""
+    cc = _cech_context.__wrapped__("circle/t3").cc
+    ctx = cc.tot_context()
+    applied = _spy_d_el(monkeypatch)
+    first = tot_lie(cc, 2)
+    assert len(applied) == sum(map(len, first.basis_by_degree.values()))
+    blocks = dict(ctx._differentials)
+    assert set(blocks) == {(n, 2) for n in first.basis_by_degree}
+    applied.clear()
+    second = tot_lie(cc, 2)
+    assert applied == []
+    assert second.cochain.d == first.cochain.d
+    assert second.cochain is not first.cochain
+    third = tot_lie(cc, 3)
+    assert len(applied) == sum(map(len, third.basis_by_degree.values()))
+    assert set(ctx._differentials) - set(blocks) == \
+        {(n, 3) for n in third.basis_by_degree}
+    assert all(ctx._differentials[k] is block for k, block in blocks.items())
+
+
+def test_two_algebras_share_no_tot_differential(monkeypatch):
+    """Equal algebras built twice, and a second TotContext on one of
+    them, each apply d to their own basis."""
+    ccs = [_cech_context.__wrapped__("circle/t3").cc for _ in range(2)]
+    ctxs = [cc.tot_context() for cc in ccs] + [TotContext(ccs[0])]
+    applied = _spy_d_el(monkeypatch)
+    blocks = [ctx.tot_differential(1, 2) for ctx in ctxs]
+    size = len(ctxs[0].tot_basis(1, 2))
+    assert size and applied == [c for c in ctxs for _ in range(size)]
+    assert blocks[0] == blocks[1] == blocks[2] and blocks[0]
+    assert len({id(b) for b in blocks}) == 3
+    assert ccs[0].tot_context().tot_differential(1, 2) is blocks[0]
+    assert len(applied) == 3 * size
+
+
+def test_the_assembled_differential_is_the_whole_complex_table():
+    """The differential assembled from the per-degree blocks is, byte
+    for byte, the table that one map_table over the whole complex
+    writes, on every abelian instance and on triple/eps, circle/t3 and
+    scaled/t3, at D = 1..3."""
+    ccs = dict(_abelian_cosimplicials())
+    for name in ("triple/eps", "circle/t3", "scaled/t3"):
+        ccs[name] = _cech_context.__wrapped__(name).cc
+    for name, cc in ccs.items():
+        for D in (1, 2, 3):
+            T = tot_lie(cc, D)
+            B, space = T.basis_by_degree, T.cochain.space
+            reference = canonical_table(
+                map_table(T.ctx.d_el, B, B, 1), space, space, 1)
+            assert repr(T.cochain.d) == repr(reference), (name, D)
+
+
+# sha256 over repr(sorted(cochain.d.items())) and then repr(cohomology(n))
+# for n = 0..4, per tot_sweep item, as computed before the differential
+# was assembled from per-degree blocks
+TOT_SWEEP_SHA256 = {
+    ("triple/eps", 1):
+        "9e773abde32eb9dd99cb89b32899ab388dc0014a544b8d556d1cf7e74fc159e9",
+    ("triple/eps", 2):
+        "a0b54705f7a6726eddd820b74394a1ff222051d1f13b84eeaa3ab583d89a8807",
+    ("triple/eps", 3):
+        "afe8969bef44ad9bfdf16b75fd353cef0d923b38cf02cbe24309519ee8bc0895",
+    ("triple/eps", 4):
+        "fb81534836116bd3d95ac19d063d87f7ef74ebb86f686f692d01f42558466756",
+    ("triple/eps", 5):
+        "af1a43adbbac98d40775f19190dafe7c36fc0f436f3085c87ed3c020df34f76e",
+    ("circle/t3", 1):
+        "ca75043eee802bf4d1c066e78dc2521c8b143f3e0c2f16eb5f0b2681405ce7ff",
+    ("circle/t3", 2):
+        "29d20b6d82e23af4d611ca422fc960b1a10650cb9ad5723e415a9c60286a6a05",
+    ("circle/t3", 3):
+        "990f2f0c1343eb884d5a055fe5cdc9baee8f5fb76306bcea94b19b86fd385a62",
+    ("circle/t3", 4):
+        "8b54e67ddf36fa1ed32386bb59df72d6924209cd8b0d2c65f0de966e29cf6be2",
+}
+
+
+def test_the_tot_sweep_tables_and_representatives_are_byte_identical():
+    """Every (instance, D) of the tot_sweep benchmark, built as it
+    builds them: its differential table and its cohomology
+    representatives in degrees 0..4 hash to the pinned sha256, on the
+    first complex and on a second one at the same D."""
+    ccs = {"triple/eps": cech_cosimplicial(
+               tensored_cover(triple_cover(), dual_numbers()), N=2),
+           "circle/t3": cech_cosimplicial(
+               tensored_cover(circle_cover(), t_truncated(3)), N=2)}
+    for (name, D), digest in TOT_SWEEP_SHA256.items():
+        for _ in range(2):
+            C = tot_lie(ccs[name], D).cochain
+            h = hashlib.sha256(repr(sorted(C.d.items())).encode())
+            for n in range(5):
+                h.update(repr(C.cohomology(n)).encode())
+            assert h.hexdigest() == digest, (name, D)
 
 
 def _abelian_cosimplicials():

@@ -546,6 +546,8 @@ class TotContext(FormLieContext):
         """
         block = self._differentials.get((degree, D))
         if block is None:
+            # the memo is read directly, so that a complex requests each
+            # basis from tot_basis once
             bases = {}
             for n in (degree, degree + 1):
                 bases[n] = self._bases.get((n, D))

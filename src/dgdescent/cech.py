@@ -2,12 +2,19 @@
 
 Covers (`dgla.CoverSpec`) are purely combinatorial: an index set, a dg
 Lie algebra of sections for every nonempty intersection, and
-restriction maps.  The Cech cosimplicial algebra has level q the
-product over nondecreasing index tuples of length q+1 (empty
+restriction maps.  The ordered Cech cosimplicial algebra has level q
+the product over nondecreasing index tuples of length q+1 (empty
 intersections contribute nothing); cofaces delete an index and
-restrict, codegeneracies repeat an index.  Only this ordered version
-keeps the conormalization vanishing above #opens - 1, which the
-totalization machinery requires.
+restrict, codegeneracies repeat an index.  Its conormalization is the
+product over the strictly increasing tuples, so it vanishes above
+#opens - 1, as the totalization machinery requires.  The build stores
+just that: level q is the product over the strictly increasing tuples,
+with the cofaces between them and no codegeneracies, a
+semicosimplicial algebra whose Tot is the Thom-Whitney totalization
+of Fiorenza-Manetti-Martinengo.  A tuple with a repeated index has the
+sections of its distinct indices, so its component would only copy
+one of these; the reports still count the ordered complex
+(`CechCosimplicial.ordered_tuples`).
 
 The comparison functor sends an MC family (omega_p) to the descent
 datum (a, theta): a is the level-0 component, theta the holonomy of the
@@ -24,7 +31,7 @@ from .dgla import (CoverSpec, DgLieMap, RestrictionError, SelfCheckFailed,
                    TruncationError, direct_product, el_combination, el_eq,
                    el_is_zero, el_scale, el_sum, lower_central_series,
                    tensor_lie)
-from .forms import degeneracy_map, face_map, format_mono, mono_form_degree
+from .forms import face_map, format_mono, mono_form_degree
 from .io import label_to_json, scalar_to_str
 from .linalg import NoSolution, sparse_columns, sparse_solve_affine
 from .mcgauge import (DeligneGroupoid, FiniteLieContext,
@@ -55,39 +62,36 @@ class ExtractionFailed(Exception):
 
 
 class CechCosimplicial(CosimplicialDgLie):
-    """Cech levels with their tuple bookkeeping kept around."""
+    """The Cech levels over the strictly increasing tuples, tuples[q]
+    those of level q, with their cover kept around; no
+    codegeneracies."""
 
-    def __init__(self, cover, levels, cofaces, codegens, tuples):
+    def __init__(self, cover, levels, cofaces, tuples):
         self.cover = cover
         self.tuples = tuples
         # the sampler's factored restriction systems (`_open_system`)
         self.open_systems = {}
-        super().__init__(levels, cofaces, codegens,
+        super().__init__(levels, cofaces, None,
                          vanishing_level=cover.num_opens - 1,
                          name=f"cech({cover.name or cover.num_opens})")
 
-    def degenerate_copies(self):
-        """{s: {i: j}}: a tuple T with a repeated index is T' o s for the
-        strictly increasing T' of its distinct indices and a surjection
-        s: [q] -> [p], and U_T = U_T', so basis element j of the
-        T-component of g^q is the copy along s of basis element i of the
-        T'-component of g^p (`TotContext` keys only the nondegenerate
-        components)."""
-        embeddings = [{tag: emb for tag, _, emb in level.components}
-                      for level in self.levels]
-        copies = {}
-        for q, Ts in enumerate(self.tuples):
-            for T in Ts:
-                base = tuple(dict.fromkeys(T))
-                if len(base) == len(T):
-                    continue
-                source = embeddings[len(base) - 1][base]
-                target = embeddings[q][T]
-                index = copies.setdefault(
-                    tuple(base.index(i) for i in T), {})
-                for k, gi in source.items():
-                    index[gi] = target[k]
-        return copies
+    def ordered_tuples(self):
+        """The tuples of every level of the ordered Cech complex: the
+        nondecreasing ones with a nonempty intersection, the stored
+        tuples among them."""
+        # a tuple through an open without sections has no sections
+        # either, so declared but unused opens add no tuples
+        used = sorted(set().union(*self.cover.sections))
+        return [[T for T in itertools.combinations_with_replacement(
+                    used, q + 1) if self.cover.algebra(set(T)) is not None]
+                for q in range(self.N + 1)]
+
+    def level_dimensions(self):
+        """The dimensions of the levels of the ordered Cech complex,
+        which the reports print: a tuple has the sections of its set of
+        indices."""
+        return [sum(self.cover.algebra(set(T)).total_dim() for T in Ts)
+                for Ts in self.ordered_tuples()]
 
     def from_components(self, q, parts):
         """Assemble a level-q element from {tuple: element}."""
@@ -107,13 +111,14 @@ def vanishing_level(cover):
 
 
 def cech_cosimplicial(cover, N=None):
-    """Levels 0..N of the ordered Cech cosimplicial algebra, by default
-    N = max(2, vanishing_level(cover)).
+    """Levels 0..N of the Cech algebra on the strictly increasing
+    tuples, by default N = max(2, vanishing_level(cover)).
 
-    Its conormalization N^q is the sum of the sections over the
-    intersections of q+1 distinct opens, so it can be nonzero up to
-    max |J| - 1 over the nonempty U_J; a truncation below that level
-    would hide nonzero N^q from every vanishing check and is refused.
+    Level q is the sum of the sections over the intersections of q+1
+    distinct opens, the conormalization N^q of the ordered Cech
+    complex, so it can be nonzero up to max |J| - 1 over the nonempty
+    U_J; a truncation below that level would hide nonzero N^q from
+    every vanishing check and is refused.
     """
     vanishing = vanishing_level(cover)
     if N is None:
@@ -123,30 +128,24 @@ def cech_cosimplicial(cover, N=None):
             f"truncation level {N} is below the normalization vanishing "
             f"level {vanishing} of the ordered Cech complex (an "
             f"intersection of {vanishing + 1} opens is nonempty)")
-    # a tuple through an open without sections has no sections either,
-    # so declared but unused opens add no tuples, only enumeration work
-    used = sorted(set().union(*cover.sections))
-    tuples = []
-    levels = []
-    for q in range(N + 1):
-        Ts = [T for T in itertools.combinations_with_replacement(used, q + 1)
-              if cover.algebra(set(T)) is not None]
-        tuples.append(Ts)
-        prod = direct_product([cover.algebra(set(T)) for T in Ts], tags=Ts)
-        levels.append(prod)
+    # the strictly increasing tuples are the nonempty intersections
+    tuples = [sorted(tuple(sorted(J)) for J in cover.sections
+                     if len(J) == q + 1) for q in range(N + 1)]
+    levels = [direct_product([cover.algebra(T) for T in Ts], tags=Ts)
+              for Ts in tuples]
     cofaces = [[_structure_map(cover, levels, face_map(i, q + 1), q + 1)
                 for i in range(q + 2)] for q in range(N)]
-    codegens = [[_structure_map(cover, levels, degeneracy_map(i, q), q)
-                 for i in range(q + 1)] for q in range(N)]
-    return CechCosimplicial(cover, levels, cofaces, codegens, tuples)
+    return CechCosimplicial(cover, levels, cofaces, tuples)
 
 
 def _structure_map(cover, levels, u, q):
-    """g(u): level p -> level q of the Cech algebra, for a monotone
-    u: [p] -> [q]: component T receives the restriction from U_{T o u}
-    to U_T of component T o u.  A coface deletes an index and
-    restricts; a codegeneracy repeats one, and its restriction is the
-    identity."""
+    """g(u): level p -> level q of a Cech algebra with levels over
+    tuples, for a monotone u: [p] -> [q] such that T o u is a level-p
+    tuple for every level-q tuple T: component T receives the
+    restriction from U_{T o u} to U_T of component T o u.  A coface
+    deletes an index and restricts; a codegeneracy, on levels that
+    store tuples with a repeated index, repeats one, and its
+    restriction is the identity."""
     p = len(u) - 1
     source = {tag: emb for tag, _, emb in levels[p].components}
     table = {}
@@ -242,12 +241,11 @@ def glue_descent_datum(cc, datum, D):
     Level 0 is a itself; level 1 the gauge path of theta, out of reach
     (`GluingFailed` at level 1) when its polynomial degree exceeds D;
     level p >= 2 is solved on its keys: the face restrictions are
-    affine constraints on its nondegenerate components, then staged
-    corrections restore MC exactly without moving the constrained part.
-    The degenerate components are the pullbacks `TotContext.extend`
-    writes.  A Cech algebra has no nondegenerate tuple above its nerve
-    dimension, so there the system is empty: a cover without triple
-    overlaps solves nothing above level 1.
+    affine constraints on its components, then staged corrections
+    restore MC exactly without moving the constrained part.  A Cech
+    algebra stores no tuple above its nerve dimension, so there the
+    system is empty: a cover without triple overlaps solves nothing
+    above level 1.
     """
     ctx = cc.tot_context()
     G = cc.descent_groupoid()
@@ -256,8 +254,8 @@ def glue_descent_datum(cc, datum, D):
         raise GluingFailed(0, "datum fails verification: "
                            + "; ".join(reasons))
     a, theta = datum.a, datum.theta
-    omegas = [ctx.embed_level(0, a), ctx.project(
-        solve_1simplex(ctx, cc.coface(0, 1).apply(a), theta))]
+    omegas = [ctx.embed_level(0, a),
+              solve_1simplex(ctx, cc.coface(0, 1).apply(a), theta)]
     # the gauge path is the flow of theta, not cut at the bound: a path
     # above it is out of reach at level 1, whatever the levels above hold
     degree = max((_poly_degree(mono) for _, _, mono in omegas[1]), default=0)
@@ -268,11 +266,10 @@ def glue_descent_datum(cc, datum, D):
     for p in range(2, ctx.N + 1):
         omegas.append(_glue_level(ctx, omegas, p, D))
     x = el_sum(omegas)
-    # every level was solved for these conditions; both checks read
-    # the whole family, degenerate components included
+    # every level was solved for these conditions
     if not ctx.is_tot_element(x):
         raise SelfCheckFailed("assembled family is not compatible")
-    if not el_is_zero(mc_residual(ctx, ctx.extend(x))):
+    if not el_is_zero(mc_residual(ctx, x)):
         raise SelfCheckFailed("assembled family is not Maurer-Cartan")
     return x
 
@@ -285,14 +282,13 @@ def _poly_degree(mono):
 def _glue_level(ctx, omegas, p, D):
     """Solve level p, then MC: the exchange rows of the generators
     between levels p-1 and p on the level-p keys (the faces
-    [p-1] -> [p] into nondegenerate components;
-    `TotContext.gluing_system`, factored once), equal to minus the
-    compatibility defect of the level p-1 member (glued)."""
+    [p-1] -> [p]; `TotContext.gluing_system`, factored once), equal to
+    minus the compatibility defect of the level p-1 member (glued)."""
     keys, generators, row_keys, factor = ctx.gluing_system(p, D)
     label = f"level {p}"
     try:
-        # the degenerate components of level p copy the level p-1
-        # member (`TotContext.extend`), polynomial degrees and all
+        # a level p-1 member above the degree bound is no Tot element
+        # at that bound, so no level p continues it
         if any(_poly_degree(mono) > D for _, _, mono in omegas[p - 1]):
             raise ObstructionUnsolvable(0, label)
         groups = by_monomial(omegas[p - 1])
@@ -358,7 +354,7 @@ def _sample_descent_datum(cc, rng):
             return None
     # assemble level elements
     a = cc.from_components(0, {(i,): a_parts[i] for i in opens})
-    # the diagonal tuples (i, i) carry the identity gauge
+    # level 1 stores no diagonal tuple (i, i): theta_ii = 0
     theta = cc.from_components(1, theta_parts)
     datum = DescentDatum(a, theta)
     return datum if G.verify_object(datum) else None
@@ -567,7 +563,7 @@ def verify_descent(cc, samples=25, seed=0, D=2, stabilize_to=4):
             falsified += 1
             report["checks"].append({
                 "name": "tot gauge projection", "verdict": "falsified",
-                "gauge": _gauge_terms(cc, ctx.extend(rho))})
+                "gauge": _gauge_terms(cc, rho)})
     # verified needs every requested sample glued and witnessed, and at
     # least one sample: nothing glued supports nothing
     if falsified:
@@ -606,9 +602,8 @@ def _abelian_tot_dims(cc, D):
 
 
 def _gauge_terms(cc, rho):
-    """A Tot gauge as report data, extended to every tuple
-    (`TotContext.extend`) by the caller: one term per key (level p,
-    basis element of g^p, monomial on Delta^p), in key order."""
+    """A Tot gauge as report data: one term per key (level p, basis
+    element of g^p, monomial on Delta^p), in key order."""
     return [{"level": p,
              "basis": label_to_json(cc.level(p).space.label_of(gi)),
              "form": format_mono(mono), "coeff": scalar_to_str(c)}

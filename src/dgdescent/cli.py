@@ -125,7 +125,8 @@ def _cech_from_args(cover, base):
     """The Cech cosimplicial algebra of cover (x) base at levels
     0..max(2, vanishing level): Tot needs the levels up to the vanishing
     level of the conormalization, the descent groupoid levels 0..2, and
-    the levels above both add only degenerate tuples."""
+    above both there is no strictly increasing tuple, so nothing the
+    build stores."""
     from .cech import cech_cosimplicial, tensored_cover
     return cech_cosimplicial(tensored_cover(cover, base))
 
@@ -141,7 +142,14 @@ def _cosimplicial_from_args(args):
                          "covers need an artinian base; wrap the record "
                          "into a descent_instance")
     if kind == "cosimplicial_dg_lie":
-        return cosimplicial_from_record(rec, args.file)
+        cc = cosimplicial_from_record(rec, args.file)
+        # Tot and the descent groupoid are defined for nilpotent levels
+        for q, g in enumerate(cc.levels):
+            if not isinstance(lower_central_series(g), NilpotentDgLie):
+                raise ParseError(args.file, f"levels[{q}]",
+                                 "level is not nilpotent; tensor it with "
+                                 "the maximal ideal of an artinian base")
+        return cc
     raise ParseError(args.file, "type",
                      f"cannot build a cosimplicial algebra from {kind!r}")
 
@@ -248,7 +256,7 @@ def cmd_tot(args, report):
     cc = _cosimplicial_from_args(args)
     report["instance"] = cc.name
     report["trunc_level"] = cc.N
-    report["level_dimensions"] = [g.total_dim() for g in cc.levels]
+    report["level_dimensions"] = cc.level_dimensions()
     report["normalization_vanishing_level"] = cc.vanishing_level
     T, _ = tot_cochain(cc)
     top = max(T.space.nonzero_degrees(), default=0)
@@ -286,8 +294,8 @@ def cmd_cech(args, report):
     _, cover, base = instance_from_record(rec, args.file)
     cc = _cech_from_args(cover, base)
     report["instance"] = rec.get("name")
-    report["levels"] = [g.total_dim() for g in cc.levels]
-    report["tuples"] = [[list(T) for T in Ts] for Ts in cc.tuples]
+    report["levels"] = cc.level_dimensions()
+    report["tuples"] = [[list(T) for T in Ts] for Ts in cc.ordered_tuples()]
     report["normalization_dimensions"] = [
         len(cc.normalization_basis(q)) for q in range(cc.N + 1)]
     report["normalization_vanishing_level"] = cc.vanishing_level

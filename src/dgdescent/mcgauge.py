@@ -188,15 +188,10 @@ class FormLieContext:
                       for groups in by_monomial(x).values())
 
     def keys_up_to(self, D, degree):
-        return [(p, gi, mono) for p in sorted(self.algebras)
+        return [(p, gi, mono) for p, g in sorted(self.algebras.items())
                 for mono in monomials_up_to(p, D)
-                for gi in self.key_indices(p,
-                                           degree - mono_form_degree(mono))]
-
-    def key_indices(self, p, n):
-        """The basis indices of degree n of g^p that keys name: all of
-        them here."""
-        return self.algebras[p].space.degree_indices(n)
+                for gi in g.space.degree_indices(
+                    degree - mono_form_degree(mono))]
 
     def stage_vectors_for(self, stage, keys):
         by_mono = {}

@@ -7,10 +7,9 @@
   mcgauge.FormLieContext over every level, whose keys carry their
   level; it adds only the exchange conditions, which read each
   structure map g(u) off one memoized table
-  (CosimplicialDgLie.structure_table).  On a Cech algebra the
-  keys are those of the nondegenerate (strictly increasing) tuples and
-  the conditions the faces between them; the degenerate components are
-  pullbacks of those, written by TotContext.extend;
+  (CosimplicialDgLie.structure_table).  A Cech algebra stores only
+  its nondegenerate (strictly increasing) tuples and no codegeneracies,
+  so there the conditions are those of the cofaces alone;
 * groupoids: descent data (a, theta) with the cocycle condition.
 
 The truncation level N must dominate the level above which the
@@ -33,12 +32,18 @@ from .mcgauge import (FiniteLieContext, FormLieContext, bch, by_monomial,
 
 
 class CosimplicialDgLie:
-    """Levels g^0..g^N with cofaces and codegeneracies.
+    """Levels g^0..g^N with cofaces and, unless codegens is None,
+    codegeneracies.
 
     cofaces[q] is the list of maps g^q -> g^{q+1} (i = 0..q+1);
-    codegens[q] the list g^{q+1} -> g^q (i = 0..q).  Functoriality on
-    all composable pairs of elementary maps is validated, which covers
-    every cosimplicial identity; failures name the offending composite.
+    codegens[q] the list g^{q+1} -> g^q (i = 0..q).  Without
+    codegeneracies the algebra is semicosimplicial, as a Cech algebra
+    on its nondegenerate tuples is (`cech.CechCosimplicial`): its
+    structure maps are the injective ones, its conormalization is every
+    level, and its Tot is cut out by the cofaces alone.  Functoriality
+    on all composable pairs of elementary maps is validated, which
+    covers every identity between them; failures name the offending
+    composite.
     """
 
     def __init__(self, levels, cofaces, codegens, vanishing_level=None,
@@ -46,15 +51,17 @@ class CosimplicialDgLie:
         self.levels = list(levels)
         self.N = len(self.levels) - 1
         self.cofaces = [list(v) for v in cofaces]
-        self.codegens = [list(v) for v in codegens]
+        self.codegens = None if codegens is None else \
+            [list(v) for v in codegens]
         self.name = name
-        if len(self.cofaces) != self.N or len(self.codegens) != self.N:
+        if len(self.cofaces) != self.N or (
+                codegens is not None and len(self.codegens) != self.N):
             raise ValueError("need coface/codegeneracy lists for each "
                              "adjacent pair of levels")
         for q, maps in enumerate(self.cofaces):
             if len(maps) != q + 2:
                 raise ValueError(f"level {q} needs {q + 2} cofaces")
-        for q, maps in enumerate(self.codegens):
+        for q, maps in enumerate(self.codegens or []):
             if len(maps) != q + 1:
                 raise ValueError(f"level {q} needs {q + 1} codegeneracies")
         self._validate_identities()
@@ -117,7 +124,7 @@ class CosimplicialDgLie:
         if q < self.N:
             maps += [(f"coface^{i}", face_map(i, q + 1), q + 1,
                       self.cofaces[q][i]) for i in range(q + 2)]
-        if q > 0:
+        if q > 0 and self.codegens is not None:
             maps += [(f"codeg^{i}", degeneracy_map(i, q - 1), q - 1,
                       self.codegens[q - 1][i]) for i in range(q)]
         return maps
@@ -125,11 +132,15 @@ class CosimplicialDgLie:
     def _normal_path(self, u, q):
         """The elementary maps that g(u), u: [p] -> [q], applies, in
         order: the codegeneracies, then the cofaces of its epi-mono
-        factorization.  ValueError when u is not monotone into [q]."""
+        factorization.  ValueError when u is not monotone into [q], or
+        not injective on an algebra without codegeneracies."""
         p = len(u) - 1
         if list(u) != sorted(u) or not 0 <= u[0] <= u[-1] <= q:
             raise ValueError(f"{u} is not a monotone map [{p}] -> [{q}]")
         faces, degens = monotone_factorize(u, q)
+        if degens and self.codegens is None:
+            raise ValueError(f"{u} repeats an index, and {self.name} has "
+                             f"no codegeneracies")
         low = p - len(degens)
         return ([self.codegens[p - 1 - k][j]
                  for k, j in enumerate(reversed(degens))] +
@@ -137,9 +148,10 @@ class CosimplicialDgLie:
                  for k, i in enumerate(reversed(faces))])
 
     def _validate_identities(self):
-        # functoriality over composable elementary pairs covers all the
-        # cosimplicial identities; a pair that is its own normal form
-        # would only be compared with itself
+        # functoriality over composable elementary pairs (face pairs
+        # only, without codegeneracies) covers all the identities; a
+        # pair that is its own normal form would only be compared with
+        # itself
         for q in range(self.N + 1):
             basis = [{b: 1} for b in range(self.levels[q].total_dim())]
             for name1, u1, lvl1, f1 in self._elementary_from(q):
@@ -161,7 +173,10 @@ class CosimplicialDgLie:
 
     def normalization_basis(self, q):
         """Basis of N^q = joint kernel of the codegeneracies out of
-        level q, as elements of the level-q algebra."""
+        level q, as elements of the level-q algebra: the whole level
+        when there are none."""
+        if self.codegens is None:
+            return [{b: 1} for b in range(self.levels[q].total_dim())]
         # one row per (codegeneracy i, level q-1 index t), filled from
         # the image of each basis element
         rows = {}
@@ -184,15 +199,9 @@ class CosimplicialDgLie:
                 f"{declared}: N^{vanish} != 0")
         return vanish
 
-    def degenerate_copies(self):
-        """None: Tot keys every component of every level.  A cosimplicial
-        algebra whose levels split into nondegenerate components and
-        copies of them (`cech.CechCosimplicial`) returns
-        {s: {i: j}}, where s: [q] -> [p] is a surjection and basis
-        element j of g^q is the copy of basis element i of g^p along s,
-        so that the j-component of a Tot element is the pullback along
-        s of its i-component."""
-        return None
+    def level_dimensions(self):
+        """The dimension of every level, as the reports print them."""
+        return [g.total_dim() for g in self.levels]
 
     def nilpotent_levels(self):
         nils = []
@@ -267,19 +276,6 @@ def _by_level(x):
 # the Thom-Sullivan side: compatible form families
 
 
-def _cofaces(N):
-    """The cofaces [p-1] -> [p] into levels 1..N, as pairs (u, p)."""
-    return [(face_map(i, p), p) for p in range(1, N + 1)
-            for i in range(p + 1)]
-
-
-def _structure_maps(N):
-    """Every coface and codegeneracy [p+1] -> [p] of levels 0..N, as
-    pairs (u, q)."""
-    return _cofaces(N) + [(degeneracy_map(i, p), p) for p in range(N)
-                          for i in range(p + 1)]
-
-
 class TotContext(FormLieContext):
     """The FormLieContext over every level p <= cc.N, with the Tot
     conditions.
@@ -294,23 +290,15 @@ class TotContext(FormLieContext):
     the totalization is a linear condition handled by
     compatibility_defect / subspace bases, not by the ambient itself.
 
-    Which components carry keys.  When cc.degenerate_copies() is None
-    (a `cosimplicial_dg_lie` record, a constant algebra), every
-    component of every level does, and Tot is cut out by every coface
-    and codegeneracy.  A Cech algebra names its degenerate components,
-    those of the tuples with a repeated index: each is s*(x_{T'}) for a
-    strictly increasing T' and a surjection s, forced so by the
-    codegeneracy conditions (Eilenberg-Zilber).  Then only the
-    nondegenerate components carry keys, Tot is cut out by the cofaces
-    between them alone (the semicosimplicial Thom-Whitney totalization
-    of Fiorenza-Manetti-Martinengo), and `extend` writes the degenerate
-    components for the callers that need the whole family:
-    `is_tot_element` checks every coface and codegeneracy on it.  The
-    keys are a subset of the all-tuples ones, so both models share
-    indices, and d and bracket act componentwise: an element over the
-    keys stays one.  cells[p] is the set of basis indices of g^p that
-    carry keys (None when all do), and copies the algebra's
-    `degenerate_copies` ({} when all do).
+    Every component of every stored level carries keys, and Tot is cut
+    out by the algebra's own elementary maps (`generators`): every
+    coface and codegeneracy, or the cofaces alone when the algebra has
+    no codegeneracies.  A Cech algebra stores only its nondegenerate
+    tuples, and its Tot is the semicosimplicial Thom-Whitney
+    totalization of Fiorenza-Manetti-Martinengo; a degenerate
+    component of the ordered Cech complex would be the pullback of a
+    nondegenerate one along a surjection (Eilenberg-Zilber), so it
+    adds nothing.
 
     What depends only on the algebra and a bound is built once per
     context and memoized in it: the gluing systems per (level, D), and
@@ -323,74 +311,9 @@ class TotContext(FormLieContext):
         self.cc = cc
         self.N = cc.N
         self.nils = dict(enumerate(cc.nilpotent_levels()))
-        copies = cc.degenerate_copies()
-        self.cells = None
-        if copies is not None:
-            copied = {}
-            for s, index in copies.items():
-                copied.setdefault(len(s) - 1, set()).update(index.values())
-            self.cells = {p: frozenset(range(g.total_dim()))
-                          - copied.get(p, set())
-                          for p, g in enumerate(cc.levels)}
-        self.copies = copies or {}
         self._gluing = {}
         self._bases = {}
         self._differentials = {}
-        self._key_indices = {}
-
-    # -- keys and the whole family ----------------------------------------------
-
-    def carries(self, key):
-        """Whether a key of the all-tuples ambient is a key here."""
-        return self.cells is None or key[1] in self.cells[key[0]]
-
-    def key_indices(self, p, n):
-        """The basis indices of degree n of g^p that carry keys, in
-        order; listed once per (p, n), so `keys_up_to` enumerates the
-        keys without testing each all-tuples key."""
-        out = self._key_indices.get((p, n))
-        if out is None:
-            out = self._key_indices[p, n] = [
-                gi for gi in super().key_indices(p, n)
-                if self.cells is None or gi in self.cells[p]]
-        return out
-
-    def project(self, x):
-        """The terms of x on the keys."""
-        return {k: v for k, v in x.items() if self.carries(k)}
-
-    def extend(self, x):
-        """The whole family of x, a family over the keys: x with every
-        degenerate component written in, x_j = s*(x_i) for each copy j
-        of i along s (`CosimplicialDgLie.degenerate_copies`).  It is an
-        element of the all-tuples totalization exactly when x is one of
-        this one; with every component keyed it is x itself."""
-        return {(p, gi, mono): v
-                for p, level in self._whole(by_monomial(x)).items()
-                for mono, el in level.items() for gi, v in el.items()}
-
-    def _whole(self, groups):
-        """The whole family of a `by_monomial` grouping, grouped the
-        same way: each monomial of a copied component pulled back along
-        s (`monomial_pullback`) onto the copies of its basis
-        elements."""
-        whole = {p: {mono: dict(el) for mono, el in level.items()}
-                 for p, level in groups.items()}
-        for s, index in self.copies.items():
-            p, q = s[-1], len(s) - 1
-            level = whole.setdefault(q, {})
-            for mono, el in groups.get(p, {}).items():
-                copied = [(index[gi], c) for gi, c in el.items()
-                          if gi in index]
-                if not copied:
-                    continue
-                for m, v in monomial_pullback(s, p, mono):
-                    image = level.setdefault(m, {})
-                    for gj, c in copied:
-                        image[gj] = image.get(gj, 0) + c * v
-        return {p: {mono: low for mono, el in level.items()
-                    if (low := {gi: lower(v) for gi, v in el.items() if v})}
-                for p, level in whole.items()}
 
     # -- projections ----------------------------------------------------------
 
@@ -402,52 +325,41 @@ class TotContext(FormLieContext):
 
     def generators(self):
         """The monotone maps u: [p] -> [q] whose exchange conditions cut
-        out Tot on the keys, as pairs (u, q); p is len(u) - 1: every
-        coface and codegeneracy, or only the cofaces when only the
-        nondegenerate components carry keys."""
-        if self.cells is None:
-            return _structure_maps(self.N)
-        return _cofaces(self.N)
+        out Tot, as pairs (u, q); p is len(u) - 1: the cofaces
+        [p-1] -> [p] into levels 1..N, then the codegeneracies
+        [p+1] -> [p] when the algebra has them."""
+        maps = [(face_map(i, p), p) for p in range(1, self.N + 1)
+                for i in range(p + 1)]
+        if self.cc.codegens is not None:
+            maps += [(degeneracy_map(i, p), p) for p in range(self.N)
+                     for i in range(p + 1)]
+        return maps
 
-    def compatibility_defect(self, u, qtgt, groups, whole=False):
+    def compatibility_defect(self, u, qtgt, groups):
         """Omega(u)(level-q part) - g(u)(level-p part), a dict over
         (p, target Lie index, monomial on Delta^p) keys, for
         u: [p] -> [q], of an element grouped by `by_monomial`, so a
         caller that checks many generators on one element groups it
-        once.  The defect is read at the targets that carry keys, or at
-        every target when whole is set: the grouping is then that of a
-        whole family (`extend`).  The level-q part is pulled back
-        (`restrict`) and the level-p part pushed through the structure
-        table of u (`push`), monomial by monomial."""
-        psrc = len(u) - 1
-        cells = None if whole or self.cells is None else self.cells[qtgt]
-        if cells is not None and not cells:
-            return {}
+        once.  The level-q part is pulled back (`restrict`) and the
+        level-p part pushed through the structure table of u (`push`),
+        monomial by monomial."""
         table = self.cc.structure_table(u, qtgt)
         pulled = self.restrict(u, groups.get(qtgt, {}))
         pushed = self.push(lambda el: linear_apply(table, el),
-                           groups.get(psrc, {}))
-        defect = el_sub(pulled, pushed)
-        if cells is None:
-            return defect
-        return {k: v for k, v in defect.items() if k[1] in cells}
+                           groups.get(len(u) - 1, {}))
+        return el_sub(pulled, pushed)
 
     def is_tot_element(self, x):
-        """Whether x, a family over the keys, is in Tot: its whole family
-        (`extend`) meets the exchange condition of every coface and
-        codegeneracy of levels 0..N.  A term off the keys is refused."""
-        if not all(map(self.carries, x)):
-            return False
-        whole = self._whole(by_monomial(x))
-        return all(not self.compatibility_defect(u, q, whole, whole=True)
-                   for (u, q) in _structure_maps(self.N))
+        """Whether x meets the exchange condition of every generator."""
+        groups = by_monomial(x)
+        return all(not self.compatibility_defect(u, q, groups)
+                   for (u, q) in self.generators())
 
     def exchange_rows(self, keys, generators):
         """The exchange conditions of the generators (pairs (u, q_tgt),
         as listed by `generators`) on the span of keys, as sparse rows
         {(u, defect key): {position in keys: coefficient}}, a defect key
-        (p_src, target Lie index, monomial on Delta^p_src) whose target
-        carries keys.
+        (p_src, target Lie index, monomial on Delta^p_src).
 
         A generator u: [p_src] -> [q_tgt] contributes the row block
         (Omega(u) (x) id) - (id (x) g(u)): the column of a level-q_tgt
@@ -467,7 +379,6 @@ class TotContext(FormLieContext):
         for u, qtgt in generators:
             psrc = len(u) - 1
             pushes = self.cc.structure_table(u, qtgt)
-            cells = None if self.cells is None else self.cells[qtgt]
             last = pulled = None
             # the keys of the two levels u connects, in column order
             for col, p, gi, mono in sorted(by_level.get(psrc, []) +
@@ -479,9 +390,7 @@ class TotContext(FormLieContext):
                         rows.setdefault((u, (psrc, gi, m)), {})[col] = c
                 else:
                     for gj, c in pushes[gi].items():
-                        if cells is None or gj in cells:
-                            rows.setdefault((u, (psrc, gj, mono)),
-                                            {})[col] = -c
+                        rows.setdefault((u, (psrc, gj, mono)), {})[col] = -c
         return rows
 
     def gluing_system(self, p, D):
@@ -490,8 +399,8 @@ class TotContext(FormLieContext):
 
         keys are the level-p keys of degree 1 up to D; generators those
         of `generators` between levels p-1 and p (the faces
-        [p-1] -> [p], and the codegeneracies [p] -> [p-1] when every
-        component carries keys); the rows are their `exchange_rows` on
+        [p-1] -> [p], and the codegeneracies [p] -> [p-1] when the
+        algebra has them); the rows are their `exchange_rows` on
         those keys, one block per generator in generator order, row
         keys lists each generator's defect keys in row order, and
         factor is the `linalg.sparse_factor` of the rows, which every
@@ -653,7 +562,10 @@ class DescentGroupoid:
         out = []
         if not el_is_zero(mc_residual(self.ctx0, a)):
             out.append("base object is not Maurer-Cartan")
-        if not el_is_zero(self.cd(0, 0, th)):
+        # an algebra without codegeneracies stores no diagonal tuple,
+        # so there s^0 theta = id holds by construction
+        if self.cc.codegens is not None and \
+                not el_is_zero(self.cd(0, 0, th)):
             out.append("codegeneracy of theta is not the identity")
         src = self.cf(0, 1, a)
         tgt = self.cf(0, 0, a)
@@ -687,14 +599,16 @@ class DescentGroupoid:
         gauges r of (g^0)^0, C^1 the data (a, theta) in (g^0)^1 (+)
         (g^1)^0, C^2 the defects of the four object conditions da,
         d theta - delta^0 a + delta^1 a, s^0 theta and
-        delta^1 theta - delta^0 theta - delta^2 theta.  As
-        d(r) = (dr, delta^0 r - delta^1 r), objects are the 1-cocycles
-        and morphism directions the 1-coboundaries: pi0 = H^1 and
-        Aut = H^0.  Built from the descent conditions, independently of
-        both totalizations."""
+        delta^1 theta - delta^0 theta - delta^2 theta; an algebra
+        without codegeneracies has no s^0 rows, as its level 1 stores
+        no diagonal tuple.  As d(r) = (dr, delta^0 r - delta^1 r),
+        objects are the 1-cocycles and morphism directions the
+        1-coboundaries: pi0 = H^1 and Aut = H^0.  Built from the descent
+        conditions, independently of both totalizations."""
         if not self.is_abelian():
             raise ValueError("exact pi0 and Aut need abelian levels")
         g0, g1, g2 = self.cc.levels[:3]
+        s0 = self.cc.codegens is not None
 
         def tagged(tag, g, n):
             return [(tag, k) for k in g.space.degree_indices(n)]
@@ -702,7 +616,8 @@ class DescentGroupoid:
         keys = {0: tagged("r", g0, 0),
                 1: tagged("a", g0, 1) + tagged("theta", g1, 0),
                 2: (tagged("da", g0, 2) + tagged("dtheta", g1, 1) +
-                    tagged("s0", g0, 0) + tagged("cocycle", g2, 0))}
+                    (tagged("s0", g0, 0) if s0 else []) +
+                    tagged("cocycle", g2, 0))}
 
         def d(x):
             part = {}
@@ -715,7 +630,7 @@ class DescentGroupoid:
                 "da": g0.d_element(a),
                 "dtheta": el_sub(g1.d_element(th),
                                  el_sub(self.cf(0, 0, a), self.cf(0, 1, a))),
-                "s0": self.cd(0, 0, th),
+                "s0": self.cd(0, 0, th) if s0 else {},
                 "cocycle": el_sub(self.cf(1, 1, th),
                                   el_add(self.cf(1, 0, th),
                                          self.cf(1, 2, th)))}

@@ -1,12 +1,20 @@
-"""Builders that only the tests use: the constant cosimplicial algebra
-and abelian descent data, drawn or given by their coordinates.
+"""Builders that only the tests use: the constant cosimplicial algebra,
+the ordered Cech algebra over every nondecreasing tuple with the
+extension of families to it, and abelian descent data, drawn or given
+by their coordinates.
 
 `dgdescent.cech.verify_descent` decides abelian instances by linear
 algebra and samples nothing, so the package draws only nonabelian data;
 the abelian ones here feed the gluing tests.
 """
 
-from dgdescent.dgla import identity_map
+import itertools
+
+from dgdescent.cech import _structure_map
+from dgdescent.dgla import direct_product, identity_map
+from dgdescent.forms import degeneracy_map, face_map, monomial_pullback
+from dgdescent.linalg import lower
+from dgdescent.mcgauge import by_monomial
 from dgdescent.tot import CosimplicialDgLie, DescentDatum
 
 
@@ -16,6 +24,52 @@ def constant_cosimplicial(g, N):
     codegens = [[identity_map(g) for _ in range(q + 1)] for q in range(N)]
     return CosimplicialDgLie(levels, cofaces, codegens,
                              name=f"const({g.name})")
+
+
+def ordered_cech(cover, N):
+    """Levels 0..N of the ordered Cech cosimplicial algebra of a cover:
+    level q the product over every nondecreasing tuple of q+1 opens
+    with a nonempty intersection, with every coface and codegeneracy
+    written by `cech._structure_map`, as a plain CosimplicialDgLie.
+    The reference that the build on the strictly increasing tuples
+    (`cech.cech_cosimplicial`) is compared with."""
+    used = sorted(set().union(*cover.sections))
+    tuples = [[T for T in itertools.combinations_with_replacement(used, q + 1)
+               if cover.algebra(set(T)) is not None] for q in range(N + 1)]
+    levels = [direct_product([cover.algebra(set(T)) for T in Ts], tags=Ts)
+              for Ts in tuples]
+    cofaces = [[_structure_map(cover, levels, face_map(i, q + 1), q + 1)
+                for i in range(q + 2)] for q in range(N)]
+    codegens = [[_structure_map(cover, levels, degeneracy_map(i, q), q)
+                 for i in range(q + 1)] for q in range(N)]
+    return CosimplicialDgLie(levels, cofaces, codegens,
+                             vanishing_level=cover.num_opens - 1,
+                             name=f"ordered({cover.name or cover.num_opens})")
+
+
+def extend_to_ordered(cc, ordered, x):
+    """A family x over the keys of the Cech algebra cc, written over
+    the keys of `ordered_cech` of its cover: a tuple T of the ordered
+    algebra is T' o s for the strictly increasing T' of its distinct
+    indices and a surjection s: [q] -> [p], U_T = U_T', and its
+    component is the pullback along s (`forms.monomial_pullback`) of
+    the T'-component of x; s is the identity on a stored tuple."""
+    stored = [{T: emb for T, _, emb in g.components} for g in cc.levels]
+    groups = by_monomial(x)
+    out = {}
+    for q, level in enumerate(ordered.levels):
+        for T, _, emb in level.components:
+            base = tuple(dict.fromkeys(T))
+            p = len(base) - 1
+            s = tuple(base.index(i) for i in T)
+            index = {gi: emb[k] for k, gi in stored[p][base].items()}
+            for mono, el in groups.get(p, {}).items():
+                for gi, c in el.items():
+                    if gi in index:
+                        for m, v in monomial_pullback(s, p, mono):
+                            key = (q, index[gi], m)
+                            out[key] = out.get(key, 0) + c * v
+    return {k: lower(v) for k, v in out.items() if v}
 
 
 def abelian_object(G, coords):

@@ -28,7 +28,8 @@ from dgdescent.mcgauge import (FiniteLieContext, SelfCheckFailed, gauge_act,
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, TotContext,
                            TruncationError, tot_groupoid, tot_lie)
 
-from builders import constant_cosimplicial, sample_abelian_datum
+from builders import (constant_cosimplicial, extend_to_ordered, ordered_cech,
+                      sample_abelian_datum)
 
 F = Fraction
 DATA = Path(__file__).resolve().parents[1] / "src" / "dgdescent" / "data"
@@ -39,26 +40,81 @@ def one_open_cover():
 
 
 def test_one_open_is_constant():
-    # one open has a single tuple per level: the constant cosimplicial
-    # object on Gamma(U_0)
-    cc = cech_cosimplicial(tensored_cover(one_open_cover(), dual_numbers()),
-                           N=2)
+    # one open has a single tuple per level of the ordered complex: the
+    # constant cosimplicial object on Gamma(U_0); the build stores its
+    # one strictly increasing tuple (0,)
+    cover = tensored_cover(one_open_cover(), dual_numbers())
+    cc = cech_cosimplicial(cover, N=2)
     assert cc.vanishing_level == 0
+    assert cc.tuples == [[(0,)], [], []]
+    assert [g.total_dim() for g in cc.levels] == [2, 0, 0]
+    assert cc.ordered_tuples() == [[(0,) * (q + 1)] for q in range(3)]
+    assert cc.level_dimensions() == [2, 2, 2]
+    ordered = ordered_cech(cover, 2)
     for q in range(3):
-        assert cc.tuples[q] == [(0,) * (q + 1)]
-        assert cc.level(q).total_dim() == 2
+        for p in range(3):
+            for u in monotone_maps(p, q):
+                assert ordered.structure_table(u, q) == {0: {0: 1},
+                                                         1: {1: 1}}
 
 
 def test_two_open_levels_and_normalization():
     cc = cech_cosimplicial(tensored_cover(segment_cover(), dual_numbers()),
                            N=2)
-    # level 1 = Gamma(U0) x Gamma(U01) x Gamma(U1), tuples 00, 01, 11
-    assert cc.tuples[1] == [(0, 0), (0, 1), (1, 1)]
+    # the ordered level 1 is Gamma(U0) x Gamma(U01) x Gamma(U1), tuples
+    # 00, 01, 11; the build stores its conormalization, the tuple 01
+    assert cc.ordered_tuples()[1] == [(0, 0), (0, 1), (1, 1)]
+    assert cc.tuples[1] == [(0, 1)]
     sec_dim = 2  # eps (x) (u, v)
-    assert cc.level(1).total_dim() == 3 * sec_dim
+    assert cc.level_dimensions()[1] == 3 * sec_dim
+    assert cc.level(1).total_dim() == sec_dim
     assert len(cc.normalization_basis(1)) == sec_dim
     assert cc.normalization_basis(2) == []
     assert cc.vanishing_level == 1
+
+
+@pytest.mark.parametrize("cover, stored, ordered", [
+    (segment_cover, [1, 0], [3, 4]),
+    (circle_cover, [3, 0], [6, 9]),
+], ids=["segment", "circle"])
+def test_levels_store_the_strictly_increasing_tuples(cover, stored, ordered):
+    """Levels 1 and 2 of segment- and circle-ef/t^3 store their strictly
+    increasing tuples, of all the nondecreasing ones of the ordered
+    complex; the sections are ef (x) (t, t^2), of dimension 4."""
+    cc = cech_cosimplicial(tensored_cover(cover(ef_algebra()),
+                                          t_truncated(3)))
+    assert [len(Ts) for Ts in cc.tuples[1:]] == stored
+    assert [len(Ts) for Ts in cc.ordered_tuples()[1:]] == ordered
+    assert [g.total_dim() for g in cc.levels[1:]] == [4 * n for n in stored]
+    assert cc.level_dimensions()[1:] == [4 * n for n in ordered]
+
+
+def test_the_full_simplex_on_six_opens_stores_63_components():
+    """Every nonempty subset of six opens meets: the build stores the 63
+    strictly increasing tuples, of the 923 nondecreasing ones."""
+    cc = cech_cosimplicial(tensored_cover(
+        complex_cover([tuple(range(6))], ef_algebra(), name="simplex6"),
+        t_truncated(3)))
+    assert cc.N == cc.vanishing_level == 5
+    assert sum(len(Ts) for Ts in cc.tuples) == 63
+    assert [g.total_dim() for g in cc.levels] == [24, 60, 80, 60, 24, 4]
+    assert sum(len(Ts) for Ts in cc.ordered_tuples()) == 923
+    assert cc.level_dimensions() == [24, 84, 224, 504, 1008, 1848]
+
+
+def test_a_cech_identity_check_visits_only_face_pairs(monkeypatch):
+    """Without codegeneracies the identities checked are those of the
+    composable coface pairs: on levels 0..2, coface^j after coface^i
+    for i < 2 and j < 3, each composite walked once."""
+    from dgdescent.forms import compose_maps, face_map
+    walks = []
+    walk = CosimplicialDgLie._normal_path
+    monkeypatch.setattr(CosimplicialDgLie, "_normal_path",
+                        lambda self, u, q: walks.append(u) or walk(self, u, q))
+    cc = cech_cosimplicial(tensored_cover(triple_cover(), dual_numbers()))
+    assert cc.N == 2 and cc.codegens is None
+    assert sorted(walks) == sorted(compose_maps(face_map(j, 2), face_map(i, 1))
+                                   for i in range(2) for j in range(3))
 
 
 def test_circle_normalization():
@@ -210,16 +266,17 @@ def test_glue_constant_datum():
 
 def test_glue_rejects_bad_datum():
     cc = _nonabelian_cc()
-    a = {}
-    theta = cc.from_components(1, {(0, 0): {}, (0, 1): {},
-                                   (1, 1): {}})
-    # break sigma^0 theta = id by putting a gauge on a diagonal tuple
-    g01 = cc.cover.algebra({0})
-    theta_bad = cc.from_components(
-        1, {(0, 0): {g01.space.index(0, ("t", "e")): F(1)},
-            (0, 1): {}, (1, 1): {}})
-    with pytest.raises(GluingFailed):
-        glue_descent_datum(cc, DescentDatum(a, theta_bad), D=1)
+    g0 = cc.cover.algebra({0})
+    # level 1 stores no diagonal tuple, so a gauge there, which would
+    # break sigma^0 theta = id, has nowhere to go
+    assert cc.from_components(
+        1, {(0, 0): {g0.space.index(0, ("t", "e")): F(1)}}) == {}
+    # theta = 0 does not carry a_0 = t (x) f on U_0 to a_1 = 0 on U_1
+    a = cc.from_components(0, {(0,): {g0.space.index(1, ("t", "f")): F(1)}})
+    with pytest.raises(GluingFailed) as info:
+        glue_descent_datum(cc, DescentDatum(a, {}), D=1)
+    assert info.value.level == 0
+    assert "does not carry" in info.value.reason
 
 
 def test_glued_family_self_checks_raise(monkeypatch):
@@ -250,25 +307,37 @@ def test_every_structure_table_is_the_restriction_of_the_cover(name):
     """For every monotone u: [p] -> [q] with p, q <= N, composites
     included, the structure table of g(u) sends component T o u of
     level p to component T of level q by the cover's restriction from
-    U_{T o u} to U_T, read straight off the tuples and the cover."""
+    U_{T o u} to U_T, read straight off the tuples and the cover: on
+    the build, whose tuples are the strictly increasing ones, for every
+    injective u (it refuses the others), and on the ordered Cech
+    algebra over all nondecreasing tuples for every u."""
     cover = CECH_MAP_COVERS[name]()
     cc = cech_cosimplicial(cover)
-    components = [{T: emb for T, _, emb in cc.level(p).components}
-                  for p in range(cc.N + 1)]
-    assert [list(c) for c in components] == cc.tuples
-    for q in range(cc.N + 1):
-        for p in range(cc.N + 1):
-            for u in monotone_maps(p, q):
-                expect = {}
-                for T in cc.tuples[q]:
-                    S = tuple(T[k] for k in u)
-                    for gi, i in components[p][S].items():
-                        image = cover.restrict(set(S), set(T), {gi: 1})
-                        for k, c in image.items():
-                            expect.setdefault(i, {})[components[q][T][k]] = c
-                table = cc.structure_table(u, q)
-                assert {i: row for i, row in table.items() if row} == \
-                    expect, (u, q)
+    ordered = ordered_cech(cover, cc.N)
+    assert cc.tuples == [[T for T in Ts if len(set(T)) == len(T)]
+                         for Ts in cc.ordered_tuples()]
+    for alg, tuples in ((cc, cc.tuples), (ordered, cc.ordered_tuples())):
+        components = [{T: emb for T, _, emb in alg.level(p).components}
+                      for p in range(cc.N + 1)]
+        assert [list(c) for c in components] == tuples
+        for q in range(cc.N + 1):
+            for p in range(cc.N + 1):
+                for u in monotone_maps(p, q):
+                    if alg is cc and len(set(u)) < len(u):
+                        with pytest.raises(ValueError, match="repeats"):
+                            cc.structure_table(u, q)
+                        continue
+                    expect = {}
+                    for T in tuples[q]:
+                        S = tuple(T[k] for k in u)
+                        for gi, i in components[p][S].items():
+                            image = cover.restrict(set(S), set(T), {gi: 1})
+                            for k, c in image.items():
+                                expect.setdefault(i, {})[
+                                    components[q][T][k]] = c
+                    table = alg.structure_table(u, q)
+                    assert {i: row for i, row in table.items() if row} == \
+                        expect, (u, q)
 
 
 @pytest.mark.parametrize("name", list(CECH_MAP_COVERS) +
@@ -541,11 +610,11 @@ def test_a_negative_degree_bound_is_refused():
 
 def test_falsified_projection_reports_the_gauge_as_terms(monkeypatch):
     """A Tot gauge whose projection is not a descent morphism is
-    reported as data, one term per key of its whole family (degenerate
-    tuples included, as over all tuples), and the terms rebuild that
-    family exactly.  A projection that doubles the level-0 component
-    breaks the morphism condition of every gauge that moves the
-    datum."""
+    reported as data, one term per key, on the stored (strictly
+    increasing) tuples only, and the terms rebuild exactly the gauge's
+    extension to the ordered Cech algebra over all tuples on those
+    tuples.  A projection that doubles the level-0 component breaks the
+    morphism condition of every gauge that moves the datum."""
     cc = cech_cosimplicial(segment_cover(heisenberg()))
     project = ComparisonFunctor.morphism_map
     gauges = []
@@ -561,18 +630,22 @@ def test_falsified_projection_reports_the_gauge_as_terms(monkeypatch):
     assert falsified and rep["falsified"] == len(falsified)
     assert rep["checks"][-1]["verdict"] == "falsified"
     assert json.loads(json.dumps(rep)) == rep
-    ctx = cc.tot_context()
-    all_tuples = TotContext(CosimplicialDgLie(cc.levels, cc.cofaces,
-                                              cc.codegens))
-    key_of = {json.dumps([p, label_to_json(cc.level(p).space.label_of(gi)),
-                          format_mono(mono)]): (p, gi, mono)
-              for p, gi, mono in all_tuples.keys_up_to(2, 0)}
+    ordered = ordered_cech(cc.cover, cc.N)
+    key_of = {json.dumps([p, label_to_json(
+        ordered.level(p).space.label_of(gi)), format_mono(mono)]):
+        (p, gi, mono) for p, gi, mono in TotContext(ordered).keys_up_to(2, 0)}
+
+    def stored(key):
+        tag = ordered.level(key[0]).space.label_of(key[1])[0]
+        return len(set(tag)) == len(tag)
+
     rebuilt = []
     for check in falsified:
         assert check["verdict"] == "falsified"
         rho = {}
         for term in check["gauge"]:
             assert set(term) == {"level", "basis", "form", "coeff"}
+            assert len(set(term["basis"][0])) == len(term["basis"][0])
             key = key_of[json.dumps([term["level"], term["basis"],
                                      term["form"]])]
             assert key not in rho
@@ -580,7 +653,8 @@ def test_falsified_projection_reports_the_gauge_as_terms(monkeypatch):
         rebuilt.append(rho)
     # the falsified gauges are drawn ones, in the order drawn
     it = iter(gauges)
-    assert all(any(rho == ctx.extend(g) for g in it) for rho in rebuilt)
+    assert all(any(rho == {k: v for k, v in extend_to_ordered(
+        cc, ordered, g).items() if stored(k)} for g in it) for rho in rebuilt)
 
 
 def test_unwitnessed_round_trip_is_undecided(monkeypatch):

@@ -264,6 +264,53 @@ def test_cech_ignores_declared_opens_without_sections(tmp_path, capsys):
     assert eight["tuples"] == two["tuples"]
 
 
+def test_two_disjoint_opens_report_the_ordered_complex(tmp_path, capsys):
+    """The segment without its overlap: every tuple above level 0 of the
+    ordered Cech complex repeats an index, so no level above 0 of the
+    build holds a factor, and the reports still describe the ordered
+    complex."""
+    rec = json.loads((DATA / "instance_segment_ef_t3.json").read_text())
+    cover = rec["cover"]
+    cover["intersections"] = [entry for entry in cover["intersections"]
+                              if len(entry["indices"]) == 1]
+    cover["restrictions"] = []
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps(rec))
+    code, rep = run_cli(capsys, "cech", str(path))
+    assert code == 0
+    assert rep["levels"] == [8, 8, 8]
+    assert rep["tuples"] == [[[0], [1]], [[0, 0], [1, 1]],
+                             [[0, 0, 0], [1, 1, 1]]]
+    assert rep["normalization_dimensions"] == [8, 0, 0]
+    code, rep = run_cli(capsys, "tot", str(path), "--degree-bound", "1")
+    assert code == 0
+    assert rep["level_dimensions"] == [8, 8, 8]
+
+
+@pytest.mark.parametrize("command", ["tot", "verify-descent"])
+def test_a_record_with_a_level_that_is_not_nilpotent_exits_2(
+        tmp_path, capsys, command):
+    """ef has [e, f] = f, so it is not nilpotent, and the constant
+    cosimplicial algebra on it has no Tot or descent groupoid to check:
+    the record is valid (check-algebra verifies it), but both commands
+    refuse it with one error line naming the level, not a traceback
+    that exits 1 as if falsified."""
+    from builders import constant_cosimplicial
+    from dgdescent.instances import ef_algebra
+    from records import cosimplicial_to_record
+    path = tmp_path / "constant_ef.json"
+    dump_record(cosimplicial_to_record(constant_cosimplicial(ef_algebra(),
+                                                             2)), path)
+    code, rep = run_cli(capsys, "check-algebra", str(path))
+    assert code == 0 and rep["checks"][0]["verdict"] == "verified"
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {path}: field 'levels[0]': ")
+    assert "not nilpotent" in line
+
+
 def test_verify_descent_command_and_out(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, rep = run_cli(capsys, "verify-descent",

@@ -350,8 +350,8 @@ def test_a_rejected_draw_computes_no_certificate(monkeypatch):
 
 
 def test_unreachable_gluing_target_fails_at_stage_0():
-    # a level-1 member of degree 5 in t has level-2 copies (the
-    # degenerate components) that no level-2 key of degree <= 2 reaches
+    # a level-1 member of degree 5 in t is no Tot element at degree
+    # bound 2, so no level 2 continues it
     cc = nonabelian_cech("segment", "t3")
     ctx = TotContext(cc)
     rng = random.Random(1)

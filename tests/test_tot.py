@@ -23,7 +23,8 @@ from dgdescent.mcgauge import (FiniteLieContext, FormLieContext, by_monomial,
 from dgdescent.tot import (CosimplicialDgLie, DescentDatum, TotContext,
                            tot_cochain, tot_groupoid, tot_lie)
 
-from builders import abelian_object, constant_cosimplicial
+from builders import (abelian_object, constant_cosimplicial,
+                      extend_to_ordered, ordered_cech)
 
 F = Fraction
 DATA = Path(__file__).resolve().parents[1] / "src" / "dgdescent" / "data"
@@ -205,10 +206,11 @@ def test_bad_cosimplicial_identities_rejected():
 @functools.lru_cache(maxsize=None)
 def _cech_context(name):
     """The TotContext of a Cech algebra, or with " over all tuples"
-    appended, that of its levels wrapped in a plain CosimplicialDgLie."""
+    appended, that of the ordered Cech algebra of its cover
+    (`builders.ordered_cech`)."""
     if name.endswith(" over all tuples"):
         cc = _cech_context(name[:-len(" over all tuples")]).cc
-        return TotContext(_all_tuples(cc))
+        return TotContext(ordered_cech(cc.cover, cc.N))
     cover, base = {"triple/eps": (triple_cover, dual_numbers),
                    "circle/t3": (circle_cover,
                                  lambda: t_truncated(3)),
@@ -239,10 +241,10 @@ def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
         all_keys = [k for k in all_keys if k[0] == level]
         generators = [(u, q) for u, q in generators
                       if {len(u) - 1, q} == {level - 1, level}]
-        # a Cech context keys the nondegenerate tuples only, and their
+        # a Cech algebra stores the nondegenerate tuples only, and its
         # Tot conditions are the cofaces [level - 1] -> [level]; over all
         # tuples the codegeneracies [level] -> [level - 1] join them
-        assert len(generators) == (level + 1 if ctx.cells is not None
+        assert len(generators) == (level + 1 if ctx.cc.codegens is None
                                    else 2 * level + 1)
     picks = data.draw(st.lists(st.integers(0, max(len(all_keys) - 1, 0)),
                                max_size=12, unique=True)) \
@@ -417,7 +419,13 @@ def test_each_tot_basis_is_built_once_per_degree_and_bound(monkeypatch):
     asked = set(requests)
     at2 = {(n, D) for n, D in asked if D == 2}
     assert at2 and asked - at2
-    assert len(requests) == 2 * len(at2) + len(asked - at2)
+    # each complex asks for the basis of each of its degrees; degree 3
+    # has no key on circle/t3 (levels 0 and 1 reach total degree 2), so
+    # no complex lists it, and the block out of degree 2 asks for it
+    # once per D
+    assert 3 not in first.basis_by_degree
+    assert all(requests.count((n, D)) == (2 if D == 2 and n < 3 else 1)
+               for n, D in asked)
     assert len(written) == len(asked)
     assert sorted(written) == sorted(tuple(ctx.keys_up_to(D, n))
                                      for n, D in asked)
@@ -662,15 +670,7 @@ def test_complex_cover_tot_is_the_cohomology_of_the_complex(name):
 
 
 # ---------------------------------------------------------------------------
-# the nondegenerate model against the all-tuples one
-
-
-def _all_tuples(cc):
-    """The levels and structure maps of a Cech algebra as a plain
-    CosimplicialDgLie, whose TotContext keys every monotone tuple: the
-    oracle of the nondegenerate model."""
-    return CosimplicialDgLie(cc.levels, cc.cofaces, cc.codegens,
-                             name=cc.name)
+# the build on the strictly increasing tuples against the ordered one
 
 
 def _oracle_instances():
@@ -690,37 +690,57 @@ ORACLE_INSTANCES = _oracle_instances()
 
 @pytest.mark.parametrize("name", list(ORACLE_INSTANCES))
 def test_the_nondegenerate_basis_extends_to_the_all_tuples_basis(name):
-    """In degrees 0-2 at D = 1..3 the Tot basis over the nondegenerate
-    tuples has the dimension of the all-tuples one, each of its vectors
-    extends to an all-tuples Tot element, and the extended vectors span
-    the all-tuples basis."""
+    """In degrees 0-2 at D = 1..3 the Tot basis of the Cech algebra on
+    the strictly increasing tuples has the dimension of the Tot basis of
+    the ordered Cech algebra over all tuples (`builders.ordered_cech`),
+    each of its vectors extends to a Tot element of the ordered algebra,
+    and the extended vectors span its basis."""
     cc = ORACLE_INSTANCES[name]()
-    ctx, oracle = cc.tot_context(), TotContext(_all_tuples(cc))
-    assert ctx.cells is not None and oracle.cells is None
+    ordered = ordered_cech(cc.cover, cc.N)
+    ctx, oracle = cc.tot_context(), TotContext(ordered)
+    assert cc.codegens is None and ordered.codegens is not None
     for D in (1, 2, 3):
         for degree in (0, 1, 2):
             basis = ctx.tot_basis(degree, D)
             whole = oracle.tot_basis(degree, D)
             assert len(basis) == len(whole), (D, degree)
-            extended = [ctx.extend(v) for v in basis]
+            extended = [extend_to_ordered(cc, ordered, v) for v in basis]
             assert all(oracle.is_tot_element(v) for v in extended)
             assert echelon_basis(extended) == echelon_basis(whole)
 
 
-@pytest.mark.parametrize("cover", [segment_cover, circle_cover])
-def test_the_glued_family_extends_to_the_all_tuples_glued_family(cover):
-    """On segment- and circle-ef/t^3 the family glued over the
-    nondegenerate tuples extends, term for term, to the family glued
-    over every monotone tuple: level 1 the whole gauge path, level 2
-    solved on every level-2 key from the faces and codegeneracies into
-    and out of it."""
-    from dgdescent.cech import (_glue_level, _sample_descent_datum,
-                                glue_descent_datum)
+def _glue_over_all_tuples(cc, ordered, datum, D):
+    """The family that `cech.glue_descent_datum` would glue from datum
+    on the ordered Cech algebra over all tuples: level 0 a, level 1 the
+    whole gauge path of theta (written over all level-1 tuples, 0 on
+    the diagonal ones), level p >= 2 solved on every level-p key from
+    the faces and codegeneracies into and out of it."""
+    from dgdescent.cech import _glue_level
     from dgdescent.dgla import el_sum
     from dgdescent.mcgauge import solve_1simplex
+    oracle = ordered.tot_context()
+    # level 0 has the same tuples in both algebras
+    theta = {gi: c for (p, gi, _), c in extend_to_ordered(
+        cc, ordered, cc.tot_context().embed_level(1, datum.theta)).items()
+        if p == 1}
+    omegas = [oracle.embed_level(0, datum.a),
+              solve_1simplex(oracle, ordered.coface(0, 1).apply(datum.a),
+                             theta)]
+    for p in range(2, cc.N + 1):
+        omegas.append(_glue_level(oracle, omegas, p, D))
+    return el_sum(omegas)
+
+
+@pytest.mark.parametrize("cover", [segment_cover, circle_cover])
+def test_the_glued_family_extends_to_the_all_tuples_glued_family(cover):
+    """On segment- and circle-ef/t^3 the family glued on the strictly
+    increasing tuples extends, term for term, to the family glued on
+    the ordered Cech algebra over all tuples, whose level 2 holds the
+    copies that the build does not store."""
+    from dgdescent.cech import _sample_descent_datum, glue_descent_datum
     cc = cech_cosimplicial(tensored_cover(cover(ef_algebra()),
                                           t_truncated(3)))
-    ctx, oracle = cc.tot_context(), TotContext(_all_tuples(cc))
+    ordered = ordered_cech(cc.cover, cc.N)
     rng = random.Random(808)
     glued = draws = 0
     while glued < 3 and draws < 40:
@@ -729,13 +749,40 @@ def test_the_glued_family_extends_to_the_all_tuples_glued_family(cover):
         if datum is None:
             continue
         x = glue_descent_datum(cc, datum, 2)
-        omegas = [oracle.embed_level(0, datum.a),
-                  solve_1simplex(oracle, cc.coface(0, 1).apply(datum.a),
-                                 datum.theta)]
-        omegas.append(_glue_level(oracle, omegas, 2, 2))
-        assert ctx.extend(x) == el_sum(omegas)
-        assert not any(p == 2 for p, _, _ in x) and omegas[2]
+        whole = _glue_over_all_tuples(cc, ordered, datum, 2)
+        assert extend_to_ordered(cc, ordered, x) == whole
+        assert not any(p == 2 for p, _, _ in x)
+        assert any(p == 2 for p, _, _ in whole)
         glued += 1
+    assert glued == 3
+
+
+@pytest.mark.parametrize("name", list(ORACLE_INSTANCES))
+def test_glued_families_extend_to_the_all_tuples_ones_on_every_instance(
+        name):
+    """On the Betti-oracle complexes and every bundled instance, three
+    drawn data glue at D = max(2, N), and each glued family extends,
+    term for term, to the one glued over all tuples, levels 2..N
+    solved on both sides where the nerve reaches them."""
+    from builders import sample_abelian_datum
+    from dgdescent.cech import _sample_descent_datum, glue_descent_datum
+    cc = ORACLE_INSTANCES[name]()
+    ordered = ordered_cech(cc.cover, cc.N)
+    draw = (sample_abelian_datum if cc.descent_groupoid().is_abelian()
+            else _sample_descent_datum)
+    D = max(2, cc.N)
+    rng = random.Random(5)
+    glued = 0
+    for _ in range(10):
+        datum = draw(cc, rng)
+        if datum is None:
+            continue
+        x = glue_descent_datum(cc, datum, D)
+        assert extend_to_ordered(cc, ordered, x) == \
+            _glue_over_all_tuples(cc, ordered, datum, D)
+        glued += 1
+        if glued == 3:
+            break
     assert glued == 3
 
 
@@ -760,7 +807,8 @@ def test_key_counts_and_gluing_shapes_are_those_of_the_nondegenerate_tuples(
     keys0, keys1, all_keys1, shapes = SHAPES[name]
     assert len(ctx.keys_up_to(2, 0)) == keys0
     assert len(ctx.keys_up_to(2, 1)) == keys1
-    assert len(TotContext(_all_tuples(cc)).keys_up_to(2, 1)) == all_keys1
+    assert len(TotContext(ordered_cech(cc.cover, cc.N)).keys_up_to(2, 1)) \
+        == all_keys1
     got = {}
     for p in range(1, cc.N + 1):
         keys, _, _, factor = ctx.gluing_system(p, 2)
@@ -768,38 +816,43 @@ def test_key_counts_and_gluing_shapes_are_those_of_the_nondegenerate_tuples(
     assert got == shapes
 
 
-def _filtered_keys(ctx, D, degree):
-    """The keys of degree `degree` at bound D as the all-tuples ambient
-    lists them, filtered through `carries`."""
-    from dgdescent.forms import mono_form_degree, monomials_up_to
-    return [k for k in
-            ((p, gi, mono) for p, g in sorted(ctx.algebras.items())
-             for mono in monomials_up_to(p, D)
-             for gi in g.space.degree_indices(
-                 degree - mono_form_degree(mono)))
-            if ctx.carries(k)]
+def _stored_index(cc, ordered):
+    """{(level, basis index of the Cech algebra): basis index of the
+    ordered algebra}: the component of a stored tuple sits in both."""
+    out = {}
+    for p, g in enumerate(cc.levels):
+        target = {T: emb for T, _, emb in ordered.level(p).components}
+        for T, _, emb in g.components:
+            for k, gi in emb.items():
+                out[p, gi] = target[T][k]
+    return out
 
 
 @pytest.mark.parametrize("name", ["segment", "circle", "triple", "simplex5"])
 def test_keys_are_enumerated_from_the_cells(name):
-    """keys_up_to lists the carried keys straight from the cells: the
-    same keys, in the same order, as filtering the all-tuples keys."""
+    """The keys of the Cech algebra are those of its cells, the strictly
+    increasing tuples: relabelled into the ordered Cech algebra they are
+    its keys on those tuples, in the same order, so dropping the
+    degenerate factors relabels keys, rows and bases monotonely."""
     cover = {"segment": segment_cover, "circle": circle_cover,
              "triple": triple_cover,
              "simplex5": lambda L: complex_cover([tuple(range(5))], L,
                                                  name="simplex5")}[name]
     cc = cech_cosimplicial(tensored_cover(cover(ef_algebra()),
                                           dual_numbers()))
-    ctx = cc.tot_context()
-    assert ctx.cells is not None
+    ordered = ordered_cech(cc.cover, cc.N)
+    ctx, oracle = cc.tot_context(), TotContext(ordered)
+    index = _stored_index(cc, ordered)
+    stored = {(p, gj) for (p, _), gj in index.items()}
+    assert len(index) == len(stored) < sum(ordered.level_dimensions())
     total = 0
     for D in range(4):
         for degree in range(3):
             keys = ctx.keys_up_to(D, degree)
-            assert keys == _filtered_keys(ctx, D, degree)
+            assert [(p, index[p, gi], m) for p, gi, m in keys] == \
+                [k for k in oracle.keys_up_to(D, degree) if k[:2] in stored]
             total += len(keys)
     assert total
-
 
 # ---------------------------------------------------------------------------
 # lower central series of the Cech product levels
@@ -834,12 +887,13 @@ SERIES_INSTANCES = dict(
 
 @pytest.mark.parametrize("name", list(SERIES_INSTANCES))
 def test_the_series_of_a_cech_level_is_the_bracketed_series(name):
-    """Every Cech level is a product of section algebras, and its
-    series, put together from theirs, is the one the bracket loop
-    computes: stage by stage, degree by degree, in the same order."""
+    """Every Cech level is the product of the section algebras of its
+    tuples, and its series, put together from theirs, is the one the
+    bracket loop computes: stage by stage, degree by degree, in the same
+    order.  A level with no tuple is the zero algebra."""
     cc = SERIES_INSTANCES[name]()
-    for g in cc.levels:
-        assert g.components
+    for g, tuples in zip(cc.levels, cc.tuples):
+        assert [T for T, _, _ in g.components] == tuples
         nil, ref = lower_central_series(g), _bracketed_series(g)
         assert nil.nilpotency_class == ref.nilpotency_class
         assert _series_lists(nil) == _series_lists(ref)
@@ -902,7 +956,7 @@ def test_the_structure_tables_of_a_record_are_its_elementary_maps():
                     assert row == _elementary_apply(cc, u, q, {gi: 1}), u
 
 
-def _defect_by_basis_index(ctx, u, q, x, whole=False):
+def _defect_by_basis_index(ctx, u, q, x):
     """compatibility_defect from `_restrict_by_basis_index` and the
     image of every key's basis element on its own."""
     p = len(u) - 1
@@ -914,10 +968,7 @@ def _defect_by_basis_index(ctx, u, q, x, whole=False):
             for gj, c in _elementary_apply(ctx.cc, u, q, {gi: 1}).items():
                 key = (p, gj, mono)
                 pushed[key] = pushed.get(key, 0) + c * v
-    defect = el_sub(pulled, pushed)
-    if ctx.cells is None or whole:
-        return defect
-    return {k: v for k, v in defect.items() if k[1] in ctx.cells[q]}
+    return el_sub(pulled, pushed)
 
 
 @functools.cache
@@ -958,15 +1009,17 @@ def _tot_keys(name):
 @st.composite
 def _tot_elements(draw):
     """(TotContext, element over its keys, a monotone map u: [p] -> [q]
-    between levels 0..N)."""
+    between levels 0..N, injective on an algebra without
+    codegeneracies)."""
     ctx, keys = _tot_keys(draw(st.sampled_from(
         ["circle/t3", "circle/t3 over all tuples", "triple/eps"])))
     chosen = draw(st.lists(st.sampled_from(keys), max_size=16))
     x = {k: F(draw(st.integers(-3, 3))) for k in chosen}
     x = {k: v for k, v in x.items() if v}
     q = draw(st.integers(0, ctx.N))
-    u = draw(st.sampled_from(monotone_maps(draw(st.integers(0, ctx.N)), q)))
-    return ctx, x, u, q
+    maps = [u for p in range(ctx.N + 1) for u in monotone_maps(p, q)
+            if ctx.cc.codegens is not None or len(set(u)) == len(u)]
+    return ctx, x, draw(st.sampled_from(maps)), q
 
 
 @settings(max_examples=60, deadline=None)
@@ -975,10 +1028,6 @@ def test_defect_by_monomial_is_defect_by_basis_index(case):
     ctx, x, u, q = case
     assert ctx.compatibility_defect(u, q, by_monomial(x)) == \
         _defect_by_basis_index(ctx, u, q, x)
-    # on the whole family, at every target
-    whole = ctx._whole(by_monomial(x))
-    assert ctx.compatibility_defect(u, q, whole, whole=True) == \
-        _defect_by_basis_index(ctx, u, q, ctx.extend(x), whole=True)
 
 
 # ---------------------------------------------------------------------------
@@ -988,11 +1037,11 @@ def test_defect_by_monomial_is_defect_by_basis_index(case):
 def test_a_membership_check_pulls_each_level_and_monomial_back_once(
         monkeypatch):
     """On a glued circle-ef/t^3 sample, is_tot_element pulls back, per
-    structure map u: [p] -> [q], each distinct (level q, monomial) of
-    the whole family once, not each (level q, basis index)."""
+    generator u: [p] -> [q] (the five cofaces into levels 1 and 2), each
+    distinct (level q, monomial) of the family once, not each (level q,
+    basis index)."""
     from dgdescent import mcgauge
     from dgdescent.cech import _sample_descent_datum, glue_descent_datum
-    from dgdescent.tot import _structure_maps
     cc = cech_cosimplicial(tensored_cover(circle_cover(ef_algebra()),
                                           t_truncated(3)))
     ctx = cc.tot_context()
@@ -1001,16 +1050,14 @@ def test_a_membership_check_pulls_each_level_and_monomial_back_once(
     while datum is None:
         datum = _sample_descent_datum(cc, rng)
     x = glue_descent_datum(cc, datum, 2)
-    whole = ctx.extend(x)
     calls = []
     apply = mcgauge.omega_apply
     monkeypatch.setattr(mcgauge, "omega_apply",
                         lambda u, omega: calls.append(u) or apply(u, omega))
     assert ctx.is_tot_element(x)
-    maps = _structure_maps(cc.N)
-    assert len(maps) == 8
-    monomials = sum(len({mono for p, _, mono in whole if p == q})
+    maps = ctx.generators()
+    assert len(maps) == 5
+    monomials = sum(len({mono for p, _, mono in x if p == q})
                     for _, q in maps)
-    indices = sum(len({gi for p, gi, _ in whole if p == q})
-                  for _, q in maps)
-    assert (len(calls), monomials, indices) == (18, 18, 94)
+    indices = sum(len({gi for p, gi, _ in x if p == q}) for _, q in maps)
+    assert (len(calls), monomials, indices) == (4, 4, 14)

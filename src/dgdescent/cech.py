@@ -20,7 +20,7 @@ The comparison functor sends an MC family (omega_p) to the descent
 datum (a, theta): a is the level-0 component, theta the holonomy of the
 dt-part of omega_1 (a gauge path between the two coface images of a).
 Gluing goes the other way: level 0 and 1 from the datum itself, level
-p >= 2 by boundary extension plus staged Maurer-Cartan correction.
+p >= 2, if nonzero, by boundary extension plus staged MC correction.
 """
 
 import functools
@@ -45,8 +45,8 @@ from .tot import CosimplicialDgLie, DescentDatum, tot_lie
 
 class GluingFailed(Exception):
     """A datum that fails verification (level 0, stage None), or a level
-    out of reach within the degree bound: stage 0 when its face and
-    degeneracy constraints have no solution (at level 1, when the gauge
+    out of reach within the degree bound: stage 0 when its face
+    constraints have no solution (at level 1, when the gauge
     path of theta is of higher polynomial degree), k when the MC
     correction is obstructed at filtration stage k."""
 
@@ -242,10 +242,10 @@ def glue_descent_datum(cc, datum, D):
     (`GluingFailed` at level 1) when its polynomial degree exceeds D;
     level p >= 2 is solved on its keys: the face restrictions are
     affine constraints on its components, then staged corrections
-    restore MC exactly without moving the constrained part.  A Cech
-    algebra stores no tuple above its nerve dimension, so there the
-    system is empty: a cover without triple overlaps solves nothing
-    above level 1.
+    restore MC exactly without moving the constrained part.  A level
+    that no map of `TotContext.generators` reaches is zero and gets the
+    member 0 unsolved, so a Cech algebra on a cover without triple
+    overlaps solves nothing above level 1.
     """
     ctx = cc.tot_context()
     G = cc.descent_groupoid()
@@ -264,7 +264,8 @@ def glue_descent_datum(cc, datum, D):
                               f"degree {degree}, above the degree bound "
                               f"{D}", 0)
     for p in range(2, ctx.N + 1):
-        omegas.append(_glue_level(ctx, omegas, p, D))
+        omegas.append(_glue_level(ctx, omegas, p, D)
+                      if ctx.gluing_system(p, D)[1] else {})
     x = el_sum(omegas)
     # every level was solved for these conditions
     if not ctx.is_tot_element(x):
@@ -302,8 +303,8 @@ def _glue_level(ctx, omegas, p, D):
     except ObstructionUnsolvable as exc:
         if exc.stage == 0:
             raise GluingFailed(
-                p, f"boundary/degeneracy constraints unsolvable within "
-                   f"degree bound {D}", 0) from exc
+                p, f"face constraints unsolvable within degree bound "
+                   f"{D}", 0) from exc
         raise GluingFailed(
             p, f"MC correction obstructed at filtration stage "
                f"{exc.stage} (raise the degree bound?)", exc.stage) from exc

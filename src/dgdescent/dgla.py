@@ -104,24 +104,35 @@ def el_eq(x, y):
 # that push sparse elements through structure constants
 
 
-def bilinear_apply(table, x, y):
-    """(x, y) pushed through a bilinear table {(i, j): {k: coeff}}."""
+def _accumulate(out, key, t):
+    v = out.get(key)
+    out[key] = t if v is None else v + t
+
+
+def table_rows(table):
+    """A bilinear table {(i, j): {k: coeff}} by first index,
+    {i: [(j, (k, coeff) pairs of entry (i, j)), ...]} with the j in
+    increasing order: the view that `bilinear_apply` and
+    `keyed_bilinear_apply` walk."""
+    rows = {}
+    for (i, j), entry in sorted(table.items()):
+        rows.setdefault(i, []).append((j, tuple(entry.items())))
+    return rows
+
+
+def bilinear_apply(rows, x, y):
+    """(x, y) pushed through a bilinear table read by first index
+    (`table_rows`): each index of x walks its row, so only the pairs
+    (i, j) that have a product are visited."""
     out = {}
     for i, a in x.items():
-        for j, b in y.items():
-            entry = table.get((i, j))
-            if not entry:
-                continue
-            ab = a * b
-            if not ab:
-                continue
-            for k, c in entry.items():
-                v = out.get(k, 0) + ab * c
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-    return out
+        for j, entry in rows.get(i, ()):
+            b = y.get(j)
+            if b:
+                ab = a * b
+                for k, c in entry:
+                    _accumulate(out, k, ab * c)
+    return {k: v for k, v in out.items() if v}
 
 
 # The keyed case: elements of the sum over levels p of W_p (x) L_p, over
@@ -130,11 +141,6 @@ def bilinear_apply(table, x, y):
 # and the factors enter through pure functions of their keys, so a
 # form-valued element of several levels is pushed through each level's
 # tables in one pass, without splitting it by level or by w first.
-
-
-def _accumulate(out, key, t):
-    v = out.get(key)
-    out[key] = t if v is None else v + t
 
 
 def keyed_linear_apply(algebras, x, w_d, w_odd):
@@ -286,20 +292,16 @@ class DgLieAlgebra:
         return self.table.get((i, j), {})
 
     def bracket(self, x, y):
-        return bilinear_apply(self.table, x, y)
+        return bilinear_apply(self.bracket_rows, x, y)
 
     def d_element(self, x):
         return linear_apply(self.d_table, x)
 
     @functools.cached_property
     def bracket_rows(self):
-        """The bracket table by first index, {i: [(j, (k, coeff) pairs
-        of [e_i, e_j]), ...]} with the j in increasing order: the view
-        `keyed_bilinear_apply` walks.  Computed once per algebra."""
-        rows = {}
-        for (i, j), entry in sorted(self.table.items()):
-            rows.setdefault(i, []).append((j, tuple(entry.items())))
-        return rows
+        """The bracket table by first index (`table_rows`), computed
+        once per algebra."""
+        return table_rows(self.table)
 
     @functools.cached_property
     def odd_indices(self):
@@ -484,6 +486,7 @@ class DgCommAlgebra:
         self.table = _product_table(
             products, self.space.degree_of, lambda a, b: (-1) ** (a * b),
             "product", "graded commutativity")
+        self.product_rows = table_rows(self.table)
         self.unit_index = unit_index
         self.d_table = cochain.d
         if validate:
@@ -493,7 +496,7 @@ class DgCommAlgebra:
         return self.space.degree_of(gidx)
 
     def multiply(self, x, y):
-        return bilinear_apply(self.table, x, y)
+        return bilinear_apply(self.product_rows, x, y)
 
     def d_element(self, x):
         return linear_apply(self.d_table, x)
@@ -526,11 +529,12 @@ class MaximalIdeal:
         self.labels = list(labels)
         self.table = _product_table(products, lambda i: 0, lambda a, b: 1,
                                     "ideal product", "commutativity")
+        self.product_rows = table_rows(self.table)
         _check_associativity(self.multiply, len(self.labels))
         self.nilpotency = self._nilpotency_degree()
 
     def multiply(self, x, y):
-        return bilinear_apply(self.table, x, y)
+        return bilinear_apply(self.product_rows, x, y)
 
     def _nilpotency_degree(self):
         """Smallest s with m^s = 0; raises if the powers never die."""

@@ -392,10 +392,12 @@ def holonomy(ctx, y_coeffs, theta0=None):
     m <= r len(y), by induction on m; it lies in F^r, so r <= c and the
     c len(y) coefficients after theta0 are all of them, whatever theta0
     is.  gauge_act(theta, x) equals the time-1 nonautonomous flow from x
-    for every MC x (tested).
+    for every MC x (tested).  A zero weight or an empty P_k[m] adds no
+    term, and the weights are lowered once, so B+_0 = 1 is an int.
     """
     c, L = ctx.nclass(), len(y_coeffs)
-    weights = [Fraction(_bernoulli_plus(k), factorial(k)) for k in range(c)]
+    weights = [lower(Fraction(_bernoulli_plus(k), factorial(k)))
+               for k in range(c)]
     theta = [dict(theta0 or {})]
     powers = [list(y_coeffs)] + [[] for _ in range(1, c)]   # P_k[0 .. m]
     for m in range(c * L):
@@ -407,7 +409,8 @@ def holonomy(ctx, y_coeffs, theta0=None):
                 for i in range(m + 1)
                 if theta[i] and powers[k - 1][m - i]))
         theta.append(el_scale(Fraction(1, m + 1), el_sum(
-            el_scale(w, P[m]) for w, P in zip(weights, powers))))
+            el_scale(w, P[m]) for w, P in zip(weights, powers)
+            if w and P[m])))
     return el_sum(theta)
 
 

@@ -1,7 +1,8 @@
 """Builders that only the tests use: the constant cosimplicial algebra,
 the ordered Cech algebra over every nondecreasing tuple with the
-extension of families to it, and abelian descent data, drawn or given
-by their coordinates.
+extension of families to it, abelian descent data, drawn or given by
+their coordinates, and nonabelian coboundary data that glue by
+construction.
 
 `dgdescent.cech.verify_descent` decides abelian instances by linear
 algebra and samples nothing, so the package draws only nonabelian data;
@@ -11,10 +12,12 @@ the abelian ones here feed the gluing tests.
 import itertools
 
 from dgdescent.cech import _structure_map
-from dgdescent.dgla import direct_product, identity_map
+from dgdescent.dgla import (direct_product, el_scale, identity_map,
+                            lower_central_series)
 from dgdescent.forms import degeneracy_map, face_map, monomial_pullback
 from dgdescent.linalg import lower
-from dgdescent.mcgauge import by_monomial
+from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext, bch,
+                               by_monomial, gauge_act)
 from dgdescent.tot import CosimplicialDgLie, DescentDatum
 
 
@@ -96,3 +99,27 @@ def sample_abelian_datum(cc, rng):
     coords = [rng.randint(-3, 3) for _ in Z]
     datum = abelian_object(G, coords)
     return datum if G.verify_object(datum) else None
+
+
+def coboundary_datum(cc, rng):
+    """A descent datum that glues by construction, on a cover whose
+    opens all carry one section algebra with identity restrictions
+    (`instances.complex_cover`): a random MC element a0 and random
+    gauges g_i give a_i = g_i . a0 and theta_ij = bch(g_j, -g_i), which
+    carries a_i to a_j and meets the cocycle condition on every triple
+    overlap.  The sampler draws its thetas freely, so on a cover with a
+    triple overlap it glues almost nothing."""
+    cover = cc.cover
+    opens = [i for (i,) in cc.tuples[0]]
+    nil = lower_central_series(cover.algebra({opens[0]}))
+    a0 = DeligneGroupoid(nil).random_mc_element(rng)
+    g = {i: DeligneGroupoid(nil).random_gauge(rng) for i in opens}
+    a = {(i,): gauge_act(FiniteLieContext(nil), g[i], a0) for i in opens}
+    theta = {}
+    for i, j in itertools.combinations(opens, 2):
+        J = {i, j}
+        overlap = FiniteLieContext(lower_central_series(cover.algebra(J)))
+        theta[(i, j)] = bch(overlap, cover.restrict({j}, J, g[j]),
+                            el_scale(-1, cover.restrict({i}, J, g[i])))
+    return DescentDatum(cc.from_components(0, a),
+                        cc.from_components(1, theta))

@@ -97,16 +97,17 @@ def test_a_deferred_certificate_counts_as_no_solution(spans):
 
 
 def test_a_traced_glue_counts_its_constrained_solve(spans):
+    # the triple cover stores the tuple (0, 1, 2), so gluing solves
+    # level 2; a cover without triple overlaps solves nothing above
+    # level 1
     import random
 
+    from builders import coboundary_datum
     from dgdescent import cech, instances
     cc = cech.cech_cosimplicial(cech.tensored_cover(
-        instances.segment_cover(instances.ef_algebra()),
+        instances.triple_cover(instances.ef_algebra()),
         instances.t_truncated(3)), N=2)
-    rng = random.Random(0)
-    datum = None
-    while datum is None:
-        datum = cech._sample_descent_datum(cc, rng)
+    datum = coboundary_datum(cc, random.Random(0))
     tracer = spans.Tracer()
     inst = spans.install(tracer)
     try:

@@ -8,7 +8,8 @@ implementations, kept only here: Picard iteration on the time
 coefficients, kernels that split both operands by monomial and go
 through the plain algebra's d and bracket once per monomial (pair), and
 the keyed bracket that visits every pair of keys instead of the rows of
-the bracket table.
+the bracket table, and the plain bilinear kernel that does the same
+(`dgla.bilinear_apply`).
 """
 
 import functools
@@ -25,8 +26,10 @@ from dgdescent.dgla import (DgLieAlgebra, NilpotentDgLie, el_add, el_eq,
                             lower_central_series, tensor_lie)
 from dgdescent.forms import (mono_form_degree, mono_is_odd, mono_mul,
                              monomial_d, monomial_product, monomials_up_to)
-from dgdescent.instances import (ef_algebra, heisenberg, probe_class2,
-                                 segment_cover, t_truncated, wz_algebra)
+from dgdescent.instances import (contractible_artin_dg, ef_algebra,
+                                 heisenberg, probe_class2, segment_cover,
+                                 t_truncated, two_var_square_zero,
+                                 wz_algebra)
 from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext,
                                FormLieContext, flow_path, gauge_act,
                                mc_residual)
@@ -104,6 +107,17 @@ def per_monomial_bracket_el(ctx, x, y):
             if br:
                 parts.append({(p, gk, m): sign * c for gk, c in br.items()})
     return el_sum(parts)
+
+
+def all_pairs_bilinear_apply(table, x, y):
+    """(x, y) pushed through a bilinear table {(i, j): {k: coeff}},
+    looking every pair of indices of x and y up in the table."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, c in table.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: v for k, v in out.items() if v}
 
 
 def all_pairs_keyed_bilinear_apply(table, x, y, w_product, w_odd,
@@ -241,13 +255,28 @@ def _tensored(name):
     return tensor_lie(t_truncated(3), g)
 
 
+@functools.lru_cache(maxsize=None)
+def _commutative(name):
+    """A maximal ideal or a unital dg commutative algebra: its product
+    table, multiply and dimension."""
+    A = {"t3": lambda: t_truncated(3).maximal_ideal(),
+         "t4": lambda: t_truncated(4).maximal_ideal(),
+         "xy": lambda: two_var_square_zero().maximal_ideal(),
+         "dg": contractible_artin_dg}[name]()
+    dim = len(A.labels) if name != "dg" else A.space.total_dim()
+    return A.table, A.multiply, dim
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["ef", "heisenberg", "probe2", "two-term"]),
-       st.sampled_from([1, 2]), st.data())
-def test_bracket_rows_match_all_pairs(name, n, data):
+       st.sampled_from([1, 2]), st.sampled_from(["t3", "t4", "xy", "dg"]),
+       st.data())
+def test_bracket_rows_match_all_pairs(name, n, comm, data):
     """keyed_bilinear_apply, which walks the rows of the bracket table,
     gives the all-pairs bracket on random keyed elements of g (x) t^3
-    over Omega_1 and Omega_2."""
+    over Omega_1 and Omega_2; bilinear_apply, which walks the rows of a
+    product table, gives the all-pairs bracket of g (x) t^3 and the
+    all-pairs product of a maximal ideal or a dg commutative algebra."""
     ctx = FormLieContext(_tensored(name), n)
     keys = _all_keys(ctx, 2)
     x = data.draw(elements(keys))
@@ -258,6 +287,11 @@ def test_bracket_rows_match_all_pairs(name, n, data):
     assert keyed_bilinear_apply({n: g}, x, y, monomial_product,
                                 mono_is_odd) == expected
     assert ctx.bracket_el(x, y) == expected
+    x, y = (data.draw(elements(range(g.total_dim()))) for _ in range(2))
+    assert g.bracket(x, y) == all_pairs_bilinear_apply(g.table, x, y)
+    table, multiply, dim = _commutative(comm)
+    x, y = (data.draw(elements(range(dim))) for _ in range(2))
+    assert multiply(x, y) == all_pairs_bilinear_apply(table, x, y)
 
 
 def test_bracket_rows_list_the_table():

@@ -3,7 +3,6 @@ the degree-0 gauge basis of the nonabelian descent check."""
 
 import ast
 import functools
-import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -14,18 +13,18 @@ from dgdescent import cech, linalg, mcgauge, tot
 from dgdescent.cech import (GluingFailed, _glue_level, _sample_descent_datum,
                             cech_cosimplicial, glue_descent_datum,
                             tensored_cover, verify_descent)
-from dgdescent.dgla import (el_eq, el_scale, lower_central_series,
-                            tensor_lie)
+from dgdescent.dgla import el_eq, tensor_lie
 from dgdescent.forms import face_map
 from dgdescent.instances import (circle_cover, complex_cover, dual_numbers,
                                  ef_algebra, segment_cover, t_truncated,
                                  triple_cover)
 from dgdescent.linalg import sparse_columns, sparse_factor
-from dgdescent.mcgauge import (DeligneGroupoid, FiniteLieContext,
-                               ObstructionUnsolvable, SelfCheckFailed, bch,
-                               constrained_mc_solve, gauge_act, mc_residual,
-                               solve_1simplex)
-from dgdescent.tot import DescentDatum, TotContext, tot_lie
+from dgdescent.mcgauge import (FiniteLieContext, ObstructionUnsolvable,
+                               SelfCheckFailed, constrained_mc_solve,
+                               mc_residual, solve_1simplex)
+from dgdescent.tot import TotContext, tot_lie
+
+from builders import coboundary_datum
 
 ONE = Fraction(1)
 COVERS = {"segment": segment_cover, "circle": circle_cover,
@@ -37,30 +36,6 @@ BASES = {"eps": dual_numbers, "t3": lambda: t_truncated(3)}
 def nonabelian_cech(cover, base):
     return cech_cosimplicial(
         tensored_cover(COVERS[cover](ef_algebra()), BASES[base]()), N=2)
-
-
-def coboundary_datum(cc, rng):
-    """A descent datum that glues by construction, on a cover whose
-    opens all carry one section algebra with identity restrictions
-    (`instances.complex_cover`): a random MC element a0 and random
-    gauges g_i give a_i = g_i . a0 and theta_ij = bch(g_j, -g_i), which
-    carries a_i to a_j and meets the cocycle condition on every triple
-    overlap.  The sampler draws its thetas freely, so on a cover with a
-    triple overlap it glues almost nothing."""
-    cover = cc.cover
-    opens = [i for (i,) in cc.tuples[0]]
-    nil = lower_central_series(cover.algebra({opens[0]}))
-    a0 = DeligneGroupoid(nil).random_mc_element(rng)
-    g = {i: DeligneGroupoid(nil).random_gauge(rng) for i in opens}
-    a = {(i,): gauge_act(FiniteLieContext(nil), g[i], a0) for i in opens}
-    theta = {}
-    for i, j in itertools.combinations(opens, 2):
-        J = {i, j}
-        overlap = FiniteLieContext(lower_central_series(cover.algebra(J)))
-        theta[(i, j)] = bch(overlap, cover.restrict({j}, J, g[j]),
-                            el_scale(-1, cover.restrict({i}, J, g[i])))
-    return DescentDatum(cc.from_components(0, a),
-                        cc.from_components(1, theta))
 
 
 def test_constructed_coboundary_data_glue_on_the_triple_cover():
@@ -76,6 +51,36 @@ def test_constructed_coboundary_data_glue_on_the_triple_cover():
         assert any(p == 2 for p, _, _ in x)
         image = comparison.object_map(x)
         assert image.a == datum.a and image.theta == datum.theta
+
+
+@pytest.mark.parametrize("cover", ["segment", "circle", "triple"])
+def test_gluing_computes_nothing_in_a_zero_level_2(monkeypatch, cover):
+    """Gluing a datum on segment-ef/t^3 or circle-ef/t^3, whose level 2
+    stores no tuple, computes no defect into level 2, no BCH product in
+    it and no MC solve above level 1; on triple-ef/t^3, which stores
+    (0, 1, 2), it computes each of them."""
+    cc = nonabelian_cech(cover, "t3")
+    rng = random.Random(5)
+    datum = coboundary_datum(cc, rng) if cover == "triple" else None
+    while datum is None:
+        datum = _sample_descent_datum(cc, rng)
+    ctx2 = cc.descent_groupoid().ctx2
+    defects, products, solves = [], [], []
+    defect, product = TotContext.compatibility_defect, tot.bch
+    solve = cech.constrained_mc_solve
+    monkeypatch.setattr(TotContext, "compatibility_defect",
+                        lambda self, u, q, groups: defects.append(q) or
+                        defect(self, u, q, groups))
+    monkeypatch.setattr(tot, "bch", lambda ctx, *ys: products.append(
+        ctx is ctx2) or product(ctx, *ys))
+    monkeypatch.setattr(cech, "constrained_mc_solve",
+                        lambda *args, **kw: solves.append(kw["label"]) or
+                        solve(*args, **kw))
+    glue_descent_datum(cc, datum, 2)
+    assert 1 in defects and set(defects) <= {1, 2}
+    expected = cover == "triple"
+    assert (2 in defects, any(products), solves) == \
+        (expected, expected, ["level 2"] if expected else [])
 
 
 # the cones over the segment and circle nerves: an apex open that meets

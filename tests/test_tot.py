@@ -12,7 +12,8 @@ from dgdescent.cech import cech_cosimplicial, tensored_cover
 from dgdescent.cochain import canonical_table, map_table
 from dgdescent.dgla import (DgLieAlgebra, el_eq, el_sub,
                             lower_central_series, tensor_lie)
-from dgdescent.forms import PolyForm, monotone_maps, omega_apply
+from dgdescent.forms import (PolyForm, degeneracy_map, face_map,
+                             monotone_maps, omega_apply)
 from dgdescent.instances import (abelian_algebra, circle_cover, complex_cover,
                                  dual_numbers, ef_algebra, heisenberg,
                                  probe_class2, scaled_cover, segment_cover,
@@ -242,10 +243,12 @@ def test_exchange_rows_are_the_defects_of_unit_vectors(name, D, degree,
         generators = [(u, q) for u, q in generators
                       if {len(u) - 1, q} == {level - 1, level}]
         # a Cech algebra stores the nondegenerate tuples only, and its
-        # Tot conditions are the cofaces [level - 1] -> [level]; over all
+        # Tot conditions are the cofaces [level - 1] -> [level], none when
+        # the level is zero (level 2 of segment and circle); over all
         # tuples the codegeneracies [level] -> [level - 1] join them
-        assert len(generators) == (level + 1 if ctx.cc.codegens is None
-                                   else 2 * level + 1)
+        faces = level + 1 if ctx.cc.level(level).total_dim() else 0
+        assert len(generators) == (faces if ctx.cc.codegens is None
+                                   else faces + level)
     picks = data.draw(st.lists(st.integers(0, max(len(all_keys) - 1, 0)),
                                max_size=12, unique=True)) \
         if all_keys else []
@@ -789,6 +792,62 @@ def test_glued_families_extend_to_the_all_tuples_ones_on_every_instance(
 # the counts and system shapes at D = 2 that a slide back to all tuples
 # would change: (degree-0 keys, degree-1 keys, degree-1 keys over all
 # tuples, {p: rows x columns of gluing_system(p, 2)})
+# ---------------------------------------------------------------------------
+# a map into a zero level cuts out nothing
+
+
+def _every_elementary_map(cc):
+    """Every coface [p-1] -> [p] into levels 1..N and, on an algebra
+    with codegeneracies, every codegeneracy [p+1] -> [p], as (u, q), in
+    the order in which `TotContext.generators` lists those it keeps."""
+    maps = [(face_map(i, p), p) for p in range(1, cc.N + 1)
+            for i in range(p + 1)]
+    if cc.codegens is not None:
+        maps += [(degeneracy_map(i, p), p) for p in range(cc.N)
+                 for i in range(p + 1)]
+    return maps
+
+
+def _zero_level_instances():
+    """The Betti-oracle complexes, the bundled instances and covers,
+    and the algebras of `_cech_context`."""
+    from dgdescent.io import load_any
+    out = dict(ORACLE_INSTANCES)
+    for f in sorted(DATA.glob("cover_*.json")):
+        out[f.name] = lambda f=f: cech_cosimplicial(load_any(str(f))[1])
+    for name in ("triple/eps", "circle/t3", "scaled/t3", "segment-ef/t3",
+                 "triple/eps over all tuples"):
+        out[name] = lambda name=name: _cech_context(name).cc
+    return out
+
+
+ZERO_LEVEL_INSTANCES = _zero_level_instances()
+
+
+@pytest.mark.parametrize("name", list(ZERO_LEVEL_INSTANCES))
+def test_every_map_left_out_of_the_generators_has_no_defect(name):
+    """generators keeps the elementary maps into the nonzero levels, in
+    order, and leaves out every map into a zero level; each map left out
+    has a zero compatibility_defect on random elements over the keys of
+    degrees 0-2 at D = 2."""
+    cc = ZERO_LEVEL_INSTANCES[name]()
+    ctx = cc.tot_context()
+    every = _every_elementary_map(cc)
+    kept = ctx.generators()
+    dropped = [m for m in every if m not in kept]
+    assert kept == [m for m in every if m in kept]
+    assert {q for _, q in dropped} == {
+        q for q in range(1, cc.N + 1) if not cc.level(q).total_dim()}
+    keys = [k for n in range(3) for k in ctx.keys_up_to(2, n)]
+    rng = random.Random(name)
+    for _ in range(3):
+        x = {k: F(rng.choice([-3, -1, 1, 2])) for k in
+             rng.sample(keys, min(len(keys), 12))}
+        groups = by_monomial(x)
+        for u, q in dropped:
+            assert ctx.compatibility_defect(u, q, groups) == {}
+
+
 SHAPES = {
     "segment": (10, 14, 130, {1: (4, 10), 2: (0, 0)}),
     "circle": (24, 36, 282, {1: (12, 30), 2: (0, 0)}),
@@ -1037,9 +1096,10 @@ def test_defect_by_monomial_is_defect_by_basis_index(case):
 def test_a_membership_check_pulls_each_level_and_monomial_back_once(
         monkeypatch):
     """On a glued circle-ef/t^3 sample, is_tot_element pulls back, per
-    generator u: [p] -> [q] (the five cofaces into levels 1 and 2), each
-    distinct (level q, monomial) of the family once, not each (level q,
-    basis index)."""
+    generator u: [p] -> [q] (the two cofaces into level 1; level 2 is
+    zero, so the three into it are no generators), each distinct
+    (level q, monomial) of the family once, not each (level q, basis
+    index)."""
     from dgdescent import mcgauge
     from dgdescent.cech import _sample_descent_datum, glue_descent_datum
     cc = cech_cosimplicial(tensored_cover(circle_cover(ef_algebra()),
@@ -1056,7 +1116,7 @@ def test_a_membership_check_pulls_each_level_and_monomial_back_once(
                         lambda u, omega: calls.append(u) or apply(u, omega))
     assert ctx.is_tot_element(x)
     maps = ctx.generators()
-    assert len(maps) == 5
+    assert maps == [((1,), 1), ((0,), 1)]
     monomials = sum(len({mono for p, _, mono in x if p == q})
                     for _, q in maps)
     indices = sum(len({gi for p, gi, _ in x if p == q}) for _, q in maps)
